@@ -317,6 +317,9 @@ class CompressedXml:
         }
         self._m_recompress_total = obs.counter(
             "repro_recompress_total", "Recompression runs")
+        self._m_recompress_resolved = obs.counter(
+            "repro_recompress_generators_resolved_total",
+            "Occurrence generators the recompression index resolved")
         self._m_query_stage = {
             stage: obs.histogram(
                 "repro_query_stage_seconds",
@@ -1110,6 +1113,7 @@ class CompressedXml:
         stage["rounds"].observe(compressor.stats.rounds_seconds)
         stage["prune"].observe(compressor.stats.prune_seconds)
         self._m_recompress_total.inc()
+        self._m_recompress_resolved.inc(compressor.stats.generators_resolved)
         self.maintenance_seconds += compressor.stats.maintenance_seconds
         self.rules_censused_total += compressor.stats.rules_censused
         self.rules_adapted_total += (

@@ -20,10 +20,10 @@ Occurrence maintenance
 By default (``incremental=True``) step 3 does **not** rerun the full
 census: a :class:`~repro.core.occurrence_index.GrammarOccurrenceIndex` is
 built with exactly one full-grammar pass and then, after every
-replacement, re-censuses only the rules the round touched (reported
-through the grammar's observer channel) plus the rules whose occurrence
-resolutions pass through them -- a round costs O(|touched rules|) instead
-of O(|G|).  ``compress(dirty_rules=...)`` narrows even the initial census
+replacement, adapts the edited rules edge by edge (from the replacer's
+event log) and re-resolves only the generators a changed rule interface
+can reach -- a round costs O(edits + references into changed rules)
+instead of O(|G|).  ``compress(dirty_rules=...)`` narrows even the initial census
 to a set of dirty rules plus their digram frontier, which is what
 :meth:`repro.api.CompressedXml.recompress` uses to recompress only the
 part of the grammar mutated since its last run.  ``incremental=False``
@@ -81,10 +81,14 @@ class GrammarRePairStats:
     rule_count_trace: List[int] = field(default_factory=list)
     rules_censused: int = 0
     #: Rules brought up to date below census cost: event-log adaptation
-    #: (O(edits)) and crossing-only rescans (resolution only at nodes that
-    #: can cross rules).
+    #: (O(edits)) and targeted re-resolutions (only the generators whose
+    #: first hop enters a changed interface's closure); a rule may get
+    #: both in one round.
     rules_adapted: int = 0
     rules_partially_rescanned: int = 0
+    #: Resolver round-trip pairs (TREEPARENT + TREECHILD of one generator)
+    #: the occurrence index issued: the unit of maintenance work.
+    generators_resolved: int = 0
     seed_rule_count: Optional[int] = None
     #: Wall time spent maintaining occurrence counts: census/build, digram
     #: selection and per-round count upkeep (incl. garbage detection) --
@@ -121,6 +125,7 @@ class GrammarRePairStats:
             "rules_censused": self.rules_censused,
             "rules_adapted": self.rules_adapted,
             "rules_partially_rescanned": self.rules_partially_rescanned,
+            "generators_resolved": self.generators_resolved,
             "seed_rule_count": self.seed_rule_count or 0,
             "maintenance_seconds": self.maintenance_seconds,
             "census_seconds": self.census_seconds,
@@ -349,6 +354,7 @@ class GrammarRePair:
             stats.rules_censused = index.rules_censused
             stats.rules_adapted = index.rules_adapted
             stats.rules_partially_rescanned = index.rules_partially_rescanned
+            stats.generators_resolved = index.generators_resolved
             # Hand the maintained structure maps to the pruning phase so
             # it runs without a single whole-grammar setup walk (the
             # ROADMAP "fold pruning into the occurrence index" item).

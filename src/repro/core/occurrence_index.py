@@ -14,18 +14,23 @@ registers as a grammar observer, records the rules each replacement round
 mutates, and on :meth:`apply_round` adapts exactly what changed.  This
 realizes the paper's Section IV-C observation ("only the occurrences that
 overlap with an occurrence of the replaced digram have to be adapted") on
-the grammar, where before every round paid a full O(|G|) rescan.  Two
-granularities:
+the grammar, where before every round paid a full O(|G|) rescan.  A round
+costs O(edits + references into changed rules), split three ways:
 
 * **edge-local adaptation** for rules whose only mutations were intra-rule
-  digram replacements: the replacer reports the replaced edges
-  (:data:`~repro.core.rewrite.EdgeReplacement` deltas), and only the
-  occurrences incident to the replaced nodes are removed/re-resolved --
-  O(replacements) instead of O(|rule|).  This is what keeps rounds cheap
-  when the start rule dominates the grammar (the sustained-update regime);
-* **rule re-census** for rules rewritten in less local ways (inlining,
-  fragment export, removal) and for rules whose stored *resolutions* pass
-  through an interface that changed.
+  digram replacements and version inlines: the replacer reports them as
+  an event log (:data:`~repro.core.rewrite.EdgeReplacement` deltas), and
+  only the occurrences incident to the replaced nodes are removed and
+  re-resolved -- O(edits) instead of O(|rule|).  This is what keeps
+  rounds cheap when the start rule dominates the grammar (the
+  sustained-update regime);
+* **targeted re-resolution** for rules whose stored *resolutions* can pass
+  through an interface that changed: only the generators whose first hop
+  enters the closure of the changed interfaces re-resolve, every other
+  occurrence of the rule stays as stored.  A rule that was edited *and*
+  references such a closure gets both, adaptation first;
+* **rule re-census** only for rules rewritten non-locally (fragment
+  export), removed, or never censused before.
 
 Affected-set propagation
 ------------------------
@@ -47,10 +52,15 @@ identities and symbols of the root and parameter-parent nodes -- changed;
 a digram replaced in the interior of ``X`` stays ``X``'s private affair.
 The index keeps, per rule, its referenced symbols, its boundary symbols
 (interface symbols through which walks continue onward), and the
-signature; the affected set is ``dirty`` plus the referencers of the
-closure of the interface-changed rules under reverse-boundary edges.
-This is sound because every hop of a TREECHILD/TREEPARENT walk follows a
-reference, and hops beyond the first pass through interfaces only.
+signature.  The closure of the interface-changed transparent rules under
+reverse-boundary edges (``through``) holds every rule a resolution can
+enter on its way to a changed interface; the affected rules are ``dirty``
+plus the referencers of ``through``, and within such a referencer the
+affected generators are exactly those whose own symbol (descending) or
+in-rule parent symbol (ascending) is in ``through``.  This is sound
+because every hop of a TREECHILD/TREEPARENT walk follows a reference, and
+hops beyond the first pass through interfaces only -- so every resolution
+chain reaching a changed interface has its *first* hop in ``through``.
 
 Equal-label caveat
 ------------------
@@ -94,7 +104,7 @@ class GrammarOccurrenceIndex:
         index.build()                       # or build(seed_rules=dirty)
         while (best := index.best(kin)):
             ... replace best digram ...     # mutations reach the index
-            index.apply_round(clean_edits)  # adapt/rescan touched rules
+            index.apply_round(clean_edits)  # adapt/re-resolve what changed
 
     The instance registers as a grammar observer on construction; call
     :meth:`detach` when done (before pruning, which rewrites wholesale).
@@ -171,6 +181,8 @@ class GrammarOccurrenceIndex:
         self.rules_censused = 0
         self.rules_adapted = 0
         self.rules_partially_rescanned = 0
+        # One per tree_parent + tree_child round-trip pair issued.
+        self.generators_resolved = 0
         self.last_census_count = 0
         self.census_trace: List[int] = []
         # Grammar rule count at the time of each census, so the trace can
@@ -221,7 +233,7 @@ class GrammarOccurrenceIndex:
         order = anti_sl_order(grammar)
         if seed_rules is not None:
             dirty = {h for h in seed_rules if grammar.has_rule(h)}
-            affected = dirty | self._propagated(dirty)
+            affected = dirty | self._propagated(dirty)[0]
             order = [head for head in order if head in affected]
         census_count = 0
         for head in order:
@@ -246,10 +258,12 @@ class GrammarOccurrenceIndex:
         digram replacements to their ordered
         :data:`~repro.core.rewrite.EdgeReplacement` logs; those rules are
         adapted edge-locally.  Every other rule reported through the
-        observer channel since the last call -- plus the rules whose
-        resolutions pass through a changed interface -- is dropped and
-        re-censused; the rest keep their stored occurrences, with weights
-        adjusted for usage shifts by plain dict arithmetic.  With
+        observer channel since the last call is dropped and re-censused.
+        Rules whose resolutions can pass through a changed interface --
+        adapted this round or untouched -- re-resolve just the generators
+        whose first hop enters the changed interfaces' closure.  All
+        other stored occurrences stay, with weights adjusted for usage
+        shifts by plain dict arithmetic.  With
         ``collect_garbage`` (the default), rules whose usage dropped to
         zero are removed from the grammar first (the usage table needed
         for the weights doubles as the garbage detector).  Returns the
@@ -257,8 +271,9 @@ class GrammarOccurrenceIndex:
 
         Nothing here walks the whole grammar's right-hand sides: usage and
         reference counts come from the cached callee histograms, so a
-        round costs O(touched rules + rule count) dictionary work instead
-        of O(|G|) node visits.
+        round costs O(edits + rule count) dictionary work plus one
+        resolution per edited or closure-entering generator, instead of
+        O(|G|) node visits.
         """
         grammar = self._grammar
         dirty = self._dirty
@@ -285,26 +300,27 @@ class GrammarOccurrenceIndex:
                 for head in removed:
                     if self._refresh_structure(head):
                         interface_dirty.add(head)
-        propagated = self._propagated(interface_dirty)
-        # Local-edit adaptation applies only where nothing but clean
-        # replacements/inlines happened *and* no resolution chain out of
-        # the rule was invalidated by a neighbor's interface change.
+        propagated, through = self._propagated(interface_dirty)
+        # Edge-local adaptation: rules with stored occurrences whose only
+        # mutations were clean replacements/inlines.
         adapt: Dict[Symbol, List] = {}
         if clean_edits:
             for head, log in clean_edits.items():
-                if (log and head not in propagated
-                        and head not in removed and grammar.has_rule(head)
+                if (log and grammar.has_rule(head)
                         and head in self._by_rule):
                     adapt[head] = log
+        # Re-census: whatever else changed (fragment export, removal,
+        # never censused).
         rescan = dirty - set(adapt)
-        # Rules affected *only* through a neighbor's interface change keep
-        # their local occurrences (provably untouched: the rule itself did
-        # not change) and re-resolve just the crossing generators, in rule
-        # preorder.  Applies only to rules inside the compression scope
-        # (censused before; dirty-seeded runs leave the rest alone).
+        # Targeted re-resolution: a rule referencing the closure of the
+        # changed interfaces keeps every occurrence whose resolution
+        # cannot enter that closure and re-resolves the rest -- on top of
+        # its own edge-local adaptation when it was also edited.  Applies
+        # only inside the compression scope (censused before;
+        # dirty-seeded runs leave the rest alone).
         partial = {
             head for head in propagated
-            if head not in rescan and head not in adapt
+            if head not in rescan
             and head in self._scope and head not in self._opaque
             and grammar.has_rule(head)
         }
@@ -326,13 +342,13 @@ class GrammarOccurrenceIndex:
             self._rule_usage[head] = new_weight
         resolver = Resolver(grammar, self._opaque, barriers=self._barriers)
         for head, log in adapt.items():
-            self._adapt_rule(head, log, resolver, usage_map)
+            self._adapt_rule(head, log, resolver)
         census_count = 0
         for head in self._order_affected(rescan):
             if self._census_rule(head, resolver, usage_map):
                 census_count += 1
         for head in self._order_affected(partial):
-            self._rescan_crossing(head, resolver, usage_map)
+            self._rescan_crossing(head, through, resolver, usage_map)
             census_count += 1
         self.last_census_count = census_count
         self.census_trace.append(census_count)
@@ -651,10 +667,15 @@ class GrammarOccurrenceIndex:
         self._assign_topo(head, callees)
         return True
 
-    def _propagated(self, interface_dirty: Set[Symbol]) -> Set[Symbol]:
+    def _propagated(
+        self, interface_dirty: Set[Symbol]
+    ) -> Tuple[Set[Symbol], Set[Symbol]]:
         """Rules whose stored occurrences may have changed endpoints
         because a resolution chain out of them reaches a rule whose
-        interface changed: referencers of the reverse-boundary closure."""
+        interface changed: the referencers of ``through``, the
+        reverse-boundary closure of the interface-changed transparent
+        rules.  Returns ``(referencers, through)``; every affected chain
+        has its *first* hop in ``through``."""
         through: Set[Symbol] = {
             head for head in interface_dirty if self._is_transparent(head)
         }
@@ -668,7 +689,7 @@ class GrammarOccurrenceIndex:
         result: Set[Symbol] = set()
         for head in through:
             result.update(self._referencers.get(head, ()))
-        return result
+        return result, through
 
     def _order_affected(self, affected: Set[Symbol]) -> List[Symbol]:
         """Anti-SL (callees first) order restricted to ``affected``.
@@ -730,6 +751,7 @@ class GrammarOccurrenceIndex:
         if self._barriers and (node.symbol in self._barriers
                                or node.parent.symbol in self._barriers):
             return  # shard reference edges are pinned: no digram here
+        self.generators_resolved += 1
         parent_node, child_index, parent_path = resolver.tree_parent(node)
         child_node, child_path = resolver.tree_child(node)
         digram = Digram(parent_node.symbol, child_index, child_node.symbol)
@@ -779,89 +801,87 @@ class GrammarOccurrenceIndex:
         if digram.is_equal_label:
             self._release_claim(digram, occurrence)
 
-    def _adapt_rule(
-        self,
-        head: Symbol,
-        log: List,
-        resolver: Resolver,
-        usage_map: Dict[Symbol, int],
-    ) -> None:
+    def _adapt_rule(self, head: Symbol, log: List, resolver: Resolver) -> None:
         """Apply one round's local-edit events to ``head``'s occurrences.
 
         ``("edge", v, i, w, x)``: every node the replacement detached is
         the ``v`` or ``w`` of some entry, and every fresh edge is incident
-        to its ``x`` node -- remove the occurrences generated by
-        ``{v, w} U children(x)`` and re-resolve ``{x} U children(x)``.
+        to its ``x`` node -- the occurrences generated by
+        ``{v, w} U children(x)`` die and ``{x} U children(x)`` generate
+        afresh.
 
         ``("inline", n, copy_root, argument_roots)``: the inlined node's
         occurrence dies; every node of the inlined template copy plus the
         re-parented argument roots generates afresh (argument interiors
         are untouched originals).
 
-        Processed in event order against the post-round tree, this leaves
-        exactly the occurrence set a rescan of the rule would produce
-        (modulo re-discovery of previously claim-suppressed equal-label
-        occurrences, see the module docstring) -- at O(edits) instead of
-        O(|rule|) cost.
+        Two passes: first every removal of the log, collecting the nodes
+        to (re)generate once each in event order; then one store per
+        collected node still attached to the post-round tree (a template
+        copy consumed by a later replacement of the same round is not).
+        This leaves exactly the occurrence set a rescan of the rule would
+        produce (modulo re-discovery of previously claim-suppressed
+        equal-label occurrences, see the module docstring) -- at O(edits)
+        instead of O(|rule|) cost.
         """
-        per_rule = self._by_rule.get(head)
-        if per_rule is None:
-            # Never censused (no occurrences stored before): fall back.
-            self._census_rule(head, resolver, usage_map)
-            return
         self.rules_adapted += 1
+        per_rule = self._by_rule[head]
         gen_map = self._gen_digram[head]
         weight = self._rule_usage.get(head, 0)
+        # The log holds the detached nodes, so their ids cannot be reused.
+        detached: Set[int] = set()
+        fresh: Dict[int, Node] = {}
         for event in log:
             if event[0] == "edge":
                 _tag, old_parent, _slot, old_child, new_node = event
-                self._remove_generator(head, old_parent, per_rule, gen_map)
-                self._remove_generator(head, old_child, per_rule, gen_map)
+                for node in (old_parent, old_child):
+                    detached.add(id(node))
+                    self._remove_generator(head, node, per_rule, gen_map)
+                fresh.setdefault(id(new_node), new_node)
                 for child in new_node.children:
-                    self._remove_generator(head, child, per_rule, gen_map)
-                if new_node.parent is not None:
-                    self._store_occurrence(
-                        head, new_node, resolver, weight, per_rule, gen_map
-                    )
-                for child in new_node.children:
-                    if not child.symbol.is_parameter:
-                        self._store_occurrence(
-                            head, child, resolver, weight, per_rule, gen_map
-                        )
+                    fresh.setdefault(id(child), child)
             else:
                 _tag, inlined, copy_root, argument_roots = event[:4]
+                detached.add(id(inlined))
                 self._remove_generator(head, inlined, per_rule, gen_map)
                 argument_ids = {id(root) for root in argument_roots}
                 stack = [copy_root]
                 while stack:
                     node = stack.pop()
-                    if (not node.symbol.is_parameter
-                            and node.parent is not None):
-                        self._store_occurrence(
-                            head, node, resolver, weight, per_rule, gen_map
-                        )
+                    fresh.setdefault(id(node), node)
                     if id(node) not in argument_ids:
                         stack.extend(node.children)
+        survivors = [
+            node for key, node in fresh.items()
+            if key not in detached and node.parent is not None
+            and not node.symbol.is_parameter
+        ]
+        for node in survivors:
+            self._remove_generator(head, node, per_rule, gen_map)
+        for node in survivors:
+            self._store_occurrence(
+                head, node, resolver, weight, per_rule, gen_map
+            )
 
     def _rescan_crossing(
         self,
         head: Symbol,
+        through: Set[Symbol],
         resolver: Resolver,
         usage_map: Dict[Symbol, int],
     ) -> None:
-        """Re-resolve only the generators of ``head`` that can cross into
-        other rules: nodes with a transparent symbol (child side) or a
-        transparent parent (parent side).
+        """Re-resolve the generators of ``head`` whose resolution can
+        enter ``through``: nodes whose own symbol (child side) or in-rule
+        parent symbol (parent side) is in that closure.
 
-        Used when ``head`` itself did not change but a rule its
-        resolutions pass through changed interface.  Local occurrences
-        (both endpoints in-rule) cannot be affected and keep their
-        storage, claims and pairing; crossing candidates -- stored *or*
-        previously suppressed, they are the same node set -- re-resolve
-        in rule preorder.
+        Used when ``head`` references a rule of the closure (whether or
+        not ``head`` itself was edited this round).  Every other
+        occurrence -- local, or crossing into rules outside the closure
+        -- cannot be affected and keeps its storage, claims and pairing;
+        the candidates -- stored *or* previously suppressed, they are the
+        same node set -- re-resolve in rule preorder.
         """
-        grammar = self._grammar
-        rhs = grammar.rules[head]
+        rhs = self._grammar.rules[head]
         weight = usage_map.get(head, 0)
         per_rule = self._by_rule.get(head)
         gen_map = self._gen_digram.get(head)
@@ -872,24 +892,15 @@ class GrammarOccurrenceIndex:
             self._gen_digram[head] = gen_map
             self._rule_usage[head] = weight
         self.rules_partially_rescanned += 1
-        opaque = self._opaque
-        order: List[Node] = []
         stack = [rhs]
         while stack:  # preorder
             node = stack.pop()
-            order.append(node)
             stack.extend(reversed(node.children))
-        for node in order:
             parent = node.parent
             symbol = node.symbol
             if parent is None or symbol.is_parameter:
                 continue
-            parent_symbol = parent.symbol
-            if (
-                (symbol.is_nonterminal and symbol not in opaque)
-                or (parent_symbol.is_nonterminal
-                    and parent_symbol not in opaque)
-            ):
+            if symbol in through or parent.symbol in through:
                 # _store_occurrence re-applies the barrier skip itself.
                 self._store_occurrence(
                     head, node, resolver, weight, per_rule, gen_map
@@ -960,6 +971,7 @@ class GrammarOccurrenceIndex:
                 parent_path: List[Node] = []
                 child_path: List[Node] = []
             else:
+                self.generators_resolved += 1
                 parent_node, child_index, parent_path = \
                     resolver.tree_parent(node)
                 child_node, child_path = resolver.tree_child(node)

@@ -51,7 +51,8 @@ class Symbol:
     must have; parameters always have rank 0.
     """
 
-    __slots__ = ("name", "rank", "kind", "param_index")
+    __slots__ = ("name", "rank", "kind", "param_index",
+                 "is_terminal", "is_nonterminal", "is_parameter")
 
     def __init__(
         self,
@@ -71,18 +72,11 @@ class Symbol:
         self.rank = rank
         self.kind = kind
         self.param_index = param_index
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.kind is SymbolKind.TERMINAL
-
-    @property
-    def is_nonterminal(self) -> bool:
-        return self.kind is SymbolKind.NONTERMINAL
-
-    @property
-    def is_parameter(self) -> bool:
-        return self.kind is SymbolKind.PARAMETER
+        # Kind predicates as plain attributes: every layer's inner loops
+        # read them, and a symbol's kind never changes.
+        self.is_terminal = kind is SymbolKind.TERMINAL
+        self.is_nonterminal = kind is SymbolKind.NONTERMINAL
+        self.is_parameter = kind is SymbolKind.PARAMETER
 
     @property
     def is_bottom(self) -> bool:

@@ -15,15 +15,22 @@ Three correctness bars:
   untouched rules.
 """
 
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 
 from repro.api import CompressedXml
 from repro.core.grammar_repair import GrammarRePair, grammar_repair
+from repro.core.occurrence_index import GrammarOccurrenceIndex
 from repro.core.replace_optimized import replace_all_occurrences_optimized
 from repro.core.replace_simple import replace_all_occurrences_simple
+from repro.core.resolve import Resolver
 from repro.core.retrieve import retrieve_occurrences
+from repro.datasets.synthetic import make_corpus
 from repro.grammar.navigation import generates_same_tree
+from repro.grammar.properties import usage
 from repro.grammar.slcf import RuleTouchRecorder
 from repro.repair.digram import digram_pattern
 from repro.trees.binary import encode_binary
@@ -31,21 +38,39 @@ from repro.trees.symbols import Alphabet
 from repro.trees.unranked import XmlNode
 
 from tests.grammar.test_index import replay_script
-from tests.strategies import slcf_grammars, update_scripts, xml_documents
+from tests.strategies import (
+    shard_widths,
+    slcf_grammars,
+    update_scripts,
+    xml_documents,
+)
 
 
-def census_agreement_hook(mismatches):
-    """Round hook comparing the live index against a fresh census."""
+def census_agreement_hook(mismatches, barriers=None, scoped=False):
+    """Round hook comparing the live index against a fresh census.
+
+    ``scoped`` restricts the fresh census to the rules the index holds
+    -- the form of agreement a dirty-seeded scope allows."""
 
     def hook(grammar, index, opaque):
-        fresh = retrieve_occurrences(grammar, opaque)
+        table = retrieve_occurrences(grammar, opaque, barriers=barriers)
+        fresh = table.weights
+        if scoped:
+            censused = index.censused_rules()
+            weight_of = usage(grammar)
+            fresh = {}
+            for digram, occurrences in table.entries.items():
+                for occ in occurrences:
+                    if occ.rule in censused:
+                        fresh[digram] = \
+                            fresh.get(digram, 0) + weight_of[occ.rule]
         live = index.weights()
-        for digram in set(fresh.weights) | set(live):
+        for digram in set(fresh) | set(live):
             if digram.is_equal_label:
                 # Greedy overlap suppression may pick a different (valid)
                 # non-overlapping set when claims persist across rounds.
                 continue
-            fresh_weight = fresh.weights.get(digram, 0)
+            fresh_weight = fresh.get(digram, 0)
             live_weight = live.get(digram, 0)
             if fresh_weight != live_weight:
                 mismatches.append((digram, fresh_weight, live_weight))
@@ -103,6 +128,110 @@ class TestIncrementalCensusAgreement:
         result = compressor.compress(doc.grammar)
         result.validate()
         assert mismatches == []
+        assert generates_same_tree(result, doc.grammar)
+
+
+def freshness_hook(stale, barriers=None, check_weights=False):
+    """Round hook: every *stored* resolution must still be what a fresh
+    resolver answers.
+
+    Weight agreement alone cannot see a stale endpoint or path that
+    happens to keep its digram; the replacer, however, rewrites at the
+    stored nodes.  So after every round each stored occurrence's
+    generator must be attached under its rule, and its endpoints and
+    resolution paths identity-equal to a new ``Resolver``'s.  With
+    ``check_weights`` the scoped :func:`census_agreement_hook` runs too.
+    """
+    agreement = census_agreement_hook(stale, barriers, scoped=True)
+
+    def same_nodes(left, right):
+        return len(left) == len(right) and all(
+            a is b for a, b in zip(left, right)
+        )
+
+    def hook(grammar, index, opaque):
+        resolver = Resolver(grammar, opaque, barriers=barriers)
+        for head, per_rule in index._by_rule.items():
+            root = grammar.rules[head]
+            for digram, occurrences in per_rule.items():
+                for occ in occurrences.values():
+                    node = occ.generator
+                    while node.parent is not None:
+                        slot = node.child_index()
+                        if node.parent.children[slot - 1] is not node:
+                            break
+                        node = node.parent
+                    if occ.rule is not head or node is not root:
+                        stale.append(("detached", head, digram))
+                        continue
+                    parent_node, child_index, parent_path = \
+                        resolver.tree_parent(occ.generator)
+                    child_node, child_path = resolver.tree_child(occ.generator)
+                    if not (
+                        occ.parent_node is parent_node
+                        and occ.child_index == child_index
+                        and occ.child_node is child_node
+                        and same_nodes(occ.parent_path, parent_path)
+                        and same_nodes(occ.child_path, child_path)
+                    ):
+                        stale.append(("resolution", head, digram))
+        if check_weights:
+            agreement(grammar, index, opaque)
+
+    return hook
+
+
+class TestStoredResolutionFreshness:
+    @settings(max_examples=40, deadline=None)
+    @given(slcf_grammars())
+    def test_fresh_on_random_grammars(self, grammar):
+        stale = []
+        GrammarRePair(
+            round_hook=freshness_hook(stale, check_weights=True)
+        ).compress(grammar)
+        assert stale == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(xml_documents(max_elements=40), shard_widths(),
+           update_scripts(max_ops=10))
+    def test_fresh_under_shard_barriers(self, tree, width, script):
+        """Every recompression a sharded document runs -- mid-script and
+        final, dirty-scoped, with its shard heads as barriers."""
+        stale = []
+
+        def compressor(**kwargs):
+            return GrammarRePair(
+                round_hook=freshness_hook(stale, kwargs.get("barriers")),
+                **kwargs,
+            )
+
+        doc = CompressedXml.from_document(tree, shard_width=width)
+        with mock.patch("repro.api.GrammarRePair", compressor):
+            for _ in replay_script(doc, script):
+                pass
+            doc.recompress()
+        doc.grammar.validate()
+        assert stale == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(xml_documents(max_elements=40), shard_widths(),
+           update_scripts(max_ops=10))
+    def test_fresh_in_dirty_seeded_scope(self, tree, width, script):
+        doc = CompressedXml.from_document(tree, shard_width=width)
+        for _ in replay_script(doc, script):
+            pass
+        barriers = set(doc.shard_manager.heads)
+        stale = []
+        compressor = GrammarRePair(
+            barriers=barriers,
+            round_hook=freshness_hook(stale, barriers=barriers,
+                                      check_weights=True),
+        )
+        result = compressor.compress(
+            doc.grammar, dirty_rules=set(doc._dirty.changed)
+        )
+        result.validate()
+        assert stale == []
         assert generates_same_tree(result, doc.grammar)
 
 
@@ -206,6 +335,54 @@ class TestCensusInstrumentation:
         assert stats.full_censuses == 0
         # The seeded build scans the start rule plus its frontier only.
         assert stats.census_trace[0] < full_build
+
+
+class TestCountersProveTheCut:
+    """A round pays per edited or closure-entering generator, not per
+    rule that mentions a changed rule: on a fixed sharded document no
+    large rule is re-censused inside a round (only non-locally rewritten
+    rules are, and those are small), and the resolver round-trips of the
+    whole run stay under a pinned ceiling."""
+
+    #: 3467 on this scenario; the "propagated => drop and re-census,
+    #: rescan every crossing generator" loop it replaced issued 4686 (and
+    #: re-censused six rules of 50+ edges inside rounds).
+    RESOLVED_CEILING = 4000
+
+    def test_no_large_in_round_census_and_bounded_resolutions(self):
+        doc = CompressedXml.from_document(
+            make_corpus("EXI-Weblog", edges=2000, seed=42), shard_width=64
+        )
+        rng = random.Random(42)
+        kinds = ("rename", "rename", "rename", "insert", "insert",
+                 "append", "delete")
+        tags = ("ip", "user", "ts", "request", "status", "bytes", "extra")
+        script = [(rng.choice(kinds), rng.random(), rng.choice(tags))
+                  for _ in range(60)]
+        for _ in replay_script(doc, script):
+            pass
+
+        in_round_census_edges = []
+        census_rule = GrammarOccurrenceIndex._census_rule
+
+        def recording(index, head, resolver, usage_map):
+            scanned = census_rule(index, head, resolver, usage_map)
+            if scanned and index.census_trace:  # empty until build() ends
+                in_round_census_edges.append(index.rule_edges_live()[head])
+            return scanned
+
+        with mock.patch.object(
+            GrammarOccurrenceIndex, "_census_rule", recording
+        ):
+            doc.recompress()
+        stats = doc.last_repair_stats
+        assert stats.rounds > 50
+        assert stats.rules_adapted > stats.rounds  # the edge-local path ran
+        assert stats.rules_partially_rescanned > 0
+        assert [n for n in in_round_census_edges if n >= 50] == []
+        assert 0 < stats.generators_resolved <= self.RESOLVED_CEILING
+        assert stats.to_dict()["generators_resolved"] == \
+            stats.generators_resolved
 
 
 class TestTouchedRuleReporting:

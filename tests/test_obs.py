@@ -293,6 +293,9 @@ class TestDocumentInstrumentation:
         assert counters['repro_queries_total{kind="select"}'] == 1
         assert counters['repro_queries_total{kind="count"}'] == 1
         assert counters["repro_batches_total"] == 1
+        assert counters["repro_recompress_total"] == 1
+        assert counters["repro_recompress_generators_resolved_total"] == \
+            doc.last_repair_stats.generators_resolved > 0
 
     def test_gauge_sources_sample_live_state(self):
         reg = MetricsRegistry()
