@@ -162,9 +162,7 @@ def _sample_kernel(ref: "weakref.ref") -> dict:
     doc = ref()
     if doc is None:
         return {}
-    info = doc._index.kernel_info()
-    info["enabled"] = int(info["enabled"])
-    return info
+    return doc._index.kernel_info()
 
 
 class CompressedXml:
@@ -196,7 +194,6 @@ class CompressedXml:
         shard_width: Optional[int] = None,
         shard_merge_hysteresis: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
-        use_kernel: Optional[bool] = None,
     ) -> None:
         self._grammar = grammar
         # Writer lock: every mutator (and snapshot(), which must pin
@@ -204,11 +201,9 @@ class CompressedXml:
         # reads on the live document are *not* locked -- concurrent
         # readers should hold a snapshot() instead.
         self._lock = threading.RLock()
-        # Flat-array descent kernel (repro.grammar.kernel): None defers
-        # to REPRO_USE_KERNEL (default on).  Remembered so MVCC snapshot
-        # views inherit the same setting for their own indexes.
-        self._use_kernel = use_kernel
-        self._index = GrammarIndex(grammar, use_kernel=use_kernel)
+        # The structural index, and with it the flat-array kernel
+        # (repro.grammar.kernel) every descent and walk runs on.
+        self._index = GrammarIndex(grammar)
         # The label census index is created on first query use -- write-only
         # workloads never pay for it.  Once created it is maintained through
         # the same observer channel as the structural index.
@@ -339,16 +334,13 @@ class CompressedXml:
         # Kernel cold events (pack builds / observer evictions) go through
         # registry counters; the per-descent hit/miss tallies stay plain
         # ints on the kernel and export via the repro_kernel gauge source.
-        # The families are declared even with the kernel disabled so a
-        # scrape of a fresh document always shows the full surface.
-        kernel_builds = obs.counter(
-            "repro_kernel_builds_total", "Flat rule packs built")
-        kernel_evictions = obs.counter(
-            "repro_kernel_evictions_total",
-            "Flat rule packs evicted through the observer channel")
-        kernel = self._index.kernel
-        if kernel is not None:
-            kernel.set_metric_handles(kernel_builds, kernel_evictions)
+        self._index.kernel.set_metric_handles(
+            obs.counter(
+                "repro_kernel_builds_total", "Flat rule packs built"),
+            obs.counter(
+                "repro_kernel_evictions_total",
+                "Flat rule packs evicted through the observer channel"),
+        )
         if self._shards is not None:
             self._shards.bind_metrics(obs)
         # Gauge sources sample the live stats objects at collection time

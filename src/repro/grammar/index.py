@@ -42,9 +42,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.grammar.kernel import (
-    DEFAULT_MIN_DOC_ELEMENTS,
     GrammarKernel,
-    kernel_enabled_by_env,
     kernel_iter_element_symbols,
     kernel_locate_element,
     kernel_resolve_preorder,
@@ -82,7 +80,8 @@ _NodeInfo = Tuple[int, int, Tuple[int, ...]]
 
 #: One binding of a rule parameter during a descent:
 #: (argument node, its environment, its rule's node table,
-#:  generated nodes, generated elements).
+#:  generated nodes, generated elements) -- slots 0..4 of the kernel's
+#: binding tuples, which is all the post-descent helpers here read.
 _Binding = Tuple[Node, tuple, Dict[int, _NodeInfo], int, int]
 
 
@@ -124,13 +123,7 @@ class GrammarIndex:
     on construction and can be released with :meth:`detach`.
     """
 
-    def __init__(
-        self,
-        grammar: Grammar,
-        register: bool = True,
-        use_kernel: Optional[bool] = None,
-        min_doc_elements: int = DEFAULT_MIN_DOC_ELEMENTS,
-    ) -> None:
+    def __init__(self, grammar: Grammar, register: bool = True) -> None:
         self._grammar = grammar
         self._node_segments: Dict[Symbol, List[int]] = {}
         self._elem_segments: Dict[Symbol, List[int]] = {}
@@ -151,13 +144,8 @@ class GrammarIndex:
         # The flat-array descent kernel (see :mod:`repro.grammar.kernel`):
         # per-rule packed integer encodings of the rule bodies, riding this
         # index's observer forwarding so packs and tables share one
-        # invalidation lifetime.  ``None`` disables it (the object-graph
-        # fallback); default comes from ``REPRO_USE_KERNEL``.
-        if use_kernel is None:
-            use_kernel = kernel_enabled_by_env()
-        self._kernel: Optional[GrammarKernel] = (
-            GrammarKernel(self, min_doc_elements) if use_kernel else None
-        )
+        # invalidation lifetime.  Every descent below runs on it.
+        self._kernel = GrammarKernel(self)
         self._registered = register
         if register:
             grammar.register_observer(self)
@@ -189,8 +177,7 @@ class GrammarIndex:
         symbol ids and names per position.  Only that one rule's pack --
         dependents' packs reference the relabeled terminal solely through
         this rule's body, which they never cache into their own arrays."""
-        if self._kernel is not None:
-            self._kernel.evict(head)
+        self._kernel.evict(head)
 
     def _evict(self, head: Symbol) -> None:
         """Drop cached tables of ``head`` and its transitive dependents.
@@ -210,10 +197,9 @@ class GrammarIndex:
             del self._node_segments[current]
             del self._elem_segments[current]
             self._tables.pop(current, None)
-            if kernel is not None:
-                # A pack can only exist for a rule with computed tables
-                # (it aliases them), so the cascade reaches every pack.
-                kernel.evict(current)
+            # A pack can only exist for a rule with computed tables
+            # (it aliases them), so the cascade reaches every pack.
+            kernel.evict(current)
             self.evicted_rules += 1
             stack.extend(self._dependents.pop(current, ()))
 
@@ -224,8 +210,7 @@ class GrammarIndex:
         self._tables.clear()
         self._dependents.clear()
         self._locations.clear()
-        if self._kernel is not None:
-            self._kernel.invalidate_all()
+        self._kernel.invalidate_all()
         self.wholesale_invalidations += 1
 
     def to_dict(self) -> dict:
@@ -239,42 +224,13 @@ class GrammarIndex:
     # ------------------------------------------------------------------
     # flat-array kernel access
     # ------------------------------------------------------------------
-    def active_kernel(self) -> Optional[GrammarKernel]:
-        """The kernel, iff the flat descent may be used *right now*.
-
-        ``None`` when the kernel is disabled, while *reader* snapshots
-        are pinned on a live grammar (the object descent's ``rhs()``
-        reads double as the copy-on-write preservation points -- the
-        exact condition that also disables ``_locations`` memo hits;
-        frozen snapshot grammars have no ``_reader_pins`` and stay
-        kernel-served), or when the document has fewer than
-        ``min_doc_elements`` elements (descents bottom out too fast for
-        packing to amortize -- and a compressed start rule is a handful
-        of RHS nodes even for a huge document, so the gate is on the
-        document, not the rule).
-        """
-        kernel = self._kernel
-        if kernel is None or getattr(self._grammar, "_reader_pins", 0):
-            return None
-        # ``min_doc_elements == 0`` means "always on": skip the
-        # element-count summation, which would otherwise be paid once
-        # per descent.
-        threshold = kernel.min_doc_elements
-        if threshold and self.element_count < threshold:
-            return None
-        return kernel
-
     def kernel_info(self) -> dict:
         """Kernel stats for status surfaces (``durable status --json``)."""
-        if self._kernel is None:
-            return {"enabled": False}
-        return {"enabled": True, **self._kernel.to_dict()}
+        return self._kernel.to_dict()
 
     @property
-    def kernel(self) -> Optional[GrammarKernel]:
-        """The kernel object itself (``None`` when disabled) -- for
-        instrumentation wiring; descents must go through
-        :meth:`active_kernel`."""
+    def kernel(self) -> GrammarKernel:
+        """The flat-array kernel every descent of this index runs on."""
         return self._kernel
 
     @property
@@ -330,11 +286,10 @@ class GrammarIndex:
         self._elem_segments.clear()
         self._tables.clear()
         self._dependents.clear()
-        if self._kernel is not None:
-            # A fresh table generation, not an eviction event: packs
-            # rebuild lazily per rule (no wholesale-invalidation count --
-            # snapshot opens must report ``rules_packed == 0`` cleanly).
-            self._kernel.reset()
+        # A fresh table generation, not an eviction event: packs
+        # rebuild lazily per rule (no wholesale-invalidation count --
+        # snapshot opens must report ``rules_packed == 0`` cleanly).
+        self._kernel.reset()
         for head, (node_segs, elem_segs) in segments.items():
             if head not in grammar.rules:
                 raise GrammarError(
@@ -558,128 +513,21 @@ class GrammarIndex:
                 f"element index {element_index} out of range "
                 f"({total} elements)"
             )
-        grammar = self._grammar
         key = (element_index, track_axes)
         cached = self._locations.get(key)
-        if cached is not None and not getattr(grammar, "_reader_pins", 0):
-            # Cache hits are disabled while *reader* snapshots are
-            # pinned: the descent's ``rhs()`` reads double as the
-            # copy-on-write preservation points for the rules an update
-            # is about to rewrite in place, and a memoized path would
-            # skip them.  Transaction-rollback pins don't count -- the
-            # batch machinery preserves every rule it rewrites through
-            # its own reads (see :meth:`Grammar.pin`).
+        if cached is not None:
             position, node, env, table, steps, parent, depth = cached
             return position, node, env, table, list(steps), parent, depth
-        kernel = self.active_kernel()
-        if kernel is not None:
-            # Flat-array descent (repro.grammar.kernel): same result
-            # tuple, binding 7-tuples whose slots 0..4 match _Binding, so
-            # memo entries and downstream size lookups are format-agnostic.
-            located = kernel_locate_element(
-                self, kernel, element_index, track_axes
-            )
-            position, node, env, table, steps, parent, depth = located
-            if len(self._locations) >= 4096:
-                self._locations.clear()
-            self._locations[key] = (
-                position, node, env, table, tuple(steps), parent, depth,
-            )
-            return position, node, env, table, steps, parent, depth
-        node = grammar.rhs(grammar.start)
-        table = self._tables[grammar.start]
-        env: Tuple[_Binding, ...] = ()
-        remaining = element_index  # elements still preceding the target
-        position = 0  # binary preorder nodes consumed so far
-        parent: Optional[int] = None  # document parent of the target
-        depth = 0  # first-child edges taken so far
-        steps: List[PathStep] = []
-
-        while True:
-            symbol = node.symbol
-            if symbol.is_parameter:
-                binding = env[symbol.param_index - 1]
-                node, env, table = binding[0], binding[1], binding[2]
-                continue
-
-            if symbol.is_terminal:
-                is_element = not symbol.is_bottom
-                if is_element:
-                    if remaining == 0:
-                        steps.append(PathStep(node, enters_rule=False))
-                        if len(self._locations) >= 4096:
-                            self._locations.clear()
-                        self._locations[key] = (
-                            position, node, env, table, tuple(steps),
-                            parent, depth,
-                        )
-                        return position, node, env, table, steps, parent, depth
-                    remaining -= 1
-                position += 1
-                for slot, child in enumerate(node.children):
-                    child_nodes, child_elems = self._sizes(child, env, table)
-                    if remaining < child_elems:
-                        if is_element and symbol.rank == 2 and slot == 0:
-                            # The element just visited is the last one the
-                            # walk left through a first-child edge: the
-                            # target's parent so far.
-                            parent = element_index - remaining - 1
-                            depth += 1
-                        node = child
-                        break
-                    remaining -= child_elems
-                    position += child_nodes
-                else:  # pragma: no cover - would mean inconsistent tables
-                    raise AssertionError("element offset beyond subtree")
-                continue
-
-            # Nonterminal application: its virtual preorder interleaves the
-            # rule body's segments with the argument subtrees
-            # (seg0, arg1, seg1, ..., argk, segk).  An argument target is
-            # descended into directly; a body-segment target enters the rule
-            # with both counters unchanged -- walking the body under the
-            # bindings reproduces exactly the interleaved sequence.
-            if symbol not in self._tables:
-                self._ensure(symbol)
-            if not track_axes:
-                # Shortcut: a target inside an argument subtree is descended
-                # into directly.  Axis tracking must not take it -- the
-                # skipped rule-body path may contain the target's binary
-                # ancestors (in particular its document parent); entering
-                # the rule below reproduces the same interleaved sequence
-                # and visits them.
-                callee_nodes = self._node_segments[symbol]
-                callee_elems = self._elem_segments[symbol]
-                descend_to = None
-                preceding_nodes = callee_nodes[0]
-                preceding_elems = callee_elems[0]
-                if remaining >= preceding_elems:
-                    for child_pos, child in enumerate(node.children, start=1):
-                        child_nodes, child_elems = \
-                            self._sizes(child, env, table)
-                        if remaining < preceding_elems + child_elems:
-                            remaining -= preceding_elems
-                            position += preceding_nodes
-                            descend_to = child
-                            break
-                        preceding_elems += \
-                            child_elems + callee_elems[child_pos]
-                        preceding_nodes += \
-                            child_nodes + callee_nodes[child_pos]
-                        if remaining < preceding_elems:
-                            break  # a body segment after this arg: enter
-                if descend_to is not None:
-                    node = descend_to
-                    continue
-            steps.append(PathStep(node, enters_rule=True))
-            outer_env = env
-            env = tuple(
-                (child, outer_env, table)
-                + self._sizes(child, outer_env, table)
-                for child in node.children
-            )
-            node = grammar.rhs(symbol)
-            table = self._tables[symbol]
+        located = kernel_locate_element(
+            self, self._kernel, element_index, track_axes
+        )
+        position, node, env, table, steps, parent, depth = located
+        if len(self._locations) >= 4096:
+            self._locations.clear()
+        self._locations[key] = (
+            position, node, env, table, tuple(steps), parent, depth,
+        )
+        return located
 
     def preorder_of_element(self, element_index: int) -> int:
         """Binary preorder index of the ``element_index``-th element."""
@@ -707,55 +555,7 @@ class GrammarIndex:
         total = self.element_count  # ensures the start rule's tables
         if stop is None or stop > total:
             stop = total
-        kernel = self.active_kernel()
-        if kernel is not None:
-            return kernel_iter_element_symbols(self, kernel, start, stop)
-        return self._iter_element_symbols(start, stop)
-
-    def _iter_element_symbols(self, start: int, stop: int) -> Iterator[Symbol]:
-        if start >= stop:
-            return
-        grammar = self._grammar
-        to_skip = start
-        to_yield = stop - start
-        stack: List[Tuple[Node, tuple, Dict[int, _NodeInfo]]] = [
-            (grammar.rhs(grammar.start), (), self._tables[grammar.start])
-        ]
-        while stack:
-            node, env, table = stack.pop()
-            symbol = node.symbol
-            if symbol.is_parameter:
-                binding = env[symbol.param_index - 1]
-                stack.append((binding[0], binding[1], binding[2]))
-                continue
-            if to_skip:
-                _nodes, elems = self._sizes(node, env, table)
-                if elems <= to_skip:
-                    to_skip -= elems
-                    continue  # window starts after this whole subtree
-            if symbol.is_terminal:
-                if not symbol.is_bottom:
-                    if to_skip:
-                        to_skip -= 1
-                    else:
-                        yield symbol
-                        to_yield -= 1
-                        if not to_yield:
-                            return
-                for child in reversed(node.children):
-                    stack.append((child, env, table))
-            else:
-                if symbol not in self._tables:
-                    self._ensure(symbol)
-                outer_env = env
-                inner_env = tuple(
-                    (child, outer_env, table)
-                    + self._sizes(child, outer_env, table)
-                    for child in node.children
-                )
-                stack.append(
-                    (grammar.rhs(symbol), inner_env, self._tables[symbol])
-                )
+        return kernel_iter_element_symbols(self, self._kernel, start, stop)
 
     def resolve_element(
         self, element_index: int
@@ -786,74 +586,24 @@ class GrammarIndex:
                 f"preorder index {position} out of range for a tree of "
                 f"{total} nodes"
             )
-        kernel = self.active_kernel()
-        if kernel is not None:
-            return kernel_resolve_preorder(self, kernel, position)
-        grammar = self._grammar
-        node = grammar.rhs(grammar.start)
-        table = self._tables[grammar.start]
-        env: Tuple[_Binding, ...] = ()
-        remaining = position
-        steps: List[PathStep] = []
-
-        while True:
-            symbol = node.symbol
-            if symbol.is_parameter:
-                binding = env[symbol.param_index - 1]
-                node, env, table = binding[0], binding[1], binding[2]
-                continue
-
-            if symbol.is_terminal:
-                if remaining == 0:
-                    steps.append(PathStep(node, enters_rule=False))
-                    return steps
-                remaining -= 1  # the terminal itself
-                for child in node.children:
-                    child_nodes, _elems = self._sizes(child, env, table)
-                    if remaining < child_nodes:
-                        node = child
-                        break
-                    remaining -= child_nodes
-                else:  # pragma: no cover - inconsistent tables
-                    raise AssertionError("offset beyond subtree")
-                continue
-
-            # Nonterminal application: virtual preorder interleaves the
-            # body segments with the argument subtrees (seg0, arg1,
-            # seg1, ..., argk, segk); a body-segment target enters the
-            # rule with ``remaining`` unchanged, an argument target is
-            # descended into directly (mirrors resolve_preorder_path).
-            if symbol not in self._tables:
-                self._ensure(symbol)
-            callee_nodes = self._node_segments[symbol]
-            descend_to: Optional[Node] = None
-            preceding = callee_nodes[0]
-            if remaining >= preceding:
-                for child_pos, child in enumerate(node.children, start=1):
-                    child_nodes, _elems = self._sizes(child, env, table)
-                    if remaining < preceding + child_nodes:
-                        remaining -= preceding
-                        descend_to = child
-                        break
-                    preceding += child_nodes + callee_nodes[child_pos]
-                    if remaining < preceding:
-                        break  # a body segment after this arg: enter
-            if descend_to is not None:
-                node = descend_to
-                continue
-            steps.append(PathStep(node, enters_rule=True))
-            outer_env = env
-            env = tuple(
-                (child, outer_env, table)
-                + self._sizes(child, outer_env, table)
-                for child in node.children
-            )
-            node = grammar.rhs(symbol)
-            table = self._tables[symbol]
+        return kernel_resolve_preorder(self, self._kernel, position)
 
     def tag_of(self, element_index: int) -> str:
         """Label of the ``element_index``-th element (document order)."""
         return self._locate_element(element_index)[1].symbol.name
+
+    def _locate_fcns(self, element_index: int):
+        """:meth:`_locate_element` for callers about to read the element's
+        two binary slots: its generating terminal must be a rank-2
+        first-child/next-sibling element."""
+        located = self._locate_element(element_index)
+        symbol = located[1].symbol
+        if symbol.rank != 2:
+            raise GrammarError(
+                f"element {element_index} is generated by "
+                f"{symbol!r}; expected a binary-encoded element of rank 2"
+            )
+        return located
 
     def resolve_element_with_extent(
         self, element_index: int
@@ -868,12 +618,7 @@ class GrammarIndex:
         ``O(depth · rule-width)`` descent.
         """
         position, node, env, table, steps, _parent, _depth = \
-            self._locate_element(element_index)
-        if node.symbol.rank != 2:
-            raise GrammarError(
-                f"element {element_index} is generated by "
-                f"{node.symbol!r}; expected a binary-encoded element of rank 2"
-            )
+            self._locate_fcns(element_index)
         first_nodes, first_elems = self._sizes(node.children[0], env, table)
         return position, steps, 1 + first_elems, position + first_nodes
 
@@ -888,12 +633,7 @@ class GrammarIndex:
         the quantity batch planning needs to shift later targets.
         """
         _pos, node, env, table, _steps, _parent, _depth = \
-            self._locate_element(element_index)
-        if node.symbol.rank != 2:
-            raise GrammarError(
-                f"element {element_index} is generated by "
-                f"{node.symbol!r}; expected a binary-encoded element of rank 2"
-            )
+            self._locate_fcns(element_index)
         _nodes, elems = self._sizes(node.children[0], env, table)
         return 1 + elems
 
@@ -906,12 +646,7 @@ class GrammarIndex:
         itself -- one subtree-size lookup instead of a stream walk.
         """
         position, node, env, table, _steps, _parent, _depth = \
-            self._locate_element(element_index)
-        if node.symbol.rank != 2:
-            raise GrammarError(
-                f"element {element_index} is generated by "
-                f"{node.symbol!r}; expected a binary-encoded element of rank 2"
-            )
+            self._locate_fcns(element_index)
         first_child_nodes, _ = self._sizes(node.children[0], env, table)
         return position + first_child_nodes
 
@@ -922,12 +657,7 @@ class GrammarIndex:
         """Elements generated below the element's two binary slots:
         ``(descendants, following siblings + their descendants)``."""
         _pos, node, env, table, _steps, _parent, _depth = \
-            self._locate_element(element_index)
-        if node.symbol.rank != 2:
-            raise GrammarError(
-                f"element {element_index} is generated by "
-                f"{node.symbol!r}; expected a binary-encoded element of rank 2"
-            )
+            self._locate_fcns(element_index)
         _nodes, below = self._sizes(node.children[0], env, table)
         _nodes, after = self._sizes(node.children[1], env, table)
         return below, after
@@ -976,12 +706,7 @@ class GrammarIndex:
         child = self.first_child(element_index)
         while child is not None:
             _pos, node, env, table, _steps, _parent, _depth = \
-                self._locate_element(child)
-            if node.symbol.rank != 2:
-                raise GrammarError(
-                    f"element {child} is generated by {node.symbol!r}; "
-                    f"expected a binary-encoded element of rank 2"
-                )
+                self._locate_fcns(child)
             yield child, node.symbol.name
             _nodes, after = self._sizes(node.children[1], env, table)
             if not after:

@@ -2,7 +2,7 @@
 
 Every hot read path of this code base -- element addressing, query walks,
 preorder resolution, windowed serialization -- descends the derivation by
-walking rule bodies.  The object-graph form of that walk pays, per step,
+walking rule bodies.  Walking the ``Node`` graph directly pays, per step,
 several attribute loads (``node.symbol``), property calls
 (``symbol.is_parameter`` & friends), an ``id()``-keyed dict probe into the
 per-rule size table, and a method call for the parameter-adjusted subtree
@@ -37,26 +37,27 @@ its size tables.  A pinned :class:`~repro.view.SnapshotView` owns its own
 :class:`GrammarIndex` over a frozen grammar (private, stable copy-on-write
 bodies), hence its own kernel whose packs can never be invalidated --
 pinned readers keep their flat tables exactly like the CoW rule tables.
-On the *live* document the kernel stands down while reader pins exist
-(``grammar._reader_pins``): the object descent's ``rhs()`` reads double as
-copy-on-write preservation points there (see ``_locate_element``), and the
-flat walk deliberately performs no rule-body reads.
+The *live* document stays kernel-served while reader pins exist: the flat
+walk performs no rule-body reads, and needs none, because *write points
+preserve* -- every in-place rewrite calls
+:meth:`~repro.grammar.slcf.Grammar.preserve_for_write` (or goes through
+``set_rule``/``remove_rule``/``preserve_all``, which preserve directly)
+before its first surgery on a rule, so a pinned overlay is complete
+whether or not a hooked ``rhs()`` read preceded the rewrite.
 
-Fallback
+One path
 --------
-The object-graph path remains fully supported: construct the index with
-``use_kernel=False``, set ``REPRO_USE_KERNEL=0`` in the environment, or do
-nothing for documents smaller than ``min_doc_elements`` -- their descents
-bottom out after a handful of steps, too few for packing to amortize.
-(The gate is on the *document*, not the start rule: a well-compressed
-start rule is a handful of RHS nodes regardless of document size.)
-Interior rules are always packed on demand (one O(width) walk per rule,
-reused by every later descent).
+The kernel is the only implementation of these walks; there is no
+switch and no size threshold.  Packs are built on demand (one O(width)
+walk per rule, reused by every later descent) and rebuild lazily after
+a snapshot load.  The independent reference semantics tests compare
+against are :mod:`repro.grammar.navigation` (``resolve_preorder_path``,
+``stream_elements``/``stream_preorder`` without ``index_hint``),
+:func:`repro.grammar.derivation.expand` and :mod:`repro.query.naive`.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
@@ -72,8 +73,6 @@ __all__ = [
     "RulePack",
     "GrammarKernel",
     "global_symbol_table",
-    "kernel_enabled_by_env",
-    "DEFAULT_MIN_DOC_ELEMENTS",
     "kernel_locate_element",
     "kernel_resolve_preorder",
     "kernel_iter_element_symbols",
@@ -87,21 +86,6 @@ KIND_BOTTOM = 0
 KIND_ELEMENT = 1
 KIND_NONTERMINAL = 2
 KIND_PARAMETER = 3
-
-#: Documents with fewer elements than this keep the object-graph
-#: descent: every walk terminates after a handful of steps, so packing
-#: buys nothing (the automatic small-document fallback).  The gate is
-#: per *document* -- a compressed start rule is tiny even for a huge
-#: document, so rule width says nothing about descent length.
-DEFAULT_MIN_DOC_ELEMENTS = 64
-
-
-def kernel_enabled_by_env() -> bool:
-    """The process-wide default: on unless ``REPRO_USE_KERNEL`` disables
-    it (the fallback CI job runs the whole tier-1 suite with ``0``)."""
-    return os.environ.get("REPRO_USE_KERNEL", "1").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
 
 
 class SymbolTable:
@@ -170,7 +154,7 @@ class RulePack:
     * ``params[i]`` -- tuple of parameter indices occurring below ``i``,
     * ``node_objs[i]`` / ``sym_objs[i]`` / ``sym_names[i]`` -- the live
       ``Node``, its ``Symbol``, and the symbol's name, so kernel descents
-      return the same object-world results as the fallback path.
+      return live objects (the update layer replays ``PathStep.node``).
 
     ``table`` / ``node_segs`` / ``elem_segs`` alias the owning index's
     per-rule tables -- pack and tables are built and evicted together, so
@@ -417,7 +401,7 @@ class GrammarKernel:
     """
 
     __slots__ = (
-        "_index", "_packs", "symbols", "min_doc_elements",
+        "_index", "_packs", "symbols",
         "builds", "evictions", "hits", "misses", "wholesale_invalidations",
         "_m_builds", "_m_evictions",
     )
@@ -425,13 +409,11 @@ class GrammarKernel:
     def __init__(
         self,
         index: "GrammarIndex",
-        min_doc_elements: int = DEFAULT_MIN_DOC_ELEMENTS,
         symbols: Optional[SymbolTable] = None,
     ) -> None:
         self._index = index
         self._packs: Dict[Symbol, RulePack] = {}
         self.symbols = symbols if symbols is not None else _GLOBAL_SYMBOLS
-        self.min_doc_elements = min_doc_elements
         self.builds = 0
         self.evictions = 0
         self.hits = 0
@@ -514,7 +496,6 @@ class GrammarKernel:
             "hits": self.hits,
             "misses": self.misses,
             "wholesale_invalidations": self.wholesale_invalidations,
-            "min_doc_elements": self.min_doc_elements,
         }
 
 
@@ -523,10 +504,9 @@ class GrammarKernel:
 # ----------------------------------------------------------------------
 # Binding environments during kernel descents are tuples of 7-tuples
 #   (node, outer_env, outer_table, nodes, elems, outer_pack, pos)
-# -- a strict superset of the object path's 5-tuple _Binding: slots 0..4
-# keep every downstream consumer (``GrammarIndex._sizes``, the extent
-# and axis helpers, the ``_locations`` memo) working unchanged on either
-# path's results, slots 5..6 are what the flat walk itself descends on.
+# -- slots 0..4 are ``GrammarIndex``'s ``_Binding`` (what ``_sizes`` and
+# the extent/axis helpers read off a located element's environment),
+# slots 5..6 are what the flat walk itself descends on.
 #
 # Every walk below keeps the current pack's columns in locals via one
 # ``pack.walk`` unpack per pack switch, probes the pack cache with an
@@ -542,8 +522,9 @@ def kernel_locate_element(
     element_index: int,
     track_axes: bool,
 ):
-    """Flat-array twin of ``GrammarIndex._locate_element`` (same result
-    tuple, same shortcut/axis semantics); bounds are pre-checked."""
+    """The descent behind ``GrammarIndex._locate_element`` (which
+    documents the result tuple and the ``track_axes`` contract and
+    pre-checks the bounds)."""
     packs = kernel._packs
     pack = kernel.pack(index.grammar.start)
     (kind, sym, rank, nxt, nnodes, nelems, params, node_objs, sym_objs,
@@ -623,8 +604,15 @@ def kernel_locate_element(
              sym_objs, _names, steps_enter, steps_target, table) = pack.walk
             continue
 
-        # Nonterminal application (virtual preorder: seg0, arg1, seg1,
-        # ..., argk, segk -- see the object twin for the full story).
+        # Nonterminal application: its virtual preorder interleaves the
+        # rule body's segments with the argument subtrees (seg0, arg1,
+        # seg1, ..., argk, segk).  An argument target is descended into
+        # directly; a body-segment target enters the rule with both
+        # counters unchanged -- walking the body under the bindings
+        # reproduces exactly the interleaved sequence.  Axis tracking
+        # must not take the argument shortcut: the skipped rule-body
+        # path may contain the target's binary ancestors (in particular
+        # its document parent), so it always enters the rule.
         sobj = sym_objs[pos]
         callee = packs.get(sobj)
         if callee is None:
@@ -707,14 +695,14 @@ def kernel_resolve_preorder(
     kernel: GrammarKernel,
     target: int,
 ) -> List[PathStep]:
-    """Flat-array twin of ``GrammarIndex.resolve_preorder`` (node-count
+    """The descent behind ``GrammarIndex.resolve_preorder`` (node-count
     descent; bounds pre-checked by the caller).
 
     The hottest kernel loop, so it walks the trimmed ``walk_nodes``
     columns and -- since its environments never escape (only ``steps``
     are returned) -- uses private 4-tuple bindings
     ``(nodes, outer_env, outer_pack, pos)`` instead of the 7-tuple
-    binding format the element descents share with the object path.
+    binding format of the element descents.
     Child scans lean on the walk invariant (``remaining`` is always
     smaller than the current subtree's node count: checked at the root,
     preserved by every descent): a target that fell through the first
@@ -847,7 +835,9 @@ def kernel_iter_element_symbols(
     start: int,
     stop: int,
 ) -> Iterator[Symbol]:
-    """Flat-array twin of ``GrammarIndex._iter_element_symbols``."""
+    """The walk behind ``GrammarIndex.iter_element_symbols`` (bounds
+    validated and clamped by the caller): any subtree generating only
+    elements before ``start`` is skipped in O(1) on its cached size."""
     if start >= stop:
         return
     to_skip = start
@@ -935,7 +925,7 @@ def kernel_iter_element_symbols(
 
 
 def kernel_stream_preorder(kernel: GrammarKernel) -> Iterator[Symbol]:
-    """Flat-array twin of :func:`repro.grammar.navigation.stream_preorder`
+    """Packed-array form of :func:`repro.grammar.navigation.stream_preorder`
     (whole-document terminal symbol stream; feeds ``extract_subtree``'s
     root shortcut).  Environments are light (pack, pos, env) closures --
     no counts are needed when nothing is skipped."""
@@ -990,7 +980,7 @@ def kernel_stream_preorder(kernel: GrammarKernel) -> Iterator[Symbol]:
 def kernel_stream_elements(
     kernel: GrammarKernel,
 ) -> Iterator[Tuple[int, str, Optional[int], int]]:
-    """Flat-array twin of :func:`repro.grammar.navigation.stream_elements`
+    """Packed-array form of :func:`repro.grammar.navigation.stream_elements`
     (same ``(index, tag, parent, depth)`` stream, same FCNS contract)."""
     index_counter = 0
     packs = kernel._packs

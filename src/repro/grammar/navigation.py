@@ -88,22 +88,21 @@ def stream_elements(
     primitives (:meth:`repro.grammar.index.GrammarIndex.parent_of` et al.)
     and the query engine are property-tested against.
 
-    ``index_hint`` may name the grammar's :class:`GrammarIndex`: when its
-    flat kernel is active the stream descends the packed rule arrays
-    instead of the object graph (same yields; this is what keeps the
-    full-document export paths on the fast kernel).  Callers that *are*
-    the oracle -- the storage scrub audits the indexes against this very
-    stream -- pass nothing and keep the independent object walk.
+    ``index_hint`` may name the grammar's :class:`GrammarIndex`: the
+    stream then descends that index's packed rule arrays (same yields;
+    this is what keeps the full-document export paths on the flat
+    kernel).  Callers that *are* the oracle -- the storage scrub audits
+    the indexes against this very stream, and the kernel's tests compare
+    against it -- pass nothing and get the independent walk below, which
+    shares no logic with the kernel.
     """
     if index_hint is not None and index_hint.grammar is grammar:
-        kernel = index_hint.active_kernel()
-        if kernel is not None:
-            # Imported lazily: the kernel module imports PathStep from
-            # this module at load time.
-            from repro.grammar.kernel import kernel_stream_elements
+        # Imported lazily: the kernel module imports PathStep from this
+        # module at load time.
+        from repro.grammar.kernel import kernel_stream_elements
 
-            yield from kernel_stream_elements(kernel)
-            return
+        yield from kernel_stream_elements(index_hint.kernel)
+        return
     index = 0
     # Items: (node, env, parent element index, depth); env as in
     # stream_preorder.

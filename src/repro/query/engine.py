@@ -31,8 +31,7 @@ from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.grammar.index import GrammarIndex, check_element_index
-from repro.grammar.kernel import GrammarKernel, kernel_stream_preorder
-from repro.grammar.navigation import stream_preorder
+from repro.grammar.kernel import kernel_stream_preorder
 from repro.query.label_index import LabelIndex
 from repro.query.parser import CHILD, LabelPath, QueryStep, parse_path
 from repro.trees.binary import decode_binary
@@ -76,31 +75,6 @@ _VIRTUAL_ROOT = -1
 # ----------------------------------------------------------------------
 # pruned derivation walks
 # ----------------------------------------------------------------------
-def _elems_and_matches(
-    gindex: GrammarIndex,
-    lindex: Optional[LabelIndex],
-    head: Symbol,
-    node: Node,
-    env: Tuple,
-    label: Optional[str],
-) -> Tuple[int, int]:
-    """(elements, queried-label occurrences) of an RHS subtree with
-    parameters bound.  With no label test the element count doubles as the
-    match count, so the zero-census prune degenerates to the (harmless)
-    empty-subtree skip."""
-    _nodes, elems, params = gindex.rule_table(head)[id(node)]
-    if label is None:
-        for param in params:
-            elems += env[param - 1][3]
-        return elems, elems
-    count, _params = lindex.node_table(head, label)[id(node)]
-    for param in params:
-        binding = env[param - 1]
-        elems += binding[3]
-        count += binding[4]
-    return elems, count
-
-
 def iter_matching_elements(
     gindex: GrammarIndex,
     lindex: Optional[LabelIndex],
@@ -111,10 +85,11 @@ def iter_matching_elements(
     """Element indices in ``[lo, hi)`` whose tag equals ``label``.
 
     ``label=None`` matches every element (then ``lindex`` may be ``None``).
-    One preorder walk of the derivation; any subtree generating only
-    elements before ``lo`` -- or none of the queried label -- is skipped in
-    O(1) via the cached count tables, and the walk stops at the first
-    subtree starting at or past ``hi``.
+    One preorder walk of the derivation over the per-rule
+    :class:`~repro.grammar.kernel.RulePack` arrays; any subtree
+    generating only elements before ``lo`` -- or none of the queried
+    label -- is skipped in O(1) via the cached count tables, and the walk
+    stops at the first subtree starting at or past ``hi``.
     """
     if label is not None and lindex is None:
         raise ValueError("a label test needs a LabelIndex")
@@ -123,121 +98,13 @@ def iter_matching_elements(
         hi = total
     if lo >= hi:
         return
-    kernel = gindex.active_kernel()
-    if kernel is not None:
-        yield from _iter_matching_kernel(
-            gindex, kernel, lindex, lo, hi, label
-        )
-        return
-    yield from _iter_matching_objects(gindex, lindex, lo, hi, label)
-
-
-def _iter_matching_objects(
-    gindex: GrammarIndex,
-    lindex: Optional[LabelIndex],
-    lo: int,
-    hi: int,
-    label: Optional[str],
-) -> Iterator[int]:
-    """The object-graph walk (the ``use_kernel=False`` fallback);
-    bounds already validated and clamped by the dispatcher."""
-    grammar = gindex.grammar
-    position = 0  # element index where the current subtree starts
-    # Items: (node, env, head), or (None, skipped_elements, None) cursor
-    # markers for body segments hopped over without being walked; env
-    # entries are 5-tuples (node, env, head, elements, label matches) with
-    # the counts precomputed at binding time so parameter lookups stay
-    # O(1).
-    stack: List[Tuple[Optional[Node], object, Optional[Symbol]]] = [
-        (grammar.rhs(grammar.start), (), grammar.start)
-    ]
-    pruned = 0
-    try:
-        while stack:
-            node, env, head = stack.pop()
-            if node is None:
-                position += env  # a pre-counted body-segment hop
-                continue
-            symbol = node.symbol
-            if symbol.is_parameter:
-                binding = env[symbol.param_index - 1]
-                stack.append((binding[0], binding[1], binding[2]))
-                continue
-            elems, matches = _elems_and_matches(
-                gindex, lindex, head, node, env, label
-            )
-            if position + elems <= lo:
-                position += elems  # entirely before the window
-                continue
-            if position >= hi:
-                return  # preorder: everything later starts further right
-            if matches == 0:
-                position += elems  # census prune: nothing inside
-                pruned += 1
-                continue
-            if symbol.is_terminal:
-                if not symbol.is_bottom:
-                    if position >= lo and (
-                        label is None or symbol.name == label
-                    ):
-                        yield position
-                    position += 1
-                for child in reversed(node.children):
-                    stack.append((child, env, head))
-                continue
-            if (label is not None
-                    and lindex.rule_label_count(symbol, label) == 0):
-                # Every match below this application arrives through its
-                # arguments: hop over the whole body via the cached
-                # element segments (virtual preorder: seg0, arg1, seg1,
-                # ..., argk, segk) and visit only the argument subtrees.
-                # This is what keeps a deep nested-application chain --
-                # the shape update traffic leaves sibling lists in --
-                # from being re-walked link by link.
-                pruned += 1
-                segments = gindex.element_segments(symbol)
-                for child_pos in range(len(node.children), 0, -1):
-                    if segments[child_pos]:
-                        stack.append((None, segments[child_pos], None))
-                    stack.append((node.children[child_pos - 1], env, head))
-                if segments[0]:
-                    stack.append((None, segments[0], None))
-                continue
-            outer_env = env
-            inner_env = tuple(
-                (child, outer_env, head)
-                + _elems_and_matches(
-                    gindex, lindex, head, child, outer_env, label
-                )
-                for child in node.children
-            )
-            stack.append((grammar.rhs(symbol), inner_env, symbol))
-    finally:
-        if pruned:
-            _PRUNE_STATS.pruned = (
-                getattr(_PRUNE_STATS, "pruned", 0) + pruned
-            )
-
-
-def _iter_matching_kernel(
-    gindex: GrammarIndex,
-    kernel: GrammarKernel,
-    lindex: Optional[LabelIndex],
-    lo: int,
-    hi: int,
-    label: Optional[str],
-) -> Iterator[int]:
-    """Flat-array twin of the walk above (identical yields and prune
-    accounting), descending per-rule :class:`RulePack` arrays instead of
-    the object graph.
-
-    Stack items are ``(pack, pos, env, lc)`` with ``lc`` the pack's
-    per-position label-count array (``None`` when every element matches)
-    -- fetched once per rule entry, not per node, which also folds the
-    per-node ``node_table`` dict probes of the object walk into one
-    C-array read.  Hop markers are ``(None, skipped, None, None)``; env
-    entries ``(pack, pos, env, elements, matches, lc)``.
-    """
+    # Stack items are ``(pack, pos, env, lc)`` with ``lc`` the pack's
+    # per-position label-count list (``None`` when every element matches)
+    # -- fetched once per rule entry, not per node.  Hop markers are
+    # ``(None, skipped, None, None)``; env entries ``(pack, pos, env,
+    # elements, matches, lc)`` with the counts precomputed at binding
+    # time so parameter lookups stay O(1).
+    kernel = gindex.kernel
     position = 0
     packs = kernel._packs
     root = kernel.pack(gindex.grammar.start)
@@ -328,11 +195,16 @@ def _iter_matching_kernel(
                     body = lindex.rule_label_count(sym_obj, label)
                     bodies[pos] = body
                 if body == 0:
-                    # Zero-census application: hop the body segments,
-                    # visit only the argument subtrees (same shape as
-                    # the object walk -- and deliberately *without*
-                    # packing the callee, which the walk never enters).
-                    # Segments and child layout are memoised per
+                    # Zero-census application: every match below it
+                    # arrives through its arguments, so hop over the
+                    # whole body via the cached element segments
+                    # (virtual preorder: seg0, arg1, seg1, ..., argk,
+                    # segk) and visit only the argument subtrees --
+                    # deliberately *without* packing the callee, which
+                    # the walk never enters.  This is what keeps a deep
+                    # nested-application chain (the shape update traffic
+                    # leaves sibling lists in) from being re-walked link
+                    # by link.  Segments and child layout are memoised per
                     # position (both structural, so pack-versioned);
                     # the leading segment is added inline instead of
                     # via a hop marker.
@@ -416,57 +288,8 @@ def _iter_window_symbols(
     """
     if lo >= hi:
         return
-    kernel = gindex.active_kernel()
-    if kernel is not None:
-        yield from _iter_window_kernel(gindex, kernel, lo, hi)
-        return
-    grammar = gindex.grammar
-    position = 0
-    # Items: (node, env, head); env entries are (node, env, head, nodes).
-    stack: List[Tuple[Node, Tuple, Symbol]] = [
-        (grammar.rhs(grammar.start), (), grammar.start)
-    ]
-
-    def subtree_nodes(head: Symbol, node: Node, env: Tuple) -> int:
-        nodes, _elems, params = gindex.rule_table(head)[id(node)]
-        for param in params:
-            nodes += env[param - 1][3]
-        return nodes
-
-    while stack:
-        node, env, head = stack.pop()
-        symbol = node.symbol
-        if symbol.is_parameter:
-            binding = env[symbol.param_index - 1]
-            stack.append((binding[0], binding[1], binding[2]))
-            continue
-        nodes = subtree_nodes(head, node, env)
-        if position + nodes <= lo:
-            position += nodes
-            continue
-        if position >= hi:
-            return
-        if symbol.is_terminal:
-            if position >= lo:
-                yield symbol
-            position += 1
-            for child in reversed(node.children):
-                stack.append((child, env, head))
-        else:
-            outer_env = env
-            inner_env = tuple(
-                (child, outer_env, head)
-                + (subtree_nodes(head, child, outer_env),)
-                for child in node.children
-            )
-            stack.append((grammar.rhs(symbol), inner_env, symbol))
-
-
-def _iter_window_kernel(
-    gindex: GrammarIndex, kernel: GrammarKernel, lo: int, hi: int
-) -> Iterator[Symbol]:
-    """Flat-array twin of the node-window walk above.  Env entries are
-    ``(pack, pos, env, nodes)``."""
+    # Items: (pack, pos, env); env entries are (pack, pos, env, nodes).
+    kernel = gindex.kernel
     position = 0
     packs = kernel._packs
     stack = [(kernel.pack(gindex.grammar.start), 0, ())]
@@ -549,7 +372,7 @@ def extract_subtree(gindex: GrammarIndex, element_index: int) -> XmlNode:
 
     The document root (element 0) short-circuits: its subtree *is* the
     whole document, so there is no window to locate and nothing to skip
-    -- the symbols come straight off :func:`stream_preorder` (constant
+    -- the symbols come straight off :func:`kernel_stream_preorder` (constant
     work per node, no count-table lookups) instead of the full-window
     walk, which pays subtree-size arithmetic per streamed symbol just to
     skip nothing.
@@ -559,13 +382,8 @@ def extract_subtree(gindex: GrammarIndex, element_index: int) -> XmlNode:
     if element_index == 0:
         if gindex.element_count == 0:  # pragma: no cover - no document
             raise IndexError("element index 0 out of range (0 elements)")
-        kernel = gindex.active_kernel()
-        if kernel is not None:
-            return decode_binary(
-                _rebuild_binary(kernel_stream_preorder(kernel), bottom)
-            )
         return decode_binary(
-            _rebuild_binary(stream_preorder(gindex.grammar), bottom)
+            _rebuild_binary(kernel_stream_preorder(gindex.kernel), bottom)
         )
     start = gindex.preorder_of_element(element_index)
     terminator = gindex.end_of_children_position(element_index)

@@ -148,16 +148,10 @@ class SnapshotView:
         self._grammar = grammar
         self.epoch = grammar.pin()
         self._frozen = _FrozenGrammar(grammar, self.epoch)
-        # The view's private index inherits the document's kernel policy.
-        # Frozen grammars expose no ``_reader_pins``, so the view's
-        # descents stay kernel-served while the *live* document falls
-        # back to object descents (whose ``rhs()`` reads are the CoW
-        # preservation points) for as long as this pin exists -- packs
-        # over the frozen private bodies can never be invalidated, the
-        # flat-table analog of the pinned copy-on-write rule tables.
-        self._index = GrammarIndex(
-            self._frozen, register=False, use_kernel=doc._use_kernel
-        )
+        # The view's private index (and kernel): packs over the frozen
+        # private bodies can never be invalidated, the flat-table analog
+        # of the pinned copy-on-write rule tables.
+        self._index = GrammarIndex(self._frozen, register=False)
         self._label_index: Optional[LabelIndex] = None
         self._kin = doc._kin
         self._element_count = doc.element_count

@@ -1,29 +1,29 @@
 """Flat-kernel equivalence and lifecycle tests (repro.grammar.kernel).
 
-The correctness bar is the object-graph traversal path: for random
+The kernel is the only descent path, so the correctness bar is code in
+``src/`` that shares no logic with it: ``navigation.stream_elements``
+without an index hint (tags, parents, depths, windows),
+``derivation.expand`` via ``to_document()`` (the document and every
+subtree) and ``repro.query.naive`` (``select`` / ``count``).  For random
 documents, random update/batch scripts, and random shard widths, every
-query the kernel serves (``select`` / ``count`` / ``tags`` windows /
-axes / ``subtree_xml``) must return exactly what ``use_kernel=False``
-returns -- before and after every single operation.  On top of parity,
-the lifecycle counters are pinned: rule edits evict individual packs,
+query the kernel serves must return exactly what that oracle returns --
+before and after every single operation.  On top of parity, the
+lifecycle counters are pinned: rule edits evict individual packs,
 recompression never triggers a wholesale kernel invalidation, and
 snapshot reloads start with zero packed rules (packing is lazy).
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import CompressedXml
-from repro.grammar.kernel import (
-    DEFAULT_MIN_DOC_ELEMENTS,
-    SymbolTable,
-    global_symbol_table,
-    kernel_enabled_by_env,
-)
+from repro.grammar.kernel import SymbolTable, global_symbol_table
+from repro.grammar.navigation import stream_elements
+from repro.query.naive import naive_count, naive_select
 from repro.storage.durable import DurableXml
 from repro.trees.symbols import Alphabet
 from repro.trees.unranked import XmlNode
+from repro.trees.xml_io import serialize_xml
 from repro.updates.batch import (
     BatchAppend,
     BatchDelete,
@@ -52,23 +52,8 @@ WEBLOG = (
 PARITY_PATHS = ("//a", "//b", "/a/b", "//c/d", "//*[2]", "//zz")
 
 
-def kernelized(tree, **kwargs):
-    """A document whose kernel is forced active regardless of size.
-
-    Hypothesis documents are tiny (well under the automatic
-    ``DEFAULT_MIN_DOC_ELEMENTS`` fallback), so the gate is lowered to
-    zero -- the production default is covered by the gating tests.
-    """
-    kwargs.setdefault("use_kernel", True)
-    doc = CompressedXml.from_document(tree, **kwargs)
-    kernel = doc.index.kernel
-    assert kernel is not None
-    kernel.min_doc_elements = 0
-    return doc
-
-
 def observe(doc, paths=PARITY_PATHS):
-    """Everything the kernel can influence, as one comparable value."""
+    """Everything the kernel serves, as one comparable value."""
     n = doc.element_count
     return {
         "xml": doc.to_xml(),
@@ -81,6 +66,41 @@ def observe(doc, paths=PARITY_PATHS):
         "subtrees": [doc.subtree_xml(i) for i in range(n)],
         "windows": [list(doc.tags(i, min(i + 3, n))) for i in range(n)],
     }
+
+
+def oracle(doc, paths=PARITY_PATHS):
+    """The value :func:`observe` must produce, computed without the
+    kernel: one un-hinted ``stream_elements`` pass, the decompressed
+    tree, and the naive path evaluator."""
+    root = doc.to_document()
+    stream = list(stream_elements(doc.grammar))
+    n = len(stream)
+    tags = [tag for _index, tag, _parent, _depth in stream]
+    children = [[] for _ in range(n)]
+    for index, _tag, parent, _depth in stream:
+        if parent is not None:
+            children[parent].append(index)
+    return {
+        "xml": serialize_xml(root),
+        "tags": tags,
+        "select": {path: naive_select(root, path) for path in paths},
+        "count": {path: naive_count(root, path) for path in paths},
+        "parents": [parent for _index, _tag, parent, _depth in stream],
+        "depths": [depth for _index, _tag, _parent, depth in stream],
+        "children": children,
+        "subtrees": [serialize_xml(node) for node in root.preorder()],
+        "windows": [tags[i:i + 3] for i in range(n)],
+    }
+
+
+def assert_step_parity(doc, paths=PARITY_PATHS[:3]):
+    """The per-operation check of the script properties."""
+    root = doc.to_document()
+    for path in paths:
+        assert doc.select(path) == naive_select(root, path), path
+    assert list(doc.tags()) == [
+        tag for _index, tag, _parent, _depth in stream_elements(doc.grammar)
+    ]
 
 
 class TestSymbolTable:
@@ -108,65 +128,48 @@ class TestSymbolTable:
         assert global_symbol_table() is global_symbol_table()
 
 
-class TestKernelGating:
-    def test_small_documents_fall_back_automatically(self):
-        doc = CompressedXml.from_xml("<a><b/><c/></a>", use_kernel=True)
-        assert doc.element_count < DEFAULT_MIN_DOC_ELEMENTS
-        assert doc.index.kernel is not None
-        assert doc.index.active_kernel() is None
-        assert doc.select("//b") == [1]  # still answers, object path
+class TestOnePath:
+    def test_three_element_document_is_kernel_served(self):
+        doc = CompressedXml.from_xml("<a><b/><c/></a>")
+        kernel = doc.index.kernel
+        paths = ("//b", "/a/c", "//*")
+        assert observe(doc, paths) == oracle(doc, paths)
+        assert kernel.rules_packed > 0
+        assert kernel.hits > 0
 
     def test_large_documents_engage_the_kernel(self):
-        doc = CompressedXml.from_xml(WEBLOG, use_kernel=True)
-        assert doc.element_count >= DEFAULT_MIN_DOC_ELEMENTS
-        kernel = doc.index.active_kernel()
-        assert kernel is not None
+        doc = CompressedXml.from_xml(WEBLOG)
+        kernel = doc.index.kernel
         doc.select("//status")
         assert kernel.rules_packed > 0
         assert kernel.builds > 0
 
-    def test_use_kernel_false_disables_entirely(self):
-        doc = CompressedXml.from_xml(WEBLOG, use_kernel=False)
-        assert doc.index.kernel is None
-        assert doc.index.kernel_info() == {"enabled": False}
-        assert doc.count("//entry") == 40
-
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_USE_KERNEL", "0")
-        assert not kernel_enabled_by_env()
+    def test_reader_pins_keep_the_live_kernel_serving(self):
         doc = CompressedXml.from_xml(WEBLOG)
-        assert doc.index.kernel is None
-        assert doc.count("//entry") == 40
-        monkeypatch.setenv("REPRO_USE_KERNEL", "1")
-        assert kernel_enabled_by_env()
-
-    def test_explicit_use_kernel_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_USE_KERNEL", "0")
-        doc = CompressedXml.from_xml(WEBLOG, use_kernel=True)
-        assert doc.index.kernel is not None
-
-    def test_reader_pins_suspend_the_live_kernel(self):
-        doc = CompressedXml.from_xml(WEBLOG, use_kernel=True)
-        assert doc.index.active_kernel() is not None
+        kernel = doc.index.kernel
         with doc.snapshot() as view:
-            # The live document must fall back (rhs() reads under pins
-            # do copy-on-write preservation), the frozen view must not.
-            assert doc.index.active_kernel() is None
-            assert view._index.active_kernel() is not None
             before = view.select("//status")
+            hits = kernel.hits
+            assert doc.select("//status") == before
+            assert doc.tag_of(2) == "ip"
+            assert kernel.hits > hits
             doc.rename(2, "renamed")
+            assert doc.select("//renamed") == [2]  # repacks the spine
+            hits = kernel.hits
+            assert doc.tag_of(6) == "ip"
+            assert kernel.hits > hits
+            # The view has its own index and kernel over frozen bodies.
+            assert view._index.kernel is not kernel
             assert view.select("//status") == before
-        assert doc.index.active_kernel() is not None
 
     def test_kernel_info_shape(self):
-        doc = CompressedXml.from_xml(WEBLOG, use_kernel=True)
+        doc = CompressedXml.from_xml(WEBLOG)
         doc.select("//ip")
         info = doc.index.kernel_info()
-        assert info["enabled"] is True
-        for key in ("rules_packed", "bytes_packed", "builds", "evictions",
-                    "hits", "misses", "wholesale_invalidations",
-                    "min_doc_elements"):
-            assert key in info, key
+        assert set(info) == {
+            "rules_packed", "bytes_packed", "builds", "evictions",
+            "hits", "misses", "wholesale_invalidations",
+        }
         assert info["bytes_packed"] > 0
         assert info["wholesale_invalidations"] == 0
 
@@ -176,19 +179,16 @@ class TestKernelParity:
            st.one_of(st.none(), shard_widths()))
     @settings(max_examples=40, deadline=None)
     def test_static_parity(self, tree, width):
-        fast = kernelized(tree, shard_width=width)
-        slow = CompressedXml.from_document(tree, shard_width=width,
-                                           use_kernel=False)
-        assert observe(fast) == observe(slow)
-        assert fast.index.kernel.rules_packed > 0
+        doc = CompressedXml.from_document(tree, shard_width=width)
+        assert observe(doc) == oracle(doc)
+        assert doc.index.kernel.rules_packed > 0
 
     @given(xml_documents(max_elements=25), label_paths())
     @settings(max_examples=40, deadline=None)
     def test_random_path_parity(self, tree, path):
-        fast = kernelized(tree)
-        slow = CompressedXml.from_document(tree, use_kernel=False)
-        assert fast.select(path) == slow.select(path), path
-        assert fast.count(path) == slow.count(path), path
+        doc = CompressedXml.from_document(tree)
+        assert doc.select(path) == naive_select(tree, path), path
+        assert doc.count(path) == naive_count(tree, path), path
 
     @given(
         xml_documents(max_elements=20),
@@ -197,32 +197,25 @@ class TestKernelParity:
     )
     @settings(max_examples=25, deadline=None)
     def test_parity_after_update_scripts(self, tree, script, width):
-        """Pack invalidation is exercised: both documents are warmed,
-        then queried after every operation of the same script."""
-        fast = kernelized(tree, shard_width=width)
-        slow = CompressedXml.from_document(tree, shard_width=width,
-                                           use_kernel=False)
-        assert observe(fast) == observe(slow)
-        for (_, __) in zip(replay_script(fast, script),
-                           replay_script(slow, script)):
-            for path in PARITY_PATHS[:3]:
-                assert fast.select(path) == slow.select(path), path
-            assert list(fast.tags()) == list(slow.tags())
-        assert observe(fast) == observe(slow)
+        """Pack invalidation is exercised: the document is warmed, then
+        queried after every operation of the script."""
+        doc = CompressedXml.from_document(tree, shard_width=width)
+        assert observe(doc) == oracle(doc)
+        for _ in replay_script(doc, script):
+            assert_step_parity(doc)
+        assert observe(doc) == oracle(doc)
         # Eviction must be surgical: a script of point updates (and even
         # recompressions) never justifies dropping every pack at once.
-        assert fast.index.kernel.wholesale_invalidations == 0
-        assert fast.index.wholesale_invalidations == 0
+        assert doc.index.kernel.wholesale_invalidations == 0
+        assert doc.index.wholesale_invalidations == 0
 
     @given(xml_documents(max_elements=15), batch_scripts(max_ops=8))
     @settings(max_examples=20, deadline=None)
     def test_parity_after_batches(self, tree, script):
-        fast = kernelized(tree)
-        slow = CompressedXml.from_document(tree, use_kernel=False)
-        fast.count("//a")
-        slow.count("//a")
+        doc = CompressedXml.from_document(tree)
+        doc.count("//a")
         for kind, fraction, tag, wide in script:
-            count = fast.element_count
+            count = doc.element_count
             content = [XmlNode(tag), XmlNode(tag)] if wide else XmlNode(tag)
             if kind == "rename":
                 op = BatchRename(int(fraction * count), tag)
@@ -234,17 +227,15 @@ class TestKernelParity:
                 op = BatchDelete(1 + int(fraction * (count - 1)))
             else:
                 continue
-            fast.apply_batch([op])
-            slow.apply_batch([op])
-            for path in PARITY_PATHS[:3]:
-                assert fast.select(path) == slow.select(path), path
-        assert observe(fast) == observe(slow)
-        assert fast.index.kernel.wholesale_invalidations == 0
+            doc.apply_batch([op])
+            assert_step_parity(doc)
+        assert observe(doc) == oracle(doc)
+        assert doc.index.kernel.wholesale_invalidations == 0
 
 
 class TestEvictionAccounting:
     def warmed(self):
-        doc = CompressedXml.from_xml(WEBLOG, use_kernel=True)
+        doc = CompressedXml.from_xml(WEBLOG)
         doc.select("//status")
         doc.select("//ip")
         list(doc.tags())
@@ -275,18 +266,14 @@ class TestEvictionAccounting:
 
     def test_interleaved_traffic_never_goes_wholesale(self):
         doc, kernel = self.warmed()
-        other = CompressedXml.from_xml(WEBLOG, use_kernel=False)
         for step in range(12):
-            for target in (doc, other):
-                target.rename(2 + step * 3, f"t{step % 4}")
-                target.append_child(0, XmlNode(f"t{step % 4}"))
-                if step % 5 == 4:
-                    target.recompress()
-            assert doc.select("//t1") == other.select("//t1")
-            assert list(doc.tags()) == list(other.tags())
+            doc.rename(2 + step * 3, f"t{step % 4}")
+            doc.append_child(0, XmlNode(f"t{step % 4}"))
+            if step % 5 == 4:
+                doc.recompress()
+            assert_step_parity(doc, ("//t1",))
         assert kernel.evictions > 0
         assert kernel.wholesale_invalidations == 0
-        assert doc.to_xml() == other.to_xml()
 
     def test_bytes_packed_tracks_pack_population(self):
         doc, kernel = self.warmed()
@@ -300,7 +287,7 @@ class TestEvictionAccounting:
 
 class TestSnapshotReloadIsLazy:
     def test_snapshot_reload_starts_unpacked(self, tmp_path):
-        doc = CompressedXml.from_xml(WEBLOG, use_kernel=True)
+        doc = CompressedXml.from_xml(WEBLOG)
         doc.rename(2, "ipaddr")
         expected = doc.select("//status")
         doc.select("//status")  # warm: packs exist in the writer
@@ -308,13 +295,12 @@ class TestSnapshotReloadIsLazy:
 
         path = str(tmp_path / "doc.snapshot")
         doc.save_snapshot(path)
-        doc2 = CompressedXml.from_snapshot_file(path, use_kernel=True)
+        doc2 = CompressedXml.from_snapshot_file(path)
 
         # Mirrors the rules_censused == 0 guarantee: restoring segments
         # must not eagerly pack a single rule, nor count a wholesale
         # invalidation for the import.
         kernel = doc2.index.kernel
-        assert kernel is not None
         assert kernel.rules_packed == 0
         assert kernel.wholesale_invalidations == 0
 
@@ -322,10 +308,6 @@ class TestSnapshotReloadIsLazy:
         assert kernel.rules_packed > 0
         assert kernel.wholesale_invalidations == 0
 
-    @pytest.mark.skipif(
-        not kernel_enabled_by_env(),
-        reason="DurableXml.open follows REPRO_USE_KERNEL, disabled here",
-    )
     def test_durable_open_starts_unpacked(self, tmp_path):
         store = str(tmp_path / "store")
         doc = CompressedXml.from_xml(WEBLOG)
@@ -335,7 +317,6 @@ class TestSnapshotReloadIsLazy:
 
         with DurableXml.open(store) as durable:
             kernel = durable.document.index.kernel
-            assert kernel is not None
             assert kernel.rules_packed == 0
             assert durable.document.select("//status") == expected
             assert kernel.rules_packed > 0
@@ -344,28 +325,27 @@ class TestSnapshotReloadIsLazy:
     @given(xml_documents(max_elements=20))
     @settings(max_examples=15, deadline=None)
     def test_snapshot_round_trip_parity(self, tmp_path_factory, tree):
-        doc = kernelized(tree)
+        doc = CompressedXml.from_document(tree)
         if doc.element_count > 2:
             doc.rename(1, "renamed")
         before = observe(doc)
         tmp = tmp_path_factory.mktemp("ksnap")
         path = str(tmp / "doc.snapshot")
         doc.save_snapshot(path)
-        doc2 = CompressedXml.from_snapshot_file(path, use_kernel=True)
+        doc2 = CompressedXml.from_snapshot_file(path)
         kernel = doc2.index.kernel
         assert kernel.rules_packed == 0
-        kernel.min_doc_elements = 0
         assert observe(doc2) == before
         assert kernel.wholesale_invalidations == 0
 
 
 class TestKernelMetricsSurface:
     def test_metrics_source_and_counters(self):
-        doc = CompressedXml.from_xml(WEBLOG, use_kernel=True)
+        doc = CompressedXml.from_xml(WEBLOG)
         doc.select("//status")
         metrics = doc.metrics()
         source = metrics["sources"]["repro_kernel"]
-        assert source["enabled"] == 1
+        assert source == doc.index.kernel_info()
         assert source["rules_packed"] > 0
         assert source["bytes_packed"] > 0
         prom = doc.metrics_registry.render_prometheus()
@@ -373,11 +353,13 @@ class TestKernelMetricsSurface:
         assert "repro_kernel_evictions_total" in prom
         assert "repro_kernel_rules_packed" in prom
 
-    def test_disabled_kernel_still_reports(self):
-        doc = CompressedXml.from_xml(WEBLOG, use_kernel=False)
-        doc.select("//status")
-        metrics = doc.metrics()
-        assert metrics["sources"]["repro_kernel"]["enabled"] == 0
+    def test_fresh_document_reports_the_full_surface(self):
+        # Declared-at-wiring counters and the gauge source appear in a
+        # scrape before the first descent has packed anything.
+        doc = CompressedXml.from_xml(WEBLOG)
+        source = doc.metrics()["sources"]["repro_kernel"]
+        assert source["rules_packed"] == 0
+        assert source["builds"] == 0
         prom = doc.metrics_registry.render_prometheus()
-        # Declared-at-wiring counters appear in exposition either way.
         assert "repro_kernel_builds_total" in prom
+        assert "repro_kernel_evictions_total" in prom

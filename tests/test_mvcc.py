@@ -285,3 +285,146 @@ class TestSnapshotProperties:
         for view, _ in pinned:
             view.close()
         assert doc.grammar.pinned_epochs() == {}
+
+
+class _OverlayAudit:
+    """Grammar observer: at every change notification the changed head
+    must already sit in every reader-pinned overlay."""
+
+    def __init__(self, grammar):
+        self.grammar = grammar
+        self.notifications = 0
+
+    def _check(self, head):
+        grammar = self.grammar
+        self.notifications += 1
+        for epoch in grammar._reader_pins_at:
+            assert head in grammar._overlays[epoch], (head, epoch)
+
+    rule_changed = rule_removed = _check
+
+
+def read_surface(reader, paths=("//status", "/log/entry", "//*[2]")):
+    """The pre-pin answers every pinned view must keep giving.  On the
+    live document this doubles as the warm-up: it packs every rule and
+    fills the ``_locations`` memo (both axis modes) for every element."""
+    n = reader.element_count
+    return {
+        "xml": reader.to_xml(),
+        "tags": [reader.tag_of(i) for i in range(n)],
+        "parents": [reader.parent_of(i) for i in range(n)],
+        "windows": list(reader.tags(0, n)),
+        "subtree": reader.subtree_xml(min(1, n - 1)),
+        "select": {path: reader.select(path) for path in paths},
+    }
+
+
+def _burst(doc):
+    for _ in range(24):
+        doc.append_child(0, XmlNode("burst", [XmlNode("x")]))
+
+
+def _drain(doc):
+    while doc.element_count > 4:
+        doc.delete(doc.element_count - 1)
+
+
+def _failing_batch(doc):
+    with pytest.raises(IndexError):
+        doc.apply_batch(
+            [BatchRename(1, "pre"), BatchAppend(2, XmlNode("y")),
+             BatchRename(10 ** 6, "x")],
+            transactional=True,
+        )
+
+
+#: name -> (document kwargs, pre-pin preparation, the mutator under test)
+MUTATORS = {
+    "rename": ({}, None, lambda doc: doc.rename(2, "renamed")),
+    "insert": ({}, None, lambda doc: doc.insert(
+        3, parse_xml("<extra><deep/></extra>"))),
+    "append_child": ({}, None, lambda doc: doc.append_child(
+        1, XmlNode("tail", [XmlNode("leaf")]))),
+    "delete": ({}, None, lambda doc: doc.delete(4)),
+    "apply_batch": ({}, None, lambda doc: doc.apply_batch(
+        [BatchRename(2, "x"), BatchInsert(3, XmlNode("n")),
+         BatchAppend(4, XmlNode("z")), BatchDelete(7)])),
+    "failing_batch": ({}, None, _failing_batch),
+    "shard_split": ({"shard_width": 8}, None, _burst),
+    "shard_merge": ({"shard_width": 8}, _burst, _drain),
+    "scoped_recompress": ({}, _burst, lambda doc: doc.recompress()),
+    "full_recompress": ({}, _burst, lambda doc: doc.recompress(full=True)),
+}
+
+
+class TestWritePointPreservation:
+    """Every in-place rewrite preserves at its *write* point.
+
+    The live document's descents run on the flat kernel and the
+    ``_locations`` memo, neither of which reads a rule body -- so no
+    hooked ``rhs()`` read stands between a reader pin and the mutation.
+    Each mutator is therefore driven on a fully warmed document with
+    nothing in between, and the pinned view must not notice.
+    """
+
+    @pytest.mark.parametrize("name", sorted(MUTATORS))
+    def test_mutator_preserves_without_intervening_reads(self, name):
+        kwargs, prepare, mutate = MUTATORS[name]
+
+        def build():
+            doc = make_doc(**kwargs)
+            if prepare is not None:
+                prepare(doc)
+            return doc
+
+        twin = build()
+        mutate(twin)
+
+        doc = build()
+        before = read_surface(doc)
+        assert doc.index.kernel.rules_packed > 0
+        shard_stats = doc.shard_manager.stats.to_dict() \
+            if doc.shard_manager is not None else None
+        view = doc.snapshot()
+        audit = _OverlayAudit(doc.grammar)
+        doc.grammar.register_observer(audit)
+        try:
+            mutate(doc)
+        finally:
+            doc.grammar.unregister_observer(audit)
+        assert audit.notifications > 0
+        assert read_surface(view) == before
+        view.close()
+        assert doc.to_xml() == twin.to_xml()
+        if name == "failing_batch":
+            assert doc.to_xml() == before["xml"]
+        if name == "shard_split":
+            assert doc.shard_manager.stats.splits > shard_stats["splits"]
+        if name == "shard_merge":
+            assert doc.shard_manager.stats.merges > shard_stats["merges"]
+
+    @given(xml_documents(max_elements=20), update_scripts(max_ops=8),
+           shard_widths())
+    @settings(max_examples=25, deadline=None)
+    def test_overlapping_pins_at_different_epochs(self, tree, script, width):
+        """Two reader pins, the second taken mid-script: both overlays
+        hold every rewritten head at notification time, and both views
+        keep their pin-time answers.  The expected answers come from a
+        pin-free twin replaying the same script, so the pinned document
+        itself is never read between operations."""
+        doc = CompressedXml.from_document(tree, shard_width=width)
+        twin = CompressedXml.from_document(tree, shard_width=width)
+        paths = ("//a", "/a/b")
+        read_surface(doc, paths)  # warm packs and memo before any pin
+        pinned = [(doc.snapshot(), read_surface(twin, paths))]
+        doc.grammar.register_observer(_OverlayAudit(doc.grammar))
+        steps = zip(replay(doc, script), replay(twin, script))
+        for position, _ in enumerate(steps):
+            if position == len(script) // 2:
+                pinned.append((doc.snapshot(), read_surface(twin, paths)))
+        for view, surface in pinned:
+            assert read_surface(view, paths) == surface
+            view.close()
+        assert doc.to_xml() == twin.to_xml()
+        assert doc.grammar.pinned_epochs() == {}
+        doc.grammar.validate()
