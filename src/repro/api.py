@@ -999,7 +999,7 @@ class CompressedXml:
         ``shard_width // 2`` is merged -- all through per-rule observer
         events, so the persistent indexes never reset wholesale."""
         if self._shards is not None:
-            self._shards.reshard()
+            self._shards.reshard(self._index.rule_width)
 
     def _maybe_auto_recompress(self) -> None:
         if self._auto_factor is None:

@@ -4,8 +4,10 @@
 
 * the paper's ``size(A, 0..k)`` *node* segments (Section III-A),
 * the analogous *element* segments counting only non-``⊥`` terminals,
-* a per-RHS-node table of generated (node, element) subtree sizes plus the
-  parameter indices occurring below each node.
+* a :class:`~repro.grammar.kernel.RulePack`: the rule body flattened to
+  preorder columns holding, per RHS node, the generated (node, element)
+  subtree sizes plus the parameter indices occurring below it -- the one
+  per-node size table there is.
 
 Together these answer the navigation queries every update needs --
 
@@ -20,21 +22,34 @@ Together these answer the navigation queries every update needs --
 by *descending the derivation* in ``O(depth · rule-width)`` per query
 instead of streaming the ``O(N)`` symbols of the generated tree.  This is
 the grammar-level count-table idea of Maneth & Sebastian's structural
-self-indexes, specialized to the update path of this reproduction.
+self-indexes, specialized to the update path of this reproduction -- and
+kept valid *across* an edit instead of recomputed after it.
 
 Invalidation contract
 ---------------------
 The index registers itself as a grammar observer (see
-:meth:`repro.grammar.slcf.Grammar.register_observer`).  Whenever a rule is
-installed, removed, or mutated in place, the cache entries of that rule
-*and of every rule whose tables were computed from it* (the transitive
-dependents along the call DAG) are evicted; recomputation happens lazily,
-bottom-up, on the next query.  An isolated ``rename``/``insert``/``delete``
-therefore costs one eviction of the start rule plus an
-``O(|start RHS|)``-time lazy recompute -- independent of document size.
+:meth:`repro.grammar.slcf.Grammar.register_observer`):
+
+* ``rule_spliced`` -- a *local* rewrite: one subtree of one rule gave way
+  to another (path isolation's inlines; a single ``insert`` / ``delete``).
+  The rule's pack is patched at the write point: adopted subtrees keep
+  their entries, the fresh nodes get theirs, the ancestors' sizes follow;
+  when the generated size changed, so do the rule's segment and -- along
+  the shard spine, where each rule has one applier applying it once --
+  the application's ancestors and segment one rule up.  Nothing is
+  evicted: the write pays ``O(depth + |edit|)``, not ``O(rule width)``.
+  A splice that is not local after all (it removed a parameter, the rule
+  has no pack, the dependents are not a spine) takes the last path.
+* ``rule_relabeled`` -- patches the label entries of the relabeled node.
+* ``rule_changed`` / ``rule_removed`` -- anything else (``set_rule``,
+  batches, recompression, reshard splits and merges): the entries of that
+  rule *and of its transitive dependents along the call DAG* are evicted
+  and cold-built lazily, bottom-up, on the next query.  The cold build is
+  also the reference the splice is tested and scrubbed against.
+
 Callers that mutate rule bodies in place without going through
-``set_rule`` must call :meth:`Grammar.notify_rule_changed`; the update and
-compression layers of this code base all do.
+``set_rule`` must fire one of the ``Grammar.notify_rule_*`` events; the
+update and compression layers of this code base all do.
 """
 
 from __future__ import annotations
@@ -42,10 +57,14 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.grammar.kernel import (
+    KIND_NONTERMINAL,
     GrammarKernel,
+    RulePack,
+    flatten,
     kernel_iter_element_symbols,
     kernel_locate_element,
     kernel_resolve_preorder,
+    measure,
 )
 from repro.grammar.navigation import PathStep
 from repro.grammar.slcf import Grammar, GrammarError
@@ -73,16 +92,93 @@ def check_element_index(index: int, what: str = "element index") -> int:
     return index
 
 
-#: Per-RHS-node cache entry: (generated nodes, generated non-⊥ elements,
-#: parameter indices occurring in the subtree).  Parameters contribute 0 to
-#: both counts; the binding environment supplies the argument sizes.
-_NodeInfo = Tuple[int, int, Tuple[int, ...]]
+#: One binding of a rule parameter during a descent (the kernel's binding
+#: tuples): ``(generated nodes, generated elements, the argument's own
+#: environment, the pack holding the argument, its position there)``.
+_Binding = Tuple[int, int, tuple, RulePack, int]
 
-#: One binding of a rule parameter during a descent:
-#: (argument node, its environment, its rule's node table,
-#:  generated nodes, generated elements) -- slots 0..4 of the kernel's
-#: binding tuples, which is all the post-descent helpers here read.
-_Binding = Tuple[Node, tuple, Dict[int, _NodeInfo], int, int]
+
+def _descend(columns: tuple, parent: Optional[Node], target: Node):
+    """Find ``target``, the node below ``parent`` (``None``: the root),
+    in a pack's ``columns`` by following its node path down from
+    position 0: ``(position, ancestor positions root first, number of
+    parameters in front of it)``.  Reads only entries in front of the
+    target, so ``target``'s own subtree may already be rewritten."""
+    path = [target]
+    while parent is not None:
+        path.append(parent)
+        parent = parent.parent
+    span, params, node_objs = columns[3], columns[6], columns[7]
+    pos = before = 0
+    ancestors: List[int] = []
+    for depth in range(len(path) - 2, -1, -1):
+        ancestors.append(pos)
+        node = path[depth]
+        pos += 1
+        while node_objs[pos] is not node:
+            before += len(params[pos])
+            pos += span[pos]
+    return pos, ancestors, before
+
+
+def _segments(
+    pack: RulePack,
+    node_segments: Dict[Symbol, List[int]],
+    elem_segments: Dict[Symbol, List[int]],
+) -> Tuple[List[int], List[int]]:
+    """The rule's ``size(A, 0..k)`` in nodes and in elements, read off
+    its finished columns in one forward scan that steps over every
+    parameter-free subtree (one table read): only the paths to the
+    parameters are walked.  At an application on such a path the
+    callee's segments fall ``due`` where its argument subtrees end."""
+    (kind, _sym, rank, span, nnodes, nelems, params, _nodes,
+     sym_objs) = pack.walk[:9]
+    node_segs: List[int] = []
+    elem_segs: List[int] = []
+    nodes = elems = 0
+    due: Dict[int, List[int]] = {}
+    i, n = 0, len(kind)
+    while True:
+        late = due.pop(i, None)
+        if late is not None:
+            nodes += late[0]
+            elems += late[1]
+        if i == n:
+            break
+        if not params[i]:
+            nodes += nnodes[i]
+            elems += nelems[i]
+            i += span[i]
+            continue
+        k = kind[i]
+        if k == 3:
+            node_segs.append(nodes)
+            elem_segs.append(elems)
+            nodes = elems = 0
+        elif k == KIND_NONTERMINAL:
+            callee_nodes = node_segments[sym_objs[i]]
+            callee_elems = elem_segments[sym_objs[i]]
+            nodes += callee_nodes[0]
+            elems += callee_elems[0]
+            child = i + 1
+            for slot in range(1, rank[i] + 1):
+                child += span[child]
+                late = due.setdefault(child, [0, 0])
+                late[0] += callee_nodes[slot]
+                late[1] += callee_elems[slot]
+        else:
+            nodes += 1
+            elems += k  # KIND_BOTTOM == 0, KIND_ELEMENT == 1
+        i += 1
+    node_segs.append(nodes)
+    elem_segs.append(elems)
+    head = pack.head
+    if len(node_segs) != head.rank + 1:
+        raise GrammarError(
+            f"rule {head!r}: found {len(node_segs) - 1} parameters, "
+            f"rank is {head.rank}"
+        )
+    return node_segs, elem_segs
 
 
 class _SegmentsView:
@@ -127,14 +223,13 @@ class GrammarIndex:
         self._grammar = grammar
         self._node_segments: Dict[Symbol, List[int]] = {}
         self._elem_segments: Dict[Symbol, List[int]] = {}
-        self._tables: Dict[Symbol, Dict[int, _NodeInfo]] = {}
-        # Reverse call edges registered at computation time: callee -> rule
-        # heads whose cached tables were derived from it.
+        # Reverse call edges: callee -> the cached rules that apply it
+        # (exact while the applier is packed -- ``RulePack.calls`` --,
+        # a superset for segments adopted from a snapshot).
         self._dependents: Dict[Symbol, Set[Symbol]] = {}
         # Memoized ``_locate_element`` descents.  Relabels change neither
-        # subtree sizes nor node identities, so a located path stays
-        # valid across rename traffic (the hot case: repeated point
-        # updates to the same region); any structural change clears it.
+        # subtree sizes nor positions, so a located path stays valid
+        # across in-place relabels; any structural change clears it.
         self._locations: Dict[Tuple[int, bool], tuple] = {}
         # Eviction instrumentation: per-rule evictions through the observer
         # channel vs wholesale resets.  Dirty-rule-scoped recompression is
@@ -142,9 +237,8 @@ class GrammarIndex:
         self.evicted_rules = 0
         self.wholesale_invalidations = 0
         # The flat-array descent kernel (see :mod:`repro.grammar.kernel`):
-        # per-rule packed integer encodings of the rule bodies, riding this
-        # index's observer forwarding so packs and tables share one
-        # invalidation lifetime.  Every descent below runs on it.
+        # the per-rule column packs every descent below runs on, and the
+        # only per-node size table there is.
         self._kernel = GrammarKernel(self)
         self._registered = register
         if register:
@@ -169,18 +263,149 @@ class GrammarIndex:
     def rule_removed(self, head: Symbol) -> None:
         self._evict(head)
 
-    def rule_relabeled(self, head: Symbol) -> None:
-        """A terminal relabel changes no size any table here caches --
-        keep everything (the tables reference live nodes, so even
-        ``tag_of`` stays correct through the relabeled symbol).  The
-        kernel pack of the relabeled rule *does* go: it caches interned
-        symbol ids and names per position.  Only that one rule's pack --
-        dependents' packs reference the relabeled terminal solely through
-        this rule's body, which they never cache into their own arrays."""
-        self._kernel.evict(head)
+    def rule_relabeled(self, head: Symbol, node: Optional[Node] = None) -> None:
+        """A relabel changes no size and no position: patch the label
+        entries of the relabeled ``node`` in the rule's pack (no other
+        pack caches them).  Without ``node`` -- a batch relabeled
+        several -- the pack is dropped; the segments stay either way."""
+        pack = self._kernel.peek(head)
+        if pack is None:
+            return
+        if node is None:
+            self._kernel.evict(head)
+            self._locations.clear()  # located paths name the pack
+            return
+        pos = _descend(pack.walk, node.parent, node)[0]
+        symbol = node.symbol
+        _kind, pack.sym[pos], _rank, pack.sym_names[pos] = \
+            self._kernel.symbols.describe(symbol)
+        pack.sym_objs[pos] = symbol
+
+    def rule_spliced(self, head: Symbol, old: Node, new: Node) -> None:
+        """:meth:`~repro.grammar.slcf.Grammar.notify_rule_spliced`:
+        patch the rule's pack where it changed; evict as for
+        ``rule_changed`` when there is no pack or the splice is not
+        local."""
+        pack = self._kernel.peek(head)
+        if pack is None or not self._splice(pack, old, new):
+            self._evict(head)
+
+    def _splice(self, pack: RulePack, old: Node, new: Node) -> bool:
+        """Make the column slice of ``old``'s subtree describe ``new``;
+        returns ``False`` (nothing touched) when the splice removed a
+        parameter or moved a size across one.
+
+        Subtrees ``new`` adopted from ``old`` keep their entries; the
+        entries of the nodes that went, between them, are exchanged for
+        those of the fresh nodes that came.  ``O(depth + fresh + gone)``
+        plus a few C-level list shifts.
+        """
+        columns = pack.walk
+        kind, span, nnodes, nelems, params = (
+            columns[0], columns[3], columns[4], columns[5], columns[6])
+        p, ancestors, before = _descend(columns, new.parent, old)
+        stop = p + span[p]
+        # What ``new`` may have adopted: ``old`` itself, or its children.
+        moved = {id(old): (p, stop)}
+        c = p + 1
+        for _ in range(columns[2][p]):
+            moved[id(columns[7][c])] = (c, c + span[c])
+            c += span[c]
+        region, fresh, carried, calls = flatten(
+            new, self._kernel.symbols, moved, columns)
+        measure(region, fresh, self._node_segments, self._elem_segments)
+        if region[6][0] != params[p]:
+            return False
+        grown_nodes = region[4][0] - nnodes[p]
+        grown_elems = region[5][0] - nelems[p]
+        if (grown_nodes or grown_elems) and params[p]:
+            # The change must sit wholly in front of the slice's
+            # parameters: whatever holds them was adopted as the tail
+            # of both the old and the new slice.
+            entry, start, end = carried[-1] if carried else (-1, 0, 0)
+            if entry != len(fresh) + len(carried) - 1 or end != stop \
+                    or params[start] != params[p]:
+                return False
+        # Gaps of the old slice around the adopted subtrees, and the runs
+        # of fresh entries that take their place (exchanged back to front).
+        gaps = [p]
+        runs = [0]
+        for entry, start, end in carried:
+            gaps += (start, end)
+            runs += (entry, entry + 1)
+        gaps.append(stop)
+        runs.append(len(region[0]))
+        head = pack.head
+        counted = pack.calls
+        sym_objs = columns[8]
+        for g in range(len(gaps) - 2, -1, -2):
+            a, b, i, j = gaps[g], gaps[g + 1], runs[g], runs[g + 1]
+            for at in range(a, b):
+                if kind[at] == KIND_NONTERMINAL:  # an application went
+                    callee = sym_objs[at]
+                    counted[callee] -= 1
+                    if not counted[callee]:
+                        del counted[callee]
+                        self._dependents[callee].discard(head)
+            if a != b or i != j:
+                for column, patch in zip(columns, region):
+                    column[a:b] = patch[i:j]
+        for callee, count in calls.items():  # applications that came
+            if callee not in counted:
+                self._dependents.setdefault(callee, set()).add(head)
+            counted[callee] = counted.get(callee, 0) + count
+        widened = region[3][0] - (stop - p)
+        for a in ancestors:
+            span[a] += widened
+        pack.hop_segs.clear()
+        pack._label_arrays.clear()
+        self._locations.clear()
+        if grown_nodes or grown_elems:
+            for a in ancestors:
+                nnodes[a] += grown_nodes
+                nelems[a] += grown_elems
+            self._resize(head, before, grown_nodes, grown_elems)
+        return True
+
+    def _resize(self, head: Symbol, segment: int,
+                grown_nodes: int, grown_elems: int) -> None:
+        """``head``'s ``segment``-th segment grew: patch it, then walk
+        up while the rule has exactly one cached applier applying it
+        once (the spine), patching that application's ancestors and the
+        applier's segment.  Any other set of dependents is evicted."""
+        packs = self._kernel._packs
+        while True:
+            self._node_segments[head][segment] += grown_nodes
+            self._elem_segments[head][segment] += grown_elems
+            appliers = self._dependents.get(head)
+            if not appliers:
+                return
+            pack = packs.get(next(iter(appliers)))
+            if len(appliers) != 1 or pack is None \
+                    or pack.calls.get(head) != 1:
+                for applier in self._dependents.pop(head):
+                    self._evict(applier)
+                return
+            columns = pack.walk
+            span, nnodes, nelems, params = (
+                columns[3], columns[4], columns[5], columns[6])
+            application = columns[7][columns[8].index(head)]
+            pos, ancestors, before = _descend(
+                columns, application.parent, application)
+            ancestors.append(pos)
+            for a in ancestors:
+                nnodes[a] += grown_nodes
+                nelems[a] += grown_elems
+            c = pos + 1
+            for _ in range(segment):
+                before += len(params[c])
+                c += span[c]
+            head = pack.head
+            segment = before
 
     def _evict(self, head: Symbol) -> None:
-        """Drop cached tables of ``head`` and its transitive dependents.
+        """Drop cached segments and packs of ``head`` and its transitive
+        dependents.
 
         A rule is only ever cached after its callees (anti-SL order), so a
         cached dependent always has its reverse edge registered here --
@@ -189,6 +414,7 @@ class GrammarIndex:
         """
         self._locations.clear()
         kernel = self._kernel
+        dependents = self._dependents
         stack = [head]
         while stack:
             current = stack.pop()
@@ -196,18 +422,19 @@ class GrammarIndex:
                 continue
             del self._node_segments[current]
             del self._elem_segments[current]
-            self._tables.pop(current, None)
-            # A pack can only exist for a rule with computed tables
-            # (it aliases them), so the cascade reaches every pack.
-            kernel.evict(current)
+            pack = kernel.evict(current)
+            if pack is not None:
+                for callee in pack.calls:
+                    appliers = dependents.get(callee)
+                    if appliers:  # gone when the callee went first
+                        appliers.discard(current)
             self.evicted_rules += 1
-            stack.extend(self._dependents.pop(current, ()))
+            stack.extend(dependents.pop(current, ()))
 
     def invalidate_all(self) -> None:
         """Drop every cache entry (e.g. after a full recompression run)."""
         self._node_segments.clear()
         self._elem_segments.clear()
-        self._tables.clear()
         self._dependents.clear()
         self._locations.clear()
         self._kernel.invalidate_all()
@@ -242,6 +469,15 @@ class GrammarIndex:
         """True when ``head``'s tables are currently materialized."""
         return head in self._node_segments
 
+    def rule_width(self, head: Symbol) -> int:
+        """RHS nodes of the rule, like ``Grammar.rule_width`` -- read
+        off the rule's pack when it has one instead of walking the body
+        (the per-write probe of the shard policy)."""
+        pack = self._kernel.peek(head)
+        if pack is None:
+            return self._grammar.rule_width(head)
+        return len(pack.kind)
+
     def cached_rules(self) -> Tuple[Symbol, ...]:
         """The rules with materialized segments, for external audits
         (the storage scrub verifies exactly these against a fresh
@@ -256,9 +492,8 @@ class GrammarIndex:
 
         Forces the whole reachable grammar first, so a snapshot built
         from this restores counting/addressing for *all* rules.  The
-        id-keyed per-node tables are deliberately not exported -- they
-        reference live ``Node`` objects and rebuild lazily per rule on
-        first descent.
+        rule packs are deliberately not exported -- they reference live
+        ``Node`` objects and rebuild lazily per rule on first descent.
         """
         self._ensure(self._grammar.start)
         for head in self._grammar.rules:
@@ -277,15 +512,15 @@ class GrammarIndex:
 
         Rebuilds the reverse call edges from the grammar so per-rule
         observer evictions keep cascading correctly over imported
-        entries.  Counting queries (``element_count``, subtree sizes)
-        are answered straight from the imported lists; descents rebuild
-        their per-node tables lazily, one rule at a time.
+        entries.  Counting queries (``element_count``, segments) are
+        answered straight from the imported lists; descents build the
+        rule packs lazily, one rule at a time.
         """
         grammar = self._grammar
         self._node_segments.clear()
         self._elem_segments.clear()
-        self._tables.clear()
         self._dependents.clear()
+        self._locations.clear()
         # A fresh table generation, not an eviction event: packs
         # rebuild lazily per rule (no wholesale-invalidation count --
         # snapshot opens must report ``rules_packed == 0`` cleanly).
@@ -315,130 +550,62 @@ class GrammarIndex:
                 walk.extend(node.children)
 
     # ------------------------------------------------------------------
-    # lazy recompute (bottom-up along the call DAG)
+    # lazy cold build (bottom-up along the call DAG)
     # ------------------------------------------------------------------
     def _ensure(self, head: Symbol) -> None:
-        # Membership is judged on the id-keyed per-node tables, not the
-        # segment lists: imported snapshot state restores the segments
-        # (the cross-rule aggregates) without tables, and those rules
-        # must still rebuild their table lazily on first descent.
-        if head in self._tables:
-            return
-        pending: Set[Symbol] = set()
+        """Make ``head``'s segments available (those adopted from a
+        snapshot answer without a pack; descents ask the kernel)."""
+        if head not in self._node_segments:
+            self._build(head)
+
+    def _build(self, head: Symbol) -> RulePack:
+        """The cold builder: pack ``head`` -- after packing, bottom-up,
+        every callee whose segments are missing -- and return its pack.
+        Per rule: one preorder flatten, one reverse pass for the sizes,
+        and the segments read off the finished columns."""
+        grammar = self._grammar
+        kernel = self._kernel
+        node_segments = self._node_segments
+        elem_segments = self._elem_segments
+        dependents = self._dependents
+        # Flattened, waiting for callees: exactly the rules on the
+        # current descent path, so meeting one again is a cycle.
+        waiting: Dict[Symbol, tuple] = {}
         stack = [head]
         while stack:
             current = stack[-1]
-            if current in self._tables:
-                pending.discard(current)
-                stack.pop()
-                continue
-            pending.add(current)
-            rhs = self._grammar.rhs(current)
-            callees: List[Symbol] = []
-            seen: Set[Symbol] = set()
-            walk = [rhs]
-            while walk:
-                node = walk.pop()
-                symbol = node.symbol
-                if symbol.is_nonterminal and symbol not in seen:
-                    seen.add(symbol)
-                    callees.append(symbol)
-                walk.extend(node.children)
-            missing = [c for c in callees if c not in self._node_segments]
-            if missing:
-                for callee in missing:
-                    if callee in pending:
-                        raise GrammarError(
-                            f"grammar is recursive: cycle through {callee!r}"
-                        )
-                stack.extend(missing)
-                continue
-            self._compute(current, rhs, callees)
-            pending.discard(current)
+            flat = waiting.get(current)
+            if flat is None:
+                if current is not head and current in node_segments:
+                    stack.pop()  # reached twice; built the first time
+                    continue
+                flat = flatten(grammar.rhs(current), kernel.symbols, {}, ())
+                missing = [c for c in flat[3] if c not in node_segments]
+                if missing:
+                    for callee in missing:
+                        if callee in waiting or callee is current:
+                            raise GrammarError(
+                                f"grammar is recursive: cycle through "
+                                f"{callee!r}"
+                            )
+                    waiting[current] = flat
+                    stack.extend(missing)
+                    continue
+            else:
+                del waiting[current]
             stack.pop()
-
-    def _compute(self, head: Symbol, rhs: Node, callees: List[Symbol]) -> None:
-        node_segments = self._node_segments
-        elem_segments = self._elem_segments
-
-        # Pass 1 (post-order): per-node generated sizes and parameter sets.
-        table: Dict[int, _NodeInfo] = {}
-        stack: List[Tuple[Node, bool]] = [(rhs, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if not expanded:
-                stack.append((node, True))
-                for child in node.children:
-                    stack.append((child, False))
-                continue
-            symbol = node.symbol
-            if symbol.is_parameter:
-                table[id(node)] = (0, 0, (symbol.param_index,))
-                continue
-            nodes = elems = 0
-            params: Tuple[int, ...] = ()
-            for child in node.children:
-                child_nodes, child_elems, child_params = table[id(child)]
-                nodes += child_nodes
-                elems += child_elems
-                if child_params:
-                    params += child_params
-            if symbol.is_terminal:
-                nodes += 1
-                if not symbol.is_bottom:
-                    elems += 1
-            else:
-                nodes += sum(node_segments[symbol])
-                elems += sum(elem_segments[symbol])
-            table[id(node)] = (nodes, elems, params)
-
-        # Pass 2 (preorder): split both counts at the parameters, weaving in
-        # the callees' segments around their argument subtrees.
-        node_segs: List[int] = []
-        elem_segs: List[int] = []
-        current_nodes = current_elems = 0
-        walk: List[object] = [rhs]
-        while walk:
-            item = walk.pop()
-            if item.__class__ is tuple:
-                current_nodes += item[0]
-                current_elems += item[1]
-                continue
-            symbol = item.symbol
-            if symbol.is_parameter:
-                node_segs.append(current_nodes)
-                elem_segs.append(current_elems)
-                current_nodes = current_elems = 0
-            elif symbol.is_terminal:
-                current_nodes += 1
-                if not symbol.is_bottom:
-                    current_elems += 1
-                walk.extend(reversed(item.children))
-            else:
-                callee_nodes = node_segments[symbol]
-                callee_elems = elem_segments[symbol]
-                current_nodes += callee_nodes[0]
-                current_elems += callee_elems[0]
-                interleaved: List[object] = []
-                for position, child in enumerate(item.children, start=1):
-                    interleaved.append(child)
-                    interleaved.append(
-                        (callee_nodes[position], callee_elems[position])
-                    )
-                walk.extend(reversed(interleaved))
-        node_segs.append(current_nodes)
-        elem_segs.append(current_elems)
-        if len(node_segs) != head.rank + 1:
-            raise GrammarError(
-                f"rule {head!r}: found {len(node_segs) - 1} parameters, "
-                f"rank is {head.rank}"
-            )
-
-        node_segments[head] = node_segs
-        elem_segments[head] = elem_segs
-        self._tables[head] = table
-        for callee in callees:
-            self._dependents.setdefault(callee, set()).add(head)
+            columns, fresh, _carried, calls = flat
+            measure(columns, fresh, node_segments, elem_segments)
+            pack = RulePack(current, columns, calls)
+            if current not in node_segments:
+                node_segments[current], elem_segments[current] = \
+                    _segments(pack, node_segments, elem_segments)
+            pack.node_segs = node_segments[current]
+            pack.elem_segs = elem_segments[current]
+            for callee in calls:
+                dependents.setdefault(callee, set()).add(current)
+            kernel.adopt(pack)
+        return pack
 
     # ------------------------------------------------------------------
     # whole-document totals
@@ -466,29 +633,28 @@ class GrammarIndex:
     # element addressing
     # ------------------------------------------------------------------
     def _sizes(
-        self,
-        node: Node,
-        env: Tuple[_Binding, ...],
-        table: Dict[int, _NodeInfo],
+        self, pack: RulePack, pos: int, env: Tuple[_Binding, ...]
     ) -> Tuple[int, int]:
-        """Generated (nodes, elements) of a RHS subtree with parameters bound."""
-        nodes, elems, params = table[id(node)]
-        for param in params:
+        """Generated (nodes, elements) of the RHS subtree at ``pos`` of
+        ``pack``, with the parameters below it bound by ``env``."""
+        nodes = pack.nnodes[pos]
+        elems = pack.nelems[pos]
+        for param in pack.params[pos]:
             binding = env[param - 1]
-            nodes += binding[3]
-            elems += binding[4]
+            nodes += binding[0]
+            elems += binding[1]
         return nodes, elems
 
     def _locate_element(
         self, element_index: int, track_axes: bool = False
-    ) -> Tuple[int, Node, Tuple[_Binding, ...], Dict[int, _NodeInfo],
+    ) -> Tuple[int, RulePack, int, Tuple[_Binding, ...],
                List[PathStep], Optional[int], int]:
         """Descend the derivation to the ``element_index``-th element.
 
-        Returns ``(binary preorder index, generating terminal node, binding
-        environment, that node's rule table, derivation path, parent
-        element index, document depth)``: everything the public queries
-        need, in one ``O(depth · rule-width)`` walk.
+        Returns ``(binary preorder index, pack and position of the
+        generating terminal, binding environment, derivation path,
+        parent element index, document depth)``: everything the public
+        queries need, in one ``O(depth · rule-width)`` walk.
         The recorded :class:`PathStep` list is exactly what
         :func:`repro.grammar.navigation.resolve_preorder_path` would
         produce for the resulting preorder index, so path isolation can
@@ -507,7 +673,7 @@ class GrammarIndex:
         Without ``track_axes`` the two trailing results are meaningless.
         """
         check_element_index(element_index)
-        total = self.element_count  # ensures the start rule's tables
+        total = self.element_count
         if element_index >= total:
             raise IndexError(
                 f"element index {element_index} out of range "
@@ -516,16 +682,16 @@ class GrammarIndex:
         key = (element_index, track_axes)
         cached = self._locations.get(key)
         if cached is not None:
-            position, node, env, table, steps, parent, depth = cached
-            return position, node, env, table, list(steps), parent, depth
+            position, pack, pos, env, steps, parent, depth = cached
+            return position, pack, pos, env, list(steps), parent, depth
         located = kernel_locate_element(
             self, self._kernel, element_index, track_axes
         )
-        position, node, env, table, steps, parent, depth = located
+        position, pack, pos, env, steps, parent, depth = located
         if len(self._locations) >= 4096:
             self._locations.clear()
         self._locations[key] = (
-            position, node, env, table, tuple(steps), parent, depth,
+            position, pack, pos, env, tuple(steps), parent, depth,
         )
         return located
 
@@ -552,7 +718,7 @@ class GrammarIndex:
         check_element_index(start, "element window start")
         if stop is not None:
             check_element_index(stop, "element window stop")
-        total = self.element_count  # ensures the start rule's tables
+        total = self.element_count
         if stop is None or stop > total:
             stop = total
         return kernel_iter_element_symbols(self, self._kernel, start, stop)
@@ -580,7 +746,7 @@ class GrammarIndex:
         list re-walks the list's whole compressed representation.
         """
         check_element_index(position, "preorder position")
-        total = self.node_count  # ensures the start rule's tables
+        total = self.node_count
         if position >= total:
             raise IndexError(
                 f"preorder index {position} out of range for a tree of "
@@ -590,18 +756,21 @@ class GrammarIndex:
 
     def tag_of(self, element_index: int) -> str:
         """Label of the ``element_index``-th element (document order)."""
-        return self._locate_element(element_index)[1].symbol.name
+        _pos, pack, pos, *_rest = self._locate_element(element_index)
+        return pack.sym_names[pos]
 
     def _locate_fcns(self, element_index: int):
         """:meth:`_locate_element` for callers about to read the element's
-        two binary slots: its generating terminal must be a rank-2
+        two binary slots (at ``pos + 1`` and, behind that subtree, at
+        ``pos + 1 + span[pos + 1]`` of its pack): its generating terminal must be a rank-2
         first-child/next-sibling element."""
         located = self._locate_element(element_index)
-        symbol = located[1].symbol
-        if symbol.rank != 2:
+        pack, pos = located[1], located[2]
+        if pack.rank[pos] != 2:
             raise GrammarError(
                 f"element {element_index} is generated by "
-                f"{symbol!r}; expected a binary-encoded element of rank 2"
+                f"{pack.sym_objs[pos]!r}; expected a binary-encoded "
+                "element of rank 2"
             )
         return located
 
@@ -617,9 +786,9 @@ class GrammarIndex:
         :meth:`end_of_children_position` at the cost of a single
         ``O(depth · rule-width)`` descent.
         """
-        position, node, env, table, steps, _parent, _depth = \
+        position, pack, pos, env, steps, _parent, _depth = \
             self._locate_fcns(element_index)
-        first_nodes, first_elems = self._sizes(node.children[0], env, table)
+        first_nodes, first_elems = self._sizes(pack, pos + 1, env)
         return position, steps, 1 + first_elems, position + first_nodes
 
     def element_subtree_extent(self, element_index: int) -> int:
@@ -632,9 +801,9 @@ class GrammarIndex:
         ``delete(element_index)`` removes exactly this many elements --
         the quantity batch planning needs to shift later targets.
         """
-        _pos, node, env, table, _steps, _parent, _depth = \
+        _position, pack, pos, env, _steps, _parent, _depth = \
             self._locate_fcns(element_index)
-        _nodes, elems = self._sizes(node.children[0], env, table)
+        _nodes, elems = self._sizes(pack, pos + 1, env)
         return 1 + elems
 
     def end_of_children_position(self, element_index: int) -> int:
@@ -645,9 +814,9 @@ class GrammarIndex:
         exactly ``size(subtree(u.1))`` positions after the element ``u``
         itself -- one subtree-size lookup instead of a stream walk.
         """
-        position, node, env, table, _steps, _parent, _depth = \
+        position, pack, pos, env, _steps, _parent, _depth = \
             self._locate_fcns(element_index)
-        first_child_nodes, _ = self._sizes(node.children[0], env, table)
+        first_child_nodes, _ = self._sizes(pack, pos + 1, env)
         return position + first_child_nodes
 
     # ------------------------------------------------------------------
@@ -656,10 +825,11 @@ class GrammarIndex:
     def _child_slot_elements(self, element_index: int) -> Tuple[int, int]:
         """Elements generated below the element's two binary slots:
         ``(descendants, following siblings + their descendants)``."""
-        _pos, node, env, table, _steps, _parent, _depth = \
+        _position, pack, pos, env, _steps, _parent, _depth = \
             self._locate_fcns(element_index)
-        _nodes, below = self._sizes(node.children[0], env, table)
-        _nodes, after = self._sizes(node.children[1], env, table)
+        _nodes, below = self._sizes(pack, pos + 1, env)
+        _nodes, after = self._sizes(
+            pack, pos + 1 + pack.span[pos + 1], env)
         return below, after
 
     def parent_of(self, element_index: int) -> Optional[int]:
@@ -705,13 +875,14 @@ class GrammarIndex:
         """
         child = self.first_child(element_index)
         while child is not None:
-            _pos, node, env, table, _steps, _parent, _depth = \
+            _position, pack, pos, env, _steps, _parent, _depth = \
                 self._locate_fcns(child)
-            yield child, node.symbol.name
-            _nodes, after = self._sizes(node.children[1], env, table)
+            yield child, pack.sym_names[pos]
+            _nodes, after = self._sizes(
+                pack, pos + 1 + pack.span[pos + 1], env)
             if not after:
                 return
-            _nodes, below = self._sizes(node.children[0], env, table)
+            _nodes, below = self._sizes(pack, pos + 1, env)
             child = child + 1 + below
 
     def children(self, element_index: int) -> Iterator[int]:
@@ -725,21 +896,8 @@ class GrammarIndex:
             yield child
 
     # ------------------------------------------------------------------
-    # raw table access (the query subsystem's substrate)
+    # raw segment access (the query subsystem's substrate)
     # ------------------------------------------------------------------
-    def rule_table(self, head: Symbol) -> Dict[int, _NodeInfo]:
-        """The per-RHS-node ``(nodes, elements, parameters)`` table of a
-        rule, computing it (and its callees') on demand.
-
-        This is the read-only substrate :mod:`repro.query.engine` walks:
-        the entries are keyed by ``id(rhs_node)`` and stay valid exactly
-        as long as the rule is untouched -- the observer channel evicts
-        the table on any mutation, so callers must re-fetch per query and
-        never cache across updates.
-        """
-        self._ensure(head)
-        return self._tables[head]
-
     def element_segments(self, head: Symbol) -> List[int]:
         """The rule's element-count segments ``[e0, ..., ek]``: elements
         generated by the body before the first parameter, between

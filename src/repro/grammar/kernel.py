@@ -1,29 +1,30 @@
-"""Flat integer-array rule kernel for the descent/walk inner loops.
+"""Flat-column rule kernel for the descent/walk inner loops.
 
 Every hot read path of this code base -- element addressing, query walks,
 preorder resolution, windowed serialization -- descends the derivation by
 walking rule bodies.  Walking the ``Node`` graph directly pays, per step,
 several attribute loads (``node.symbol``), property calls
-(``symbol.is_parameter`` & friends), an ``id()``-keyed dict probe into the
-per-rule size table, and a method call for the parameter-adjusted subtree
-sizes.  This module packs each rule body once into parallel ``array('l')``
-segments -- the cache-friendly integer-sequence representation of Maneth &
-Sebastian's structural self-indexes -- so the same descents become integer
-compares and C-array reads:
+(``symbol.is_parameter`` & friends) and a tree walk for every subtree
+size.  This module packs each rule body once into parallel preorder
+columns -- the integer-sequence representation of Maneth & Sebastian's
+structural self-indexes -- so the same descents become integer compares
+and list reads:
 
 * :class:`SymbolTable` -- process-wide symbol interning (symbol object ->
   small int id, identity-keyed like the symbols themselves),
-* :class:`RulePack` -- one rule body in preorder as parallel arrays:
-  ``(kind, symbol id, first-child, next-sibling, subtree-node-count,
-  subtree-element-count)`` per RHS node, aligned with (and built from) the
-  owning :class:`~repro.grammar.index.GrammarIndex` tables, plus parallel
-  object lists so kernel descents still return live ``Node``/``Symbol``
-  references and :class:`~repro.grammar.navigation.PathStep` paths,
-* :class:`GrammarKernel` -- the per-index pack cache: built lazily per
-  rule, evicted per rule through the same observer events the persistent
-  indexes ride (``set_rule``/``remove_rule``/in-place rewrites cascade
-  through ``GrammarIndex._evict``; relabels evict just the one pack whose
-  cached symbol ids went stale), never wholesale on the incremental path,
+* :class:`RulePack` -- one rule body in preorder as parallel columns:
+  ``(kind, symbol id, rank, subtree span, subtree-node-count,
+  subtree-element-count, parameters below)`` per RHS node -- the rule's
+  size table, the only one -- plus parallel object lists so kernel
+  descents still return live ``Node``/``Symbol`` references and
+  :class:`~repro.grammar.navigation.PathStep` paths,
+* :func:`flatten` / :func:`measure` -- the two passes behind those
+  columns, for a whole rule (cold build) or a spliced-in subtree,
+* :class:`GrammarKernel` -- the per-index pack cache: packs are built
+  lazily per rule, spliced at the write point by local writes, evicted
+  per rule by everything else (``set_rule``/``remove_rule``/non-local
+  rewrites cascade through ``GrammarIndex._evict``), never wholesale on
+  the incremental path,
 * the kernel walk functions the index/query/navigation layers dispatch to
   (:func:`kernel_locate_element`, :func:`kernel_resolve_preorder`,
   :func:`kernel_iter_element_symbols`, :func:`kernel_stream_preorder`,
@@ -31,12 +32,12 @@ compares and C-array reads:
 
 Epoch/MVCC interplay
 --------------------
-Packs reference the live rule bodies, so their lifetime must match the
-object tables': any structural mutation evicts the rule's pack along with
-its size tables.  A pinned :class:`~repro.view.SnapshotView` owns its own
-:class:`GrammarIndex` over a frozen grammar (private, stable copy-on-write
-bodies), hence its own kernel whose packs can never be invalidated --
-pinned readers keep their flat tables exactly like the CoW rule tables.
+Packs reference the live rule bodies, so they follow every mutation of
+them: patched by a splice, dropped by an eviction.  A pinned
+:class:`~repro.view.SnapshotView` owns its own :class:`GrammarIndex` over
+a frozen grammar (private, stable copy-on-write bodies), hence its own
+kernel whose packs never change -- pinned readers keep their flat tables
+exactly like the CoW rule tables.
 The *live* document stays kernel-served while reader pins exist: the flat
 walk performs no rule-body reads, and needs none, because *write points
 preserve* -- every in-place rewrite calls
@@ -49,8 +50,9 @@ One path
 --------
 The kernel is the only implementation of these walks; there is no
 switch and no size threshold.  Packs are built on demand (one O(width)
-walk per rule, reused by every later descent) and rebuild lazily after
-a snapshot load.  The independent reference semantics tests compare
+cold build per rule, reused by every later descent and kept current by
+the writes) and rebuild lazily after a snapshot load.  The independent
+reference semantics tests compare
 against are :mod:`repro.grammar.navigation` (``resolve_preorder_path``,
 ``stream_elements``/``stream_preorder`` without ``index_hint``),
 :func:`repro.grammar.derivation.expand` and :mod:`repro.query.naive`.
@@ -72,6 +74,8 @@ __all__ = [
     "SymbolTable",
     "RulePack",
     "GrammarKernel",
+    "flatten",
+    "measure",
     "global_symbol_table",
     "kernel_locate_element",
     "kernel_resolve_preorder",
@@ -80,7 +84,7 @@ __all__ = [
     "kernel_stream_elements",
 ]
 
-#: RHS-node kind codes (the ``kind`` array): integer compares replace the
+#: RHS-node kind codes (the ``kind`` column): integer compares replace the
 #: ``is_terminal``/``is_parameter``/``is_bottom`` property-call chain.
 KIND_BOTTOM = 0
 KIND_ELEMENT = 1
@@ -124,6 +128,20 @@ class SymbolTable:
         """Inverse lookup (debugging / introspection)."""
         return self._symbols[sid]
 
+    def describe(self, symbol: Symbol) -> Tuple[int, int, int, str]:
+        """``info[symbol]``, computing and memoising it on first sight."""
+        inf = self.info.get(symbol)
+        if inf is None:
+            if symbol.is_parameter:
+                kind, code = KIND_PARAMETER, symbol.param_index
+            elif symbol.is_nonterminal:
+                kind, code = KIND_NONTERMINAL, self.id_of(symbol)
+            else:
+                kind = KIND_BOTTOM if symbol.is_bottom else KIND_ELEMENT
+                code = self.id_of(symbol)
+            inf = self.info[symbol] = (kind, code, symbol.rank, symbol.name)
+        return inf
+
     def __len__(self) -> int:
         return len(self._symbols)
 
@@ -137,59 +155,67 @@ def global_symbol_table() -> SymbolTable:
 
 
 class RulePack:
-    """One rule body, flattened to parallel preorder arrays.
+    """One rule body, flattened to parallel preorder columns.
 
-    For RHS preorder position ``i``:
+    The columns *are* the rule's size table -- there is no second,
+    node-keyed copy.  For RHS preorder position ``i``:
 
     * ``kind[i]`` -- :data:`KIND_BOTTOM` / :data:`KIND_ELEMENT` /
       :data:`KIND_NONTERMINAL` / :data:`KIND_PARAMETER`,
     * ``sym[i]`` -- interned symbol id; for parameters the 1-based
       parameter index (the binding-environment slot),
-    * ``rank[i]`` -- child count,
-    * ``first[i]`` -- preorder position of the first child (``-1`` leaf),
-    * ``nxt[i]`` -- preorder position of the next sibling (``-1`` last),
+    * ``rank[i]`` -- child count; the first child sits at ``i + 1``,
+    * ``span[i]`` -- RHS nodes of the subtree at ``i``; sibling subtrees
+      are adjacent, so the next sibling sits at ``i + span[i]``,
     * ``nnodes[i]`` / ``nelems[i]`` -- generated subtree sizes *without*
-      parameter contributions (identical to the ``GrammarIndex`` per-node
-      table the pack is built from; bindings supply the argument sizes),
+      parameter contributions (bindings supply the argument sizes),
     * ``params[i]`` -- tuple of parameter indices occurring below ``i``,
     * ``node_objs[i]`` / ``sym_objs[i]`` / ``sym_names[i]`` -- the live
       ``Node``, its ``Symbol``, and the symbol's name, so kernel descents
-      return live objects (the update layer replays ``PathStep.node``).
-
-    ``table`` / ``node_segs`` / ``elem_segs`` alias the owning index's
-    per-rule tables -- pack and tables are built and evicted together, so
-    the aliases can never outlive their targets.
-
-    Two derived views exist purely for walk speed:
-
-    * ``walk`` -- one tuple ``(kind, sym, rank, nxt, nnodes, nelems,
-      params, node_objs, sym_objs, sym_names, steps_enter, steps_target,
-      table)`` whose integer columns are *list* mirrors of the packed
-      arrays.  ``array('l')`` reads box a fresh ``int`` object on every
-      access; the mirrors box each value exactly once, at build time, and
-      a pack switch inside a walk becomes a single attribute load plus
-      one tuple unpack instead of eight attribute loads.
-    * ``walk_nodes`` -- the node-count descent's subset of ``walk``
-      (``kind, sym, rank, nxt, nnodes, params, sym_objs, steps_enter,
-      steps_target``): :func:`kernel_resolve_preorder` touches neither
-      element counts nor the object columns, so its pack switches unpack
-      nine columns instead of thirteen.
-    * ``steps_enter`` / ``steps_target`` -- one shared, immutable
+      return live objects (the update layer replays ``PathStep.node``),
+    * ``steps_enter[i]`` / ``steps_target[i]`` -- one shared, immutable
       :class:`PathStep` per position (``enters_rule`` true at nonterminal
       positions, false at terminals; ``None`` elsewhere).  Consumers only
       ever read ``.node`` / ``.enters_rule``, so every descent through a
       position can return the same step object instead of allocating one.
+
+    All twelve are plain lists.  A pack is built once, *spliced* by local
+    writes (:meth:`~repro.grammar.index.GrammarIndex.rule_spliced`
+    exchanges the entries of the nodes that went for those of the nodes
+    that came and patches the ancestors' sizes -- no entry holds an
+    absolute position, so a subtree that merely moved keeps its entries)
+    and evicted only by non-local rewrites.  ``calls`` counts the
+    applications per callee (the index's reverse call edges, kept
+    exact); ``node_segs`` / ``elem_segs`` alias the index's segment
+    lists of this rule, which writes patch in place.
+
+    ``walk`` is the tuple of the twelve columns in the order above (a
+    pack switch inside a walk is one attribute load plus one unpack);
+    ``walk_nodes`` is the node-count descent's subset ``(kind, sym,
+    rank, span, nnodes, params, sym_objs, steps_enter, steps_target)``.
+    A walk must not stay suspended across a write: splices move
+    positions.
     """
 
     __slots__ = (
-        "head", "n", "kind", "sym", "rank", "first", "nxt",
+        "head", "kind", "sym", "rank", "span",
         "nnodes", "nelems", "params", "node_objs", "sym_objs", "sym_names",
-        "table", "node_segs", "elem_segs", "_label_arrays", "hop_segs",
-        "walk", "walk_nodes", "steps_enter", "steps_target",
+        "steps_enter", "steps_target", "calls", "node_segs", "elem_segs",
+        "_label_arrays", "hop_segs", "walk", "walk_nodes",
     )
 
-    def __init__(self, head: Symbol) -> None:
+    def __init__(self, head: Symbol, columns: tuple,
+                 calls: Dict[Symbol, int]) -> None:
         self.head = head
+        (self.kind, self.sym, self.rank, self.span, self.nnodes,
+         self.nelems, self.params, self.node_objs, self.sym_objs,
+         self.sym_names, self.steps_enter, self.steps_target) = columns
+        self.walk = columns
+        self.walk_nodes = (
+            self.kind, self.sym, self.rank, self.span, self.nnodes,
+            self.params, self.sym_objs, self.steps_enter, self.steps_target,
+        )
+        self.calls = calls
         #: per-label match-count arrays for the query walk, versioned by
         #: the identity of the LabelIndex node table they were built from:
         #: a census eviction anywhere below this rule (including callee
@@ -205,22 +231,18 @@ class RulePack:
         #: is rebuilt -- dropping the memo -- exactly when needed.
         self._label_arrays: Dict[str, Tuple[dict, array, list, dict]] = {}
         #: per-application-position ``(segments, kids)`` memo for the
-        #: zero-census hop (callee element segments + this rule's child
-        #: positions).  Both are purely structural, so the pack's own
-        #: lifetime is the correct version: any structural change at or
-        #: below the callee cascades an eviction through every applier,
-        #: discarding this pack -- and relabels, which do *not* evict
-        #: appliers, cannot change segments or child layout.
+        #: zero-census hop (the callee's live element-segment list +
+        #: this rule's child positions).  Positions are this pack's, so
+        #: a splice of this rule clears the memo; the segment lists are
+        #: patched in place by writes below the callee and replaced only
+        #: by an eviction, which cascades through every applier.
         self.hop_segs: Dict[int, tuple] = {}
 
     @property
     def nbytes(self) -> int:
-        """Packed payload bytes (the memory-footprint gauge)."""
-        total = 0
-        for name in ("kind", "sym", "rank", "first", "nxt",
-                     "nnodes", "nelems"):
-            arr = getattr(self, name)
-            total += arr.itemsize * len(arr)
+        """Payload bytes (the memory-footprint gauge): eight per entry
+        of the six integer columns, plus the attached label arrays."""
+        total = 8 * 6 * len(self.kind)
         for entry in self._label_arrays.values():
             arr = entry[1]
             total += arr.itemsize * len(arr)
@@ -228,7 +250,7 @@ class RulePack:
 
     def label_counts(self, lindex: "LabelIndex", label: str) -> list:
         """Per-position ``label`` occurrence counts (census substrate of
-        the kernel query walk), aligned with the other arrays.  Returns
+        the kernel query walk), aligned with the other columns.  Returns
         the boxed list mirror; the packed array backs ``nbytes``."""
         ntab = lindex.node_table(self.head, label)
         cached = self._label_arrays.get(label)
@@ -256,148 +278,129 @@ class RulePack:
         return counts, entry[3]
 
 
-def _build_pack(index: "GrammarIndex", head: Symbol,
-                symbols: SymbolTable) -> RulePack:
-    """Flatten one rule body into a :class:`RulePack`.
+#: The label entries of a carried subtree's stand-in (never read).
+_STAND_IN = (KIND_BOTTOM, 0, 0, None, None, "", None, None)
 
-    One O(width) preorder walk; the per-node sizes come straight out of
-    the index's own table (``_ensure`` computes it bottom-up first), so
-    pack and object tables can never disagree.
+
+def flatten(root, symbols: SymbolTable,
+            moved: Dict[int, Tuple[int, int]], old: tuple):
+    """Columns for the subtree at ``root``: ``(columns, fresh, carried,
+    calls)``.
+
+    ``moved`` maps ``id(node)`` to the ``(start, stop)`` extent a subtree
+    already occupies in the columns ``old``.  Such a subtree is not
+    walked: it gets *one* stand-in entry holding its sizes, listed in
+    ``carried`` as ``(entry, start, stop)``.  Every other node is
+    *fresh*: it gets its label and identity entries here and its sizes
+    in :func:`measure`, which takes their entry indices ``fresh``.
+    ``calls`` counts the fresh applications per callee.  The cold build
+    of a rule is the case ``moved == {}``.
     """
-    index._ensure(head)
-    rhs = index.grammar.rhs(head)
-    table = index._tables[head]
-
-    order: List[object] = []
-    append = order.append
-    stack = [rhs]
+    rows: List[tuple] = []
+    fresh: List[int] = []
+    carried: List[Tuple[int, int, int]] = []
+    calls: Dict[Symbol, int] = {}
+    si = symbols.info
+    stack = [root]
     pop = stack.pop
-    extend = stack.extend
     while stack:
         node = pop()
-        append(node)
-        kids = node.children
-        if kids:
-            extend(reversed(kids))
-    n = len(order)
-
-    kind_l = [0] * n
-    sym_l = [0] * n
-    rank_l = [0] * n
-    nnodes_l = [0] * n
-    nelems_l = [0] * n
-    params: List[Tuple[int, ...]] = [()] * n
-    node_objs: List[object] = order
-    sym_objs: List[Symbol] = [None] * n  # type: ignore[list-item]
-    sym_names: List[str] = [""] * n
-    steps_enter: List[Optional[PathStep]] = [None] * n
-    steps_target: List[Optional[PathStep]] = [None] * n
-
-    # One forward pass fills every per-node column.  Symbol facts come
-    # from the table's interning memo (one dict probe instead of the
-    # kind/rank/name property cascade); sizes come straight out of the
-    # index's own table (``_ensure`` computes it bottom-up first), so
-    # pack and object tables can never disagree.
-    si = symbols.info
-    id_of = symbols.id_of
-    for i, node in enumerate(order):
+        if moved:
+            extent = moved.get(id(node))
+            if extent is not None:
+                carried.append((len(rows), extent[0], extent[1]))
+                rows.append(_STAND_IN)
+                continue
         symbol = node.symbol
         inf = si.get(symbol)
         if inf is None:
-            if symbol.is_parameter:
-                inf = (KIND_PARAMETER, symbol.param_index,
-                       symbol.rank, symbol.name)
-            elif symbol.is_terminal:
-                k = KIND_BOTTOM if symbol.is_bottom else KIND_ELEMENT
-                inf = (k, id_of(symbol), symbol.rank, symbol.name)
-            else:
-                inf = (KIND_NONTERMINAL, id_of(symbol),
-                       symbol.rank, symbol.name)
-            si[symbol] = inf
+            inf = symbols.describe(symbol)
         k, code, r, name = inf
-        kind_l[i] = k
-        sym_l[i] = code
-        rank_l[i] = r
-        sym_objs[i] = symbol
-        sym_names[i] = name
+        enter = target = None
         if k <= KIND_ELEMENT:
-            steps_target[i] = PathStep(node, False)
+            target = PathStep(node, False)
         elif k == KIND_NONTERMINAL:
-            steps_enter[i] = PathStep(node, True)
-        t_nodes, t_elems, t_params = table[id(node)]
-        nnodes_l[i] = t_nodes
-        nelems_l[i] = t_elems
-        if t_params:
-            params[i] = t_params
-
-    # Subtree spans in RHS nodes, without a position dict: a node's
-    # first child sits at ``i + 1`` and sibling subtrees are adjacent,
-    # so reversed preorder locates children by offset arithmetic (rank
-    # equals child count in a ranked alphabet).  Child spans are always
-    # ready because every node is visited after its descendants.
-    span = [1] * n
-    for i in range(n - 1, -1, -1):
-        r = rank_l[i]
+            enter = PathStep(node, True)
+            calls[symbol] = calls.get(symbol, 0) + 1
+        fresh.append(len(rows))
+        rows.append((k, code, r, node, symbol, name, enter, target))
         if r:
-            total = 1
+            stack.extend(reversed(node.children))
+    (kind, sym, rank, node_objs, sym_objs, sym_names, steps_enter,
+     steps_target) = map(list, zip(*rows))
+    n = len(rows)
+    span = [1] * n
+    nnodes = [0] * n
+    nelems = [0] * n
+    params: List[Tuple[int, ...]] = [()] * n
+    for entry, start, stop in carried:
+        span[entry] = stop - start
+        nnodes[entry] = old[4][start]
+        nelems[entry] = old[5][start]
+        params[entry] = old[6][start]
+    columns = (kind, sym, rank, span, nnodes, nelems, params, node_objs,
+               sym_objs, sym_names, steps_enter, steps_target)
+    return columns, fresh, carried, calls
+
+
+def measure(columns: tuple, fresh: List[int],
+            node_segments: Dict[Symbol, List[int]],
+            elem_segments: Dict[Symbol, List[int]]) -> None:
+    """Fill the size columns (``span``, ``nnodes``, ``nelems``,
+    ``params``) of the ``fresh`` entries :func:`flatten` left open, in
+    one reverse pass: every node is visited after its descendants, its
+    first child is the next entry and sibling subtrees are adjacent.
+    A carried subtree is one entry wide here whatever its ``span``, so
+    the pass steps by entry count (``stride``) and sums the spans.  An
+    application contributes its callee's whole body from the segment
+    tables, which must hold every callee.
+    """
+    (kind, sym, rank, span, nnodes, nelems, params, _nodes, sym_objs,
+     _names, _enter, _target) = columns
+    stride = [1] * len(kind)
+    totals: Dict[Symbol, Tuple[int, int]] = {}
+    for i in reversed(fresh):
+        k = kind[i]
+        if k == KIND_PARAMETER:
+            params[i] = (sym[i],)
+            continue
+        if k == KIND_NONTERMINAL:
+            symbol = sym_objs[i]
+            own = totals.get(symbol)
+            if own is None:
+                own = totals[symbol] = (sum(node_segments[symbol]),
+                                        sum(elem_segments[symbol]))
+            nodes, elems = own
+        else:
+            nodes = 1
+            elems = k  # KIND_BOTTOM == 0, KIND_ELEMENT == 1
+        r = rank[i]
+        if r:
+            below: Tuple[int, ...] = ()
+            width = 1
             c = i + 1
             for _ in range(r):
-                s = span[c]
-                total += s
-                c += s
-            span[i] = total
-
-    first_l = [-1] * n
-    nxt_l = [-1] * n
-    for i in range(n):
-        r = rank_l[i]
-        if r:
-            c = i + 1
-            first_l[i] = c
-            for _ in range(r - 1):
-                following = c + span[c]
-                nxt_l[c] = following
-                c = following
-
-    pack = RulePack(head)
-    pack.n = n
-    # Packed columns are built from the finished lists in one C-level
-    # conversion each; the walk tuples reuse the lists directly.
-    pack.kind = array("l", kind_l)
-    pack.sym = array("l", sym_l)
-    pack.rank = array("l", rank_l)
-    pack.first = array("l", first_l)
-    pack.nxt = array("l", nxt_l)
-    pack.nnodes = array("l", nnodes_l)
-    pack.nelems = array("l", nelems_l)
-    pack.params = params
-    pack.node_objs = node_objs
-    pack.sym_objs = sym_objs
-    pack.sym_names = sym_names
-    pack.table = table
-    pack.node_segs = index._node_segments[head]
-    pack.elem_segs = index._elem_segments[head]
-    pack.steps_enter = steps_enter
-    pack.steps_target = steps_target
-    pack.walk = (
-        kind_l, sym_l, rank_l, nxt_l, nnodes_l, nelems_l, params,
-        node_objs, sym_objs, sym_names, steps_enter, steps_target, table,
-    )
-    pack.walk_nodes = (
-        kind_l, sym_l, rank_l, nxt_l, nnodes_l, params, sym_objs,
-        steps_enter, steps_target,
-    )
-    return pack
+                nodes += nnodes[c]
+                elems += nelems[c]
+                if params[c]:
+                    below += params[c]
+                width += span[c]
+                c += stride[c]
+            span[i] = width
+            stride[i] = c - i
+            if below:
+                params[i] = below
+        nnodes[i] = nodes
+        nelems[i] = elems
 
 
 class GrammarKernel:
     """The per-index pack cache (built lazily, evicted per rule).
 
-    Owned by a :class:`~repro.grammar.index.GrammarIndex`; the index
-    forwards its observer events here, so packs ride exactly the same
-    invalidation channel as the object tables -- plus relabel eviction
-    (the object tables survive relabels because they reference live
-    nodes; a pack caches symbol ids/names and must not).
+    Owned by a :class:`~repro.grammar.index.GrammarIndex`, which builds
+    the packs (:meth:`~repro.grammar.index.GrammarIndex._build`), keeps
+    them current across local writes and evicts them on the observer
+    events it cannot patch.
     """
 
     __slots__ = (
@@ -426,7 +429,7 @@ class GrammarKernel:
     # pack lifecycle
     # ------------------------------------------------------------------
     def pack(self, head: Symbol) -> RulePack:
-        """The rule's pack, building it (and its index tables) lazily.
+        """The rule's pack, building it (and its callees') lazily.
 
         ``hits``/``misses`` are counted here, i.e. at walk-entry and
         cold-build granularity: the walk inner loops probe ``_packs``
@@ -438,19 +441,28 @@ class GrammarKernel:
             self.hits += 1
             return existing
         self.misses += 1
-        built = _build_pack(self._index, head, self.symbols)
-        self._packs[head] = built
+        return self._index._build(head)
+
+    def peek(self, head: Symbol) -> Optional[RulePack]:
+        """The cached pack or ``None`` -- no build, no hit/miss count
+        (audits and the index's own write-point maintenance)."""
+        return self._packs.get(head)
+
+    def adopt(self, pack: RulePack) -> None:
+        """Cache a pack the index just built cold."""
+        self._packs[pack.head] = pack
         self.builds += 1
         if self._m_builds is not None:
             self._m_builds.inc()
-        return built
 
-    def evict(self, head: Symbol) -> None:
-        """Drop one rule's pack (observer channel; no-op when absent)."""
-        if self._packs.pop(head, None) is not None:
+    def evict(self, head: Symbol) -> Optional[RulePack]:
+        """Drop and return one rule's pack (``None`` when absent)."""
+        pack = self._packs.pop(head, None)
+        if pack is not None:
             self.evictions += 1
             if self._m_evictions is not None:
                 self._m_evictions.inc()
+        return pack
 
     def invalidate_all(self) -> None:
         """Wholesale reset -- must never fire on the incremental path
@@ -462,7 +474,7 @@ class GrammarKernel:
     def reset(self) -> None:
         """Forget every pack without counting it as a wholesale
         invalidation: used when the index adopts imported snapshot
-        segments (a brand-new table generation, not an eviction event)."""
+        segments (a brand-new cache generation, not an eviction event)."""
         self._packs.clear()
 
     # ------------------------------------------------------------------
@@ -502,11 +514,11 @@ class GrammarKernel:
 # ----------------------------------------------------------------------
 # kernel walks
 # ----------------------------------------------------------------------
-# Binding environments during kernel descents are tuples of 7-tuples
-#   (node, outer_env, outer_table, nodes, elems, outer_pack, pos)
-# -- slots 0..4 are ``GrammarIndex``'s ``_Binding`` (what ``_sizes`` and
-# the extent/axis helpers read off a located element's environment),
-# slots 5..6 are what the flat walk itself descends on.
+# Binding environments during kernel descents are tuples of 5-tuples
+#   (nodes, elems, outer_env, outer_pack, pos)
+# -- the argument's generated sizes (what ``GrammarIndex._sizes`` and the
+# extent/axis helpers add for a parameter below a located element) and
+# where the flat walk continues when it reaches that parameter.
 #
 # Every walk below keeps the current pack's columns in locals via one
 # ``pack.walk`` unpack per pack switch, probes the pack cache with an
@@ -527,8 +539,8 @@ def kernel_locate_element(
     pre-checks the bounds)."""
     packs = kernel._packs
     pack = kernel.pack(index.grammar.start)
-    (kind, sym, rank, nxt, nnodes, nelems, params, node_objs, sym_objs,
-     _names, steps_enter, steps_target, table) = pack.walk
+    (kind, sym, rank, span, nnodes, nelems, params, _nodes, sym_objs,
+     _names, steps_enter, steps_target) = pack.walk
     pos = 0
     env: Tuple = ()
     remaining = element_index
@@ -543,8 +555,7 @@ def kernel_locate_element(
             if k == 1:
                 if remaining == 0:
                     steps.append(steps_target[pos])
-                    return (position, node_objs[pos], env, table, steps,
-                            parent, depth)
+                    return position, pack, pos, env, steps, parent, depth
                 remaining -= 1
                 position += 1
                 if rank[pos] == 2:
@@ -561,8 +572,8 @@ def kernel_locate_element(
                     if pp:
                         for p in pp:
                             b = env[p - 1]
-                            cn += b[3]
-                            ce += b[4]
+                            cn += b[0]
+                            ce += b[1]
                     if remaining < ce:
                         parent = element_index - remaining - 1
                         depth += 1
@@ -570,7 +581,7 @@ def kernel_locate_element(
                     else:
                         remaining -= ce
                         position += cn
-                        pos = nxt[child]
+                        pos = child + span[child]
                     continue
             else:
                 position += 1
@@ -585,23 +596,23 @@ def kernel_locate_element(
                 if pp:
                     for p in pp:
                         b = env[p - 1]
-                        cn += b[3]
-                        ce += b[4]
+                        cn += b[0]
+                        ce += b[1]
                 if remaining < ce:
                     break
                 remaining -= ce
                 position += cn
-                child = nxt[child]
+                child += span[child]
             pos = child
             continue
 
         if k == 3:  # parameter: hop to the bound argument
             b = env[sym[pos] - 1]
-            pack = b[5]
-            pos = b[6]
-            env = b[1]
-            (kind, sym, rank, nxt, nnodes, nelems, params, node_objs,
-             sym_objs, _names, steps_enter, steps_target, table) = pack.walk
+            pack = b[3]
+            pos = b[4]
+            env = b[2]
+            (kind, sym, rank, span, nnodes, nelems, params, _nodes,
+             sym_objs, _names, steps_enter, steps_target) = pack.walk
             continue
 
         # Nonterminal application: its virtual preorder interleaves the
@@ -633,8 +644,8 @@ def kernel_locate_element(
                     if pp:
                         for p in pp:
                             b = env[p - 1]
-                            cn += b[3]
-                            ce += b[4]
+                            cn += b[0]
+                            ce += b[1]
                     if remaining < preceding_elems + ce:
                         remaining -= preceding_elems
                         position += preceding_nodes
@@ -644,7 +655,7 @@ def kernel_locate_element(
                     preceding_nodes += cn + callee_nodes[child_pos]
                     if remaining < preceding_elems:
                         break  # a body segment after this arg: enter
-                    child = nxt[child]
+                    child += span[child]
             if descend_to >= 0:
                 pos = descend_to
                 continue
@@ -658,36 +669,30 @@ def kernel_locate_element(
             if pp:
                 for p in pp:
                     b = outer_env[p - 1]
-                    cn += b[3]
-                    ce += b[4]
+                    cn += b[0]
+                    ce += b[1]
             if r == 1:
-                env = ((node_objs[child], outer_env, table, cn, ce,
-                        pack, child),)
+                env = ((cn, ce, outer_env, pack, child),)
             else:
-                bindings = [
-                    (node_objs[child], outer_env, table, cn, ce, pack, child)
-                ]
+                bindings = [(cn, ce, outer_env, pack, child)]
                 for _ in range(r - 1):
-                    child = nxt[child]
+                    child += span[child]
                     ce = nelems[child]
                     cn = nnodes[child]
                     pp = params[child]
                     if pp:
                         for p in pp:
                             b = outer_env[p - 1]
-                            cn += b[3]
-                            ce += b[4]
-                    bindings.append(
-                        (node_objs[child], outer_env, table, cn, ce,
-                         pack, child)
-                    )
+                            cn += b[0]
+                            ce += b[1]
+                    bindings.append((cn, ce, outer_env, pack, child))
                 env = tuple(bindings)
         else:
             env = ()
         pack = callee
         pos = 0
-        (kind, sym, rank, nxt, nnodes, nelems, params, node_objs,
-         sym_objs, _names, steps_enter, steps_target, table) = pack.walk
+        (kind, sym, rank, span, nnodes, nelems, params, _nodes,
+         sym_objs, _names, steps_enter, steps_target) = pack.walk
 
 
 def kernel_resolve_preorder(
@@ -711,7 +716,7 @@ def kernel_resolve_preorder(
     """
     packs = kernel._packs
     pack = kernel.pack(index.grammar.start)
-    (kind, sym, rank, nxt, nnodes, params, sym_objs,
+    (kind, sym, rank, span, nnodes, params, sym_objs,
      steps_enter, steps_target) = pack.walk_nodes
     pos = 0
     env: Tuple = ()
@@ -737,7 +742,7 @@ def kernel_resolve_preorder(
                     pos = child
                 else:
                     remaining -= cn
-                    pos = nxt[child]
+                    pos = child + span[child]
             else:
                 for _ in range(r - 1):
                     cn = nnodes[child]
@@ -748,7 +753,7 @@ def kernel_resolve_preorder(
                     if remaining < cn:
                         break
                     remaining -= cn
-                    child = nxt[child]
+                    child += span[child]
                 pos = child
             continue
 
@@ -757,7 +762,7 @@ def kernel_resolve_preorder(
             pos = b[3]
             env = b[1]
             pack = b[2]
-            (kind, sym, rank, nxt, nnodes, params, sym_objs,
+            (kind, sym, rank, span, nnodes, params, sym_objs,
              steps_enter, steps_target) = pack.walk_nodes
             continue
 
@@ -803,7 +808,7 @@ def kernel_resolve_preorder(
                     preceding += cn + callee_nodes[child_pos]
                     if remaining < preceding:
                         break  # a body segment after this arg: enter
-                    child = nxt[child]
+                    child += span[child]
             if descend_to >= 0:
                 pos = descend_to
                 continue
@@ -818,14 +823,14 @@ def kernel_resolve_preorder(
                     for p in pp:
                         cn += outer_env[p - 1][0]
                 bindings.append((cn, outer_env, pack, child))
-                child = nxt[child]
+                child += span[child]
             env = tuple(bindings)
         else:
             steps.append(steps_enter[pos])
             env = ()
         pack = callee
         pos = 0
-        (kind, sym, rank, nxt, nnodes, params, sym_objs,
+        (kind, sym, rank, span, nnodes, params, sym_objs,
          steps_enter, steps_target) = pack.walk_nodes
 
 
@@ -844,7 +849,7 @@ def kernel_iter_element_symbols(
     to_yield = stop - start
     packs = kernel._packs
     root = kernel.pack(index.grammar.start)
-    # Stack items: (pack, pos, env); env entries are the 7-tuple
+    # Stack items: (pack, pos, env); env entries are the 5-tuple
     # bindings.  Consecutive items overwhelmingly share a pack (children
     # are pushed together), so the unpacked columns are cached across
     # iterations and refreshed only when the popped pack changes.
@@ -854,19 +859,19 @@ def kernel_iter_element_symbols(
         pack, pos, env = stack.pop()
         if pack is not cur:
             cur = pack
-            (kind, sym, rank, nxt, nnodes, nelems, params, node_objs,
-             sym_objs, _names, _enter, _target, table) = pack.walk
+            (kind, sym, rank, span, nnodes, nelems, params, _nodes,
+             sym_objs, _names, _enter, _target) = pack.walk
         k = kind[pos]
         if k == 3:
             b = env[sym[pos] - 1]
-            stack.append((b[5], b[6], b[1]))
+            stack.append((b[3], b[4], b[2]))
             continue
         if to_skip:
             elems = nelems[pos]
             pp = params[pos]
             if pp:
                 for p in pp:
-                    elems += env[p - 1][4]
+                    elems += env[p - 1][1]
             if elems <= to_skip:
                 to_skip -= elems
                 continue  # window starts after this whole subtree
@@ -882,7 +887,7 @@ def kernel_iter_element_symbols(
             r = rank[pos]
             if r == 2:
                 child = pos + 1
-                stack.append((pack, nxt[child], env))
+                stack.append((pack, child + span[child], env))
                 stack.append((pack, child, env))
             elif r == 1:
                 stack.append((pack, pos + 1, env))
@@ -891,7 +896,7 @@ def kernel_iter_element_symbols(
                 kids = []
                 for _ in range(r):
                     kids.append(child)
-                    child = nxt[child]
+                    child += span[child]
                 for c in reversed(kids):
                     stack.append((pack, c, env))
         else:
@@ -911,13 +916,10 @@ def kernel_iter_element_symbols(
                     if pp:
                         for p in pp:
                             b = outer_env[p - 1]
-                            cn += b[3]
-                            ce += b[4]
-                    bindings.append(
-                        (node_objs[child], outer_env, table, cn, ce,
-                         pack, child)
-                    )
-                    child = nxt[child]
+                            cn += b[0]
+                            ce += b[1]
+                    bindings.append((cn, ce, outer_env, pack, child))
+                    child += span[child]
                 inner_env: Tuple = tuple(bindings)
             else:
                 inner_env = ()
@@ -937,8 +939,8 @@ def kernel_stream_preorder(kernel: GrammarKernel) -> Iterator[Symbol]:
         pack, pos, env = stack.pop()
         if pack is not cur:
             cur = pack
-            (kind, sym, rank, nxt, _nn, _ne, _pp, _no, sym_objs,
-             _names, _enter, _target, _table) = pack.walk
+            (kind, sym, rank, span, _nn, _ne, _pp, _no, sym_objs,
+             _names, _enter, _target) = pack.walk
         k = kind[pos]
         if k == 3:
             stack.append(env[sym[pos] - 1])
@@ -948,7 +950,7 @@ def kernel_stream_preorder(kernel: GrammarKernel) -> Iterator[Symbol]:
             r = rank[pos]
             if r == 2:
                 child = pos + 1
-                stack.append((pack, nxt[child], env))
+                stack.append((pack, child + span[child], env))
                 stack.append((pack, child, env))
             elif r == 1:
                 stack.append((pack, pos + 1, env))
@@ -957,7 +959,7 @@ def kernel_stream_preorder(kernel: GrammarKernel) -> Iterator[Symbol]:
                 kids = []
                 for _ in range(r):
                     kids.append((pack, child, env))
-                    child = nxt[child]
+                    child += span[child]
                 stack.extend(reversed(kids))
         else:
             sobj = sym_objs[pos]
@@ -970,7 +972,7 @@ def kernel_stream_preorder(kernel: GrammarKernel) -> Iterator[Symbol]:
                 bindings = []
                 for _ in range(r):
                     bindings.append((pack, child, env))
-                    child = nxt[child]
+                    child += span[child]
                 inner_env: Tuple = tuple(bindings)
             else:
                 inner_env = ()
@@ -992,8 +994,8 @@ def kernel_stream_elements(
         pack, pos, env, parent, depth = stack.pop()
         if pack is not cur:
             cur = pack
-            (kind, sym, rank, nxt, _nn, _ne, _pp, _no, sym_objs,
-             sym_names, _enter, _target, _table) = pack.walk
+            (kind, sym, rank, span, _nn, _ne, _pp, _no, sym_objs,
+             sym_names, _enter, _target) = pack.walk
         k = kind[pos]
         if k == 3:
             b = env[sym[pos] - 1]
@@ -1009,7 +1011,7 @@ def kernel_stream_elements(
                     "requires an FCNS encoding"
                 )
             first_child = pos + 1
-            sibling = nxt[first_child]
+            sibling = first_child + span[first_child]
             stack.append((pack, sibling, env, parent, depth))
             stack.append((pack, first_child, env, index_counter, depth + 1))
             yield index_counter, sym_names[pos], parent, depth
@@ -1025,7 +1027,7 @@ def kernel_stream_elements(
             bindings = []
             for _ in range(r):
                 bindings.append((pack, child, env))
-                child = nxt[child]
+                child += span[child]
             inner_env: Tuple = tuple(bindings)
         else:
             inner_env = ()

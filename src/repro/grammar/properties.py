@@ -232,8 +232,20 @@ def generated_size_of_subtree(
 
 
 def dead_nonterminals(grammar: Grammar) -> List[Symbol]:
-    """Rule heads unreachable from the start rule."""
-    return [head for head, count in usage(grammar).items() if count == 0]
+    """Rule heads unreachable from the start rule -- exactly the heads
+    of :func:`usage` 0, found by one mark-from-start walk: each
+    reachable body is visited once, unreachable ones not at all."""
+    rules = grammar.rules
+    reached = {grammar.start}
+    stack = [rules[grammar.start]]
+    while stack:
+        node = stack.pop()
+        symbol = node.symbol
+        if symbol.is_nonterminal and symbol not in reached:
+            reached.add(symbol)
+            stack.append(rules[symbol])
+        stack.extend(node.children)
+    return [head for head in rules if head not in reached]
 
 
 def collect_garbage(grammar: Grammar) -> int:

@@ -62,7 +62,7 @@ from typing import Deque, Dict, List, Optional, Set
 
 from repro.grammar.slcf import Grammar, GrammarError
 from repro.obs.metrics import NULL_METRIC
-from repro.trees.node import Node, node_count
+from repro.trees.node import Node
 from repro.trees.symbols import Symbol
 
 __all__ = [
@@ -282,7 +282,7 @@ class ShardManager:
         if head is self._grammar.start or head in self.heads:
             self._touched.add(head)
 
-    def rule_relabeled(self, head: Symbol) -> None:
+    def rule_relabeled(self, head: Symbol, node=None) -> None:
         """A relabel changes no width -- nothing to rebalance."""
 
     def rule_removed(self, head: Symbol) -> None:
@@ -492,17 +492,21 @@ class ShardManager:
     # ------------------------------------------------------------------
     # rebalancing
     # ------------------------------------------------------------------
-    def reshard(self) -> int:
+    def reshard(self, width_of=None) -> int:
         """Rebalance the spine rules touched since the last call.
 
         Returns the number of split + merge actions performed.  Cost is
         ``O(width of the touched rules)`` when nothing drifted out of
         bounds (one node-count walk per touched rule), and proportional
         to the rebalanced mass otherwise -- never to the document or the
-        untouched grammar.
+        untouched grammar.  ``width_of(head)`` lets a caller that keeps
+        the RHS node counts anyway (the structural index: a packed
+        rule's width is the length of its columns) spare even that walk.
         """
         if not self._touched:
             return 0
+        if width_of is None:
+            width_of = self._grammar.rule_width
         touched = self._touched
         self._touched = set()
         grammar = self._grammar
@@ -526,7 +530,7 @@ class ShardManager:
                     continue  # merged or collected while queued
                 if not grammar.has_rule(head):
                     continue
-                width = node_count(grammar.rhs(head))
+                width = width_of(head)
                 if width > stats.max_width_seen:
                     stats.max_width_seen = width
                 if width > upper:

@@ -18,7 +18,9 @@ Grammars support lightweight *observers* (see
 right-hand side is installed (:meth:`Grammar.set_rule`), removed
 (:meth:`Grammar.remove_rule`), or mutated in place
 (:meth:`Grammar.notify_rule_changed`, called by the mutation layer after
-in-place rewrites such as path isolation or digram replacement).  This is
+in-place rewrites such as digram replacement; the finer
+:meth:`Grammar.notify_rule_spliced` / :meth:`Grammar.notify_rule_relabeled`
+say *where*, for path isolation and single updates).  This is
 the invalidation channel that lets per-rule caches survive updates -- and
 that the spine-sharding policy (:class:`repro.grammar.sharding.ShardManager`)
 rides to rebalance exactly the rules each mutation epoch touched:
@@ -149,7 +151,7 @@ class GrammarSizeTracker:
     def rule_changed(self, head: Symbol) -> None:
         self._dirty.add(head)
 
-    def rule_relabeled(self, head: Symbol) -> None:
+    def rule_relabeled(self, head: Symbol, node=None) -> None:
         """Relabels change no edge count."""
 
     def rule_removed(self, head: Symbol) -> None:
@@ -270,7 +272,9 @@ class Grammar:
 
         Observers are notified with the affected rule head on every
         :meth:`set_rule`, :meth:`remove_rule`, and
-        :meth:`notify_rule_changed` call.  Registration is idempotent.
+        :meth:`notify_rule_changed` call; optional ``rule_spliced`` /
+        ``rule_relabeled`` hooks receive the finer events (an observer
+        without them gets ``rule_changed``).  Registration is idempotent.
         """
         if observer not in self._observers:
             self._observers.append(observer)
@@ -292,7 +296,9 @@ class Grammar:
         for observer in self._observers:
             observer.rule_changed(nonterminal)
 
-    def notify_rule_relabeled(self, nonterminal: Symbol) -> None:
+    def notify_rule_relabeled(
+        self, nonterminal: Symbol, node: Optional[Node] = None
+    ) -> None:
         """Report an in-place *relabel* of a terminal in the rule's RHS.
 
         A relabel changes no structural count, so observers that only
@@ -301,13 +307,46 @@ class Grammar:
         observers without the hook get the coarse :meth:`rule_changed`
         instead -- label censuses, occurrence tables, and dirty-rule
         recorders must all still see the mutation (relabels do change
-        digrams and label counts).
+        digrams and label counts).  ``node`` names the relabeled node
+        when there is exactly one, so a cache of per-node labels can
+        patch that entry.
         """
         self.epoch += 1
         for observer in self._observers:
             relabeled = getattr(observer, "rule_relabeled", None)
             if relabeled is not None:
-                relabeled(nonterminal)
+                relabeled(nonterminal, node)
+            else:
+                observer.rule_changed(nonterminal)
+
+    def notify_rule_spliced(
+        self, nonterminal: Symbol, old: Node, new: Node
+    ) -> None:
+        """Report one *local* in-place rewrite of the rule's RHS: the
+        subtree that was rooted at ``old`` gave way to the one at ``new``.
+
+        ``new`` consists of fresh nodes plus any of ``old`` itself and
+        ``old``'s child subtrees, *moved* (not copied) in their original
+        order -- the shape of an inline (arguments move into the body
+        copy), an insert (the target moves into the fragment) and a
+        delete (the sibling chain moves up).  When ``old`` was the RHS
+        root, ``new`` is installed as the root here; the caller ran
+        :meth:`preserve_for_write` before the surgery.  Observers with a
+        ``rule_spliced`` hook patch what they cache; the others get the
+        coarse ``rule_changed`` this event stands in for.
+        """
+        if dict.get(self.rules, nonterminal) is old:
+            if new.symbol.is_parameter:
+                raise GrammarError(
+                    "a right-hand side must not be a single parameter node"
+                )
+            new.parent = None
+            dict.__setitem__(self.rules, nonterminal, new)
+        self.epoch += 1
+        for observer in self._observers:
+            spliced = getattr(observer, "rule_spliced", None)
+            if spliced is not None:
+                spliced(nonterminal, old, new)
             else:
                 observer.rule_changed(nonterminal)
 

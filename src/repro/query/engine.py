@@ -129,8 +129,8 @@ def iter_matching_elements(
                     position += pos  # a pre-counted body-segment hop
                     continue
                 cur = pack
-                (kind, sym, rank, nxt, _nn, nelems, all_params, _no,
-                 sym_objs, sym_names, _enter, _target, _table) = pack.walk
+                (kind, sym, rank, span, _nn, nelems, all_params, _no,
+                 sym_objs, sym_names, _enter, _target) = pack.walk
                 hop_segs = pack.hop_segs
                 if label is not None:
                     bodies = bodies_of.get(pack)
@@ -175,7 +175,7 @@ def iter_matching_elements(
                 r = rank[pos]
                 if r == 2:
                     child = pos + 1
-                    stack.append((pack, nxt[child], env, lc))
+                    stack.append((pack, child + span[child], env, lc))
                     stack.append((pack, child, env, lc))
                 elif r == 1:
                     stack.append((pack, pos + 1, env, lc))
@@ -184,7 +184,7 @@ def iter_matching_elements(
                     kids = []
                     for _ in range(r):
                         kids.append(child)
-                        child = nxt[child]
+                        child += span[child]
                     for c in reversed(kids):
                         stack.append((pack, c, env, lc))
                 continue
@@ -216,7 +216,7 @@ def iter_matching_elements(
                         child = pos + 1
                         for _ in range(rank[pos]):
                             kids.append(child)
-                            child = nxt[child]
+                            child += span[child]
                         h = (segments, kids)
                         hop_segs[pos] = h
                     segments, kids = h
@@ -264,7 +264,7 @@ def iter_matching_elements(
                                 ce += b[3]
                                 cm += b[4]
                     bindings.append((pack, child, outer_env, ce, cm, lc))
-                    child = nxt[child]
+                    child += span[child]
                 inner_env: Tuple = tuple(bindings)
             else:
                 inner_env = ()
@@ -298,8 +298,8 @@ def _iter_window_symbols(
         pack, pos, env = stack.pop()
         if pack is not cur:
             cur = pack
-            (kind, sym, rank, nxt, nnodes, _ne, all_params, _no,
-             sym_objs, _names, _enter, _target, _table) = pack.walk
+            (kind, sym, rank, span, nnodes, _ne, all_params, _no,
+             sym_objs, _names, _enter, _target) = pack.walk
         k = kind[pos]
         if k == 3:
             b = env[sym[pos] - 1]
@@ -322,7 +322,7 @@ def _iter_window_symbols(
             r = rank[pos]
             if r == 2:
                 child = pos + 1
-                stack.append((pack, nxt[child], env))
+                stack.append((pack, child + span[child], env))
                 stack.append((pack, child, env))
             elif r == 1:
                 stack.append((pack, pos + 1, env))
@@ -331,7 +331,7 @@ def _iter_window_symbols(
                 kids = []
                 for _ in range(r):
                     kids.append(child)
-                    child = nxt[child]
+                    child += span[child]
                 for c in reversed(kids):
                     stack.append((pack, c, env))
         else:
@@ -351,7 +351,7 @@ def _iter_window_symbols(
                         for p in pp:
                             cn += outer_env[p - 1][3]
                     bindings.append((pack, child, outer_env, cn))
-                    child = nxt[child]
+                    child += span[child]
                 inner_env: Tuple = tuple(bindings)
             else:
                 inner_env = ()

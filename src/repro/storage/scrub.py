@@ -19,7 +19,9 @@ rebuilds exactly the inconsistent pieces instead of the world.
   the last acknowledged record while the process is healthy).
 
 * **Indexes**: the live :class:`repro.grammar.index.GrammarIndex`
-  segments and :class:`repro.query.label_index.LabelIndex` censuses
+  segments, the size columns of its cached rule packs (which writes
+  splice in place, so they live long) and the
+  :class:`repro.query.label_index.LabelIndex` censuses
   are compared, rule by cached rule, against fresh unregistered
   (``register=False``) recomputations over the same grammar; the
   document-level element count is cross-checked against two
@@ -246,6 +248,23 @@ def _audit_grammar_index(store: "DurableXml", report: ScrubReport,
             drifted.append(("grammar", head))
         report.checked["index_rules"] = \
             report.checked.get("index_rules", 0) + 1
+        # Packs are spliced in place by writes and live for thousands
+        # of them: audit the size columns against a cold build too.
+        pack = live.kernel.peek(head)
+        if pack is None:
+            continue
+        cold = fresh.kernel.pack(head)
+        differing = [column for column in ("span", "nnodes", "nelems")
+                     if getattr(pack, column) != getattr(cold, column)]
+        if differing:
+            report.findings.append(ScrubFinding(
+                kind="grammar-index-drift", subject=str(head),
+                detail=(f"cached pack columns {differing} differ from a "
+                        f"cold build of the rule"),
+            ))
+            drifted.append(("grammar", head))
+        report.checked["index_packs"] = \
+            report.checked.get("index_packs", 0) + 1
 
 
 def _audit_label_index(store: "DurableXml", report: ScrubReport,
@@ -407,7 +426,7 @@ def run_scrub(store: "DurableXml", repair: bool = False) -> ScrubReport:
         repair=repair,
     )
     for key in ("snapshots", "wal_files", "wal_records", "index_rules",
-                "label_rules", "elements"):
+                "index_packs", "label_rules", "elements"):
         report.checked.setdefault(key, 0)
     _scrub_disk(store, report)
     drifted: List[object] = []

@@ -41,7 +41,6 @@ from repro.updates.operations import (
     UpdateError,
     UpdateOp,
     delete_subtree,
-    insert_before,
     rename_node,
     rightmost_null,
     splice_before,
@@ -115,8 +114,9 @@ def rename(
     # dirty-rule recorders listen on the observer channel and must see
     # it; isolation alone may not have notified at all when the target
     # already sat explicit in the mutated rule.  The relabel-specific
-    # event lets size-only caches (GrammarIndex) keep their tables.
-    grammar.notify_rule_relabeled(result.rule)
+    # event lets size-only caches (GrammarIndex) keep their tables and
+    # patch the one label they hold for this node.
+    grammar.notify_rule_relabeled(result.rule, result.node)
     return result.inlined_rules
 
 
@@ -142,8 +142,11 @@ def insert(
     rightmost_null(fragment)
     result = isolate(grammar, index, grammar_index=grammar_index,
                      steps=steps, spine=spine)
-    new_root = insert_before(grammar.rhs(result.rule), result.node, fragment)
-    grammar.set_rule(result.rule, new_root)
+    spliced = deep_copy(fragment)
+    if not spliced.symbol.is_bottom:  # the empty forest is the identity
+        grammar.preserve_for_write(result.rule)
+        splice_before(grammar.rhs(result.rule), result.node, spliced)
+        grammar.notify_rule_spliced(result.rule, result.node, spliced)
     return result.inlined_rules
 
 
@@ -188,8 +191,10 @@ def delete(
         sibling = target.children[1]
         if sibling.symbol.is_bottom:
             raise UpdateError("deleting the document root is not allowed")
-    new_root = delete_subtree(grammar.rhs(result.rule), target)
-    grammar.set_rule(result.rule, new_root)
+    grammar.preserve_for_write(result.rule)
+    delete_subtree(grammar.rhs(result.rule), target)
+    # The target's next-sibling chain moved up into its place.
+    grammar.notify_rule_spliced(result.rule, target, target.children[1])
     collect_garbage(grammar)
     _repair_spine_ranks(spine)
     return result.inlined_rules

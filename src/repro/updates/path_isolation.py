@@ -84,6 +84,11 @@ def isolate(
             steps = resolve_preorder_path(grammar, index, segments=segments)
     inlined = 0
     rule = grammar.start
+    # The inlines nest -- each lands in the body copy the one before it
+    # made -- so together they are one local rewrite of ``rule``: the
+    # first application inlined gave way to the subtree at ``replacement``.
+    replaced: Optional[Node] = None
+    replacement: Optional[Node] = None
     # Replay: each "enter" step names a node inside the *rule template* of
     # the previously entered nonterminal; inlining copies templates, so the
     # concrete node to inline at is tracked through the copy maps.  Shard
@@ -107,19 +112,20 @@ def isolate(
             rule = symbol
             current = None
             continue
-        was_root = node is grammar.rhs(rule)
         grammar.preserve_for_write(rule)
-        new_root, copy_map = inline_at(grammar, node)
-        if was_root:
-            grammar.set_rule(rule, new_root)
-        current = copy_map
+        new_root, current = inline_at(grammar, node)
+        if replaced is None:
+            replaced, replacement = node, new_root
+        elif node is replacement:
+            replacement = new_root  # the body copy's root was the next call
         inlined += 1
     assert concrete_target is not None
     assert concrete_target.symbol.is_terminal
-    if inlined:
-        # Inlining below the RHS root splices nodes in place, bypassing
-        # set_rule: tell registered indexes the mutated rule changed.
-        grammar.notify_rule_changed(rule)
+    if replaced is not None:
+        # Inlining splices nodes in place, bypassing set_rule: tell the
+        # registered indexes where (this also installs the replacement
+        # when the first application was the RHS root).
+        grammar.notify_rule_spliced(rule, replaced, replacement)
     return IsolationResult(concrete_target, inlined, rule)
 
 

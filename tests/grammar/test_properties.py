@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.grammar.derivation import expand
 from repro.grammar.properties import (
@@ -18,7 +19,7 @@ from repro.grammar.properties import (
 )
 from repro.grammar.slcf import Grammar
 from repro.trees.builder import parse_term
-from repro.trees.node import node_count
+from repro.trees.node import Node, deep_copy, node_count
 from repro.trees.symbols import Alphabet
 
 from tests.conftest import make_string_grammar
@@ -176,3 +177,23 @@ class TestGarbage:
 
     def test_garbage_collection_is_idempotent(self, figure1_grammar):
         assert collect_garbage(figure1_grammar) == 0
+
+    @given(slcf_grammars(), st.integers(min_value=0, max_value=3))
+    def test_dead_set_is_the_usage_zero_set(self, grammar, chain):
+        """The mark-from-start walk finds exactly the rules ``usage``
+        weighs 0 -- including rules only other dead rules reference."""
+        alphabet = grammar.alphabet
+        previous = None
+        for _ in range(chain):
+            # An unreferenced rule; each one applies its predecessor, so
+            # all but the last are referenced -- by a dead rule only.
+            head = alphabet.fresh_nonterminal(0, "DEAD")
+            body = (deep_copy(grammar.rhs(grammar.start))
+                    if previous is None else Node(previous))
+            grammar.set_rule(head, body)
+            previous = head
+        expected = [h for h, n in usage(grammar).items() if n == 0]
+        assert len(expected) == chain
+        assert dead_nonterminals(grammar) == expected
+        assert collect_garbage(grammar) == chain
+        assert dead_nonterminals(grammar) == []

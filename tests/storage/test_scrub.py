@@ -158,6 +158,33 @@ class TestIndexFindings:
         assert index.element_count == ELEMENTS + 1
         assert store.scrub().ok
 
+    def test_drifted_pack_column_is_found_and_repaired(self, store):
+        """Packs survive writes now (they are spliced, not rebuilt), so
+        a clobbered size column would live on: the audit compares them
+        with a cold build and evicts the rule."""
+        doc = store.document
+        index = doc.index
+        start = doc.grammar.start
+        assert index.element_count == ELEMENTS + 1  # packs the rules
+        pack = index.kernel.peek(start)
+        pack.nnodes[len(pack.nnodes) // 2] += 5  # out-of-band clobber
+        report = store.scrub()
+        assert report.checked["index_packs"] >= 1
+        drift = next(f for f in report.findings
+                     if f.kind == "grammar-index-drift")
+        assert drift.subject == str(start)
+        assert "nnodes" in drift.detail
+        evicted = index.evicted_rules
+        report = store.scrub(repair=True)
+        assert report.repaired_count == len(report.findings) >= 1
+        assert index.evicted_rules > evicted
+        assert index.kernel.peek(start) is not pack
+        # The rebuilt pack answers like the decompressed document.
+        tags = [node.tag for node in doc.to_document().preorder()]
+        assert index.element_count == len(tags) == ELEMENTS + 1
+        assert [doc.tag_of(i) for i in range(len(tags))] == tags
+        assert store.scrub().ok
+
     def test_drifted_label_census_is_found_and_repaired(self, store):
         label_index = store.document.label_index
         start = store.document.grammar.start
