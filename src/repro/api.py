@@ -231,6 +231,8 @@ class CompressedXml:
                 shard_kwargs["merge_hysteresis"] = shard_merge_hysteresis
             self._shards = ShardManager(grammar, width=shard_width,
                                         **shard_kwargs)
+            # A packed rule's width is read off its columns, not walked.
+            self._shards.width_of = self._index.rule_width
         # Per-shard commit locks for concurrent writers (the durable
         # layer's group-commit path rides these); unsharded documents
         # fall back to one document-wide "shard" (the start rule).
@@ -443,6 +445,7 @@ class CompressedXml:
                 parents=state.shard.parents,
                 **restore_kwargs,
             )
+            doc._shards.width_of = doc._index.rule_width
             doc._shards.bind_metrics(doc._obs)
         if state.segments:
             doc._index.import_segments(state.segments)
@@ -999,7 +1002,7 @@ class CompressedXml:
         ``shard_width // 2`` is merged -- all through per-rule observer
         events, so the persistent indexes never reset wholesale."""
         if self._shards is not None:
-            self._shards.reshard(self._index.rule_width)
+            self._shards.reshard()
 
     def _maybe_auto_recompress(self) -> None:
         if self._auto_factor is None:

@@ -32,20 +32,28 @@ The index registers itself as a grammar observer (see
 
 * ``rule_spliced`` -- a *local* rewrite: one subtree of one rule gave way
   to another (path isolation's inlines; a single ``insert`` / ``delete``).
-  The rule's pack is patched at the write point: adopted subtrees keep
-  their entries, the fresh nodes get theirs, the ancestors' sizes follow;
-  when the generated size changed, so do the rule's segment and -- along
-  the shard spine, where each rule has one applier applying it once --
-  the application's ancestors and segment one rule up.  Nothing is
-  evicted: the write pays ``O(depth + |edit|)``, not ``O(rule width)``.
-  A splice that is not local after all (it removed a parameter, the rule
-  has no pack, the dependents are not a spine) takes the last path.
+  The rule's pack gets a successor at the write point: adopted subtrees
+  keep their entries, the fresh nodes get theirs, the ancestors' sizes
+  follow; when the generated size changed, so do the rule's segment and
+  -- along the shard spine, where each rule has one applier applying it
+  once -- the application's ancestors and segment one rule up.  Nothing
+  is evicted and no body is re-walked: the write pays ``O(depth +
+  |edit|)`` Python steps plus C-level list copies.  A splice that is not
+  local after all (it removed a parameter, the rule has no pack, the
+  dependents are not a spine) takes the last path.
 * ``rule_relabeled`` -- patches the label entries of the relabeled node.
 * ``rule_changed`` / ``rule_removed`` -- anything else (``set_rule``,
   batches, recompression, reshard splits and merges): the entries of that
   rule *and of its transitive dependents along the call DAG* are evicted
   and cold-built lazily, bottom-up, on the next query.  The cold build is
   also the reference the splice is tested and scrubbed against.
+
+No write moves an entry of a published pack: what shifts positions (a
+splice) is made on copies of the columns, what keeps them (a relabel, a
+size patch at an application's ancestors) is written in place.  So a
+walk suspended across a write -- ``tags()`` and ``children()`` are
+generators -- never loses its place, exactly as when packs were dropped
+and rebuilt.
 
 Callers that mutate rule bodies in place without going through
 ``set_rule`` must fire one of the ``Grammar.notify_rule_*`` events; the
@@ -264,10 +272,11 @@ class GrammarIndex:
         self._evict(head)
 
     def rule_relabeled(self, head: Symbol, node: Optional[Node] = None) -> None:
-        """A relabel changes no size and no position: patch the label
-        entries of the relabeled ``node`` in the rule's pack (no other
-        pack caches them).  Without ``node`` -- a batch relabeled
-        several -- the pack is dropped; the segments stay either way."""
+        """A relabel changes no size and moves no entry: patch the
+        label entries of the relabeled ``node`` in the rule's pack, in
+        place (no other pack caches them).  Without ``node`` -- a batch
+        relabeled several -- the pack is dropped; the segments stay
+        either way."""
         pack = self._kernel.peek(head)
         if pack is None:
             return
@@ -283,39 +292,39 @@ class GrammarIndex:
 
     def rule_spliced(self, head: Symbol, old: Node, new: Node) -> None:
         """:meth:`~repro.grammar.slcf.Grammar.notify_rule_spliced`:
-        patch the rule's pack where it changed; evict as for
-        ``rule_changed`` when there is no pack or the splice is not
-        local."""
-        pack = self._kernel.peek(head)
-        if pack is None or not self._splice(pack, old, new):
-            self._evict(head)
-
-    def _splice(self, pack: RulePack, old: Node, new: Node) -> bool:
-        """Make the column slice of ``old``'s subtree describe ``new``;
-        returns ``False`` (nothing touched) when the splice removed a
-        parameter or moved a size across one.
+        publish a successor of the rule's pack whose column slice for
+        ``old``'s subtree describes ``new``.  Without a pack, or when
+        the splice is not local after all (it removed a parameter or
+        moved a size across one), evict as for ``rule_changed`` --
+        nothing is touched before that is known.
 
         Subtrees ``new`` adopted from ``old`` keep their entries; the
         entries of the nodes that went, between them, are exchanged for
-        those of the fresh nodes that came.  ``O(depth + fresh + gone)``
-        plus a few C-level list shifts.
+        those of the fresh nodes that came.  The exchange moves entries,
+        so it is made on copies: the old pack -- which a suspended walk
+        (a half-consumed ``tags()``) may still stand in -- keeps its
+        layout.  ``O(depth + fresh + gone)`` plus C-level list copies.
         """
-        columns = pack.walk
+        pack = self._kernel.peek(head)
+        if pack is None:
+            return self._evict(head)
+        old_columns = pack.walk
         kind, span, nnodes, nelems, params = (
-            columns[0], columns[3], columns[4], columns[5], columns[6])
-        p, ancestors, before = _descend(columns, new.parent, old)
+            old_columns[0], old_columns[3], old_columns[4], old_columns[5],
+            old_columns[6])
+        p, ancestors, before = _descend(old_columns, new.parent, old)
         stop = p + span[p]
         # What ``new`` may have adopted: ``old`` itself, or its children.
         moved = {id(old): (p, stop)}
         c = p + 1
-        for _ in range(columns[2][p]):
-            moved[id(columns[7][c])] = (c, c + span[c])
+        for _ in range(old_columns[2][p]):
+            moved[id(old_columns[7][c])] = (c, c + span[c])
             c += span[c]
         region, fresh, carried, calls = flatten(
-            new, self._kernel.symbols, moved, columns)
+            new, self._kernel.symbols, moved, old_columns)
         measure(region, fresh, self._node_segments, self._elem_segments)
         if region[6][0] != params[p]:
-            return False
+            return self._evict(head)
         grown_nodes = region[4][0] - nnodes[p]
         grown_elems = region[5][0] - nelems[p]
         if (grown_nodes or grown_elems) and params[p]:
@@ -325,7 +334,7 @@ class GrammarIndex:
             entry, start, end = carried[-1] if carried else (-1, 0, 0)
             if entry != len(fresh) + len(carried) - 1 or end != stop \
                     or params[start] != params[p]:
-                return False
+                return self._evict(head)
         # Gaps of the old slice around the adopted subtrees, and the runs
         # of fresh entries that take their place (exchanged back to front).
         gaps = [p]
@@ -335,9 +344,9 @@ class GrammarIndex:
             runs += (entry, entry + 1)
         gaps.append(stop)
         runs.append(len(region[0]))
-        head = pack.head
         counted = pack.calls
-        sym_objs = columns[8]
+        sym_objs = old_columns[8]
+        columns = tuple([column[:] for column in old_columns])
         for g in range(len(gaps) - 2, -1, -2):
             a, b, i, j = gaps[g], gaps[g + 1], runs[g], runs[g + 1]
             for at in range(a, b):
@@ -354,25 +363,27 @@ class GrammarIndex:
             if callee not in counted:
                 self._dependents.setdefault(callee, set()).add(head)
             counted[callee] = counted.get(callee, 0) + count
+        span, nnodes, nelems = columns[3], columns[4], columns[5]
         widened = region[3][0] - (stop - p)
         for a in ancestors:
             span[a] += widened
-        pack.hop_segs.clear()
-        pack._label_arrays.clear()
+            nnodes[a] += grown_nodes
+            nelems[a] += grown_elems
+        successor = RulePack(head, columns, counted)
+        successor.node_segs = pack.node_segs
+        successor.elem_segs = pack.elem_segs
+        self._kernel._packs[head] = successor
         self._locations.clear()
         if grown_nodes or grown_elems:
-            for a in ancestors:
-                nnodes[a] += grown_nodes
-                nelems[a] += grown_elems
             self._resize(head, before, grown_nodes, grown_elems)
-        return True
 
     def _resize(self, head: Symbol, segment: int,
                 grown_nodes: int, grown_elems: int) -> None:
         """``head``'s ``segment``-th segment grew: patch it, then walk
         up while the rule has exactly one cached applier applying it
         once (the spine), patching that application's ancestors and the
-        applier's segment.  Any other set of dependents is evicted."""
+        applier's segment -- in place, no entry moves.  Any other set of
+        dependents is evicted."""
         packs = self._kernel._packs
         while True:
             self._node_segments[head][segment] += grown_nodes
@@ -877,12 +888,14 @@ class GrammarIndex:
         while child is not None:
             _position, pack, pos, env, _steps, _parent, _depth = \
                 self._locate_fcns(child)
-            yield child, pack.sym_names[pos]
+            # Both sizes are read before the yield: the consumer may
+            # write before it resumes this walk.
             _nodes, after = self._sizes(
                 pack, pos + 1 + pack.span[pos + 1], env)
+            _nodes, below = self._sizes(pack, pos + 1, env)
+            yield child, pack.sym_names[pos]
             if not after:
                 return
-            _nodes, below = self._sizes(pack, pos + 1, env)
             child = child + 1 + below
 
     def children(self, element_index: int) -> Iterator[int]:

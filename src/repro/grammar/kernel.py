@@ -184,17 +184,19 @@ class RulePack:
     exchanges the entries of the nodes that went for those of the nodes
     that came and patches the ancestors' sizes -- no entry holds an
     absolute position, so a subtree that merely moved keeps its entries)
-    and evicted only by non-local rewrites.  ``calls`` counts the
-    applications per callee (the index's reverse call edges, kept
-    exact); ``node_segs`` / ``elem_segs`` alias the index's segment
-    lists of this rule, which writes patch in place.
+    and evicted only by non-local rewrites.  The exchange is made on
+    copies of the columns, published as a successor pack: no entry of a
+    published pack ever moves, so a generator walk suspended across a
+    write keeps its place (label and size entries are patched in place
+    -- that moves nothing).  ``calls`` counts the applications per
+    callee (the index's reverse call edges, kept exact; handed on to
+    the successor); ``node_segs`` / ``elem_segs`` alias the index's
+    segment lists of this rule, which writes patch in place.
 
     ``walk`` is the tuple of the twelve columns in the order above (a
     pack switch inside a walk is one attribute load plus one unpack);
     ``walk_nodes`` is the node-count descent's subset ``(kind, sym,
     rank, span, nnodes, params, sym_objs, steps_enter, steps_target)``.
-    A walk must not stay suspended across a write: splices move
-    positions.
     """
 
     __slots__ = (
@@ -232,10 +234,11 @@ class RulePack:
         self._label_arrays: Dict[str, Tuple[dict, array, list, dict]] = {}
         #: per-application-position ``(segments, kids)`` memo for the
         #: zero-census hop (the callee's live element-segment list +
-        #: this rule's child positions).  Positions are this pack's, so
-        #: a splice of this rule clears the memo; the segment lists are
-        #: patched in place by writes below the callee and replaced only
-        #: by an eviction, which cascades through every applier.
+        #: this rule's child positions).  Positions are this pack's (a
+        #: splice's successor starts with an empty memo); the segment
+        #: lists are patched in place by writes below the callee and
+        #: replaced only by an eviction, which cascades through every
+        #: applier.
         self.hop_segs: Dict[int, tuple] = {}
 
     @property

@@ -328,7 +328,10 @@ class ShardManager:
         return self._parent.get(head)
 
     def width_of(self, head: Symbol) -> int:
-        """Current RHS width (nodes) of a rule."""
+        """Current RHS width (nodes) of a rule -- the manager's one
+        width source.  A body walk; the owning document plugs in its
+        structural index's reading instead (a packed rule's width is
+        the length of its columns)."""
         return self._grammar.rule_width(head)
 
     def max_spine_width(self) -> int:
@@ -492,21 +495,17 @@ class ShardManager:
     # ------------------------------------------------------------------
     # rebalancing
     # ------------------------------------------------------------------
-    def reshard(self, width_of=None) -> int:
+    def reshard(self) -> int:
         """Rebalance the spine rules touched since the last call.
 
         Returns the number of split + merge actions performed.  Cost is
         ``O(width of the touched rules)`` when nothing drifted out of
-        bounds (one node-count walk per touched rule), and proportional
-        to the rebalanced mass otherwise -- never to the document or the
-        untouched grammar.  ``width_of(head)`` lets a caller that keeps
-        the RHS node counts anyway (the structural index: a packed
-        rule's width is the length of its columns) spare even that walk.
+        bounds (one :attr:`width_of` reading per touched rule), and
+        proportional to the rebalanced mass otherwise -- never to the
+        document or the untouched grammar.
         """
         if not self._touched:
             return 0
-        if width_of is None:
-            width_of = self._grammar.rule_width
         touched = self._touched
         self._touched = set()
         grammar = self._grammar
@@ -530,7 +529,7 @@ class ShardManager:
                     continue  # merged or collected while queued
                 if not grammar.has_rule(head):
                     continue
-                width = width_of(head)
+                width = self.width_of(head)
                 if width > stats.max_width_seen:
                     stats.max_width_seen = width
                 if width > upper:

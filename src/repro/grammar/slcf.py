@@ -242,6 +242,14 @@ class Grammar:
         """Install (or overwrite) the rule ``nonterminal -> rhs``."""
         if not nonterminal.is_nonterminal:
             raise GrammarError(f"{nonterminal!r} is not a nonterminal")
+        self._install(nonterminal, rhs)
+        self.epoch += 1
+        for observer in self._observers:
+            observer.rule_changed(nonterminal)
+
+    def _install(self, nonterminal: Symbol, rhs: Node) -> None:
+        """Make ``rhs`` the rule's root: :meth:`set_rule` without its
+        notification (the one way a root is installed)."""
         if rhs.symbol.is_parameter:
             raise GrammarError(
                 "a right-hand side must not be a single parameter node"
@@ -250,9 +258,6 @@ class Grammar:
             self._preserve(nonterminal, for_write=True)
         rhs.parent = None
         dict.__setitem__(self.rules, nonterminal, rhs)
-        self.epoch += 1
-        for observer in self._observers:
-            observer.rule_changed(nonterminal)
 
     def remove_rule(self, nonterminal: Symbol) -> None:
         if nonterminal is self.start:
@@ -330,18 +335,24 @@ class Grammar:
         order -- the shape of an inline (arguments move into the body
         copy), an insert (the target moves into the fragment) and a
         delete (the sibling chain moves up).  When ``old`` was the RHS
-        root, ``new`` is installed as the root here; the caller ran
-        :meth:`preserve_for_write` before the surgery.  Observers with a
-        ``rule_spliced`` hook patch what they cache; the others get the
-        coarse ``rule_changed`` this event stands in for.
+        root, ``new`` is installed as the root here.  The surgery is
+        done by now, so the caller must have run
+        :meth:`preserve_for_write` before it -- checked, while pins are
+        outstanding.  Observers with a ``rule_spliced`` hook patch what
+        they cache; the others get the coarse ``rule_changed`` this
+        event stands in for.
         """
-        if dict.get(self.rules, nonterminal) is old:
-            if new.symbol.is_parameter:
+        if self._pins:
+            with self._version_lock:  # readers unpin concurrently
+                preserved = all(nonterminal in overlay
+                                for overlay in self._overlays.values())
+            if not preserved:
                 raise GrammarError(
-                    "a right-hand side must not be a single parameter node"
+                    f"rule {nonterminal!r} was rewritten in place "
+                    "without preserve_for_write"
                 )
-            new.parent = None
-            dict.__setitem__(self.rules, nonterminal, new)
+        if dict.get(self.rules, nonterminal) is old:
+            self._install(nonterminal, new)
         self.epoch += 1
         for observer in self._observers:
             spliced = getattr(observer, "rule_spliced", None)

@@ -270,8 +270,9 @@ class LabelIndex:
         """The per-RHS-node table of ``label`` counts for one rule.
 
         Entries are keyed by ``id(rhs_node)`` -- valid only until the rule
-        is mutated, exactly like ``GrammarIndex.rule_table``.  Built
-        lazily per queried label in one post-order walk of the rule body.
+        is mutated; ``RulePack.label_counts`` aligns them with the pack's
+        columns.  Built lazily per queried label in one post-order walk
+        of the rule body.
         """
         key = (head, label)
         table = self._node_tables.get(key)

@@ -42,6 +42,51 @@ class TestConstruction:
             figure1_grammar.rhs(missing)
 
 
+class TestSplicedEvent:
+    """``notify_rule_spliced`` stands in for ``set_rule`` after in-place
+    surgery: the root goes in through the same install, and a rewrite
+    nobody preserved under a pin fails loudly instead of leaking into
+    the pinned overlay."""
+
+    def test_root_splice_installs_like_set_rule(self, alphabet):
+        old = parse_term("f(a,b)", alphabet)
+        grammar = Grammar.from_tree(old, alphabet)
+        new = Node(alphabet.terminal("g", 1), [old])
+        events = []
+
+        class Observer:
+            def rule_changed(self, head):
+                events.append(head)
+
+            rule_removed = rule_changed
+
+        grammar.register_observer(Observer())
+        epoch = grammar.epoch
+        grammar.notify_rule_spliced(grammar.start, old, new)
+        assert grammar.rhs(grammar.start) is new and new.parent is None
+        assert events == [grammar.start]  # no hook: the coarse event
+        assert grammar.epoch == epoch + 1
+        with pytest.raises(GrammarError, match="parameter"):
+            grammar.notify_rule_spliced(
+                grammar.start, new, Node(parameter_symbol(1)))
+
+    def test_unpreserved_rewrite_under_a_pin_is_rejected(self, alphabet):
+        old = parse_term("f(a,b)", alphabet)
+        grammar = Grammar.from_tree(old, alphabet)
+        epoch = grammar.pin()
+        new = Node(alphabet.terminal("g", 1), [old])
+        with pytest.raises(GrammarError, match="preserve_for_write"):
+            grammar.notify_rule_spliced(grammar.start, old, new)
+        assert grammar.rhs(grammar.start) is old
+        old.parent = None
+        grammar.preserve_for_write(grammar.start)
+        new = Node(alphabet.terminal("g", 1), [old])
+        grammar.notify_rule_spliced(grammar.start, old, new)
+        assert grammar.rhs(grammar.start) is new
+        assert grammar.rule_at(epoch, grammar.start).symbol.name == "f"
+        grammar.unpin(epoch)
+
+
 class TestMeasures:
     def test_size_counts_edges_of_all_rules(self, figure1_grammar):
         # S -> f(A(B,B),#): 5 nodes/4 edges; B -> A(#,#): 3/2;

@@ -75,3 +75,29 @@ def test_flat_kernel_section_quotes_only_live_attributes():
         f"README.md 'Flat kernel' quotes names that no longer exist on "
         f"GrammarIndex / GrammarKernel / RulePack: {dangling}"
     )
+
+
+QUALIFIED = re.compile(r"\b(GrammarIndex|GrammarKernel|RulePack)\.([a-z_]\w*)")
+
+
+def test_source_docstrings_name_only_live_index_attributes():
+    """``GrammarIndex.x`` / ``GrammarKernel.x`` / ``RulePack.x`` anywhere
+    under ``src/`` (docstrings and comments included) must resolve."""
+    doc = CompressedXml.from_xml("<a><b/><c/></a>")
+    kernel = doc.index.kernel
+    owners = {"GrammarIndex": doc.index, "GrammarKernel": kernel,
+              "RulePack": kernel.pack(doc.grammar.start)}
+    dangling = []
+    for folder, _dirs, files in os.walk(os.path.join(ROOT, "src", "repro")):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+            dangling += [
+                f"{os.path.relpath(path, ROOT)}: {owner}.{attribute}"
+                for owner, attribute in QUALIFIED.findall(text)
+                if not hasattr(owners[owner], attribute)
+            ]
+    assert not dangling, f"references to deleted attributes: {dangling}"

@@ -17,6 +17,8 @@ with zero packed rules (packing is lazy).
 
 import random
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -331,6 +333,26 @@ def assert_packs_equal_cold_build(doc):
         assert pack.elem_segs is live._elem_segments[head]
 
 
+#: The columns that say which node sits where: no write may change them
+#: in a pack a walk can already stand in (a splice publishes a successor).
+LAYOUT_COLUMNS = ("kind", "rank", "span", "params", "node_objs")
+
+
+def published_layouts(doc):
+    """Every cached pack with a copy of its layout columns."""
+    return [(pack, [list(getattr(pack, column)) for column in LAYOUT_COLUMNS])
+            for pack in doc.index.kernel._packs.values()]
+
+
+def assert_layouts_unmoved(layouts):
+    for pack, columns in layouts:
+        for name, was in zip(LAYOUT_COLUMNS, columns):
+            now = getattr(pack, name)
+            assert len(now) == len(was), (pack.head, name)
+            assert all(a is b or a == b for a, b in zip(now, was)), \
+                (pack.head, name)
+
+
 class TestSpliceEqualsRebuild:
     """The cold build is the reference; the write-point splice must
     reach the same columns from the other side, after every operation."""
@@ -342,11 +364,14 @@ class TestSpliceEqualsRebuild:
         doc = CompressedXml.from_document(tree, shard_width=width)
         doc.tag_of(0)
         assert_packs_equal_cold_build(doc)
+        layouts = published_layouts(doc)
         for _ in replay_script(doc, script):
             assert_packs_equal_cold_build(doc)
+            assert_layouts_unmoved(layouts)
             # The read a write is followed by in real traffic: it packs
             # what the write evicted, so the next splice has a pack.
             doc.tag_of(doc.element_count - 1)
+            layouts = published_layouts(doc)
         assert doc.index.wholesale_invalidations == 0
 
     @given(xml_documents(max_elements=20), update_scripts(max_ops=6),
@@ -385,6 +410,87 @@ class TestSpliceEqualsRebuild:
             "<r><a/>" + "".join(f"<z{i}/>" for i in range(6)) + "</r>"
         assert observe(doc) == oracle(doc)
         assert doc.index.wholesale_invalidations == 0
+
+
+class TestSuspendedWalksSurviveWrites:
+    """``tags()`` and ``children()`` are generators: their consumer may
+    write between two ``next()`` calls.  A splice never moves an entry
+    of a pack such a walk stands in, so a walk whose consumer edits the
+    element it was just handed finishes on the document it started on
+    -- what evict-and-rebuild gave for free (old packs were dropped,
+    never touched)."""
+
+    @staticmethod
+    def treebank(edges=2000):
+        return CompressedXml.from_document(
+            make_corpus("Treebank", edges=edges, seed=42), shard_width=64)
+
+    def test_renaming_every_match_of_a_tags_walk(self):
+        doc = self.treebank()
+        before = list(doc.tags())
+        visited = []
+        for index, tag in enumerate(doc.tags()):
+            visited.append(tag)
+            if tag == "NP":
+                doc.rename(index, "X")
+        assert visited == before
+        assert list(doc.tags()) == \
+            ["X" if tag == "NP" else tag for tag in before]
+        assert observe(doc) == oracle(doc)
+
+    @pytest.mark.parametrize(
+        "kinds", [("rename",), ("insert",), ("append",), ("delete",),
+                  ("rename", "insert", "append", "delete")],
+        ids=lambda kinds: "+".join(kinds))
+    def test_editing_the_element_a_tags_walk_just_yielded(self, kinds):
+        doc = self.treebank(edges=800)
+        before = list(doc.tags())
+        rng = random.Random(7)
+        visited = []
+        writes = 0
+        shift = 0  # just-yielded element: index now - index at the start
+        for index, tag in enumerate(doc.tags()):
+            visited.append(tag)
+            here = index + shift
+            if index == 0 or rng.random() >= 0.15:
+                continue
+            kind = rng.choice(kinds)
+            if kind == "rename":
+                doc.rename(here, "EDITED")
+            elif kind == "insert":
+                doc.insert(here, XmlNode("NEW", [XmlNode("LEAF")]))
+                shift += 2
+            elif kind == "append":
+                doc.append_child(here, XmlNode("NEW"))
+            elif doc.first_child(here) is None:
+                doc.delete(here)
+                shift -= 1
+            else:
+                continue
+            writes += 1
+        assert writes > 40
+        assert visited == before
+        assert observe(doc) == oracle(doc)
+        assert_packs_equal_cold_build(doc)
+
+    def test_children_walk_across_writes(self):
+        doc = self.treebank(edges=800)
+        before = list(doc.children(0))
+        assert len(before) > 20
+        visited = []
+        for child in doc.children(0):
+            visited.append(child)
+            doc.rename(child, "EDITED")
+            # Size-changing splices of the spine the children hang off
+            # that leave every child's index where it was: in front of
+            # the child and out again, then behind the last element.
+            doc.insert(child, XmlNode("NEW", [XmlNode("LEAF")]))
+            doc.delete(child)
+            doc.append_child(doc.element_count - 1, XmlNode("NEW"))
+        assert visited == before
+        assert [doc.tag_of(child) for child in before] == \
+            ["EDITED"] * len(before)
+        assert observe(doc) == oracle(doc)
 
 
 class TestCountersProveTheCut:
