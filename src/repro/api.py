@@ -36,12 +36,14 @@ a full -- still incrementally maintained -- census when the dirty mass
 dominates the grammar, where a scoped census would miss cross-rule
 digram weights and erode the compression ratio.  Because only touched
 rules are rewritten, the GrammarIndex keeps its cached count tables for
-the untouched bulk of the grammar -- no ``invalidate_all`` on either
-incremental path; the per-rule observer evictions that fire during
-compression are the entire invalidation story.  Construct with
-``incremental_recompress=False`` for the historical behavior (full
-per-round rescans + wholesale index reset), kept as the benchmark
-baseline.
+the untouched bulk of the grammar -- no ``invalidate_all`` with either
+census; the per-rule observer evictions that fire during compression are
+the entire invalidation story.
+
+The read surface -- statistics, ``tags``, the navigation axes,
+``select`` / ``count``, ``subtree_xml``, ``to_xml`` -- is written once, in
+:class:`ReadSurface`; the live :class:`CompressedXml` and the pinned
+:class:`~repro.view.SnapshotView` are its two instantiations.
 
 Example::
 
@@ -70,7 +72,7 @@ from repro.grammar.serialize import format_grammar, parse_grammar
 from repro.grammar.sharding import ShardManager
 from repro.grammar.slcf import Grammar, GrammarSizeTracker, RuleTouchRecorder
 from repro.trees.binary import decode_binary, encode_binary, encode_forest
-from repro.trees.node import deep_copy
+from repro.trees.node import deep_copy, edge_count
 from repro.trees.symbols import Alphabet
 from repro.trees.unranked import XmlNode
 from repro.trees.xml_io import parse_xml, serialize_xml
@@ -86,23 +88,29 @@ from repro.query.parser import parse_path
 from repro.updates import grammar_updates
 from repro.updates.batch import BatchBuilder, BatchOp, BatchStats, execute_batch
 from repro.updates.operations import UpdateError
-from repro.view import SnapshotView
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.faults import StorageIO
     from repro.storage.snapshot import DocumentState
     from repro.trees.symbols import Symbol
+    from repro.view import SnapshotView
 
-__all__ = ["CompressedXml", "DurableXml", "SnapshotView"]
+__all__ = ["CompressedXml", "DurableXml", "ReadSurface", "SnapshotView"]
 
 
 def __getattr__(name: str):
     # ``repro.api.DurableXml`` without importing the storage package (and
-    # its file-format machinery) on every plain-document import.
+    # its file-format machinery) on every plain-document import;
+    # ``repro.api.SnapshotView`` because ``repro.view`` subclasses
+    # :class:`ReadSurface` and so imports this module first.
     if name == "DurableXml":
         from repro.storage.durable import DurableXml
 
         return DurableXml
+    if name == "SnapshotView":
+        from repro.view import SnapshotView
+
+        return SnapshotView
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -165,7 +173,212 @@ def _sample_kernel(ref: "weakref.ref") -> dict:
     return doc._index.kernel_info()
 
 
-class CompressedXml:
+class ReadSurface:
+    """The read half of a compressed document, written once.
+
+    Every method evaluates over a triple its instance holds: ``_index``
+    (a :class:`~repro.grammar.index.GrammarIndex`; its ``grammar`` is the
+    grammar view all reads derive from), the lazily built
+    ``_label_index`` slot, and the ``_m_query_*`` metric handles.  The
+    two instantiations are :class:`CompressedXml` -- the live grammar,
+    indexes maintained through its observer channel -- and
+    :class:`~repro.view.SnapshotView` -- one frozen epoch, private
+    indexes nothing can evict, feeding the metrics of the document it
+    was pinned on.  Each supplies ``element_count`` and
+    ``compressed_size`` itself (the live index and size tracker; the
+    counters captured at the pin) plus the state facts
+    :meth:`_document_state` assembles.
+    """
+
+    #: Whether the indexes register on the grammar's observer channel
+    #: (a frozen epoch never changes, so a view's stay private).
+    _observes = True
+
+    @property
+    def edge_count(self) -> int:
+        """Edges of the (unranked) document tree."""
+        return self.element_count - 1
+
+    @property
+    def compression_ratio(self) -> float:
+        """c-edges / #edges, as in Table III (1.0 for a lone root)."""
+        edges = self.edge_count
+        if edges == 0:
+            return 1.0
+        return self.compressed_size / edges
+
+    def tags(
+        self, start: Optional[int] = None, stop: Optional[int] = None
+    ) -> Iterator[str]:
+        """Element tags in document order, streamed without decompression.
+
+        Without arguments the whole document is streamed (O(N)).  With a
+        window -- ``tags(i, j)`` yields the tags of elements ``i..j-1`` --
+        the iterator rides :meth:`GrammarIndex.iter_element_symbols`:
+        subtrees before the window are skipped in O(1) via the cached
+        count tables, so a bulk read of a window costs
+        O(depth · rule-width + window) instead of streaming the whole
+        document to reach it.
+
+        Window contract (``itertools.islice``-like, *not* list slicing):
+        ``i >= j`` yields nothing, ``j > element_count`` (or ``None``)
+        clamps to the document's end, and a negative bound raises
+        ``IndexError`` -- under concurrent updates a from-the-end index
+        is ambiguous, so it is rejected rather than silently treated as
+        an empty (or wrapped) window.
+
+        The zero-argument form is the window ``(0, element_count)`` and
+        goes through the same indexed iterator -- one code path, and the
+        count tables it materializes are the ones every other query
+        reuses (the historical ``stream_preorder`` special case answered
+        from nothing but also warmed nothing).
+        """
+        for symbol in self._index.iter_element_symbols(
+            0 if start is None else start, stop
+        ):
+            yield symbol.name
+
+    def tag_of(self, element_index: int) -> str:
+        """Tag of the ``element_index``-th element (document order)."""
+        return self._index.tag_of(element_index)
+
+    # ------------------------------------------------------------------
+    # navigation (document axes over element indices, all O(depth))
+    # ------------------------------------------------------------------
+    def parent_of(self, element_index: int) -> Optional[int]:
+        """Element index of the parent; ``None`` for the root."""
+        return self._index.parent_of(element_index)
+
+    def depth_of(self, element_index: int) -> int:
+        """Document depth of an element (the root has depth 0)."""
+        return self._index.depth_of(element_index)
+
+    def first_child(self, element_index: int) -> Optional[int]:
+        """Element index of the first child; ``None`` for a leaf."""
+        return self._index.first_child(element_index)
+
+    def next_sibling(self, element_index: int) -> Optional[int]:
+        """Element index of the next sibling; ``None`` for a last child."""
+        return self._index.next_sibling(element_index)
+
+    def children(self, element_index: int) -> Iterator[int]:
+        """Element indices of the direct children, in document order."""
+        return self._index.children(element_index)
+
+    # ------------------------------------------------------------------
+    # queries (label paths evaluated on the grammar)
+    # ------------------------------------------------------------------
+    @property
+    def label_index(self) -> LabelIndex:
+        """The owned label-census index, created on first use.
+
+        On a live document it registers, like the structural index, on
+        the grammar's observer channel and invalidates per rule; its
+        eviction counters (``evicted_rules`` /
+        ``wholesale_invalidations`` / ``rules_censused``) are the
+        maintenance instrumentation ``benchmarks/bench_query.py``
+        asserts against.
+        """
+        if self._label_index is None:
+            self._label_index = LabelIndex(
+                self._index.grammar, register=self._observes)
+        return self._label_index
+
+    def select(self, path: str) -> List[int]:
+        """Element indices matching a label path, evaluated on the grammar.
+
+        ``path`` is a ``/a/b//c``-style expression (child + descendant
+        axes, ``*`` wildcard, optional 1-based positional predicates; see
+        :mod:`repro.query.parser`).  Descendant steps skip every
+        derivation subtree whose label census is zero in O(1), so
+        selective queries cost ``O(matches · depth · rule-width)`` instead
+        of the ``O(N)`` a decompress-then-walk pays.  The result is
+        sorted, duplicate-free, and lives in the same document-order
+        coordinate space as :meth:`rename`/:meth:`delete`/
+        :meth:`apply_batch` targets.
+        """
+        result = self._evaluate("select", engine_select, path)
+        self._m_query_matches.inc(len(result))
+        return result
+
+    def count(self, path: str) -> int:
+        """Number of elements a label path selects.
+
+        ``//label`` is answered in O(1) from the label index's start-rule
+        census; other shapes evaluate the path.
+        """
+        return self._evaluate("count", count_matches, path)
+
+    def _evaluate(self, kind: str, walk, path: str):
+        """Parse ``path``, run the engine's ``walk`` over it, and record
+        the stage timings and counters of a ``kind`` query."""
+        clock = time.perf_counter
+        started = clock()
+        parsed = parse_path(path)
+        self._m_query_stage["parse"].observe(clock() - started)
+        reset_prune_counter()
+        walk_started = clock()
+        result = walk(self._index, self.label_index, parsed)
+        self._m_query_stage["walk"].observe(clock() - walk_started)
+        self._m_queries_total[kind].inc()
+        self._m_query_pruned.inc(read_prune_counter())
+        return result
+
+    def subtree_xml(
+        self, element_index: int, indent: Optional[int] = None
+    ) -> str:
+        """Serialize one element's subtree by partial derivation.
+
+        Only the derivation window covering the element and its
+        descendants is expanded -- ``O(depth · rule-width + output)``,
+        never the whole document.
+        """
+        return serialize_xml(
+            extract_subtree(self._index, element_index), indent=indent
+        )
+
+    # ------------------------------------------------------------------
+    # serialization
+    # ------------------------------------------------------------------
+    def to_document(self, budget: int = 50_000_000) -> XmlNode:
+        """Decompress to a structure tree (guarded by a node budget)."""
+        from repro.grammar.derivation import expand
+
+        return decode_binary(expand(self._index.grammar, budget=budget))
+
+    def to_xml(self, indent: Optional[int] = None, budget: int = 50_000_000) -> str:
+        """Decompress and serialize to XML text."""
+        return serialize_xml(self.to_document(budget=budget), indent=indent)
+
+    def _document_state(self, grammar, shard_state, dirty_rules):
+        """The :class:`~repro.storage.snapshot.DocumentState` of this
+        surface over ``grammar`` (the live grammar, or a materialised
+        pinned epoch).  Forces the cacheable state for the whole
+        reachable grammar first, so the resulting snapshot restores
+        queries without recomputation."""
+        from repro.storage.snapshot import DocumentState, ShardState
+
+        shard = None
+        if shard_state is not None:
+            width, prefix, parents = shard_state
+            shard = ShardState(width=width, prefix=prefix,
+                               parents=dict(parents))
+        return DocumentState(
+            grammar=grammar,
+            kin=self._kin,
+            element_count=self.element_count,
+            baselined=self._baselined,
+            last_compressed_size=self._last_compressed_size,
+            dirty_rules=[
+                head for head in dirty_rules if grammar.has_rule(head)
+            ],
+            shard=shard,
+            segments=self._index.export_segments(),
+            label_counts=self.label_index.export_counts(),
+        )
+
+
+class CompressedXml(ReadSurface):
     """A grammar-compressed XML document supporting incremental updates.
 
     ``auto_recompress_factor``: when set to ``f``, any update that leaves
@@ -190,7 +403,6 @@ class CompressedXml:
         grammar: Grammar,
         kin: int = 4,
         auto_recompress_factor: Optional[float] = None,
-        incremental_recompress: bool = True,
         shard_width: Optional[int] = None,
         shard_merge_hysteresis: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -210,7 +422,6 @@ class CompressedXml:
         self._label_index: Optional[LabelIndex] = None
         self._kin = kin
         self._auto_factor = auto_recompress_factor
-        self._incremental = incremental_recompress
         # Rules mutated since the last recompression; recompress() scopes
         # its census to exactly this set (plus the digram frontier).
         self._dirty = RuleTouchRecorder()
@@ -422,8 +633,8 @@ class CompressedXml:
         single rule, and the label index adopts the censuses without
         re-censusing -- a reload answers counting, addressing, and label
         queries immediately.  ``kwargs`` may carry runtime policy
-        (``auto_recompress_factor``, ``incremental_recompress``); the
-        persisted facts (``kin``, shard width) come from the state.
+        (``auto_recompress_factor``, ``metrics``); the persisted facts
+        (``kin``, shard width) come from the state.
         """
         for fixed in ("kin", "shard_width"):
             if fixed in kwargs:
@@ -513,151 +724,6 @@ class CompressedXml:
     def element_count(self) -> int:
         """Number of elements, answered from the index's count tables."""
         return self._index.element_count
-
-    @property
-    def edge_count(self) -> int:
-        """Edges of the (unranked) document tree."""
-        return self.element_count - 1
-
-    @property
-    def compression_ratio(self) -> float:
-        """c-edges / #edges, as in Table III (1.0 for a lone root)."""
-        edges = self.edge_count
-        if edges == 0:
-            return 1.0
-        return self.compressed_size / edges
-
-    def tags(
-        self, start: Optional[int] = None, stop: Optional[int] = None
-    ) -> Iterator[str]:
-        """Element tags in document order, streamed without decompression.
-
-        Without arguments the whole document is streamed (O(N)).  With a
-        window -- ``tags(i, j)`` yields the tags of elements ``i..j-1`` --
-        the iterator rides :meth:`GrammarIndex.iter_element_symbols`:
-        subtrees before the window are skipped in O(1) via the cached
-        count tables, so a bulk read of a window costs
-        O(depth · rule-width + window) instead of streaming the whole
-        document to reach it.
-
-        Window contract (``itertools.islice``-like, *not* list slicing):
-        ``i >= j`` yields nothing, ``j > element_count`` (or ``None``)
-        clamps to the document's end, and a negative bound raises
-        ``IndexError`` -- under concurrent updates a from-the-end index
-        is ambiguous, so it is rejected rather than silently treated as
-        an empty (or wrapped) window.
-
-        The zero-argument form is the window ``(0, element_count)`` and
-        goes through the same indexed iterator -- one code path, and the
-        count tables it materializes are the ones every other query
-        reuses (the historical ``stream_preorder`` special case answered
-        from nothing but also warmed nothing).
-        """
-        for symbol in self._index.iter_element_symbols(
-            0 if start is None else start, stop
-        ):
-            yield symbol.name
-
-    def tag_of(self, element_index: int) -> str:
-        """Tag of the ``element_index``-th element (document order)."""
-        return self._index.tag_of(element_index)
-
-    # ------------------------------------------------------------------
-    # navigation (document axes over element indices, all O(depth))
-    # ------------------------------------------------------------------
-    def parent_of(self, element_index: int) -> Optional[int]:
-        """Element index of the parent; ``None`` for the root."""
-        return self._index.parent_of(element_index)
-
-    def depth_of(self, element_index: int) -> int:
-        """Document depth of an element (the root has depth 0)."""
-        return self._index.depth_of(element_index)
-
-    def first_child(self, element_index: int) -> Optional[int]:
-        """Element index of the first child; ``None`` for a leaf."""
-        return self._index.first_child(element_index)
-
-    def next_sibling(self, element_index: int) -> Optional[int]:
-        """Element index of the next sibling; ``None`` for a last child."""
-        return self._index.next_sibling(element_index)
-
-    def children(self, element_index: int) -> Iterator[int]:
-        """Element indices of the direct children, in document order."""
-        return self._index.children(element_index)
-
-    # ------------------------------------------------------------------
-    # queries (label paths evaluated on the grammar)
-    # ------------------------------------------------------------------
-    @property
-    def label_index(self) -> LabelIndex:
-        """The owned label-census index, created on first use.
-
-        Like the structural index it registers on the grammar's observer
-        channel and invalidates per rule; its eviction counters
-        (``evicted_rules`` / ``wholesale_invalidations`` /
-        ``rules_censused``) are the maintenance instrumentation
-        ``benchmarks/bench_query.py`` asserts against.
-        """
-        if self._label_index is None:
-            self._label_index = LabelIndex(self._grammar)
-        return self._label_index
-
-    def select(self, path: str) -> List[int]:
-        """Element indices matching a label path, evaluated on the grammar.
-
-        ``path`` is a ``/a/b//c``-style expression (child + descendant
-        axes, ``*`` wildcard, optional 1-based positional predicates; see
-        :mod:`repro.query.parser`).  Descendant steps skip every
-        derivation subtree whose label census is zero in O(1), so
-        selective queries cost ``O(matches · depth · rule-width)`` instead
-        of the ``O(N)`` a decompress-then-walk pays.  The result is
-        sorted, duplicate-free, and lives in the same document-order
-        coordinate space as :meth:`rename`/:meth:`delete`/
-        :meth:`apply_batch` targets.
-        """
-        clock = time.perf_counter
-        started = clock()
-        parsed = parse_path(path)
-        self._m_query_stage["parse"].observe(clock() - started)
-        reset_prune_counter()
-        walk_started = clock()
-        result = engine_select(self._index, self.label_index, parsed)
-        self._m_query_stage["walk"].observe(clock() - walk_started)
-        self._m_queries_total["select"].inc()
-        self._m_query_pruned.inc(read_prune_counter())
-        self._m_query_matches.inc(len(result))
-        return result
-
-    def count(self, path: str) -> int:
-        """Number of elements a label path selects.
-
-        ``//label`` is answered in O(1) from the label index's start-rule
-        census; other shapes evaluate the path.
-        """
-        clock = time.perf_counter
-        started = clock()
-        parsed = parse_path(path)
-        self._m_query_stage["parse"].observe(clock() - started)
-        reset_prune_counter()
-        walk_started = clock()
-        result = count_matches(self._index, self.label_index, parsed)
-        self._m_query_stage["walk"].observe(clock() - walk_started)
-        self._m_queries_total["count"].inc()
-        self._m_query_pruned.inc(read_prune_counter())
-        return result
-
-    def subtree_xml(
-        self, element_index: int, indent: Optional[int] = None
-    ) -> str:
-        """Serialize one element's subtree by partial derivation.
-
-        Only the derivation window covering the element and its
-        descendants is expanded -- ``O(depth · rule-width + output)``,
-        never the whole document.
-        """
-        return serialize_xml(
-            extract_subtree(self._index, element_index), indent=indent
-        )
 
     # ------------------------------------------------------------------
     # element-index addressing (all O(depth) via the grammar index)
@@ -771,16 +837,18 @@ class CompressedXml:
     # ------------------------------------------------------------------
     # snapshots (MVCC read isolation)
     # ------------------------------------------------------------------
-    def snapshot(self) -> SnapshotView:
+    def snapshot(self) -> "SnapshotView":
         """Pin the current epoch and return an immutable reader view.
 
-        The view answers the whole query/navigation/serialization
-        surface *as of now*, unaffected by any later update, batch,
-        reshard, or recompression -- see :class:`repro.view.SnapshotView`.
+        The view answers the whole :class:`ReadSurface` *as of now*,
+        unaffected by any later update, batch, reshard, or
+        recompression -- see :class:`repro.view.SnapshotView`.
         Close it (``with doc.snapshot() as view:``) to release the pin;
         the copy-on-write overlay backing the pinned epoch is reclaimed
         when its last view closes.
         """
+        from repro.view import SnapshotView
+
         with self._lock:
             return SnapshotView(self)
 
@@ -1025,10 +1093,8 @@ class CompressedXml:
         degrade the compression ratio.  A full (but still incrementally
         maintained) census costs one extra pass and keeps parity.
         """
-        if not (self._incremental and self._baselined):
+        if not self._baselined:
             return None  # recompress() applies its own first-run rule
-        from repro.trees.node import edge_count
-
         grammar = self._grammar
         dirty_edges = sum(
             edge_count(grammar.rules[head])
@@ -1050,9 +1116,8 @@ class CompressedXml:
         per-rule evictions fired through the observer channel while rules
         were rewritten are the only invalidation.  Pass ``full=True`` to
         force a whole-grammar census (the first run on a grammar that was
-        never compressed does this automatically, as does a document
-        constructed with ``incremental_recompress=False``, which also
-        restores the historical wholesale index reset).
+        never compressed does this automatically): same loop, same
+        per-rule evictions, only the census is wider.
 
         An explicit recompression is a whole-document barrier: it takes
         the shard spine gate exclusively, draining in-flight
@@ -1072,29 +1137,19 @@ class CompressedXml:
         # pristine body is preserved up front.
         self._grammar.preserve_all()
         if full is None:
-            full = not (self._incremental and self._baselined)
+            full = not self._baselined
         compressor = GrammarRePair(
-            kin=self._kin, incremental=self._incremental,
+            kin=self._kin,
             barriers=(self._shards.heads
                       if self._shards is not None else None),
         )
-        if full or not self._incremental:
-            self._grammar = compressor.compress(self._grammar, in_place=True)
-            if not self._incremental:
-                # The historical contract: a full recompression rewrites
-                # essentially every rule, so a wholesale reset beats
-                # replaying thousands of per-rule invalidations.
-                self._index.invalidate_all()
-                if self._label_index is not None:
-                    self._label_index.invalidate_all()
-            # Incremental mode relies on the per-rule observer evictions
-            # that fired while rules were rewritten, full census or not.
-        else:
-            dirty = set(self._dirty.changed)
-            self._grammar = compressor.compress(
-                self._grammar, in_place=True, dirty_rules=dirty
-            )
-            # No invalidate_all: untouched rules keep their cached tables.
+        # No invalidate_all, full census or not: the per-rule observer
+        # evictions that fire while rules are rewritten are the whole
+        # invalidation story, so untouched rules keep their tables.
+        compressor.compress(
+            self._grammar, in_place=True,
+            dirty_rules=None if full else set(self._dirty.changed),
+        )
         self.last_repair_stats = compressor.stats
         self._dirty.clear()
         self._baselined = True
@@ -1123,16 +1178,6 @@ class CompressedXml:
             self._shards.recompression_settled()
         self._reshard()
         return self._size.total
-
-    def to_document(self, budget: int = 50_000_000) -> XmlNode:
-        """Decompress to a structure tree (guarded by a node budget)."""
-        from repro.grammar.derivation import expand
-
-        return decode_binary(expand(self._grammar, budget=budget))
-
-    def to_xml(self, indent: Optional[int] = None, budget: int = 50_000_000) -> str:
-        """Decompress and serialize to XML text."""
-        return serialize_xml(self.to_document(budget=budget), indent=indent)
 
     def save_grammar(self, path: str, io=None) -> None:
         """Persist the grammar in the text format, crash-atomically.
@@ -1166,28 +1211,11 @@ class CompressedXml:
         """Everything a restart needs to resume *exactly*: the grammar,
         the shard hierarchy, the structural index's per-rule segments,
         the label index's per-rule censuses, and the recompression
-        baseline.  Forces the cacheable state for the whole reachable
-        grammar first, so the resulting snapshot restores queries
-        without recomputation (see :meth:`from_state`)."""
-        from repro.storage.snapshot import DocumentState, ShardState
-
-        shard = None
-        if self._shards is not None:
-            width, prefix, parents = self._shards.export_state()
-            shard = ShardState(width=width, prefix=prefix, parents=parents)
-        return DocumentState(
-            grammar=self._grammar,
-            kin=self._kin,
-            element_count=self.element_count,
-            baselined=self._baselined,
-            last_compressed_size=self._last_compressed_size,
-            dirty_rules=[
-                head for head in self._dirty.changed
-                if self._grammar.has_rule(head)
-            ],
-            shard=shard,
-            segments=self._index.export_segments(),
-            label_counts=self.label_index.export_counts(),
+        baseline (see :meth:`from_state`)."""
+        return self._document_state(
+            self._grammar,
+            self._shards.export_state() if self._shards is not None else None,
+            self._dirty.changed,
         )
 
     def save_snapshot(

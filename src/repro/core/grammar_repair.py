@@ -17,18 +17,18 @@ recompressor (Section V-C).
 
 Occurrence maintenance
 ----------------------
-By default (``incremental=True``) step 3 does **not** rerun the full
-census: a :class:`~repro.core.occurrence_index.GrammarOccurrenceIndex` is
-built with exactly one full-grammar pass and then, after every
-replacement, adapts the edited rules edge by edge (from the replacer's
-event log) and re-resolves only the generators a changed rule interface
-can reach -- a round costs O(edits + references into changed rules)
-instead of O(|G|).  ``compress(dirty_rules=...)`` narrows even the initial census
-to a set of dirty rules plus their digram frontier, which is what
+Step 3 does **not** rerun the census: a
+:class:`~repro.core.occurrence_index.GrammarOccurrenceIndex` is built
+with exactly one full-grammar pass and then, after every replacement,
+adapts the edited rules edge by edge (from the replacer's event log) and
+re-resolves only the generators a changed rule interface can reach -- a
+round costs O(edits + references into changed rules) instead of O(|G|).
+``compress(dirty_rules=...)`` narrows even the initial census to a set of
+dirty rules plus their digram frontier, which is what
 :meth:`repro.api.CompressedXml.recompress` uses to recompress only the
-part of the grammar mutated since its last run.  ``incremental=False``
-keeps the historical per-round full-rescan loop as a reference (and as
-the benchmark baseline).
+part of the grammar mutated since its last run.
+:func:`~repro.core.retrieve.retrieve_occurrences` (the from-scratch
+RETRIEVEOCCS census) stays as the oracle the index is checked against.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from typing import Callable, Iterable, List, Optional, Set
 from repro.core.occurrence_index import GrammarOccurrenceIndex
 from repro.core.replace_optimized import replace_all_occurrences_optimized
 from repro.core.replace_simple import replace_all_occurrences_simple
-from repro.core.retrieve import retrieve_occurrences
-from repro.grammar.properties import collect_garbage
 from repro.grammar.slcf import Grammar
 from repro.repair.digram import Digram, digram_pattern
 from repro.repair.pruning import prune_grammar
@@ -63,9 +61,9 @@ class GrammarRePairStats:
     ``full_censuses`` counts full-grammar occurrence censuses;
     ``census_trace[i]`` is the number of rules censused by round ``i``
     (entry 0 is the initial build) and ``rule_count_trace[i]`` the number
-    of grammar rules at that moment.  The incremental path performs
-    exactly one full census per run; the rescan path one per round.
-    ``seed_rule_count`` is set when the census was dirty-rule-scoped.
+    of grammar rules at that moment.  A run performs at most one full
+    census; ``seed_rule_count`` is set when it was dirty-rule-scoped
+    instead.
     """
 
     rounds: int = 0
@@ -92,12 +90,11 @@ class GrammarRePairStats:
     seed_rule_count: Optional[int] = None
     #: Wall time spent maintaining occurrence counts: census/build, digram
     #: selection and per-round count upkeep (incl. garbage detection) --
-    #: the component this PR's occurrence index replaces.  Replacement and
-    #: pruning time is excluded (identical machinery on both paths).
+    #: the occurrence index's share.  Replacement and pruning time is
+    #: excluded.
     maintenance_seconds: float = 0.0
-    #: Stage wall times of the run: the occurrence census (the one full
-    #: build in incremental mode, every RETRIEVEOCCS pass in rescan
-    #: mode), the replacement rounds (everything between census and
+    #: Stage wall times of the run: the occurrence census (the index
+    #: build), the replacement rounds (everything between census and
     #: prune), and the pruning phase.
     census_seconds: float = 0.0
     rounds_seconds: float = 0.0
@@ -148,15 +145,10 @@ class GrammarRePair:
         instead of plain DependencyDAG inlining (Algorithm 5).  The
         non-optimized variant is exponentially worse on some inputs
         (Figure 3) but useful as a reference.
-    incremental:
-        Maintain occurrence counts incrementally across rounds with a
-        :class:`~repro.core.occurrence_index.GrammarOccurrenceIndex`
-        (one full census per run) instead of re-running RETRIEVEOCCS
-        every round (the historical behavior, kept as the baseline).
     rule_prefix / export_prefix:
         Name prefixes for digram rules and exported fragment rules.
     round_hook:
-        Test/diagnostics callback invoked after every incremental round
+        Test/diagnostics callback invoked after every round
         with ``(grammar, occurrence_index, opaque)``.
     barriers:
         Spine shard heads (see :class:`repro.grammar.sharding.ShardManager`).
@@ -171,7 +163,6 @@ class GrammarRePair:
         kin: int = DEFAULT_KIN,
         prune: bool = True,
         optimized: bool = True,
-        incremental: bool = True,
         rule_prefix: str = "X",
         export_prefix: str = "F",
         round_hook: Optional[Callable] = None,
@@ -180,16 +171,11 @@ class GrammarRePair:
         self.kin = kin
         self.prune = prune
         self.optimized = optimized
-        self.incremental = incremental
         self.rule_prefix = rule_prefix
         self.export_prefix = export_prefix
         self.round_hook = round_hook
         self.barriers: Set[Symbol] = set(barriers) if barriers else set()
         self.stats = GrammarRePairStats()
-        # Structure maps captured from the occurrence index right before
-        # it detaches: lets the pruning phase run without whole-grammar
-        # walks (reference counts, referencers, sizes, anti-SL order).
-        self._prune_hints: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     def compress(
@@ -201,38 +187,26 @@ class GrammarRePair:
         """Recompress ``grammar``; returns the new grammar.
 
         With ``in_place=False`` (default) the input grammar is left
-        untouched.  ``dirty_rules`` (incremental mode only) scopes the
-        initial census to the given rules plus their digram frontier --
-        rules untouched since the last compression keep their digrams
-        as they are.
+        untouched.  ``dirty_rules`` scopes the initial census to the
+        given rules plus their digram frontier -- rules untouched since
+        the last compression keep their digrams as they are.
         """
         working = grammar if in_place else grammar.copy()
         stats = self.stats = GrammarRePairStats()
         stats.initial_size = working.size
         stats.max_intermediate_size = stats.initial_size
         stats.size_trace.append(stats.initial_size)
-        self._prune_hints = None
 
         loop_started = time.perf_counter()
-        if self.incremental:
-            self._compress_incremental(working, stats, dirty_rules)
-        else:
-            self._compress_full_rescan(working, stats)
+        prune_hints = self._run_rounds(working, stats, dirty_rules)
         loop_elapsed = time.perf_counter() - loop_started
         stats.rounds_seconds = max(0.0, loop_elapsed - stats.census_seconds)
 
         if self.prune:
             prune_started = time.perf_counter()
-            if self._prune_hints is not None:
-                counts, order, referencers, sizes = self._prune_hints
-                stats.rules_pruned = prune_grammar(
-                    working, protected=self.barriers, counts=counts,
-                    order=order, referencers=referencers, sizes=sizes,
-                )
-            else:
-                stats.rules_pruned = prune_grammar(
-                    working, protected=self.barriers
-                )
+            stats.rules_pruned = prune_grammar(
+                working, protected=self.barriers, **prune_hints
+            )
             stats.prune_seconds = time.perf_counter() - prune_started
         stats.final_size = working.size
         stats.size_trace.append(stats.final_size)
@@ -248,29 +222,34 @@ class GrammarRePair:
         replacement: Symbol,
         occurrences,
         opaque: Set[Symbol],
-        touched: Optional[Set[Symbol]] = None,
-        ref_counts: Optional[dict] = None,
-        rule_order: Optional[List[Symbol]] = None,
-        clean_edits: Optional[dict] = None,
+        ref_counts: dict,
+        rule_order: List[Symbol],
+        clean_edits: dict,
     ) -> int:
         if self.optimized:
             return replace_all_occurrences_optimized(
                 working, digram, replacement, occurrences, opaque,
-                export_prefix=self.export_prefix, touched=touched,
+                export_prefix=self.export_prefix,
                 ref_counts=ref_counts, rule_order=rule_order,
                 clean_edits=clean_edits,
             )
         return replace_all_occurrences_simple(
-            working, digram, replacement, occurrences, touched=touched
+            working, digram, replacement, occurrences
         )
 
-    def _compress_incremental(
+    def _run_rounds(
         self,
         working: Grammar,
         stats: GrammarRePairStats,
         dirty_rules: Optional[Iterable[Symbol]],
-    ) -> None:
-        """One full census, then touched-rules-only maintenance."""
+    ) -> dict:
+        """One census, then touched-rules-only maintenance per round.
+
+        Returns the structure maps the occurrence index maintained
+        (reference counts, anti-SL order, referencers, sizes) as
+        ``prune_grammar`` keywords, so the pruning phase runs without a
+        single whole-grammar setup walk.
+        """
         opaque: Set[Symbol] = set()
         index = GrammarOccurrenceIndex(
             working, opaque, barriers=self.barriers
@@ -348,6 +327,12 @@ class GrammarRePair:
                     stats.max_intermediate_size = size
                 if self.round_hook is not None:
                     self.round_hook(working, index, opaque)
+            return dict(
+                counts=dict(index.reference_counts_live()),
+                order=index.anti_sl_order_live(),
+                referencers=index.referencers_live(),
+                sizes=index.rule_edges_live(),
+            )
         finally:
             stats.census_trace = list(index.census_trace)
             stats.rule_count_trace = list(index.rule_count_trace)
@@ -355,68 +340,7 @@ class GrammarRePair:
             stats.rules_adapted = index.rules_adapted
             stats.rules_partially_rescanned = index.rules_partially_rescanned
             stats.generators_resolved = index.generators_resolved
-            # Hand the maintained structure maps to the pruning phase so
-            # it runs without a single whole-grammar setup walk (the
-            # ROADMAP "fold pruning into the occurrence index" item).
-            self._prune_hints = (
-                dict(index.reference_counts_live()),
-                index.anti_sl_order_live(),
-                index.referencers_live(),
-                index.rule_edges_live(),
-            )
             index.detach()
-
-    def _compress_full_rescan(
-        self, working: Grammar, stats: GrammarRePairStats
-    ) -> None:
-        """The historical loop: a full RETRIEVEOCCS census per round."""
-        opaque: Set[Symbol] = set()
-        dead_digrams: Set[Digram] = set()
-        clock = time.perf_counter
-        while True:
-            started = clock()
-            table = retrieve_occurrences(
-                working, opaque, barriers=self.barriers
-            )
-            stats.census_seconds += clock() - started
-            stats.full_censuses += 1
-            census_count = sum(
-                1 for head in working.rules if head not in opaque
-            )
-            stats.census_trace.append(census_count)
-            stats.rule_count_trace.append(len(working.rules))
-            stats.rules_censused += census_count
-            best = table.best(self.kin, skip=dead_digrams)
-            stats.maintenance_seconds += clock() - started
-            if best is None:
-                break
-            digram, _weight = best
-            occurrences = table.occurrences(digram)
-            replacement = working.alphabet.fresh_nonterminal(
-                digram.rank, self.rule_prefix
-            )
-            working.set_rule(replacement, digram_pattern(digram))
-            opaque.add(replacement)
-            replaced = self._replace(
-                working, digram, replacement, occurrences, opaque
-            )
-            if replaced == 0:
-                # Defensive: never loop on an irreplaceable digram.  The
-                # fresh rule is dropped again by garbage collection.
-                working.remove_rule(replacement)
-                opaque.discard(replacement)
-                dead_digrams.add(digram)
-                continue
-            started = clock()
-            collect_garbage(working)
-            stats.maintenance_seconds += clock() - started
-            stats.rounds += 1
-            stats.rules_created += 1
-            stats.replacements += replaced
-            size = working.size
-            stats.size_trace.append(size)
-            if size > stats.max_intermediate_size:
-                stats.max_intermediate_size = size
 
     # ------------------------------------------------------------------
     def compress_tree(
@@ -442,9 +366,8 @@ def grammar_repair(
     kin: int = DEFAULT_KIN,
     prune: bool = True,
     optimized: bool = True,
-    incremental: bool = True,
 ) -> Grammar:
     """Convenience wrapper with default settings."""
     return GrammarRePair(
-        kin=kin, prune=prune, optimized=optimized, incremental=incremental
+        kin=kin, prune=prune, optimized=optimized
     ).compress(grammar)

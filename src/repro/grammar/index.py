@@ -443,7 +443,8 @@ class GrammarIndex:
             stack.extend(dependents.pop(current, ()))
 
     def invalidate_all(self) -> None:
-        """Drop every cache entry (e.g. after a full recompression run)."""
+        """Drop every cache entry (scrub's repair of last resort; no
+        update or recompression path calls it)."""
         self._node_segments.clear()
         self._elem_segments.clear()
         self._dependents.clear()
@@ -696,7 +697,7 @@ class GrammarIndex:
             position, pack, pos, env, steps, parent, depth = cached
             return position, pack, pos, env, list(steps), parent, depth
         located = kernel_locate_element(
-            self, self._kernel, element_index, track_axes
+            self._kernel, element_index, track_axes
         )
         position, pack, pos, env, steps, parent, depth = located
         if len(self._locations) >= 4096:
@@ -732,7 +733,7 @@ class GrammarIndex:
         total = self.element_count
         if stop is None or stop > total:
             stop = total
-        return kernel_iter_element_symbols(self, self._kernel, start, stop)
+        return kernel_iter_element_symbols(self._kernel, start, stop)
 
     def resolve_element(
         self, element_index: int
@@ -763,7 +764,7 @@ class GrammarIndex:
                 f"preorder index {position} out of range for a tree of "
                 f"{total} nodes"
             )
-        return kernel_resolve_preorder(self, self._kernel, position)
+        return kernel_resolve_preorder(self._kernel, position)
 
     def tag_of(self, element_index: int) -> str:
         """Label of the ``element_index``-th element (document order)."""

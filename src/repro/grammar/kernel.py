@@ -23,8 +23,8 @@ and list reads:
 * :class:`GrammarKernel` -- the per-index pack cache: packs are built
   lazily per rule, spliced at the write point by local writes, evicted
   per rule by everything else (``set_rule``/``remove_rule``/non-local
-  rewrites cascade through ``GrammarIndex._evict``), never wholesale on
-  the incremental path,
+  rewrites cascade through ``GrammarIndex._evict``), never wholesale by
+  an update or a recompression,
 * the kernel walk functions the index/query/navigation layers dispatch to
   (:func:`kernel_locate_element`, :func:`kernel_resolve_preorder`,
   :func:`kernel_iter_element_symbols`, :func:`kernel_stream_preorder`,
@@ -173,13 +173,13 @@ class RulePack:
     * ``node_objs[i]`` / ``sym_objs[i]`` / ``sym_names[i]`` -- the live
       ``Node``, its ``Symbol``, and the symbol's name, so kernel descents
       return live objects (the update layer replays ``PathStep.node``),
-    * ``steps_enter[i]`` / ``steps_target[i]`` -- one shared, immutable
-      :class:`PathStep` per position (``enters_rule`` true at nonterminal
-      positions, false at terminals; ``None`` elsewhere).  Consumers only
-      ever read ``.node`` / ``.enters_rule``, so every descent through a
-      position can return the same step object instead of allocating one.
+    * ``steps[i]`` -- one shared, immutable :class:`PathStep` per
+      position (``enters_rule`` true at nonterminal positions, false at
+      terminals; ``None`` at parameters).  Consumers only ever read
+      ``.node`` / ``.enters_rule``, so every descent through a position
+      can return the same step object instead of allocating one.
 
-    All twelve are plain lists.  A pack is built once, *spliced* by local
+    All eleven are plain lists.  A pack is built once, *spliced* by local
     writes (:meth:`~repro.grammar.index.GrammarIndex.rule_spliced`
     exchanges the entries of the nodes that went for those of the nodes
     that came and patches the ancestors' sizes -- no entry holds an
@@ -193,16 +193,16 @@ class RulePack:
     the successor); ``node_segs`` / ``elem_segs`` alias the index's
     segment lists of this rule, which writes patch in place.
 
-    ``walk`` is the tuple of the twelve columns in the order above (a
+    ``walk`` is the tuple of the eleven columns in the order above (a
     pack switch inside a walk is one attribute load plus one unpack);
     ``walk_nodes`` is the node-count descent's subset ``(kind, sym,
-    rank, span, nnodes, params, sym_objs, steps_enter, steps_target)``.
+    rank, span, nnodes, params, sym_objs, steps)``.
     """
 
     __slots__ = (
         "head", "kind", "sym", "rank", "span",
         "nnodes", "nelems", "params", "node_objs", "sym_objs", "sym_names",
-        "steps_enter", "steps_target", "calls", "node_segs", "elem_segs",
+        "steps", "calls", "node_segs", "elem_segs",
         "_label_arrays", "hop_segs", "walk", "walk_nodes",
     )
 
@@ -211,11 +211,11 @@ class RulePack:
         self.head = head
         (self.kind, self.sym, self.rank, self.span, self.nnodes,
          self.nelems, self.params, self.node_objs, self.sym_objs,
-         self.sym_names, self.steps_enter, self.steps_target) = columns
+         self.sym_names, self.steps) = columns
         self.walk = columns
         self.walk_nodes = (
             self.kind, self.sym, self.rank, self.span, self.nnodes,
-            self.params, self.sym_objs, self.steps_enter, self.steps_target,
+            self.params, self.sym_objs, self.steps,
         )
         self.calls = calls
         #: per-label match-count arrays for the query walk, versioned by
@@ -255,14 +255,7 @@ class RulePack:
         """Per-position ``label`` occurrence counts (census substrate of
         the kernel query walk), aligned with the other columns.  Returns
         the boxed list mirror; the packed array backs ``nbytes``."""
-        ntab = lindex.node_table(self.head, label)
-        cached = self._label_arrays.get(label)
-        if cached is not None and cached[0] is ntab:
-            return cached[2]
-        arr = array("l", [ntab[id(node)][0] for node in self.node_objs])
-        counts = arr.tolist()
-        self._label_arrays[label] = (ntab, arr, counts, {})
-        return counts
+        return self.label_hop(lindex, label)[0]
 
     def label_hop(self, lindex: "LabelIndex", label: str) -> Tuple[list, dict]:
         """``(counts, hop-body memo)`` for ``label`` -- the walk-entry
@@ -282,7 +275,7 @@ class RulePack:
 
 
 #: The label entries of a carried subtree's stand-in (never read).
-_STAND_IN = (KIND_BOTTOM, 0, 0, None, None, "", None, None)
+_STAND_IN = (KIND_BOTTOM, 0, 0, None, None, "", None)
 
 
 def flatten(root, symbols: SymbolTable,
@@ -319,18 +312,18 @@ def flatten(root, symbols: SymbolTable,
         if inf is None:
             inf = symbols.describe(symbol)
         k, code, r, name = inf
-        enter = target = None
+        step = None
         if k <= KIND_ELEMENT:
-            target = PathStep(node, False)
+            step = PathStep(node, False)
         elif k == KIND_NONTERMINAL:
-            enter = PathStep(node, True)
+            step = PathStep(node, True)
             calls[symbol] = calls.get(symbol, 0) + 1
         fresh.append(len(rows))
-        rows.append((k, code, r, node, symbol, name, enter, target))
+        rows.append((k, code, r, node, symbol, name, step))
         if r:
             stack.extend(reversed(node.children))
-    (kind, sym, rank, node_objs, sym_objs, sym_names, steps_enter,
-     steps_target) = map(list, zip(*rows))
+    (kind, sym, rank, node_objs, sym_objs, sym_names,
+     steps) = map(list, zip(*rows))
     n = len(rows)
     span = [1] * n
     nnodes = [0] * n
@@ -342,7 +335,7 @@ def flatten(root, symbols: SymbolTable,
         nelems[entry] = old[5][start]
         params[entry] = old[6][start]
     columns = (kind, sym, rank, span, nnodes, nelems, params, node_objs,
-               sym_objs, sym_names, steps_enter, steps_target)
+               sym_objs, sym_names, steps)
     return columns, fresh, carried, calls
 
 
@@ -359,7 +352,7 @@ def measure(columns: tuple, fresh: List[int],
     tables, which must hold every callee.
     """
     (kind, sym, rank, span, nnodes, nelems, params, _nodes, sym_objs,
-     _names, _enter, _target) = columns
+     _names, _steps) = columns
     stride = [1] * len(kind)
     totals: Dict[Symbol, Tuple[int, int]] = {}
     for i in reversed(fresh):
@@ -468,8 +461,9 @@ class GrammarKernel:
         return pack
 
     def invalidate_all(self) -> None:
-        """Wholesale reset -- must never fire on the incremental path
-        (the bench gates assert the counter stays 0)."""
+        """Wholesale reset -- scrub's repair of last resort; no update
+        or recompression fires it (the bench gates assert the counter
+        stays 0)."""
         if self._packs:
             self._packs.clear()
         self.wholesale_invalidations += 1
@@ -532,7 +526,6 @@ class GrammarKernel:
 
 
 def kernel_locate_element(
-    index: "GrammarIndex",
     kernel: GrammarKernel,
     element_index: int,
     track_axes: bool,
@@ -541,9 +534,9 @@ def kernel_locate_element(
     documents the result tuple and the ``track_axes`` contract and
     pre-checks the bounds)."""
     packs = kernel._packs
-    pack = kernel.pack(index.grammar.start)
+    pack = kernel.pack(kernel._index.grammar.start)
     (kind, sym, rank, span, nnodes, nelems, params, _nodes, sym_objs,
-     _names, steps_enter, steps_target) = pack.walk
+     _names, step_at) = pack.walk
     pos = 0
     env: Tuple = ()
     remaining = element_index
@@ -557,7 +550,7 @@ def kernel_locate_element(
         if k <= 1:  # terminal
             if k == 1:
                 if remaining == 0:
-                    steps.append(steps_target[pos])
+                    steps.append(step_at[pos])
                     return position, pack, pos, env, steps, parent, depth
                 remaining -= 1
                 position += 1
@@ -615,7 +608,7 @@ def kernel_locate_element(
             pos = b[4]
             env = b[2]
             (kind, sym, rank, span, nnodes, nelems, params, _nodes,
-             sym_objs, _names, steps_enter, steps_target) = pack.walk
+             sym_objs, _names, step_at) = pack.walk
             continue
 
         # Nonterminal application: its virtual preorder interleaves the
@@ -662,7 +655,7 @@ def kernel_locate_element(
             if descend_to >= 0:
                 pos = descend_to
                 continue
-        steps.append(steps_enter[pos])
+        steps.append(step_at[pos])
         if r:
             outer_env = env
             child = pos + 1
@@ -695,11 +688,10 @@ def kernel_locate_element(
         pack = callee
         pos = 0
         (kind, sym, rank, span, nnodes, nelems, params, _nodes,
-         sym_objs, _names, steps_enter, steps_target) = pack.walk
+         sym_objs, _names, step_at) = pack.walk
 
 
 def kernel_resolve_preorder(
-    index: "GrammarIndex",
     kernel: GrammarKernel,
     target: int,
 ) -> List[PathStep]:
@@ -718,9 +710,9 @@ def kernel_resolve_preorder(
     needs computing.
     """
     packs = kernel._packs
-    pack = kernel.pack(index.grammar.start)
+    pack = kernel.pack(kernel._index.grammar.start)
     (kind, sym, rank, span, nnodes, params, sym_objs,
-     steps_enter, steps_target) = pack.walk_nodes
+     step_at) = pack.walk_nodes
     pos = 0
     env: Tuple = ()
     remaining = target
@@ -730,7 +722,7 @@ def kernel_resolve_preorder(
         k = kind[pos]
         if k <= 1:  # terminal
             if remaining == 0:
-                steps.append(steps_target[pos])
+                steps.append(step_at[pos])
                 return steps
             remaining -= 1  # the terminal itself
             r = rank[pos]
@@ -766,7 +758,7 @@ def kernel_resolve_preorder(
             env = b[1]
             pack = b[2]
             (kind, sym, rank, span, nnodes, params, sym_objs,
-             steps_enter, steps_target) = pack.walk_nodes
+             step_at) = pack.walk_nodes
             continue
 
         # Nonterminal application (virtual preorder: seg0, arg1, seg1,
@@ -791,7 +783,7 @@ def kernel_resolve_preorder(
                 remaining -= preceding
                 pos = child
                 continue
-            steps.append(steps_enter[pos])
+            steps.append(step_at[pos])
             env = ((cn, env, pack, child),)
         elif r:
             callee_nodes = callee.node_segs
@@ -815,7 +807,7 @@ def kernel_resolve_preorder(
             if descend_to >= 0:
                 pos = descend_to
                 continue
-            steps.append(steps_enter[pos])
+            steps.append(step_at[pos])
             outer_env = env
             bindings = []
             child = pos + 1
@@ -829,16 +821,15 @@ def kernel_resolve_preorder(
                 child += span[child]
             env = tuple(bindings)
         else:
-            steps.append(steps_enter[pos])
+            steps.append(step_at[pos])
             env = ()
         pack = callee
         pos = 0
         (kind, sym, rank, span, nnodes, params, sym_objs,
-         steps_enter, steps_target) = pack.walk_nodes
+         step_at) = pack.walk_nodes
 
 
 def kernel_iter_element_symbols(
-    index: "GrammarIndex",
     kernel: GrammarKernel,
     start: int,
     stop: int,
@@ -851,7 +842,7 @@ def kernel_iter_element_symbols(
     to_skip = start
     to_yield = stop - start
     packs = kernel._packs
-    root = kernel.pack(index.grammar.start)
+    root = kernel.pack(kernel._index.grammar.start)
     # Stack items: (pack, pos, env); env entries are the 5-tuple
     # bindings.  Consecutive items overwhelmingly share a pack (children
     # are pushed together), so the unpacked columns are cached across
@@ -863,7 +854,7 @@ def kernel_iter_element_symbols(
         if pack is not cur:
             cur = pack
             (kind, sym, rank, span, nnodes, nelems, params, _nodes,
-             sym_objs, _names, _enter, _target) = pack.walk
+             sym_objs, _names, _steps) = pack.walk
         k = kind[pos]
         if k == 3:
             b = env[sym[pos] - 1]
@@ -934,16 +925,15 @@ def kernel_stream_preorder(kernel: GrammarKernel) -> Iterator[Symbol]:
     (whole-document terminal symbol stream; feeds ``extract_subtree``'s
     root shortcut).  Environments are light (pack, pos, env) closures --
     no counts are needed when nothing is skipped."""
-    index = kernel._index
     packs = kernel._packs
-    stack = [(kernel.pack(index.grammar.start), 0, ())]
+    stack = [(kernel.pack(kernel._index.grammar.start), 0, ())]
     cur = None
     while stack:
         pack, pos, env = stack.pop()
         if pack is not cur:
             cur = pack
             (kind, sym, rank, span, _nn, _ne, _pp, _no, sym_objs,
-             _names, _enter, _target) = pack.walk
+             _names, _steps) = pack.walk
         k = kind[pos]
         if k == 3:
             stack.append(env[sym[pos] - 1])
@@ -998,7 +988,7 @@ def kernel_stream_elements(
         if pack is not cur:
             cur = pack
             (kind, sym, rank, span, _nn, _ne, _pp, _no, sym_objs,
-             sym_names, _enter, _target) = pack.walk
+             sym_names, _steps) = pack.walk
         k = kind[pos]
         if k == 3:
             b = env[sym[pos] - 1]

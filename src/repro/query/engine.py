@@ -130,7 +130,7 @@ def iter_matching_elements(
                     continue
                 cur = pack
                 (kind, sym, rank, span, _nn, nelems, all_params, _no,
-                 sym_objs, sym_names, _enter, _target) = pack.walk
+                 sym_objs, sym_names, _steps) = pack.walk
                 hop_segs = pack.hop_segs
                 if label is not None:
                     bodies = bodies_of.get(pack)
@@ -299,7 +299,7 @@ def _iter_window_symbols(
         if pack is not cur:
             cur = pack
             (kind, sym, rank, span, nnodes, _ne, all_params, _no,
-             sym_objs, _names, _enter, _target) = pack.walk
+             sym_objs, _names, _steps) = pack.walk
         k = kind[pos]
         if k == 3:
             b = env[sym[pos] - 1]

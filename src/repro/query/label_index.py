@@ -24,8 +24,8 @@ census computed from it* (the transitive dependents along the call DAG);
 recomputation is lazy and bottom-up on the next query.  An isolated
 update therefore costs the label index one start-rule eviction and one
 ``O(|start RHS| + alphabet)`` lazy recompute -- the maintenance story the
-``bench_query`` eviction-counter assertions pin: incremental
-recompression must *not* wholesale-invalidate this index.
+``bench_query`` eviction-counter assertions pin: recompression must
+*not* wholesale-invalidate this index.
 
 Per-label node tables are built only for labels a query actually asks
 about, so the memory footprint follows the query workload, not the
@@ -114,7 +114,7 @@ class LabelIndex:
             stack.extend(self._dependents.pop(current, ()))
 
     def invalidate_all(self) -> None:
-        """Drop every cache entry (the non-incremental reset path)."""
+        """Drop every cache entry (scrub's repair of last resort)."""
         self._rule_counts.clear()
         self._node_tables.clear()
         self._tabled_labels.clear()

@@ -2,11 +2,11 @@
 
 :meth:`repro.api.CompressedXml.snapshot` pins the grammar's current
 epoch (:meth:`repro.grammar.slcf.Grammar.pin`) and hands back a
-:class:`SnapshotView`: a read-only document facade whose every query --
-``select``, ``count``, ``tags``, ``subtree_xml``, the navigation axes,
-``to_xml`` -- evaluates against the grammar *as of the pin*, no matter
-how many updates, batches, reshards, or recompressions writers commit
-afterwards.
+:class:`SnapshotView`: the document's own read surface
+(:class:`repro.api.ReadSurface` -- ``select``, ``count``, ``tags``,
+``subtree_xml``, the navigation axes, ``to_xml``) instantiated over the
+grammar *as of the pin*, no matter how many updates, batches, reshards,
+or recompressions writers commit afterwards.
 
 The view never touches a live mutable rule body.  It resolves rules
 through :meth:`Grammar.rule_at`, which serves either the copy-on-write
@@ -26,17 +26,13 @@ epoch's overlay be reclaimed.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, TYPE_CHECKING
+from typing import Iterator, List, TYPE_CHECKING
 
+from repro.api import ReadSurface
 from repro.grammar.index import GrammarIndex
 from repro.grammar.slcf import Grammar, GrammarError
-from repro.query.engine import count_matches, extract_subtree
-from repro.query.engine import select as engine_select
-from repro.query.label_index import LabelIndex
-from repro.trees.binary import decode_binary
 from repro.trees.node import Node
 from repro.trees.symbols import Symbol
-from repro.trees.xml_io import serialize_xml
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api import CompressedXml
@@ -91,9 +87,9 @@ class _FrozenGrammar:
 
     Provides exactly the surface the read path uses -- ``rhs``,
     ``has_rule``, ``start``, ``alphabet``, the ``rules`` mapping,
-    iteration -- plus no-op observer registration so index classes can
-    be constructed against it.  Anything that would mutate is absent by
-    design.
+    iteration.  Anything that would mutate or observe is absent by
+    design: index classes are constructed against it with
+    ``register=False``.
     """
 
     __slots__ = ("_grammar", "_epoch", "alphabet", "start", "rules")
@@ -120,39 +116,39 @@ class _FrozenGrammar:
     def __iter__(self):
         return iter(self.rules.items())
 
-    def register_observer(self, observer: object) -> None:
-        """No-op: a frozen epoch never changes, so there is nothing to
-        observe (views build their indexes with ``register=False``
-        anyway)."""
 
-    def unregister_observer(self, observer: object) -> None:
-        """No-op, see :meth:`register_observer`."""
-
-
-class SnapshotView:
+class SnapshotView(ReadSurface):
     """An immutable view of a :class:`~repro.api.CompressedXml` at the
     epoch that was current when :meth:`~repro.api.CompressedXml.snapshot`
     was called.
 
-    Read-only counterpart of the document facade: the query, navigation,
-    and serialization surface is identical, and every answer reflects
-    the pinned state.  Close the view (``with doc.snapshot() as view:``)
-    to release the pin.
+    The same read surface as the document -- the methods *are* the
+    document's, see :class:`~repro.api.ReadSurface` -- over the frozen
+    epoch: every answer reflects the pinned state, and queries feed the
+    document's metrics.  Close the view (``with doc.snapshot() as
+    view:``) to release the pin; every read of a closed view raises
+    ``ValueError``.
     """
+
+    _observes = False
 
     def __init__(self, doc: "CompressedXml") -> None:
         # Constructed by CompressedXml.snapshot() under the document
         # write lock: nothing can mutate between reading the counters
         # below and pinning the epoch, so they all describe one state.
-        grammar = doc.grammar
-        self._grammar = grammar
+        grammar = self._pinned = doc.grammar
         self.epoch = grammar.pin()
-        self._frozen = _FrozenGrammar(grammar, self.epoch)
         # The view's private index (and kernel): packs over the frozen
         # private bodies can never be invalidated, the flat-table analog
         # of the pinned copy-on-write rule tables.
-        self._index = GrammarIndex(self._frozen, register=False)
-        self._label_index: Optional[LabelIndex] = None
+        self._open_index = GrammarIndex(
+            _FrozenGrammar(grammar, self.epoch), register=False)
+        self._label_index = None
+        # Queries through the view feed the document's instruments.
+        self._m_query_stage = doc._m_query_stage
+        self._m_queries_total = doc._m_queries_total
+        self._m_query_pruned = doc._m_query_pruned
+        self._m_query_matches = doc._m_query_matches
         self._kin = doc._kin
         self._element_count = doc.element_count
         self._compressed_size = doc.compressed_size
@@ -172,7 +168,7 @@ class SnapshotView:
         overlay is reclaimed when its last view closes."""
         if not self._closed:
             self._closed = True
-            self._grammar.unpin(self.epoch)
+            self._pinned.unpin(self.epoch)
 
     @property
     def closed(self) -> bool:
@@ -190,109 +186,24 @@ class SnapshotView:
         except Exception:
             pass
 
-    def _require_open(self) -> None:
+    @property
+    def _index(self) -> GrammarIndex:
+        """The closed check, once: every read of the shared surface
+        starts at the index (or at its ``grammar``, the frozen epoch)."""
         if self._closed:
             raise ValueError("snapshot view is closed")
+        return self._open_index
 
     # ------------------------------------------------------------------
-    # inspection
+    # the counters captured at the pin
     # ------------------------------------------------------------------
     @property
     def element_count(self) -> int:
         return self._element_count
 
     @property
-    def edge_count(self) -> int:
-        return self._element_count - 1
-
-    @property
     def compressed_size(self) -> int:
         return self._compressed_size
-
-    @property
-    def compression_ratio(self) -> float:
-        edges = self.edge_count
-        if edges == 0:
-            return 1.0
-        return self._compressed_size / edges
-
-    def tags(
-        self, start: Optional[int] = None, stop: Optional[int] = None
-    ) -> Iterator[str]:
-        """Element tags in document order, as of the pinned epoch."""
-        self._require_open()
-        for symbol in self._index.iter_element_symbols(
-            0 if start is None else start, stop
-        ):
-            yield symbol.name
-
-    def tag_of(self, element_index: int) -> str:
-        self._require_open()
-        return self._index.tag_of(element_index)
-
-    # ------------------------------------------------------------------
-    # navigation axes
-    # ------------------------------------------------------------------
-    def parent_of(self, element_index: int) -> Optional[int]:
-        self._require_open()
-        return self._index.parent_of(element_index)
-
-    def depth_of(self, element_index: int) -> int:
-        self._require_open()
-        return self._index.depth_of(element_index)
-
-    def first_child(self, element_index: int) -> Optional[int]:
-        self._require_open()
-        return self._index.first_child(element_index)
-
-    def next_sibling(self, element_index: int) -> Optional[int]:
-        self._require_open()
-        return self._index.next_sibling(element_index)
-
-    def children(self, element_index: int) -> Iterator[int]:
-        self._require_open()
-        return self._index.children(element_index)
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    @property
-    def label_index(self) -> LabelIndex:
-        if self._label_index is None:
-            self._label_index = LabelIndex(self._frozen, register=False)
-        return self._label_index
-
-    def select(self, path: str) -> List[int]:
-        """Label-path matches at the pinned epoch (same dialect as
-        :meth:`CompressedXml.select`)."""
-        self._require_open()
-        return engine_select(self._index, self.label_index, path)
-
-    def count(self, path: str) -> int:
-        self._require_open()
-        return count_matches(self._index, self.label_index, path)
-
-    def subtree_xml(
-        self, element_index: int, indent: Optional[int] = None
-    ) -> str:
-        self._require_open()
-        return serialize_xml(
-            extract_subtree(self._index, element_index), indent=indent
-        )
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_document(self, budget: int = 50_000_000):
-        from repro.grammar.derivation import expand
-
-        self._require_open()
-        return decode_binary(expand(self._frozen, budget=budget))
-
-    def to_xml(
-        self, indent: Optional[int] = None, budget: int = 50_000_000
-    ) -> str:
-        return serialize_xml(self.to_document(budget=budget), indent=indent)
 
     def export_state(self) -> "DocumentState":
         """The pinned state in :class:`DocumentState` form.
@@ -302,36 +213,12 @@ class SnapshotView:
         not copied -- they are immutable by contract), so a concurrent
         commit stream never shows through.
         """
-        from repro.storage.snapshot import DocumentState, ShardState
-
-        self._require_open()
-        grammar = self._grammar
-        frozen = Grammar(grammar.alphabet, grammar.start)
-        for head in grammar.heads_at(self.epoch):
-            dict.__setitem__(
-                frozen.rules, head, grammar.rule_at(self.epoch, head)
-            )
-        shard = None
-        if self._shard_state is not None:
-            width, prefix, parents = self._shard_state
-            shard = ShardState(width=width, prefix=prefix,
-                               parents=dict(parents))
-        index = GrammarIndex(frozen, register=False)
-        label_index = LabelIndex(frozen, register=False)
-        return DocumentState(
-            grammar=frozen,
-            kin=self._kin,
-            element_count=self._element_count,
-            baselined=self._baselined,
-            last_compressed_size=self._last_compressed_size,
-            dirty_rules=[
-                head for head in self._dirty_rules
-                if frozen.has_rule(head)
-            ],
-            shard=shard,
-            segments=index.export_segments(),
-            label_counts=label_index.export_counts(),
-        )
+        epoch = self._index.grammar
+        frozen = Grammar(epoch.alphabet, epoch.start)
+        for head, body in epoch:
+            dict.__setitem__(frozen.rules, head, body)
+        return self._document_state(
+            frozen, self._shard_state, self._dirty_rules)
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else f"epoch {self.epoch}"

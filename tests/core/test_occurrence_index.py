@@ -309,15 +309,6 @@ class TestCensusInstrumentation:
                                        stats.rule_count_trace[1:])
         )
 
-    def test_rescan_path_censuses_every_round(self):
-        grammar = self._updated_doc_grammar()
-        compressor = GrammarRePair(incremental=False)
-        compressor.compress(grammar)
-        stats = compressor.stats
-        # One census per loop iteration: every successful round plus the
-        # terminating empty one (plus any defensive failed rounds).
-        assert stats.full_censuses >= stats.rounds + 1
-
     def test_dirty_seeded_census_scopes_to_frontier(self):
         doc = CompressedXml.from_xml(
             "<log>" + "<e><a/><b/></e>" * 150 + "</log>"
@@ -479,18 +470,19 @@ class TestDirtyScopedRecompression:
     @settings(max_examples=20, deadline=None)
     @given(xml_documents(max_elements=25), update_scripts(max_ops=10))
     def test_same_document_as_full_rescan(self, tree, script):
-        incremental = CompressedXml.from_document(tree)
-        rescan = CompressedXml.from_document(
-            tree, incremental_recompress=False
-        )
-        for _ in replay_script(incremental, script):
+        """The oracle shares no GrammarRePair code: the same script on
+        a document that is never compressed and never recompressed."""
+        recompressed = CompressedXml.from_document(tree)
+        oracle = CompressedXml.from_document(tree, compress=False)
+        for _ in replay_script(recompressed, script):
             pass
-        for _ in replay_script(rescan, script):
+        for _ in replay_script(
+                oracle, [op for op in script if op[0] != "recompress"]):
             pass
-        incremental.recompress()
-        rescan.recompress()
-        assert incremental.element_count == rescan.element_count
-        assert incremental.to_xml() == rescan.to_xml()
+        recompressed.recompress()
+        assert oracle.recompress_runs == 0
+        assert recompressed.element_count == oracle.element_count
+        assert recompressed.to_xml() == oracle.to_xml()
 
     @settings(max_examples=20, deadline=None)
     @given(xml_documents(max_elements=25), update_scripts(max_ops=10))
@@ -530,16 +522,6 @@ class TestDirtyScopedRecompression:
         assert doc.tag_of(1) == "first"
         assert doc.element_count == 1 + 200 * 4
 
-    def test_full_mode_still_resets_wholesale(self):
-        doc = CompressedXml.from_xml(
-            "<log>" + "<e/>" * 100 + "</log>",
-            incremental_recompress=False,
-        )
-        doc.tag_of(3)
-        doc.rename(1, "first")
-        doc.recompress()
-        assert doc.index.wholesale_invalidations == 1
-
     def test_uncompressed_grammar_gets_full_first_run(self):
         doc = CompressedXml.from_xml(
             "<log>" + "<e/>" * 80 + "</log>", compress=False
@@ -570,9 +552,9 @@ class TestPruningRidesCachedStructure:
 
     Historically ``prune_grammar`` recomputed reference counts, two
     anti-SL orders, and per-rule edge counts from scratch -- an O(|G|)
-    setup per recompression even when nothing was prunable.  Incremental
-    runs now hand it the occurrence index's cached structure maps; the
-    historical walks remain only for the non-incremental baseline."""
+    setup per recompression even when nothing was prunable.  The loop
+    now hands it the occurrence index's cached structure maps; the
+    walks remain only in ``prune_grammar``'s self-contained mode."""
 
     XML = "<log>" + "<e><a/><b/><c/></e>" * 60 + "</log>"
 
@@ -610,13 +592,6 @@ class TestPruningRidesCachedStructure:
         assert calls["anti_sl_order"] == 0
         doc.grammar.validate()
 
-    def test_rescan_baseline_keeps_historical_walks(self, monkeypatch):
-        doc = CompressedXml.from_xml(self.XML, compress=False)
-        calls = self._forbid_walks(monkeypatch)
-        GrammarRePair(incremental=False).compress(doc.grammar, in_place=True)
-        assert calls["reference_counts"] >= 1
-        assert calls["anti_sl_order"] >= 1
-
     @settings(max_examples=30, deadline=None)
     @given(slcf_grammars())
     def test_hinted_prune_equals_historical_prune(self, grammar):
@@ -645,20 +620,20 @@ class TestPruningRidesCachedStructure:
     @settings(max_examples=20, deadline=None)
     @given(xml_documents(max_elements=25), update_scripts(max_ops=8))
     def test_census_volume_drops_versus_rescan(self, tree, script):
-        """End to end, the incremental path's total per-rule scans
-        (census entries) stay at or below the rescan baseline's -- the
-        pruning fold must not sneak whole-grammar work back in."""
-        incremental = CompressedXml.from_document(tree)
-        rescan = CompressedXml.from_document(
-            tree, incremental_recompress=False
-        )
-        for _ in replay_script(incremental, script):
+        """End to end, the total per-rule scans (census entries) stay
+        at or below what re-censusing every rule every round would scan
+        (``rule_count_trace``: the rule count at each census) -- the
+        pruning fold must not sneak whole-grammar work back in.  The
+        document is checked against a never-recompressed replay."""
+        recompressed = CompressedXml.from_document(tree)
+        oracle = CompressedXml.from_document(tree, compress=False)
+        for _ in replay_script(recompressed, script):
             pass
-        for _ in replay_script(rescan, script):
+        for _ in replay_script(
+                oracle, [op for op in script if op[0] != "recompress"]):
             pass
-        incremental.recompress()
-        rescan.recompress()
-        assert incremental.to_xml() == rescan.to_xml()
-        assert sum(incremental.last_repair_stats.census_trace) <= sum(
-            rescan.last_repair_stats.census_trace
-        )
+        recompressed.recompress()
+        assert recompressed.to_xml() == oracle.to_xml()
+        stats = recompressed.last_repair_stats
+        assert len(stats.census_trace) == len(stats.rule_count_trace)
+        assert sum(stats.census_trace) <= sum(stats.rule_count_trace)

@@ -139,7 +139,7 @@ class TestInvalidation:
         assert lindex.document_label_count("y") == 1
         assert lindex.document_label_count("x") == 0
 
-    def test_incremental_recompress_keeps_label_tables(self):
+    def test_recompress_keeps_label_tables(self):
         doc = CompressedXml.from_xml(
             "<log>" + "<entry><ip/><ts/></entry>" * 60 + "</log>"
         )
@@ -151,16 +151,18 @@ class TestInvalidation:
         assert lindex.wholesale_invalidations == 0
         assert_census_matches(doc, lindex)
 
-    def test_non_incremental_recompress_resets_wholesale(self):
-        doc = CompressedXml.from_xml(
-            "<log>" + "<e/>" * 50 + "</log>", incremental_recompress=False
-        )
+    def test_wholesale_reset_recovers(self):
+        """No document path resets wholesale any more; scrub's repair of
+        last resort does, directly -- and the census recovers."""
+        doc = CompressedXml.from_xml("<log>" + "<e/>" * 50 + "</log>")
         lindex = doc.label_index
         assert_census_matches(doc, lindex)
         doc.rename(3, "x")
         doc.recompress()
-        # The historical full-rescan contract resets the label index too.
+        assert lindex.wholesale_invalidations == 0
+        lindex.invalidate_all()
         assert lindex.wholesale_invalidations == 1
+        assert lindex.cached_rule_count == 0
         assert_census_matches(doc, lindex)
 
 

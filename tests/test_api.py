@@ -419,6 +419,25 @@ class TestUpdates:
 
 
 class TestMaintenance:
+    def test_option_surface_is_the_tracked_one(self):
+        """The independently settable values, by name (5 / 7 / 3): one
+        recompression loop, so no parameter selects another -- and, with
+        no ``**kwargs`` catch-all, a retired name is a ``TypeError``."""
+        from inspect import signature
+
+        from repro.core.grammar_repair import GrammarRePair, grammar_repair
+
+        assert list(signature(CompressedXml).parameters)[1:] == [
+            "kin", "auto_recompress_factor", "shard_width",
+            "shard_merge_hysteresis", "metrics"]
+        assert list(signature(GrammarRePair).parameters) == [
+            "kin", "prune", "optimized", "rule_prefix", "export_prefix",
+            "round_hook", "barriers"]
+        assert list(signature(grammar_repair).parameters)[1:] == [
+            "kin", "prune", "optimized"]
+        with pytest.raises(TypeError):
+            CompressedXml.from_xml("<a><b/></a>", no_such_option=True)
+
     def test_recompress_shrinks_after_updates(self):
         doc = CompressedXml.from_xml(listy_xml(300))
         for index in (3, 50, 100, 150, 200):

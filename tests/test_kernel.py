@@ -323,12 +323,11 @@ def assert_packs_equal_cold_build(doc):
                 (head, column)
         assert len(pack.node_objs) == len(cold.node_objs)
         assert all(a is b for a, b in zip(pack.node_objs, cold.node_objs))
-        for column in ("steps_enter", "steps_target"):
-            for a, b in zip(getattr(pack, column), getattr(cold, column)):
-                assert (a is None) == (b is None), (head, column)
-                if a is not None:
-                    assert a.node is b.node, (head, column)
-                    assert a.enters_rule == b.enters_rule, (head, column)
+        for a, b in zip(pack.steps, cold.steps):
+            assert (a is None) == (b is None), head
+            if a is not None:
+                assert a.node is b.node, head
+                assert a.enters_rule == b.enters_rule, head
         assert pack.node_segs is live._node_segments[head]
         assert pack.elem_segs is live._elem_segments[head]
 

@@ -4,14 +4,16 @@ The contract under test: ``doc.snapshot()`` pins the grammar epoch that
 was current at the call, and the returned :class:`SnapshotView` answers
 the whole read surface *as of that epoch* no matter what the writer does
 afterwards -- single updates, batches, resharding, or recompression
-(incremental and wholesale).  Pins are refcounted; the copy-on-write
+(and a wholesale index reset).  Pins are refcounted; the copy-on-write
 overlay behind an epoch is reclaimed when its last view closes.
 """
+
+import inspect
 
 import pytest
 from hypothesis import given, settings
 
-from repro.api import CompressedXml
+from repro.api import CompressedXml, ReadSurface, SnapshotView
 from repro.trees.unranked import XmlNode
 from repro.trees.xml_io import parse_xml
 from repro.updates.batch import (
@@ -33,6 +35,30 @@ XML = "<log>" + "<entry><ip/><status/></entry>" * 6 + "</log>"
 
 def make_doc(**kwargs):
     return CompressedXml.from_xml(XML, **kwargs)
+
+
+#: The read surface, by name: what ``ReadSurface`` itself declares.
+READ_SURFACE = sorted(
+    name for name in vars(ReadSurface) if not name.startswith("_"))
+
+#: One call per read that evaluates against the grammar (everything but
+#: the two ratios derived from the counters captured at the pin).
+GRAMMAR_READS = {
+    "tags": lambda view: list(view.tags()),
+    "tag_of": lambda view: view.tag_of(1),
+    "parent_of": lambda view: view.parent_of(2),
+    "depth_of": lambda view: view.depth_of(2),
+    "first_child": lambda view: view.first_child(1),
+    "next_sibling": lambda view: view.next_sibling(2),
+    "children": lambda view: view.children(1),
+    "label_index": lambda view: view.label_index,
+    "select": lambda view: view.select("//status"),
+    "count": lambda view: view.count("/log/entry"),
+    "subtree_xml": lambda view: view.subtree_xml(1),
+    "to_document": lambda view: view.to_document(),
+    "to_xml": lambda view: view.to_xml(),
+    "export_state": lambda view: view.export_state(),
+}
 
 
 def concretize(seq_doc, script):
@@ -131,6 +157,24 @@ class TestSnapshotBasics:
             view.select("//entry")
         view.close()  # idempotent
 
+    @pytest.mark.parametrize("read", sorted(GRAMMAR_READS))
+    def test_every_grammar_read_of_a_closed_view_raises(self, read):
+        view = make_doc().snapshot()
+        view.close()
+        with pytest.raises(ValueError, match="closed"):
+            GRAMMAR_READS[read](view)
+        # The counters captured at the pin need no grammar: still there.
+        assert view.element_count == 19
+        assert view.edge_count == 18
+        assert "closed" in repr(view)
+
+    def test_tags_first_advanced_after_close_raises(self):
+        view = make_doc().snapshot()
+        tags = view.tags()  # a generator: nothing has run yet
+        view.close()
+        with pytest.raises(ValueError, match="closed"):
+            next(tags)
+
     def test_pin_accounting_and_overlay_reclamation(self):
         doc = make_doc()
         grammar = doc.grammar
@@ -212,36 +256,64 @@ class TestSnapshotVsBatch:
         assert restored.element_count == 19
 
 
+class TestOneReadSurface:
+    """The view and the document do not each declare the read surface:
+    both resolve every read to the one function ``ReadSurface`` holds,
+    so forking a method again is a test failure."""
+
+    def test_the_surface_is_the_documented_one(self):
+        assert set(READ_SURFACE) == (
+            set(GRAMMAR_READS) - {"export_state"}
+            | {"edge_count", "compression_ratio"})
+
+    @pytest.mark.parametrize("name", READ_SURFACE)
+    def test_document_and_view_share_the_function(self, name):
+        shared = vars(ReadSurface)[name]
+        assert inspect.getattr_static(CompressedXml, name) is shared
+        assert inspect.getattr_static(SnapshotView, name) is shared
+        assert name not in vars(SnapshotView)
+        assert name not in vars(CompressedXml)
+
+
 class TestEvictionVsPin:
     """Satellite: wholesale index eviction must not reach into views.
 
-    With ``incremental_recompress=False`` a recompression resets the
-    document's indexes via ``invalidate_all`` -- the one remaining
+    ``invalidate_all`` on the document's indexes -- scrub's repair of
+    last resort is its one caller -- is the one remaining
     wholesale-eviction path.  A pinned view owns private index tables
     over its frozen grammar (built with ``register=False``), so the
     reset must be invisible to it.
     """
 
+    @staticmethod
+    def reset_wholesale(doc):
+        doc.index.invalidate_all()
+        doc.label_index.invalidate_all()
+
     def test_wholesale_invalidation_does_not_touch_views(self):
-        doc = make_doc(incremental_recompress=False)
+        doc = make_doc()
         with doc.snapshot() as view:
             expected = view.to_xml()
-            assert view.element_count == 19  # warm the view's tables
+            assert view.tag_of(0) == "log"  # warm the view's tables
             assert view.select("//status")
             for index in range(1, 8):
                 doc.rename(index, f"t{index}")
-            doc.recompress()  # invalidate_all on the doc's indexes
+            doc.recompress()
+            self.reset_wholesale(doc)
+            assert doc.index.wholesale_invalidations == 1
             assert view.to_xml() == expected
             assert view.element_count == 19
             assert view.tag_of(1) == "entry"
             assert len(view.select("//status")) == 6
 
     def test_doc_indexes_do_recover_after_wholesale_reset(self):
-        doc = make_doc(incremental_recompress=False)
+        doc = make_doc()
         with doc.snapshot() as view:
             doc.rename(1, "alpha")
             doc.recompress()
+            self.reset_wholesale(doc)
             assert doc.tag_of(1) == "alpha"
+            assert doc.count("//alpha") == 1
             assert view.tag_of(1) == "entry"
 
 

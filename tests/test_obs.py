@@ -297,6 +297,40 @@ class TestDocumentInstrumentation:
         assert counters["repro_recompress_generators_resolved_total"] == \
             doc.last_repair_stats.generators_resolved > 0
 
+    @staticmethod
+    def query_instruments(through_view):
+        """Run three queries on a fresh document -- or on a view pinned
+        on it -- and return every ``repro_quer*`` counter and histogram
+        observation count they left in the document's registry."""
+        reg = MetricsRegistry()
+        doc = CompressedXml.from_xml(XML, metrics=reg)
+        surface = doc.snapshot() if through_view else doc
+        assert len(surface.select("//ip")) == 30
+        assert len(surface.select("/log/entry/ts")) == 30
+        assert surface.count("/log/entry") == 30
+        collected = reg.collect()
+        seen = {name: value
+                for name, value in collected["counters"].items()
+                if name.startswith("repro_quer")}
+        seen.update(
+            (name, hist["count"])
+            for name, hist in collected["histograms"].items()
+            if name.startswith("repro_quer"))
+        return seen
+
+    def test_view_queries_feed_the_same_instruments(self):
+        """One read surface: a query through a pinned view advances
+        exactly what the same query on the live document does."""
+        live = self.query_instruments(through_view=False)
+        assert live['repro_queries_total{kind="select"}'] == 2
+        assert live['repro_queries_total{kind="count"}'] == 1
+        assert live["repro_query_matches_total"] == 60
+        assert live["repro_query_pruned_subtrees_total"] > 0
+        for stage in ("parse", "walk"):
+            assert live[
+                f'repro_query_stage_seconds{{stage="{stage}"}}'] == 3
+        assert self.query_instruments(through_view=True) == live
+
     def test_gauge_sources_sample_live_state(self):
         reg = MetricsRegistry()
         doc = CompressedXml.from_xml(XML, metrics=reg)
