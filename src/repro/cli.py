@@ -425,7 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (ValueError, IndexError) as exc:
+        if args.handler not in (_cmd_query, _cmd_update, _cmd_durable):
+            raise
+        # Bad input is the operator's to fix: one line, nothing written.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@
 * a :class:`~repro.grammar.kernel.RulePack`: the rule body flattened to
   preorder columns holding, per RHS node, the generated (node, element)
   subtree sizes plus the parameter indices occurring below it -- the one
-  per-node size table there is.
+  per-node size table there is -- and, per parameter, the route summary
+  (depth gained, parent element) of the body path a descent skips.
 
 Together these answer the navigation queries every update needs --
 
@@ -36,11 +37,12 @@ The index registers itself as a grammar observer (see
   keep their entries, the fresh nodes get theirs, the ancestors' sizes
   follow; when the generated size changed, so do the rule's segment and
   -- along the shard spine, where each rule has one applier applying it
-  once -- the application's ancestors and segment one rule up.  Nothing
-  is evicted and no body is re-walked: the write pays ``O(depth +
-  |edit|)`` Python steps plus C-level list copies.  A splice that is not
-  local after all (it removed a parameter, the rule has no pack, the
-  dependents are not a spine) takes the last path.
+  once -- the application's ancestors and segment one rule up (a route
+  summary with a parent point is dropped there, for ``_axes`` to
+  recompute).  Nothing is evicted and no body is re-walked: the write
+  pays ``O(depth + |edit|)`` Python steps plus C-level list copies.  A
+  splice that is not local after all (it removed a parameter, the rule
+  has no pack, the dependents are not a spine) takes the last path.
 * ``rule_relabeled`` -- patches the label entries of the relabeled node.
 * ``rule_changed`` / ``rule_removed`` -- anything else (``set_rule``,
   batches, recompression, reshard splits and merges): the entries of that
@@ -133,22 +135,31 @@ def _segments(
     pack: RulePack,
     node_segments: Dict[Symbol, List[int]],
     elem_segments: Dict[Symbol, List[int]],
-) -> Tuple[List[int], List[int]]:
-    """The rule's ``size(A, 0..k)`` in nodes and in elements, read off
-    its finished columns in one forward scan that steps over every
-    parameter-free subtree (one table read): only the paths to the
-    parameters are walked.  At an application on such a path the
-    callee's segments fall ``due`` where its argument subtrees end."""
+    packs: Dict[Symbol, RulePack],
+) -> Tuple[List[int], List[int], Optional[list]]:
+    """The rule's ``size(A, 0..k)`` in nodes and in elements and its
+    route summaries (``RulePack.routes``; ``None`` while a callee on a
+    route lacks its own), read off its finished columns in one forward
+    scan that steps over every parameter-free subtree (one table read):
+    only the paths to the parameters are walked.  An application on one
+    contributes its callee's summary, and the callee's segments fall
+    ``due`` where its argument subtrees end."""
     (kind, _sym, rank, span, nnodes, nelems, params, _nodes,
      sym_objs) = pack.walk[:9]
     node_segs: List[int] = []
     elem_segs: List[int] = []
+    routes: List[tuple] = []
+    complete = True
     nodes = elems = 0
-    due: Dict[int, List[int]] = {}
+    due: Dict[int, List[list]] = {}
+    # How a route reaches a position: ``(depth delta, parent point)``;
+    # into an argument also the callee's point and its segments' starts.
+    reach: Dict[int, tuple] = {0: (0, None, None, None)}
     i, n = 0, len(kind)
     while True:
-        late = due.pop(i, None)
-        if late is not None:
+        # Segments due at one position: the inner application's first.
+        for late in reversed(due.pop(i, ())):
+            late[2] = (len(elem_segs), elems)
             nodes += late[0]
             elems += late[1]
         if i == n:
@@ -159,22 +170,41 @@ def _segments(
             i += span[i]
             continue
         k = kind[i]
+        depth, point, inner, began = reach.pop(i)
+        if inner is not None:
+            segment, offset = began[inner[0]][2]
+            point = (segment, offset + inner[1])
+        child = i + 1
         if k == 3:
             node_segs.append(nodes)
             elem_segs.append(elems)
+            routes.append((depth, point))
             nodes = elems = 0
         elif k == KIND_NONTERMINAL:
-            callee_nodes = node_segments[sym_objs[i]]
-            callee_elems = elem_segments[sym_objs[i]]
-            nodes += callee_nodes[0]
-            elems += callee_elems[0]
-            child = i + 1
+            callee = sym_objs[i]
+            began = [[*sizes, None] for sizes in zip(
+                node_segments[callee], elem_segments[callee])]
+            began[0][2] = (len(elem_segs), elems)
+            nodes += began[0][0]
+            elems += began[0][1]
+            via = packs[callee].routes if callee in packs else None
+            if via is None:
+                complete = False
+                via = [(0, None)] * rank[i]
             for slot in range(1, rank[i] + 1):
+                delta, inner = via[slot - 1]
+                reach[child] = (depth + delta, point, inner, began)
                 child += span[child]
-                late = due.setdefault(child, [0, 0])
-                late[0] += callee_nodes[slot]
-                late[1] += callee_elems[slot]
+                due.setdefault(child, []).append(began[slot])
         else:
+            here = (depth, point, None, None)
+            for _ in range(rank[i]):
+                reach[child] = here
+                child += span[child]
+            if k == 1 and rank[i] == 2 and params[i + 1]:
+                # An FCNS element's first-child edge: the parent below.
+                reach[i + 1] = (depth + 1, (len(elem_segs), elems),
+                                None, None)
             nodes += 1
             elems += k  # KIND_BOTTOM == 0, KIND_ELEMENT == 1
         i += 1
@@ -186,7 +216,7 @@ def _segments(
             f"rule {head!r}: found {len(node_segs) - 1} parameters, "
             f"rank is {head.rank}"
         )
-    return node_segs, elem_segs
+    return node_segs, elem_segs, routes if complete else None
 
 
 class _SegmentsView:
@@ -237,8 +267,9 @@ class GrammarIndex:
         self._dependents: Dict[Symbol, Set[Symbol]] = {}
         # Memoized ``_locate_element`` descents.  Relabels change neither
         # subtree sizes nor positions, so a located path stays valid
-        # across in-place relabels; any structural change clears it.
-        self._locations: Dict[Tuple[int, bool], tuple] = {}
+        # across in-place relabels; a structural change starts a new dict
+        # (its identity tells a suspended ``children()`` walk to restart).
+        self._locations: Dict[int, tuple] = {}
         # Eviction instrumentation: per-rule evictions through the observer
         # channel vs wholesale resets.  Dirty-rule-scoped recompression is
         # asserted against these (untouched rules must keep their tables).
@@ -282,7 +313,7 @@ class GrammarIndex:
             return
         if node is None:
             self._kernel.evict(head)
-            self._locations.clear()  # located paths name the pack
+            self._locations = {}  # located paths name the pack
             return
         pos = _descend(pack.walk, node.parent, node)[0]
         symbol = node.symbol
@@ -294,9 +325,10 @@ class GrammarIndex:
         """:meth:`~repro.grammar.slcf.Grammar.notify_rule_spliced`:
         publish a successor of the rule's pack whose column slice for
         ``old``'s subtree describes ``new``.  Without a pack, or when
-        the splice is not local after all (it removed a parameter or
-        moved a size across one), evict as for ``rule_changed`` --
-        nothing is touched before that is known.
+        the splice is not local after all (it removed a parameter, moved
+        a size across one, grew by an application in front of one, or
+        rewrote -- no inline -- what holds one at the same sizes), evict
+        as for ``rule_changed``: nothing is touched before that.
 
         Subtrees ``new`` adopted from ``old`` keep their entries; the
         entries of the nodes that went, between them, are exchanged for
@@ -330,11 +362,14 @@ class GrammarIndex:
         if (grown_nodes or grown_elems) and params[p]:
             # The change must sit wholly in front of the slice's
             # parameters: whatever holds them was adopted as the tail
-            # of both the old and the new slice.
+            # of both the old and the new slice, below terminals only.
             entry, start, end = carried[-1] if carried else (-1, 0, 0)
             if entry != len(fresh) + len(carried) - 1 or end != stop \
-                    or params[start] != params[p]:
+                    or params[start] != params[p] or calls:
                 return self._evict(head)
+        elif params[p] and kind[p] != KIND_NONTERMINAL:
+            # Same sizes but no inline: a parameter route may have turned.
+            return self._evict(head)
         # Gaps of the old slice around the adopted subtrees, and the runs
         # of fresh entries that take their place (exchanged back to front).
         gaps = [p]
@@ -372,8 +407,9 @@ class GrammarIndex:
         successor = RulePack(head, columns, counted)
         successor.node_segs = pack.node_segs
         successor.elem_segs = pack.elem_segs
+        successor.routes = pack.routes  # an inline keeps ``val(rule)``
         self._kernel._packs[head] = successor
-        self._locations.clear()
+        self._locations = {}
         if grown_nodes or grown_elems:
             self._resize(head, before, grown_nodes, grown_elems)
 
@@ -382,12 +418,17 @@ class GrammarIndex:
         """``head``'s ``segment``-th segment grew: patch it, then walk
         up while the rule has exactly one cached applier applying it
         once (the spine), patching that application's ancestors and the
-        applier's segment -- in place, no entry moves.  Any other set of
-        dependents is evicted."""
+        applier's segment -- in place, no entry moves.  Route summaries
+        with a parent point go at every level (its offset may shift);
+        without one -- the parameter on the root's sibling chain, where
+        a local splice of terminals puts no first-child edge -- they
+        stay.  Any other set of dependents is evicted."""
         packs = self._kernel._packs
         while True:
             self._node_segments[head][segment] += grown_nodes
             self._elem_segments[head][segment] += grown_elems
+            if any(point for _delta, point in packs[head].routes or ()):
+                packs[head].routes = None
             appliers = self._dependents.get(head)
             if not appliers:
                 return
@@ -423,7 +464,7 @@ class GrammarIndex:
         walking the dependent closure is sound.  Uncached rules are clean
         by definition (they recompute lazily).
         """
-        self._locations.clear()
+        self._locations = {}
         kernel = self._kernel
         dependents = self._dependents
         stack = [head]
@@ -448,7 +489,7 @@ class GrammarIndex:
         self._node_segments.clear()
         self._elem_segments.clear()
         self._dependents.clear()
-        self._locations.clear()
+        self._locations = {}
         self._kernel.invalidate_all()
         self.wholesale_invalidations += 1
 
@@ -532,7 +573,7 @@ class GrammarIndex:
         self._node_segments.clear()
         self._elem_segments.clear()
         self._dependents.clear()
-        self._locations.clear()
+        self._locations = {}
         # A fresh table generation, not an eviction event: packs
         # rebuild lazily per rule (no wholesale-invalidation count --
         # snapshot opens must report ``rules_packed == 0`` cleanly).
@@ -609,15 +650,30 @@ class GrammarIndex:
             columns, fresh, _carried, calls = flat
             measure(columns, fresh, node_segments, elem_segments)
             pack = RulePack(current, columns, calls)
-            if current not in node_segments:
-                node_segments[current], elem_segments[current] = \
-                    _segments(pack, node_segments, elem_segments)
+            if current not in node_segments:  # else: a snapshot's
+                (node_segments[current], elem_segments[current],
+                 pack.routes) = _segments(
+                    pack, node_segments, elem_segments, kernel._packs)
             pack.node_segs = node_segments[current]
             pack.elem_segs = elem_segments[current]
             for callee in calls:
                 dependents.setdefault(callee, set()).add(current)
             kernel.adopt(pack)
         return pack
+
+    def _routes(self, pack: RulePack) -> list:
+        """``pack.routes``, computed -- callees first -- where a write
+        dropped them or a snapshot supplied segments without packs."""
+        kernel = self._kernel
+        stack = [pack]
+        while stack:
+            top = stack.pop()
+            top.routes = _segments(top, self._node_segments,
+                                   self._elem_segments, kernel._packs)[2]
+            if top.routes is None:  # the callees' first, then again
+                callees = map(kernel.pack, top.calls)
+                stack += [top] + [c for c in callees if c.routes is None]
+        return pack.routes
 
     # ------------------------------------------------------------------
     # whole-document totals
@@ -658,31 +714,19 @@ class GrammarIndex:
         return nodes, elems
 
     def _locate_element(
-        self, element_index: int, track_axes: bool = False
-    ) -> Tuple[int, RulePack, int, Tuple[_Binding, ...],
-               List[PathStep], Optional[int], int]:
+        self, element_index: int
+    ) -> Tuple[int, RulePack, int, Tuple[_Binding, ...], List[PathStep]]:
         """Descend the derivation to the ``element_index``-th element.
 
         Returns ``(binary preorder index, pack and position of the
-        generating terminal, binding environment, derivation path,
-        parent element index, document depth)``: everything the public
-        queries need, in one ``O(depth · rule-width)`` walk.
+        generating terminal, binding environment, derivation path)``,
+        and memoizes them with what :meth:`_axes` needs: everything the
+        public queries ask about an element comes from this one
+        ``O(depth · rule-width)`` walk.
         The recorded :class:`PathStep` list is exactly what
         :func:`repro.grammar.navigation.resolve_preorder_path` would
         produce for the resulting preorder index, so path isolation can
         replay it without a second descent.
-
-        With ``track_axes`` the walk visits *every* binary ancestor of the
-        target: in the first-child/next-sibling encoding the target's
-        document parent is the last element from which the walk takes a
-        first-child (slot 1) edge -- next-sibling (slot 2) edges stay on
-        the same child list -- and depth counts those edges (the root has
-        depth 0).  This forgoes the descend-directly-into-an-argument
-        shortcut (whose skipped rule-body path may contain exactly those
-        ancestors) and always enters the rule instead: same
-        ``O(depth · rule-width)`` bound, and the recorded steps then
-        over-approximate the isolation path, so axis queries ignore them.
-        Without ``track_axes`` the two trailing results are meaningless.
         """
         check_element_index(element_index)
         total = self.element_count
@@ -691,21 +735,40 @@ class GrammarIndex:
                 f"element index {element_index} out of range "
                 f"({total} elements)"
             )
-        key = (element_index, track_axes)
-        cached = self._locations.get(key)
-        if cached is not None:
-            position, pack, pos, env, steps, parent, depth = cached
-            return position, pack, pos, env, list(steps), parent, depth
-        located = kernel_locate_element(
-            self._kernel, element_index, track_axes
-        )
-        position, pack, pos, env, steps, parent, depth = located
-        if len(self._locations) >= 4096:
-            self._locations.clear()
-        self._locations[key] = (
-            position, pack, pos, env, tuple(steps), parent, depth,
-        )
-        return located
+        located = self._locations.get(element_index)
+        if located is None:
+            located = kernel_locate_element(self._kernel, element_index)
+            if len(self._locations) >= 4096:
+                self._locations.clear()
+            self._locations[element_index] = located
+        position, pack, pos, env, steps = located[:5]
+        return position, pack, pos, env, list(steps)
+
+    def _axes(self, element_index: int) -> Tuple[Optional[int], int]:
+        """``(parent element index, document depth)`` off the element's
+        memoized descent: the last element the walk left by a first-child
+        (slot 1) edge -- next-sibling edges stay on one child list -- and
+        the number of those edges.  For each recorded hop into an argument
+        the callee's route summary (``RulePack.routes``) stands in for the
+        body path skipped; candidates further down index higher."""
+        self._locate_element(element_index)
+        located = self._locations[element_index]
+        parent, depth, hops = located[5:]
+        for callee, slot, pack, pos, env, base in hops:
+            delta, point = (callee.routes or self._routes(callee))[slot - 1]
+            depth += delta
+            if point is not None:
+                # Add what the expansion holds in front of that segment.
+                segment, offset = point
+                child = pos + 1
+                for t in range(segment):
+                    base += callee.elem_segs[t] \
+                        + self._sizes(pack, child, env)[1]
+                    child += pack.span[child]
+                if parent is None or base + offset > parent:
+                    parent = base + offset
+        self._locations[element_index] = located[:5] + (parent, depth, ())
+        return parent, depth
 
     def preorder_of_element(self, element_index: int) -> int:
         """Binary preorder index of the ``element_index``-th element."""
@@ -771,12 +834,13 @@ class GrammarIndex:
         _pos, pack, pos, *_rest = self._locate_element(element_index)
         return pack.sym_names[pos]
 
-    def _locate_fcns(self, element_index: int):
-        """:meth:`_locate_element` for callers about to read the element's
-        two binary slots (at ``pos + 1`` and, behind that subtree, at
-        ``pos + 1 + span[pos + 1]`` of its pack): its generating terminal must be a rank-2
-        first-child/next-sibling element."""
-        located = self._locate_element(element_index)
+    def _locate_fcns(self, element_index: int, start=None):
+        """:meth:`_locate_element` -- or the kernel descent to the first
+        element of the ``start`` binding -- for callers about to read the
+        element's two binary slots (``pos + 1`` and, behind that subtree,
+        ``pos + 1 + span[pos + 1]``): it must be a rank-2 FCNS element."""
+        located = (self._locate_element(element_index) if start is None
+                   else kernel_locate_element(self._kernel, 0, start)[:5])
         pack, pos = located[1], located[2]
         if pack.rank[pos] != 2:
             raise GrammarError(
@@ -798,8 +862,7 @@ class GrammarIndex:
         :meth:`end_of_children_position` at the cost of a single
         ``O(depth · rule-width)`` descent.
         """
-        position, pack, pos, env, steps, _parent, _depth = \
-            self._locate_fcns(element_index)
+        position, pack, pos, env, steps = self._locate_fcns(element_index)
         first_nodes, first_elems = self._sizes(pack, pos + 1, env)
         return position, steps, 1 + first_elems, position + first_nodes
 
@@ -813,8 +876,7 @@ class GrammarIndex:
         ``delete(element_index)`` removes exactly this many elements --
         the quantity batch planning needs to shift later targets.
         """
-        _position, pack, pos, env, _steps, _parent, _depth = \
-            self._locate_fcns(element_index)
+        _position, pack, pos, env, _steps = self._locate_fcns(element_index)
         _nodes, elems = self._sizes(pack, pos + 1, env)
         return 1 + elems
 
@@ -826,8 +888,7 @@ class GrammarIndex:
         exactly ``size(subtree(u.1))`` positions after the element ``u``
         itself -- one subtree-size lookup instead of a stream walk.
         """
-        position, pack, pos, env, _steps, _parent, _depth = \
-            self._locate_fcns(element_index)
+        position, pack, pos, env, _steps = self._locate_fcns(element_index)
         first_child_nodes, _ = self._sizes(pack, pos + 1, env)
         return position + first_child_nodes
 
@@ -837,24 +898,21 @@ class GrammarIndex:
     def _child_slot_elements(self, element_index: int) -> Tuple[int, int]:
         """Elements generated below the element's two binary slots:
         ``(descendants, following siblings + their descendants)``."""
-        _position, pack, pos, env, _steps, _parent, _depth = \
-            self._locate_fcns(element_index)
+        _position, pack, pos, env, _steps = self._locate_fcns(element_index)
         _nodes, below = self._sizes(pack, pos + 1, env)
         _nodes, after = self._sizes(
             pack, pos + 1 + pack.span[pos + 1], env)
         return below, after
 
     def parent_of(self, element_index: int) -> Optional[int]:
-        """Element index of the document parent (``None`` for the root).
-
-        One ``O(depth · rule-width)`` descent: the parent is the last
-        element from which the descent took a first-child edge.
-        """
-        return self._locate_element(element_index, track_axes=True)[5]
+        """Element index of the document parent (``None`` for the root):
+        the last element its descent -- the one ``tag_of`` and every
+        other axis share -- left by a first-child edge."""
+        return self._axes(element_index)[0]
 
     def depth_of(self, element_index: int) -> int:
         """Document depth of an element (the root has depth 0)."""
-        return self._locate_element(element_index, track_axes=True)[6]
+        return self._axes(element_index)[1]
 
     def first_child(self, element_index: int) -> Optional[int]:
         """Element index of the first child, or ``None`` for a leaf.
@@ -879,33 +937,34 @@ class GrammarIndex:
     def children_with_tags(self, element_index: int) -> Iterator[Tuple[int, str]]:
         """``(element index, tag)`` of the direct children, document order.
 
-        One ``O(depth · rule-width)`` descent per child: each locate
-        yields the child's terminal (its tag for free) *and* the subtree
-        sizes that address the next sibling -- the single-pass primitive
-        child-axis query steps ride, instead of paying separate
-        ``next_sibling`` + ``tag_of`` descents per sibling.
+        One root descent for the parent; each child is located from the
+        slot that holds it -- the parent's first-child slot, the previous
+        child's next-sibling slot -- in ``O(nesting)`` steps, yielding its
+        terminal (the tag for free) *and* the sizes that address the next
+        sibling: the primitive child-axis query steps ride.  Past a
+        structural write the next child is located by index from the root.
         """
-        child = self.first_child(element_index)
-        while child is not None:
-            _position, pack, pos, env, _steps, _parent, _depth = \
-                self._locate_fcns(child)
+        pack, pos, env = self._locate_fcns(element_index)[1:4]
+        generation = self._locations
+        slot = pos + 1
+        child = element_index + 1
+        more = self._sizes(pack, slot, env)[1]
+        while more:
+            start = (pack, slot, env) if generation is self._locations else None
+            generation = self._locations
+            pack, pos, env = self._locate_fcns(child, start)[1:4]
             # Both sizes are read before the yield: the consumer may
             # write before it resumes this walk.
-            _nodes, after = self._sizes(
-                pack, pos + 1 + pack.span[pos + 1], env)
-            _nodes, below = self._sizes(pack, pos + 1, env)
+            slot = pos + 1 + pack.span[pos + 1]
+            more = self._sizes(pack, slot, env)[1]
+            below = self._sizes(pack, pos + 1, env)[1]
             yield child, pack.sym_names[pos]
-            if not after:
-                return
-            child = child + 1 + below
+            child += 1 + below
 
     def children(self, element_index: int) -> Iterator[int]:
-        """Element indices of the direct children, in document order.
-
-        Each step is one derivation descent, so enumerating ``k``
-        children costs ``O(k · depth · rule-width)`` -- independent of
-        the subtree sizes skipped between siblings.
-        """
+        """Element indices of the direct children, in document order: one
+        descent plus ``O(nesting)`` per child, independent of the subtree
+        sizes skipped between siblings."""
         for child, _tag in self.children_with_tags(element_index):
             yield child
 

@@ -26,9 +26,10 @@ and list reads:
   rewrites cascade through ``GrammarIndex._evict``), never wholesale by
   an update or a recompression,
 * the kernel walk functions the index/query/navigation layers dispatch to
-  (:func:`kernel_locate_element`, :func:`kernel_resolve_preorder`,
-  :func:`kernel_iter_element_symbols`, :func:`kernel_stream_preorder`,
-  :func:`kernel_stream_elements`).
+  (:func:`kernel_locate_element` -- the one element descent behind tag,
+  axes and slots, from the start rule or a located binding --,
+  :func:`kernel_resolve_preorder`, :func:`kernel_iter_element_symbols`,
+  :func:`kernel_stream_preorder`, :func:`kernel_stream_elements`).
 
 Epoch/MVCC interplay
 --------------------
@@ -193,6 +194,13 @@ class RulePack:
     the successor); ``node_segs`` / ``elem_segs`` alias the index's
     segment lists of this rule, which writes patch in place.
 
+    ``routes`` summarises, per parameter ``y_i``, the path from the
+    rule's root to it as ``(depth delta, parent point)``: its first-child
+    edges, and the ``(segment, element offset)`` -- in the expansion
+    ``seg0 arg1 seg1 ... argk segk`` -- of the last element it leaves by
+    one (``None``: ``y_i`` hangs on the root's sibling chain).  A fact
+    about ``val(rule)``; ``None`` while unknown (``GrammarIndex._routes``).
+
     ``walk`` is the tuple of the eleven columns in the order above (a
     pack switch inside a walk is one attribute load plus one unpack);
     ``walk_nodes`` is the node-count descent's subset ``(kind, sym,
@@ -202,7 +210,7 @@ class RulePack:
     __slots__ = (
         "head", "kind", "sym", "rank", "span",
         "nnodes", "nelems", "params", "node_objs", "sym_objs", "sym_names",
-        "steps", "calls", "node_segs", "elem_segs",
+        "steps", "calls", "node_segs", "elem_segs", "routes",
         "_label_arrays", "hop_segs", "walk", "walk_nodes",
     )
 
@@ -218,6 +226,7 @@ class RulePack:
             self.params, self.sym_objs, self.steps,
         )
         self.calls = calls
+        self.routes: Optional[list] = None
         #: per-label match-count arrays for the query walk, versioned by
         #: the identity of the LabelIndex node table they were built from:
         #: a census eviction anywhere below this rule (including callee
@@ -528,22 +537,28 @@ class GrammarKernel:
 def kernel_locate_element(
     kernel: GrammarKernel,
     element_index: int,
-    track_axes: bool,
+    start: Optional[tuple] = None,
 ):
-    """The descent behind ``GrammarIndex._locate_element`` (which
-    documents the result tuple and the ``track_axes`` contract and
-    pre-checks the bounds)."""
+    """The descent behind ``GrammarIndex._locate_element`` (bounds
+    pre-checked there): ``(preorder index, pack, position, environment,
+    steps, parent, depth, hops)`` -- parent and depth as the entered
+    bodies and parent-free routes show them, plus one ``(callee, slot,
+    pack, position, environment, expansion's first element)`` per other
+    hop into an argument for ``GrammarIndex._axes`` to add.  With a ``start``
+    binding ``(pack, pos, env)`` in place of the start rule, all counts
+    are relative to that subtree, which must hold the target."""
     packs = kernel._packs
-    pack = kernel.pack(kernel._index.grammar.start)
+    if start is None:
+        start = (kernel.pack(kernel._index.grammar.start), 0, ())
+    pack, pos, env = start
     (kind, sym, rank, span, nnodes, nelems, params, _nodes, sym_objs,
      _names, step_at) = pack.walk
-    pos = 0
-    env: Tuple = ()
     remaining = element_index
     position = 0
     parent: Optional[int] = None
     depth = 0
     steps: List[PathStep] = []
+    hops: List[tuple] = []
 
     while True:
         k = kind[pos]
@@ -551,7 +566,8 @@ def kernel_locate_element(
             if k == 1:
                 if remaining == 0:
                     steps.append(step_at[pos])
-                    return position, pack, pos, env, steps, parent, depth
+                    return (position, pack, pos, env, steps, parent, depth,
+                            hops)
                 remaining -= 1
                 position += 1
                 if rank[pos] == 2:
@@ -614,47 +630,52 @@ def kernel_locate_element(
         # Nonterminal application: its virtual preorder interleaves the
         # rule body's segments with the argument subtrees (seg0, arg1,
         # seg1, ..., argk, segk).  An argument target is descended into
-        # directly; a body-segment target enters the rule with both
-        # counters unchanged -- walking the body under the bindings
-        # reproduces exactly the interleaved sequence.  Axis tracking
-        # must not take the argument shortcut: the skipped rule-body
-        # path may contain the target's binary ancestors (in particular
-        # its document parent), so it always enters the rule.
+        # directly; the callee's route summary stands in for the skipped
+        # body path -- at once where that holds no parent, else (or when
+        # a write dropped the summary) as a hop for ``_axes`` to resolve.
+        # A body-segment target enters the rule with both counters
+        # unchanged -- walking the body under the bindings reproduces
+        # exactly the interleaved sequence.
         sobj = sym_objs[pos]
         callee = packs.get(sobj)
         if callee is None:
             callee = kernel.pack(sobj)
         r = rank[pos]
-        if not track_axes:
-            callee_nodes = callee.node_segs
-            callee_elems = callee.elem_segs
-            descend_to = -1
-            preceding_nodes = callee_nodes[0]
-            preceding_elems = callee_elems[0]
-            if remaining >= preceding_elems:
-                child = pos + 1
-                for child_pos in range(1, r + 1):
-                    ce = nelems[child]
-                    cn = nnodes[child]
-                    pp = params[child]
-                    if pp:
-                        for p in pp:
-                            b = env[p - 1]
-                            cn += b[0]
-                            ce += b[1]
-                    if remaining < preceding_elems + ce:
-                        remaining -= preceding_elems
-                        position += preceding_nodes
-                        descend_to = child
-                        break
-                    preceding_elems += ce + callee_elems[child_pos]
-                    preceding_nodes += cn + callee_nodes[child_pos]
-                    if remaining < preceding_elems:
-                        break  # a body segment after this arg: enter
-                    child += span[child]
-            if descend_to >= 0:
-                pos = descend_to
-                continue
+        callee_nodes = callee.node_segs
+        callee_elems = callee.elem_segs
+        descend_to = -1
+        preceding_nodes = callee_nodes[0]
+        preceding_elems = callee_elems[0]
+        if remaining >= preceding_elems:
+            child = pos + 1
+            for child_pos in range(1, r + 1):
+                ce = nelems[child]
+                cn = nnodes[child]
+                pp = params[child]
+                if pp:
+                    for p in pp:
+                        b = env[p - 1]
+                        cn += b[0]
+                        ce += b[1]
+                if remaining < preceding_elems + ce:
+                    remaining -= preceding_elems
+                    position += preceding_nodes
+                    descend_to = child
+                    break
+                preceding_elems += ce + callee_elems[child_pos]
+                preceding_nodes += cn + callee_nodes[child_pos]
+                if remaining < preceding_elems:
+                    break  # a body segment after this arg: enter
+                child += span[child]
+        if descend_to >= 0:
+            route = callee.routes and callee.routes[child_pos - 1]
+            if route and route[1] is None:
+                depth += route[0]
+            else:
+                hops.append((callee, child_pos, pack, pos, env,
+                             element_index - remaining - preceding_elems))
+            pos = descend_to
+            continue
         steps.append(step_at[pos])
         if r:
             outer_env = env

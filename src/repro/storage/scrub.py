@@ -249,13 +249,16 @@ def _audit_grammar_index(store: "DurableXml", report: ScrubReport,
         report.checked["index_rules"] = \
             report.checked.get("index_rules", 0) + 1
         # Packs are spliced in place by writes and live for thousands
-        # of them: audit the size columns against a cold build too.
+        # of them: audit the size columns and the route summaries they
+        # feed against a cold build too.
         pack = live.kernel.peek(head)
         if pack is None:
             continue
         cold = fresh.kernel.pack(head)
         differing = [column for column in ("span", "nnodes", "nelems")
                      if getattr(pack, column) != getattr(cold, column)]
+        if pack.routes is not None and pack.routes != cold.routes:
+            differing.append("routes")
         if differing:
             report.findings.append(ScrubFinding(
                 kind="grammar-index-drift", subject=str(head),

@@ -7,14 +7,23 @@ validated against it, then serves as the streaming oracle the indexed
 primitives (one O(depth) descent each) must agree with.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import CompressedXml
+from repro.datasets.synthetic import make_corpus
 from repro.grammar.navigation import stream_elements
+from repro.grammar.slcf import Grammar
+from repro.trees.builder import parse_term
+from repro.trees.node import Node, replace_node
+from repro.trees.symbols import Alphabet
 from repro.trees.unranked import XmlNode
+from repro.updates.batch import BatchAppend, BatchInsert, BatchRename
 
-from tests.strategies import update_scripts, xml_documents
+from tests.strategies import shard_widths, update_scripts, xml_documents
 from tests.grammar.test_index import replay_script
 
 
@@ -38,6 +47,22 @@ def naive_axes(root):
     for node in order:
         children.append([positions[id(child)] for child in node.children])
     return rows, children
+
+
+def assert_sampled_axes_match(surface, rows, children, sample):
+    """The five axes of the ``sample`` elements of a read surface (a
+    document, its index or a pinned view) against ``naive_axes``."""
+    for element in sample:
+        tag, parent, depth = rows[element]
+        assert surface.tag_of(element) == tag
+        assert surface.parent_of(element) == parent, element
+        assert surface.depth_of(element) == depth, element
+        kids = children[element]
+        assert list(surface.children(element)) == kids, element
+        assert surface.first_child(element) == (kids[0] if kids else None)
+        siblings = children[parent] if parent is not None else [element]
+        after = siblings[siblings.index(element) + 1:]
+        assert surface.next_sibling(element) == (after[0] if after else None)
 
 
 def assert_axes_match_naive(doc):
@@ -120,9 +145,185 @@ class TestProperties:
     def test_axes_match_naive(self, tree):
         assert_axes_match_naive(CompressedXml.from_document(tree))
 
-    @given(xml_documents(max_elements=20), update_scripts(max_ops=6))
-    @settings(max_examples=15, deadline=None)
-    def test_axes_match_naive_after_updates(self, tree, script):
-        doc = CompressedXml.from_document(tree)
+    @given(xml_documents(max_elements=30), update_scripts(max_ops=6),
+           st.one_of(st.none(), shard_widths()))
+    @settings(max_examples=25, deadline=None)
+    def test_axes_match_naive_after_updates(self, tree, script, width):
+        """Sharded documents grow the nested parameter routes the route
+        summaries compose; a recompression and a batch take the cold
+        build instead of the splice."""
+        doc = CompressedXml.from_document(tree, shard_width=width)
         for _ in replay_script(doc, script):
             assert_axes_match_naive(doc)
+        doc.recompress()
+        assert_axes_match_naive(doc)
+        last = doc.element_count - 1
+        doc.apply_batch([BatchAppend(0, XmlNode("z")),
+                         BatchRename(last, "batched"),
+                         BatchInsert(1, XmlNode("x", [XmlNode("y")]))])
+        assert_axes_match_naive(doc)
+
+    @given(xml_documents(max_elements=30), update_scripts(max_ops=4),
+           update_scripts(max_ops=4), shard_widths())
+    @settings(max_examples=20, deadline=None)
+    def test_pinned_view_answers_the_pre_write_axes(
+            self, tree, before, after, width):
+        doc = CompressedXml.from_document(tree, shard_width=width)
+        for _ in replay_script(doc, before):
+            pass
+        rows, children = naive_axes(doc.to_document())
+        with doc.snapshot() as view:
+            for _ in replay_script(doc, after):
+                pass
+            assert_sampled_axes_match(view, rows, children, range(len(rows)))
+            assert_axes_match_naive(doc)
+
+
+class TestCorpusFuzz:
+    """Corpus-shaped, sharded documents under single-op writes: after
+    each write the axes of a sample -- always the written element, its
+    parent and the last element -- equal the oracle."""
+
+    @pytest.mark.parametrize("corpus", ["Treebank", "XMark", "EXI-Weblog"])
+    def test_axes_after_every_write(self, corpus):
+        rng = random.Random(20)
+        doc = CompressedXml.from_document(
+            make_corpus(corpus, 1500, seed=20), shard_width=64)
+        for _ in range(60):
+            count = doc.element_count
+            at = rng.randrange(1, count)
+            kind = rng.choice(("rename", "insert", "append", "delete"))
+            if kind == "rename":
+                doc.rename(at, "renamed")
+            elif kind == "insert":
+                doc.insert(at, XmlNode("ins", [XmlNode("leaf")]))
+            elif kind == "append":
+                doc.append_child(at, XmlNode("app"))
+            else:
+                doc.delete(at)
+            rows, children = naive_axes(doc.to_document())
+            count = len(rows)
+            at = min(at, count - 1)
+            sample = {at, rows[at][1] or 0, count - 1}
+            sample.update(rng.randrange(count) for _ in range(37))
+            assert_sampled_axes_match(doc, rows, children, sample)
+        assert_axes_match_naive(doc)
+        # Segments adopted from a snapshot come without packs: the
+        # route summaries are then computed on first use, callees first.
+        reloaded = CompressedXml.from_state(doc.export_state())
+        assert reloaded.index.kernel.rules_packed == 0
+        assert_sampled_axes_match(reloaded, rows, children, range(count))
+
+
+def wrap(grammar, head, old, label, slot):
+    """Rewrite ``old`` to ``label(old, ⊥)`` (``slot`` 1) or
+    ``label(⊥, old)`` (``slot`` 2) -- or, for a nonterminal ``label`` of
+    rank 1, to its application ``label(old)`` -- inside rule ``head``,
+    reported as one local splice: the shape of an insert landing on a
+    parameter route."""
+    alphabet = grammar.alphabet
+    grammar.preserve_for_write(head)
+    symbol = alphabet.get(label) or alphabet.terminal(label, 2)
+    new = Node(symbol, [Node(alphabet.bottom()) for _ in range(symbol.rank)])
+    if old.parent is not None:
+        replace_node(old, new)
+    new.set_child(slot, old)
+    grammar.notify_rule_spliced(head, old, new)
+
+
+class TestRouteSummariesFollowDirectSurgery:
+    """``S -> r(U(b),⊥)``, ``U -> u(V(y1),⊥)``, ``V -> c(y1,W(e))``,
+    ``W -> w(⊥,y1)`` (and a spare ``K -> k(y1,⊥)``, applied by nobody
+    yet): ``U``'s route to its parameter composes ``V``'s.
+    A splice inside ``V`` that moves ``V``'s route reaches ``U`` only
+    through ``_resize``, which patches ``U``'s pack in place -- so the
+    summary cached on that pack must not outlive it."""
+
+    @staticmethod
+    def document(callee="c(y1,W(e(#,#)))", applier="u(V(y1),#)"):
+        alphabet = Alphabet()
+        names = {name: alphabet.nonterminal(name, rank)
+                 for name, rank in (("S", 0), ("U", 1), ("V", 1), ("W", 1),
+                                    ("K", 1))}
+        grammar = Grammar(alphabet, names["S"])
+        for name, body in (("K", "k(y1,#)"), ("W", "w(#,y1)"), ("V", callee),
+                           ("U", applier), ("S", "r(U(b(#,#)),#)")):
+            grammar.set_rule(names[name],
+                             parse_term(body, alphabet, frozenset(names)))
+        grammar.validate()
+        return CompressedXml(grammar), names
+
+    @pytest.mark.parametrize("pinned", [False, True], ids=["live", "pinned"])
+    @pytest.mark.parametrize("surgery, resized", [
+        # The parent point's offset grows: an element in front of ``c``,
+        # all of it in front of the parameter -- the ``_resize`` path.
+        (lambda body: (body, "x", 2), True),
+        # The segment *behind* the parameter grows: no route moves.
+        (lambda body: (body.children[1], "k", 1), True),
+        # The first-child route to ``y1`` deepens by one.  A size lands
+        # behind the parameter too, so this one is not local: eviction.
+        (lambda body: (body.children[0], "d", 1), False),
+    ], ids=["offset-grows", "behind-the-parameter", "route-deepens"])
+    def test_applier_summary_does_not_outlive_the_write(
+            self, surgery, resized, pinned):
+        doc, names = self.document()
+        assert doc.to_xml() == "<r><u><c><b/></c><w/><e/></u></r>"
+        assert_axes_match_naive(doc)  # packs, summaries and the memo
+        kernel = doc.index.kernel
+        applier = kernel.peek(names["U"])
+        assert applier.routes == [(2, (0, 1))]
+        rows, children = naive_axes(doc.to_document())
+        view = doc.snapshot() if pinned else None
+        old, label, slot = surgery(doc.grammar.rhs(names["V"]))
+        wrap(doc.grammar, names["V"], old, label, slot)
+        # ``_resize`` patches the applier's pack in place; whatever it
+        # cached about ``val(V)`` must have gone with the old sizes.
+        assert (kernel.peek(names["U"]) is applier) == resized
+        assert_axes_match_naive(doc)
+        if view is not None:
+            assert_sampled_axes_match(view, rows, children, range(len(rows)))
+            view.close()
+
+    @pytest.mark.parametrize("surgery, resized", [
+        # A sibling in front of ``c``: the parameters stay on the
+        # sibling chains of ``V`` and ``U`` -- both summaries survive.
+        (lambda body: (body, "x", 2), True),
+        # ``y1`` goes under an application of ``K``, whose own route
+        # takes a first-child edge (and whose second segment lands
+        # behind the parameter): fresh applications are not local.
+        (lambda body: (body.children[1], "K", 1), False),
+    ], ids=["sibling-in-front", "fresh-application"])
+    def test_parentless_summaries_survive_local_growth_only(
+            self, surgery, resized):
+        doc, names = self.document(callee="c(#,y1)", applier="u(#,V(y1))")
+        assert doc.to_xml() == "<r><u/><c/><b/></r>"
+        assert_axes_match_naive(doc)
+        kernel = doc.index.kernel
+        applier = kernel.peek(names["U"])
+        assert applier.routes == [(0, None)]
+        assert doc.index.element_segments(names["K"]) == [1, 0]  # cached
+        old, label, slot = surgery(doc.grammar.rhs(names["V"]))
+        wrap(doc.grammar, names["V"], old, label, slot)
+        assert (kernel.peek(names["U"]) is applier) == resized
+        if resized:
+            assert applier.routes == kernel.peek(names["V"]).routes \
+                == [(0, None)]
+        assert_axes_match_naive(doc)
+
+    def test_same_size_rewrite_of_a_route_evicts_the_appliers(self):
+        """``V -> c(⊥,y1)`` becomes ``c(y1,⊥)``: no size changes, so
+        ``_resize`` never runs -- but it is no inline either, and the
+        route turned from next-sibling to first-child."""
+        doc, names = self.document(callee="c(#,y1)")
+        assert doc.to_xml() == "<r><u><c/><b/></u></r>"
+        assert_axes_match_naive(doc)
+        grammar, head = doc.grammar, names["V"]
+        assert doc.index.kernel.peek(names["U"]).routes == [(1, (0, 0))]
+        old = grammar.rhs(head)
+        grammar.preserve_for_write(head)
+        new = Node(old.symbol, [Node(grammar.alphabet.bottom()),
+                                Node(grammar.alphabet.bottom())])
+        new.set_child(1, old.children[1])
+        grammar.notify_rule_spliced(head, old, new)
+        assert doc.to_xml() == "<r><u><c><b/></c></u></r>"
+        assert_axes_match_naive(doc)

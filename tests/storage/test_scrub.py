@@ -185,6 +185,33 @@ class TestIndexFindings:
         assert [doc.tag_of(i) for i in range(len(tags))] == tags
         assert store.scrub().ok
 
+    def test_drifted_route_summary_is_found_and_repaired(self, store):
+        """``parent_of`` / ``depth_of`` trust the cached parameter-route
+        summaries: the pack audit recomputes them cold as well."""
+        doc = store.document
+        index = doc.index
+        rows = [(i, doc.parent_of(i), doc.depth_of(i))
+                for i in range(doc.element_count)]  # packs + summaries
+        pack = next(pack for head in index.cached_rules()
+                    for pack in [index.kernel.peek(head)]
+                    if pack is not None and pack.routes)
+        delta, _point = pack.routes[0]
+        pack.routes[0] = (delta, (0, 3))  # out-of-band clobber
+        index._locations.clear()  # the memo would hide it
+        assert [(i, doc.parent_of(i), doc.depth_of(i))
+                for i in range(doc.element_count)] != rows
+        report = store.scrub()
+        drift = next(f for f in report.findings
+                     if f.kind == "grammar-index-drift")
+        assert drift.subject == str(pack.head)
+        assert "routes" in drift.detail
+        report = store.scrub(repair=True)
+        assert report.repaired_count == len(report.findings) >= 1
+        assert index.kernel.peek(pack.head) is not pack
+        assert [(i, doc.parent_of(i), doc.depth_of(i))
+                for i in range(doc.element_count)] == rows
+        assert store.scrub().ok
+
     def test_drifted_label_census_is_found_and_repaired(self, store):
         label_index = store.document.label_index
         start = store.document.grammar.start

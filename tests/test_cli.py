@@ -122,6 +122,63 @@ class TestQueryCommand:
         assert capsys.readouterr().out == "40\n"
 
 
+def _tree_bytes(path):
+    """Every file below ``path`` (or the file itself) with its bytes."""
+    if os.path.isfile(path):
+        with open(path, "rb") as handle:
+            return handle.read()
+    found = {}
+    for folder, _dirs, names in os.walk(path):
+        for name in names:
+            with open(os.path.join(folder, name), "rb") as handle:
+                found[os.path.join(folder, name)] = handle.read()
+    return found
+
+
+class TestBadInputIsOneErrorLine:
+    """A malformed path, an index out of range or an invalid update is
+    one ``error: ...`` line on stderr and exit code 2 -- no traceback,
+    and the grammar file / store is byte-identical afterwards."""
+
+    BAD = [
+        ["query", "{target}", "a"],
+        ["query", "{target}", "//entry["],
+        ["update", "{target}", "delete", "999"],
+        ["update", "{target}", "rename", "-1", "x"],
+        ["update", "{target}", "rename", "one", "x"],
+        ["update", "{target}", "delete", "0"],
+        ["update", "{target}", "insert", "1", "<open>"],
+    ]
+
+    def _assert_rejected(self, argv, target, capsys):
+        before = _tree_bytes(target)
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert _tree_bytes(target) == before
+
+    @pytest.mark.parametrize("argv", BAD, ids=lambda argv: " ".join(argv))
+    def test_grammar_file(self, argv, xml_file, tmp_path, capsys):
+        grammar_path = str(tmp_path / "doc.grammar")
+        main(["compress", str(xml_file), "-o", grammar_path])
+        self._assert_rejected(
+            [arg.format(target=grammar_path) for arg in argv],
+            grammar_path, capsys)
+
+    @pytest.mark.parametrize("argv", BAD, ids=lambda argv: " ".join(argv))
+    def test_durable_store(self, argv, xml_file, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        main(["durable", "init", store, "--xml", str(xml_file)])
+        main(["durable", "update", store, "rename", "1", "first"])
+        self._assert_rejected(
+            ["durable"] + [arg.format(target=store) for arg in argv],
+            store, capsys)
+
+
 class TestExperimentCommand:
     def test_durable_init_update_query(self, xml_file, tmp_path, capsys):
         store = str(tmp_path / "store")

@@ -330,6 +330,8 @@ def assert_packs_equal_cold_build(doc):
                 assert a.enters_rule == b.enters_rule, head
         assert pack.node_segs is live._node_segments[head]
         assert pack.elem_segs is live._elem_segments[head]
+        if pack.routes is not None:  # dropped by a write, not yet asked for
+            assert pack.routes == cold.routes, head
 
 
 #: The columns that say which node sits where: no write may change them
@@ -490,6 +492,145 @@ class TestSuspendedWalksSurviveWrites:
         assert [doc.tag_of(child) for child in before] == \
             ["EDITED"] * len(before)
         assert observe(doc) == oracle(doc)
+
+
+def index_resumed_children(doc, element):
+    """``children_with_tags`` as specified, on the public axes: a
+    child's sizes are read before it is handed out, the next child is
+    found by index from the root after the consumer had its turn."""
+    index = doc.index
+    child = index.first_child(element)
+    while child is not None:
+        below = index.element_subtree_extent(child) - 1
+        last = index.next_sibling(child) is None
+        yield child, index.tag_of(child)
+        if last:
+            return
+        child += 1 + below
+
+
+class TestSuspendedChildrenWalksResumeByIndex:
+    """A ``children()`` walk resumes from the binding of the child it
+    just handed out -- unless its consumer wrote in between: then the
+    next child is the element at the index the pre-write sizes name,
+    exactly as when every child cost a root descent."""
+
+    LOG = "<r><a/><b><b1/></b><c/><d/><e/></r>"
+
+    def test_insert_before_the_current_child(self):
+        doc = CompressedXml.from_xml(self.LOG)
+        seen = []
+        for child, tag in doc.index.children_with_tags(0):
+            seen.append((child, tag))
+            if tag == "b" and len(seen) == 2:
+                doc.insert(child, XmlNode("new"))
+        # The index the pre-write sizes name -- behind ``b``'s subtree
+        # as it was -- now holds ``b1``, an only child: the walk ends.
+        assert seen == [(1, "a"), (2, "b"), (4, "b1")]
+        assert observe(doc) == oracle(doc)
+
+    def test_delete_of_the_next_sibling(self):
+        doc = CompressedXml.from_xml(self.LOG)
+        seen = []
+        for child, tag in doc.index.children_with_tags(0):
+            seen.append((child, tag))
+            if tag == "b":
+                doc.delete(child + 2)  # ``c``
+        assert seen == [(1, "a"), (2, "b"), (4, "d"), (5, "e")]
+        assert observe(doc) == oracle(doc)
+
+    @pytest.mark.parametrize("kind", ["insert-before", "delete-next"])
+    def test_treebank_walk_equals_the_index_resumed_one(self, kind):
+        docs = [TestSuspendedWalksSurviveWrites.treebank(edges=800)
+                for _ in range(2)]
+        walks = [docs[0].index.children_with_tags(0),
+                 index_resumed_children(docs[1], 0)]
+        rng = random.Random(3)
+        writes = 0
+        for got, expected in zip(*walks):
+            assert got == expected
+            if rng.random() < 0.5:
+                continue
+            child = got[0]
+            for doc in docs:
+                if kind == "insert-before":
+                    doc.insert(child, XmlNode("NEW", [XmlNode("LEAF")]))
+                else:
+                    following = doc.next_sibling(child)
+                    if following is not None and \
+                            doc.next_sibling(following) is not None:
+                        doc.delete(following)
+            writes += 1
+        # An insert in front of a child with descendants ends the walk
+        # early (the resumed index lands inside its subtree).
+        assert writes >= 1 if kind == "insert-before" else writes > 8
+        assert all(next(walk, None) is None for walk in walks)
+        assert docs[0].to_xml() == docs[1].to_xml()
+        assert observe(docs[0]) == oracle(docs[0])
+
+
+class TestNavigationPaysOneDescent:
+    """Counts, not clocks: one descent answers every axis of an element,
+    it enters no more rules than a plain ``tag_of`` descent, and a
+    ``children()`` walk starts at the start rule once -- plus once per
+    write its consumer makes."""
+
+    @pytest.fixture
+    def descents(self, monkeypatch):
+        """Every ``kernel_locate_element`` call the index makes, as
+        ``(started at the start rule, rules entered)``."""
+        import repro.grammar.index as index_module
+
+        calls = []
+        real = index_module.kernel_locate_element
+
+        def counting(kernel, element_index, start=None):
+            located = real(kernel, element_index, start)
+            calls.append((start is None, len(located[4]) - 1))
+            return located
+
+        monkeypatch.setattr(index_module, "kernel_locate_element", counting)
+        return calls
+
+    def test_all_axes_of_an_element_are_one_descent(self, descents):
+        doc = CompressedXml.from_document(
+            make_corpus("Treebank", edges=2000, seed=42), shard_width=64)
+        target = doc.element_count * 2 // 3
+        doc.insert(target, XmlNode("NEW", [XmlNode("LEAF")]))
+        del descents[:]
+        kernel = doc.index.kernel
+        hits = kernel.hits
+        parent = doc.parent_of(target)
+        axis_hits = kernel.hits - hits
+        assert (doc.tag_of(target), doc.depth_of(target)) == \
+            ("NEW", doc.depth_of(parent) + 1)
+        doc.first_child(target), doc.next_sibling(target)
+        assert [from_root for from_root, _ in descents] == [True, True]
+        # ... the second one being ``depth_of(parent)``.  A fresh
+        # neighbour's plain descent costs as much as the axis one did.
+        hits = kernel.hits
+        assert doc.tag_of(target + 1) == "LEAF"
+        assert axis_hits <= kernel.hits - hits + 2
+        assert descents[0][1] <= descents[2][1] + 2
+
+    def test_children_walk_descends_from_the_root_once(self, descents):
+        def from_root():
+            return sum(from_root for from_root, _ in descents)
+
+        doc = CompressedXml.from_xml(
+            "<log>" + "<entry><user/><ts/></entry>" * 2000 + "</log>")
+        assert list(doc.children(0)) == list(range(1, 6001, 3))
+        assert 1 <= from_root() <= 2  # the parent; not one per child
+        assert len(descents) >= 2000
+        walk = doc.children(0)
+        assert [next(walk) for _ in range(1000)] == list(range(1, 3001, 3))
+        doc.insert(4999, XmlNode("late"))  # a child further on
+        before = from_root()
+        assert list(walk) == list(range(3001, 4999, 3)) + [4999] + \
+            list(range(5000, 6002, 3))
+        # The bindings the walk held are stale: the next child is found
+        # by index from the root, the ones after it from bindings again.
+        assert from_root() == before + 1
 
 
 class TestCountersProveTheCut:
