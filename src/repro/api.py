@@ -86,8 +86,10 @@ from repro.query.engine import select as engine_select
 from repro.query.label_index import LabelIndex
 from repro.query.parser import parse_path
 from repro.updates import grammar_updates
-from repro.updates.batch import BatchBuilder, BatchOp, BatchStats, execute_batch
-from repro.updates.operations import UpdateError
+from repro.updates.batch import (
+    BatchBuilder, BatchOp, BatchStats, execute_batch, normalize_content,
+)
+from repro.updates.operations import UpdateError, check_tag
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.faults import StorageIO
@@ -289,11 +291,13 @@ class ReadSurface:
 
         ``path`` is a ``/a/b//c``-style expression (child + descendant
         axes, ``*`` wildcard, optional 1-based positional predicates; see
-        :mod:`repro.query.parser`).  Descendant steps skip every
-        derivation subtree whose label census is zero in O(1), so
-        selective queries cost ``O(matches · depth · rule-width)`` instead
-        of the ``O(N)`` a decompress-then-walk pays.  The result is
-        sorted, duplicate-free, and lives in the same document-order
+        :mod:`repro.query.parser`).  The whole path is one walk of the
+        derivation (:mod:`repro.query.engine`): it skips in O(1) every
+        subtree below which no step can match any more or -- with a
+        descendant step in the path -- whose census of the last label is
+        zero, so selective queries cost ``O(matches · depth · rule-width)``
+        instead of the ``O(N)`` a decompress-then-walk pays.  The result
+        is sorted, duplicate-free, and lives in the same document-order
         coordinate space as :meth:`rename`/:meth:`delete`/
         :meth:`apply_batch` targets.
         """
@@ -305,7 +309,7 @@ class ReadSurface:
         """Number of elements a label path selects.
 
         ``//label`` is answered in O(1) from the label index's start-rule
-        census; other shapes evaluate the path.
+        census; other shapes count the matches of :meth:`select`'s walk.
         """
         return self._evaluate("count", count_matches, path)
 
@@ -737,6 +741,7 @@ class CompressedXml(ReadSurface):
     # ------------------------------------------------------------------
     def rename(self, element_index: int, new_tag: str) -> None:
         """Relabel the ``element_index``-th element (document order)."""
+        check_tag(new_tag)
         started = time.perf_counter()
         with self._lock:
             position, steps = self._index.resolve_element(element_index)
@@ -762,7 +767,7 @@ class CompressedXml(ReadSurface):
             raise UpdateError(
                 "inserting before the document root would create a forest"
             )
-        siblings = [content] if isinstance(content, XmlNode) else list(content)
+        siblings = normalize_content(content)
         started = time.perf_counter()
         with self._lock:
             fragment = encode_forest(siblings, self._grammar.alphabet)
@@ -791,7 +796,7 @@ class CompressedXml(ReadSurface):
         encoding (the root's own next-sibling ``⊥`` always follows it),
         so the isolation never runs past the derivation.
         """
-        siblings = [content] if isinstance(content, XmlNode) else list(content)
+        siblings = normalize_content(content)
         started = time.perf_counter()
         with self._lock:
             fragment = encode_forest(siblings, self._grammar.alphabet)

@@ -211,7 +211,7 @@ class RulePack:
         "head", "kind", "sym", "rank", "span",
         "nnodes", "nelems", "params", "node_objs", "sym_objs", "sym_names",
         "steps", "calls", "node_segs", "elem_segs", "routes",
-        "_label_arrays", "hop_segs", "walk", "walk_nodes",
+        "_label_arrays", "walk", "walk_nodes",
     )
 
     def __init__(self, head: Symbol, columns: tuple,
@@ -234,21 +234,18 @@ class RulePack:
         #: ancestor *structure*) rebuilds that dict, so an identity check
         #: per rule entry keeps the flat counts consistent without a
         #: second invalidation channel.  Entries are ``(node_table,
-        #: packed array, list mirror, hop-body dict)`` -- walks read the
-        #: mirror; the hop-body dict memoises the callee's own label
-        #: total per application position (the zero-census hop test),
-        #: which shares the entry's versioning: any census change below
-        #: an application changes this rule's counts too, so the entry
-        #: is rebuilt -- dropping the memo -- exactly when needed.
+        #: packed array, list mirror, hop dict)`` -- walks read the
+        #: mirror; the hop dict memoises the zero-census hop per
+        #: application position: ``False`` where the callee's body holds
+        #: the label, else ``(segments, kids)`` -- the callee's live
+        #: element-segment list (patched in place by writes below the
+        #: callee, replaced only by an eviction, which cascades through
+        #: every applier) and this pack's argument positions (a splice's
+        #: successor starts with no entries).  It shares the entry's
+        #: versioning: any census change below an application changes
+        #: this rule's counts too, so the entry is rebuilt -- dropping
+        #: the memo -- exactly when needed.
         self._label_arrays: Dict[str, Tuple[dict, array, list, dict]] = {}
-        #: per-application-position ``(segments, kids)`` memo for the
-        #: zero-census hop (the callee's live element-segment list +
-        #: this rule's child positions).  Positions are this pack's (a
-        #: splice's successor starts with an empty memo); the segment
-        #: lists are patched in place by writes below the callee and
-        #: replaced only by an eviction, which cascades through every
-        #: applier.
-        self.hop_segs: Dict[int, tuple] = {}
 
     @property
     def nbytes(self) -> int:
@@ -267,11 +264,11 @@ class RulePack:
         return self.label_hop(lindex, label)[0]
 
     def label_hop(self, lindex: "LabelIndex", label: str) -> Tuple[list, dict]:
-        """``(counts, hop-body memo)`` for ``label`` -- the walk-entry
-        bundle of the query walk.  The memo maps application positions to
-        the callee's own label total so repeated walks skip the
-        ``rule_label_count`` probe; it rides the entry's node-table
-        versioning (see ``_label_arrays``)."""
+        """``(counts, hop memo)`` for ``label`` -- the walk-entry bundle
+        of the query walk.  The memo maps application positions to their
+        zero-census hop so repeated walks skip the ``rule_label_count``
+        probe; it rides the entry's node-table versioning (see
+        ``_label_arrays``)."""
         ntab = lindex.node_table(self.head, label)
         cached = self._label_arrays.get(label)
         if cached is not None and cached[0] is ntab:

@@ -13,9 +13,10 @@ structural navigation directly on the SLP.
   label-census tables maintained through the grammar observer channel,
   the third persistent index beside :class:`~repro.grammar.index.GrammarIndex`
   and :class:`~repro.core.occurrence_index.GrammarOccurrenceIndex`,
-* :mod:`repro.query.engine` -- set-at-a-time evaluation over element
-  indices, with derivation subtrees skipped in O(1) when their label
-  census is zero, plus subtree extraction by partial derivation,
+* :mod:`repro.query.engine` -- one derivation walk per path (the path
+  automaton rides it), with derivation subtrees skipped in O(1) when no
+  step can match below them or their label census is zero, plus subtree
+  extraction by partial derivation,
 * :mod:`repro.query.naive` -- the decompressed-tree evaluation the engine
   is property-tested against.
 

@@ -1,16 +1,17 @@
 """Label-path evaluation directly on the grammar.
 
-The evaluator is set-at-a-time: a context set of document-order element
-indices is mapped through one :class:`~repro.query.parser.QueryStep` at a
-time.  Child-axis steps ride the :class:`~repro.grammar.index.GrammarIndex`
-navigation primitives (``children``/``tag_of``, one ``O(depth·rule-width)``
-descent each); descendant-axis steps ride :func:`iter_matching_elements`,
-a single derivation walk that skips a whole RHS/derivation subtree in O(1)
-when
+A path query is *one* walk of the derivation: the path runs top-down as
+an automaton (:class:`_PathStates`; Maneth & Sebastian's structural
+self-indexes are the model), every item of the walk carrying the steps an
+element found there may still match, so the cost follows the matches, not
+contexts x depth.  :func:`select`, :func:`count_matches` and
+:func:`iter_matching_elements` are that walk, which skips a whole
+RHS/derivation subtree in O(1) when
 
 * it lies entirely outside the requested element range (structural index's
-  cached subtree sizes), or
-* its census for the queried label is zero
+  cached subtree sizes),
+* its state is dead -- no step can match anywhere below -- or
+* its census for the last step's label is zero
   (:class:`~repro.query.label_index.LabelIndex` count tables) --
 
 so a selective query touches ``O(matches · depth)`` derivation nodes
@@ -18,22 +19,21 @@ instead of the ``O(N)`` elements a decompress-then-walk pays, which is the
 whole point of querying in the compressed domain.
 
 :func:`extract_subtree` serializes one element's subtree by *partial
-derivation*: the binary-preorder window covering the element and its
-first-child subtree is streamed off the grammar (again skipping derivation
-subtrees before the window in O(1)), rebuilt into a ranked tree, and
-decoded -- no full decompression, cost ``O(depth · rule-width + output)``.
+derivation* of its binary-preorder window -- no full decompression, cost
+``O(depth · rule-width + output)``.
 """
 
 from __future__ import annotations
 
 import threading
-from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.grammar.index import GrammarIndex, check_element_index
 from repro.grammar.kernel import kernel_stream_preorder
 from repro.query.label_index import LabelIndex
-from repro.query.parser import CHILD, LabelPath, QueryStep, parse_path
+from repro.query.parser import (
+    CHILD, DESCENDANT, LabelPath, QueryStep, parse_path,
+)
 from repro.trees.binary import decode_binary
 from repro.trees.node import Node
 from repro.trees.symbols import Symbol
@@ -48,12 +48,11 @@ __all__ = [
     "read_prune_counter",
 ]
 
-#: Per-thread census-prune accounting for the observability layer: the
-#: facade resets it before a query's walk and reads it after, feeding
-#: the ``repro_query_pruned_subtrees_total`` counter.  Thread-local so
-#: concurrent snapshot readers never see each other's prunes; the walk
-#: itself accumulates into a local int and flushes once per generator
-#: close, keeping the hot loop free of thread-local traffic.
+#: Per-thread pruned-subtree count for the observability layer: the facade
+#: resets it before a query's walk and reads it after, feeding
+#: ``repro_query_pruned_subtrees_total``.  Thread-local so concurrent
+#: snapshot readers never see each other's prunes; the walk counts into a
+#: local int and flushes once, when it ends.
 _PRUNE_STATS = threading.local()
 
 
@@ -63,18 +62,253 @@ def reset_prune_counter() -> None:
 
 
 def read_prune_counter() -> int:
-    """Derivation subtrees census-pruned on this thread since the reset."""
+    """Derivation subtrees pruned on this thread since the reset."""
     return getattr(_PRUNE_STATS, "pruned", 0)
 
-#: The virtual context above the document root: XPath's root node.  A
-#: child step from here reaches element 0; a descendant step reaches every
-#: element.
-_VIRTUAL_ROOT = -1
-
 
 # ----------------------------------------------------------------------
-# pruned derivation walks
+# the path automaton and its walk
 # ----------------------------------------------------------------------
+class _PathStates:
+    """The states of one query's path automaton.
+
+    A state belongs to a slot of the first-child/next-sibling encoding:
+    bit ``i`` of ``avail`` says step ``i``'s predecessor is satisfied at
+    the slot's parent element (bit 0: at the virtual root).  An element
+    there matches the available steps whose test it passes -- a result if
+    the last is among them; its first-child slot gets their successors
+    plus the available *descendant* steps, its next-sibling slot its own.
+
+    ``extra`` has one entry per step, for the positional predicates.
+    Child ``[k]``: how many siblings of this chain passed the test -- the
+    ``k``-th matches and clears the bit for the rest of the chain; a
+    first-child slot restarts at 0.  Descendant ``[k]``: per open context
+    (contexts may nest) the value ``seen[i]`` had when it opened, where
+    ``seen[i]`` counts in document order the elements passing the test
+    under an open context -- the context's ``k``-th is where ``seen[i] -
+    k`` is its offset; older offsets go, and the bit with the last.
+    States are interned ``(transitions, avail, extra)`` triples, ``None``
+    the dead state; a transition is memoised unless it reads ``seen``.
+    """
+
+    def __init__(self, steps: Tuple[QueryStep, ...]) -> None:
+        self.steps = steps
+        self.full = (1 << len(steps)) - 1
+        self.inherited = self.counted = 0
+        for i, step in enumerate(steps):
+            if step.axis != CHILD:
+                self.inherited |= 1 << i
+                if step.position is not None:
+                    self.counted |= 1 << i
+        self.seen = [0] * len(steps)
+        self._interned: Dict[tuple, tuple] = {}
+        self.start = self._state(1, tuple(
+            ((0,) if i == 0 else ()) if self.counted >> i & 1 else 0
+            for i in range(len(steps))
+        ))
+
+    def _state(self, avail: int, extra: tuple) -> Optional[tuple]:
+        if not avail:
+            return None
+        return self._interned.setdefault((avail, extra), ({}, avail, extra))
+
+    def advance(self, state: tuple, name: str) -> tuple:
+        """``(is a result, first-child state, next-sibling state)`` of an
+        element labeled ``name`` found in ``state``."""
+        memo, avail, extra = state
+        seen, matched, kept = self.seen, 0, list(extra)
+        rest = avail  # what the next-sibling slot keeps
+        for i, step in enumerate(self.steps):
+            bit = 1 << i
+            if not avail & bit:
+                continue
+            fits = step.label is None or step.label == name
+            k = step.position
+            if k is None:
+                matched |= fits << i
+            elif step.axis == CHILD:
+                kept[i] += fits
+                if fits and kept[i] == k:
+                    matched |= bit
+                    rest ^= bit
+                    kept[i] = 0
+            else:
+                seen[i] += fits
+                if fits and seen[i] - k in extra[i]:
+                    matched |= bit
+                kept[i] = tuple(o for o in extra[i] if seen[i] - o < k)
+                if not kept[i]:
+                    rest ^= bit
+        opened = matched << 1
+        below = (opened | rest & self.inherited) & self.full
+        result = (
+            matched > self.full >> 1,
+            self._state(below, tuple(
+                kept[i] + ((seen[i],) if opened >> i & 1 else ())
+                if self.counted >> i & 1 else 0
+                for i in range(len(kept))
+            )) if below else None,
+            self._state(rest, tuple(kept)),
+        )
+        if not (avail | opened) & self.counted:
+            memo[name] = result
+        return result
+
+
+def _walk(
+    gindex: GrammarIndex,
+    lindex: Optional[LabelIndex],
+    steps: Tuple[QueryStep, ...],
+    lo: int = 0,
+    hi: Optional[int] = None,
+) -> Iterator[int]:
+    """Element indices in ``[lo, hi)`` that ``steps`` selects, in document
+    order: one preorder walk of the derivation over the per-rule
+    :class:`~repro.grammar.kernel.RulePack` arrays.  A subtree generating
+    only elements before ``lo``, found in the dead state, or holding none
+    of the last step's label is skipped in O(1) via the cached count
+    tables; the walk stops at the first subtree at or past ``hi``."""
+    total = gindex.element_count
+    hi = total if hi is None else min(hi, total)
+    if lo >= hi:
+        return
+    if lindex is not None and not all(
+        step.label is None or lindex.document_label_count(step.label)
+        for step in steps
+    ):
+        return  # a label the document does not hold
+    states = _PathStates(steps)
+    label = steps[-1].label
+    # The last label's census prunes only a path with a descendant step
+    # (dead states prune a child-only path; every write evicts census
+    # tables) and no counting descendant step before the last, which must
+    # see every element.  The zero-census hop needs a state that cannot
+    # change: one descendant step, no predicate.
+    census = (
+        lindex is not None and label is not None and states.inherited
+        and not states.counted & states.full >> 1
+    )
+    hop = census and len(steps) == 1 and not states.counted
+    # Stack items are ``(pack, pos, env, lc, state)`` with ``lc`` the
+    # pack's per-position counts of the census label (of elements when
+    # the census is off) -- fetched once per rule entry, not per node --
+    # and ``state`` handed through parameter bindings and rule entries
+    # unchanged.  Hop markers are ``(None, skipped, ...)``; env entries
+    # ``(pack, pos, env, elements, matches, lc)``, counted at binding
+    # time so parameter lookups stay O(1).
+    kernel = gindex.kernel
+    position = 0
+    packs = kernel._packs
+    root = kernel.pack(gindex.grammar.start)
+    root_lc = root.label_counts(lindex, label) if census else root.nelems
+    # Consecutive stack items overwhelmingly share a pack (children are
+    # pushed together), so the unpacked ``pack.walk`` columns are kept
+    # until the popped pack changes; so is ``hops``, the pack's zero-hop
+    # memo for this label, cached per walk to spare a node-table check.
+    stack = [(root, 0, (), root_lc, states.start)]
+    cur = hops = None
+    hops_of: dict = {}
+    pruned = 0
+    while stack:
+        pack, pos, env, lc, state = stack.pop()
+        if pack is not cur:
+            if pack is None:
+                position += pos  # a pre-counted body-segment hop
+                continue
+            cur = pack
+            (kind, sym, rank, span, _nn, nelems, all_params, _no,
+             sym_objs, sym_names, _steps) = pack.walk
+            if hop:
+                hops = hops_of.get(pack)
+                if hops is None:
+                    hops = hops_of[pack] = pack.label_hop(lindex, label)[1]
+        k = kind[pos]
+        if k == 3:
+            b = env[sym[pos] - 1]
+            stack.append((b[0], b[1], b[2], b[5], state))
+            continue
+        if not k:
+            continue  # a ⊥ generates nothing
+        elems = nelems[pos]
+        matches = lc[pos]
+        for p in all_params[pos]:
+            b = env[p - 1]
+            elems += b[3]
+            matches += b[4]
+        if position >= hi:
+            break  # preorder: everything later starts further right
+        if state is None or not matches or position + elems <= lo:
+            # Dead state, zero census, or entirely before the window.
+            position += elems
+            pruned += 1
+            continue
+        if k == 1:
+            if rank[pos] != 2:
+                raise ValueError(f"not an FCNS element: {sym_objs[pos]!r}")
+            name = sym_names[pos]
+            found = state[0].get(name)
+            if found is None:
+                found = states.advance(state, name)
+            if found[0] and position >= lo:
+                yield position
+            position += 1
+            child = pos + 1
+            stack.append((pack, child + span[child], env, lc, found[2]))
+            stack.append((pack, child, env, lc, found[1]))
+            continue
+        sym_obj = sym_objs[pos]
+        if hop:
+            # Zero-census application: every match below it arrives
+            # through its arguments, so hop over the whole body via the
+            # cached element segments (virtual preorder: seg0, arg1, seg1,
+            # ..., argk, segk) and visit only the argument subtrees,
+            # *without* packing the callee: a deep chain of nested
+            # applications (what update traffic leaves sibling lists in)
+            # is not re-walked link by link.  ``hops[pos]`` is ``(segments,
+            # argument positions)`` or, the body holding the label, False.
+            h = hops.get(pos)
+            if h is None:
+                h = False
+                if not lindex.rule_label_count(sym_obj, label):
+                    kids = []
+                    child = pos + 1
+                    for _ in range(rank[pos]):
+                        kids.append(child)
+                        child += span[child]
+                    h = (gindex.element_segments(sym_obj), kids)
+                hops[pos] = h
+            if h:
+                pruned += 1
+                segments, kids = h
+                for child_pos in range(len(kids), 0, -1):
+                    if segments[child_pos]:
+                        stack.append((None, segments[child_pos], 0, 0, 0))
+                    stack.append((pack, kids[child_pos - 1], env, lc, state))
+                position += segments[0]
+                continue
+        callee = packs.get(sym_obj)
+        if callee is None:
+            callee = kernel.pack(sym_obj)
+        bindings = []
+        child = pos + 1
+        for _ in range(rank[pos]):
+            if kind[child] == 3:  # a parameter handed on: its binding
+                bindings.append(env[sym[child] - 1])
+            else:
+                ce = nelems[child]
+                cm = lc[child]
+                for p in all_params[child]:
+                    b = env[p - 1]
+                    ce += b[3]
+                    cm += b[4]
+                bindings.append((pack, child, env, ce, cm, lc))
+            child += span[child]
+        callee_lc = callee.label_counts(lindex, label) if census \
+            else callee.nelems
+        stack.append((callee, 0, tuple(bindings), callee_lc, state))
+    _PRUNE_STATS.pruned = read_prune_counter() + pruned
+
+
 def iter_matching_elements(
     gindex: GrammarIndex,
     lindex: Optional[LabelIndex],
@@ -82,198 +316,47 @@ def iter_matching_elements(
     hi: Optional[int],
     label: Optional[str] = None,
 ) -> Iterator[int]:
-    """Element indices in ``[lo, hi)`` whose tag equals ``label``.
-
-    ``label=None`` matches every element (then ``lindex`` may be ``None``).
-    One preorder walk of the derivation over the per-rule
-    :class:`~repro.grammar.kernel.RulePack` arrays; any subtree
-    generating only elements before ``lo`` -- or none of the queried
-    label -- is skipped in O(1) via the cached count tables, and the walk
-    stops at the first subtree starting at or past ``hi``.
-    """
+    """Element indices in ``[lo, hi)`` tagged ``label`` (``None``: any tag,
+    and no ``lindex`` needed): the walk over one descendant step, windowed."""
     if label is not None and lindex is None:
         raise ValueError("a label test needs a LabelIndex")
-    total = gindex.element_count
-    if hi is None or hi > total:
-        hi = total
-    if lo >= hi:
-        return
-    # Stack items are ``(pack, pos, env, lc)`` with ``lc`` the pack's
-    # per-position label-count list (``None`` when every element matches)
-    # -- fetched once per rule entry, not per node.  Hop markers are
-    # ``(None, skipped, None, None)``; env entries ``(pack, pos, env,
-    # elements, matches, lc)`` with the counts precomputed at binding
-    # time so parameter lookups stay O(1).
-    kernel = gindex.kernel
-    position = 0
-    packs = kernel._packs
-    root = kernel.pack(gindex.grammar.start)
-    root_lc = root.label_counts(lindex, label) if label is not None else None
-    # Consecutive stack items overwhelmingly share a pack (children are
-    # pushed together), so the unpacked ``pack.walk`` columns are cached
-    # across iterations and refreshed only when the popped pack changes.
-    # ``bodies`` (the pack's zero-hop memo for this label) rides along,
-    # with a walk-local cache so re-entering a pack after a callee
-    # detour is a single dict probe rather than a node-table check.
-    stack = [(root, 0, (), root_lc)]
-    cur = None
-    bodies: Optional[dict] = None
-    hop_segs: dict = {}
-    bodies_of: dict = {}
-    pruned = 0
-    try:
-        while stack:
-            pack, pos, env, lc = stack.pop()
-            if pack is not cur:
-                if pack is None:
-                    position += pos  # a pre-counted body-segment hop
-                    continue
-                cur = pack
-                (kind, sym, rank, span, _nn, nelems, all_params, _no,
-                 sym_objs, sym_names, _steps) = pack.walk
-                hop_segs = pack.hop_segs
-                if label is not None:
-                    bodies = bodies_of.get(pack)
-                    if bodies is None:
-                        bodies = pack.label_hop(lindex, label)[1]
-                        bodies_of[pack] = bodies
-            k = kind[pos]
-            if k == 3:
-                b = env[sym[pos] - 1]
-                stack.append((b[0], b[1], b[2], b[5]))
-                continue
-            elems = nelems[pos]
-            params = all_params[pos]
-            if label is None:
-                if params:
-                    for p in params:
-                        elems += env[p - 1][3]
-                matches = elems
-            else:
-                matches = lc[pos]
-                if params:
-                    for p in params:
-                        b = env[p - 1]
-                        elems += b[3]
-                        matches += b[4]
-            if position + elems <= lo:
-                position += elems  # entirely before the window
-                continue
-            if position >= hi:
-                return  # preorder: everything later starts further right
-            if matches == 0:
-                position += elems  # census prune: nothing inside
-                pruned += 1
-                continue
-            if k <= 1:
-                if k == 1:
-                    if position >= lo and (
-                        label is None or sym_names[pos] == label
-                    ):
-                        yield position
-                    position += 1
-                r = rank[pos]
-                if r == 2:
-                    child = pos + 1
-                    stack.append((pack, child + span[child], env, lc))
-                    stack.append((pack, child, env, lc))
-                elif r == 1:
-                    stack.append((pack, pos + 1, env, lc))
-                elif r:
-                    child = pos + 1
-                    kids = []
-                    for _ in range(r):
-                        kids.append(child)
-                        child += span[child]
-                    for c in reversed(kids):
-                        stack.append((pack, c, env, lc))
-                continue
-            sym_obj = sym_objs[pos]
-            if label is not None:
-                body = bodies.get(pos)
-                if body is None:
-                    body = lindex.rule_label_count(sym_obj, label)
-                    bodies[pos] = body
-                if body == 0:
-                    # Zero-census application: every match below it
-                    # arrives through its arguments, so hop over the
-                    # whole body via the cached element segments
-                    # (virtual preorder: seg0, arg1, seg1, ..., argk,
-                    # segk) and visit only the argument subtrees --
-                    # deliberately *without* packing the callee, which
-                    # the walk never enters.  This is what keeps a deep
-                    # nested-application chain (the shape update traffic
-                    # leaves sibling lists in) from being re-walked link
-                    # by link.  Segments and child layout are memoised per
-                    # position (both structural, so pack-versioned);
-                    # the leading segment is added inline instead of
-                    # via a hop marker.
-                    pruned += 1
-                    h = hop_segs.get(pos)
-                    if h is None:
-                        segments = gindex.element_segments(sym_obj)
-                        kids = []
-                        child = pos + 1
-                        for _ in range(rank[pos]):
-                            kids.append(child)
-                            child += span[child]
-                        h = (segments, kids)
-                        hop_segs[pos] = h
-                    segments, kids = h
-                    r = len(kids)
-                    if r == 1:
-                        s1 = segments[1]
-                        if s1:
-                            stack.append((None, s1, None, None))
-                        stack.append((pack, kids[0], env, lc))
-                    else:
-                        for child_pos in range(r, 0, -1):
-                            if segments[child_pos]:
-                                stack.append(
-                                    (None, segments[child_pos], None, None)
-                                )
-                            stack.append((pack, kids[child_pos - 1], env, lc))
-                    position += segments[0]
-                    continue
-            callee = packs.get(sym_obj)
-            if callee is None:
-                callee = kernel.pack(sym_obj)
-            callee_lc = (
-                callee.label_counts(lindex, label)
-                if label is not None else None
-            )
-            r = rank[pos]
-            if r:
-                outer_env = env
-                bindings = []
-                child = pos + 1
-                for _ in range(r):
-                    ce = nelems[child]
-                    if label is None:
-                        pp = all_params[child]
-                        if pp:
-                            for p in pp:
-                                ce += outer_env[p - 1][3]
-                        cm = ce
-                    else:
-                        cm = lc[child]
-                        pp = all_params[child]
-                        if pp:
-                            for p in pp:
-                                b = outer_env[p - 1]
-                                ce += b[3]
-                                cm += b[4]
-                    bindings.append((pack, child, outer_env, ce, cm, lc))
-                    child += span[child]
-                inner_env: Tuple = tuple(bindings)
-            else:
-                inner_env = ()
-            stack.append((callee, 0, inner_env, callee_lc))
-    finally:
-        if pruned:
-            _PRUNE_STATS.pruned = (
-                getattr(_PRUNE_STATS, "pruned", 0) + pruned
-            )
+    return _walk(gindex, lindex, (QueryStep(DESCENDANT, label),), lo, hi)
+
+
+def select(
+    gindex: GrammarIndex,
+    lindex: Optional[LabelIndex],
+    path: "LabelPath | str",
+) -> List[int]:
+    """Evaluate a label path; returns sorted unique element indices.
+
+    The results live in the same document-order coordinate space as every
+    update operation, so they can be handed directly to
+    ``rename``/``delete``/``apply_batch`` (subject to the usual sequential
+    -semantics shifting between operations).
+    """
+    return list(_walk(gindex, lindex, parse_path(path).steps))
+
+
+def count_matches(
+    gindex: GrammarIndex,
+    lindex: Optional[LabelIndex],
+    path: "LabelPath | str",
+) -> int:
+    """Number of elements a path selects.
+
+    ``//label`` -- one descendant step from the root, no positional
+    predicate -- is answered in O(1) from the label index's start-rule
+    census; everything else counts the walk.
+    """
+    steps = parse_path(path).steps
+    step = steps[0]
+    if (lindex is None or len(steps) > 1 or step.axis == CHILD
+            or step.position is not None):
+        return sum(1 for _ in _walk(gindex, lindex, steps))
+    if step.label is None:
+        return gindex.element_count
+    return lindex.document_label_count(step.label)
 
 
 def _iter_window_symbols(
@@ -419,86 +502,3 @@ def _rebuild_binary(symbols: Iterator[Symbol], bottom: Symbol) -> Node:
         frames.append([next_symbol, []])
     assert root is not None
     return root
-
-
-# ----------------------------------------------------------------------
-# path evaluation
-# ----------------------------------------------------------------------
-def _step_matches(
-    gindex: GrammarIndex,
-    lindex: Optional[LabelIndex],
-    context: int,
-    step: QueryStep,
-) -> Iterator[int]:
-    """Document-order matches of one step from one context element."""
-    label = step.label
-    if step.axis == CHILD:
-        if context == _VIRTUAL_ROOT:
-            if label is None or gindex.tag_of(0) == label:
-                yield 0
-            return
-        for child, tag in gindex.children_with_tags(context):
-            if label is None or tag == label:
-                yield child
-        return
-    if context == _VIRTUAL_ROOT:
-        lo, hi = 0, None  # descendants of the root node: every element
-    else:
-        lo = context + 1
-        hi = context + gindex.element_subtree_extent(context)
-    yield from iter_matching_elements(gindex, lindex, lo, hi, label)
-
-
-def select(
-    gindex: GrammarIndex,
-    lindex: Optional[LabelIndex],
-    path: "LabelPath | str",
-) -> List[int]:
-    """Evaluate a label path; returns sorted unique element indices.
-
-    The results live in the same document-order coordinate space as every
-    update operation, so they can be handed directly to
-    ``rename``/``delete``/``apply_batch`` (subject to the usual sequential
-    -semantics shifting between operations).
-    """
-    parsed = parse_path(path)
-    contexts: List[int] = [_VIRTUAL_ROOT]
-    for step in parsed:
-        seen: set = set()
-        for context in contexts:
-            matches = _step_matches(gindex, lindex, context, step)
-            if step.position is not None:
-                # The n-th match of this context, document order.
-                matches = islice(
-                    matches, step.position - 1, step.position
-                )
-            seen.update(matches)
-        if not seen:
-            return []
-        contexts = sorted(seen)
-    return contexts
-
-
-def count_matches(
-    gindex: GrammarIndex,
-    lindex: Optional[LabelIndex],
-    path: "LabelPath | str",
-) -> int:
-    """Number of elements a path selects.
-
-    ``//label`` -- one descendant step from the root, no positional
-    predicate -- is answered in O(1) from the label index's start-rule
-    census; everything else falls back to full evaluation.
-    """
-    parsed = parse_path(path)
-    if (
-        len(parsed) == 1
-        and parsed.steps[0].axis != CHILD
-        and parsed.steps[0].position is None
-        and lindex is not None
-    ):
-        label = parsed.steps[0].label
-        if label is not None:
-            return lindex.document_label_count(label)
-        return gindex.element_count
-    return len(select(gindex, lindex, parsed))

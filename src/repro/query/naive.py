@@ -6,8 +6,9 @@ property-tested against, and the "decompress-then-walk" baseline
 the plain :class:`~repro.trees.unranked.XmlNode` tree once (document
 order, children lists, subtree extents), then evaluate the path
 set-at-a-time with plain list scans.  Semantics are identical to
-:func:`repro.query.engine.select` by construction -- both are defined
-over document-order element indices.
+:func:`repro.query.engine.select` -- which runs the whole path as one
+automaton walk instead -- both being defined over document-order element
+indices.
 """
 
 from __future__ import annotations

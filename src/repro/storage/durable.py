@@ -83,6 +83,8 @@ from repro.storage.wal import (
     rename_record,
 )
 from repro.trees.unranked import XmlNode
+from repro.updates.batch import normalize_content
+from repro.updates.operations import check_tag
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api import CompressedXml
@@ -128,14 +130,6 @@ class CheckpointError(RuntimeError):
                  cause: Optional[BaseException] = None) -> None:
         super().__init__(message)
         self.cause = cause
-
-
-def _normalize_content(
-    content: Union[XmlNode, Sequence[XmlNode]]
-) -> List[XmlNode]:
-    from repro.updates.batch import _normalize_content as normalize
-
-    return list(normalize(content))
 
 
 def _sample_store(ref: "weakref.ref") -> dict:
@@ -527,7 +521,7 @@ class DurableXml:
         """Durably relabel an element (see ``CompressedXml.rename``)."""
         heads = (self._single_op_heads(element_index)
                  if self._group_commit else None)
-        self._commit(rename_record(element_index, new_tag), heads)
+        self._commit(rename_record(element_index, check_tag(new_tag)), heads)
 
     def insert(
         self,
@@ -538,7 +532,7 @@ class DurableXml:
         heads = (self._single_op_heads(element_index)
                  if self._group_commit else None)
         self._commit(insert_record(element_index,
-                                   _normalize_content(content)), heads)
+                                   normalize_content(content)), heads)
 
     def append_child(
         self,
@@ -549,7 +543,7 @@ class DurableXml:
         heads = (self._single_op_heads(parent_element_index)
                  if self._group_commit else None)
         self._commit(append_record(parent_element_index,
-                                   _normalize_content(content)), heads)
+                                   normalize_content(content)), heads)
 
     def delete(self, element_index: int) -> None:
         """Durably delete an element and its subtree."""

@@ -56,7 +56,7 @@ from repro.grammar.slcf import Grammar
 from repro.trees.binary import encode_forest
 from repro.trees.symbols import Symbol
 from repro.trees.unranked import XmlNode, xml_node_count
-from repro.updates.operations import UpdateError
+from repro.updates.operations import UpdateError, check_tag
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.grammar.index import GrammarIndex
@@ -70,19 +70,23 @@ __all__ = [
     "BatchStats",
     "BatchBuilder",
     "execute_batch",
+    "normalize_content",
 ]
 
 
-def _normalize_content(
+def normalize_content(
     content: Union[XmlNode, Sequence[XmlNode]]
 ) -> Tuple[XmlNode, ...]:
-    """Coerce insert/append content to a validated tuple of elements."""
+    """Coerce insert/append content to a validated tuple of elements
+    (every tag below them checked: see :func:`check_tag`)."""
     siblings = (content,) if isinstance(content, XmlNode) else tuple(content)
     for item in siblings:
         if not isinstance(item, XmlNode):
             raise UpdateError(
-                f"batch content must be XmlNode elements, got {item!r}"
+                f"inserted content must be XmlNode elements, got {item!r}"
             )
+        for node in item.preorder():
+            check_tag(node.tag)
     return siblings
 
 
@@ -100,9 +104,7 @@ class BatchRename:
 
     def __init__(self, index: int, new_tag: str) -> None:
         self.index = _check_index(index, "rename index")
-        if not isinstance(new_tag, str) or not new_tag:
-            raise UpdateError(f"rename tag must be a non-empty str, got {new_tag!r}")
-        self.new_tag = new_tag
+        self.new_tag = check_tag(new_tag)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BatchRename({self.index}, {self.new_tag!r})"
@@ -117,7 +119,7 @@ class BatchInsert:
         self, index: int, content: Union[XmlNode, Sequence[XmlNode]]
     ) -> None:
         self.index = _check_index(index, "insert index")
-        self.content = _normalize_content(content)
+        self.content = normalize_content(content)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BatchInsert({self.index}, {list(self.content)!r})"
@@ -132,7 +134,7 @@ class BatchAppend:
         self, parent_index: int, content: Union[XmlNode, Sequence[XmlNode]]
     ) -> None:
         self.parent_index = _check_index(parent_index, "append parent index")
-        self.content = _normalize_content(content)
+        self.content = normalize_content(content)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BatchAppend({self.parent_index}, {list(self.content)!r})"

@@ -17,15 +17,18 @@ them.  Operations return the (possibly new) tree root.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from repro.trees.node import Node, deep_copy, replace_node
 from repro.trees.symbols import Alphabet, Symbol
 from repro.trees.traversal import node_at_preorder
+from repro.trees.xml_io import _NAME
 
 __all__ = [
     "UpdateError",
+    "check_tag",
     "RenameOp",
     "InsertOp",
     "DeleteOp",
@@ -39,8 +42,20 @@ __all__ = [
 ]
 
 
+_is_name = re.compile(_NAME).fullmatch
+
+
 class UpdateError(ValueError):
     """Raised on invalid update operations."""
+
+
+def check_tag(tag: object) -> str:
+    """``tag``, if it is a name XML text can carry and a label path can
+    address -- the one shape ``xml_io`` and the path parser accept; any
+    other value would poison the document (and a durable store's log)."""
+    if not isinstance(tag, str) or not _is_name(tag):
+        raise UpdateError(f"invalid element tag {tag!r}")
+    return tag
 
 
 @dataclass(frozen=True)

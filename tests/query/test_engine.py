@@ -7,10 +7,14 @@ the same element-index sets -- and the results must satisfy the same
 index contract every update entry point enforces.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
+from benchmarks.e2e.model import FlatDoc
 from repro.api import CompressedXml
+from repro.datasets.synthetic import make_corpus
 from repro.query.engine import extract_subtree, iter_matching_elements, select
 from repro.query.label_index import LabelIndex
 from repro.query.naive import naive_select
@@ -256,3 +260,165 @@ class TestEngineLevelApi:
         doc = CompressedXml.from_xml(LOG)
         parsed = parse_path("//entry")
         assert select(doc.index, doc.label_index, parsed) == [1, 4]
+
+
+# ----------------------------------------------------------------------
+# the one walk: corpus-shaped fuzz and the counters behind it
+# ----------------------------------------------------------------------
+def draw_path(rng, tags):
+    """A path over ``tags``: a third of the draws are the shapes that
+    drive positional state through parameter bindings -- nested contexts
+    with a descendant positional (``//a//b[2]``) and a descendant
+    positional that is not last (``//a[2]/b``, ``//a[2]//b``)."""
+    def pick():
+        return rng.choice(tags)
+
+    shape = rng.random()
+    if shape < 0.12:
+        return f"//{pick()}//{pick()}[{rng.randint(1, 3)}]"
+    if shape < 0.24:
+        return f"//{pick()}[{rng.randint(1, 3)}]/{pick()}"
+    if shape < 0.34:
+        return f"//{pick()}[{rng.randint(1, 3)}]//{pick()}"
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        predicate = f"[{rng.randint(1, 3)}]" if rng.random() < 0.3 else ""
+        parts.append(rng.choice(("/", "/", "//", "//")) + pick() + predicate)
+    return "".join(parts)
+
+
+class TestCorpusPathFuzz:
+    """Corpus-shaped documents, sharded and not, under single-op writes,
+    a batch and a recompression: every drawn path answers as
+    ``query.naive`` and the e2e benchmark's flat model do -- on the live
+    document in each state, and on a view pinned before the writes."""
+
+    @staticmethod
+    def check(target, model, plain, rng, draws):
+        tags = sorted(set(model.tags)) + ["*", "*", "zz"]
+        for _ in range(draws):
+            path = draw_path(rng, tags)
+            got = target.select(path)
+            assert got == model.select(path), path
+            assert target.count(path) == len(got), path
+            if plain is not None:
+                assert got == naive_select(plain, path), path
+
+    @pytest.mark.parametrize("width", [64, None], ids=["sharded", "flat"])
+    @pytest.mark.parametrize("corpus", ["Treebank", "XMark", "EXI-Weblog"])
+    def test_paths_in_every_state(self, corpus, width):
+        rng = random.Random(23)
+        doc = CompressedXml.from_document(
+            make_corpus(corpus, 1500, seed=23), shard_width=width)
+        model = FlatDoc.from_xml(doc.to_xml())
+        self.check(doc, model, doc.to_document(), rng, 40)
+        pinned = FlatDoc(list(model.tags), list(model.depths))
+        with doc.snapshot() as view:
+            for _ in range(60):
+                at = rng.randrange(1, doc.element_count)
+                kind = rng.choice(("rename", "insert", "append", "delete"))
+                if kind == "rename":
+                    tag = rng.choice(model.tags)
+                    doc.rename(at, tag)
+                    model.rename(at, tag)
+                elif kind == "insert":
+                    doc.insert(at, XmlNode("ins", [XmlNode("leaf")]))
+                    model.insert(at, [("ins", 0), ("leaf", 1)])
+                elif kind == "append":
+                    doc.append_child(at, XmlNode("app"))
+                    model.append_child(at, [("app", 0)])
+                else:
+                    doc.delete(at)
+                    model.delete(at)
+                self.check(doc, model, None, rng, 4)
+            self.check(doc, model, doc.to_document(), rng, 40)
+            ops = []
+            for _ in range(8):
+                at, tag = rng.randrange(1, len(model)), rng.choice(model.tags)
+                ops.append(BatchRename(at, tag))
+                model.rename(at, tag)
+            at = rng.randrange(1, len(model))
+            ops.append(BatchAppend(at, XmlNode("app")))
+            model.append_child(at, [("app", 0)])
+            doc.apply_batch(ops)
+            self.check(doc, model, doc.to_document(), rng, 40)
+            doc.recompress()
+            self.check(doc, model, doc.to_document(), rng, 40)
+            self.check(view, pinned, None, rng, 40)
+
+
+class CountingColumn(list):
+    """A pack's ``kind`` column that counts its reads: the walk reads it
+    exactly once per popped item."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        CountingColumn.reads += 1
+        return list.__getitem__(self, index)
+
+
+class TestCountersProveTheCut:
+    """Counts, not clocks: what the one walk no longer does."""
+
+    @staticmethod
+    def xmark_after_a_batch():
+        doc = CompressedXml.from_document(
+            make_corpus("XMark", 12_000, seed=1), shard_width=256)
+        for path in ("/site/people/person/homepage", "//item//listitem"):
+            doc.select(path)
+        doc.apply_batch([BatchRename(at, "bold") for at in (40, 42, 44, 46)]
+                        + [BatchAppend(40, XmlNode("bidder"))])
+        return doc
+
+    def test_no_element_is_located(self, monkeypatch):
+        """No root descent per context element (391 and 559 of them)."""
+        from repro.grammar.index import GrammarIndex
+
+        doc = self.xmark_after_a_batch()
+        calls = []
+        original = GrammarIndex._locate_element
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(GrammarIndex, "_locate_element", counting)
+        assert len(doc.select("/site/people/person/homepage")) > 50
+        assert len(doc.select("//item//listitem")) > 500
+        assert calls == []
+
+    def test_child_only_path_builds_no_census_table(self, monkeypatch):
+        doc = self.xmark_after_a_batch()
+
+        def forbid(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("a child-only path consulted the census")
+
+        monkeypatch.setattr(LabelIndex, "node_table", forbid)
+        assert len(doc.select("/site/people/person/homepage")) > 50
+        assert doc.select("/site/regions/*/item[3]/name") != []
+        with pytest.raises(AssertionError):
+            doc.select("//item//listitem")  # a descendant step does
+
+    @pytest.mark.parametrize("entries", [200, 2000])
+    def test_child_positional_stops_at_the_kth_sibling(self, entries):
+        """``/log/entry[7]/ip`` pops the items of seven entries and then
+        skips the rest of the chain as one dead subtree per stack level,
+        however long the log."""
+        doc = CompressedXml.from_xml(
+            "<log>" + "<entry><ip/><ts/></entry>" * entries + "</log>")
+        assert doc.select("/log/entry[7]/ip") == [20]  # packs every rule
+        for pack in doc.index.kernel._packs.values():
+            pack.walk = (CountingColumn(pack.kind),) + pack.walk[1:]
+        CountingColumn.reads = 0
+        assert doc.select("/log/entry[7]/ip") == [20]
+        assert 0 < CountingColumn.reads < 150
+
+    def test_prunes_are_counted(self):
+        from repro.query.engine import read_prune_counter, reset_prune_counter
+
+        doc = CompressedXml.from_xml(LOG)
+        for path in ("/log/meta/status", "//entry//ip", "//status"):
+            reset_prune_counter()
+            assert select(doc.index, doc.label_index, path) != []
+            assert read_prune_counter() > 0, path

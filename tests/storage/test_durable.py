@@ -84,6 +84,36 @@ class TestCommitProtocol:
             assert reopened.last_recovery.replayed == 1
             assert reopened.to_xml() == before_xml
 
+    def test_invalid_tag_never_reaches_the_log(self, tmp_path):
+        """``rename(1, '')`` used to be logged: the store then raised
+        from ``to_xml()`` in this process *and* in every later one."""
+        directory = str(tmp_path / "store")
+        store = DurableXml.from_xml(directory, BASE_XML)
+        store.rename(1, "record")
+        before_xml = store.to_xml()
+        before = {name: open(os.path.join(directory, name), "rb").read()
+                  for name in os.listdir(directory)}
+        for attempt in (
+            lambda: store.rename(1, ""),
+            lambda: store.rename(1, "a b"),
+            lambda: store.rename(1, 5),
+            lambda: store.insert(1, [XmlNode("1x")]),
+            lambda: store.append_child(1, XmlNode("ok", [XmlNode("<x>")])),
+            lambda: store.apply_batch([BatchRename(2, "fine"),
+                                       BatchRename(1, "")]),
+            lambda: store.batch().rename(1, "a b"),
+        ):
+            with pytest.raises(UpdateError, match="invalid element tag"):
+                attempt()
+        assert store.to_xml() == before_xml
+        assert before == {
+            name: open(os.path.join(directory, name), "rb").read()
+            for name in os.listdir(directory)}
+        store.close()
+        with DurableXml.open(directory) as reopened:
+            assert reopened.last_recovery.replayed == 1
+            assert reopened.to_xml() == before_xml
+
     def test_failed_batch_is_all_or_nothing(self, tmp_path):
         directory = str(tmp_path / "store")
         store = DurableXml.from_xml(directory, BASE_XML)

@@ -418,6 +418,60 @@ class TestUpdates:
         assert len(plain.children) == 30  # +1 insert, -1 delete
 
 
+#: Values no element may be named: nothing ``parse_xml`` reads back and
+#: no label path can address.
+BAD_TAGS = ["", "a b", "<x>", "1x", "a/b", 5, None]
+
+
+class TestInvalidTagsAreRejected:
+    """One bad tag used to poison the document (``to_xml`` raising, or
+    emitting text ``parse_xml`` rejects): every write entry point names
+    it an ``UpdateError`` before anything changes."""
+
+    XML = "<a><b/><c><d/></c></a>"
+
+    def unchanged(self, doc, epoch):
+        return doc.to_xml() == self.XML and doc.grammar.epoch == epoch
+
+    @pytest.mark.parametrize("tag", BAD_TAGS, ids=repr)
+    def test_rename(self, tag):
+        from repro.updates.batch import BatchRename
+
+        doc = CompressedXml.from_xml(self.XML)
+        epoch = doc.grammar.epoch
+        with pytest.raises(UpdateError, match="invalid element tag"):
+            doc.rename(1, tag)
+        with pytest.raises(UpdateError, match="invalid element tag"):
+            BatchRename(1, tag)
+        with pytest.raises(UpdateError, match="invalid element tag"):
+            doc.batch().rename(1, tag)
+        assert self.unchanged(doc, epoch)
+
+    @pytest.mark.parametrize("tag", ["a b", "<x>", "1x"])
+    def test_inserted_and_appended_content(self, tag):
+        from repro.updates.batch import BatchAppend, BatchInsert
+
+        doc = CompressedXml.from_xml(self.XML)
+        epoch = doc.grammar.epoch
+        for content in (XmlNode(tag), [XmlNode("ok"), XmlNode(tag)],
+                        XmlNode("ok", [XmlNode("fine", [XmlNode(tag)])])):
+            for attempt in (
+                lambda: doc.insert(1, content),
+                lambda: doc.append_child(1, content),
+                lambda: BatchInsert(1, content),
+                lambda: BatchAppend(1, content),
+            ):
+                with pytest.raises(UpdateError, match="invalid element tag"):
+                    attempt()
+        assert self.unchanged(doc, epoch)
+
+    def test_valid_names_still_pass(self):
+        doc = CompressedXml.from_xml(self.XML)
+        for tag in ("x", "_x", "ns:x", "x-1.2", "X_9"):
+            doc.rename(1, tag)
+            assert parse_xml(doc.to_xml()).children[0].tag == tag
+
+
 class TestMaintenance:
     def test_option_surface_is_the_tracked_one(self):
         """The independently settable values, by name (5 / 7 / 3): one

@@ -148,6 +148,9 @@ class TestBadInputIsOneErrorLine:
         ["update", "{target}", "rename", "one", "x"],
         ["update", "{target}", "delete", "0"],
         ["update", "{target}", "insert", "1", "<open>"],
+        ["update", "{target}", "rename", "1", ""],
+        ["update", "{target}", "rename", "1", "a b"],
+        ["update", "{target}", "rename", "1", "<x>"],
     ]
 
     def _assert_rejected(self, argv, target, capsys):
