@@ -161,7 +161,8 @@ def run_latency(edges, reads, writers):
         "quiet": summarize_latencies(quiet),
         "contended": summarize_latencies(contended),
         "grammar_index_wholesale": doc.index.wholesale_invalidations,
-        "label_index_wholesale": doc.label_index.wholesale_invalidations,
+        "label_index_wholesale": doc.label_index.to_dict()[
+            "wholesale_invalidations"],
     }
     print(f"  reads     : quiet p50 {result['quiet_p50_us']:.0f}us "
           f"p99 {result['quiet_p99_us']:.0f}us | contended p50 "

@@ -5,14 +5,15 @@ Quantifies the PR-4 tentpole: before the query subsystem, any read beyond
 by a tree walk -- ``O(N)`` per query plus the materialization.  The
 grammar-native engine evaluates the same label path directly on the
 derivation, skipping every subtree whose label census is zero in O(1)
-via the :class:`~repro.query.label_index.LabelIndex` count tables, so a
-*selective* descendant query costs ``O(matches · depth · rule-width)``.
+via the per-rule censuses :class:`~repro.grammar.index.GrammarIndex`
+keeps beside its segments (as per-position counts on the rule packs), so
+a *selective* descendant query costs ``O(matches · depth · rule-width)``.
 
 The headline number, though, is the *index-maintenance* story under
 interleaved update traffic: each round applies a burst of updates
 (renames moving the queried label around, inserts, appends, deletes;
 ``auto_recompress_factor=2`` so incremental recompressions interleave)
-and then queries.  The LabelIndex must be *maintained* -- per-rule
+and then queries.  The censuses must be *maintained* -- per-rule
 evictions through the observer channel, lazy scoped recomputes -- never
 rebuilt: the eviction counters assert ``wholesale_invalidations == 0``
 and that the rules re-censused during the traffic phase stay far below
@@ -112,9 +113,9 @@ def run(edges, rounds, updates_per_round, engine_queries_per_round,
           f"auto_recompress_factor={AUTO_FACTOR}")
 
     plant_needles(doc, rng)
-    lindex = doc.label_index
+    index = doc.index
     doc.count(QUERY)  # warm the census once; maintenance is what we measure
-    initial_census = lindex.rules_censused
+    initial_census = index.rules_censused
 
     engine_s = naive_s = 0.0
     engine_queries = naive_queries = 0
@@ -148,11 +149,11 @@ def run(edges, rounds, updates_per_round, engine_queries_per_round,
     engine_ms = 1000.0 * engine_s / engine_queries
     naive_ms = 1000.0 * naive_s / naive_queries
     speedup = naive_ms / engine_ms if engine_ms else float("inf")
-    maintenance_census = lindex.rules_censused - initial_census
+    maintenance_census = index.rules_censused - initial_census
     rules_now = len(doc.grammar.rules)
     rebuild_volume = rules_now * rounds  # what rebuild-per-round would cost
     cached_fraction = (
-        lindex.cached_rule_count / rules_now if rules_now else 1.0
+        index.censused_rule_count / rules_now if rules_now else 1.0
     )
 
     print(f"  engine : {engine_ms:8.3f} ms/query over {engine_queries} "
@@ -163,7 +164,7 @@ def run(edges, rounds, updates_per_round, engine_queries_per_round,
     print(f"  maintenance: {maintenance_census} rules re-censused across "
           f"{rounds} rounds ({rules_now} rules, {doc.recompress_runs} "
           f"recompressions interleaved), "
-          f"{lindex.wholesale_invalidations} wholesale invalidations")
+          f"{index.wholesale_invalidations} wholesale invalidations")
 
     report = {
         "benchmark": "bench_query",
@@ -199,10 +200,9 @@ def run(edges, rounds, updates_per_round, engine_queries_per_round,
             "label_rules_censused_initial": initial_census,
             "label_rules_censused_maintenance": maintenance_census,
             "label_rules_rebuild_volume": rebuild_volume,
-            "label_wholesale_invalidations": lindex.wholesale_invalidations,
-            "grammar_wholesale_invalidations":
-                doc.index.wholesale_invalidations,
-            "label_evicted_rules": lindex.evicted_rules,
+            "label_wholesale_invalidations": index.wholesale_invalidations,
+            "grammar_wholesale_invalidations": index.wholesale_invalidations,
+            "label_evicted_rules": index.censuses_evicted,
             "label_cached_rule_fraction_final": round(cached_fraction, 4),
             "grammar_rules_final": rules_now,
             "recompress_runs": doc.recompress_runs,
@@ -245,7 +245,7 @@ def check_schema(report):
 
 
 def check_maintenance(report):
-    """The LabelIndex must be maintained, never rebuilt.
+    """The label censuses must be maintained, never rebuilt.
 
     * no wholesale invalidation, ever -- in particular the interleaved
       incremental recompressions must not reset the index;
@@ -255,7 +255,7 @@ def check_maintenance(report):
     """
     maintenance = report["maintenance"]
     assert maintenance["label_wholesale_invalidations"] == 0, \
-        "something wholesale-invalidated the LabelIndex"
+        "something wholesale-invalidated the label censuses"
     assert maintenance["grammar_wholesale_invalidations"] == 0, \
         "something wholesale-invalidated the structural GrammarIndex"
     assert maintenance["recompress_runs"] >= 1, \
@@ -299,8 +299,8 @@ if __name__ == "__main__":
         check_speedup(report)
         print("bounds ok: >= 10x per-query speedup for the selective "
               "descendant query, answers equal to the decompressed walk, "
-              "LabelIndex maintained (zero wholesale invalidations) across "
+              "censuses maintained (zero wholesale invalidations) across "
               "interleaved updates and recompressions")
     else:
         print("smoke ok: schema valid, engine agrees with the decompressed "
-              "walk, LabelIndex maintained without wholesale invalidation")
+              "walk, censuses maintained without wholesale invalidation")

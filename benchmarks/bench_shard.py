@@ -41,6 +41,7 @@ import sys
 import time
 
 from repro.api import CompressedXml
+from repro.grammar.sharding import DEFAULT_MERGE_HYSTERESIS
 from repro.obs.metrics import summarize_latencies
 from repro.trees.node import node_count
 from repro.trees.unranked import XmlNode
@@ -152,7 +153,8 @@ def run_variant(doc, appends, buckets, label):
         "recompress_s": round(doc.recompress_seconds, 4),
         "rules_inlined": doc.rules_inlined_total,
         "grammar_index_wholesale": doc.index.wholesale_invalidations,
-        "label_index_wholesale": doc.label_index.wholesale_invalidations,
+        "label_index_wholesale": doc.label_index.to_dict()[
+            "wholesale_invalidations"],
         "latency": summarize_latencies(samples),
     }
 
@@ -183,8 +185,8 @@ def run_hysteresis(edges, width, rounds=4):
         doc = CompressedXml.from_document(
             make_corpus("EXI-Weblog", edges=edges, seed=SEED),
             shard_width=width,
-            shard_merge_hysteresis=merge_hysteresis,
         )
+        doc.shard_manager.merge_hysteresis = merge_hysteresis
         rng = random.Random(SEED + 1)
         for record in [entry(rng) for _ in range(burst)]:
             doc.append_child(0, record)
@@ -199,7 +201,7 @@ def run_hysteresis(edges, width, rounds=4):
         return manager.stats
 
     eager = churn(0)
-    damped = churn(None)  # None -> the document's default window
+    damped = churn(DEFAULT_MERGE_HYSTERESIS)
     print(f"  hysteresis: eager {eager.merges} merges vs damped "
           f"{damped.merges} (suppressed {damped.merges_suppressed}) "
           f"over {rounds} dips of {dip} after a burst of {burst}")

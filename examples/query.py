@@ -59,9 +59,9 @@ def main() -> None:
     # -- select again: the indexes were maintained, not rebuilt -------
     print(f"select('//error') now: {doc.select('//error')}")
     print(f"select('//error-seen'): {len(doc.select('//error-seen'))} matches")
-    census = doc.label_index
-    print(f"label index: {census.wholesale_invalidations} wholesale "
-          f"invalidations, {census.evicted_rules} per-rule evictions")
+    index = doc.index
+    print(f"label censuses: {index.wholesale_invalidations} wholesale "
+          f"invalidations, {index.censuses_evicted} per-rule evictions")
 
 
 if __name__ == "__main__":

@@ -144,11 +144,8 @@ def _sample_indexes(ref: "weakref.ref") -> dict:
         return {}
     data = {f"grammar_{key}": value
             for key, value in doc._index.to_dict().items()}
-    if doc._label_index is not None:
-        data.update(
-            (f"label_{key}", value)
-            for key, value in doc._label_index.to_dict().items()
-        )
+    data.update((f"label_{key}", value)
+                for key, value in doc.label_index.to_dict().items())
     return data
 
 
@@ -178,23 +175,19 @@ def _sample_kernel(ref: "weakref.ref") -> dict:
 class ReadSurface:
     """The read half of a compressed document, written once.
 
-    Every method evaluates over a triple its instance holds: ``_index``
+    Every method evaluates over a pair its instance holds: ``_index``
     (a :class:`~repro.grammar.index.GrammarIndex`; its ``grammar`` is the
-    grammar view all reads derive from), the lazily built
-    ``_label_index`` slot, and the ``_m_query_*`` metric handles.  The
+    grammar view all reads derive from, its label censuses answer the
+    label tests) and the ``_m_query_*`` metric handles.  The
     two instantiations are :class:`CompressedXml` -- the live grammar,
-    indexes maintained through its observer channel -- and
-    :class:`~repro.view.SnapshotView` -- one frozen epoch, private
-    indexes nothing can evict, feeding the metrics of the document it
+    index maintained through its observer channel -- and
+    :class:`~repro.view.SnapshotView` -- one frozen epoch, a private
+    index nothing can evict, feeding the metrics of the document it
     was pinned on.  Each supplies ``element_count`` and
     ``compressed_size`` itself (the live index and size tracker; the
     counters captured at the pin) plus the state facts
     :meth:`_document_state` assembles.
     """
-
-    #: Whether the indexes register on the grammar's observer channel
-    #: (a frozen epoch never changes, so a view's stay private).
-    _observes = True
 
     @property
     def edge_count(self) -> int:
@@ -272,19 +265,10 @@ class ReadSurface:
     # ------------------------------------------------------------------
     @property
     def label_index(self) -> LabelIndex:
-        """The owned label-census index, created on first use.
-
-        On a live document it registers, like the structural index, on
-        the grammar's observer channel and invalidates per rule; its
-        eviction counters (``evicted_rules`` /
-        ``wholesale_invalidations`` / ``rules_censused``) are the
-        maintenance instrumentation ``benchmarks/bench_query.py``
-        asserts against.
-        """
-        if self._label_index is None:
-            self._label_index = LabelIndex(
-                self._index.grammar, register=self._observes)
-        return self._label_index
+        """The label census's counters (evictions, wholesale resets,
+        cached censuses), read off the structural index that keeps the
+        censuses per rule beside its segments and packs."""
+        return LabelIndex(self._index)
 
     def select(self, path: str) -> List[int]:
         """Element indices matching a label path, evaluated on the grammar.
@@ -308,7 +292,7 @@ class ReadSurface:
     def count(self, path: str) -> int:
         """Number of elements a label path selects.
 
-        ``//label`` is answered in O(1) from the label index's start-rule
+        ``//label`` is answered in O(1) from the start rule's label
         census; other shapes count the matches of :meth:`select`'s walk.
         """
         return self._evaluate("count", count_matches, path)
@@ -322,7 +306,7 @@ class ReadSurface:
         self._m_query_stage["parse"].observe(clock() - started)
         reset_prune_counter()
         walk_started = clock()
-        result = walk(self._index, self.label_index, parsed)
+        result = walk(self._index, parsed)
         self._m_query_stage["walk"].observe(clock() - walk_started)
         self._m_queries_total[kind].inc()
         self._m_query_pruned.inc(read_prune_counter())
@@ -362,6 +346,7 @@ class ReadSurface:
         queries without recomputation."""
         from repro.storage.snapshot import DocumentState, ShardState
 
+        segments, label_counts = self._index.export_segments()
         shard = None
         if shard_state is not None:
             width, prefix, parents = shard_state
@@ -377,8 +362,8 @@ class ReadSurface:
                 head for head in dirty_rules if grammar.has_rule(head)
             ],
             shard=shard,
-            segments=self._index.export_segments(),
-            label_counts=self.label_index.export_counts(),
+            segments=segments,
+            label_counts=label_counts,
         )
 
 
@@ -408,7 +393,6 @@ class CompressedXml(ReadSurface):
         kin: int = 4,
         auto_recompress_factor: Optional[float] = None,
         shard_width: Optional[int] = None,
-        shard_merge_hysteresis: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._grammar = grammar
@@ -418,12 +402,10 @@ class CompressedXml(ReadSurface):
         # readers should hold a snapshot() instead.
         self._lock = threading.RLock()
         # The structural index, and with it the flat-array kernel
-        # (repro.grammar.kernel) every descent and walk runs on.
+        # (repro.grammar.kernel) every descent and walk runs on and the
+        # label censuses, computed on first query use -- write-only
+        # workloads never pay for them.
         self._index = GrammarIndex(grammar)
-        # The label census index is created on first query use -- write-only
-        # workloads never pay for it.  Once created it is maintained through
-        # the same observer channel as the structural index.
-        self._label_index: Optional[LabelIndex] = None
         self._kin = kin
         self._auto_factor = auto_recompress_factor
         # Rules mutated since the last recompression; recompress() scopes
@@ -441,11 +423,7 @@ class CompressedXml(ReadSurface):
         # reshard() pass rebalances whatever each epoch touched.
         self._shards: Optional[ShardManager] = None
         if shard_width is not None:
-            shard_kwargs = {}
-            if shard_merge_hysteresis is not None:
-                shard_kwargs["merge_hysteresis"] = shard_merge_hysteresis
-            self._shards = ShardManager(grammar, width=shard_width,
-                                        **shard_kwargs)
+            self._shards = ShardManager(grammar, width=shard_width)
             # A packed rule's width is read off its columns, not walked.
             self._shards.width_of = self._index.rule_width
         # Per-shard commit locks for concurrent writers (the durable
@@ -632,13 +610,12 @@ class CompressedXml(ReadSurface):
     def from_state(cls, state: "DocumentState", **kwargs) -> "CompressedXml":
         """Resume a document from exported state (see :meth:`export_state`).
 
-        The shard hierarchy is re-attached without resharding, the
-        structural index adopts the per-rule segments without walking a
-        single rule, and the label index adopts the censuses without
-        re-censusing -- a reload answers counting, addressing, and label
-        queries immediately.  ``kwargs`` may carry runtime policy
-        (``auto_recompress_factor``, ``metrics``); the persisted facts
-        (``kin``, shard width) come from the state.
+        The shard hierarchy is re-attached without resharding, and the
+        structural index adopts the per-rule segments and label censuses
+        without walking a single rule -- a reload answers counting,
+        addressing, and label queries immediately.  ``kwargs`` may carry
+        runtime policy (``auto_recompress_factor``, ``metrics``); the
+        persisted facts (``kin``, shard width) come from the state.
         """
         for fixed in ("kin", "shard_width"):
             if fixed in kwargs:
@@ -646,28 +623,19 @@ class CompressedXml(ReadSurface):
                     f"{fixed} is restored from the snapshot state and "
                     f"cannot be overridden"
                 )
-        merge_hysteresis = kwargs.pop("shard_merge_hysteresis", None)
         doc = cls(state.grammar, kin=state.kin, shard_width=None, **kwargs)
         if state.shard is not None:
-            restore_kwargs = {}
-            if merge_hysteresis is not None:
-                restore_kwargs["merge_hysteresis"] = merge_hysteresis
             doc._shards = ShardManager.restore(
                 state.grammar,
                 width=state.shard.width,
                 prefix=state.shard.prefix,
                 heads=set(state.shard.parents),
                 parents=state.shard.parents,
-                **restore_kwargs,
             )
             doc._shards.width_of = doc._index.rule_width
             doc._shards.bind_metrics(doc._obs)
         if state.segments:
-            doc._index.import_segments(state.segments)
-        if state.label_counts is not None:
-            label_index = LabelIndex(state.grammar)
-            label_index.import_counts(state.label_counts)
-            doc._label_index = label_index
+            doc._index.import_segments(state.segments, state.label_counts)
         doc._baselined = state.baselined
         doc._last_compressed_size = max(1, state.last_compressed_size)
         for head in state.dirty_rules:

@@ -8,7 +8,11 @@
   preorder columns holding, per RHS node, the generated (node, element)
   subtree sizes plus the parameter indices occurring below it -- the one
   per-node size table there is -- and, per parameter, the route summary
-  (depth gained, parent element) of the body path a descent skips.
+  (depth gained, parent element) of the body path a descent skips,
+* the ``label -> count`` census of the elements the body generates
+  (callees included, arguments not): ``count('//x')`` in O(1) and, per
+  queried label, the pack's per-position counts the query walk prunes
+  with.  A rule has a census only if it has segments.
 
 Together these answer the navigation queries every update needs --
 
@@ -50,6 +54,10 @@ The index registers itself as a grammar observer (see
   and cold-built lazily, bottom-up, on the next query.  The cold build is
   also the reference the splice is tested and scrubbed against.
 
+A splice or a relabel changes the label census of the rule and of every
+dependent: those censuses and the label counts their packs derived from
+them are dropped along the same closure (segments and packs stay).
+
 No write moves an entry of a published pack: what shifts positions (a
 splice) is made on copies of the columns, what keeps them (a relabel, a
 size patch at an application's ancestors) is written in place.  So a
@@ -64,6 +72,7 @@ update and compression layers of this code base all do.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.grammar.kernel import (
@@ -261,6 +270,8 @@ class GrammarIndex:
         self._grammar = grammar
         self._node_segments: Dict[Symbol, List[int]] = {}
         self._elem_segments: Dict[Symbol, List[int]] = {}
+        # head -> {label: count}; only beside segments, callees first.
+        self._censuses: Dict[Symbol, Dict[str, int]] = {}
         # Reverse call edges: callee -> the cached rules that apply it
         # (exact while the applier is packed -- ``RulePack.calls`` --,
         # a superset for segments adopted from a snapshot).
@@ -275,6 +286,9 @@ class GrammarIndex:
         # asserted against these (untouched rules must keep their tables).
         self.evicted_rules = 0
         self.wholesale_invalidations = 0
+        # The same for the censuses, which a splice or relabel drops too.
+        self.censuses_evicted = 0
+        self.rules_censused = 0
         # The flat-array descent kernel (see :mod:`repro.grammar.kernel`):
         # the per-rule column packs every descent below runs on, and the
         # only per-node size table there is.
@@ -307,7 +321,8 @@ class GrammarIndex:
         label entries of the relabeled ``node`` in the rule's pack, in
         place (no other pack caches them).  Without ``node`` -- a batch
         relabeled several -- the pack is dropped; the segments stay
-        either way."""
+        either way, the censuses along the dependents go."""
+        self._drop_censuses(head)
         pack = self._kernel.peek(head)
         if pack is None:
             return
@@ -337,6 +352,7 @@ class GrammarIndex:
         (a half-consumed ``tags()``) may still stand in -- keeps its
         layout.  ``O(depth + fresh + gone)`` plus C-level list copies.
         """
+        self._drop_censuses(head)
         pack = self._kernel.peek(head)
         if pack is None:
             return self._evict(head)
@@ -456,8 +472,8 @@ class GrammarIndex:
             segment = before
 
     def _evict(self, head: Symbol) -> None:
-        """Drop cached segments and packs of ``head`` and its transitive
-        dependents.
+        """Drop cached segments, censuses and packs of ``head`` and its
+        transitive dependents.
 
         A rule is only ever cached after its callees (anti-SL order), so a
         cached dependent always has its reverse edge registered here --
@@ -474,6 +490,8 @@ class GrammarIndex:
                 continue
             del self._node_segments[current]
             del self._elem_segments[current]
+            if self._censuses.pop(current, None) is not None:
+                self.censuses_evicted += 1
             pack = kernel.evict(current)
             if pack is not None:
                 for callee in pack.calls:
@@ -483,11 +501,28 @@ class GrammarIndex:
             self.evicted_rules += 1
             stack.extend(dependents.pop(current, ()))
 
+    def _drop_censuses(self, head: Symbol) -> None:
+        """Drop the census of ``head`` and of its transitive dependents,
+        and the label counts their packs derived from them; segments and
+        packs stay.  A census is only computed after its callees', so
+        the closure ends at the first rule without one."""
+        stack = [head]
+        while stack:
+            current = stack.pop()
+            if self._censuses.pop(current, None) is None:
+                continue
+            self.censuses_evicted += 1
+            pack = self._kernel.peek(current)
+            if pack is not None:
+                pack._label_arrays = {}
+            stack.extend(self._dependents.get(current, ()))
+
     def invalidate_all(self) -> None:
         """Drop every cache entry (scrub's repair of last resort; no
         update or recompression path calls it)."""
         self._node_segments.clear()
         self._elem_segments.clear()
+        self._censuses.clear()
         self._dependents.clear()
         self._locations = {}
         self._kernel.invalidate_all()
@@ -522,6 +557,16 @@ class GrammarIndex:
         """True when ``head``'s tables are currently materialized."""
         return head in self._node_segments
 
+    @property
+    def censused_rule_count(self) -> int:
+        """How many rules currently have a label census."""
+        return len(self._censuses)
+
+    def peek_census(self, head: Symbol) -> Optional[Dict[str, int]]:
+        """The rule's cached census or ``None`` -- nothing is computed
+        (audits)."""
+        return self._censuses.get(head)
+
     def rule_width(self, head: Symbol) -> int:
         """RHS nodes of the rule, like ``Grammar.rule_width`` -- read
         off the rule's pack when it has one instead of walking the body
@@ -540,38 +585,41 @@ class GrammarIndex:
     # ------------------------------------------------------------------
     # snapshot state (the serializable half of the cache)
     # ------------------------------------------------------------------
-    def export_segments(self) -> Dict[Symbol, Tuple[List[int], List[int]]]:
-        """Per-rule (node, element) segment lists for every rule.
+    def export_segments(self) -> Tuple[Dict[Symbol, tuple], Dict]:
+        """Per-rule (node, element) segment lists and label censuses for
+        every rule.
 
         Forces the whole reachable grammar first, so a snapshot built
-        from this restores counting/addressing for *all* rules.  The
-        rule packs are deliberately not exported -- they reference live
-        ``Node`` objects and rebuild lazily per rule on first descent.
+        from this restores counting, addressing and label counts for
+        *all* rules.  The rule packs are deliberately not exported --
+        they reference live ``Node`` objects and rebuild lazily per rule
+        on first descent.
         """
-        self._ensure(self._grammar.start)
-        for head in self._grammar.rules:
-            if head not in self._node_segments:
-                self._ensure(head)  # unreachable-but-live rules, if any
+        for head in (self._grammar.start, *self._grammar.rules):
+            self.label_census(head)  # unreachable-but-live rules, if any
         return {
             head: (list(self._node_segments[head]),
                    list(self._elem_segments[head]))
             for head in self._node_segments
-        }
+        }, {head: dict(census) for head, census in self._censuses.items()}
 
     def import_segments(
-        self, segments: Dict[Symbol, Tuple[List[int], List[int]]]
+        self, segments: Dict[Symbol, Tuple[List[int], List[int]]],
+        censuses: Optional[Dict[Symbol, Dict[str, int]]] = None,
     ) -> None:
-        """Adopt snapshot segment lists without recomputation.
+        """Adopt snapshot segment lists and censuses without
+        recomputation (``rules_censused`` stays untouched).
 
         Rebuilds the reverse call edges from the grammar so per-rule
         observer evictions keep cascading correctly over imported
-        entries.  Counting queries (``element_count``, segments) are
-        answered straight from the imported lists; descents build the
-        rule packs lazily, one rule at a time.
+        entries.  Counting queries (``element_count``, segments, label
+        counts) are answered straight from the imported tables; descents
+        build the rule packs lazily, one rule at a time.
         """
         grammar = self._grammar
         self._node_segments.clear()
         self._elem_segments.clear()
+        self._censuses.clear()
         self._dependents.clear()
         self._locations = {}
         # A fresh table generation, not an eviction event: packs
@@ -591,6 +639,10 @@ class GrammarIndex:
                 )
             self._node_segments[head] = list(node_segs)
             self._elem_segments[head] = list(elem_segs)
+        for head, census in (censuses or {}).items():
+            if head not in self._node_segments:
+                raise GrammarError(f"label census for unknown rule {head!r}")
+            self._censuses[head] = dict(census)
         for head in self._node_segments:
             walk = [grammar.rhs(head)]
             seen: Set[Symbol] = set()
@@ -674,6 +726,52 @@ class GrammarIndex:
                 callees = map(kernel.pack, top.calls)
                 stack += [top] + [c for c in callees if c.routes is None]
         return pack.routes
+
+    # ------------------------------------------------------------------
+    # label census (lazy, callees first, from the rule bodies)
+    # ------------------------------------------------------------------
+    def label_census(self, head: Symbol) -> Dict[str, int]:
+        """Elements per label generated by ``head``'s body, callees
+        included, parameters contributing 0 (read-only).  A missing
+        census costs one walk of the body per rule without one -- no
+        pack is built for it, only segments where they are missing."""
+        censuses = self._censuses
+        if head not in censuses:
+            self._ensure(head)  # a census only beside segments
+            stack = [head]
+            while stack:
+                current = stack.pop()
+                if current in censuses:  # queued twice
+                    continue
+                census, missing = Counter(), []
+                walk = [self._grammar.rhs(current)]
+                while walk:
+                    node = walk.pop()
+                    symbol = node.symbol
+                    if symbol.is_nonterminal:
+                        below = censuses.get(symbol)
+                        if below is None:
+                            missing.append(symbol)
+                        else:
+                            census.update(below)
+                    elif symbol.is_terminal and not symbol.is_bottom:
+                        census[symbol.name] += 1
+                    walk.extend(node.children)
+                if missing:  # the callees first, then this rule again
+                    stack += [current] + missing
+                    continue
+                censuses[current] = census
+                self.rules_censused += 1
+        return censuses[head]
+
+    def rule_label_count(self, head: Symbol, label: str) -> int:
+        """Elements labeled ``label`` generated by ``head``'s body."""
+        return self.label_census(head).get(label, 0)
+
+    def document_label_count(self, label: str) -> int:
+        """Occurrences of ``label`` in the document -- ``O(1)`` after the
+        start rule's census (the fast path behind ``count('//x')``)."""
+        return self.rule_label_count(self._grammar.start, label)
 
     # ------------------------------------------------------------------
     # whole-document totals

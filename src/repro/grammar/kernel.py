@@ -61,7 +61,6 @@ against are :mod:`repro.grammar.navigation` (``resolve_preorder_path``,
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.grammar.navigation import PathStep
@@ -69,7 +68,6 @@ from repro.trees.symbols import Symbol
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.grammar.index import GrammarIndex
-    from repro.query.label_index import LabelIndex
 
 __all__ = [
     "SymbolTable",
@@ -227,57 +225,55 @@ class RulePack:
         )
         self.calls = calls
         self.routes: Optional[list] = None
-        #: per-label match-count arrays for the query walk, versioned by
-        #: the identity of the LabelIndex node table they were built from:
-        #: a census eviction anywhere below this rule (including callee
-        #: relabels, which change ancestor counts without touching
-        #: ancestor *structure*) rebuilds that dict, so an identity check
-        #: per rule entry keeps the flat counts consistent without a
-        #: second invalidation channel.  Entries are ``(node_table,
-        #: packed array, list mirror, hop dict)`` -- walks read the
-        #: mirror; the hop dict memoises the zero-census hop per
-        #: application position: ``False`` where the callee's body holds
-        #: the label, else ``(segments, kids)`` -- the callee's live
-        #: element-segment list (patched in place by writes below the
-        #: callee, replaced only by an eviction, which cascades through
-        #: every applier) and this pack's argument positions (a splice's
-        #: successor starts with no entries).  It shares the entry's
-        #: versioning: any census change below an application changes
-        #: this rule's counts too, so the entry is rebuilt -- dropping
-        #: the memo -- exactly when needed.
-        self._label_arrays: Dict[str, Tuple[dict, array, list, dict]] = {}
+        #: per-label ``(counts, hop memo)`` for the query walk, derived
+        #: from this rule's census and its callees' and dropped with them
+        #: (``GrammarIndex._drop_censuses``: a census change below an
+        #: application -- a callee relabel included -- changes this
+        #: rule's counts though not its structure).  The hop memo maps
+        #: application positions to their zero-census hop: ``False``
+        #: where the callee's body holds the label, else ``(segments,
+        #: kids)`` -- the callee's live element-segment list (patched in
+        #: place by writes below the callee, replaced only by an
+        #: eviction, which cascades through every applier) and this
+        #: pack's argument positions (a splice's successor starts with
+        #: no entries).
+        self._label_arrays: Dict[str, Tuple[list, dict]] = {}
 
     @property
     def nbytes(self) -> int:
         """Payload bytes (the memory-footprint gauge): eight per entry
-        of the six integer columns, plus the attached label arrays."""
-        total = 8 * 6 * len(self.kind)
-        for entry in self._label_arrays.values():
-            arr = entry[1]
-            total += arr.itemsize * len(arr)
-        return total
+        of the six integer columns and of the attached label counts."""
+        return 8 * len(self.kind) * (6 + len(self._label_arrays))
 
-    def label_counts(self, lindex: "LabelIndex", label: str) -> list:
+    def label_counts(self, index: "GrammarIndex", label: str) -> list:
         """Per-position ``label`` occurrence counts (census substrate of
-        the kernel query walk), aligned with the other columns.  Returns
-        the boxed list mirror; the packed array backs ``nbytes``."""
-        return self.label_hop(lindex, label)[0]
+        the kernel query walk), aligned with the other columns."""
+        return self.label_hop(index, label)[0]
 
-    def label_hop(self, lindex: "LabelIndex", label: str) -> Tuple[list, dict]:
+    def label_hop(self, index: "GrammarIndex", label: str) -> tuple:
         """``(counts, hop memo)`` for ``label`` -- the walk-entry bundle
-        of the query walk.  The memo maps application positions to their
-        zero-census hop so repeated walks skip the ``rule_label_count``
-        probe; it rides the entry's node-table versioning (see
-        ``_label_arrays``)."""
-        ntab = lindex.node_table(self.head, label)
+        of the query walk (see ``_label_arrays``).  Built in one pass
+        over the columns: prefix sums of the per-position occurrences
+        (an element's own label, an application's callee census), read
+        off over each subtree's ``span``."""
         cached = self._label_arrays.get(label)
-        if cached is not None and cached[0] is ntab:
-            return cached[2], cached[3]
-        arr = array("l", [ntab[id(node)][0] for node in self.node_objs])
-        counts = arr.tolist()
-        entry = (ntab, arr, counts, {})
-        self._label_arrays[label] = entry
-        return counts, entry[3]
+        if cached is not None:
+            return cached
+        index.label_census(self.head)  # counts only beside the census
+        kind, span, sym_objs, names = \
+            self.kind, self.span, self.sym_objs, self.sym_names
+        before = [0] * (len(kind) + 1)
+        total = 0
+        for i, k in enumerate(kind):
+            before[i] = total
+            if k == KIND_ELEMENT:
+                total += names[i] == label
+            elif k == KIND_NONTERMINAL:
+                total += index.rule_label_count(sym_objs[i], label)
+        before[-1] = total
+        entry = self._label_arrays[label] = (
+            [before[i + s] - before[i] for i, s in enumerate(span)], {})
+        return entry
 
 
 #: The label entries of a carried subtree's stand-in (never read).

@@ -58,7 +58,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.grammar.slcf import Grammar, GrammarError
 from repro.obs.metrics import NULL_METRIC
@@ -556,13 +556,13 @@ class ShardManager:
                         self._merge_deferred.add(head)
                         continue
                     merge_started = time.perf_counter()
-                    owner = self._merge(head)
+                    merged = self._merge(head)
                     self._m_merge.observe(time.perf_counter() - merge_started)
-                    if owner is not None:
+                    if merged is not None:
                         actions += 1
                         # The parent absorbed the shard's body: it may
                         # now be oversized (or itself mergeable).
-                        work.append(owner)
+                        work.append(merged[0])
         finally:
             self._resharding = False
         if actions:
@@ -887,13 +887,23 @@ class ShardManager:
     # ------------------------------------------------------------------
     # merging
     # ------------------------------------------------------------------
-    def _merge(self, head: Symbol) -> Optional[Symbol]:
+    def absorb(self, head: Symbol, root: Node) -> Tuple[Symbol, Node]:
+        """Merge shard ``head`` into its parent ahead of a delete of
+        ``root``, its body's root, whose next sibling is the continuation
+        parameter: deleting it in place would leave the bare parameter no
+        rule body may be.  Returns the parent and ``root``'s copy there,
+        where the delete lands instead."""
+        self._grammar.preserve_for_write(self._parent[head])
+        owner, copies = self._merge(head)
+        return owner, copies[id(root)]
+
+    def _merge(self, head: Symbol) -> Optional[Tuple[Symbol, Dict[int, Node]]]:
         """Inline an underweight shard back into its parent spine rule.
 
-        Returns the parent head (so the caller can re-check its width),
-        or ``None`` when the shard's reference cannot be located (the
-        shard is then left alone -- correctness never depends on
-        merging).
+        Returns the parent head (so the caller can re-check its width)
+        and the inline's copy map, or ``None`` when the shard's reference
+        cannot be located (the shard is then left alone -- correctness
+        never depends on merging).
         """
         from repro.grammar.derivation import inline_at
 
@@ -914,7 +924,7 @@ class ShardManager:
         if reference is None:  # pragma: no cover - invariant violation
             return None
         was_root = reference.parent is None
-        new_root, _ = inline_at(grammar, reference)
+        new_root, copies = inline_at(grammar, reference)
         if was_root:
             grammar.set_rule(owner, new_root)
         else:
@@ -931,4 +941,4 @@ class ShardManager:
         self.stats.merges += 1
         self.stats.shards_removed += 1
         self.stats.history.append(f"merge {head.name} -> {owner.name}")
-        return owner
+        return owner, copies

@@ -9,14 +9,14 @@ structural navigation directly on the SLP.
 * :mod:`repro.query.parser` -- label-path expressions (``/a/b//c`` style:
   child and descendant axes, label or ``*`` tests, optional positional
   predicates),
-* :mod:`repro.query.label_index` -- :class:`LabelIndex`, per-rule
-  label-census tables maintained through the grammar observer channel,
-  the third persistent index beside :class:`~repro.grammar.index.GrammarIndex`
-  and :class:`~repro.core.occurrence_index.GrammarOccurrenceIndex`,
 * :mod:`repro.query.engine` -- one derivation walk per path (the path
   automaton rides it), with derivation subtrees skipped in O(1) when no
-  step can match below them or their label census is zero, plus subtree
-  extraction by partial derivation,
+  step can match below them or their label census is zero -- the
+  per-rule censuses :class:`~repro.grammar.index.GrammarIndex` keeps and
+  invalidates with its segments and packs -- plus subtree extraction by
+  partial derivation,
+* :mod:`repro.query.label_index` -- :class:`LabelIndex`, a read view of
+  those censuses' eviction counters,
 * :mod:`repro.query.naive` -- the decompressed-tree evaluation the engine
   is property-tested against.
 

@@ -11,8 +11,9 @@ RHS/derivation subtree in O(1) when
 * it lies entirely outside the requested element range (structural index's
   cached subtree sizes),
 * its state is dead -- no step can match anywhere below -- or
-* its census for the last step's label is zero
-  (:class:`~repro.query.label_index.LabelIndex` count tables) --
+* its census for the last step's label is zero (the per-rule censuses
+  of :class:`~repro.grammar.index.GrammarIndex`, as per-position counts
+  on the rule packs) --
 
 so a selective query touches ``O(matches · depth)`` derivation nodes
 instead of the ``O(N)`` elements a decompress-then-walk pays, which is the
@@ -30,7 +31,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.grammar.index import GrammarIndex, check_element_index
 from repro.grammar.kernel import kernel_stream_preorder
-from repro.query.label_index import LabelIndex
 from repro.query.parser import (
     CHILD, DESCENDANT, LabelPath, QueryStep, parse_path,
 )
@@ -157,7 +157,6 @@ class _PathStates:
 
 def _walk(
     gindex: GrammarIndex,
-    lindex: Optional[LabelIndex],
     steps: Tuple[QueryStep, ...],
     lo: int = 0,
     hi: Optional[int] = None,
@@ -172,22 +171,18 @@ def _walk(
     hi = total if hi is None else min(hi, total)
     if lo >= hi:
         return
-    if lindex is not None and not all(
-        step.label is None or lindex.document_label_count(step.label)
-        for step in steps
-    ):
+    if not all(step.label is None or gindex.document_label_count(step.label)
+               for step in steps):
         return  # a label the document does not hold
     states = _PathStates(steps)
     label = steps[-1].label
     # The last label's census prunes only a path with a descendant step
-    # (dead states prune a child-only path; every write evicts census
-    # tables) and no counting descendant step before the last, which must
-    # see every element.  The zero-census hop needs a state that cannot
-    # change: one descendant step, no predicate.
-    census = (
-        lindex is not None and label is not None and states.inherited
-        and not states.counted & states.full >> 1
-    )
+    # (dead states prune a child-only path; every write drops the
+    # censuses along its spine) and no counting descendant step before
+    # the last, which must see every element.  The zero-census hop needs
+    # a state that cannot change: one descendant step, no predicate.
+    census = (label is not None and states.inherited
+              and not states.counted & states.full >> 1)
     hop = census and len(steps) == 1 and not states.counted
     # Stack items are ``(pack, pos, env, lc, state)`` with ``lc`` the
     # pack's per-position counts of the census label (of elements when
@@ -200,14 +195,13 @@ def _walk(
     position = 0
     packs = kernel._packs
     root = kernel.pack(gindex.grammar.start)
-    root_lc = root.label_counts(lindex, label) if census else root.nelems
+    root_lc = root.label_counts(gindex, label) if census else root.nelems
     # Consecutive stack items overwhelmingly share a pack (children are
     # pushed together), so the unpacked ``pack.walk`` columns are kept
     # until the popped pack changes; so is ``hops``, the pack's zero-hop
-    # memo for this label, cached per walk to spare a node-table check.
+    # memo for this label.
     stack = [(root, 0, (), root_lc, states.start)]
     cur = hops = None
-    hops_of: dict = {}
     pruned = 0
     while stack:
         pack, pos, env, lc, state = stack.pop()
@@ -219,9 +213,7 @@ def _walk(
             (kind, sym, rank, span, _nn, nelems, all_params, _no,
              sym_objs, sym_names, _steps) = pack.walk
             if hop:
-                hops = hops_of.get(pack)
-                if hops is None:
-                    hops = hops_of[pack] = pack.label_hop(lindex, label)[1]
+                hops = pack.label_hop(gindex, label)[1]
         k = kind[pos]
         if k == 3:
             b = env[sym[pos] - 1]
@@ -269,7 +261,7 @@ def _walk(
             h = hops.get(pos)
             if h is None:
                 h = False
-                if not lindex.rule_label_count(sym_obj, label):
+                if not gindex.rule_label_count(sym_obj, label):
                     kids = []
                     child = pos + 1
                     for _ in range(rank[pos]):
@@ -303,7 +295,7 @@ def _walk(
                     cm += b[4]
                 bindings.append((pack, child, env, ce, cm, lc))
             child += span[child]
-        callee_lc = callee.label_counts(lindex, label) if census \
+        callee_lc = callee.label_counts(gindex, label) if census \
             else callee.nelems
         stack.append((callee, 0, tuple(bindings), callee_lc, state))
     _PRUNE_STATS.pruned = read_prune_counter() + pruned
@@ -311,21 +303,17 @@ def _walk(
 
 def iter_matching_elements(
     gindex: GrammarIndex,
-    lindex: Optional[LabelIndex],
     lo: int,
     hi: Optional[int],
     label: Optional[str] = None,
 ) -> Iterator[int]:
-    """Element indices in ``[lo, hi)`` tagged ``label`` (``None``: any tag,
-    and no ``lindex`` needed): the walk over one descendant step, windowed."""
-    if label is not None and lindex is None:
-        raise ValueError("a label test needs a LabelIndex")
-    return _walk(gindex, lindex, (QueryStep(DESCENDANT, label),), lo, hi)
+    """Element indices in ``[lo, hi)`` tagged ``label`` (``None``: any
+    tag): the walk over one descendant step, windowed."""
+    return _walk(gindex, (QueryStep(DESCENDANT, label),), lo, hi)
 
 
 def select(
     gindex: GrammarIndex,
-    lindex: Optional[LabelIndex],
     path: "LabelPath | str",
 ) -> List[int]:
     """Evaluate a label path; returns sorted unique element indices.
@@ -335,28 +323,26 @@ def select(
     ``rename``/``delete``/``apply_batch`` (subject to the usual sequential
     -semantics shifting between operations).
     """
-    return list(_walk(gindex, lindex, parse_path(path).steps))
+    return list(_walk(gindex, parse_path(path).steps))
 
 
 def count_matches(
     gindex: GrammarIndex,
-    lindex: Optional[LabelIndex],
     path: "LabelPath | str",
 ) -> int:
     """Number of elements a path selects.
 
     ``//label`` -- one descendant step from the root, no positional
-    predicate -- is answered in O(1) from the label index's start-rule
-    census; everything else counts the walk.
+    predicate -- is answered in O(1) from the start rule's label census;
+    everything else counts the walk.
     """
     steps = parse_path(path).steps
     step = steps[0]
-    if (lindex is None or len(steps) > 1 or step.axis == CHILD
-            or step.position is not None):
-        return sum(1 for _ in _walk(gindex, lindex, steps))
+    if len(steps) > 1 or step.axis == CHILD or step.position is not None:
+        return sum(1 for _ in _walk(gindex, steps))
     if step.label is None:
         return gindex.element_count
-    return lindex.document_label_count(step.label)
+    return gindex.document_label_count(step.label)
 
 
 def _iter_window_symbols(

@@ -20,15 +20,14 @@ rebuilds exactly the inconsistent pieces instead of the world.
 
 * **Indexes**: the live :class:`repro.grammar.index.GrammarIndex`
   segments, the size columns of its cached rule packs (which writes
-  splice in place, so they live long) and the
-  :class:`repro.query.label_index.LabelIndex` censuses
-  are compared, rule by cached rule, against fresh unregistered
-  (``register=False``) recomputations over the same grammar; the
+  splice in place, so they live long) and its label censuses are
+  compared, rule by cached rule, against one fresh unregistered
+  (``register=False``) index over the same grammar; the
   document-level element count is cross-checked against two
   independent oracles (:func:`repro.storage.snapshot.
   document_element_count`'s bottom-up recount and a full
   :func:`repro.grammar.navigation.stream_elements` streaming walk,
-  whose tag census also audits the label index's document totals).
+  whose tag census also audits the document's label census).
 
 Repair (``repair=True``) is deliberately minimal:
 
@@ -81,8 +80,8 @@ class ScrubFinding:
 
     ``kind`` is a closed vocabulary -- ``snapshot-corrupt``,
     ``wal-corrupt``, ``wal-tail-torn``, ``manifest-corrupt``,
-    ``grammar-index-drift``, ``label-index-drift``,
-    ``element-census-drift``, ``label-census-drift`` -- ``subject`` the
+    ``grammar-index-drift``, ``element-census-drift``,
+    ``label-census-drift`` -- ``subject`` the
     file path or rule name, ``detail`` the evidence, ``repaired``
     whether the repair pass resolved it.
     """
@@ -245,9 +244,21 @@ def _audit_grammar_index(store: "DurableXml", report: ScrubReport,
                 detail=(f"cached segments {live_nodes}/{live_elems} != "
                         f"recomputed {fresh_nodes}/{fresh_elems}"),
             ))
-            drifted.append(("grammar", head))
+            drifted.append(head)
         report.checked["index_rules"] = \
             report.checked.get("index_rules", 0) + 1
+        census = live.peek_census(head)
+        if census is not None:
+            fresh_census = fresh.label_census(head)
+            if census != fresh_census:
+                report.findings.append(ScrubFinding(
+                    kind="grammar-index-drift", subject=str(head),
+                    detail=(f"cached census {census} != "
+                            f"recomputed {fresh_census}"),
+                ))
+                drifted.append(head)
+            report.checked["label_rules"] = \
+                report.checked.get("label_rules", 0) + 1
         # Packs are spliced in place by writes and live for thousands
         # of them: audit the size columns and the route summaries they
         # feed against a cold build too.
@@ -265,32 +276,9 @@ def _audit_grammar_index(store: "DurableXml", report: ScrubReport,
                 detail=(f"cached pack columns {differing} differ from a "
                         f"cold build of the rule"),
             ))
-            drifted.append(("grammar", head))
+            drifted.append(head)
         report.checked["index_packs"] = \
             report.checked.get("index_packs", 0) + 1
-
-
-def _audit_label_index(store: "DurableXml", report: ScrubReport,
-                       drifted: List[object]) -> None:
-    from repro.query.label_index import LabelIndex
-
-    doc = store.document
-    live = doc.label_index
-    fresh = LabelIndex(doc.grammar, register=False)
-    for head in live.cached_rules():
-        if not doc.grammar.has_rule(head):
-            continue
-        live_counts = dict(live.rule_counts(head))
-        fresh_counts = dict(fresh.rule_counts(head))
-        if live_counts != fresh_counts:
-            report.findings.append(ScrubFinding(
-                kind="label-index-drift", subject=str(head),
-                detail=(f"cached census {live_counts} != "
-                        f"recomputed {fresh_counts}"),
-            ))
-            drifted.append(("label", head))
-        report.checked["label_rules"] = \
-            report.checked.get("label_rules", 0) + 1
 
 
 def _audit_censuses(store: "DurableXml", report: ScrubReport) -> bool:
@@ -317,7 +305,7 @@ def _audit_censuses(store: "DurableXml", report: ScrubReport) -> bool:
                     f"{recounted}, streaming walk {streamed}"),
         ))
         drift = True
-    label_census = dict(doc.label_index.document_labels())
+    label_census = dict(doc.index.label_census(grammar.start))
     streamed_census = dict(tag_census)
     if label_census != streamed_census:
         missing = {tag: count for tag, count in streamed_census.items()
@@ -326,7 +314,7 @@ def _audit_censuses(store: "DurableXml", report: ScrubReport) -> bool:
                  if tag not in streamed_census}
         report.findings.append(ScrubFinding(
             kind="label-census-drift", subject="document",
-            detail=(f"label index disagrees with the streamed tag "
+            detail=(f"label census disagrees with the streamed tag "
                     f"census (mismatched: {missing}, phantom: {extra})"),
         ))
         drift = True
@@ -339,23 +327,17 @@ def _audit_censuses(store: "DurableXml", report: ScrubReport) -> bool:
 def _repair_indexes(store: "DurableXml", report: ScrubReport,
                     drifted: List[object], census_drift: bool) -> None:
     doc = store.document
-    for family, head in drifted:
-        if family == "grammar":
-            doc.index.rule_changed(head)
-        else:
-            doc.label_index.rule_changed(head)
+    for head in drifted:
+        doc.index.rule_changed(head)
     if census_drift and not drifted:
         # Document totals disagree but no cached rule is provably
         # wrong: the damage is outside the per-rule comparison's reach
         # (e.g. a poisoned dependency edge).  Rebuild wholesale -- the
         # one repair that is always sound.
         doc.index.invalidate_all()
-        doc.label_index.invalidate_all()
     for finding in report.findings:
-        if finding.kind in ("grammar-index-drift", "label-index-drift"):
-            finding.repaired = True
-        elif finding.kind in ("element-census-drift",
-                              "label-census-drift"):
+        if finding.kind in ("grammar-index-drift", "element-census-drift",
+                            "label-census-drift"):
             finding.repaired = True
 
 
@@ -434,7 +416,6 @@ def run_scrub(store: "DurableXml", repair: bool = False) -> ScrubReport:
     _scrub_disk(store, report)
     drifted: List[object] = []
     _audit_grammar_index(store, report, drifted)
-    _audit_label_index(store, report, drifted)
     census_drift = _audit_censuses(store, report)
     if repair:
         _repair_indexes(store, report, drifted, census_drift)

@@ -180,7 +180,7 @@ def delete(
         )
     result = isolate(grammar, index, grammar_index=grammar_index,
                      steps=steps, spine=spine)
-    target = result.node
+    rule, target = result.rule, result.node
     if index == 0 and target.children:
         # Preorder 0 is the document root; with a sharded spine its
         # terminal may sit inside a chunk shard's body (the start rule's
@@ -191,10 +191,15 @@ def delete(
         sibling = target.children[1]
         if sibling.symbol.is_bottom:
             raise UpdateError("deleting the document root is not allowed")
-    grammar.preserve_for_write(result.rule)
-    delete_subtree(grammar.rhs(result.rule), target)
+    while target.parent is None and target.children[1].symbol.is_parameter:
+        # A chunk shard whose whole body is the target in front of its
+        # continuation would derive just its argument: merge it into its
+        # parent (repeatedly, up to a rank-0 spine rule at worst).
+        rule, target = spine.absorb(rule, target)
+    grammar.preserve_for_write(rule)
+    delete_subtree(grammar.rhs(rule), target)
     # The target's next-sibling chain moved up into its place.
-    grammar.notify_rule_spliced(result.rule, target, target.children[1])
+    grammar.notify_rule_spliced(rule, target, target.children[1])
     collect_garbage(grammar)
     _repair_spine_ranks(spine)
     return result.inlined_rules

@@ -13,13 +13,14 @@ through :meth:`Grammar.rule_at`, which serves either the copy-on-write
 overlay (the pristine pre-image preserved before the first
 post-pin rewrite of the rule) or a lazily made private copy of the
 still-unchanged live body.  Because those resolved bodies are private
-and stable, the view owns its *own* structural and label indexes
-(``register=False`` -- no observer traffic ever reaches them), so a
-writer-side eviction, wholesale reset, or reshard can never free tables
+and stable, the view owns its *own* private
+:class:`~repro.grammar.index.GrammarIndex` -- segments, packs and label
+censuses (``register=False`` -- no observer traffic ever reaches it), so
+a writer-side eviction, wholesale reset, or reshard can never free tables
 the pinned epoch still needs.
 
-Views are cheap to create (no eager copying: one pin, two empty
-indexes, a handful of captured counters) and must be closed --
+Views are cheap to create (no eager copying: one pin, one empty index,
+a handful of captured counters) and must be closed --
 ``close()``, a ``with`` block, or garbage collection -- to let the
 epoch's overlay be reclaimed.
 """
@@ -130,8 +131,6 @@ class SnapshotView(ReadSurface):
     ``ValueError``.
     """
 
-    _observes = False
-
     def __init__(self, doc: "CompressedXml") -> None:
         # Constructed by CompressedXml.snapshot() under the document
         # write lock: nothing can mutate between reading the counters
@@ -143,7 +142,6 @@ class SnapshotView(ReadSurface):
         # of the pinned copy-on-write rule tables.
         self._open_index = GrammarIndex(
             _FrozenGrammar(grammar, self.epoch), register=False)
-        self._label_index = None
         # Queries through the view feed the document's instruments.
         self._m_query_stage = doc._m_query_stage
         self._m_queries_total = doc._m_queries_total

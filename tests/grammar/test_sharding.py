@@ -14,10 +14,14 @@ Three layers of guarantees:
   the structural and label indexes never invalidate wholesale.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
+from benchmarks.e2e.model import FlatDoc
 from repro.api import CompressedXml
+from repro.datasets.synthetic import make_corpus
 from repro.grammar.navigation import generates_same_tree, stream_elements
 from repro.grammar.sharding import MIN_SHARD_WIDTH, ShardManager
 from repro.trees.unranked import XmlNode
@@ -140,7 +144,7 @@ class TestIndexLocality:
     def test_splits_and_merges_never_invalidate_wholesale(self):
         doc = CompressedXml.from_xml(CHAIN, shard_width=16,
                                      auto_recompress_factor=2.0)
-        doc.count("//e")  # materialize the label index
+        doc.count("//e")  # materialize the label censuses
         for i in range(80):
             doc.append_child(0, XmlNode("entry"))
             if i % 3 == 0:
@@ -148,7 +152,6 @@ class TestIndexLocality:
         manager = doc.shard_manager
         assert manager.stats.splits > 0
         assert doc.index.wholesale_invalidations == 0
-        assert doc.label_index.wholesale_invalidations == 0
         assert doc.index.evicted_rules > 0  # per-rule, not wholesale
 
     def test_shard_eviction_is_ancestor_scoped(self):
@@ -260,3 +263,43 @@ class TestShardInvariantProperties:
         assert sharded.to_xml() == plain.to_xml()
         sharded.grammar.validate()
         sharded.shard_manager.check_invariants()
+
+
+class TestDeletingAChunkShardsWholeBody:
+    """An element that is all of a chunk shard's body in front of the
+    continuation parameter: deleting it in place would leave a bare
+    ``y1`` body, so the shard merges into its parent first."""
+
+    def test_the_95th_delete_of_a_seeded_run(self):
+        doc = CompressedXml.from_document(
+            make_corpus("EXI-Weblog", 1500, seed=21), shard_width=8)
+        rng = random.Random(2)
+        for _ in range(94):
+            doc.delete(rng.randrange(1, doc.element_count))
+        target = rng.randrange(1, doc.element_count)
+        assert (target, doc.tag_of(target), doc.parent_of(target)) == \
+            (1049, "entry", 0)
+        expected = FlatDoc.from_xml(doc.to_xml())
+        expected.delete(target)
+        doc.delete(target)
+        assert doc.to_xml() == expected.to_xml()
+        assert doc.shard_manager.stats.history[-1].startswith("merge")
+        doc.grammar.validate()
+        doc.shard_manager.check_invariants()
+
+    @pytest.mark.parametrize("width", [8, 64, None])
+    def test_random_deletes_match_the_unsharded_document(self, width):
+        corpus = make_corpus("EXI-Weblog", 1500, seed=21)
+        doc = CompressedXml.from_document(corpus, shard_width=width)
+        plain = CompressedXml.from_document(corpus)
+        model = FlatDoc.from_xml(plain.to_xml())
+        rng = random.Random(2)
+        for _ in range(200):
+            target = rng.randrange(1, doc.element_count)
+            doc.delete(target)
+            plain.delete(target)
+            model.delete(target)
+            assert doc.to_xml() == plain.to_xml() == model.to_xml()
+        doc.grammar.validate()
+        if width is not None:
+            doc.shard_manager.check_invariants()

@@ -16,7 +16,7 @@ from benchmarks.e2e.model import FlatDoc
 from repro.api import CompressedXml
 from repro.datasets.synthetic import make_corpus
 from repro.query.engine import extract_subtree, iter_matching_elements, select
-from repro.query.label_index import LabelIndex
+from repro.grammar.kernel import RulePack
 from repro.query.naive import naive_select
 from repro.trees.unranked import XmlNode, xml_equal
 from repro.trees.xml_io import serialize_xml
@@ -85,26 +85,22 @@ class TestSelectFixtures:
         doc = CompressedXml.from_xml(LOG, compress=False)
         assert_select_matches_naive(doc, FIXED_PATHS)
 
-    def test_census_pruning_skips_unlabeled_subtrees(self):
-        """The LabelIndex must make a selective descendant query visit far
-        fewer derivation nodes than the element count."""
+    def test_census_pruning_skips_unlabeled_subtrees(self, monkeypatch):
+        """The label censuses must make a selective descendant query visit
+        far fewer derivation nodes than the element count."""
         doc = CompressedXml.from_xml(
             "<log>" + "<entry><ip/><ts/></entry>" * 500 + "</log>"
         )
         doc.rename(7, "needle")
         visited = []
-        lindex = doc.label_index
-        original = LabelIndex.node_table
+        original = RulePack.label_hop
 
-        def counting(self, head, label):
-            visited.append(head)
-            return original(self, head, label)
+        def counting(self, index, label):
+            visited.append(self.head)
+            return original(self, index, label)
 
-        LabelIndex.node_table = counting
-        try:
-            assert doc.select("//needle") == [7]
-        finally:
-            LabelIndex.node_table = original
+        monkeypatch.setattr(RulePack, "label_hop", counting)
+        assert doc.select("//needle") == [7]
         # A decompress-then-walk would touch all 1501 elements.
         assert len(visited) < doc.element_count / 10
 
@@ -125,14 +121,14 @@ class TestSelectProperties:
     def test_select_matches_naive_after_update_scripts(
         self, tree, script, path
     ):
-        """LabelIndex invalidation is exercised: the index is warmed before
-        the script, queried after every operation."""
+        """Census invalidation is exercised: the censuses are warmed
+        before the script, queried after every operation."""
         doc = CompressedXml.from_document(tree)
         assert doc.select(path) == naive_select(doc.to_document(), path)
         for _ in replay_script(doc, script):
             assert doc.select(path) == \
                 naive_select(doc.to_document(), path), path
-        assert doc.label_index.wholesale_invalidations == 0
+        assert doc.index.wholesale_invalidations == 0
 
     @given(xml_documents(max_elements=15), batch_scripts(max_ops=8))
     @settings(max_examples=20, deadline=None)
@@ -140,7 +136,7 @@ class TestSelectProperties:
         """Batched updates (one observer epoch per group) keep the query
         indexes coherent too."""
         doc = CompressedXml.from_document(tree)
-        doc.count("//a")  # warm the label index
+        doc.count("//a")  # warm the label censuses
         ops = []
         for kind, fraction, tag, wide in script:
             count = doc.element_count
@@ -166,7 +162,7 @@ class TestIterMatching:
     def test_range_and_label_windows(self):
         doc = CompressedXml.from_xml(LOG)
         tags = list(doc.tags())
-        gindex, lindex = doc.index, doc.label_index
+        gindex = doc.index
         for lo in range(len(tags) + 1):
             for hi in range(lo, len(tags) + 1):
                 for label in ("ip", "entry", "nope", None):
@@ -175,26 +171,31 @@ class TestIterMatching:
                         if label is None or tags[i] == label
                     ]
                     got = list(
-                        iter_matching_elements(gindex, lindex, lo, hi, label)
+                        iter_matching_elements(gindex, lo, hi, label)
                     )
                     assert got == expected, (lo, hi, label)
 
     def test_hi_none_means_document_end(self):
         doc = CompressedXml.from_xml(LOG)
-        got = list(
-            iter_matching_elements(doc.index, doc.label_index, 0, None, "ip")
-        )
+        got = list(iter_matching_elements(doc.index, 0, None, "ip"))
         assert got == [2, 5]
 
-    def test_label_requires_index(self):
+    def test_absent_label_stops_at_the_document_census(self):
         doc = CompressedXml.from_xml(LOG)
-        with pytest.raises(ValueError):
-            list(iter_matching_elements(doc.index, None, 0, None, "ip"))
+        assert doc.tag_of(0) == "log"  # packs every rule
+        kernel = doc.index.kernel
+        builds = kernel.builds
+        assert list(iter_matching_elements(doc.index, 0, None, "zz")) == []
+        assert kernel.builds == builds
+        assert doc.index.censused_rule_count == len(doc.grammar.rules)
+        assert all(not pack._label_arrays
+                   for pack in kernel._packs.values())
 
-    def test_wildcard_needs_no_label_index(self):
+    def test_wildcard_needs_no_census(self):
         doc = CompressedXml.from_xml(LOG)
-        got = list(iter_matching_elements(doc.index, None, 2, 6, None))
+        got = list(iter_matching_elements(doc.index, 2, 6, None))
         assert got == [2, 3, 4, 5]
+        assert doc.index.censused_rule_count == 0
 
 
 class TestSubtreeExtraction:
@@ -259,7 +260,7 @@ class TestEngineLevelApi:
 
         doc = CompressedXml.from_xml(LOG)
         parsed = parse_path("//entry")
-        assert select(doc.index, doc.label_index, parsed) == [1, 4]
+        assert select(doc.index, parsed) == [1, 4]
 
 
 # ----------------------------------------------------------------------
@@ -394,7 +395,7 @@ class TestCountersProveTheCut:
         def forbid(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("a child-only path consulted the census")
 
-        monkeypatch.setattr(LabelIndex, "node_table", forbid)
+        monkeypatch.setattr(RulePack, "label_hop", forbid)
         assert len(doc.select("/site/people/person/homepage")) > 50
         assert doc.select("/site/regions/*/item[3]/name") != []
         with pytest.raises(AssertionError):
@@ -420,5 +421,5 @@ class TestCountersProveTheCut:
         doc = CompressedXml.from_xml(LOG)
         for path in ("/log/meta/status", "//entry//ip", "//status"):
             reset_prune_counter()
-            assert select(doc.index, doc.label_index, path) != []
+            assert select(doc.index, path) != []
             assert read_prune_counter() > 0, path

@@ -19,7 +19,7 @@ from repro.storage.durable import (
     DurableXml,
     StoreDegraded,
 )
-from repro.storage.faults import FaultyIO, SimulatedCrash
+from repro.storage.faults import CRASH_POINTS, FaultyIO, SimulatedCrash
 from repro.storage.recovery import StoreLayout
 from repro.storage.wal import SegmentedWal
 from repro.trees.unranked import XmlNode
@@ -124,12 +124,12 @@ class TestWalBeforeEpochPublish:
             assert reopened.tag_of(1) == "applied-not-durable"
 
 
-GROUP_CRASH_LABELS = (
-    "wal:append:before-write",
-    "wal:append:mid-write",
-    "wal:append:after-write",
-    "wal:sync:before-fsync",
-    "wal:sync:after-fsync",
+#: The pipelined commit's points, from the registry: the append writes
+#: without an fsync of its own, the group sync fsyncs.
+GROUP_CRASH_LABELS = tuple(
+    label for label in CRASH_POINTS
+    if label.startswith("wal:sync:")
+    or label.startswith("wal:append:") and label.endswith("-write")
 )
 
 

@@ -213,21 +213,28 @@ class TestIndexFindings:
         assert store.scrub().ok
 
     def test_drifted_label_census_is_found_and_repaired(self, store):
-        label_index = store.document.label_index
+        """The census is audited in the same loop as segments and packs,
+        against the same cold index, and repaired by the same eviction."""
+        index = store.document.index
         start = store.document.grammar.start
-        assert label_index.document_label_count("ip") == 5  # warm
-        label_index._rule_counts[start]["phantom"] = 3
+        assert index.document_label_count("ip") == 5  # warm
+        index.peek_census(start)["phantom"] = 3  # out-of-band clobber
         report = store.scrub()
-        kinds = {f.kind for f in report.findings}
-        assert "label-index-drift" in kinds
-        assert "label-census-drift" in kinds
+        assert report.checked["label_rules"] == index.censused_rule_count
+        drift = next(f for f in report.findings
+                     if f.kind == "grammar-index-drift")
+        assert drift.subject == str(start)
+        assert "census" in drift.detail
         census = next(f for f in report.findings
                       if f.kind == "label-census-drift")
         assert "phantom" in census.detail
+        evicted = index.censuses_evicted
         report = store.scrub(repair=True)
         assert report.repaired_count == len(report.findings) >= 2
-        assert label_index.document_label_count("phantom") == 0
-        assert label_index.document_label_count("ip") == 5
+        assert index.censuses_evicted > evicted
+        assert index.wholesale_invalidations == 0
+        assert index.document_label_count("phantom") == 0
+        assert index.document_label_count("ip") == 5
         assert store.scrub().ok
 
     def test_index_repair_does_not_touch_the_disk(self, store):

@@ -252,7 +252,7 @@ class TestQueries:
                 batch.rename(index, "code")
         assert doc.select("//status") == []
         assert doc.select("//code") == hits
-        assert doc.label_index.wholesale_invalidations == 0
+        assert doc.index.wholesale_invalidations == 0
 
     def test_malformed_path_raises_value_error(self):
         from repro.query.parser import QuerySyntaxError
@@ -263,13 +263,13 @@ class TestQueries:
         with pytest.raises(ValueError):
             doc.count("//a[0]")
 
-    def test_label_index_created_lazily(self):
+    def test_label_census_computed_lazily(self):
         doc = CompressedXml.from_xml("<a><b/></a>")
-        assert doc._label_index is None
-        doc.rename(1, "c")  # write path never builds it
-        assert doc._label_index is None
+        assert doc.index.censused_rule_count == 0
+        doc.rename(1, "c")  # write path never computes it
+        assert doc.index.censused_rule_count == 0
         assert doc.count("//c") == 1
-        assert doc._label_index is not None
+        assert doc.index.censused_rule_count > 0
 
 
 class TestUpdates:
@@ -474,7 +474,7 @@ class TestInvalidTagsAreRejected:
 
 class TestMaintenance:
     def test_option_surface_is_the_tracked_one(self):
-        """The independently settable values, by name (5 / 7 / 3): one
+        """The independently settable values, by name (4 / 7 / 3): one
         recompression loop, so no parameter selects another -- and, with
         no ``**kwargs`` catch-all, a retired name is a ``TypeError``."""
         from inspect import signature
@@ -482,8 +482,7 @@ class TestMaintenance:
         from repro.core.grammar_repair import GrammarRePair, grammar_repair
 
         assert list(signature(CompressedXml).parameters)[1:] == [
-            "kin", "auto_recompress_factor", "shard_width",
-            "shard_merge_hysteresis", "metrics"]
+            "kin", "auto_recompress_factor", "shard_width", "metrics"]
         assert list(signature(GrammarRePair).parameters) == [
             "kin", "prune", "optimized", "rule_prefix", "export_prefix",
             "round_hook", "barriers"]

@@ -306,14 +306,19 @@ def assert_packs_equal_cold_build(doc):
     """Every cached pack equals, column for column, a pack cold-built
     from the same live body into a throw-away index; every cached rule's
     segments equal the from-scratch ``parameter_segments`` and the cold
-    index's element segments."""
+    index's element segments; every cached census and every label-count
+    column attached to a pack equal the cold index's."""
     live = doc.index
     cold_index = GrammarIndex(doc.grammar, register=False)
     node_segments = parameter_segments(doc.grammar)
+    assert set(live._censuses) <= set(live.cached_rules())
     for head in live.cached_rules():
         assert live._node_segments[head] == node_segments[head], head
         assert live._elem_segments[head] == \
             cold_index.element_segments(head), head
+        census = live.peek_census(head)
+        if census is not None:
+            assert census == cold_index.label_census(head), head
         pack = live.kernel.peek(head)
         if pack is None:
             continue  # segments only (relabel-evicted or snapshot-loaded)
@@ -332,6 +337,11 @@ def assert_packs_equal_cold_build(doc):
         assert pack.elem_segs is live._elem_segments[head]
         if pack.routes is not None:  # dropped by a write, not yet asked for
             assert pack.routes == cold.routes, head
+        if pack._label_arrays:
+            assert census is not None, head
+        for label, (counts, _hops) in pack._label_arrays.items():
+            assert counts == cold.label_counts(cold_index, label), \
+                (head, label)
 
 
 #: The columns that say which node sits where: no write may change them
@@ -369,9 +379,12 @@ class TestSpliceEqualsRebuild:
         for _ in replay_script(doc, script):
             assert_packs_equal_cold_build(doc)
             assert_layouts_unmoved(layouts)
-            # The read a write is followed by in real traffic: it packs
-            # what the write evicted, so the next splice has a pack.
+            # The reads a write is followed by in real traffic: they
+            # pack what the write evicted, so the next splice has a pack,
+            # and attach label counts for the next one to drop.
             doc.tag_of(doc.element_count - 1)
+            doc.count("//a//b")
+            doc.select("//c")
             layouts = published_layouts(doc)
         assert doc.index.wholesale_invalidations == 0
 

@@ -278,17 +278,12 @@ class TestOneReadSurface:
 class TestEvictionVsPin:
     """Satellite: wholesale index eviction must not reach into views.
 
-    ``invalidate_all`` on the document's indexes -- scrub's repair of
+    ``invalidate_all`` on the document's index -- scrub's repair of
     last resort is its one caller -- is the one remaining
     wholesale-eviction path.  A pinned view owns private index tables
     over its frozen grammar (built with ``register=False``), so the
     reset must be invisible to it.
     """
-
-    @staticmethod
-    def reset_wholesale(doc):
-        doc.index.invalidate_all()
-        doc.label_index.invalidate_all()
 
     def test_wholesale_invalidation_does_not_touch_views(self):
         doc = make_doc()
@@ -299,7 +294,7 @@ class TestEvictionVsPin:
             for index in range(1, 8):
                 doc.rename(index, f"t{index}")
             doc.recompress()
-            self.reset_wholesale(doc)
+            doc.index.invalidate_all()
             assert doc.index.wholesale_invalidations == 1
             assert view.to_xml() == expected
             assert view.element_count == 19
@@ -311,7 +306,7 @@ class TestEvictionVsPin:
         with doc.snapshot() as view:
             doc.rename(1, "alpha")
             doc.recompress()
-            self.reset_wholesale(doc)
+            doc.index.invalidate_all()
             assert doc.tag_of(1) == "alpha"
             assert doc.count("//alpha") == 1
             assert view.tag_of(1) == "entry"

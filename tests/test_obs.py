@@ -396,6 +396,24 @@ class TestDurableInstrumentation:
         assert hists['repro_fsync_seconds{site="wal:append"}'][
             "count"] == 2
 
+    def test_group_commit_sync_site_is_declared_before_a_commit(
+            self, tmp_path, registry):
+        from repro.storage.durable import DurableXml
+
+        doc = CompressedXml.from_xml(XML, metrics=registry)
+        store = DurableXml.create(str(tmp_path / "group"), doc,
+                                  group_commit=True)
+        try:
+            hists = registry.collect()["histograms"]
+            assert hists['repro_fsync_seconds{site="wal:sync"}'][
+                "count"] == 0
+            store.rename(1, "zap")
+            hists = registry.collect()["histograms"]
+            assert hists['repro_fsync_seconds{site="wal:sync"}'][
+                "count"] == 1
+        finally:
+            store.close()
+
     def test_failed_apply_counts_as_commit_failure(self, store,
                                                    registry):
         with pytest.raises(Exception):
