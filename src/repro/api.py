@@ -12,9 +12,9 @@ implementation, the paper's motivating application) programs against:
   derivation (:meth:`CompressedXml.subtree_xml`),
 * update by *element index* (document order) -- rename, insert, delete,
 * apply whole bursts of updates as one program (:meth:`CompressedXml.batch`
-  / :meth:`CompressedXml.apply_batch`): the union of the derivation paths
-  is isolated in a single pass sharing rule inlines along common prefixes,
-  and the maintenance policy settles once per batch,
+  / :meth:`CompressedXml.apply_batch`): the sequential composition of the
+  same spliced single ops, under one lock and optional transaction, with
+  one maintenance settle per batch,
 * keep the grammar small with explicit or automatic recompression,
 * serialize back to XML or to the grammar text format.
 
@@ -85,11 +85,11 @@ from repro.query.engine import (
 from repro.query.engine import select as engine_select
 from repro.query.label_index import LabelIndex
 from repro.query.parser import parse_path
-from repro.updates import grammar_updates
 from repro.updates.batch import (
-    BatchBuilder, BatchOp, BatchStats, execute_batch, normalize_content,
+    BatchAppend, BatchBuilder, BatchDelete, BatchInsert, BatchOp,
+    BatchRename, BatchStats, apply_batch_op, execute_batch,
 )
-from repro.updates.operations import UpdateError, check_tag
+from repro.updates.operations import UpdateError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.faults import StorageIO
@@ -437,9 +437,7 @@ class CompressedXml(ReadSurface):
         self._last_compressed_size = max(1, grammar.size)
         self.updates_applied = 0
         self.batches_applied = 0
-        # Rule inlines performed by path isolation across all updates --
-        # the quantity batched application amortizes (shared derivation
-        # prefixes are inlined once per batch group, not once per op).
+        # Rule inlines performed by path isolation across all updates.
         self.rules_inlined_total = 0
         self.recompress_runs = 0
         self.recompress_seconds = 0.0
@@ -493,7 +491,7 @@ class CompressedXml(ReadSurface):
             stage: obs.histogram(
                 "repro_batch_stage_seconds",
                 "apply_batch stage latency", stage=stage)
-            for stage in ("plan", "isolate", "apply", "settle")
+            for stage in ("apply", "settle")
         }
         self._m_batches_total = obs.counter(
             "repro_batches_total", "Batches applied")
@@ -709,16 +707,7 @@ class CompressedXml(ReadSurface):
     # ------------------------------------------------------------------
     def rename(self, element_index: int, new_tag: str) -> None:
         """Relabel the ``element_index``-th element (document order)."""
-        check_tag(new_tag)
-        started = time.perf_counter()
-        with self._lock:
-            position, steps = self._index.resolve_element(element_index)
-            self.rules_inlined_total += grammar_updates.rename(
-                self._grammar, position, new_tag,
-                grammar_index=self._index, steps=steps, spine=self._spine())
-            self._after_update()
-        self._m_update["rename"].observe(time.perf_counter() - started)
-        self._m_updates_total["rename"].inc()
+        self._apply_one("rename", BatchRename(element_index, new_tag))
 
     def insert(
         self,
@@ -735,17 +724,7 @@ class CompressedXml(ReadSurface):
             raise UpdateError(
                 "inserting before the document root would create a forest"
             )
-        siblings = normalize_content(content)
-        started = time.perf_counter()
-        with self._lock:
-            fragment = encode_forest(siblings, self._grammar.alphabet)
-            position, steps = self._index.resolve_element(element_index)
-            self.rules_inlined_total += grammar_updates.insert(
-                self._grammar, position, fragment,
-                grammar_index=self._index, steps=steps, spine=self._spine())
-            self._after_update()
-        self._m_update["insert"].observe(time.perf_counter() - started)
-        self._m_updates_total["insert"].inc()
+        self._apply_one("insert", BatchInsert(element_index, content))
 
     def append_child(
         self,
@@ -764,17 +743,8 @@ class CompressedXml(ReadSurface):
         encoding (the root's own next-sibling ``⊥`` always follows it),
         so the isolation never runs past the derivation.
         """
-        siblings = normalize_content(content)
-        started = time.perf_counter()
-        with self._lock:
-            fragment = encode_forest(siblings, self._grammar.alphabet)
-            position = self._end_of_children_position(parent_element_index)
-            self.rules_inlined_total += grammar_updates.insert(
-                self._grammar, position, fragment, grammar_index=self._index,
-                spine=self._spine())
-            self._after_update()
-        self._m_update["append_child"].observe(time.perf_counter() - started)
-        self._m_updates_total["append_child"].inc()
+        self._apply_one("append_child",
+                        BatchAppend(parent_element_index, content))
 
     def _end_of_children_position(self, parent_element_index: int) -> int:
         """Binary preorder index of the parent's child-list terminator.
@@ -797,15 +767,19 @@ class CompressedXml(ReadSurface):
         """
         if element_index == 0:
             raise UpdateError("deleting the document root is not allowed")
+        self._apply_one("delete", BatchDelete(element_index))
+
+    def _apply_one(self, kind: str, op: BatchOp) -> None:
+        """One single-op update: a batch's per-operation step
+        (:func:`~repro.updates.batch.apply_batch_op`), then the settle."""
         started = time.perf_counter()
         with self._lock:
-            position, steps = self._index.resolve_element(element_index)
-            self.rules_inlined_total += grammar_updates.delete(
-                self._grammar, position, grammar_index=self._index,
-                steps=steps, spine=self._spine())
+            self.rules_inlined_total += apply_batch_op(
+                self._grammar, self._index, op, spine=self._spine(),
+                encode=encode_forest)
             self._after_update()
-        self._m_update["delete"].observe(time.perf_counter() - started)
-        self._m_updates_total["delete"].inc()
+        self._m_update[kind].observe(time.perf_counter() - started)
+        self._m_updates_total[kind].inc()
 
     # ------------------------------------------------------------------
     # snapshots (MVCC read isolation)
@@ -911,13 +885,12 @@ class CompressedXml(ReadSurface):
         Operations (:class:`~repro.updates.batch.BatchRename` /
         ``BatchInsert`` / ``BatchAppend`` / ``BatchDelete``) use
         *sequential semantics* -- each index addresses the document as
-        the previous operations leave it -- and the result is
-        observationally equivalent to the single-op loop.  Execution is
-        batched: indices are translated to one coordinate space, the
-        union of the derivation paths is isolated in a single pass
-        (shared rule prefixes inlined once), all edits land on that
-        spine in one mutation epoch, and the automatic recompression
-        policy settles once at the end instead of once per operation.
+        the previous operations leave it.  A batch is the sequential
+        composition of the spliced single ops :meth:`rename` /
+        :meth:`insert` / :meth:`append_child` / :meth:`delete` run,
+        under one writer lock, with one settle: resharding and the
+        automatic recompression policy run once at the end instead of
+        once per operation.
 
         By default an invalid index raises (``IndexError``, or
         ``UpdateError`` for a root deletion) after the operations before
@@ -962,8 +935,6 @@ class CompressedXml(ReadSurface):
             self.last_batch_stats = stats
         self._m_batch.observe(time.perf_counter() - started)
         stage = self._m_batch_stage
-        stage["plan"].observe(stats.plan_seconds)
-        stage["isolate"].observe(stats.isolate_seconds)
         stage["apply"].observe(stats.apply_seconds)
         stage["settle"].observe(settle_seconds)
         self._m_batches_total.inc()

@@ -316,19 +316,14 @@ class GrammarIndex:
     def rule_removed(self, head: Symbol) -> None:
         self._evict(head)
 
-    def rule_relabeled(self, head: Symbol, node: Optional[Node] = None) -> None:
+    def rule_relabeled(self, head: Symbol, node: Node) -> None:
         """A relabel changes no size and moves no entry: patch the
         label entries of the relabeled ``node`` in the rule's pack, in
-        place (no other pack caches them).  Without ``node`` -- a batch
-        relabeled several -- the pack is dropped; the segments stay
-        either way, the censuses along the dependents go."""
+        place (no other pack caches them).  The segments stay, the
+        censuses along the dependents go."""
         self._drop_censuses(head)
         pack = self._kernel.peek(head)
         if pack is None:
-            return
-        if node is None:
-            self._kernel.evict(head)
-            self._locations = {}  # located paths name the pack
             return
         pos = _descend(pack.walk, node.parent, node)[0]
         symbol = node.symbol
@@ -948,22 +943,6 @@ class GrammarIndex:
             )
         return located
 
-    def resolve_element_with_extent(
-        self, element_index: int
-    ) -> Tuple[int, List[PathStep], int, int]:
-        """Everything batch planning needs about an element, in one walk.
-
-        Returns ``(binary preorder index, derivation path, unranked
-        subtree extent in elements, child-list terminator's binary
-        preorder index)`` -- the combination of :meth:`resolve_element`,
-        :meth:`element_subtree_extent`, and
-        :meth:`end_of_children_position` at the cost of a single
-        ``O(depth · rule-width)`` descent.
-        """
-        position, pack, pos, env, steps = self._locate_fcns(element_index)
-        first_nodes, first_elems = self._sizes(pack, pos + 1, env)
-        return position, steps, 1 + first_elems, position + first_nodes
-
     def element_subtree_extent(self, element_index: int) -> int:
         """Elements of the *unranked* subtree rooted at an element.
 
@@ -971,8 +950,7 @@ class GrammarIndex:
         first-child/next-sibling encoding these are exactly the element
         and the non-``⊥`` terminals of its first-child subtree, so the
         answer is one subtree-size lookup (``O(depth · rule-width)``).
-        ``delete(element_index)`` removes exactly this many elements --
-        the quantity batch planning needs to shift later targets.
+        ``delete(element_index)`` removes exactly this many elements.
         """
         _position, pack, pos, env, _steps = self._locate_fcns(element_index)
         _nodes, elems = self._sizes(pack, pos + 1, env)

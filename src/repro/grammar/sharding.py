@@ -282,7 +282,7 @@ class ShardManager:
         if head is self._grammar.start or head in self.heads:
             self._touched.add(head)
 
-    def rule_relabeled(self, head: Symbol, node=None) -> None:
+    def rule_relabeled(self, head: Symbol, node: Node) -> None:
         """A relabel changes no width -- nothing to rebalance."""
 
     def rule_removed(self, head: Symbol) -> None:

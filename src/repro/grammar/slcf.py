@@ -151,7 +151,7 @@ class GrammarSizeTracker:
     def rule_changed(self, head: Symbol) -> None:
         self._dirty.add(head)
 
-    def rule_relabeled(self, head: Symbol, node=None) -> None:
+    def rule_relabeled(self, head: Symbol, node: Node) -> None:
         """Relabels change no edge count."""
 
     def rule_removed(self, head: Symbol) -> None:
@@ -301,9 +301,7 @@ class Grammar:
         for observer in self._observers:
             observer.rule_changed(nonterminal)
 
-    def notify_rule_relabeled(
-        self, nonterminal: Symbol, node: Optional[Node] = None
-    ) -> None:
+    def notify_rule_relabeled(self, nonterminal: Symbol, node: Node) -> None:
         """Report an in-place *relabel* of a terminal in the rule's RHS.
 
         A relabel changes no structural count, so observers that only
@@ -312,9 +310,8 @@ class Grammar:
         observers without the hook get the coarse :meth:`rule_changed`
         instead -- label censuses, occurrence tables, and dirty-rule
         recorders must all still see the mutation (relabels do change
-        digrams and label counts).  ``node`` names the relabeled node
-        when there is exactly one, so a cache of per-node labels can
-        patch that entry.
+        digrams and label counts).  ``node`` names the relabeled node,
+        so a cache of per-node labels can patch that entry.
         """
         self.epoch += 1
         for observer in self._observers:
@@ -383,10 +380,10 @@ class Grammar:
         write lock around this, so no mutation is mid-flight).
         ``rollback`` marks a transaction-rollback pin: it fills the same
         overlay, but does not count as a *reader* -- resolution caches
-        stay consultable, because every mutation path of a batch
-        preserves the rules it rewrites on its own (``isolate_many``
-        reads each walked spine rule, ``inline_at`` each callee,
-        ``set_rule``/``remove_rule`` preserve directly).
+        stay consultable, because every mutation path preserves the
+        rules it rewrites on its own (in-place splices call
+        :meth:`preserve_for_write` first, ``set_rule``/``remove_rule``
+        preserve directly).
         """
         with self._version_lock:
             epoch = self.epoch

@@ -11,8 +11,6 @@ from repro.updates.batch import (
     execute_batch,
 )
 from repro.updates.grammar_updates import (
-    PlannedEdit,
-    apply_isolated_batch,
     apply_op,
     apply_ops,
     delete,
@@ -34,7 +32,6 @@ from repro.updates.operations import (
 )
 from repro.updates.path_isolation import (
     IsolationResult,
-    MultiIsolationResult,
     isolate,
     isolate_many,
 )
@@ -65,7 +62,6 @@ __all__ = [
     "isolate",
     "isolate_many",
     "IsolationResult",
-    "MultiIsolationResult",
     "BatchRename",
     "BatchInsert",
     "BatchAppend",
@@ -74,8 +70,6 @@ __all__ = [
     "BatchStats",
     "BatchBuilder",
     "execute_batch",
-    "PlannedEdit",
-    "apply_isolated_batch",
     "udc_recompress",
     "UdcResult",
     "UpdateWorkload",

@@ -23,8 +23,7 @@ whole update history (see :mod:`repro.updates.path_isolation`).
 
 from __future__ import annotations
 
-import time
-from typing import TYPE_CHECKING, Container, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Container, Iterable, List, Optional
 
 from repro.grammar.navigation import PathStep, resolve_preorder_path
 from repro.grammar.properties import collect_garbage
@@ -45,7 +44,9 @@ from repro.updates.operations import (
     rightmost_null,
     splice_before,
 )
-from repro.updates.path_isolation import isolate, isolate_many
+# ``isolate_many`` is bound here only because the end-to-end benchmark's
+# tracer (benchmarks/e2e/trace.py) patches it as an attribute of this module.
+from repro.updates.path_isolation import isolate, isolate_many  # noqa: F401
 
 __all__ = [
     "rename",
@@ -53,8 +54,6 @@ __all__ = [
     "delete",
     "apply_op",
     "apply_ops",
-    "PlannedEdit",
-    "apply_isolated_batch",
 ]
 
 
@@ -215,147 +214,6 @@ def _repair_spine_ranks(spine) -> None:
     repair = getattr(spine, "repair_ranks", None)
     if repair is not None:
         repair()
-
-
-class PlannedEdit:
-    """One grammar-level edit of a batch group, ready for execution.
-
-    ``steps`` is the derivation path to the target (resolved against the
-    grammar *before* any of the group's mutations); ``position`` the
-    target's binary preorder index, kept for diagnostics.  ``kind`` is
-    ``"rename"`` (with ``label``), ``"insert"`` (with ``fragment``; an
-    append is an insert targeting the parent's child-list terminator), or
-    ``"delete"``.  Planning lives in :mod:`repro.updates.batch`.
-    """
-
-    __slots__ = ("kind", "position", "steps", "fragment", "label")
-
-    def __init__(
-        self,
-        kind: str,
-        position: int,
-        steps: List[PathStep],
-        fragment: Optional[Node] = None,
-        label: Optional[str] = None,
-    ) -> None:
-        self.kind = kind
-        self.position = position
-        self.steps = steps
-        self.fragment = fragment
-        self.label = label
-
-    @property
-    def enter_steps(self) -> int:
-        """Rule entries on the path: what a solo isolation would inline."""
-        return sum(1 for step in self.steps if step.enters_rule)
-
-
-def apply_isolated_batch(
-    grammar: Grammar,
-    planned: List[PlannedEdit],
-    spine: Optional[Container[Symbol]] = None,
-    timings: Optional[dict] = None,
-) -> Tuple[int, int]:
-    """Execute one batch group against the isolated spine rules.
-
-    The union of the planned derivation paths is isolated in one pass
-    (shared prefixes inlined once, see
-    :func:`~repro.updates.path_isolation.isolate_many`), then the
-    tree-level edits run in operation order against the explicit target
-    nodes.  Node identity makes this equivalent to the sequential loop:
-    a rename relabels in place, a delete splices the target's sibling
-    chain up wherever the target now sits, and an insert moves the (still
-    addressable) target element into its fragment's right-most null slot.
-    The one target that *is* consumed by an edit -- the child-list
-    terminator ``⊥`` of an append -- is threaded to later operations
-    aimed at it through the replacement terminator returned by
-    :func:`~repro.updates.operations.splice_before`, so append chains on
-    one parent keep their order.
-
-    Observers see one mutation epoch per *touched* spine rule: isolation
-    defers all notifications, and one final ``set_rule`` per rule that
-    was actually inlined into or edited reports the change (with
-    ``spine`` shard heads, a burst of ``k`` clustered ops touches about
-    ``k / width`` shards); garbage collection after deletes reports
-    removed rules as usual.  Returns ``(rule inlines performed, spine
-    rules mutated)``.
-    """
-    if not planned:
-        return 0, 0
-    isolate_started = time.perf_counter()
-    iso = isolate_many(
-        grammar, [edit.steps for edit in planned], spine=spine
-    )
-    if timings is not None:
-        timings["isolate_seconds"] = time.perf_counter() - isolate_started
-    roots = iso.roots
-    # Rules whose bodies *structurally* changed: an inline landed in
-    # them, or (tracked below) a tree-level edit does.  Shards merely
-    # descended through must not fire spurious epochs.  Rules touched
-    # only by renames are kept apart: the relabel already happened in
-    # place on the installed body (``roots[rule]`` is the live RHS when
-    # no inline replaced it), so they take the relabel-specific
-    # notification -- same as the single-op path -- and size-only caches
-    # (GrammarIndex) keep their structural tables instead of recomputing
-    # them after every rename-only batch.
-    mutated: Set[Symbol] = set(iso.mutated)
-    relabeled: Set[Symbol] = set()
-
-    def flush(error: Optional[UpdateError] = None) -> None:
-        for rule in mutated:
-            grammar.set_rule(rule, roots[rule])
-        for rule in relabeled - mutated:
-            grammar.notify_rule_relabeled(rule)
-        if deleted or error is not None:
-            collect_garbage(grammar)
-            # Before the planner's next index descent: a delete may have
-            # consumed a chunk shard's continuation parameter.
-            _repair_spine_ranks(spine)
-        if error is not None:
-            raise error
-
-    terminator_remap: dict = {}
-    deleted = False
-    for edit, target, rule in zip(planned, iso.nodes, iso.rules):
-        if edit.kind == "rename":
-            symbol = grammar.alphabet.terminal(edit.label, target.symbol.rank)
-            if target.symbol is not symbol:
-                grammar.preserve_for_write(rule)
-                rename_node(target, symbol)
-                relabeled.add(rule)
-        elif edit.kind == "insert":
-            while id(target) in terminator_remap:
-                target = terminator_remap[id(target)]
-            spliced = deep_copy(edit.fragment)
-            if spliced.symbol.is_bottom:
-                continue
-            grammar.preserve_for_write(rule)
-            new_root, terminator = splice_before(roots[rule], target, spliced)
-            roots[rule] = new_root
-            mutated.add(rule)
-            if terminator is not None:
-                terminator_remap[id(target)] = terminator
-        elif edit.kind == "delete":
-            if edit.position == 0 and target.children:
-                # Preorder 0 = the document root, wherever its terminal
-                # now sits (start rule or a chunk shard's body).
-                sibling = target.children[1]
-                if sibling.symbol.is_bottom:
-                    # Unreachable through the batch planner (it rejects
-                    # apply-time index 0), but keep the grammar coherent
-                    # before refusing, mirroring the sequential loop's
-                    # state after its earlier operations.
-                    flush(UpdateError(
-                        "deleting the document root is not allowed"
-                    ))
-            grammar.preserve_for_write(rule)
-            roots[rule] = delete_subtree(roots[rule], target)
-            mutated.add(rule)
-            deleted = True
-        else:  # pragma: no cover - planner emits only the kinds above
-            raise UpdateError(f"unknown planned edit kind {edit.kind!r}")
-    flush()
-    return iso.inlined_rules, len(mutated | relabeled)
 
 
 def apply_op(

@@ -20,7 +20,7 @@ that shard's body exactly as before.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Container, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Container, Dict, List, Optional
 
 from repro.grammar.derivation import inline_at
 from repro.grammar.navigation import PathStep, resolve_preorder_path
@@ -31,7 +31,7 @@ from repro.trees.symbols import Symbol
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.grammar.index import GrammarIndex
 
-__all__ = ["isolate", "isolate_many", "IsolationResult", "MultiIsolationResult"]
+__all__ = ["isolate", "isolate_many", "IsolationResult"]
 
 
 class IsolationResult:
@@ -129,130 +129,18 @@ def isolate(
     return IsolationResult(concrete_target, inlined, rule)
 
 
-class MultiIsolationResult:
-    """Outcome of a multi-target isolation.
-
-    ``nodes[i]`` is the explicit terminal node for the ``i``-th requested
-    path (paths to the same target share one node) and ``rules[i]`` the
-    head of the spine rule containing it; ``inlined_rules`` counts the
-    rule applications performed over the whole union -- shared path
-    prefixes are inlined exactly once.  ``roots`` maps every *mutated*
-    spine rule to its (possibly replaced) right-hand-side root; the
-    caller must install each via ``set_rule`` once its edits are applied
-    (:func:`isolate_many` itself fires *no* observer notifications, so a
-    batch of updates forms one mutation epoch per touched spine rule).
-    With sharding, a burst of ``k`` clustered ops touches about
-    ``k / width`` shards -- each of ``O(width)`` body -- instead of one
-    unboundedly grown start RHS.
-
-    ``mutated`` lists the spine rules an inline actually rewrote (a rule
-    merely descended through stays clean); ``root`` is kept as the start
-    rule's root for backward compatibility.
-    """
-
-    __slots__ = ("nodes", "inlined_rules", "rules", "roots", "mutated",
-                 "root")
-
-    def __init__(
-        self,
-        nodes: List[Node],
-        inlined_rules: int,
-        rules: List[Symbol],
-        roots: Dict[Symbol, Node],
-        mutated: Set[Symbol],
-        root: Node,
-    ) -> None:
-        self.nodes = nodes
-        self.inlined_rules = inlined_rules
-        self.rules = rules
-        self.roots = roots
-        self.mutated = mutated
-        self.root = root
-
-
 def isolate_many(
     grammar: Grammar,
-    paths: List[List[PathStep]],
+    indexes: List[int],
+    grammar_index: Optional["GrammarIndex"] = None,
     spine: Optional[Container[Symbol]] = None,
-) -> MultiIsolationResult:
-    """Make the targets of many derivation paths explicit in one pass.
+) -> List[IsolationResult]:
+    """Isolate several preorder indices, one :func:`isolate` after another.
 
-    ``paths`` are derivation paths resolved against the *current* grammar
-    (e.g. by :meth:`GrammarIndex.resolve_element` or
-    :func:`resolve_preorder_path`) -- all of them before any mutation, so
-    their steps reference live template nodes.  The union of the paths is
-    replayed as a trie keyed on the referenced rule-template nodes: an
-    "enter" step shared by several paths is inlined exactly **once** and
-    every path below it continues through the same copy map.  This is how
-    a batch of updates hitting nearby preorder indices shares the rule
-    inlines of their common derivation prefix instead of re-isolating it
-    per operation.  Steps entering a ``spine`` rule (a shard) are not
-    inlined at all: every path through the shard continues inside its
-    right-hand side, so the trie naturally groups the batch by shard.
-
-    Sibling branches are independent even when one references a node
-    inside another's argument subtree: :func:`inline_at` *moves* argument
-    subtrees (it never copies them), so nodes referenced by other paths
-    survive an adjacent inline by object identity.
-
-    Unlike :func:`isolate`, no observer notifications are fired and no
-    mutated rule is re-installed when its root is replaced -- the caller
-    applies its edits against the returned ``roots`` and installs them
-    with ``set_rule`` afterwards, producing one coherent mutation epoch
-    per touched spine rule.
+    Isolation leaves the derived tree unchanged, so every index stays
+    valid; each is resolved against the grammar the previous isolations
+    left.  Updates isolate one target per operation; this loop remains
+    for callers that bind the name.
     """
-    nodes: List[Optional[Node]] = [None] * len(paths)
-    rules: List[Optional[Symbol]] = [None] * len(paths)
-    # Every spine rule whose body the replay walked; a rule appears here
-    # even when, in the end, only deeper shards were mutated -- the caller
-    # filters by its own edits (see ``apply_isolated_batch``).
-    roots: Dict[Symbol, Node] = {grammar.start: grammar.rhs(grammar.start)}
-    mutated: Set[Symbol] = set()
-    inlined = 0
-    # Explicit stack of trie levels: (path indices at this level, depth,
-    # copy map of the inline that produced this level -- None at the top
-    # of a spine rule, where steps reference its RHS directly -- and the
-    # spine rule being mutated).
-    stack: List[
-        Tuple[List[int], int, Optional[Dict[int, Node]], Symbol]
-    ] = [(list(range(len(paths))), 0, None, grammar.start)]
-    while stack:
-        indices, depth, current, rule = stack.pop()
-        # Group the paths by the template node their next step references:
-        # identical targets collapse to one leaf, shared prefixes to one
-        # branch (and hence one inline).
-        branches: Dict[int, Tuple[PathStep, List[int]]] = {}
-        for i in indices:
-            step = paths[i][depth]
-            node = step.node if current is None else current[id(step.node)]
-            if not step.enters_rule:
-                assert node.symbol.is_terminal
-                nodes[i] = node
-                rules[i] = rule
-                continue
-            entry = branches.get(id(step.node))
-            if entry is None:
-                branches[id(step.node)] = (step, [i])
-            else:
-                entry[1].append(i)
-        for step, members in branches.values():
-            node = step.node if current is None else current[id(step.node)]
-            symbol = node.symbol
-            if spine is not None and symbol in spine:
-                # Enter the shard: all members continue on its RHS.
-                if symbol not in roots:
-                    roots[symbol] = grammar.rhs(symbol)
-                stack.append((members, depth + 1, None, symbol))
-                continue
-            was_root = node is roots[rule]
-            grammar.preserve_for_write(rule)
-            new_root, copy_map = inline_at(grammar, node)
-            if was_root:
-                roots[rule] = new_root
-            mutated.add(rule)
-            inlined += 1
-            stack.append((members, depth + 1, copy_map, rule))
-    assert all(node is not None for node in nodes)
-    return MultiIsolationResult(
-        nodes, inlined, rules, roots, mutated, roots[grammar.start]
-    )
+    return [isolate(grammar, index, grammar_index=grammar_index, spine=spine)
+            for index in indexes]

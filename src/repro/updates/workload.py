@@ -137,8 +137,9 @@ def generate_clustered_element_ops(
 
     This is the batch-update workload (ROADMAP "Batch updates"): real
     traffic arrives in bursts whose targets cluster in document order, so
-    their derivation paths share long rule prefixes -- the sharing
-    :meth:`repro.api.CompressedXml.apply_batch` amortizes.  Returns a list
+    their derivation paths share long rule prefixes: once one op has
+    isolated a region, the ops after it inline little or nothing there
+    (one :meth:`repro.api.CompressedXml.apply_batch` call).  Returns a list
     of batch ops with *sequential semantics* (each index valid for the
     document as the previous ops leave it), drawn around a random cluster
     center: mostly renames, some single-element inserts and appends, a few

@@ -279,7 +279,7 @@ class TestDocumentInstrumentation:
         for op in ("rename", "insert", "append_child", "delete"):
             assert hists[f'repro_update_seconds{{op="{op}"}}'][
                 "count"] == 1
-        for stage in ("plan", "isolate", "apply", "settle"):
+        for stage in ("apply", "settle"):
             assert hists[f'repro_batch_stage_seconds{{stage="{stage}"}}'][
                 "count"] == 1
         for stage in ("census", "rounds", "prune"):

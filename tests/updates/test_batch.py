@@ -1,17 +1,23 @@
-"""Batch updates must be observationally equivalent to the sequential loop.
+"""A batch is the sequential composition of single ops.
 
-The contract under test: ``apply_batch(ops)`` -- sequential *semantics*
-(each op's element index addresses the document as the previous ops leave
-it), batched *execution* (one multi-target isolation per group, shared
-derivation prefixes inlined once, one mutation epoch, one settle).  The
-oracle is the single-op API applied in a loop, which is itself
-property-tested against plain-tree reference semantics.
+The contract under test: ``apply_batch(ops)`` leaves the document exactly
+as the single-op API called once per operation would -- same tree, same
+element count, same exception after the same prefix -- and with
+``transactional=True`` a failing batch leaves the document untouched.
+The oracles are the single-op loop and the frozen flat reference model
+of the end-to-end benchmark (``benchmarks/e2e/model.py``).
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from benchmarks.e2e.model import FlatDoc
 from repro.api import CompressedXml
+from repro.datasets import make_corpus
+from repro.grammar.navigation import grammar_generates_tree
 from repro.grammar.slcf import RuleTouchRecorder
 from repro.trees.unranked import XmlNode
 from repro.updates.batch import (
@@ -20,10 +26,14 @@ from repro.updates.batch import (
     BatchInsert,
     BatchRename,
 )
-from repro.updates.operations import UpdateError
-from repro.updates.path_isolation import isolate, isolate_many
+from repro.updates.path_isolation import isolate_many
 
 from tests.strategies import batch_scripts, xml_documents
+
+
+def script_content(tag, wide):
+    return ([XmlNode(tag), XmlNode("wide", [XmlNode("inner")])]
+            if wide else XmlNode(tag))
 
 
 def concretize(seq_doc, script):
@@ -32,10 +42,7 @@ def concretize(seq_doc, script):
     ops = []
     for kind, fraction, tag, wide in script:
         count = seq_doc.element_count
-        content = (
-            [XmlNode(tag), XmlNode("wide", [XmlNode("inner")])]
-            if wide else XmlNode(tag)
-        )
+        content = script_content(tag, wide)
         if kind == "rename":
             index = int(fraction * count)
             seq_doc.rename(index, tag)
@@ -59,6 +66,40 @@ def concretize(seq_doc, script):
     return ops
 
 
+def model_fragment(tag, wide):
+    """``script_content`` as the model's (tag, relative depth) pairs."""
+    return [(tag, 0), ("wide", 0), ("inner", 1)] if wide else [(tag, 0)]
+
+
+def concretize_on_model(model, script):
+    """:func:`concretize` against the flat reference model."""
+    ops = []
+    for kind, fraction, tag, wide in script:
+        count = len(model)
+        content = script_content(tag, wide)
+        if kind == "rename":
+            index = int(fraction * count)
+            model.rename(index, tag)
+            ops.append(BatchRename(index, tag))
+        elif kind == "insert":
+            if count < 2:
+                continue
+            index = 1 + int(fraction * (count - 1))
+            model.insert(index, model_fragment(tag, wide))
+            ops.append(BatchInsert(index, content))
+        elif kind == "append":
+            index = int(fraction * count)
+            model.append_child(index, model_fragment(tag, wide))
+            ops.append(BatchAppend(index, content))
+        else:
+            if count < 3:
+                continue
+            index = 1 + int(fraction * (count - 1))
+            model.delete(index)
+            ops.append(BatchDelete(index))
+    return ops
+
+
 class TestBatchEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(xml_documents(max_elements=20), batch_scripts())
@@ -73,7 +114,7 @@ class TestBatchEquivalence:
         assert batched.element_count == sequential.element_count
         batched.grammar.validate()
         assert stats.operations == len(ops)
-        assert stats.inlined_rules <= stats.per_path_inlines
+        assert stats.inlined_rules == batched.rules_inlined_total
 
     @settings(max_examples=15, deadline=None)
     @given(xml_documents(max_elements=20), batch_scripts())
@@ -91,146 +132,147 @@ class TestBatchEquivalence:
         batched.grammar.validate()
 
 
-def run_pair(xml, seq_fn, ops, expect_groups=None):
-    sequential = CompressedXml.from_xml(xml)
-    batched = CompressedXml.from_xml(xml)
-    seq_fn(sequential)
-    stats = batched.apply_batch(ops)
-    assert batched.to_xml() == sequential.to_xml()
-    batched.grammar.validate()
-    if expect_groups is not None:
-        assert stats.groups == expect_groups
-    return batched, stats
+class TestBatchAgainstModel:
+    @settings(max_examples=45, deadline=None)
+    @given(
+        st.sampled_from(["Treebank", "XMark", "EXI-Weblog"]),
+        st.integers(min_value=0, max_value=3),
+        st.booleans(),
+        st.sampled_from([8, 64, 256]),
+        st.lists(batch_scripts(max_ops=16), min_size=1, max_size=3),
+    )
+    def test_batches_match_the_flat_model(
+        self, corpus, seed, compress, width, scripts
+    ):
+        """Sharded batches against the independent flat model.  An
+        uncompressed grammar starts with the whole tree in its start
+        rule, so every width here begins with a real shard hierarchy."""
+        doc = CompressedXml.from_document(
+            make_corpus(corpus, 500, seed=seed), compress=compress,
+            shard_width=width)
+        model = FlatDoc.from_xml(doc.to_xml())
+        for script in scripts:
+            doc.apply_batch(concretize_on_model(model, script))
+            assert doc.element_count == len(model)
+        assert doc.to_xml() == model.to_xml()
+        doc.grammar.validate()
+        doc.shard_manager.check_invariants()
+
+
+def loop(doc, ops):
+    """The single-op API, one call per batch operation."""
+    for op in ops:
+        if isinstance(op, BatchRename):
+            doc.rename(op.index, op.new_tag)
+        elif isinstance(op, BatchInsert):
+            doc.insert(op.index, list(op.content))
+        elif isinstance(op, BatchAppend):
+            doc.append_child(op.parent_index, list(op.content))
+        else:
+            doc.delete(op.index)
+
+
+def outcome(doc, run):
+    """(exception type or ``None``, XML, element count) after ``run(doc)``."""
+    error = None
+    try:
+        run(doc)
+    except (IndexError, ValueError) as exc:
+        error = type(exc)
+    return error, doc.to_xml(), doc.element_count
 
 
 LOG = "<log>" + "<e><p/><q/></e>" * 8 + "</log>"
 
+#: Same and adjacent targets, targets inside batch content, shifts by
+#: whole subtrees, and failures after an applied prefix.
+CASES = {
+    "same-target renames": [BatchRename(4, "one"), BatchRename(4, "two")],
+    "rename there and back": [BatchRename(4, "x"), BatchRename(4, "e")],
+    "no-op renames": [BatchRename(1, "e"), BatchRename(2, "p")],
+    "rename then delete": [BatchRename(4, "gone"), BatchDelete(4)],
+    "same-position inserts": [BatchInsert(3, XmlNode("A")),
+                              BatchInsert(3, XmlNode("B"))],
+    "append chain": [BatchAppend(1, XmlNode("A")),
+                     BatchAppend(1, XmlNode("B")),
+                     BatchAppend(1, XmlNode("C"))],
+    "rename inside inserted content": [
+        BatchInsert(4, XmlNode("A", [XmlNode("inner")])),
+        BatchRename(5, "xx")],
+    "delete shifts by its subtree": [BatchDelete(1), BatchRename(1, "after"),
+                                     BatchDelete(2)],
+    "insert then delete the original": [BatchInsert(4, XmlNode("A")),
+                                        BatchDelete(5)],
+    "insert inside then delete the container": [
+        BatchInsert(2, XmlNode("A")), BatchDelete(1),
+        BatchRename(1, "next")],
+    "append then delete the parent": [BatchAppend(1, XmlNode("A")),
+                                      BatchDelete(1),
+                                      BatchRename(1, "next")],
+    "append to the last element": [BatchAppend(24, XmlNode("Z")),
+                                   BatchRename(5, "rr")],
+    "empty content": [BatchInsert(3, []), BatchAppend(3, [])],
+    "root delete after a rename": [BatchRename(1, "pre"), BatchDelete(0)],
+    "insert before the root": [BatchRename(1, "pre"),
+                               BatchInsert(0, XmlNode("x"))],
+    "out of range after a rename": [BatchRename(1, "pre"),
+                                    BatchRename(10**6, "x")],
+    "range shrunk by an earlier delete": [BatchDelete(1),
+                                          BatchRename(23, "x")],
+}
 
-class TestCollisions:
-    def test_same_target_renames_last_wins(self):
-        run_pair(LOG,
-                 lambda d: (d.rename(4, "one"), d.rename(4, "two")),
-                 [BatchRename(4, "one"), BatchRename(4, "two")],
-                 expect_groups=1)
 
-    def test_noop_rename_plans_nothing(self):
-        """Parity with the single-op fast path: renaming an element to
-        the tag it already carries must not isolate or grow the grammar."""
-        doc = CompressedXml.from_xml(LOG)
-        size_before = doc.compressed_size
-        stats = doc.apply_batch([BatchRename(1, "e"), BatchRename(2, "p")])
-        assert stats.isolations == 0
-        assert doc.compressed_size == size_before
+class TestDelegation:
+    @pytest.mark.parametrize("width", [None, 8])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_batch_is_the_op_loop(self, name, width):
+        """Batch == op loop, errors included; a transactional batch
+        commits the same result or, failing, rolls back completely."""
+        ops = CASES[name]
+        original = CompressedXml.from_xml(LOG, shard_width=width)
+        untouched = (None, original.to_xml(), original.element_count)
+        expected = outcome(CompressedXml.from_xml(LOG, shard_width=width),
+                           lambda doc: loop(doc, ops))
+        batched = CompressedXml.from_xml(LOG, shard_width=width)
+        assert outcome(batched, lambda doc: doc.apply_batch(ops)) == expected
+        batched.grammar.validate()
 
-    def test_noop_fast_path_disabled_after_same_target_rename(self):
-        """rename(i, \"x\"); rename(i, original) must apply both -- the
-        pre-group label no longer reflects the pending relabeling."""
-        run_pair(LOG,
-                 lambda d: (d.rename(4, "x"), d.rename(4, "e")),
-                 [BatchRename(4, "x"), BatchRename(4, "e")],
-                 expect_groups=1)
+        txn = CompressedXml.from_xml(LOG, shard_width=width)
+        error, *state = outcome(
+            txn, lambda doc: doc.apply_batch(ops, transactional=True))
+        assert error is expected[0]
+        assert tuple(state) == (expected if error is None else untouched)[1:]
+        txn.grammar.validate()
+        assert list(txn.tags()) == [txn.tag_of(i)
+                                    for i in range(txn.element_count)]
 
-    def test_rename_then_delete_same_target(self):
-        run_pair(LOG,
-                 lambda d: (d.rename(4, "gone"), d.delete(4)),
-                 [BatchRename(4, "gone"), BatchDelete(4)],
-                 expect_groups=1)
 
-    def test_same_position_inserts_flush(self):
-        """insert(i, A); insert(i, B) leaves B before A -- the second
-        target is A's first element, created in-batch, so the planner
-        must flush rather than misattribute it."""
-        run_pair(LOG,
-                 lambda d: (d.insert(3, XmlNode("A")), d.insert(3, XmlNode("B"))),
-                 [BatchInsert(3, XmlNode("A")), BatchInsert(3, XmlNode("B"))],
-                 expect_groups=2)
-
-    def test_append_chain_shares_one_terminator(self):
-        """Three appends to one parent: all three target the same ⊥ node
-        pre-batch; the executor threads the replacement terminator so the
-        children come out in op order -- in a single group."""
-        run_pair(LOG,
-                 lambda d: (d.append_child(1, XmlNode("A")),
-                            d.append_child(1, XmlNode("B")),
-                            d.append_child(1, XmlNode("C"))),
-                 [BatchAppend(1, XmlNode("A")), BatchAppend(1, XmlNode("B")),
-                  BatchAppend(1, XmlNode("C"))],
-                 expect_groups=1)
-
-    def test_rename_inside_inserted_content_flushes(self):
-        run_pair(LOG,
-                 lambda d: (d.insert(4, XmlNode("A", [XmlNode("inner")])),
-                            d.rename(5, "xx")),
-                 [BatchInsert(4, XmlNode("A", [XmlNode("inner")])),
-                  BatchRename(5, "xx")],
-                 expect_groups=2)
-
-    def test_delete_shifts_later_targets_by_subtree_extent(self):
-        """Deleting <e><p/><q/></e> removes 3 indices at once."""
-        run_pair(LOG,
-                 lambda d: (d.delete(1), d.rename(1, "after"), d.delete(2)),
-                 [BatchDelete(1), BatchRename(1, "after"), BatchDelete(2)],
-                 expect_groups=1)
-
-    def test_insert_then_delete_the_shifted_original(self):
-        run_pair(LOG,
-                 lambda d: (d.insert(4, XmlNode("A")), d.delete(5)),
-                 [BatchInsert(4, XmlNode("A")), BatchDelete(5)],
-                 expect_groups=1)
-
-    def test_insert_inside_subtree_then_delete_container(self):
-        """The delete's apply-time extent must include batch content the
-        earlier insert put inside its subtree."""
-        run_pair(LOG,
-                 lambda d: (d.insert(2, XmlNode("A")), d.delete(1),
-                            d.rename(1, "next")),
-                 [BatchInsert(2, XmlNode("A")), BatchDelete(1),
-                  BatchRename(1, "next")],
-                 expect_groups=1)
-
-    def test_append_then_delete_parent(self):
-        run_pair(LOG,
-                 lambda d: (d.append_child(1, XmlNode("A")), d.delete(1),
-                            d.rename(1, "next")),
-                 [BatchAppend(1, XmlNode("A")), BatchDelete(1),
-                  BatchRename(1, "next")],
-                 expect_groups=1)
-
-    def test_append_to_last_element_then_shifted_op(self):
-        """The appended children land off the end -- at element_count --
-        and later targets past the insertion point shift correctly."""
-        run_pair(LOG,
-                 lambda d: (d.append_child(d.element_count - 1, XmlNode("Z")),
-                            d.rename(5, "rr")),
-                 [BatchAppend(24, XmlNode("Z")), BatchRename(5, "rr")],
-                 expect_groups=1)
+class TestShardedBatchDelete:
+    def test_deleting_a_chunk_shards_whole_body_in_a_batch(self):
+        """The seeded run whose 95th delete empties a chunk shard's body:
+        as a batch it must merge the shard as the single op does."""
+        doc = CompressedXml.from_document(
+            make_corpus("EXI-Weblog", 1500, seed=21), shard_width=8)
+        rng = random.Random(2)
+        for _ in range(94):
+            doc.delete(rng.randrange(1, doc.element_count))
+        expected = FlatDoc.from_xml(doc.to_xml())
+        expected.delete(1049)
+        doc.apply_batch([BatchDelete(1049)])
+        doc.grammar.validate()
+        assert doc.to_xml() == expected.to_xml()
+        doc.shard_manager.check_invariants()
 
 
 class TestValidation:
-    def test_root_delete_rejected_with_value_error(self):
-        doc = CompressedXml.from_xml(LOG)
-        with pytest.raises(ValueError, match="root"):
-            doc.apply_batch([BatchRename(1, "pre"), BatchDelete(0)])
-        # Sequential parity: the ops before the invalid one were applied.
-        assert doc.tag_of(1) == "pre"
-
-    def test_out_of_range_raises_after_earlier_ops(self):
-        doc = CompressedXml.from_xml(LOG)
-        with pytest.raises(IndexError):
-            doc.apply_batch([BatchRename(1, "pre"), BatchRename(10**6, "x")])
-        assert doc.tag_of(1) == "pre"
-
-    def test_range_checked_against_apply_time_count(self):
-        """After a subtree delete the batch's own shrinkage invalidates a
-        later index -- exactly as the sequential loop would."""
-        doc = CompressedXml.from_xml("<a><b><c/><d/></b><e/></a>")
-        with pytest.raises(IndexError):
-            doc.apply_batch([BatchDelete(1), BatchRename(2, "x")])
-
     def test_malformed_ops_rejected(self):
         doc = CompressedXml.from_xml(LOG)
         with pytest.raises(ValueError):
             doc.apply_batch(["rename"])
+        with pytest.raises(ValueError):
+            # Rejected up front: the valid op before it is not applied.
+            doc.apply_batch([BatchRename(1, "pre"), "rename"])
+        assert doc.tag_of(1) == "e"
         with pytest.raises(IndexError):
             # Error parity with doc.rename(-1, ...): IndexError.
             BatchRename(-1, "x")
@@ -239,19 +281,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             BatchInsert(1, ["not-a-node"])
 
-    def test_empty_batch_and_empty_content_are_noops(self):
+    def test_empty_batch_is_a_noop(self):
         doc = CompressedXml.from_xml(LOG)
         before = doc.to_xml()
         stats = doc.apply_batch([])
-        assert stats.operations == 0 and stats.groups == 0
-        doc.apply_batch([BatchInsert(3, [])])
+        assert stats.operations == 0 and stats.inlined_rules == 0
         assert doc.to_xml() == before
 
 
 class TestBatchMechanics:
-    def test_single_group_single_epoch(self):
-        """Observers see one coherent mutation epoch per group: only the
-        start rule is reported changed (plus rules removed by gc)."""
+    def test_unsharded_batch_touches_only_the_start_rule(self):
+        """Every edit lands in the start rule (plus rules removed by gc)."""
         doc = CompressedXml.from_xml(LOG)
         recorder = RuleTouchRecorder()
         doc.grammar.register_observer(recorder)
@@ -278,15 +318,6 @@ class TestBatchMechanics:
         assert doc.to_xml() == before
         assert b.stats is None
 
-    def test_index_stays_consistent_after_batch(self):
-        doc = CompressedXml.from_xml(LOG)
-        doc.apply_batch([BatchRename(2, "x"), BatchDelete(5),
-                         BatchInsert(3, XmlNode("n"))])
-        tags = list(doc.tags())
-        assert len(tags) == doc.element_count
-        for index in range(doc.element_count):
-            assert doc.tag_of(index) == tags[index]
-
     def test_batch_settles_once_under_auto_policy(self):
         """One recompression check per batch: the loop recompresses per
         op, the batch at most once at the end."""
@@ -296,40 +327,16 @@ class TestBatchMechanics:
         assert doc.recompress_runs <= runs_before + 1
 
 
-class TestIsolateMany:
-    def test_shared_prefix_inlined_once(self, figure1_grammar):
-        """Two targets below the same rule chain: the union isolation
-        performs strictly fewer inlines than two solo isolations."""
-        from repro.grammar.derivation import expand
-        from repro.grammar.navigation import (
-            grammar_generates_tree,
-            resolve_preorder_path,
-        )
-        from repro.trees.traversal import preorder
+def test_isolate_many_isolates_each_index_in_turn(figure1_grammar):
+    from repro.grammar.derivation import expand
+    from repro.trees.traversal import preorder
 
-        tree = expand(figure1_grammar)
-        labels = [node.symbol.name for node in preorder(tree)]
-        # Preorder 4 and 6 both lie inside the first B subtree: their
-        # derivation paths share the enter-B, enter-A prefix entirely.
-        solo_total = 0
-        for index in (4, 6):
-            solo = figure1_grammar.copy()
-            solo_total += isolate(solo, index).inlined_rules
-        grammar = figure1_grammar.copy()
-        paths = [resolve_preorder_path(grammar, index) for index in (4, 6)]
-        result = isolate_many(grammar, paths)
-        grammar.set_rule(grammar.start, result.root)
-        assert result.inlined_rules < solo_total
-        assert [node.symbol.name for node in result.nodes] == \
-            [labels[4], labels[6]]
-        grammar.validate()
-        assert grammar_generates_tree(grammar, tree)
-
-    def test_identical_paths_share_one_node(self, figure1_grammar):
-        from repro.grammar.navigation import resolve_preorder_path
-
-        grammar = figure1_grammar
-        paths = [resolve_preorder_path(grammar, 5),
-                 resolve_preorder_path(grammar, 5)]
-        result = isolate_many(grammar, paths)
-        assert result.nodes[0] is result.nodes[1]
+    tree = expand(figure1_grammar)
+    labels = [node.symbol.name for node in preorder(tree)]
+    results = isolate_many(figure1_grammar, [4, 6, 4])
+    assert [r.node.symbol.name for r in results] == \
+        [labels[4], labels[6], labels[4]]
+    assert results[0].inlined_rules > 0
+    assert results[2].inlined_rules == 0  # index 4 is explicit already
+    figure1_grammar.validate()
+    assert grammar_generates_tree(figure1_grammar, tree)
