@@ -45,6 +45,12 @@ The read surface -- statistics, ``tags``, the navigation axes,
 :class:`ReadSurface`; the live :class:`CompressedXml` and the pinned
 :class:`~repro.view.SnapshotView` are its two instantiations.
 
+Threads: every mutator, and :meth:`CompressedXml.recompress`, runs under
+one document write lock; live reads are unlocked, so concurrent readers
+pin a :meth:`CompressedXml.snapshot`.  Durable writers are ordered one
+level up, by :class:`~repro.storage.durable.DurableXml`'s commit lock
+(taken before this one).
+
 Example::
 
     doc = CompressedXml.from_xml("<log>" + "<entry/>" * 1000 + "</log>")
@@ -61,12 +67,11 @@ import os
 import threading
 import time
 import weakref
-from typing import Iterator, List, Optional, Sequence, Set, Union, TYPE_CHECKING
+from typing import Iterator, List, Optional, Sequence, Union, TYPE_CHECKING
 
 from repro.core.grammar_repair import GrammarRePair, GrammarRePairStats
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.tracing import trace_span
-from repro.grammar.concurrency import ShardLockTable
 from repro.grammar.index import GrammarIndex
 from repro.grammar.serialize import format_grammar, parse_grammar
 from repro.grammar.sharding import ShardManager
@@ -94,7 +99,6 @@ from repro.updates.operations import UpdateError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.faults import StorageIO
     from repro.storage.snapshot import DocumentState
-    from repro.trees.symbols import Symbol
     from repro.view import SnapshotView
 
 __all__ = ["CompressedXml", "DurableXml", "ReadSurface", "SnapshotView"]
@@ -426,10 +430,6 @@ class CompressedXml(ReadSurface):
             self._shards = ShardManager(grammar, width=shard_width)
             # A packed rule's width is read off its columns, not walked.
             self._shards.width_of = self._index.rule_width
-        # Per-shard commit locks for concurrent writers (the durable
-        # layer's group-commit path rides these); unsharded documents
-        # fall back to one document-wide "shard" (the start rule).
-        self._shard_locks = ShardLockTable()
         # Dirty scoping is only sound relative to a compressed baseline: a
         # grammar that was never RePair'd (compress=False, grammar files)
         # gets one full run first.
@@ -811,56 +811,6 @@ class CompressedXml(ReadSurface):
         }
 
     # ------------------------------------------------------------------
-    # shard-scoped write locking
-    # ------------------------------------------------------------------
-    @property
-    def shard_locks(self) -> ShardLockTable:
-        """Per-shard commit locks (see :mod:`repro.grammar.concurrency`).
-
-        The document itself serializes in-memory mutation under its
-        write lock; these locks order full *commits* (WAL append + apply
-        + fsync in the durable layer) so batches on disjoint shards can
-        overlap their durability work while conflicting batches
-        serialize end-to-end.
-        """
-        return self._shard_locks
-
-    def shard_of(self, element_index: int) -> "Symbol":
-        """The spine rule owning an element (the deepest shard head on
-        its derivation path; the start rule when unsharded)."""
-        owner = self._grammar.start
-        if self._shards is None:
-            return owner
-        with self._lock:
-            _, steps = self._index.resolve_element(element_index)
-            spine = self._shards
-            for step in steps:
-                if step.enters_rule and step.node.symbol in spine:
-                    owner = step.node.symbol
-        return owner
-
-    def shard_heads_for(self, ops: Sequence[BatchOp]) -> "Set[Symbol]":
-        """The set of shard heads a batch will write.
-
-        Resolved against the current document state; used by concurrent
-        committers to acquire the right per-shard locks *before* the
-        commit.  Indices use the batch's sequential semantics, so later
-        ops' resolutions are approximations once earlier ops shift
-        indices -- safe for locking (the resolution is a superset
-        heuristic; the in-memory apply itself is still serialized), not
-        for addressing.
-        """
-        heads = set()
-        with self._lock:
-            for op in ops:
-                index = getattr(op, "index", None)
-                if index is None:
-                    index = op.parent_index
-                index = min(index, max(0, self.element_count - 1))
-                heads.add(self.shard_of(index))
-        return heads
-
-    # ------------------------------------------------------------------
     # batch updates
     # ------------------------------------------------------------------
     def batch(self) -> BatchBuilder:
@@ -1020,11 +970,7 @@ class CompressedXml(ReadSurface):
         if self._auto_factor is None:
             return
         if self._size.total > self._auto_factor * self._last_compressed_size:
-            # Called mid-commit (already under the document lock, and in
-            # concurrent mode under the spine gate's *shared* side), so
-            # this must not route through the public recompress() and
-            # its exclusive-gate acquisition.  The commit lock above us
-            # serializes all applies, which is barrier enough.
+            # Called mid-update, already under the document lock.
             self._recompress_locked(self._scoped_census_unprofitable())
 
     def _scoped_census_unprofitable(self) -> Optional[bool]:
@@ -1062,16 +1008,10 @@ class CompressedXml(ReadSurface):
         force a whole-grammar census (the first run on a grammar that was
         never compressed does this automatically): same loop, same
         per-rule evictions, only the census is wider.
-
-        An explicit recompression is a whole-document barrier: it takes
-        the shard spine gate exclusively, draining in-flight
-        shard-scoped commits and holding new ones out until the rewrite
-        finishes.
         """
         with trace_span("recompress"):
-            with self._shard_locks.spine.exclusive():
-                with self._lock:
-                    return self._recompress_locked(full)
+            with self._lock:
+                return self._recompress_locked(full)
 
     def _recompress_locked(self, full: Optional[bool]) -> int:
         started = time.perf_counter()

@@ -292,9 +292,7 @@ def _print_health_table(health: dict) -> None:
         print(f"wal tail:    {wal['tail_error']}")
     mvcc = health["mvcc"]
     print(f"mvcc:        epoch {mvcc['epoch']}, "
-          f"{mvcc['pinned_snapshots']} pinned snapshot(s), "
-          f"group commit "
-          f"{'on' if mvcc['group_commit'] else 'off'}")
+          f"{mvcc['pinned_snapshots']} pinned snapshot(s)")
     if health["last_checkpoint_error"]:
         print(f"checkpoint:  last error: "
               f"{health['last_checkpoint_error']}")

@@ -14,7 +14,7 @@ non-root spans attach to their parent, producing a nested timing tree::
             ...
 
 Because the stacks are thread-local, spans emitted concurrently from
-MVCC group-commit threads and snapshot readers can never interleave
+committing writer threads and snapshot readers can never interleave
 into each other's traces; the ring append is the only shared mutation
 and happens under a lock.
 

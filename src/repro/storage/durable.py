@@ -1,6 +1,7 @@
 """``DurableXml``: the fault-tolerant facade over ``CompressedXml``.
 
-Commit protocol for every mutating call (the WAL-first rule)::
+Commit protocol for every mutating call (the WAL-first rule), run
+whole under one commit lock::
 
     validate cheaply -> WAL append + fsync -> apply in memory
                                            -> rollback WAL on failure
@@ -15,15 +16,12 @@ record's start offset and leaves the in-memory document untouched
 (single ops are exception-safe; batches run transactionally), so a
 failed operation is a no-op both on disk and in memory.
 
-``group_commit=True`` switches to the pipelined variant of the same
-protocol for multi-threaded writers: append (no fsync) + apply run
-under a short commit lock -- WAL order is apply order, and the
-WAL-append-before-epoch-publish rule still holds -- while the fsync
-runs outside it under shard-scoped locks, so commits on disjoint
-shards overlap and coalesce their fsyncs
-(:meth:`repro.storage.wal.SegmentedWal.sync_to`) and checkpoints
-serialize from a pinned snapshot view without blocking the commit
-stream (:meth:`DurableXml._checkpoint_concurrent`).
+Threads: because one lock spans append, fsync and apply, WAL order
+*is* apply order and the live document always equals the replay of
+its log, however many threads commit.  Lock order is commit lock ->
+document write lock -> grammar version lock.  :meth:`checkpoint` holds
+the commit lock for its whole body, so it blocks writers, not readers
+(readers pin a :meth:`~repro.api.CompressedXml.snapshot`).
 
 Disk faults: the WAL layer absorbs *transient* I/O errors with bounded
 retry/backoff; when an append (or its rollback) fails *persistently*
@@ -139,7 +137,6 @@ def _sample_store(ref: "weakref.ref") -> dict:
     sample = {
         "generation": store._generation,
         "degraded": int(store.degraded),
-        "group_commit": int(store._group_commit),
         "checkpoint_wal_bytes": store._checkpoint_wal_bytes,
     }
     for key, value in store._wal.to_dict().items():
@@ -168,7 +165,6 @@ class DurableXml:
         checkpoint_wal_bytes: int,
         wal_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         retry: Optional[RetryPolicy] = None,
-        group_commit: bool = False,
     ) -> None:
         self._doc = doc
         self._layout = StoreLayout(directory)
@@ -179,19 +175,10 @@ class DurableXml:
         self._wal_segment_bytes = wal_segment_bytes
         self._retry = retry
         self._degraded_cause: Optional[BaseException] = None
-        #: Pipelined group commit (see :meth:`_commit_group`): commits
-        #: from multiple threads write + apply under one short lock and
-        #: fsync outside it, coalescing; disjoint-shard commits overlap
-        #: their fsyncs, same-shard commits serialize on shard locks.
-        self._group_commit = group_commit
-        self._commit_lock = threading.Lock()
-        self._checkpoint_lock = threading.Lock()
-        #: The generation the next checkpoint cutover targets.  Runs
-        #: ahead of ``_generation`` when a concurrent checkpoint failed
-        #: after its WAL cutover (the chain of that never-manifested
-        #: generation holds live records; recovery's continuation
-        #: replay folds it back in).
-        self._next_generation = generation + 1
+        #: Held across every commit and every checkpoint (see the
+        #: module docstring).  Reentrant: the cadence checkpoint runs
+        #: inside the commit that tripped it.
+        self._commit_lock = threading.RLock()
         #: Populated by :meth:`open` with what recovery had to do.
         self.last_recovery: Optional[RecoveredDocument] = None
         #: The most recent auto-checkpoint (or post-commit-point
@@ -214,7 +201,7 @@ class DurableXml:
             stage: obs.histogram(
                 "repro_commit_stage_seconds",
                 "durable commit latency by stage", stage=stage)
-            for stage in ("append", "apply", "fsync")
+            for stage in ("append", "apply")
         }
         self._m_commits_total = {
             op: obs.counter("repro_commits_total",
@@ -251,7 +238,6 @@ class DurableXml:
         wal_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         retry: Optional[RetryPolicy] = None,
         overwrite: bool = False,
-        group_commit: bool = False,
     ) -> "DurableXml":
         """Initialize a new store directory around ``document``.
 
@@ -274,8 +260,7 @@ class DurableXml:
                            segment_bytes=wal_segment_bytes, retry=retry)
         write_manifest(directory, 0, io=io)
         return cls(document, directory, wal, 0, io, checkpoint_wal_bytes,
-                   wal_segment_bytes=wal_segment_bytes, retry=retry,
-                   group_commit=group_commit)
+                   wal_segment_bytes=wal_segment_bytes, retry=retry)
 
     @classmethod
     def from_xml(
@@ -287,7 +272,6 @@ class DurableXml:
         wal_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         retry: Optional[RetryPolicy] = None,
         overwrite: bool = False,
-        group_commit: bool = False,
         **doc_kwargs,
     ) -> "DurableXml":
         """Compress ``text`` and :meth:`create` a store around it."""
@@ -301,7 +285,6 @@ class DurableXml:
             wal_segment_bytes=wal_segment_bytes,
             retry=retry,
             overwrite=overwrite,
-            group_commit=group_commit,
         )
 
     @classmethod
@@ -312,7 +295,6 @@ class DurableXml:
         checkpoint_wal_bytes: int = DEFAULT_CHECKPOINT_WAL_BYTES,
         wal_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         retry: Optional[RetryPolicy] = None,
-        group_commit: bool = False,
         **doc_kwargs,
     ) -> "DurableXml":
         """Recover an existing store (newest snapshot + chain replay).
@@ -322,10 +304,10 @@ class DurableXml:
         newest image before any new commits are accepted.  (A dropped
         tail record needs no checkpoint: the truncation already left
         the disk consistent.)  When recovery found *continuation*
-        generations -- WAL chains a group-commit checkpoint cut over to
-        whose manifest switch never landed -- the store adopts the
-        newest chain and folds the whole tail into a fresh generation
-        with an immediate checkpoint.
+        generations -- WAL chains above the manifest generation, which
+        stores written by the former group-commit mode may hold -- the
+        store adopts the newest chain and folds the whole tail into a
+        fresh generation with an immediate checkpoint.
         """
         if io is None:
             io = StorageIO()
@@ -336,8 +318,7 @@ class DurableXml:
         recovery_elapsed = time.perf_counter() - started
         self = cls(result.doc, directory, result.wal, result.generation,
                    io, checkpoint_wal_bytes,
-                   wal_segment_bytes=wal_segment_bytes, retry=retry,
-                   group_commit=group_commit)
+                   wal_segment_bytes=wal_segment_bytes, retry=retry)
         self._m_recovery.observe(recovery_elapsed)
         self.last_recovery = result
         if result.continuation_generations:
@@ -346,7 +327,6 @@ class DurableXml:
             # Checkpointing from here writes one snapshot covering the
             # whole sequence and retires the multi-chain shape.
             self._generation = result.continuation_generations[-1]
-            self._next_generation = self._generation + 1
         if result.degraded or result.continuation_generations:
             self.checkpoint()
         return self
@@ -367,39 +347,33 @@ class DurableXml:
                 cause=self._degraded_cause,
             )
 
-    def _commit(self, record: dict, heads: Optional[Sequence] = None):
-        """WAL-first: persist the record, then apply it in memory.
+    def _commit(self, record: dict):
+        """WAL-first: persist the record, then apply it in memory --
+        all under the commit lock, so WAL order is apply order.
 
-        Dispatches to :meth:`_commit_group` in group-commit mode;
-        ``heads`` are the shard heads the operation touches (resolved
-        by the mutator wrappers, only when group commit is on).
-
-        The commit latency histogram covers append+apply+fsync only --
-        a cadence checkpoint triggered by this commit is timed by its
-        own histogram, not folded into the commit's.
+        The commit latency histogram covers the wait for the lock plus
+        append+apply -- a cadence checkpoint triggered by this commit
+        is timed by its own histogram, not folded into the commit's.
         """
         op = record.get("op", "unknown")
         started = time.perf_counter()
-        with trace_span("commit", op=op,
-                        group_commit=self._group_commit):
-            try:
-                if self._group_commit:
-                    result = self._commit_group(
-                        record, heads if heads is not None else ())
-                else:
-                    result = self._commit_serial(record)
-            except Exception:
-                self._m_commit_failures.inc()
-                raise
-        self._m_commit.observe(time.perf_counter() - started)
-        counter = self._m_commits_total.get(op)
-        if counter is not None:
-            counter.inc()
-        self._maybe_checkpoint()
+        with self._commit_lock:
+            with trace_span("commit", op=op):
+                try:
+                    result = self._append_and_apply(record)
+                except Exception:
+                    self._m_commit_failures.inc()
+                    raise
+            self._m_commit.observe(time.perf_counter() - started)
+            counter = self._m_commits_total.get(op)
+            if counter is not None:
+                counter.inc()
+            self._maybe_checkpoint()
         return result
 
-    def _commit_serial(self, record: dict):
-        """The serial commit path (see the module docstring)."""
+    def _append_and_apply(self, record: dict):
+        """One commit's body (see the module docstring); the caller
+        holds the commit lock."""
         self._require_writable()
         append_started = time.perf_counter()
         try:
@@ -441,87 +415,9 @@ class DurableXml:
             time.perf_counter() - apply_started)
         return result
 
-    def _commit_group(self, record: dict, heads: Sequence):
-        """The pipelined commit path (``group_commit=True``).
-
-        Lock order: spine gate (shared) -> shard locks (sorted) ->
-        commit lock.  WAL append (no fsync) and the in-memory apply run
-        under the short commit lock -- WAL order therefore *is* apply
-        order -- and the fsync runs outside it, still under the shard
-        locks: commits touching the same shard acknowledge in order,
-        while disjoint-shard commits overlap their fsyncs and coalesce
-        them (``SegmentedWal.sync_to``).  The WAL-before-epoch-publish
-        rule of the serial path is preserved: the record is *written*
-        before the apply bumps the grammar epoch; only its durability
-        is deferred until just before acknowledgment.
-        """
-        locks = self._doc.shard_locks
-        with locks.spine.shared():
-            with locks.holding(heads):
-                with self._commit_lock:
-                    self._require_writable()
-                    # Capture the chain: a concurrent checkpoint may
-                    # swap self._wal before our sync_to runs (the old
-                    # chain is fsync'd during the cutover, making the
-                    # late sync_to a cheap no-op).
-                    wal = self._wal
-                    append_started = time.perf_counter()
-                    try:
-                        with trace_span("wal_append"):
-                            token = wal.append_nosync(record)
-                    except WalWriteError as exc:
-                        self._degrade(exc)
-                        raise StoreDegraded(
-                            f"{self._layout.directory}: commit failed "
-                            f"and the store is now read-only: {exc}",
-                            cause=exc,
-                        ) from exc
-                    self._m_commit_stage["append"].observe(
-                        time.perf_counter() - append_started)
-                    apply_started = time.perf_counter()
-                    try:
-                        with trace_span("apply"):
-                            result = apply_record(self._doc, record)
-                    except Exception:
-                        try:
-                            wal.rollback_to(token)
-                        except WalWriteError as rollback_exc:
-                            self._degrade(rollback_exc)
-                        raise
-                    self._m_commit_stage["apply"].observe(
-                        time.perf_counter() - apply_started)
-                fsync_started = time.perf_counter()
-                try:
-                    with trace_span("fsync"):
-                        wal.sync_to(token)
-                except WalWriteError as exc:
-                    # The record was applied in memory but could not be
-                    # made durable -- the same persistent-failure shape
-                    # as a serial append exhausting its retries.
-                    self._degrade(exc)
-                    raise StoreDegraded(
-                        f"{self._layout.directory}: group-commit fsync "
-                        f"failed and the store is now read-only: {exc}",
-                        cause=exc,
-                    ) from exc
-                self._m_commit_stage["fsync"].observe(
-                    time.perf_counter() - fsync_started)
-        return result
-
-    def _single_op_heads(self, element_index: int) -> Sequence:
-        """The shard head owning one element (clamped: an end-of-range
-        insert locks the last element's shard, which is conservative
-        but always sound)."""
-        doc = self._doc
-        index = min(max(element_index, 0),
-                    max(0, doc.element_count - 1))
-        return (doc.shard_of(index),)
-
     def rename(self, element_index: int, new_tag: str) -> None:
         """Durably relabel an element (see ``CompressedXml.rename``)."""
-        heads = (self._single_op_heads(element_index)
-                 if self._group_commit else None)
-        self._commit(rename_record(element_index, check_tag(new_tag)), heads)
+        self._commit(rename_record(element_index, check_tag(new_tag)))
 
     def insert(
         self,
@@ -529,10 +425,8 @@ class DurableXml:
         content: Union[XmlNode, Sequence[XmlNode]],
     ) -> None:
         """Durably insert elements before an element."""
-        heads = (self._single_op_heads(element_index)
-                 if self._group_commit else None)
         self._commit(insert_record(element_index,
-                                   normalize_content(content)), heads)
+                                   normalize_content(content)))
 
     def append_child(
         self,
@@ -540,16 +434,12 @@ class DurableXml:
         content: Union[XmlNode, Sequence[XmlNode]],
     ) -> None:
         """Durably append elements as last children of an element."""
-        heads = (self._single_op_heads(parent_element_index)
-                 if self._group_commit else None)
         self._commit(append_record(parent_element_index,
-                                   normalize_content(content)), heads)
+                                   normalize_content(content)))
 
     def delete(self, element_index: int) -> None:
         """Durably delete an element and its subtree."""
-        heads = (self._single_op_heads(element_index)
-                 if self._group_commit else None)
-        self._commit(delete_record(element_index), heads)
+        self._commit(delete_record(element_index))
 
     def apply_batch(self, ops: Sequence["BatchOp"]) -> "BatchStats":
         """Durably apply a batch as ONE atomic record.
@@ -557,15 +447,9 @@ class DurableXml:
         Unlike the in-memory default (sequential error parity), a batch
         that fails part-way is rolled back entirely -- in memory via
         the transactional batch mode, on disk via WAL rollback -- so
-        replay can never observe a half-applied batch.  In group-commit
-        mode the batch holds the locks of every shard it touches, so
-        disjoint-shard batches overlap their fsyncs while conflicting
-        batches serialize.
+        replay can never observe a half-applied batch.
         """
-        ops = list(ops)
-        heads = (self._doc.shard_heads_for(ops)
-                 if self._group_commit else None)
-        return self._commit(batch_record(ops), heads)
+        return self._commit(batch_record(ops))
 
     def batch(self) -> "BatchBuilder":
         """Collect operations for one durable :meth:`apply_batch`."""
@@ -577,11 +461,10 @@ class DurableXml:
     # checkpointing
     # ------------------------------------------------------------------
     def _maybe_checkpoint(self) -> None:
+        # Runs under the commit lock, so the size read here is the
+        # chain a checkpoint would seal, not one another thread has
+        # just replaced.
         if self._wal.size < self._checkpoint_wal_bytes:
-            return
-        if self._group_commit and self._checkpoint_lock.locked():
-            # Another thread is already checkpointing; the cadence
-            # trigger is satisfied by that one.
             return
         try:
             self.checkpoint()
@@ -605,24 +488,19 @@ class DurableXml:
         checkpoint that completes with no error at all also clears
         degraded mode -- the full write path was just proven healthy.
 
-        In group-commit mode this dispatches to the *non-blocking*
-        variant (:meth:`_checkpoint_concurrent`): the WAL cuts over
-        first under the commit lock, and the snapshot serializes from a
-        pinned :class:`~repro.view.SnapshotView` while writers keep
-        committing into the new chain.
+        Holds the commit lock throughout: writers wait, while readers
+        holding a snapshot do not.  The state is exported from the
+        live document, whose per-rule caches are warm.
         """
-        started = time.perf_counter()
-        with trace_span("checkpoint",
-                        group_commit=self._group_commit):
-            if self._group_commit:
-                generation = self._checkpoint_concurrent()
-            else:
-                generation = self._checkpoint_serial()
-        self._m_checkpoint.observe(time.perf_counter() - started)
-        self._m_checkpoints_total.inc()
+        with self._commit_lock:
+            started = time.perf_counter()
+            with trace_span("checkpoint"):
+                generation = self._checkpoint_locked()
+            self._m_checkpoint.observe(time.perf_counter() - started)
+            self._m_checkpoints_total.inc()
         return generation
 
-    def _checkpoint_serial(self) -> int:
+    def _checkpoint_locked(self) -> int:
         current = self._generation
         nxt = current + 1
         state = self._doc.export_state()
@@ -644,19 +522,14 @@ class DurableXml:
                 f"{nxt} failed before the commit point: {exc}",
                 cause=exc,
             ) from exc
-        return self._switch_and_clean(current, nxt, new_wal=new_wal)
+        return self._switch_and_clean(current, nxt, new_wal)
 
     def _switch_and_clean(
-        self,
-        current: int,
-        nxt: int,
-        new_wal: Optional[SegmentedWal] = None,
+        self, current: int, nxt: int, new_wal: SegmentedWal
     ) -> int:
         """Manifest switch (the commit point) plus retirement and
-        compaction.  ``new_wal`` is the not-yet-live chain of the
-        serial path (installed after the switch, closed if the switch
-        fails); the concurrent path passes ``None`` because its chain
-        went live at the cutover and must survive a failed switch.
+        compaction.  ``new_wal`` is installed after the switch, and
+        closed if the switch fails.
         """
         switch_error: Optional[BaseException] = None
         try:
@@ -670,8 +543,7 @@ class DurableXml:
             except RecoveryError:
                 committed = False
             if not committed:
-                if new_wal is not None:
-                    new_wal.close()
+                new_wal.close()
                 raise CheckpointError(
                     f"{self._layout.directory}: checkpoint to "
                     f"generation {nxt} failed at the manifest switch: "
@@ -681,9 +553,7 @@ class DurableXml:
             switch_error = exc
         # -- the manifest rename above was the commit point ------------
         self._generation = nxt
-        if new_wal is not None:
-            self._wal = new_wal
-        self._next_generation = nxt + 1
+        self._wal = new_wal
         cleanup_error: Optional[BaseException] = None
         try:
             for old in self._layout.generations_on_disk():
@@ -692,12 +562,10 @@ class DurableXml:
                                     "checkpoint:clean")
                     for path in self._layout.wal_files(old):
                         self._io.remove(path, "checkpoint:clean")
-            # Snapshot-less WAL chains below the fallback, or between
-            # the fallback and the new generation (never-manifested
-            # cutover targets whose records the new snapshot covers),
-            # are debris: retire them.
+            # Snapshot-less WAL chains below the fallback (continuation
+            # chains a fold has just covered) are debris: retire them.
             for gen in self._wal_generations_on_disk():
-                if gen < current or current < gen < nxt:
+                if gen < current:
                     for path in self._layout.wal_files(gen):
                         self._io.remove(path, "checkpoint:clean")
             # The previous generation is now fully checkpointed: its
@@ -728,73 +596,6 @@ class DurableXml:
             if suffix.isdigit():
                 found.add(int(suffix))
         return sorted(found)
-
-    def _checkpoint_concurrent(self) -> int:
-        """The non-blocking checkpoint of group-commit mode.
-
-        Cutover first, serialize second: under the commit lock the old
-        chain is fsync'd and sealed, the document is pinned
-        (:meth:`~repro.api.CompressedXml.snapshot`), and a fresh chain
-        goes live -- a few milliseconds during which commits queue on
-        the lock.  The expensive part (exporting the pinned state and
-        writing ``snapshot.(g+1)``) then runs against the immutable
-        view while writers commit freely into the new chain.  A crash
-        or error between cutover and manifest switch leaves the
-        never-manifested chain on disk holding acknowledged records;
-        recovery replays it as a *continuation* of the manifest
-        generation (see :mod:`repro.storage.recovery`), and the next
-        checkpoint attempt targets the generation after it.
-        """
-        with self._checkpoint_lock:
-            current = self._generation
-            nxt = self._next_generation
-            with self._commit_lock:
-                old_wal = self._wal
-                try:
-                    # Fsync the old chain's tail: pending sync_to calls
-                    # on captured references become no-ops, and every
-                    # acknowledged-or-applied record is durable before
-                    # the pin.
-                    old_wal.sync()
-                    old_wal.seal_tail()
-                    view = self._doc.snapshot()
-                    new_wal = SegmentedWal(
-                        self._layout.directory, nxt, io=self._io,
-                        create=True,
-                        segment_bytes=self._wal_segment_bytes,
-                        retry=self._retry,
-                    )
-                except (OSError, WalWriteError) as exc:
-                    raise CheckpointError(
-                        f"{self._layout.directory}: checkpoint to "
-                        f"generation {nxt} failed before the WAL "
-                        f"cutover: {exc}",
-                        cause=exc,
-                    ) from exc
-                self._wal = new_wal
-                self._next_generation = nxt + 1
-            try:
-                try:
-                    state = view.export_state()
-                    write_snapshot(self._layout.snapshot_path(nxt),
-                                   state, io=self._io)
-                except (OSError, WalWriteError) as exc:
-                    # Cutover already happened: commits are flowing
-                    # into the new chain while the manifest still
-                    # points at the old generation.  That is exactly
-                    # the continuation shape recovery handles, so
-                    # nothing is lost -- but the checkpoint failed.
-                    raise CheckpointError(
-                        f"{self._layout.directory}: checkpoint to "
-                        f"generation {nxt} failed writing the "
-                        f"snapshot (WAL already cut over; recovery "
-                        f"replays the continuation chain): {exc}",
-                        cause=exc,
-                    ) from exc
-            finally:
-                view.close()
-            old_wal.close()
-            return self._switch_and_clean(current, nxt)
 
     # ------------------------------------------------------------------
     # scrub / health
@@ -828,10 +629,7 @@ class DurableXml:
             "degraded_cause": str(self._degraded_cause)
             if self._degraded_cause is not None else None,
             "wal": wal,
-            "mvcc": {
-                "group_commit": self._group_commit,
-                **self._doc.mvcc_info(),
-            },
+            "mvcc": self._doc.mvcc_info(),
             "checkpoint_wal_bytes": self._checkpoint_wal_bytes,
             "last_checkpoint_error": str(self.last_checkpoint_error)
             if self.last_checkpoint_error is not None else None,

@@ -81,9 +81,6 @@ CRASH_POINTS = tuple(
         # One committed operation record appended to the live WAL segment.
         ("wal:append", ("before-write", "mid-write", "after-write",
                         "before-fsync", "after-fsync")),
-        # Group commit: one fsync covering the records appended (without
-        # their own fsync) since the last one.
-        ("wal:sync", ("before-fsync", "after-fsync")),
         # A fresh WAL segment (header) created at checkpoint/create time
         # or by a size-triggered rotation; the directory fsync makes the
         # new name durable.
@@ -192,7 +189,7 @@ class StorageIO:
 
     #: Sites pre-declared at bind time so a scrape sees the fsync
     #: surface before the first sync happens (the rest appear lazily).
-    _FSYNC_SITES = ("wal:append", "wal:sync", "wal:create", "wal:compact",
+    _FSYNC_SITES = ("wal:append", "wal:create", "wal:compact",
                     "snapshot:write", "manifest:write")
 
     def bind_metrics(self, registry) -> None:

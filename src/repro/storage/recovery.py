@@ -208,11 +208,12 @@ class RecoveredDocument:
     #: signal that the on-disk state was repaired during open.
     dropped_tail_record: bool
     #: Generations *above* the manifest generation whose WAL chains
-    #: held committed records: a group-commit checkpoint cut the WAL
-    #: over but crashed (or failed) before its manifest switch.  The
-    #: chains were replayed, in order, after the live chain; ``wal`` is
-    #: the newest of them, and the facade folds the whole sequence into
-    #: one fresh generation with an immediate checkpoint.
+    #: held committed records: the former group-commit checkpoint cut
+    #: the WAL over before its manifest switch, and stores it wrote may
+    #: still hold such chains.  They were replayed, in order, after the
+    #: live chain; ``wal`` is the newest of them, and the facade folds
+    #: the whole sequence into one fresh generation with an immediate
+    #: checkpoint.
     continuation_generations: List[int] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -364,13 +365,14 @@ def recover(
             f"is corrupt: {exc}"
         ) from exc
 
-    # Continuation chains: a group-commit checkpoint cuts the WAL over
-    # to generation g+1 *before* writing the snapshot and switching the
-    # manifest, so a crash in that window leaves acknowledged records
-    # in chains above the manifest generation.  Probe upward; the
-    # chains replay, in order, after the live chain.  Chains that are
-    # all empty are the old (serial) checkpoint's stray artifact and
-    # are ignored exactly as before.
+    # Continuation chains: the former group-commit checkpoint cut the
+    # WAL over to generation g+1 *before* writing the snapshot and
+    # switching the manifest, so stores it wrote may hold acknowledged
+    # records in chains above the manifest generation.  Nothing writes
+    # that shape any more, but it still opens: probe upward; the chains
+    # replay, in order, after the live chain.  Chains that are all
+    # empty are a checkpoint's pre-commit-point stray artifact and are
+    # ignored.
     probed = []
     cont = generation + 1
     while True:

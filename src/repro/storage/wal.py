@@ -17,10 +17,13 @@ internals.
 
 Durability protocol: :meth:`WriteAheadLog.append` writes the framed
 record and fsyncs **before** the caller mutates the in-memory document.
-A crash can therefore leave (a) no trace of the in-flight operation,
-(b) a torn/corrupt tail record, or (c) a complete record whose apply
-never ran -- recovery handles all three (see
-:mod:`repro.storage.recovery`).  On open, a torn or checksum-corrupt
+Every record is made durable by its own append; there is no deferred
+sync.  The log is not thread-safe on its own: callers serialize
+appends (:class:`repro.storage.durable.DurableXml` holds its commit
+lock across append, apply and rollback).  A crash can therefore leave
+(a) no trace of the in-flight operation, (b) a torn/corrupt tail
+record, or (c) a complete record whose apply never ran -- recovery
+handles all three (see :mod:`repro.storage.recovery`).  On open, a torn or checksum-corrupt
 tail is truncated away (not fatal): those bytes belong to an operation
 that was never acknowledged.  Anything *after* the first bad record is
 dropped with it -- a valid-looking frame beyond a corrupt one cannot
@@ -59,7 +62,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import threading
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, IO, List, Optional, Sequence, Tuple
@@ -409,8 +411,6 @@ class WriteAheadLog:
                 self._io.truncate(path, report.valid, "wal:open")
             self._size = report.valid
         self._handle: Optional[IO[bytes]] = None
-        #: Written-but-not-fsync'd bytes outstanding (group commit).
-        self._unsynced = False
 
     def _create_with_retry(self) -> None:
         """Write the fresh header, retrying transient I/O failures; a
@@ -500,71 +500,6 @@ class WriteAheadLog:
             f"{self._retry.attempts} attempts: {last}",
             cause=last,
         )
-
-    def append_nosync(self, record: dict) -> int:
-        """Append one record *without* fsyncing (group commit).
-
-        The record is written and bookkept exactly as in
-        :meth:`append`, but durability is deferred to a later
-        :meth:`sync` -- callers pipeline several appends and coalesce
-        their fsyncs.  The caller must not acknowledge the operation
-        until a ``sync`` covering this record has returned.  Failure
-        semantics match :meth:`append` (retry, tail restoration,
-        :class:`WalWriteError` on exhaustion).
-        """
-        framed = _frame(encode_payload(record))
-        offset = self._size
-        last: Optional[OSError] = None
-        for delay in list(self._retry.delays()) + [None]:
-            try:
-                handle = self._ensure_handle()
-                self._io.write(handle, framed, "wal:append")
-                self._unsynced = True
-                self._size = offset + len(framed)
-                self.record_spans.append((offset, self._size))
-                return offset
-            except OSError as exc:
-                last = exc
-                try:
-                    self._restore_tail(offset)
-                except OSError as trunc_exc:
-                    raise WalWriteError(
-                        f"{self.path}: append failed at byte offset "
-                        f"{offset} (record #{self.record_count}) and "
-                        f"the tail could not be restored: {trunc_exc}",
-                        cause=exc,
-                        tail_intact=False,
-                    ) from exc
-                if delay is not None:
-                    self._retry.sleep(delay)
-        raise WalWriteError(
-            f"{self.path}: append failed at byte offset {offset} "
-            f"(record #{self.record_count}) after "
-            f"{self._retry.attempts} attempts: {last}",
-            cause=last,
-        )
-
-    def sync(self) -> None:
-        """Fsync any bytes appended via :meth:`append_nosync`.
-
-        fsync flushes the file's dirty pages regardless of which handle
-        wrote them, so this also covers appends whose handle has since
-        been closed.  A failed fsync leaves the page-cache state
-        unknowable -- no retry is meaningful -- so the error surfaces
-        directly as :class:`WalWriteError` and the caller must degrade.
-        """
-        if not self._unsynced:
-            return
-        try:
-            handle = self._ensure_handle()
-            self._io.fsync(handle, "wal:sync")
-        except OSError as exc:
-            raise WalWriteError(
-                f"{self.path}: sync failed with "
-                f"{self.record_count} records appended: {exc}",
-                cause=exc,
-            ) from exc
-        self._unsynced = False
 
     def _restore_tail(self, offset: int) -> None:
         self.close()
@@ -667,12 +602,6 @@ class SegmentedWal:
             self._active_index = 0
         else:
             self._open_chain()
-        # Group-commit state: one fsync at a time, and a high-water
-        # mark of active-segment bytes known durable so concurrent
-        # ``sync_to`` calls can coalesce.  Everything recovered or
-        # freshly created is already on disk and fsync'd.
-        self._sync_lock = threading.Lock()
-        self._synced_size = self._active.size
 
     def _open_chain(self) -> None:
         indices = list_segments(self.directory, self.generation)
@@ -804,68 +733,11 @@ class SegmentedWal:
         record never spins the rotation)."""
         if self._active.size >= self._segment_bytes \
                 and self._active.record_count > 0:
-            with self._sync_lock:
-                self._active.sync()
-                self._rotate()
-                self._synced_size = self._active.size
+            self._rotate()
         offset = self._active.append(record)
         self._spans.append((self._active_index, offset,
                             self._active.size))
-        with self._sync_lock:
-            self._synced_size = max(self._synced_size,
-                                    self._active.size)
         return self._active_index, offset
-
-    def append_nosync(self, record: dict) -> Tuple[int, int, int]:
-        """Append one record without fsyncing; returns a sync token.
-
-        The token is ``(segment, start, end)``: ``(segment, start)`` is
-        a :meth:`rollback_to`-compatible prefix, and ``end`` is the
-        active-segment byte the caller must see durable --
-        :meth:`sync_to` with the token blocks (or no-ops, when another
-        commit's fsync already covered it) until it is.  If the append
-        triggers a rotation, the outgoing segment is fsync'd first so
-        sealed segments stay durable end-to-end.
-        """
-        if self._active.size >= self._segment_bytes \
-                and self._active.record_count > 0:
-            with self._sync_lock:
-                self._active.sync()
-                self._rotate()
-                self._synced_size = self._active.size
-        offset = self._active.append_nosync(record)
-        self._spans.append((self._active_index, offset,
-                            self._active.size))
-        return self._active_index, offset, self._active.size
-
-    def sync_to(self, token: Tuple[int, int, int]) -> None:
-        """Make the record behind an :meth:`append_nosync` token
-        durable, coalescing with concurrent callers.
-
-        Sealed segments are fsync'd before rotation, so a token from an
-        earlier segment is already durable.  For the active segment a
-        single fsync covers every byte written before it started; the
-        high-water mark lets the commits whose records it swept wave
-        their own fsync through.
-        """
-        seg, _start, end = token
-        with self._sync_lock:
-            if seg < self._active_index:
-                return
-            if end <= self._synced_size:
-                return
-            # Snapshot the size *before* fsync: bytes appended while
-            # the fsync is in flight may not be covered by it.
-            target = self._active.size
-            self._active.sync()
-            self._synced_size = max(self._synced_size, target)
-
-    def sync(self) -> None:
-        """Fsync the active segment (checkpoint cutover barrier)."""
-        with self._sync_lock:
-            target = self._active.size
-            self._active.sync()
-            self._synced_size = max(self._synced_size, target)
 
     def _rotate(self) -> None:
         nxt = self._active_index + 1
@@ -896,12 +768,9 @@ class SegmentedWal:
         self._active_index = nxt
         self.rotations += 1
 
-    def rollback_to(self, token: Sequence[int]) -> None:
-        """Cut the chain back to an append token (failed apply).
-
-        Accepts both ``append`` tokens ``(segment, start)`` and
-        ``append_nosync`` tokens ``(segment, start, end)``."""
-        seg, offset = token[0], token[1]
+    def rollback_to(self, token: Tuple[int, int]) -> None:
+        """Cut the chain back to an append token (failed apply)."""
+        seg, offset = token
         if seg != self._active_index:
             raise ValueError(
                 f"rollback token {token} is not in the active segment "
@@ -919,9 +788,6 @@ class SegmentedWal:
         while self._spans and self._spans[-1][0] == seg \
                 and self._spans[-1][1] >= offset:
             self._spans.pop()
-        with self._sync_lock:
-            self._synced_size = min(self._synced_size,
-                                    self._active.size)
 
     def seal_tail(self) -> None:
         """Re-truncate any on-disk bytes beyond the last acknowledged

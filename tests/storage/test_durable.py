@@ -3,17 +3,23 @@ and the crash matrix -- recovery always yields exactly a committed
 prefix of the acknowledged operations, never a half-applied batch."""
 
 import os
+import random
+import sys
+import threading
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import CompressedXml
-from repro.storage.durable import DurableXml
+from repro.storage.durable import DurableXml, StoreDegraded
 from repro.storage.faults import (
     CRASH_POINTS,
     FaultyIO,
+    RetryPolicy,
     SimulatedCrash,
+    StorageIO,
 )
 from repro.storage.recovery import (
     MANIFEST_NAME,
@@ -201,6 +207,284 @@ class TestCheckpointing:
 
 
 # ----------------------------------------------------------------------
+# concurrent writers: the live document is the replay of its log
+# ----------------------------------------------------------------------
+JOIN_TIMEOUT = 60.0
+
+
+class GatedIO(StorageIO):
+    """Once ``armed``, parks the first thread that reaches ``label``
+    until ``release`` is set or ``hold`` seconds pass."""
+
+    def __init__(self, label, hold=0.5):
+        self.label = label
+        self.hold = hold
+        self.armed = False
+        self.parked = threading.Event()
+        self.release = threading.Event()
+
+    def crash_point(self, label):
+        if self.armed and label == self.label and not self.parked.is_set():
+            self.parked.set()
+            self.release.wait(self.hold)
+
+
+class GatedFaultyIO(FaultyIO):
+    """A :class:`FaultyIO` whose fault points first pass a
+    :class:`GatedIO` gate (armed separately, through ``gate``)."""
+
+    def __init__(self, gate_label, **faults):
+        super().__init__(**faults)
+        self.gate = GatedIO(gate_label)
+
+    def crash_point(self, label):
+        self.gate.crash_point(label)
+        super().crash_point(label)
+
+
+def run_threads(*targets):
+    """Start each callable on its own thread; ``join_all`` re-raises
+    the first error."""
+    errors = []
+
+    def guarded(target):
+        try:
+            target()
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(target,), daemon=True)
+               for target in targets]
+    for thread in threads:
+        thread.start()
+    return threads, errors
+
+
+def join_all(threads, errors):
+    for thread in threads:
+        thread.join(JOIN_TIMEOUT)
+        assert not thread.is_alive(), "writer deadlocked (join timed out)"
+    if errors:
+        raise errors[0]
+
+
+def try_to_overtake(io, first, second):
+    """Run ``first`` until it parks at the gate, then ``second`` on
+    another thread, which releases the gate once it returns.  Behind
+    one commit lock ``second`` cannot return first: the gate times
+    out and the two run in order."""
+    io.armed = True
+    first_threads, first_errors = run_threads(first)
+    assert io.parked.wait(JOIN_TIMEOUT)
+
+    def second_then_release():
+        try:
+            second()
+        finally:
+            io.release.set()
+
+    second_threads, second_errors = run_threads(second_then_release)
+    join_all(first_threads, first_errors)
+    join_all(second_threads, second_errors)
+
+
+def assert_reopens_as_live(store):
+    live = store.to_xml()
+    store.close()
+    with DurableXml.open(store.directory) as reopened:
+        assert reopened.to_xml() == live
+    return live
+
+
+class TestConcurrentCommits:
+    def test_a_commit_parked_after_its_fsync_keeps_log_order(
+        self, tmp_path
+    ):
+        """Thread A's insert is durable but not yet applied when thread
+        B commits an insert at the same index.  If B overtook A, memory
+        would apply B then A while the log replays A then B: the store
+        would acknowledge a document it cannot reopen."""
+        io = GatedIO("wal:append:after-fsync")
+        store = DurableXml.from_xml(str(tmp_path / "store"),
+                                    "<r><a/><b/></r>", io=io,
+                                    checkpoint_wal_bytes=HUGE)
+        try_to_overtake(io, lambda: store.insert(1, XmlNode("x")),
+                        lambda: store.insert(1, XmlNode("y")))
+        assert assert_reopens_as_live(store) == "<r><y/><x/><a/><b/></r>"
+
+    def test_a_failed_commit_rolls_back_only_its_own_record(
+        self, tmp_path
+    ):
+        """Thread A's out-of-range rename is durable and about to fail
+        its apply.  A commit from thread B that slipped in behind it
+        would be cut off the log by A's rollback while staying applied
+        in memory."""
+        io = GatedIO("wal:append:after-fsync")
+        store = DurableXml.from_xml(str(tmp_path / "store"), BASE_XML,
+                                    io=io, checkpoint_wal_bytes=HUGE)
+
+        def failing_rename():
+            try:
+                store.rename(10 ** 6, "nope")
+            except IndexError:
+                return
+            raise AssertionError("an out-of-range rename committed")
+
+        try_to_overtake(io, failing_rename,
+                        lambda: store.rename(1, "kept"))
+        assert store.tag_of(1) == "kept"
+        assert_reopens_as_live(store)
+
+    def test_a_commit_waits_for_a_running_checkpoint(self, tmp_path):
+        """A checkpoint has exported the document and is writing the
+        snapshot.  A commit that landed now would go to the chain the
+        checkpoint is about to retire, and vanish on reopen."""
+        io = GatedIO("snapshot:write:before-write")
+        store = DurableXml.from_xml(str(tmp_path / "store"), BASE_XML,
+                                    io=io, checkpoint_wal_bytes=HUGE)
+        try_to_overtake(io, store.checkpoint,
+                        lambda: store.rename(1, "during"))
+        assert store.generation == 1
+        assert store.tag_of(1) == "during"
+        assert_reopens_as_live(store)
+
+    def test_a_reader_does_not_wait_for_a_running_checkpoint(
+        self, tmp_path
+    ):
+        """Checkpoints block writers, not readers: while a checkpoint
+        is parked mid-snapshot, a snapshot read and the delegated reads
+        return the current document."""
+        io = GatedIO("snapshot:write:before-write", hold=JOIN_TIMEOUT)
+        store = DurableXml.from_xml(str(tmp_path / "store"), BASE_XML,
+                                    io=io, checkpoint_wal_bytes=HUGE)
+        store.rename(1, "current")
+        expected = store.to_xml()
+        io.armed = True
+        checkpointer = run_threads(store.checkpoint)
+        assert io.parked.wait(JOIN_TIMEOUT)
+        seen = []
+
+        def read():
+            with store.snapshot() as view:
+                seen.append(view.to_xml())
+            seen.append(store.to_xml())
+            seen.append(store.tag_of(1))
+
+        try:
+            join_all(*run_threads(read))
+            assert checkpointer[0][0].is_alive()  # still parked
+        finally:
+            io.release.set()
+        join_all(*checkpointer)
+        assert seen == [expected, expected, "current"]
+        assert store.generation == 1
+        assert_reopens_as_live(store)
+
+    def test_a_writer_queued_behind_a_degrading_commit_is_refused(
+        self, tmp_path
+    ):
+        """Thread A's append meets a dead disk and flips the store
+        read-only while thread B waits on the commit lock.  B must see
+        the degradation before it touches the log: both raise, and the
+        store reopens as it was before either -- or with A's stranded,
+        unacknowledged record replayed, never with B's."""
+        io = GatedFaultyIO("wal:append:before-write",
+                           error_label="wal:append:before-fsync",
+                           error_persistent=True)
+        io.disarm()
+        store = DurableXml.from_xml(
+            str(tmp_path / "store"), BASE_XML, io=io,
+            checkpoint_wal_bytes=HUGE,
+            retry=RetryPolicy(attempts=2, sleep=lambda delay: None))
+        store.rename(1, "acked")
+        before = store.to_xml()
+        io.arm()
+        refused = []
+
+        def commit(tag):
+            def run():
+                try:
+                    store.rename(2, tag)
+                except StoreDegraded:
+                    refused.append(tag)
+            return run
+
+        try_to_overtake(io.gate, commit("first"), commit("second"))
+        assert sorted(refused) == ["first", "second"]
+        assert store.degraded
+        assert store.to_xml() == before
+        store.close()
+        oracle = CompressedXml.from_xml(before)
+        oracle.rename(2, "first")
+        with DurableXml.open(str(tmp_path / "store")) as reopened:
+            assert reopened.to_xml() in (before, oracle.to_xml())
+
+    def test_cadence_checkpoints_one_per_commit_under_contention(
+        self, tmp_path
+    ):
+        """With a 1-byte threshold every commit trips a checkpoint.
+        The size check runs under the commit lock, so each commit seals
+        exactly its own record: 4 writers x 5 commits make 20
+        generations and leave nothing to replay."""
+        store = DurableXml.from_xml(str(tmp_path / "store"), BASE_XML,
+                                    checkpoint_wal_bytes=1)
+
+        def writer(seed):
+            for step in range(5):
+                store.rename(1 + seed * 4 + step % 4, f"w{seed}s{step}")
+
+        join_all(*run_threads(*(lambda s=seed: writer(s)
+                                for seed in range(4))))
+        assert store.generation == 20
+        assert store.last_checkpoint_error is None
+        live = assert_reopens_as_live(store)
+        with DurableXml.open(store.directory) as reopened:
+            assert reopened.last_recovery.replayed == 0
+            assert reopened.generation == 20
+            assert reopened.to_xml() == live
+
+    def test_four_writers_random_mix_reopens_equal(self, tmp_path):
+        """4 threads x 30 random inserts, deletes and batches on one
+        store, with cadence checkpoints in between: the live document
+        equals its replay.  An op whose index another writer has just
+        invalidated fails cleanly and must leave no trace either."""
+        store = DurableXml.from_xml(str(tmp_path / "store"), BASE_XML,
+                                    checkpoint_wal_bytes=2048)
+
+        def writer(seed):
+            rng = random.Random(seed)
+            for step in range(30):
+                with store.snapshot() as view:
+                    count = view.element_count
+                kind = rng.choice(("insert", "delete", "batch"))
+                index = rng.randrange(1, count) if count > 1 else 0
+                tag = f"w{seed}s{step}"
+                try:
+                    if kind == "insert" and index:
+                        store.insert(index, XmlNode(tag))
+                    elif kind == "delete" and count > 3:
+                        store.delete(index)
+                    else:
+                        store.apply_batch([
+                            BatchRename(index, tag),
+                            BatchAppend(0, [XmlNode(tag, [XmlNode("k")])]),
+                        ])
+                except (IndexError, UpdateError):
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force interleavings mid-commit
+        try:
+            join_all(*run_threads(*(lambda s=seed: writer(s)
+                                    for seed in range(4))))
+        finally:
+            sys.setswitchinterval(interval)
+        assert store.generation > 0  # checkpoints raced the writers
+        assert store.last_checkpoint_error is None
+        assert_reopens_as_live(store)
+
+
+# ----------------------------------------------------------------------
 # the crash matrix
 # ----------------------------------------------------------------------
 def committed_prefix_states():
@@ -253,10 +537,6 @@ def run_script(store):
 #: happens while *opening* a WAL, which the kill-during-commit script
 #: never does (dedicated tests below cover them).
 UNREACHED = ("wal:open:before-truncate", "wal:open:after-truncate")
-#: The group commit's fsync, unreachable in serial mode
-#: (``TestGroupCrashMatrix`` covers it).
-SERIAL_UNREACHED = UNREACHED + ("wal:sync:before-fsync",
-                                "wal:sync:after-fsync")
 
 
 def run_killed(directory, io):
@@ -282,7 +562,7 @@ class TestCrashMatrix:
         directory = str(tmp_path / "store")
         acked = run_killed(directory, FaultyIO(crash_label=label))
         if acked is None:
-            assert label in SERIAL_UNREACHED, f"{label} never fired"
+            assert label in UNREACHED, f"{label} never fired"
             return
 
         try:
@@ -320,6 +600,59 @@ class TestCrashMatrix:
         with DurableXml.open(directory) as reopened:
             assert reopened.to_xml() == expected
             assert reopened.last_recovery.replayed == 1
+
+
+#: The points one commit passes through, in order.
+COMMIT_CRASH_LABELS = tuple(
+    label for label in CRASH_POINTS if label.startswith("wal:append:"))
+
+
+class TestConcurrentCrashMatrix:
+    @pytest.mark.parametrize("label", COMMIT_CRASH_LABELS)
+    def test_kill_with_writers_queued_on_the_lock(self, tmp_path, label):
+        """4 writers append tagged children to the root; the kill lands
+        at the 7th commit to reach ``label``.  The reopened store holds
+        every acknowledged child, at most one unacknowledged one, and
+        each writer's children in its own order."""
+        directory = str(tmp_path / "store")
+        io = FaultyIO(crash_label=label, occurrence=7)
+        io.disarm()
+        store = DurableXml.from_xml(directory, "<r><a/></r>", io=io,
+                                    checkpoint_wal_bytes=HUGE)
+        io.arm()
+        acked = []
+
+        def writer(seed):
+            for step in range(10):
+                tag = f"w{seed}s{step}"
+                try:
+                    store.append_child(0, XmlNode(tag))
+                except SimulatedCrash:
+                    return
+                acked.append(tag)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            join_all(*run_threads(*(lambda s=seed: writer(s)
+                                    for seed in range(4))))
+        finally:
+            sys.setswitchinterval(interval)
+        assert io.crashed, f"{label} never fired"
+
+        with DurableXml.open(directory) as reopened:
+            root = ElementTree.fromstring(reopened.to_xml())
+            logged = [child.tag for child in root][1:]
+            reopened.append_child(0, XmlNode("reborn"))
+            survivor = reopened.to_xml()
+        assert len(set(logged)) == len(logged), label
+        assert set(acked) <= set(logged), label
+        assert len(set(logged) - set(acked)) <= 1, label
+        for seed in range(4):
+            mine = [tag for tag in logged if tag.startswith(f"w{seed}s")]
+            assert mine == [f"w{seed}s{step}" for step in range(len(mine))]
+        with DurableXml.open(directory) as again:
+            assert again.to_xml() == survivor
 
 
 # ----------------------------------------------------------------------

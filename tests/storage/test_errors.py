@@ -100,13 +100,12 @@ def run_faulted(store, refs):
 
 
 #: ``grammar:save`` guards ``CompressedXml.save_grammar`` -- a plain
-#: export helper outside the durable commit protocol -- ``wal:open``
+#: export helper outside the durable commit protocol -- and ``wal:open``
 #: only fires while truncating a torn tail at open time, which this
-#: error-free-creation script never does, and ``wal:sync`` is the group
-#: commit's fsync, unreachable in serial mode.
+#: error-free-creation script never does.
 ERROR_LABELS = tuple(
     label for label in CRASH_POINTS
-    if not label.startswith(("grammar:save:", "wal:open:", "wal:sync:"))
+    if not label.startswith(("grammar:save:", "wal:open:"))
 )
 
 

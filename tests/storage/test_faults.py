@@ -23,7 +23,7 @@ class TestRegistry:
     def test_every_protocol_site_is_covered(self):
         sites = {label.rsplit(":", 1)[0] for label in CRASH_POINTS}
         assert sites == {
-            "wal:append", "wal:sync", "wal:create", "wal:open",
+            "wal:append", "wal:create", "wal:open",
             "wal:rollback",
             "wal:compact",
             "snapshot:write", "snapshot:commit",

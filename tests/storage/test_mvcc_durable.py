@@ -1,12 +1,14 @@
-"""Group commit, WAL-before-epoch-publish, non-blocking checkpoints,
-and continuation-chain recovery.
+"""WAL-before-epoch-publish, snapshots across durable commits and
+checkpoints, and continuation-chain recovery.
 
-The ordering rule under test everywhere: in group-commit mode a record
-is *written* to the WAL before the in-memory apply publishes a new
-grammar epoch (only the fsync is deferred, to just before the commit is
-acknowledged).  A failed append must therefore leave the epoch -- and
-the document -- exactly as they were; a failed fsync degrades the store
-the same way a serial append exhausting its retries does.
+The ordering rule under test: a record is durable in the WAL before
+the in-memory apply publishes a new grammar epoch, so a failed append
+must leave the epoch -- and the document -- exactly as they were.
+
+Continuation chains are WAL chains above the manifest generation.  The
+former group-commit checkpoint cut the log over before switching the
+manifest, and stores it wrote may still hold them; nothing writes them
+now, so the tests below forge those layouts directly.
 """
 
 import os
@@ -14,15 +16,10 @@ import os
 import pytest
 
 from repro.api import CompressedXml
-from repro.storage.durable import (
-    CheckpointError,
-    DurableXml,
-    StoreDegraded,
-)
-from repro.storage.faults import CRASH_POINTS, FaultyIO, SimulatedCrash
-from repro.storage.recovery import StoreLayout
-from repro.storage.wal import SegmentedWal
-from repro.trees.unranked import XmlNode
+from repro.storage.durable import DurableXml, StoreDegraded
+from repro.storage.faults import FaultyIO
+from repro.storage.recovery import RecoveryError, StoreLayout
+from repro.storage.wal import SegmentedWal, rename_record
 
 XML = "<log>" + "<entry><ip/><status/></entry>" * 5 + "</log>"
 HUGE = 10 ** 9  # checkpoint_wal_bytes: never auto-checkpoint
@@ -30,47 +27,7 @@ HUGE = 10 ** 9  # checkpoint_wal_bytes: never auto-checkpoint
 
 def make_store(directory, io=None, **kwargs):
     kwargs.setdefault("checkpoint_wal_bytes", HUGE)
-    return DurableXml.from_xml(directory, XML, io=io,
-                               group_commit=True, **kwargs)
-
-
-class TestGroupCommitEquivalence:
-    def test_group_commits_match_the_serial_store(self, tmp_path):
-        serial = DurableXml.from_xml(str(tmp_path / "serial"), XML)
-        group = make_store(str(tmp_path / "group"))
-        for store in (serial, group):
-            store.rename(1, "first")
-            store.append_child(0, XmlNode("extra", [XmlNode("deep")]))
-            store.insert(2, XmlNode("wedge"))
-            store.delete(5)
-            with store.batch() as b:
-                b.rename(3, "batched")
-                b.append_child(0, XmlNode("tail"))
-        assert group.to_xml() == serial.to_xml()
-        assert group.health()["mvcc"]["group_commit"] is True
-        serial.close()
-        group.close()
-
-    def test_group_commits_replay_on_reopen(self, tmp_path):
-        directory = str(tmp_path / "store")
-        store = make_store(directory)
-        store.rename(1, "durable")
-        store.append_child(0, XmlNode("grown"))
-        expected = store.to_xml()
-        store.close()
-        with DurableXml.open(directory) as reopened:
-            assert reopened.to_xml() == expected
-            assert reopened.last_recovery.replayed == 2
-
-    def test_snapshot_pins_across_group_commits(self, tmp_path):
-        store = make_store(str(tmp_path / "store"))
-        before = store.to_xml()
-        with store.snapshot() as view:
-            store.rename(1, "moved")
-            store.delete(store.element_count - 1)
-            assert view.to_xml() == before
-        assert store.mvcc_info()["pinned_snapshots"] == 0
-        store.close()
+    return DurableXml.from_xml(directory, XML, io=io, **kwargs)
 
 
 class TestWalBeforeEpochPublish:
@@ -101,84 +58,17 @@ class TestWalBeforeEpochPublish:
         with pytest.raises(StoreDegraded):
             store.rename(1, "still-read-only")
 
-    def test_failed_group_fsync_degrades_after_apply(self, tmp_path):
-        """A sync failure happens *after* the apply: the in-memory
-        state moved, the record is in the (unsynced) log, and the store
-        flips read-only rather than acknowledge."""
-        io = FaultyIO(error_label="wal:sync:before-fsync",
-                      error_persistent=True)
-        directory = str(tmp_path / "store")
-        store = make_store(directory, io=io)
-        io.disarm()
-        epoch = store.document.grammar.epoch
-        io.arm()
-        with pytest.raises(StoreDegraded):
-            store.rename(1, "applied-not-durable")
-        assert store.document.grammar.epoch > epoch
-        assert store.degraded
+
+class TestSnapshotsAcrossCommits:
+    def test_snapshot_pins_across_commits(self, tmp_path):
+        store = make_store(str(tmp_path / "store"))
+        before = store.to_xml()
+        with store.snapshot() as view:
+            store.rename(1, "moved")
+            store.delete(store.element_count - 1)
+            assert view.to_xml() == before
+        assert store.mvcc_info()["pinned_snapshots"] == 0
         store.close()
-        # The record was written (just not fsync'd): a clean reopen
-        # replays it -- the unacknowledged-but-durable shape the serial
-        # crash matrix already allows.
-        with DurableXml.open(directory) as reopened:
-            assert reopened.tag_of(1) == "applied-not-durable"
-
-
-#: The pipelined commit's points, from the registry: the append writes
-#: without an fsync of its own, the group sync fsyncs.
-GROUP_CRASH_LABELS = tuple(
-    label for label in CRASH_POINTS
-    if label.startswith("wal:sync:")
-    or label.startswith("wal:append:") and label.endswith("-write")
-)
-
-
-class TestGroupCrashMatrix:
-    @pytest.mark.parametrize("label", GROUP_CRASH_LABELS)
-    def test_kill_in_the_commit_pipeline(self, tmp_path, label):
-        """Committed-prefix property through the pipelined path: after
-        a kill anywhere in append/fsync, the store reopens to the
-        acknowledged renames plus at most one written-not-acknowledged
-        record."""
-        directory = str(tmp_path / "store")
-        io = FaultyIO(crash_label=label)
-        io.disarm()
-        store = make_store(directory, io=io)
-        refs = [store.to_xml()]
-        oracle = CompressedXml.from_xml(XML)
-        for round_number in range(4):
-            oracle.rename(1, f"r{round_number}")
-            refs.append(oracle.to_xml())
-        io.arm()
-        acked = 0
-        with pytest.raises(SimulatedCrash):
-            for round_number in range(4):
-                store.rename(1, f"r{round_number}")
-                acked += 1
-        with DurableXml.open(directory) as reopened:
-            assert reopened.to_xml() in refs[acked:acked + 2], label
-            reopened.rename(0, "reborn")
-            survivor = reopened.to_xml()
-        with DurableXml.open(directory) as again:
-            assert again.to_xml() == survivor
-
-
-class TestConcurrentCheckpoint:
-    def test_checkpoint_advances_generation_and_folds_the_chain(
-        self, tmp_path
-    ):
-        directory = str(tmp_path / "store")
-        store = make_store(directory)
-        store.rename(1, "pre-checkpoint")
-        assert store.checkpoint() == 1
-        assert store.generation == 1
-        store.rename(2, "post-checkpoint")
-        expected = store.to_xml()
-        store.close()
-        with DurableXml.open(directory) as reopened:
-            assert reopened.generation == 1
-            assert reopened.to_xml() == expected
-            assert reopened.last_recovery.replayed == 1
 
     def test_checkpoint_while_a_snapshot_is_pinned(self, tmp_path):
         store = make_store(str(tmp_path / "store"))
@@ -190,44 +80,52 @@ class TestConcurrentCheckpoint:
         assert store.generation == 1
         store.close()
 
-    def test_failed_snapshot_write_leaves_a_live_continuation(
-        self, tmp_path
-    ):
-        """The checkpoint cut over, then the snapshot write failed: the
-        store keeps committing into the never-manifested chain, and a
-        reopen adopts it as a continuation and folds it."""
-        io = FaultyIO(error_label="snapshot:write:before-write")
-        io.disarm()
+
+def forge_chain(directory, generation, records):
+    """Write a never-manifested ``wal.<generation>`` chain."""
+    chain = SegmentedWal(directory, generation, create=True)
+    for record in records:
+        chain.append(record)
+    chain.close()
+
+
+def oracle_xml(*renames):
+    oracle = CompressedXml.from_xml(XML)
+    for index, tag in renames:
+        oracle.rename(index, tag)
+    return oracle.to_xml()
+
+
+class TestContinuationRecovery:
+    def test_live_continuation_is_replayed_and_folded(self, tmp_path):
+        """A chain above the manifest generation that holds records is
+        replayed after the live chain, and one checkpoint folds it."""
         directory = str(tmp_path / "store")
-        store = make_store(directory, io=io)
-        store.rename(1, "before-cutover")
-        io.arm()
-        with pytest.raises(CheckpointError, match="cut over"):
-            store.checkpoint()
-        # Not degraded: writes continue, now into the wal.1 chain
-        # while the manifest still points at generation 0.
-        assert not store.degraded
-        assert store.generation == 0
-        store.rename(2, "after-cutover")
-        expected = store.to_xml()
+        store = make_store(directory)
+        store.rename(1, "live")
         store.close()
-        layout = StoreLayout(directory)
-        assert not os.path.exists(layout.snapshot_path(1))
+        forge_chain(directory, 1, [rename_record(2, "continued")])
+        expected = oracle_xml((1, "live"), (2, "continued"))
+        assert not os.path.exists(StoreLayout(directory).snapshot_path(1))
 
         with DurableXml.open(directory) as reopened:
             assert reopened.to_xml() == expected
             assert reopened.last_recovery.continuation_generations == [1]
+            assert reopened.last_recovery.replayed == 2
             # The fold checkpointed past the adopted chain.
             assert reopened.generation == 2
+            reopened.rename(3, "after-fold")
+            expected = reopened.to_xml()
         # Idempotent: a second reopen finds a normal single-chain store.
         with DurableXml.open(directory) as again:
             assert again.to_xml() == expected
             assert again.last_recovery.continuation_generations == []
+            assert again.generation == 2
 
     def test_empty_continuation_stray_is_ignored(self, tmp_path):
-        """A record-less higher-generation chain (the serial
-        checkpoint's pre-commit-point debris) keeps its historical
-        meaning: not adopted, store opens exactly as before."""
+        """A record-less higher-generation chain (a checkpoint's
+        pre-commit-point debris) is not adopted: the store opens
+        exactly as before."""
         directory = str(tmp_path / "store")
         store = make_store(directory)
         store.rename(1, "kept")
@@ -239,33 +137,70 @@ class TestConcurrentCheckpoint:
             assert reopened.last_recovery.continuation_generations == []
             assert reopened.generation == 0
 
-    def test_generation_gap_after_failed_checkpoint_attempts(
-        self, tmp_path
-    ):
-        """Each failed concurrent checkpoint burns a generation number;
-        the next attempt targets a fresh one and the store still
-        converges."""
-        io = FaultyIO(error_label="snapshot:write:before-write",
-                      error_count=2)
-        io.disarm()
+    def test_header_less_continuation_is_retired(self, tmp_path):
+        """A chain whose creation died before its header was durable
+        holds no acknowledged record: it is removed, not reported as
+        corruption."""
         directory = str(tmp_path / "store")
-        store = make_store(directory, io=io)
-        store.rename(1, "one")
-        io.arm()
-        with pytest.raises(CheckpointError):
-            store.checkpoint()  # cut over to wal.1, snapshot failed
-        store.rename(2, "two")
-        with pytest.raises(CheckpointError):
-            store.checkpoint()  # cut over to wal.2, snapshot failed
-        store.rename(3, "three")
-        # Third attempt succeeds and folds everything: the manifest
-        # jumps 0 -> 3 over the two burned generations.
-        assert store.checkpoint() == 3
-        assert store.last_checkpoint_error is None
+        store = make_store(directory)
+        store.rename(1, "kept")
         expected = store.to_xml()
         store.close()
+        layout = StoreLayout(directory)
+        with open(layout.wal_path(1), "wb") as handle:
+            handle.write(b"RXW")
         with DurableXml.open(directory) as reopened:
-            assert reopened.generation == 3
             assert reopened.to_xml() == expected
             assert reopened.last_recovery.continuation_generations == []
-            assert reopened.scrub().ok
+        assert not os.path.exists(layout.wal_path(1))
+
+    def test_unapplicable_tail_of_the_last_chain_is_dropped(
+        self, tmp_path
+    ):
+        """Only the newest chain's final record may be the one whose
+        apply never got acknowledged: it is dropped like a torn tail."""
+        directory = str(tmp_path / "store")
+        make_store(directory).close()
+        forge_chain(directory, 1, [rename_record(2, "kept"),
+                                   rename_record(10 ** 6, "never")])
+        with DurableXml.open(directory) as reopened:
+            assert reopened.to_xml() == oracle_xml((2, "kept"))
+            assert reopened.last_recovery.dropped_tail_record
+            assert reopened.last_recovery.replayed == 1
+
+    def test_unapplicable_record_before_a_later_chain_is_corruption(
+        self, tmp_path
+    ):
+        """A chain followed by another was sealed by a cutover: later
+        acknowledged records built on all of its records, so one that
+        fails to apply is corruption, not an unacknowledged tail."""
+        directory = str(tmp_path / "store")
+        make_store(directory).close()
+        forge_chain(directory, 1, [rename_record(10 ** 6, "never")])
+        forge_chain(directory, 2, [rename_record(2, "later")])
+        with pytest.raises(RecoveryError, match="failed to apply"):
+            DurableXml.open(directory)
+
+    def test_two_continuation_chains_fold_into_one_generation(
+        self, tmp_path
+    ):
+        """Chains at g+1 and g+2 replay in order; the manifest jumps
+        from 0 to 3 and the folded store scrubs clean."""
+        directory = str(tmp_path / "store")
+        store = make_store(directory)
+        store.rename(1, "one")
+        store.close()
+        forge_chain(directory, 1, [rename_record(2, "two")])
+        forge_chain(directory, 2, [rename_record(3, "three"),
+                                   rename_record(2, "two-again")])
+        expected = oracle_xml((1, "one"), (2, "two"), (3, "three"),
+                              (2, "two-again"))
+        with DurableXml.open(directory) as reopened:
+            assert reopened.to_xml() == expected
+            assert reopened.last_recovery.continuation_generations == [1, 2]
+            assert reopened.generation == 3
+        with DurableXml.open(directory) as again:
+            assert again.generation == 3
+            assert again.to_xml() == expected
+            assert again.last_recovery.continuation_generations == []
+            assert again.scrub().ok

@@ -285,10 +285,9 @@ class TestHealth:
             "tail_error",
         }
         assert set(health["mvcc"]) == {
-            "group_commit", "epoch", "pinned_snapshots",
+            "epoch", "pinned_snapshots",
             "pinned_epochs", "oldest_pin_age_seconds",
         }
-        assert health["mvcc"]["group_commit"] is False
         assert health["mvcc"]["pinned_snapshots"] == 0
         assert health["directory"] == store.directory
         assert health["generation"] == 1

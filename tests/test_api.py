@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.api import CompressedXml
+from repro.storage.durable import DurableXml
 from repro.trees.unranked import XmlNode, xml_equal
 from repro.trees.xml_io import parse_xml
 from repro.updates.operations import UpdateError
@@ -473,10 +474,12 @@ class TestInvalidTagsAreRejected:
 
 
 class TestMaintenance:
-    def test_option_surface_is_the_tracked_one(self):
-        """The independently settable values, by name (4 / 7 / 3): one
-        recompression loop, so no parameter selects another -- and, with
-        no ``**kwargs`` catch-all, a retired name is a ``TypeError``."""
+    def test_option_surface_is_the_tracked_one(self, tmp_path):
+        """The independently settable values, by name (4 / 7 / 3, and
+        the durable constructors'): one recompression loop and one
+        commit path, so no parameter selects another -- and, with no
+        catch-all reaching past the document, a retired name is a
+        ``TypeError``."""
         from inspect import signature
 
         from repro.core.grammar_repair import GrammarRePair, grammar_repair
@@ -490,6 +493,23 @@ class TestMaintenance:
             "kin", "prune", "optimized"]
         with pytest.raises(TypeError):
             CompressedXml.from_xml("<a><b/></a>", no_such_option=True)
+
+        durable = ["io", "checkpoint_wal_bytes", "wal_segment_bytes", "retry"]
+        assert list(signature(DurableXml.create).parameters) == [
+            "directory", "document", *durable, "overwrite"]
+        assert list(signature(DurableXml.from_xml).parameters) == [
+            "directory", "text", *durable, "overwrite", "doc_kwargs"]
+        assert list(signature(DurableXml.open).parameters) == [
+            "directory", *durable, "doc_kwargs"]
+        directory = str(tmp_path / "store")
+        with pytest.raises(TypeError):
+            DurableXml.create(directory, CompressedXml.from_xml("<a/>"),
+                              group_commit=True)
+        with pytest.raises(TypeError):
+            DurableXml.from_xml(directory, "<a/>", group_commit=True)
+        DurableXml.from_xml(directory, "<a><b/></a>").close()
+        with pytest.raises(TypeError):
+            DurableXml.open(directory, group_commit=True)
 
     def test_recompress_shrinks_after_updates(self):
         doc = CompressedXml.from_xml(listy_xml(300))

@@ -9,8 +9,8 @@ half-applied batch and (b) a snapshot is frozen: reading it twice gives
 identical bytes even while writers keep committing.
 
 Runs twice: against the in-memory document (write-lock + epoch pins)
-and through the durable layer's group-commit path (spine gate, shard
-locks, commit lock, pipelined fsync).
+and through the durable layer (commit lock around append, fsync and
+apply; checkpoints under the same lock).
 """
 
 import threading
@@ -134,19 +134,17 @@ class TestInMemoryStress:
         assert doc.mvcc_info()["pinned_snapshots"] == 0
 
 
-class TestDurableGroupCommitStress:
+class TestDurableStress:
     @pytest.fixture
     def store(self, tmp_path):
         with DurableXml.from_xml(
-            str(tmp_path / "store"), XML,
-            shard_width=8, group_commit=True,
+            str(tmp_path / "store"), XML, shard_width=8,
         ) as st:
             yield st
 
-    def test_group_commit_writers_no_torn_reads(self, store):
+    def test_durable_writers_no_torn_reads(self, store):
         run_stress(store, store)
         assert_untorn(final_tags(store))
-        assert store.health()["mvcc"]["group_commit"] is True
         assert store.mvcc_info()["pinned_snapshots"] == 0
 
     def test_reopen_after_stress_replays_to_same_document(
@@ -160,9 +158,9 @@ class TestDurableGroupCommitStress:
             assert_untorn(final_tags(reopened))
 
     def test_checkpoint_races_the_writers(self, store):
-        """A concurrent (non-blocking) checkpoint mid-stress must not
-        block or tear anything; the store lands on a fresh generation
-        with the writers' final state."""
+        """Checkpoints from another thread mid-stress wait their turn
+        on the commit lock: nothing deadlocks or tears, and the store
+        lands on a fresh generation with the writers' final state."""
         done = threading.Event()
         checkpoint_errors = []
 

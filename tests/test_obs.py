@@ -396,23 +396,19 @@ class TestDurableInstrumentation:
         assert hists['repro_fsync_seconds{site="wal:append"}'][
             "count"] == 2
 
-    def test_group_commit_sync_site_is_declared_before_a_commit(
-            self, tmp_path, registry):
-        from repro.storage.durable import DurableXml
-
-        doc = CompressedXml.from_xml(XML, metrics=registry)
-        store = DurableXml.create(str(tmp_path / "group"), doc,
-                                  group_commit=True)
-        try:
-            hists = registry.collect()["histograms"]
-            assert hists['repro_fsync_seconds{site="wal:sync"}'][
-                "count"] == 0
-            store.rename(1, "zap")
-            hists = registry.collect()["histograms"]
-            assert hists['repro_fsync_seconds{site="wal:sync"}'][
-                "count"] == 1
-        finally:
-            store.close()
+    def test_every_declared_fsync_site_is_reached(self, store,
+                                                  registry):
+        """The pre-declared fsync sites are exactly the ones a commit
+        plus a checkpoint hit: none is dead, none is late."""
+        declared = {key for key in registry.collect()["histograms"]
+                    if key.startswith("repro_fsync_seconds")}
+        store.rename(1, "zap")
+        store.checkpoint()
+        hists = registry.collect()["histograms"]
+        reached = {key for key, value in hists.items()
+                   if key.startswith("repro_fsync_seconds")
+                   and value["count"] > 0}
+        assert declared == reached
 
     def test_failed_apply_counts_as_commit_failure(self, store,
                                                    registry):
