@@ -20,9 +20,9 @@ Occurrence maintenance
 Step 3 does **not** rerun the census: a
 :class:`~repro.core.occurrence_index.GrammarOccurrenceIndex` is built
 with exactly one full-grammar pass and then, after every replacement,
-adapts the edited rules edge by edge (from the replacer's event log) and
-re-resolves only the generators a changed rule interface can reach -- a
-round costs O(edits + references into changed rules) instead of O(|G|).
+adapts the edited rules edge by edge (from the replacer's event log),
+re-resolves only the generators a changed rule interface can reach and
+updates usage only where it changed -- a round costs O(what it changed).
 ``compress(dirty_rules=...)`` narrows even the initial census to a set of
 dirty rules plus their digram frontier, which is what
 :meth:`repro.api.CompressedXml.recompress` uses to recompress only the
@@ -87,6 +87,9 @@ class GrammarRePairStats:
     #: Resolver round-trip pairs (TREEPARENT + TREECHILD of one generator)
     #: the occurrence index issued: the unit of maintenance work.
     generators_resolved: int = 0
+    #: Rules whose usage changed, summed over rounds: the reach of the
+    #: per-round usage maintenance.
+    usage_updates: int = 0
     seed_rule_count: Optional[int] = None
     #: Wall time spent maintaining occurrence counts: census/build, digram
     #: selection and per-round count upkeep (incl. garbage detection) --
@@ -123,6 +126,7 @@ class GrammarRePairStats:
             "rules_adapted": self.rules_adapted,
             "rules_partially_rescanned": self.rules_partially_rescanned,
             "generators_resolved": self.generators_resolved,
+            "usage_updates": self.usage_updates,
             "seed_rule_count": self.seed_rule_count or 0,
             "maintenance_seconds": self.maintenance_seconds,
             "census_seconds": self.census_seconds,
@@ -340,6 +344,7 @@ class GrammarRePair:
             stats.rules_adapted = index.rules_adapted
             stats.rules_partially_rescanned = index.rules_partially_rescanned
             stats.generators_resolved = index.generators_resolved
+            stats.usage_updates = index.usage_updates
             index.detach()
 
     # ------------------------------------------------------------------

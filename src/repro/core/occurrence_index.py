@@ -15,7 +15,8 @@ mutates, and on :meth:`apply_round` adapts exactly what changed.  This
 realizes the paper's Section IV-C observation ("only the occurrences that
 overlap with an occurrence of the replaced digram have to be adapted") on
 the grammar, where before every round paid a full O(|G|) rescan.  A round
-costs O(edits + references into changed rules), split three ways:
+costs O(edits + references into changed rules + rules whose usage
+changed) -- usage is maintained, not recomputed -- split three ways:
 
 * **edge-local adaptation** for rules whose only mutations were intra-rule
   digram replacements and version inlines: the replacer reports them as
@@ -75,6 +76,7 @@ exactly.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.resolve import Resolver
@@ -152,6 +154,11 @@ class GrammarOccurrenceIndex:
         # folding histogram deltas at every structure refresh.  Replaces
         # the per-round full-grammar ``reference_counts`` walk.
         self._refs_total: Dict[Symbol, int] = {}
+        # usageG per rule, brought up to date by _propagate_usage from the
+        # histogram deltas recorded since; then rules that may be garbage.
+        self._usage: Dict[Symbol, int] = {}
+        self._count_delta: Dict[Symbol, Dict[Symbol, int]] = {}
+        self._unused: Set[Symbol] = set()
         # rule -> interface signature (root and parameter-parent nodes by
         # identity and symbol); outside occurrences resolve through these
         # nodes and only these, so an unchanged signature means no caller
@@ -183,6 +190,8 @@ class GrammarOccurrenceIndex:
         self.rules_partially_rescanned = 0
         # One per tree_parent + tree_child round-trip pair issued.
         self.generators_resolved = 0
+        # Rules whose usage changed, summed over apply_round calls.
+        self.usage_updates = 0
         self.last_census_count = 0
         self.census_trace: List[int] = []
         # Grammar rule count at the time of each census, so the trace can
@@ -209,11 +218,7 @@ class GrammarOccurrenceIndex:
     # ------------------------------------------------------------------
     # building and incremental maintenance
     # ------------------------------------------------------------------
-    def build(
-        self,
-        seed_rules: Optional[Iterable[Symbol]] = None,
-        usage_map: Optional[Dict[Symbol, int]] = None,
-    ) -> None:
+    def build(self, seed_rules: Optional[Iterable[Symbol]] = None) -> None:
         """Initial census.
 
         With ``seed_rules=None`` every (non-opaque) rule is censused --
@@ -227,8 +232,9 @@ class GrammarOccurrenceIndex:
         grammar = self._grammar
         for head in grammar.rules:
             self._refresh_structure(head)
-        if usage_map is None:
-            usage_map = self.usage_from_structure()
+        # Usage propagated from zero: the start rule's weight flows down.
+        self._propagate_usage({grammar.start: 1})
+        self._unused = set(grammar.rules).difference(self._usage)
         resolver = Resolver(grammar, self._opaque, barriers=self._barriers)
         order = anti_sl_order(grammar)
         if seed_rules is not None:
@@ -237,7 +243,7 @@ class GrammarOccurrenceIndex:
             order = [head for head in order if head in affected]
         census_count = 0
         for head in order:
-            if self._census_rule(head, resolver, usage_map):
+            if self._census_rule(head, resolver):
                 census_count += 1
         self.last_census_count = census_count
         self.census_trace.append(census_count)
@@ -265,15 +271,16 @@ class GrammarOccurrenceIndex:
         other stored occurrences stay, with weights adjusted for usage
         shifts by plain dict arithmetic.  With
         ``collect_garbage`` (the default), rules whose usage dropped to
-        zero are removed from the grammar first (the usage table needed
+        zero are removed from the grammar first (the usage update needed
         for the weights doubles as the garbage detector).  Returns the
         removed rule heads.
 
-        Nothing here walks the whole grammar's right-hand sides: usage and
-        reference counts come from the cached callee histograms, so a
-        round costs O(edits + rule count) dictionary work plus one
-        resolution per edited or closure-entering generator, instead of
-        O(|G|) node visits.
+        Nothing here walks the whole grammar: usage and reference counts
+        come from the cached callee histograms, and usage deltas travel
+        only as far as usage actually changes, so a round costs
+        O(edits + the usage-changed closure) dictionary work plus one
+        resolution per edited or closure-entering generator whose
+        endpoints are not both explicit, instead of O(|G|) node visits.
         """
         grammar = self._grammar
         dirty = self._dirty
@@ -285,19 +292,24 @@ class GrammarOccurrenceIndex:
                 continue  # interface provably unchanged
             if self._refresh_structure(head):
                 interface_dirty.add(head)
-        usage_map = self.usage_from_structure()
+        usage = self._usage
+        changed = self._propagate_usage({})
+        self.usage_updates += len(changed)
         removed: List[Symbol] = []
-        if collect_garbage:
-            removed = [
-                head for head, count in usage_map.items()
-                if count == 0 and grammar.has_rule(head)
-            ]
+        if collect_garbage and self._unused:
+            unused = {head for head in self._unused
+                      if not usage.get(head) and grammar.has_rule(head)}
+            self._unused = set()
+            # In rule-table order, as a whole-grammar scan lists them.
+            removed = (list(unused) if len(unused) < 2 else
+                       [head for head in grammar.rules if head in unused])
             for head in removed:
                 grammar.remove_rule(head)  # notifies observers, incl. self
             if removed:
                 dirty |= self._dirty
                 self._dirty = set()
                 for head in removed:
+                    usage.pop(head, None)
                     if self._refresh_structure(head):
                         interface_dirty.add(head)
         propagated, through = self._propagated(interface_dirty)
@@ -326,12 +338,13 @@ class GrammarOccurrenceIndex:
         }
         for head in rescan:
             self._drop_rule(head)
-        # Usage refresh for surviving rules: adjust weights by the usage
-        # delta -- dict arithmetic only, no resolution walks.  Runs before
+        # Usage refresh for censused rules whose usage changed: adjust
+        # weights by the usage delta -- dict arithmetic only.  Runs before
         # adaptation so edge deltas apply at the new usage.
-        for head, old_weight in list(self._rule_usage.items()):
-            new_weight = usage_map.get(head, 0)
-            if new_weight == old_weight:
+        for head in changed:
+            old_weight = self._rule_usage.get(head)
+            new_weight = usage.get(head, 0)
+            if old_weight is None or new_weight == old_weight:
                 continue
             delta = new_weight - old_weight
             for digram, occs in self._by_rule[head].items():
@@ -345,10 +358,10 @@ class GrammarOccurrenceIndex:
             self._adapt_rule(head, log, resolver)
         census_count = 0
         for head in self._order_affected(rescan):
-            if self._census_rule(head, resolver, usage_map):
+            if self._census_rule(head, resolver):
                 census_count += 1
         for head in self._order_affected(partial):
-            self._rescan_crossing(head, through, resolver, usage_map)
+            self._rescan_crossing(head, through, resolver)
             census_count += 1
         self.last_census_count = census_count
         self.census_trace.append(census_count)
@@ -359,32 +372,6 @@ class GrammarOccurrenceIndex:
     # ------------------------------------------------------------------
     # derived grammar properties from the cached structure maps
     # ------------------------------------------------------------------
-    def usage_from_structure(self) -> Dict[Symbol, int]:
-        """``usageG`` recomputed from the cached callee histograms.
-
-        Equivalent to :func:`repro.grammar.properties.usage` but
-        O(rules + call edges) symbol-level work -- no right-hand sides are
-        walked.  Valid whenever the structure maps are current (after
-        ``build``/``apply_round``; within ``apply_round`` after the dirty
-        refresh).
-        """
-        grammar = self._grammar
-        counts = self._callee_counts
-        topo = self._topo
-        result: Dict[Symbol, int] = {head: 0 for head in grammar.rules}
-        result[grammar.start] = 1
-        # Descending topological level puts every caller before all of its
-        # callees (the _assign_topo invariant) -- no graph walk needed.
-        for head in sorted(
-            grammar.rules, key=lambda rule: topo.get(rule, 0), reverse=True
-        ):
-            weight = result[head]
-            if not weight:
-                continue
-            for callee, count in counts.get(head, {}).items():
-                result[callee] = result.get(callee, 0) + weight * count
-        return result
-
     def reference_counts_live(self) -> Dict[Symbol, int]:
         """``|refG(Q)|`` per rule head, as of the last build/apply_round.
 
@@ -516,11 +503,13 @@ class GrammarOccurrenceIndex:
         maps in sync.  Returns True when the interface changed -- the only
         case in which other rules' stored occurrences can be affected."""
         refs_total = self._refs_total
+        delta = self._count_delta.setdefault(head, {})
         for symbol, count in self._callee_counts.pop(head, {}).items():
             referencers = self._referencers.get(symbol)
             if referencers is not None:
                 referencers.discard(head)
             refs_total[symbol] = refs_total.get(symbol, 0) - count
+            delta[symbol] = delta.get(symbol, 0) - count
         for symbol in self._boundary.pop(head, ()):
             boundary_refs = self._boundary_refs.get(symbol)
             if boundary_refs is not None:
@@ -569,6 +558,7 @@ class GrammarOccurrenceIndex:
         for symbol, count in callees.items():
             self._referencers.setdefault(symbol, set()).add(head)
             refs_total[symbol] = refs_total.get(symbol, 0) + count
+            delta[symbol] = delta.get(symbol, 0) + count
         refs_total.setdefault(head, 0)
         for symbol in boundary:
             self._boundary_refs.setdefault(symbol, set()).add(head)
@@ -625,6 +615,7 @@ class GrammarOccurrenceIndex:
 
         refs_total = self._refs_total
         referencers = self._referencers
+        recorded = self._count_delta.setdefault(head, {})
 
         def shift(symbol: Symbol, delta: int) -> None:
             if not symbol.is_nonterminal:
@@ -640,6 +631,7 @@ class GrammarOccurrenceIndex:
                 if refs is not None:
                     refs.discard(head)
             refs_total[symbol] = refs_total.get(symbol, 0) + delta
+            recorded[symbol] = recorded.get(symbol, 0) + delta
 
         for event in log:
             if event[0] == "edge":
@@ -666,6 +658,49 @@ class GrammarOccurrenceIndex:
                 self._total_edges += copied - 1
         self._assign_topo(head, callees)
         return True
+
+    def _propagate_usage(self, pending: Dict[Symbol, int]) -> List[Symbol]:
+        """Fold the histogram deltas recorded since the last call, plus
+        the usage deltas in ``pending``, into the maintained usage;
+        returns the rules whose usage changed.
+
+        ``usage(x) = sum over callers c of usage(c) * count(c, x)``, so
+        caller ``c`` shifts callee ``x`` by ``dusage(c) * count_new(c, x)
+        + usage_old(c) * dcount(c, x)``.  The second term needs only old
+        usage and is folded first; the first is pushed down the current
+        call graph in descending topological level, callers before
+        callees, and stops wherever a rule's net delta is zero.
+        """
+        usage = self._usage
+        counts = self._callee_counts
+        for head, deltas in self._count_delta.items():
+            weight = (usage.get(head, 0) if head in counts
+                      else usage.pop(head, 0))
+            if not weight:
+                self._unused.add(head)  # new, or still awaiting collection
+                continue
+            for callee, delta in deltas.items():
+                if delta:
+                    pending[callee] = pending.get(callee, 0) + weight * delta
+        self._count_delta = {}
+        level = self._topo.get
+        heap = [(-level(head, 0), head.name, head) for head in pending]
+        heapify(heap)
+        changed: List[Symbol] = []
+        while heap:
+            head = heappop(heap)[2]
+            delta = pending.pop(head)
+            if not delta or head not in counts:
+                continue  # net zero, or the rule is gone
+            weight = usage[head] = usage.get(head, 0) + delta
+            changed.append(head)
+            if not weight:
+                self._unused.add(head)
+            for callee, count in counts[head].items():
+                if callee not in pending:
+                    heappush(heap, (-level(callee, 0), callee.name, callee))
+                pending[callee] = pending.get(callee, 0) + delta * count
+        return changed
 
     def _propagated(
         self, interface_dirty: Set[Symbol]
@@ -748,12 +783,17 @@ class GrammarOccurrenceIndex:
         Mirrors one iteration of :meth:`_census_rule`'s scan loop -- the
         equal-label claim protocol must stay in lockstep with it."""
         self._remove_generator(head, node, per_rule, gen_map)
-        if self._barriers and (node.symbol in self._barriers
-                               or node.parent.symbol in self._barriers):
+        symbol, parent = node.symbol, node.parent
+        if self._barriers and (symbol in self._barriers
+                               or parent.symbol in self._barriers):
             return  # shard reference edges are pinned: no digram here
-        self.generators_resolved += 1
-        parent_node, child_index, parent_path = resolver.tree_parent(node)
-        child_node, child_path = resolver.tree_child(node)
+        if self._is_transparent(symbol) or self._is_transparent(parent.symbol):
+            self.generators_resolved += 1
+            parent_node, child_index, parent_path = resolver.tree_parent(node)
+            child_node, child_path = resolver.tree_child(node)
+        else:  # both endpoints explicit right here: no resolver walk
+            parent_node, child_index = parent, node.child_index()
+            child_node, parent_path, child_path = node, [], []
         digram = Digram(parent_node.symbol, child_index, child_node.symbol)
         if digram.is_equal_label:
             if resolver.is_transparent(node.symbol):
@@ -868,7 +908,6 @@ class GrammarOccurrenceIndex:
         head: Symbol,
         through: Set[Symbol],
         resolver: Resolver,
-        usage_map: Dict[Symbol, int],
     ) -> None:
         """Re-resolve the generators of ``head`` whose resolution can
         enter ``through``: nodes whose own symbol (child side) or in-rule
@@ -882,7 +921,7 @@ class GrammarOccurrenceIndex:
         same node set -- re-resolve in rule preorder.
         """
         rhs = self._grammar.rules[head]
-        weight = usage_map.get(head, 0)
+        weight = self._usage.get(head, 0)
         per_rule = self._by_rule.get(head)
         gen_map = self._gen_digram.get(head)
         if per_rule is None:
@@ -910,12 +949,7 @@ class GrammarOccurrenceIndex:
             del self._gen_digram[head]
             del self._rule_usage[head]
 
-    def _census_rule(
-        self,
-        head: Symbol,
-        resolver: Resolver,
-        usage_map: Dict[Symbol, int],
-    ) -> bool:
+    def _census_rule(self, head: Symbol, resolver: Resolver) -> bool:
         """RETRIEVEOCCS restricted to one rule (assumes it was dropped).
 
         Returns True when the rule was actually scanned (drives the
@@ -931,7 +965,7 @@ class GrammarOccurrenceIndex:
             return False
         self.rules_censused += 1
         self._scope.add(head)
-        rule_weight = usage_map.get(head, 0)
+        rule_weight = self._usage.get(head, 0)
         rhs = grammar.rules[head]
         per_rule: _RuleTable = {}
         gen_map: Dict[int, Digram] = {}

@@ -15,6 +15,7 @@ Three correctness bars:
   untouched rules.
 """
 
+import hashlib
 import random
 from unittest import mock
 
@@ -31,6 +32,7 @@ from repro.core.retrieve import retrieve_occurrences
 from repro.datasets.synthetic import make_corpus
 from repro.grammar.navigation import generates_same_tree
 from repro.grammar.properties import usage
+from repro.grammar.serialize import format_grammar
 from repro.grammar.slcf import RuleTouchRecorder
 from repro.repair.digram import digram_pattern
 from repro.trees.binary import encode_binary
@@ -236,9 +238,13 @@ class TestStoredResolutionFreshness:
 
 
 class TestStructureMapConsistency:
-    """The cached callee histograms, reference counts, usage, grammar
-    size and topological levels must equal ground-truth recomputation
-    after every round -- they replaced per-round full-grammar walks."""
+    """The cached callee histograms, reference counts, maintained usage,
+    grammar size and topological levels must equal ground-truth
+    recomputation after every round -- they replaced per-round
+    full-grammar walks.  The usage map is never recomputed: each round
+    pushes its recorded histogram deltas down the changed callees, so
+    one lost delta (say, from the edge-local structure patch) leaves it
+    wrong for good, or leaves a dead rule uncollected."""
 
     @staticmethod
     def structure_check_hook(errors):
@@ -246,10 +252,15 @@ class TestStructureMapConsistency:
 
         def hook(grammar, index, opaque):
             true_usage = usage(grammar)
-            from_structure = index.usage_from_structure()
-            for head in set(true_usage) | set(from_structure):
-                if true_usage.get(head, 0) != from_structure.get(head, 0):
+            live_usage = index._usage
+            for head in set(true_usage) | set(live_usage):
+                if true_usage.get(head, 0) != live_usage.get(head, 0):
                     errors.append(("usage", head))
+            # The hook runs after collecting rounds only: every rule the
+            # start no longer reaches must be gone.
+            for head, count in true_usage.items():
+                if count == 0 and head is not grammar.start:
+                    errors.append(("unused survivor", head))
             true_refs = reference_counts(grammar)
             live_refs = index.reference_counts_live()
             for head in true_refs:
@@ -356,8 +367,8 @@ class TestCountersProveTheCut:
         in_round_census_edges = []
         census_rule = GrammarOccurrenceIndex._census_rule
 
-        def recording(index, head, resolver, usage_map):
-            scanned = census_rule(index, head, resolver, usage_map)
+        def recording(index, head, resolver):
+            scanned = census_rule(index, head, resolver)
             if scanned and index.census_trace:  # empty until build() ends
                 in_round_census_edges.append(index.rule_edges_live()[head])
             return scanned
@@ -374,6 +385,41 @@ class TestCountersProveTheCut:
         assert 0 < stats.generators_resolved <= self.RESOLVED_CEILING
         assert stats.to_dict()["generators_resolved"] == \
             stats.generators_resolved
+
+    #: The whole-grammar usage pass per round, and resolver round-trips
+    #: for every adapted or rescanned generator, issued 8786 resolutions
+    #: on this scenario; maintained usage plus the explicit-endpoint
+    #: shortcut issue 6448 -- with the same rounds and the same grammar.
+    PARENT_RESOLVED = 8786
+    RESOLVED = 6448
+    ROUNDS = 192
+    #: sha256 of ``format_grammar`` after the recompression, unchanged
+    #: by the cut (a deliberate change of the output must update it).
+    GRAMMAR_SHA = "14fca8c0fad36ca8"
+
+    def test_treebank_cut_keeps_rounds_and_grammar(self):
+        doc = CompressedXml.from_document(
+            make_corpus("Treebank", edges=2000, seed=7), shard_width=64
+        )
+        rng = random.Random(7)
+        kinds = ("rename", "rename", "rename", "insert", "insert",
+                 "append", "delete")
+        tags = ("NP", "VP", "NN", "JJ", "X", "EDITED")
+        script = [(rng.choice(kinds), rng.random(), rng.choice(tags))
+                  for _ in range(60)]
+        for _ in replay_script(doc, script):
+            pass
+        doc.recompress()
+        stats = doc.last_repair_stats
+        assert stats.seed_rule_count is not None  # dirty-scoped
+        assert stats.rounds == self.ROUNDS
+        digest = hashlib.sha256(format_grammar(doc.grammar).encode())
+        assert digest.hexdigest()[:16] == self.GRAMMAR_SHA
+        assert stats.generators_resolved <= self.RESOLVED \
+            < self.PARENT_RESOLVED
+        # A whole-grammar usage pass would touch every rule every round.
+        assert 0 < 10 * stats.usage_updates < sum(stats.rule_count_trace[1:])
+        assert stats.to_dict()["usage_updates"] == stats.usage_updates
 
 
 class TestTouchedRuleReporting:
