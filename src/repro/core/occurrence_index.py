@@ -20,11 +20,14 @@ changed) -- usage is maintained, not recomputed -- split three ways:
 
 * **edge-local adaptation** for rules whose only mutations were intra-rule
   digram replacements and version inlines: the replacer reports them as
-  an event log (:data:`~repro.core.rewrite.EdgeReplacement` deltas), and
-  only the occurrences incident to the replaced nodes are removed and
-  re-resolved -- O(edits) instead of O(|rule|).  This is what keeps
-  rounds cheap when the start rule dominates the grammar (the
-  sustained-update regime);
+  an event log (:data:`~repro.core.rewrite.EdgeReplacement` deltas, and
+  per inline the copied region as it was inlined), and only the
+  occurrences incident to the replaced nodes and to the copied region are
+  removed and re-resolved -- O(edits + copied nodes) instead of
+  O(|rule|).  An argument subtree behind a replaced argument root is not
+  revisited: its edges did not change.  This is what keeps rounds cheap
+  when the start rule dominates the grammar (the sustained-update
+  regime);
 * **targeted re-resolution** for rules whose stored *resolutions* can pass
   through an interface that changed: only the generators whose first hop
   enters the closure of the changed interfaces re-resolve, every other
@@ -606,8 +609,8 @@ class GrammarOccurrenceIndex:
                     if child.symbol.is_parameter:
                         return False  # parameter re-parented
             else:  # inline
-                copy_root, argument_roots = event[2], event[3]
-                if copy_root is root:
+                region, argument_roots = event[2], event[3]
+                if region[0] is root:
                     return False  # inlined at the root: interface changed
                 for argument in argument_roots:
                     if argument.symbol.is_parameter:
@@ -643,19 +646,18 @@ class GrammarOccurrenceIndex:
                 self._rule_edges[head] = self._rule_edges.get(head, 0) - 1
                 self._total_edges -= 1
             else:
-                # The histogram/size were snapshotted when the region was
-                # pristine; later edge deltas of the same round apply on
-                # top of them.
-                _tag, inlined, _copy_root, _arguments, histogram, copied = \
-                    event
+                # The region was recorded pristine; later edge deltas of
+                # the same round apply on top of it.
+                _tag, inlined, region, arguments = event
                 shift(inlined.symbol, -1)
-                for symbol, count in histogram.items():
-                    shift(symbol, count)
-                # One node replaced by ``copied`` template nodes.
-                self._rule_edges[head] = (
-                    self._rule_edges.get(head, 0) + copied - 1
-                )
-                self._total_edges += copied - 1
+                argument_ids = {id(argument) for argument in arguments}
+                for node in region:
+                    if id(node) not in argument_ids:
+                        shift(node.symbol, 1)
+                # One node replaced by the copied template nodes.
+                grown = len(region) - len(arguments) - 1
+                self._rule_edges[head] = self._rule_edges.get(head, 0) + grown
+                self._total_edges += grown
         self._assign_topo(head, callees)
         return True
 
@@ -850,10 +852,13 @@ class GrammarOccurrenceIndex:
         ``{v, w} U children(x)`` die and ``{x} U children(x)`` generate
         afresh.
 
-        ``("inline", n, copy_root, argument_roots)``: the inlined node's
-        occurrence dies; every node of the inlined template copy plus the
-        re-parented argument roots generates afresh (argument interiors
-        are untouched originals).
+        ``("inline", n, region, argument_roots)``: the inlined node's
+        occurrence dies; every node of ``region`` -- the template copy and
+        the re-parented argument roots, as recorded when the version was
+        inlined -- generates afresh (argument interiors are untouched
+        originals).  A region node that a later edge event replaces (an
+        argument root included) is detached; that event supplies ``x``
+        and its children, and everything below them keeps its edges.
 
         Two passes: first every removal of the log, collecting the nodes
         to (re)generate once each in event order; then one store per
@@ -881,16 +886,11 @@ class GrammarOccurrenceIndex:
                 for child in new_node.children:
                     fresh.setdefault(id(child), child)
             else:
-                _tag, inlined, copy_root, argument_roots = event[:4]
+                inlined, region = event[1], event[2]
                 detached.add(id(inlined))
                 self._remove_generator(head, inlined, per_rule, gen_map)
-                argument_ids = {id(root) for root in argument_roots}
-                stack = [copy_root]
-                while stack:
-                    node = stack.pop()
+                for node in region:
                     fresh.setdefault(id(node), node)
-                    if id(node) not in argument_ids:
-                        stack.extend(node.children)
         survivors = [
             node for key, node in fresh.items()
             if key not in detached and node.parent is not None

@@ -67,11 +67,13 @@ class OptimizedReplacer:
         self.touched_rules: Set[Symbol] = set()
         # Per rule: the mutations performed, in order, as tagged events --
         # ("edge", v, i, w, x) for an intra-rule replacement,
-        # ("inline", n, copy_root, argument_roots) for a version inlined
-        # at node ``n``.  Both deltas are local (O(edit), not O(|rule|)),
-        # so the occurrence index can adapt such rules without a rescan;
-        # rules rewritten non-locally (fragment export) land in
-        # ``needs_rescan`` instead.
+        # ("inline", n, region, argument_roots) for a version inlined at
+        # node ``n``, where ``region`` lists the copy's nodes as inlined,
+        # in DFS order from the copy root (``region[0]``), with the
+        # argument roots at their positions.  Both deltas are local
+        # (O(edit), not O(|rule|)), so the occurrence index can adapt
+        # such rules without a rescan; rules rewritten non-locally
+        # (fragment export) land in ``needs_rescan`` instead.
         self.event_log: Dict[Symbol, List] = {}
         self.needs_rescan: Set[Symbol] = set()
         self.occ_by_rule: Dict[Symbol, List[GrammarOccurrence]] = {}
@@ -228,25 +230,20 @@ class OptimizedReplacer:
             new_root = inline_node(self.grammar, head, node,
                                    template=template, marked=self.marked,
                                    transferred=transferred)
-            # Snapshot the pristine copy region (symbol histogram + node
-            # count) now: the replacement scan below may rewrite it, and
-            # structure patches must account for the region as inlined,
-            # with the later edge deltas applied on top.
-            histogram: Dict[Symbol, int] = {}
-            region_nodes = 0
+            # Record the pristine copy region now, in DFS order from the
+            # copy root with the argument roots at their positions: the
+            # replacement scan below may rewrite it, and the occurrence
+            # index adapts the region as inlined, with the later edge
+            # deltas applied on top.
             argument_ids = {id(root) for root in argument_roots}
+            region: List[Node] = []
             walk = [new_root]
             while walk:
                 region_node = walk.pop()
-                if id(region_node) in argument_ids:
-                    continue
-                region_nodes += 1
-                symbol = region_node.symbol
-                if symbol.is_nonterminal:
-                    histogram[symbol] = histogram.get(symbol, 0) + 1
-                walk.extend(region_node.children)
-            events.append(("inline", node, new_root, argument_roots,
-                           histogram, region_nodes))
+                region.append(region_node)
+                if id(region_node) not in argument_ids:
+                    walk.extend(region_node.children)
+            events.append(("inline", node, region, argument_roots))
 
         edge_log: List = []
         replaced_here = replace_digram_in_rule(

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.api import CompressedXml
+from repro.core import replace_optimized
 from repro.core.grammar_repair import GrammarRePair, grammar_repair
 from repro.core.occurrence_index import GrammarOccurrenceIndex
 from repro.core.replace_optimized import replace_all_occurrences_optimized
@@ -339,6 +340,22 @@ class TestCensusInstrumentation:
         assert stats.census_trace[0] < full_build
 
 
+def scripted_weblog_doc():
+    """A sharded EXI-Weblog document after a fixed 60-op update script."""
+    doc = CompressedXml.from_document(
+        make_corpus("EXI-Weblog", edges=2000, seed=42), shard_width=64
+    )
+    rng = random.Random(42)
+    kinds = ("rename", "rename", "rename", "insert", "insert",
+             "append", "delete")
+    tags = ("ip", "user", "ts", "request", "status", "bytes", "extra")
+    script = [(rng.choice(kinds), rng.random(), rng.choice(tags))
+              for _ in range(60)]
+    for _ in replay_script(doc, script):
+        pass
+    return doc
+
+
 class TestCountersProveTheCut:
     """A round pays per edited or closure-entering generator, not per
     rule that mentions a changed rule: on a fixed sharded document no
@@ -346,23 +363,16 @@ class TestCountersProveTheCut:
     rules are, and those are small), and the resolver round-trips of the
     whole run stay under a pinned ceiling."""
 
-    #: 3467 on this scenario; the "propagated => drop and re-census,
-    #: rescan every crossing generator" loop it replaced issued 4686 (and
-    #: re-censused six rules of 50+ edges inside rounds).
-    RESOLVED_CEILING = 4000
+    #: 1109 on this scenario.  Re-walking each inlined region after the
+    #: round -- through the argument interior behind a replaced argument
+    #: root -- issued 1346; resolving every adapted generator, 3467; the
+    #: "propagated => drop and re-census, rescan every crossing
+    #: generator" loop before that, 4686 (and re-censused six rules of
+    #: 50+ edges inside rounds).
+    RESOLVED_CEILING = 1109
 
     def test_no_large_in_round_census_and_bounded_resolutions(self):
-        doc = CompressedXml.from_document(
-            make_corpus("EXI-Weblog", edges=2000, seed=42), shard_width=64
-        )
-        rng = random.Random(42)
-        kinds = ("rename", "rename", "rename", "insert", "insert",
-                 "append", "delete")
-        tags = ("ip", "user", "ts", "request", "status", "bytes", "extra")
-        script = [(rng.choice(kinds), rng.random(), rng.choice(tags))
-                  for _ in range(60)]
-        for _ in replay_script(doc, script):
-            pass
+        doc = scripted_weblog_doc()
 
         in_round_census_edges = []
         census_rule = GrammarOccurrenceIndex._census_rule
@@ -389,9 +399,10 @@ class TestCountersProveTheCut:
     #: The whole-grammar usage pass per round, and resolver round-trips
     #: for every adapted or rescanned generator, issued 8786 resolutions
     #: on this scenario; maintained usage plus the explicit-endpoint
-    #: shortcut issue 6448 -- with the same rounds and the same grammar.
+    #: shortcut issued 6448, and adapting each inline from its recorded
+    #: region issues 5869 -- with the same rounds and the same grammar.
     PARENT_RESOLVED = 8786
-    RESOLVED = 6448
+    RESOLVED = 5869
     ROUNDS = 192
     #: sha256 of ``format_grammar`` after the recompression, unchanged
     #: by the cut (a deliberate change of the output must update it).
@@ -420,6 +431,84 @@ class TestCountersProveTheCut:
         # A whole-grammar usage pass would touch every rule every round.
         assert 0 < 10 * stats.usage_updates < sum(stats.rule_count_trace[1:])
         assert stats.to_dict()["usage_updates"] == stats.usage_updates
+
+
+class TestInlineAdaptationIsLocal:
+    """A version inline is adapted from the region it copied.  When a
+    later edge event of the same round replaces one of the region's
+    argument roots by ``x``, the argument interior below ``x`` keeps its
+    edges: adaptation stores at most the region (copy plus argument
+    roots) and ``x`` with its children per edge event -- never the
+    interior behind them."""
+
+    def test_replaced_argument_root_does_not_reopen_its_interior(self):
+        doc = scripted_weblog_doc()
+        # id(inlined node) -> (node, |copy region| + |argument roots|),
+        # measured on the pristine copy as inline_node returns it.
+        regions = {}
+        inline_node = replace_optimized.inline_node
+
+        def recording_inline(grammar, head, node, **kwargs):
+            argument_ids = {id(child) for child in node.children}
+            new_root = inline_node(grammar, head, node, **kwargs)
+            size, stack = 0, [new_root]
+            while stack:
+                current = stack.pop()
+                size += 1
+                if id(current) not in argument_ids:
+                    stack.extend(current.children)
+            regions[id(node)] = (node, size)
+            return new_root
+
+        stores = []
+        store = GrammarOccurrenceIndex._store_occurrence
+
+        def counting_store(index, head, node, *args):
+            stores.append(node)
+            return store(index, head, node, *args)
+
+        adapted = []  # (stores, bound, argument roots replaced) per call
+        adapt = GrammarOccurrenceIndex._adapt_rule
+
+        def bounded_adapt(index, head, log, resolver):
+            bound, replaced, argument_ids = 0, 0, set()
+            for event in log:
+                if event[0] == "edge":
+                    _tag, parent, _slot, child, x = event
+                    bound += 1 + x.symbol.rank
+                    replaced += (id(parent) in argument_ids
+                                 or id(child) in argument_ids)
+                else:
+                    bound += regions[id(event[1])][1]
+                    argument_ids.update(id(root) for root in event[3])
+            before = len(stores)
+            adapt(index, head, log, resolver)
+            adapted.append((len(stores) - before, bound, replaced))
+
+        stale = []
+
+        def compressor(**kwargs):
+            return GrammarRePair(
+                round_hook=freshness_hook(stale, kwargs.get("barriers"),
+                                          check_weights=True),
+                **kwargs,
+            )
+
+        with mock.patch.object(replace_optimized, "inline_node",
+                               recording_inline), \
+                mock.patch.object(GrammarOccurrenceIndex,
+                                  "_store_occurrence", counting_store), \
+                mock.patch.object(GrammarOccurrenceIndex, "_adapt_rule",
+                                  bounded_adapt), \
+                mock.patch("repro.api.GrammarRePair", compressor):
+            doc.recompress()
+        doc.grammar.validate()
+        assert stale == []
+        # The scenario occurs: argument roots replaced in the same round.
+        assert sum(replaced for _, _, replaced in adapted) > 0
+        over = [(stored, bound) for stored, bound, _ in adapted
+                if stored > bound]
+        assert over == []
 
 
 class TestTouchedRuleReporting:
