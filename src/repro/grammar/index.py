@@ -77,12 +77,13 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.grammar.kernel import (
     KIND_NONTERMINAL,
+    ELEMENTS,
     GrammarKernel,
     RulePack,
     flatten,
-    kernel_iter_element_symbols,
     kernel_locate_element,
     kernel_resolve_preorder,
+    kernel_window,
     measure,
 )
 from repro.grammar.navigation import PathStep
@@ -226,36 +227,6 @@ def _segments(
             f"rank is {head.rank}"
         )
     return node_segs, elem_segs, routes if complete else None
-
-
-class _SegmentsView:
-    """Lazy, always-current stand-in for ``parameter_segments(grammar)``.
-
-    Subscripting ensures the rule's tables are computed, so path isolation
-    can share the index's node segments instead of rebuilding the full
-    segment dictionary on every update.
-    """
-
-    __slots__ = ("_index",)
-
-    def __init__(self, index: "GrammarIndex") -> None:
-        self._index = index
-
-    def __getitem__(self, head: Symbol) -> List[int]:
-        self._index._ensure(head)
-        return self._index._node_segments[head]
-
-    def get(self, head: Symbol, default=None):
-        try:
-            return self[head]
-        except GrammarError:
-            return default
-
-    def __contains__(self, head: Symbol) -> bool:
-        return self._index._grammar.has_rule(head)
-
-    def __iter__(self) -> Iterator[Symbol]:
-        return iter(self._index._grammar.rules)
 
 
 class GrammarIndex:
@@ -785,11 +756,6 @@ class GrammarIndex:
         self._ensure(start)
         return sum(self._elem_segments[start])
 
-    def segments(self) -> _SegmentsView:
-        """Node segments as a lazy mapping, API-compatible with
-        :func:`repro.grammar.properties.parameter_segments`."""
-        return _SegmentsView(self)
-
     # ------------------------------------------------------------------
     # element addressing
     # ------------------------------------------------------------------
@@ -872,12 +838,11 @@ class GrammarIndex:
     ) -> Iterator[Symbol]:
         """Element symbols ``start..stop-1`` in document order.
 
-        The walk mirrors :func:`repro.grammar.navigation.stream_preorder`
-        but skips any RHS subtree generating only elements before
-        ``start`` in O(1) via the cached subtree sizes, so reaching the
-        window costs O(depth · rule-width) instead of streaming the
-        ``start`` preceding elements -- this is the indexed range
-        iterator behind :meth:`repro.api.CompressedXml.tags`.
+        The element window of :func:`~repro.grammar.kernel.kernel_window`:
+        reaching ``start`` is one count-guided descent, O(depth ·
+        rule-width), instead of streaming the ``start`` preceding
+        elements -- the range iterator behind
+        :meth:`repro.api.CompressedXml.tags`.
         """
         # From-the-end indices are ambiguous under concurrent updates;
         # reject negative bounds uniformly instead of silently yielding an
@@ -889,7 +854,7 @@ class GrammarIndex:
         total = self.element_count
         if stop is None or stop > total:
             stop = total
-        return kernel_iter_element_symbols(self._kernel, start, stop)
+        return kernel_window(self._kernel, start, stop, ELEMENTS)
 
     def resolve_element(
         self, element_index: int
@@ -1047,6 +1012,13 @@ class GrammarIndex:
     # ------------------------------------------------------------------
     # raw segment access (the query subsystem's substrate)
     # ------------------------------------------------------------------
+    def node_segments(self, head: Symbol) -> List[int]:
+        """The rule's node-count segments ``[n0, ..., nk]`` -- the
+        paper's ``size(A, 0..k)`` (Section III-A); same caching and
+        invalidation as :meth:`element_segments`."""
+        self._ensure(head)
+        return self._node_segments[head]
+
     def element_segments(self, head: Symbol) -> List[int]:
         """The rule's element-count segments ``[e0, ..., ek]``: elements
         generated by the body before the first parameter, between

@@ -25,11 +25,12 @@ and list reads:
   per rule by everything else (``set_rule``/``remove_rule``/non-local
   rewrites cascade through ``GrammarIndex._evict``), never wholesale by
   an update or a recompression,
-* the kernel walk functions the index/query/navigation layers dispatch to
-  (:func:`kernel_locate_element` -- the one element descent behind tag,
+* the kernel walks the index and query layers dispatch to:
+  :func:`kernel_locate_element` -- the one element descent behind tag,
   axes and slots, from the start rule or a located binding --,
-  :func:`kernel_resolve_preorder`, :func:`kernel_iter_element_symbols`,
-  :func:`kernel_stream_preorder`, :func:`kernel_stream_elements`).
+  :func:`kernel_resolve_preorder` -- the node descent behind write
+  targets -- and :func:`kernel_window` -- the one windowed walk, in
+  nodes or in elements, behind ``tags`` windows and ``subtree_xml``.
 
 Epoch/MVCC interplay
 --------------------
@@ -55,7 +56,7 @@ cold build per rule, reused by every later descent and kept current by
 the writes) and rebuild lazily after a snapshot load.  The independent
 reference semantics tests compare
 against are :mod:`repro.grammar.navigation` (``resolve_preorder_path``,
-``stream_elements``/``stream_preorder`` without ``index_hint``),
+``stream_elements``, ``stream_preorder``),
 :func:`repro.grammar.derivation.expand` and :mod:`repro.query.naive`.
 """
 
@@ -78,9 +79,9 @@ __all__ = [
     "global_symbol_table",
     "kernel_locate_element",
     "kernel_resolve_preorder",
-    "kernel_iter_element_symbols",
-    "kernel_stream_preorder",
-    "kernel_stream_elements",
+    "kernel_window",
+    "NODES",
+    "ELEMENTS",
 ]
 
 #: RHS-node kind codes (the ``kind`` column): integer compares replace the
@@ -843,129 +844,133 @@ def kernel_resolve_preorder(
          step_at) = pack.walk_nodes
 
 
-def kernel_iter_element_symbols(
+#: Units of :func:`kernel_window`: the index in ``RulePack.walk`` of the
+#: size column the window is counted in.
+NODES = 4
+ELEMENTS = 5
+
+
+def kernel_window(
     kernel: GrammarKernel,
     start: int,
     stop: int,
+    unit: int,
 ) -> Iterator[Symbol]:
-    """The walk behind ``GrammarIndex.iter_element_symbols`` (bounds
-    validated and clamped by the caller): any subtree generating only
-    elements before ``start`` is skipped in O(1) on its cached size."""
-    if start >= stop:
-        return
-    to_skip = start
+    """The terminal symbols of the window ``[start, stop)`` of ``unit``
+    -- binary-preorder :data:`NODES`, every terminal, or document
+    :data:`ELEMENTS`, element terminals only -- in preorder (bounds
+    checked and clamped by the caller).  The one windowed walk: ``tags``
+    windows and ``subtree_xml``, the root's included, ride it.
+
+    *Skip phase*: the ``size(A, i)`` descent (Section III-A) to the
+    window's first terminal of the unit.  At a terminal the children in
+    front of the one holding it are passed whole on the unit's size
+    column plus their bindings' counts, and the children behind it go
+    onto the stack; an application is entered with its arguments' counts
+    bound.  The subtree the descent stands in always holds more than
+    ``to_skip`` terminals of the unit, so the last child needs no size.
+    *Window phase*: the stack streams in preorder, counting ``stop -
+    start`` terminals of the unit down.  It reads no size column, so a
+    window from 0 costs what a plain stream costs.
+
+    Bindings and stack items are both ``(pack, pos, env, count)``:
+    where the walk continues, and the binding's argument size in
+    ``unit`` -- read by the skip phase only, 0 when the window phase
+    binds.
+    """
     to_yield = stop - start
+    if to_yield <= 0:
+        return
+    least = KIND_ELEMENT if unit == ELEMENTS else KIND_BOTTOM
     packs = kernel._packs
-    root = kernel.pack(kernel._index.grammar.start)
-    # Stack items: (pack, pos, env); env entries are the 5-tuple
-    # bindings.  Consecutive items overwhelmingly share a pack (children
-    # are pushed together), so the unpacked columns are cached across
-    # iterations and refreshed only when the popped pack changes.
-    stack = [(root, 0, ())]
-    cur = None
-    while stack:
-        pack, pos, env = stack.pop()
-        if pack is not cur:
-            cur = pack
-            (kind, sym, rank, span, nnodes, nelems, params, _nodes,
-             sym_objs, _names, _steps) = pack.walk
+    pack = kernel.pack(kernel._index.grammar.start)
+    pos = 0
+    env: Tuple = ()
+    stack: List[tuple] = []
+    push = stack.append
+    to_skip = start
+    (kind, sym, rank, span, _nn, _ne, params, _nodes, sym_objs,
+     _names, _steps) = pack.walk
+    sizes = pack.walk[unit]
+    while True:
         k = kind[pos]
-        if k == 3:
-            b = env[sym[pos] - 1]
-            stack.append((b[3], b[4], b[2]))
-            continue
-        if to_skip:
-            elems = nelems[pos]
-            pp = params[pos]
-            if pp:
-                for p in pp:
-                    elems += env[p - 1][1]
-            if elems <= to_skip:
-                to_skip -= elems
-                continue  # window starts after this whole subtree
-        if k <= 1:
-            if k == 1:
-                if to_skip:
-                    to_skip -= 1
-                else:
-                    yield sym_objs[pos]
-                    to_yield -= 1
-                    if not to_yield:
-                        return
+        if k <= 1:  # terminal: the start, or the child holding it
+            if k >= least:
+                if not to_skip:
+                    break
+                to_skip -= 1
             r = rank[pos]
-            if r == 2:
-                child = pos + 1
-                stack.append((pack, child + span[child], env))
-                stack.append((pack, child, env))
-            elif r == 1:
-                stack.append((pack, pos + 1, env))
-            elif r:
-                child = pos + 1
-                kids = []
-                for _ in range(r):
-                    kids.append(child)
+            child = pos + 1
+            i = 1
+            while i < r:
+                size = sizes[child]
+                pp = params[child]
+                if pp:
+                    for p in pp:
+                        size += env[p - 1][3]
+                if size <= to_skip:
+                    to_skip -= size
                     child += span[child]
-                for c in reversed(kids):
-                    stack.append((pack, c, env))
-        else:
+                    i += 1
+                else:
+                    break
+            later = []
+            behind = child
+            for _ in range(r - i):
+                behind += span[behind]
+                later.append((pack, behind, env, 0))
+            stack.extend(reversed(later))
+            pos = child
+            continue
+        if k == 3:  # parameter: continue in the bound argument
+            pack, pos, env, _count = env[sym[pos] - 1]
+        else:  # application: enter the callee, argument counts bound
             sobj = sym_objs[pos]
             callee = packs.get(sobj)
             if callee is None:
                 callee = kernel.pack(sobj)
-            r = rank[pos]
-            outer_env = env
-            if r:
-                bindings = []
-                child = pos + 1
-                for _ in range(r):
-                    cn = nnodes[child]
-                    ce = nelems[child]
-                    pp = params[child]
-                    if pp:
-                        for p in pp:
-                            b = outer_env[p - 1]
-                            cn += b[0]
-                            ce += b[1]
-                    bindings.append((cn, ce, outer_env, pack, child))
-                    child += span[child]
-                inner_env: Tuple = tuple(bindings)
-            else:
-                inner_env = ()
-            stack.append((callee, 0, inner_env))
-
-
-def kernel_stream_preorder(kernel: GrammarKernel) -> Iterator[Symbol]:
-    """Packed-array form of :func:`repro.grammar.navigation.stream_preorder`
-    (whole-document terminal symbol stream; feeds ``extract_subtree``'s
-    root shortcut).  Environments are light (pack, pos, env) closures --
-    no counts are needed when nothing is skipped."""
-    packs = kernel._packs
-    stack = [(kernel.pack(kernel._index.grammar.start), 0, ())]
+            bindings = []
+            child = pos + 1
+            for _ in range(rank[pos]):
+                size = sizes[child]
+                pp = params[child]
+                if pp:
+                    for p in pp:
+                        size += env[p - 1][3]
+                bindings.append((pack, child, env, size))
+                child += span[child]
+            pack, pos, env = callee, 0, tuple(bindings)
+        (kind, sym, rank, span, _nn, _ne, params, _nodes, sym_objs,
+         _names, _steps) = pack.walk
+        sizes = pack.walk[unit]
+    push((pack, pos, env, 0))
     cur = None
     while stack:
-        pack, pos, env = stack.pop()
+        pack, pos, env, _count = stack.pop()
         if pack is not cur:
             cur = pack
-            (kind, sym, rank, span, _nn, _ne, _pp, _no, sym_objs,
+            (kind, sym, rank, span, _nn, _ne, _pp, _nodes, sym_objs,
              _names, _steps) = pack.walk
         k = kind[pos]
         if k == 3:
-            stack.append(env[sym[pos] - 1])
+            push(env[sym[pos] - 1])
             continue
+        r = rank[pos]
         if k <= 1:
-            yield sym_objs[pos]
-            r = rank[pos]
+            if k >= least:
+                yield sym_objs[pos]
+                to_yield -= 1
+                if not to_yield:
+                    return
             if r == 2:
                 child = pos + 1
-                stack.append((pack, child + span[child], env))
-                stack.append((pack, child, env))
-            elif r == 1:
-                stack.append((pack, pos + 1, env))
+                push((pack, child + span[child], env, 0))
+                push((pack, child, env, 0))
             elif r:
-                child = pos + 1
                 kids = []
+                child = pos + 1
                 for _ in range(r):
-                    kids.append((pack, child, env))
+                    kids.append((pack, child, env, 0))
                     child += span[child]
                 stack.extend(reversed(kids))
         else:
@@ -973,69 +978,9 @@ def kernel_stream_preorder(kernel: GrammarKernel) -> Iterator[Symbol]:
             callee = packs.get(sobj)
             if callee is None:
                 callee = kernel.pack(sobj)
-            r = rank[pos]
-            if r:
-                child = pos + 1
-                bindings = []
-                for _ in range(r):
-                    bindings.append((pack, child, env))
-                    child += span[child]
-                inner_env: Tuple = tuple(bindings)
-            else:
-                inner_env = ()
-            stack.append((callee, 0, inner_env))
-
-
-def kernel_stream_elements(
-    kernel: GrammarKernel,
-) -> Iterator[Tuple[int, str, Optional[int], int]]:
-    """Packed-array form of :func:`repro.grammar.navigation.stream_elements`
-    (same ``(index, tag, parent, depth)`` stream, same FCNS contract)."""
-    index_counter = 0
-    packs = kernel._packs
-    root = kernel.pack(kernel._index.grammar.start)
-    # Items: (pack, pos, env, parent, depth); env entries (pack, pos, env).
-    stack = [(root, 0, (), None, 0)]
-    cur = None
-    while stack:
-        pack, pos, env, parent, depth = stack.pop()
-        if pack is not cur:
-            cur = pack
-            (kind, sym, rank, span, _nn, _ne, _pp, _no, sym_objs,
-             sym_names, _steps) = pack.walk
-        k = kind[pos]
-        if k == 3:
-            b = env[sym[pos] - 1]
-            stack.append((b[0], b[1], b[2], parent, depth))
-            continue
-        if k == 0:
-            continue
-        if k == 1:
-            if rank[pos] != 2:
-                raise ValueError(
-                    f"terminal {sym_objs[pos]!r} is not a "
-                    "binary-encoded element (rank 2) -- stream_elements "
-                    "requires an FCNS encoding"
-                )
-            first_child = pos + 1
-            sibling = first_child + span[first_child]
-            stack.append((pack, sibling, env, parent, depth))
-            stack.append((pack, first_child, env, index_counter, depth + 1))
-            yield index_counter, sym_names[pos], parent, depth
-            index_counter += 1
-            continue
-        sobj = sym_objs[pos]
-        callee = packs.get(sobj)
-        if callee is None:
-            callee = kernel.pack(sobj)
-        r = rank[pos]
-        if r:
-            child = pos + 1
             bindings = []
+            child = pos + 1
             for _ in range(r):
-                bindings.append((pack, child, env))
+                bindings.append((pack, child, env, 0))
                 child += span[child]
-            inner_env: Tuple = tuple(bindings)
-        else:
-            inner_env = ()
-        stack.append((callee, 0, inner_env, parent, depth))
+            push((callee, 0, tuple(bindings), 0))

@@ -14,12 +14,10 @@ iterate or probe ``valG(S)`` directly on the grammar:
 Repeated-query workloads should not rebuild the segment tables per call:
 :class:`repro.grammar.index.GrammarIndex` caches them (plus element-count
 variants and per-node subtree sizes) persistently, invalidates per rule
-through the grammar's observer channel, and answers element-index
-addressing, tag lookup, and child-list-terminator queries in
-``O(depth · rule-width)``.  Its ``segments()`` view plugs directly into
-:func:`resolve_preorder_path`'s ``segments`` argument, so path isolation
-rides the same cache.  The functions here remain the streaming baseline
-(and the correctness oracle the index is property-tested against).
+through the grammar's observer channel, and serves the same answers on
+its flat kernel (:mod:`repro.grammar.kernel`).  The functions here share
+no logic with it: they are the streaming baseline and the correctness
+oracle the index and the kernel are property-tested against.
 """
 
 from __future__ import annotations
@@ -75,7 +73,6 @@ def stream_preorder(grammar: Grammar) -> Iterator[Symbol]:
 
 def stream_elements(
     grammar: Grammar,
-    index_hint=None,
 ) -> Iterator[Tuple[int, str, Optional[int], int]]:
     """Stream ``(element_index, tag, parent_index, depth)`` in document order.
 
@@ -86,23 +83,9 @@ def stream_elements(
     current parent (depth + 1), descending into the next-sibling slot keeps
     the parent -- the streaming ``O(N)`` ground truth the indexed axis
     primitives (:meth:`repro.grammar.index.GrammarIndex.parent_of` et al.)
-    and the query engine are property-tested against.
-
-    ``index_hint`` may name the grammar's :class:`GrammarIndex`: the
-    stream then descends that index's packed rule arrays (same yields;
-    this is what keeps the full-document export paths on the flat
-    kernel).  Callers that *are* the oracle -- the storage scrub audits
-    the indexes against this very stream, and the kernel's tests compare
-    against it -- pass nothing and get the independent walk below, which
-    shares no logic with the kernel.
+    and the query engine are property-tested against, and the stream the
+    storage scrub audits the indexes with.
     """
-    if index_hint is not None and index_hint.grammar is grammar:
-        # Imported lazily: the kernel module imports PathStep from this
-        # module at load time.
-        from repro.grammar.kernel import kernel_stream_elements
-
-        yield from kernel_stream_elements(index_hint.kernel)
-        return
     index = 0
     # Items: (node, env, parent element index, depth); env as in
     # stream_preorder.
@@ -192,7 +175,6 @@ class PathStep:
 def resolve_preorder_path(
     grammar: Grammar,
     index: int,
-    segments: Optional[Dict[Symbol, List[int]]] = None,
 ) -> List[PathStep]:
     """Locate the node of ``valG(S)`` with 0-based preorder ``index``.
 
@@ -206,8 +188,7 @@ def resolve_preorder_path(
     This performs no mutation -- path isolation replays the steps with
     inlining; tests replay them against a decompressed tree.
     """
-    if segments is None:
-        segments = parameter_segments(grammar)
+    segments = parameter_segments(grammar)
     total = sum(segments[grammar.start])
     if index < 0 or index >= total:
         raise IndexError(

@@ -30,7 +30,7 @@ import threading
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.grammar.index import GrammarIndex, check_element_index
-from repro.grammar.kernel import kernel_stream_preorder
+from repro.grammar.kernel import NODES, kernel_window
 from repro.query.parser import (
     CHILD, DESCENDANT, LabelPath, QueryStep, parse_path,
 )
@@ -345,128 +345,34 @@ def count_matches(
     return gindex.document_label_count(step.label)
 
 
-def _iter_window_symbols(
-    gindex: GrammarIndex, lo: int, hi: int
-) -> Iterator[Symbol]:
-    """Terminal symbols of the *binary preorder* node window ``[lo, hi)``.
-
-    The node-count analog of the element walk above: subtrees before the
-    window are skipped in O(1), the walk returns at the first subtree
-    starting past ``hi``.  This is the partial derivation behind
-    :func:`extract_subtree`.
-    """
-    if lo >= hi:
-        return
-    # Items: (pack, pos, env); env entries are (pack, pos, env, nodes).
-    kernel = gindex.kernel
-    position = 0
-    packs = kernel._packs
-    stack = [(kernel.pack(gindex.grammar.start), 0, ())]
-    cur = None
-    while stack:
-        pack, pos, env = stack.pop()
-        if pack is not cur:
-            cur = pack
-            (kind, sym, rank, span, nnodes, _ne, all_params, _no,
-             sym_objs, _names, _steps) = pack.walk
-        k = kind[pos]
-        if k == 3:
-            b = env[sym[pos] - 1]
-            stack.append((b[0], b[1], b[2]))
-            continue
-        nodes = nnodes[pos]
-        pp = all_params[pos]
-        if pp:
-            for p in pp:
-                nodes += env[p - 1][3]
-        if position + nodes <= lo:
-            position += nodes
-            continue
-        if position >= hi:
-            return
-        if k <= 1:
-            if position >= lo:
-                yield sym_objs[pos]
-            position += 1
-            r = rank[pos]
-            if r == 2:
-                child = pos + 1
-                stack.append((pack, child + span[child], env))
-                stack.append((pack, child, env))
-            elif r == 1:
-                stack.append((pack, pos + 1, env))
-            elif r:
-                child = pos + 1
-                kids = []
-                for _ in range(r):
-                    kids.append(child)
-                    child += span[child]
-                for c in reversed(kids):
-                    stack.append((pack, c, env))
-        else:
-            sobj = sym_objs[pos]
-            callee = packs.get(sobj)
-            if callee is None:
-                callee = kernel.pack(sobj)
-            r = rank[pos]
-            if r:
-                outer_env = env
-                bindings = []
-                child = pos + 1
-                for _ in range(r):
-                    cn = nnodes[child]
-                    pp = all_params[child]
-                    if pp:
-                        for p in pp:
-                            cn += outer_env[p - 1][3]
-                    bindings.append((pack, child, outer_env, cn))
-                    child += span[child]
-                inner_env: Tuple = tuple(bindings)
-            else:
-                inner_env = ()
-            stack.append((callee, 0, inner_env))
-
-
 # ----------------------------------------------------------------------
 # subtree extraction (partial derivation)
 # ----------------------------------------------------------------------
 def extract_subtree(gindex: GrammarIndex, element_index: int) -> XmlNode:
     """The unranked subtree rooted at an element, by partial derivation.
 
-    Streams exactly the binary-preorder window covering the element and
-    its first-child subtree (element + descendants in the FCNS encoding),
-    rebuilds the ranked tree from the symbol ranks, and decodes it.  The
-    element's next-sibling slot lies outside the window by construction;
-    the reconstruction caps it (and nothing else) with ``⊥``.
-
-    The document root (element 0) short-circuits: its subtree *is* the
-    whole document, so there is no window to locate and nothing to skip
-    -- the symbols come straight off :func:`kernel_stream_preorder` (constant
-    work per node, no count-table lookups) instead of the full-window
-    walk, which pays subtree-size arithmetic per streamed symbol just to
-    skip nothing.
+    Streams the binary-preorder node window of the element and its
+    first-child subtree (element + descendants in the FCNS encoding) off
+    :func:`~repro.grammar.kernel.kernel_window`, rebuilds the ranked tree
+    from the symbol ranks, and decodes it.  The element's next-sibling
+    slot lies outside the window by construction; the reconstruction
+    caps it (and nothing else) with ``⊥``.  The root's window starts at
+    0, so it skips nothing and streams at the cost of a plain stream.
     """
     check_element_index(element_index)
-    bottom = gindex.grammar.alphabet.bottom()
-    if element_index == 0:
-        if gindex.element_count == 0:  # pragma: no cover - no document
-            raise IndexError("element index 0 out of range (0 elements)")
-        return decode_binary(
-            _rebuild_binary(kernel_stream_preorder(gindex.kernel), bottom)
-        )
     start = gindex.preorder_of_element(element_index)
     terminator = gindex.end_of_children_position(element_index)
-    symbols = _iter_window_symbols(gindex, start, terminator + 1)
+    symbols = kernel_window(gindex.kernel, start, terminator + 1, NODES)
+    bottom = gindex.grammar.alphabet.bottom()
     return decode_binary(_rebuild_binary(symbols, bottom))
 
 
 def _rebuild_binary(symbols: Iterator[Symbol], bottom: Symbol) -> Node:
     """Rebuild a ranked tree from a preorder symbol stream.
 
-    An exhausted stream caps the remaining open slot with ``⊥`` -- for a
-    window this is the target's next-sibling slot, which lies outside the
-    window by construction (and nothing else); for a whole-document
-    stream it never triggers.
+    An exhausted stream caps the remaining open slot with ``⊥``: the
+    target's next-sibling slot, which lies outside the window by
+    construction (and nothing else).
     """
     root: Optional[Node] = None
     # Frames: [symbol, collected children]; a frame closes when its child

@@ -234,9 +234,9 @@ def _audit_grammar_index(store: "DurableXml", report: ScrubReport,
     for head in live.cached_rules():
         if not doc.grammar.has_rule(head):
             continue  # eviction in flight; nothing to compare against
-        live_nodes = list(live.segments()[head])
+        live_nodes = list(live.node_segments(head))
         live_elems = list(live.element_segments(head))
-        fresh_nodes = list(fresh.segments()[head])
+        fresh_nodes = list(fresh.node_segments(head))
         fresh_elems = list(fresh.element_segments(head))
         if live_nodes != fresh_nodes or live_elems != fresh_elems:
             report.findings.append(ScrubFinding(

@@ -55,7 +55,6 @@ class IsolationResult:
 def isolate(
     grammar: Grammar,
     index: int,
-    segments: Optional[Dict[Symbol, List[int]]] = None,
     grammar_index: Optional["GrammarIndex"] = None,
     steps: Optional[List[PathStep]] = None,
     spine: Optional[Container[Symbol]] = None,
@@ -68,20 +67,18 @@ def isolate(
     is a terminal node whose subtree generates exactly the subtree of
     ``valG(S)`` rooted at the target.
 
-    ``segments`` may be a precomputed ``parameter_segments`` table.  When a
-    :class:`~repro.grammar.index.GrammarIndex` is passed instead, its lazy
-    segment view is used, so nothing is rebuilt between updates.  ``steps``
-    short-circuits path resolution entirely for callers that already ran
-    :func:`resolve_preorder_path` (and have not mutated the grammar since).
+    The path is resolved on ``grammar_index`` when one is passed (its
+    per-node subtree sizes resolve each descent step in O(rule width)),
+    else by :func:`resolve_preorder_path`, which rebuilds the segment
+    tables.  ``steps`` short-circuits path resolution entirely for
+    callers that already resolved it (and have not mutated the grammar
+    since).
     """
     if steps is None:
-        if grammar_index is not None and segments is None:
-            # The index's per-node subtree sizes resolve each descent
-            # step in O(rule width); the segment walk below re-derives
-            # subtree sizes by walking them.
+        if grammar_index is not None:
             steps = grammar_index.resolve_preorder(index)
         else:
-            steps = resolve_preorder_path(grammar, index, segments=segments)
+            steps = resolve_preorder_path(grammar, index)
     inlined = 0
     rule = grammar.start
     # The inlines nest -- each lands in the body copy the one before it

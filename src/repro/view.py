@@ -204,12 +204,10 @@ class SnapshotView(ReadSurface):
         return self._compressed_size
 
     def export_state(self) -> "DocumentState":
-        """The pinned state in :class:`DocumentState` form.
-
-        This is what lets a checkpoint serialize without blocking
-        writers: the state is assembled from the frozen bodies (aliased,
-        not copied -- they are immutable by contract), so a concurrent
-        commit stream never shows through.
+        """The pinned state in :class:`DocumentState` form, assembled
+        from the frozen bodies (aliased, not copied -- they are immutable
+        by contract), so writes committed after the pin never show
+        through.
         """
         epoch = self._index.grammar
         frozen = Grammar(epoch.alphabet, epoch.start)

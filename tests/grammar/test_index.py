@@ -97,12 +97,11 @@ class TestStaticQueries:
         with pytest.raises(IndexError):
             index.preorder_of_element(-1)
 
-    def test_segments_view_matches_parameter_segments(self, figure1_grammar):
+    def test_node_segments_match_parameter_segments(self, figure1_grammar):
         index = GrammarIndex(figure1_grammar)
         expected = parameter_segments(figure1_grammar)
-        view = index.segments()
         for head in figure1_grammar.rules:
-            assert view[head] == expected[head]
+            assert index.node_segments(head) == expected[head]
 
     @given(slcf_grammars())
     @settings(max_examples=40, deadline=None)

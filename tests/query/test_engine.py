@@ -210,24 +210,6 @@ class TestSubtreeExtraction:
         doc = CompressedXml.from_xml(LOG)
         assert doc.subtree_xml(0) == LOG
 
-    def test_root_extraction_never_walks_the_window(self, monkeypatch):
-        """Element 0's subtree is the whole document: it must ride the
-        plain preorder stream, not the count-table window walk (which
-        pays subtree-size arithmetic per symbol just to skip nothing)."""
-        from repro.query import engine
-
-        doc = CompressedXml.from_xml(LOG)
-
-        def forbid(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError(
-                "extract_subtree(0) fell back to the full-window walk"
-            )
-
-        monkeypatch.setattr(engine, "_iter_window_symbols", forbid)
-        assert serialize_xml(extract_subtree(doc.index, 0)) == LOG
-        with pytest.raises(AssertionError):
-            extract_subtree(doc.index, 1)  # non-root still windows
-
     def test_subtree_xml_leaf_and_indent(self):
         doc = CompressedXml.from_xml(LOG)
         assert doc.subtree_xml(2) == "<ip/>"

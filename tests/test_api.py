@@ -476,13 +476,15 @@ class TestInvalidTagsAreRejected:
 class TestMaintenance:
     def test_option_surface_is_the_tracked_one(self, tmp_path):
         """The independently settable values, by name (4 / 7 / 3, and
-        the durable constructors'): one recompression loop and one
-        commit path, so no parameter selects another -- and, with no
-        catch-all reaching past the document, a retired name is a
-        ``TypeError``."""
+        the durable constructors'): one recompression loop, one commit
+        path and one resolver per walk, so no parameter selects another
+        -- and, with no catch-all reaching past the document, a retired
+        name is a ``TypeError``."""
         from inspect import signature
 
         from repro.core.grammar_repair import GrammarRePair, grammar_repair
+        from repro.grammar.navigation import stream_elements
+        from repro.updates.path_isolation import isolate
 
         assert list(signature(CompressedXml).parameters)[1:] == [
             "kin", "auto_recompress_factor", "shard_width", "metrics"]
@@ -493,6 +495,9 @@ class TestMaintenance:
             "kin", "prune", "optimized"]
         with pytest.raises(TypeError):
             CompressedXml.from_xml("<a><b/></a>", no_such_option=True)
+        assert list(signature(isolate).parameters) == [
+            "grammar", "index", "grammar_index", "steps", "spine"]
+        assert list(signature(stream_elements).parameters) == ["grammar"]
 
         durable = ["io", "checkpoint_wal_bytes", "wal_segment_bytes", "retry"]
         assert list(signature(DurableXml.create).parameters) == [

@@ -6,7 +6,8 @@ README pointing at it: every ``BENCH_*.json``, ``benchmarks/**.py``,
 README mentions is resolved against the repository root.  Likewise the
 "Flat kernel" section: every identifier it quotes in backticks must
 still be an attribute of the index, the kernel, a rule pack, the grammar
-or the document (or a public name of the oracle modules it cites).
+or the document (or a public name of the kernel module or of the oracle
+modules it cites).
 """
 
 import os
@@ -14,6 +15,7 @@ import re
 
 from repro.api import CompressedXml, DurableXml
 from repro.grammar import derivation, navigation
+from repro.grammar import kernel as kernel_module
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -62,7 +64,7 @@ def test_flat_kernel_section_quotes_only_live_attributes():
     kernel = index.kernel
     pack = kernel.pack(doc.grammar.start)
     owners = (index, kernel, pack, doc, doc.grammar, DurableXml,
-              navigation, derivation)
+              kernel_module, navigation, derivation)
     # (``repro_*`` are metric names, not attributes.)
     names = [name for name in flat_kernel_identifiers()
              if not name.startswith("repro_")]

@@ -2,7 +2,7 @@
 
 The kernel is the only descent path, so the correctness bar is code in
 ``src/`` that shares no logic with it: ``navigation.stream_elements``
-without an index hint (tags, parents, depths, windows),
+and ``stream_preorder`` (tags, parents, depths, node and element windows),
 ``derivation.expand`` via ``to_document()`` (the document and every
 subtree) and ``repro.query.naive`` (``select`` / ``count``).  For random
 documents, random update/batch scripts, and random shard widths, every
@@ -25,8 +25,13 @@ from hypothesis import strategies as st
 from repro.api import CompressedXml
 from repro.datasets.synthetic import make_corpus
 from repro.grammar.index import GrammarIndex
-from repro.grammar.kernel import SymbolTable, global_symbol_table
-from repro.grammar.navigation import stream_elements
+from repro.grammar.kernel import (
+    NODES,
+    SymbolTable,
+    global_symbol_table,
+    kernel_window,
+)
+from repro.grammar.navigation import stream_elements, stream_preorder
 from repro.grammar.properties import parameter_segments
 from repro.query.naive import naive_count, naive_select
 from repro.storage.durable import DurableXml
@@ -61,9 +66,20 @@ WEBLOG = (
 PARITY_PATHS = ("//a", "//b", "/a/b", "//c/d", "//*[2]", "//zz")
 
 
+def windows(n):
+    """The ``[lo, hi)`` windows of an ``n``-long sequence the parity
+    checks compare: every one up to 100 long (the random documents, also
+    after their update scripts), the three-wide ones beyond (the
+    Treebank scenarios, where every window would take minutes)."""
+    if n <= 100:
+        return [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
+    return [(lo, min(lo + 3, n)) for lo in range(n)]
+
+
 def observe(doc, paths=PARITY_PATHS):
     """Everything the kernel serves, as one comparable value."""
     n = doc.element_count
+    kernel = doc.index.kernel
     return {
         "xml": doc.to_xml(),
         "tags": list(doc.tags()),
@@ -73,16 +89,20 @@ def observe(doc, paths=PARITY_PATHS):
         "depths": [doc.depth_of(i) for i in range(n)],
         "children": [list(doc.children(i)) for i in range(n)],
         "subtrees": [doc.subtree_xml(i) for i in range(n)],
-        "windows": [list(doc.tags(i, min(i + 3, n))) for i in range(n)],
+        "node_windows": [
+            [symbol.name for symbol in kernel_window(kernel, lo, hi, NODES)]
+            for lo, hi in windows(doc.index.node_count)],
+        "element_windows": [list(doc.tags(lo, hi)) for lo, hi in windows(n)],
     }
 
 
 def oracle(doc, paths=PARITY_PATHS):
     """The value :func:`observe` must produce, computed without the
-    kernel: one un-hinted ``stream_elements`` pass, the decompressed
-    tree, and the naive path evaluator."""
+    kernel: one ``stream_elements`` and one ``stream_preorder`` pass, the
+    decompressed tree, and the naive path evaluator."""
     root = doc.to_document()
     stream = list(stream_elements(doc.grammar))
+    symbols = [symbol.name for symbol in stream_preorder(doc.grammar)]
     n = len(stream)
     tags = [tag for _index, tag, _parent, _depth in stream]
     children = [[] for _ in range(n)]
@@ -98,7 +118,8 @@ def oracle(doc, paths=PARITY_PATHS):
         "depths": [depth for _index, _tag, _parent, depth in stream],
         "children": children,
         "subtrees": [serialize_xml(node) for node in root.preorder()],
-        "windows": [tags[i:i + 3] for i in range(n)],
+        "node_windows": [symbols[lo:hi] for lo, hi in windows(len(symbols))],
+        "element_windows": [tags[lo:hi] for lo, hi in windows(n)],
     }
 
 
