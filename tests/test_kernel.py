@@ -26,6 +26,7 @@ from repro.api import CompressedXml
 from repro.datasets.synthetic import make_corpus
 from repro.grammar.index import GrammarIndex
 from repro.grammar.kernel import (
+    ELEMENTS,
     NODES,
     SymbolTable,
     global_symbol_table,
@@ -202,6 +203,27 @@ class TestOnePath:
         }
         assert info["bytes_packed"] > 0
         assert info["wholesale_invalidations"] == 0
+
+
+class TestKernelWindow:
+    def test_empty_whole_and_last_windows(self):
+        """The window bounds the parity properties leave out on a large
+        document: empty and inverted windows yield nothing, the window
+        over everything is the plain stream, and the one-wide window at
+        the end is the last terminal -- in either unit."""
+        doc = CompressedXml.from_xml(WEBLOG)
+        kernel = doc.index.kernel
+        symbols = [symbol.name for symbol in stream_preorder(doc.grammar)]
+        tags = list(doc.tags())
+        for unit, names in ((NODES, symbols), (ELEMENTS, tags)):
+            n = len(names)
+            assert n > 100
+            assert list(kernel_window(kernel, 7, 7, unit)) == []
+            assert list(kernel_window(kernel, 7, 6, unit)) == []
+            assert [symbol.name for symbol
+                    in kernel_window(kernel, 0, n, unit)] == names
+            assert [symbol.name for symbol
+                    in kernel_window(kernel, n - 1, n, unit)] == names[-1:]
 
 
 class TestKernelParity:
