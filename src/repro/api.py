@@ -623,11 +623,10 @@ class CompressedXml(ReadSurface):
                 )
         doc = cls(state.grammar, kin=state.kin, shard_width=None, **kwargs)
         if state.shard is not None:
-            doc._shards = ShardManager.restore(
+            doc._shards = ShardManager(
                 state.grammar,
                 width=state.shard.width,
                 prefix=state.shard.prefix,
-                heads=set(state.shard.parents),
                 parents=state.shard.parents,
             )
             doc._shards.width_of = doc._index.rule_width
@@ -671,16 +670,6 @@ class CompressedXml(ReadSurface):
     def shard_manager(self) -> Optional[ShardManager]:
         """The spine-sharding policy, or ``None`` when constructed
         without ``shard_width``."""
-        return self._shards
-
-    def _spine(self):
-        """The spine for the isolation layer (``None`` when unsharded).
-
-        The manager is passed directly: it answers shard-head membership
-        (``__contains__``) for path isolation and exposes the
-        ``repair_ranks`` hook the delete path needs when a deletion
-        swallows a chunk's continuation.
-        """
         return self._shards
 
     @property
@@ -775,7 +764,7 @@ class CompressedXml(ReadSurface):
         started = time.perf_counter()
         with self._lock:
             self.rules_inlined_total += apply_batch_op(
-                self._grammar, self._index, op, spine=self._spine(),
+                self._grammar, self._index, op, spine=self._shards,
                 encode=encode_forest)
             self._after_update()
         self._m_update[kind].observe(time.perf_counter() - started)
@@ -860,7 +849,7 @@ class CompressedXml(ReadSurface):
             backup = self._transaction_backup() if transactional else None
             try:
                 stats = execute_batch(
-                    self._grammar, self._index, ops, spine=self._spine()
+                    self._grammar, self._index, ops, spine=self._shards
                 )
             except Exception:
                 if backup is not None:
@@ -1054,12 +1043,9 @@ class CompressedXml(ReadSurface):
             compressor.stats.rules_adapted
             + compressor.stats.rules_partially_rescanned
         )
-        # Compression only shrinks rule bodies; shards that fell below
-        # the merge threshold are folded back into their parents here.
-        # Merge damping is dropped first: this thinning is compression,
-        # not traffic churn (see ShardManager.recompression_settled).
-        if self._shards is not None:
-            self._shards.recompression_settled()
+        # Compression only shrinks rule bodies; every shard it rewrote is
+        # in the manager's touched set, so the pass below folds the ones
+        # that fell below the merge threshold back into their parents.
         self._reshard()
         return self._size.total
 

@@ -43,7 +43,7 @@ from repro.core.replace_simple import replace_all_occurrences_simple
 from repro.grammar.slcf import Grammar
 from repro.repair.digram import Digram, digram_pattern
 from repro.repair.pruning import prune_grammar
-from repro.repair.tree_repair import DEFAULT_KIN
+from repro.repair.tree_repair import DEFAULT_KIN, RULE_PREFIX
 from repro.trees.node import Node
 from repro.trees.symbols import Alphabet, Symbol
 
@@ -149,8 +149,6 @@ class GrammarRePair:
         instead of plain DependencyDAG inlining (Algorithm 5).  The
         non-optimized variant is exponentially worse on some inputs
         (Figure 3) but useful as a reference.
-    rule_prefix / export_prefix:
-        Name prefixes for digram rules and exported fragment rules.
     round_hook:
         Test/diagnostics callback invoked after every round
         with ``(grammar, occurrence_index, opaque)``.
@@ -167,16 +165,12 @@ class GrammarRePair:
         kin: int = DEFAULT_KIN,
         prune: bool = True,
         optimized: bool = True,
-        rule_prefix: str = "X",
-        export_prefix: str = "F",
         round_hook: Optional[Callable] = None,
         barriers: Optional[Set[Symbol]] = None,
     ) -> None:
         self.kin = kin
         self.prune = prune
         self.optimized = optimized
-        self.rule_prefix = rule_prefix
-        self.export_prefix = export_prefix
         self.round_hook = round_hook
         self.barriers: Set[Symbol] = set(barriers) if barriers else set()
         self.stats = GrammarRePairStats()
@@ -233,7 +227,6 @@ class GrammarRePair:
         if self.optimized:
             return replace_all_occurrences_optimized(
                 working, digram, replacement, occurrences, opaque,
-                export_prefix=self.export_prefix,
                 ref_counts=ref_counts, rule_order=rule_order,
                 clean_edits=clean_edits,
             )
@@ -290,7 +283,7 @@ class GrammarRePair:
                     {occurrence.rule for occurrence in occurrences}
                 )
                 replacement = working.alphabet.fresh_nonterminal(
-                    digram.rank, self.rule_prefix
+                    digram.rank, RULE_PREFIX
                 )
                 working.set_rule(replacement, digram_pattern(digram))
                 opaque.add(replacement)

@@ -36,6 +36,9 @@ from repro.trees.symbols import Symbol
 
 __all__ = ["replace_all_occurrences_optimized", "OptimizedReplacer"]
 
+#: Name prefix of exported fragment rules (``F1``, ``F2``, ...).
+EXPORT_PREFIX = "F"
+
 #: Flag values: the root flag, or a parameter index.
 Flag = Union[str, int]
 ROOT_FLAG = "r"
@@ -51,7 +54,6 @@ class OptimizedReplacer:
         replacement: Symbol,
         occurrences: Sequence[GrammarOccurrence],
         opaque: Set[Symbol],
-        export_prefix: str = "F",
         ref_counts: Optional[Dict[Symbol, int]] = None,
         rule_order: Optional[Sequence[Symbol]] = None,
     ) -> None:
@@ -59,7 +61,6 @@ class OptimizedReplacer:
         self.digram = digram
         self.replacement = replacement
         self.opaque = opaque
-        self.export_prefix = export_prefix
         # Rules whose installed right-hand sides this round mutated or
         # created -- the explicit edge-delta report consumed by the
         # incremental occurrence index (and cross-checked in tests against
@@ -437,7 +438,7 @@ class OptimizedReplacer:
         head = self.export_cache.get(canonical)
         if head is None:
             head = self.grammar.alphabet.fresh_nonterminal(
-                len(holes), self.export_prefix
+                len(holes), EXPORT_PREFIX
             )
             self.grammar.set_rule(head, body)
             self.touched_rules.add(head)
@@ -492,7 +493,6 @@ def replace_all_occurrences_optimized(
     replacement: Symbol,
     occurrences: Sequence[GrammarOccurrence],
     opaque: Set[Symbol],
-    export_prefix: str = "F",
     touched: Optional[Set[Symbol]] = None,
     ref_counts: Optional[Dict[Symbol, int]] = None,
     rule_order: Optional[Sequence[Symbol]] = None,
@@ -515,8 +515,7 @@ def replace_all_occurrences_optimized(
     """
     replacer = OptimizedReplacer(
         grammar, digram, replacement, occurrences, opaque,
-        export_prefix=export_prefix, ref_counts=ref_counts,
-        rule_order=rule_order,
+        ref_counts=ref_counts, rule_order=rule_order,
     )
     replaced = replacer.run()
     if touched is not None:

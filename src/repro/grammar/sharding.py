@@ -33,11 +33,13 @@ module applies the same discipline to the mutable start rule:
 * A post-epoch :meth:`reshard` pass -- hooked into the same place as the
   auto-recompress policy -- rebalances *only the rules the epoch
   touched*: rules that drifted past ``2 * width`` are re-split, shards
-  that fell below ``width // 2`` are merged back into their parent
-  (which is then itself re-checked).  Splits and merges go through the
-  grammar observer channel rule by rule, so the structural, label, and
-  occurrence indexes treat them as ordinary local events -- never a
-  wholesale invalidation.
+  that fell below ``width // 2`` are merged back into their parent in
+  the pass that finds them (the parent is then itself re-checked).  A
+  recompression is an epoch like any other: the shard bodies it thinned
+  reported ``rule_changed``, so the pass after it merges them.  Splits
+  and merges go through the grammar observer channel rule by rule, so
+  the structural, label, and occurrence indexes treat them as ordinary
+  local events -- never a wholesale invalidation.
 
 Recompression interacts through the *barrier* contract (see
 :class:`repro.core.resolve.Resolver`): shard reference edges are never
@@ -58,7 +60,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.grammar.slcf import Grammar, GrammarError
 from repro.obs.metrics import NULL_METRIC
@@ -66,8 +68,7 @@ from repro.trees.node import Node
 from repro.trees.symbols import Symbol
 
 __all__ = [
-    "ShardManager", "ShardStats", "DEFAULT_SHARD_WIDTH",
-    "DEFAULT_MERGE_HYSTERESIS", "MIN_SHARD_WIDTH",
+    "ShardManager", "ShardStats", "DEFAULT_SHARD_WIDTH", "MIN_SHARD_WIDTH",
 ]
 
 #: Default width budget (RHS nodes) for spine rules.  At the EXI-Weblog
@@ -79,13 +80,22 @@ DEFAULT_SHARD_WIDTH = 256
 #: able to carve out a multi-node subtree strictly inside the rule body).
 MIN_SHARD_WIDTH = 8
 
-#: Split/merge hysteresis: a shard minted (or re-shaped) by a split is
-#: not merged back for this many subsequent reshard passes.  Append
-#: traffic that oscillates a rule around the width budget otherwise
-#: thrashes -- bench_shard showed splits ~ merges ~ 70 per 2k appends --
-#: paying an O(width) inline for work the next pass redoes.  Zero
-#: disables the damping (the historical eager-merge behavior).
-DEFAULT_MERGE_HYSTERESIS = 4
+
+def _find(root: Node, match: Callable[[Node], bool]) -> Optional[Node]:
+    """The first node of ``root``'s subtree (depth-first) that ``match``
+    accepts -- a shard's application in its parent body, or a body's
+    parameter leaf (a spine rule has at most one)."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if match(node):
+            return node
+        stack.extend(node.children)
+    return None
+
+
+def _is_parameter(node: Node) -> bool:
+    return node.symbol.is_parameter
 
 
 @dataclass
@@ -94,7 +104,8 @@ class ShardStats:
 
     ``splits`` counts spine rules that were split (one split may mint
     several shards -- ``shards_created`` counts those); ``merges`` counts
-    shards inlined back into their parent.  ``reshard_runs`` only counts
+    shards inlined back into their parent, each in the reshard pass that
+    found it under ``width // 2``.  ``reshard_runs`` only counts
     invocations that had touched spine rules to examine.
     """
 
@@ -109,17 +120,6 @@ class ShardStats:
     #: Shard heads removed by garbage collection (a delete took the whole
     #: shard subtree with it) rather than by an explicit merge.
     collected: int = 0
-    #: Merges the split/merge hysteresis suppressed: the shard was under
-    #: the merge threshold but had been split-minted within the last
-    #: ``merge_hysteresis`` rebalancing epochs.
-    merges_suppressed: int = 0
-    #: Reshard passes that performed at least one split or merge.  This
-    #: -- not ``reshard_runs`` -- is the hysteresis clock: reshard runs
-    #: after *every* update epoch (usually finding nothing to do), so a
-    #: pass-counted window would expire within a handful of updates;
-    #: counting structural events makes "the last K passes" mean "the
-    #: last K times the hierarchy actually moved".
-    rebalance_epochs: int = 0
     #: The most recent rebalancing actions (debugging aid).  Bounded: a
     #: long-lived document performs one action per drifted rule forever,
     #: and the manager must not accumulate memory alongside the
@@ -136,8 +136,6 @@ class ShardStats:
             "reshard_runs": self.reshard_runs,
             "max_width_seen": self.max_width_seen,
             "collected": self.collected,
-            "merges_suppressed": self.merges_suppressed,
-            "rebalance_epochs": self.rebalance_epochs,
         }
 
 
@@ -165,83 +163,46 @@ class ShardManager:
         grammar: Grammar,
         width: int = DEFAULT_SHARD_WIDTH,
         prefix: str = "Sp",
-        merge_hysteresis: int = DEFAULT_MERGE_HYSTERESIS,
+        parents: Optional[Dict[Symbol, Symbol]] = None,
     ) -> None:
-        if width < MIN_SHARD_WIDTH:
-            raise ValueError(
-                f"shard width must be >= {MIN_SHARD_WIDTH}, got {width}"
-            )
-        self._grammar = grammar
-        self.width = width
-        self.prefix = prefix
-        self.merge_hysteresis = merge_hysteresis
-        self.heads: Set[Symbol] = set()
-        # shard head -> spine rule whose RHS holds its single reference.
-        self._parent: Dict[Symbol, Symbol] = {}
-        # Spine rules mutated since the last reshard (observer-fed).
-        self._touched: Set[Symbol] = set()
-        # shard head -> reshard pass (stats.reshard_runs value) in which a
-        # split minted or re-shaped it; merges are damped against it.
-        self._split_pass: Dict[Symbol, int] = {}
-        # Heads whose merge the window suppressed: reshard() only
-        # examines touched rules, and a suppressed shard may never be
-        # touched again -- recompression_settled() re-queues these so
-        # the post-compression consolidation pass reconsiders them.
-        self._merge_deferred: Set[Symbol] = set()
-        # Reentrancy guard: the manager's own splits/merges fire observer
-        # notifications (for the indexes); they must not re-dirty us.
-        self._resharding = False
-        self.stats = ShardStats()
-        self._m_split = self._m_merge = self._m_demote = NULL_METRIC
-        grammar.register_observer(self)
-        # The grammar may arrive with an oversized start rule (a freshly
-        # compressed document, a loaded grammar file): bring it inside the
-        # budget immediately.
-        self._touched.add(grammar.start)
-        self.reshard()
+        """Attach a manager to ``grammar``.
 
-    @classmethod
-    def restore(
-        cls,
-        grammar: Grammar,
-        width: int,
-        prefix: str,
-        heads: Set[Symbol],
-        parents: Dict[Symbol, Symbol],
-        merge_hysteresis: int = DEFAULT_MERGE_HYSTERESIS,
-    ) -> "ShardManager":
-        """Re-attach a manager to a grammar whose shard hierarchy already
-        exists (loaded from a snapshot) -- without the constructor's
-        initial reshard pass, so a reload performs zero split/merge work.
-
-        The restored hierarchy is verified with :meth:`check_invariants`;
-        a snapshot whose shard section does not match its grammar raises
-        :class:`~repro.grammar.slcf.GrammarError` here rather than
-        corrupting later isolations.
+        Without ``parents`` the grammar may arrive with an oversized
+        start rule (a freshly compressed document, a loaded grammar
+        file): one reshard pass brings it inside the budget.  With
+        ``parents`` -- the shard hierarchy of a snapshot, shard head ->
+        the spine rule holding its reference -- the manager adopts it
+        as is, with zero split/merge work, after checking it against
+        the grammar: a shard section that does not match its grammar
+        raises :class:`~repro.grammar.slcf.GrammarError` here rather
+        than corrupting later isolations.
         """
         if width < MIN_SHARD_WIDTH:
             raise ValueError(
                 f"shard width must be >= {MIN_SHARD_WIDTH}, got {width}"
             )
-        self = cls.__new__(cls)
         self._grammar = grammar
         self.width = width
         self.prefix = prefix
-        self.merge_hysteresis = merge_hysteresis
-        self.heads = set(heads)
-        self._parent = dict(parents)
-        self._touched = set()
-        self._split_pass = {}
-        self._merge_deferred = set()
+        # shard head -> spine rule whose RHS holds its single reference.
+        self._parent: Dict[Symbol, Symbol] = dict(parents or {})
+        self.heads: Set[Symbol] = set(self._parent)
+        # Spine rules mutated since the last reshard (observer-fed).
+        self._touched: Set[Symbol] = set()
+        # Reentrancy guard: the manager's own splits/merges fire observer
+        # notifications (for the indexes); they must not re-dirty us.
         self._resharding = False
         self.stats = ShardStats()
         self._m_split = self._m_merge = self._m_demote = NULL_METRIC
-        for head in self.heads:
-            if head not in grammar.rules:
-                raise GrammarError(f"shard head {head!r} has no rule")
+        if parents is not None:
+            for head in self.heads:
+                if head not in grammar.rules:
+                    raise GrammarError(f"shard head {head!r} has no rule")
+            self.check_invariants()
         grammar.register_observer(self)
-        self.check_invariants()
-        return self
+        if parents is None:
+            self._touched.add(grammar.start)
+            self.reshard()
 
     def bind_metrics(self, registry) -> None:
         """Resolve per-action latency histograms against ``registry``.
@@ -418,7 +379,7 @@ class ShardManager:
         for head in [h for h in self._touched if h in self.heads]:
             while (head is not None and head.rank > 0
                    and grammar.has_rule(head)
-                   and not self._has_parameter(grammar.rhs(head))):
+                   and _find(grammar.rhs(head), _is_parameter) is None):
                 demote_started = time.perf_counter()
                 head = self._demote(head, dropped_arguments)
                 self._m_demote.observe(time.perf_counter() - demote_started)
@@ -431,16 +392,6 @@ class ShardManager:
             collect_garbage(grammar)
         return demoted
 
-    @staticmethod
-    def _has_parameter(root: Node) -> bool:
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.symbol.is_parameter:
-                return True
-            stack.extend(node.children)
-        return False
-
     def _demote(
         self, head: Symbol, dropped_arguments: List[Node]
     ) -> Optional[Symbol]:
@@ -452,14 +403,7 @@ class ShardManager:
         owner = self._parent.get(head)
         if owner is None or not grammar.has_rule(owner):  # pragma: no cover
             return None
-        application: Optional[Node] = None
-        stack = [grammar.rhs(owner)]
-        while stack:
-            node = stack.pop()
-            if node.symbol is head:
-                application = node
-                break
-            stack.extend(node.children)
+        application = self._application(owner, head)
         if application is None:  # pragma: no cover - invariant violation
             return None
         argument = application.children[0] if application.children else None
@@ -467,9 +411,6 @@ class ShardManager:
         body = grammar.rhs(head)
         self.heads.add(fresh)
         self._parent[fresh] = owner
-        for nested, parent in list(self._parent.items()):
-            if parent is head:
-                self._parent[nested] = fresh
         grammar.set_rule(fresh, body)
         reference = Node(fresh)
         parent = application.parent
@@ -479,16 +420,14 @@ class ShardManager:
             grammar.preserve_for_write(owner)
             parent.set_child(application.child_index(), reference)
             grammar.notify_rule_changed(owner)
-        self.heads.discard(head)
-        self._parent.pop(head, None)
-        grammar.remove_rule(head)
+        self._retire(head, fresh)
         self._touched.add(fresh)
         self._touched.add(owner)
         self.stats.history.append(f"demote {head.name} -> {fresh.name}")
         if argument is not None:
             argument.parent = None
             dropped_arguments.append(argument)
-            if self._has_parameter(argument):
+            if _find(argument, _is_parameter) is not None:
                 return owner
         return None
 
@@ -511,12 +450,6 @@ class ShardManager:
         grammar = self._grammar
         stats = self.stats
         stats.reshard_runs += 1
-        if self._split_pass:
-            # Expired hysteresis marks (and heads merged/collected away).
-            horizon = stats.rebalance_epochs - self.merge_hysteresis
-            for head in [h for h, p in self._split_pass.items()
-                         if p < horizon or h not in self.heads]:
-                del self._split_pass[head]
         actions = 0
         upper = 2 * self.width
         lower = self.width // 2
@@ -543,18 +476,6 @@ class ShardManager:
                         # the parent may now be oversized itself.
                         work.append(owner)
                 elif head in self.heads and width < lower:
-                    # Hysteresis never holds a critically small shard.
-                    # In the binary encoding a shard down to one leaf
-                    # element has body ``elem(⊥, y1)`` -- 3 nodes --
-                    # and deleting that element would leave the bare
-                    # parameter SLCF rejects.  Leaf deletes shrink a
-                    # body 2 nodes at a time through a reshard pass
-                    # each, so merging unconditionally at width <= 3
-                    # always fires before the fatal delete.
-                    if width > 3 and self._merge_suppressed(head):
-                        stats.merges_suppressed += 1
-                        self._merge_deferred.add(head)
-                        continue
                     merge_started = time.perf_counter()
                     merged = self._merge(head)
                     self._m_merge.observe(time.perf_counter() - merge_started)
@@ -565,44 +486,13 @@ class ShardManager:
                         work.append(merged[0])
         finally:
             self._resharding = False
-        if actions:
-            stats.rebalance_epochs += 1
         return actions
 
     def recompression_settled(self) -> None:
-        """Forget the merge-damping marks after a recompression.
-
-        The suppression window damps *traffic* churn -- appends and
-        deletes oscillating a shard around the width budget.  A
-        recompression re-derives body widths wholesale: a shard it
-        pushed under the merge threshold is thin because its content
-        compressed, not because a dip is about to refill it.  Holding
-        such shards apart freezes the post-compression consolidation
-        (the hysteresis clock only advances on passes that do work,
-        which suppression prevents) and lets the reference depth
-        ratchet up under sustained appends; dropping the marks lets the
-        very next reshard pass fold them back into their parents.
-
-        Suppressed heads are re-queued as touched work: a shard whose
-        merge was declined while the window was open may never be
-        touched by traffic again, and the consolidation pass only
-        examines touched rules.
-        """
-        self._split_pass.clear()
-        self._touched |= self._merge_deferred
-        self._merge_deferred = set()
-
-    def _merge_suppressed(self, head: Symbol) -> bool:
-        """Damp split/merge thrash: a head split-minted within the last
-        ``merge_hysteresis`` rebalancing epochs (reshard passes that
-        did structural work) stays put even while under the merge
-        threshold (append traffic will likely refill it)."""
-        minted = self._split_pass.get(head)
-        return (
-            minted is not None
-            and self.stats.rebalance_epochs - minted
-            < self.merge_hysteresis
-        )
+        """No-op.  A recompression needs no hook of its own: the shard
+        bodies it thinned reported ``rule_changed``, so the
+        :meth:`reshard` pass that follows it merges them.  The name is
+        kept because the end-to-end benchmark's tracer wraps it."""
 
     # ------------------------------------------------------------------
     # splitting
@@ -628,7 +518,6 @@ class ShardManager:
         """
         grammar = self._grammar
         before = self.stats.shards_created
-        before_heads = set(self.heads)
         body = grammar.rhs(owner)
         parent_head = self._parent.get(owner)
         recheck: Optional[Symbol] = None
@@ -646,15 +535,6 @@ class ShardManager:
                 self._graft(owner, parent_head, built)
                 recheck = parent_head
         created = self.stats.shards_created - before
-        # Hysteresis marks: everything this split minted (and the split
-        # rule itself, when it survived as a shard) starts a merge
-        # grace period -- see _merge_suppressed.
-        minted_at = self.stats.rebalance_epochs
-        for head in self.heads:
-            if head not in before_heads:
-                self._split_pass[head] = minted_at
-        if owner in self.heads:
-            self._split_pass[owner] = minted_at
         self.stats.splits += 1
         self.stats.history.append(
             f"split {owner.name}[{owner_width}] +{created}"
@@ -666,15 +546,7 @@ class ShardManager:
         """Replace ``head``'s reference in its parent by the composition
         ``expression`` its body decomposed into, and drop the rule."""
         grammar = self._grammar
-        rhs = grammar.rhs(parent_head)
-        reference: Optional[Node] = None
-        stack = [rhs]
-        while stack:
-            node = stack.pop()
-            if node.symbol is head:
-                reference = node
-                break
-            stack.extend(node.children)
+        reference = self._application(parent_head, head)
         if reference is None:  # pragma: no cover - invariant violation
             self._install(head, expression)
             return
@@ -683,25 +555,13 @@ class ShardManager:
             # composition's parameter leaf (the expression generates the
             # old body, whose y1 stood for exactly that argument).
             argument = reference.children[0]
-            hole: Optional[Node] = None
-            scan = [expression]
-            while scan:
-                node = scan.pop()
-                if node.symbol.is_parameter:
-                    hole = node
-                    break
-                scan.extend(node.children)
+            hole = _find(expression, _is_parameter)
             assert hole is not None and hole.parent is not None
             argument.parent = None
             hole.parent.set_child(hole.child_index(), argument)
         # Adopt the expression's shard references (the chunk heads and
         # any shards riding along) into the parent.
-        scan = [expression]
-        while scan:
-            node = scan.pop()
-            if node.symbol in self.heads:
-                self._parent[node.symbol] = parent_head
-            scan.extend(node.children)
+        self._adopt(parent_head, expression)
         if reference.parent is None:
             grammar.set_rule(parent_head, expression)
         else:
@@ -709,21 +569,40 @@ class ShardManager:
                 reference.child_index(), expression
             )
             grammar.notify_rule_changed(parent_head)
-        self.heads.discard(head)
-        self._parent.pop(head, None)
-        grammar.remove_rule(head)
+        self._retire(head, parent_head)
 
     def _install(self, head: Symbol, body: Node) -> None:
         """Install a freshly built rule body, adopting the shard
         references it contains into the parent map."""
-        scan = [body]
+        self._adopt(head, body)
+        self._grammar.set_rule(head, body)
+
+    def _adopt(self, owner: Symbol, root: Node) -> None:
+        """Record ``owner`` as the parent of every shard referenced in
+        ``root``'s subtree."""
         heads = self.heads
+        scan = [root]
         while scan:
             node = scan.pop()
             if node.symbol in heads:
-                self._parent[node.symbol] = head
+                self._parent[node.symbol] = owner
             scan.extend(node.children)
-        self._grammar.set_rule(head, body)
+
+    def _application(self, owner: Symbol, head: Symbol) -> Optional[Node]:
+        """Shard ``head``'s single application in ``owner``'s body, found
+        by a scan (``O(width)``): recompression may bury it under a
+        digram rule application anywhere in the body."""
+        return _find(self._grammar.rhs(owner), lambda node: node.symbol is head)
+
+    def _retire(self, head: Symbol, heir: Symbol) -> None:
+        """Drop shard ``head``'s rule; the shards its body referenced are
+        referenced from ``heir`` now."""
+        for nested, parent in list(self._parent.items()):
+            if parent is head:
+                self._parent[nested] = heir
+        self.heads.discard(head)
+        self._parent.pop(head, None)
+        self._grammar.remove_rule(head)
 
     @staticmethod
     def _subtree_sizes(root: Node) -> Dict[int, int]:
@@ -775,14 +654,7 @@ class ShardManager:
 
             # The spine path: root towards the parameter leaf, or along
             # heavy children to a leaf when the body has no parameter.
-            hole: Optional[Node] = None
-            scan = [root]
-            while scan:
-                node = scan.pop()
-                if node.symbol.is_parameter:
-                    hole = node
-                    break
-                scan.extend(node.children)
+            hole = _find(root, _is_parameter)
             path: List[Node] = []
             if hole is not None:
                 node = hole.parent
@@ -912,15 +784,7 @@ class ShardManager:
         if owner is None or not grammar.has_rule(owner) \
                 or not grammar.has_rule(head):
             return None
-        rhs = grammar.rhs(owner)
-        reference: Optional[Node] = None
-        stack = [rhs]
-        while stack:
-            node = stack.pop()
-            if node.symbol is head:
-                reference = node
-                break
-            stack.extend(node.children)
+        reference = self._application(owner, head)
         if reference is None:  # pragma: no cover - invariant violation
             return None
         was_root = reference.parent is None
@@ -930,14 +794,8 @@ class ShardManager:
         else:
             grammar.notify_rule_changed(owner)
         # Nested shard references now live in the parent's RHS (inlining
-        # copied the body; the reference *symbols* are unchanged):
-        # re-parent them before dropping the rule.
-        for nested, parent in list(self._parent.items()):
-            if parent is head:
-                self._parent[nested] = owner
-        self.heads.discard(head)
-        self._parent.pop(head, None)
-        grammar.remove_rule(head)
+        # copied the body; the reference *symbols* are unchanged).
+        self._retire(head, owner)
         self.stats.merges += 1
         self.stats.shards_removed += 1
         self.stats.history.append(f"merge {head.name} -> {owner.name}")

@@ -27,10 +27,13 @@ from repro.repair.pruning import prune_grammar
 from repro.trees.node import Node, deep_copy
 from repro.trees.symbols import Alphabet
 
-__all__ = ["TreeRePair", "RePairStats", "DEFAULT_KIN"]
+__all__ = ["TreeRePair", "RePairStats", "DEFAULT_KIN", "RULE_PREFIX"]
 
 #: TreeRePair's default bound on the rank of replacement nonterminals.
 DEFAULT_KIN = 4
+
+#: Name prefix of the fresh digram nonterminals (``X1``, ``X2``, ...).
+RULE_PREFIX = "X"
 
 
 @dataclass
@@ -64,8 +67,6 @@ class TreeRePair:
     strategy:
         ``"incremental"`` (default) maintains occurrence lists across
         rounds; ``"recount"`` rebuilds them after every round.
-    rule_prefix:
-        Name prefix for the fresh nonterminals.
     """
 
     def __init__(
@@ -73,14 +74,12 @@ class TreeRePair:
         kin: int = DEFAULT_KIN,
         prune: bool = True,
         strategy: str = "incremental",
-        rule_prefix: str = "X",
     ) -> None:
         if strategy not in ("incremental", "recount"):
             raise ValueError(f"unknown strategy {strategy!r}")
         self.kin = kin
         self.prune = prune
         self.strategy = strategy
-        self.rule_prefix = rule_prefix
         self.stats = RePairStats()
 
     # ------------------------------------------------------------------
@@ -135,7 +134,7 @@ class TreeRePair:
                 index.drop_digram(digram)
                 continue
             replacement = grammar.alphabet.fresh_nonterminal(
-                digram.rank, self.rule_prefix
+                digram.rank, RULE_PREFIX
             )
             for occurrence in occurrences:
                 self._replace_with_context_update(
@@ -191,7 +190,7 @@ class TreeRePair:
             if len(occurrences) < 2:
                 break
             replacement = grammar.alphabet.fresh_nonterminal(
-                digram.rank, self.rule_prefix
+                digram.rank, RULE_PREFIX
             )
             for occurrence in occurrences:
                 parent_node, child_index, child_node = occurrence

@@ -24,6 +24,7 @@ from repro.api import CompressedXml
 from repro.datasets.synthetic import make_corpus
 from repro.grammar.navigation import generates_same_tree, stream_elements
 from repro.grammar.sharding import MIN_SHARD_WIDTH, ShardManager
+from repro.grammar.slcf import GrammarError
 from repro.trees.unranked import XmlNode
 
 from tests.strategies import (
@@ -138,6 +139,67 @@ class TestSplitting:
                 steps=steps, spine=manager,
             )
         assert doc.to_xml().startswith("<log>")  # document intact
+
+
+class TestEagerMerge:
+    def test_a_thinned_shard_merges_in_the_pass_that_finds_it(self):
+        """At width 16 an append splits the start rule into chunk
+        shards; deletes then thin the chunk holding element 1.  It
+        merges in the reshard pass of the delete that takes it under
+        ``W // 2`` -- no grace period holds a freshly minted shard."""
+        width = 16
+        doc = CompressedXml.from_xml("<log><e/></log>", shard_width=width)
+        manager = doc.shard_manager
+        while manager.stats.splits == 0:
+            doc.append_child(0, XmlNode("e"))
+        minted = set(manager.heads)
+        widths = {head: manager.width_of(head) for head in minted}
+        expected = FlatDoc.from_xml(doc.to_xml())
+
+        def delete_first():
+            doc.delete(1)
+            expected.delete(1)
+
+        delete_first()
+        [target] = [head for head in minted
+                    if manager.width_of(head) < widths[head]]
+        while target in manager.heads:
+            assert manager.width_of(target) >= width // 2
+            delete_first()
+        assert manager.stats.history[-1] == \
+            f"merge {target.name} -> {doc.grammar.start.name}"
+        assert (manager.stats.splits, manager.stats.merges) == (1, 1)
+        assert doc.to_xml() == expected.to_xml()
+        manager.check_invariants()
+
+
+class TestAdoptedHierarchy:
+    """A snapshot's shard section is adopted, not rebuilt, so it is
+    checked against the grammar it came with."""
+
+    @staticmethod
+    def sharded_state():
+        doc = CompressedXml.from_xml(CHAIN, shard_width=16, compress=False)
+        assert doc.shard_manager.shard_count > 2
+        return doc.export_state()
+
+    def test_a_parent_naming_a_missing_rule_is_rejected(self):
+        state = self.sharded_state()
+        ghost = state.grammar.alphabet.fresh_nonterminal(0, "Sp")
+        state.shard.parents[ghost] = state.grammar.start
+        with pytest.raises(GrammarError, match="has no rule"):
+            CompressedXml.from_state(state)
+
+    def test_a_parent_map_off_the_reference_site_is_rejected(self):
+        state = self.sharded_state()
+        parents = state.shard.parents
+        head, owner = next(iter(parents.items()))
+        parents[head] = next(
+            rule for rule in (state.grammar.start, *parents)
+            if rule is not owner and rule is not head
+        )
+        with pytest.raises(GrammarError, match="parent map says"):
+            CompressedXml.from_state(state)
 
 
 class TestIndexLocality:

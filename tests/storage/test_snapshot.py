@@ -83,6 +83,7 @@ class TestRoundTrip:
         _, doc2 = round_trip(doc, tmp_path)
         manager = doc2.shard_manager
         assert manager is not None
+        assert manager.stats.reshard_runs == 0  # adopted, not rebuilt
         manager.check_invariants()
         width, prefix, parents = doc.shard_manager.export_state()
         width2, prefix2, parents2 = manager.export_state()

@@ -475,22 +475,24 @@ class TestInvalidTagsAreRejected:
 
 class TestMaintenance:
     def test_option_surface_is_the_tracked_one(self, tmp_path):
-        """The independently settable values, by name (4 / 7 / 3, and
-        the durable constructors'): one recompression loop, one commit
-        path and one resolver per walk, so no parameter selects another
-        -- and, with no catch-all reaching past the document, a retired
-        name is a ``TypeError``."""
+        """The independently settable values, by name (4 / 5 / 3 / 4,
+        and the durable constructors'): one recompression loop, one
+        commit path, one resolver per walk and one shard constructor, so
+        no parameter selects another -- and, with no catch-all reaching
+        past the document, a retired name is a ``TypeError``."""
         from inspect import signature
 
         from repro.core.grammar_repair import GrammarRePair, grammar_repair
         from repro.grammar.navigation import stream_elements
+        from repro.grammar.sharding import ShardManager
         from repro.updates.path_isolation import isolate
 
         assert list(signature(CompressedXml).parameters)[1:] == [
             "kin", "auto_recompress_factor", "shard_width", "metrics"]
         assert list(signature(GrammarRePair).parameters) == [
-            "kin", "prune", "optimized", "rule_prefix", "export_prefix",
-            "round_hook", "barriers"]
+            "kin", "prune", "optimized", "round_hook", "barriers"]
+        assert list(signature(ShardManager).parameters) == [
+            "grammar", "width", "prefix", "parents"]
         assert list(signature(grammar_repair).parameters)[1:] == [
             "kin", "prune", "optimized"]
         with pytest.raises(TypeError):
