@@ -226,19 +226,12 @@ class RulePack:
         )
         self.calls = calls
         self.routes: Optional[list] = None
-        #: per-label ``(counts, hop memo)`` for the query walk, derived
-        #: from this rule's census and its callees' and dropped with them
+        #: per-label counts for the query walk, derived from this rule's
+        #: census and its callees' and dropped with them
         #: (``GrammarIndex._drop_censuses``: a census change below an
         #: application -- a callee relabel included -- changes this
-        #: rule's counts though not its structure).  The hop memo maps
-        #: application positions to their zero-census hop: ``False``
-        #: where the callee's body holds the label, else ``(segments,
-        #: kids)`` -- the callee's live element-segment list (patched in
-        #: place by writes below the callee, replaced only by an
-        #: eviction, which cascades through every applier) and this
-        #: pack's argument positions (a splice's successor starts with
-        #: no entries).
-        self._label_arrays: Dict[str, Tuple[list, dict]] = {}
+        #: rule's counts though not its structure).
+        self._label_arrays: Dict[str, list] = {}
 
     @property
     def nbytes(self) -> int:
@@ -248,15 +241,10 @@ class RulePack:
 
     def label_counts(self, index: "GrammarIndex", label: str) -> list:
         """Per-position ``label`` occurrence counts (census substrate of
-        the kernel query walk), aligned with the other columns."""
-        return self.label_hop(index, label)[0]
-
-    def label_hop(self, index: "GrammarIndex", label: str) -> tuple:
-        """``(counts, hop memo)`` for ``label`` -- the walk-entry bundle
-        of the query walk (see ``_label_arrays``).  Built in one pass
-        over the columns: prefix sums of the per-position occurrences
-        (an element's own label, an application's callee census), read
-        off over each subtree's ``span``."""
+        the kernel query walk), aligned with the other columns.  Built in
+        one pass over the columns: prefix sums of the per-position
+        occurrences (an element's own label, an application's callee
+        census), read off over each subtree's ``span``."""
         cached = self._label_arrays.get(label)
         if cached is not None:
             return cached
@@ -272,9 +260,9 @@ class RulePack:
             elif k == KIND_NONTERMINAL:
                 total += index.rule_label_count(sym_objs[i], label)
         before[-1] = total
-        entry = self._label_arrays[label] = (
-            [before[i + s] - before[i] for i, s in enumerate(span)], {})
-        return entry
+        counts = self._label_arrays[label] = [
+            before[i + s] - before[i] for i, s in enumerate(span)]
+        return counts
 
 
 #: The label entries of a carried subtree's stand-in (never read).

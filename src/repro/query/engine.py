@@ -17,7 +17,13 @@ RHS/derivation subtree in O(1) when
 
 so a selective query touches ``O(matches · depth)`` derivation nodes
 instead of the ``O(N)`` elements a decompress-then-walk pays, which is the
-whole point of querying in the compressed domain.
+whole point of querying in the compressed domain.  Within one query a
+rule is not re-derived per application: its *match summary* in the
+automaton state it is entered in -- the matches' offsets per element
+segment and the state reaching each parameter -- is recorded once and
+replayed, so the walk costs at most two body walks per distinct
+summarisable (rule, entry state) -- the first application's and the
+recording one -- plus the matches and the argument subtrees.
 
 :func:`extract_subtree` serializes one element's subtree by *partial
 derivation* of its binary-preorder window -- no full decompression, cost
@@ -27,6 +33,7 @@ derivation* of its binary-preorder window -- no full decompression, cost
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.grammar.index import GrammarIndex, check_element_index
@@ -87,8 +94,13 @@ class _PathStates:
     ``seen[i]`` counts in document order the elements passing the test
     under an open context -- the context's ``k``-th is where ``seen[i] -
     k`` is its offset; older offsets go, and the bit with the last.
-    States are interned ``(transitions, avail, extra)`` triples, ``None``
-    the dead state; a transition is memoised unless it reads ``seen``.
+    States are interned ``(transitions, avail, extra, summaries)``
+    tuples, ``None`` the dead state; a transition is memoised unless it
+    reads ``seen``.  ``summaries`` maps a rule to its match summary in
+    the state (see :func:`_walk`); it is ``None`` where a summary would
+    be wrong -- a descendant ``[k]`` step is available or can become so,
+    and the rule's matches depend on ``seen`` -- or of no use: a child
+    ``[k]`` count is running, which one sibling chain passes through once.
     """
 
     def __init__(self, steps: Tuple[QueryStep, ...]) -> None:
@@ -110,12 +122,26 @@ class _PathStates:
     def _state(self, avail: int, extra: tuple) -> Optional[tuple]:
         if not avail:
             return None
-        return self._interned.setdefault((avail, extra), ({}, avail, extra))
+        state = self._interned.get((avail, extra))
+        if state is None:
+            # No step at or after the lowest available one counts ``seen``.
+            reuse = not self.counted & -(avail & -avail) and not any(extra)
+            state = self._interned[avail, extra] = (
+                {}, avail, extra, {} if reuse else None)
+        return state
+
+    def stable(self, state: tuple) -> bool:
+        """Whether every element leaves ``state`` unchanged in both of
+        its slots: only unpredicated descendant steps are available, each
+        with its successor."""
+        avail = state[1]
+        return not (avail & (self.counted | ~self.inherited)
+                    or avail << 1 & self.full & ~avail)
 
     def advance(self, state: tuple, name: str) -> tuple:
         """``(is a result, first-child state, next-sibling state)`` of an
         element labeled ``name`` found in ``state``."""
-        memo, avail, extra = state
+        memo, avail, extra, _ = state
         seen, matched, kept = self.seen, 0, list(extra)
         rest = avail  # what the next-sibling slot keeps
         for i, step in enumerate(self.steps):
@@ -166,7 +192,21 @@ def _walk(
     :class:`~repro.grammar.kernel.RulePack` arrays.  A subtree generating
     only elements before ``lo``, found in the dead state, or holding none
     of the last step's label is skipped in O(1) via the cached count
-    tables; the walk stops at the first subtree at or past ``hi``."""
+    tables; the walk stops at the first subtree at or past ``hi``.
+
+    An application of rule ``A`` entered in a state that summarises
+    reads ``A``'s *match summary* in that state: the offsets of the
+    matches in each of ``A``'s element segments (virtual preorder
+    ``seg0, arg1, seg1, ..., argk, segk``) and the state reaching each
+    parameter.  It emits the offsets and walks only the arguments, each
+    in its state.  The first application in a state is entered as any
+    other -- a rule a query enters once costs nothing extra; the second
+    walks ``A``'s body once on this same stack (positions count from the
+    body's start, its parameters are leaves recording their states),
+    stores the summary and re-enters the application as a hit.  A
+    *stable* state (:meth:`_PathStates.stable`) where ``A`` holds none of
+    the last step's label summarises at once, without packing ``A`` (the
+    zero-census hop): no offsets, the state itself at every parameter."""
     total = gindex.element_count
     hi = total if hi is None else min(hi, total)
     if lo >= hi:
@@ -179,45 +219,73 @@ def _walk(
     # The last label's census prunes only a path with a descendant step
     # (dead states prune a child-only path; every write drops the
     # censuses along its spine) and no counting descendant step before
-    # the last, which must see every element.  The zero-census hop needs
-    # a state that cannot change: one descendant step, no predicate.
+    # the last, which must see every element.
     census = (label is not None and states.inherited
               and not states.counted & states.full >> 1)
-    hop = census and len(steps) == 1 and not states.counted
     # Stack items are ``(pack, pos, env, lc, state)`` with ``lc`` the
     # pack's per-position counts of the census label (of elements when
     # the census is off) -- fetched once per rule entry, not per node --
     # and ``state`` handed through parameter bindings and rule entries
-    # unchanged.  Hop markers are ``(None, skipped, ...)``; env entries
-    # ``(pack, pos, env, elements, matches, lc)``, counted at binding
-    # time so parameter lookups stay O(1).
+    # unchanged.  Env entries are ``(pack, pos, env, elements, matches,
+    # lc)``, counted at binding time so parameter lookups stay O(1); a
+    # summarised body's parameter is ``(None, exit states, index, 0, 1,
+    # None)`` -- one match, so no census prune drops its state.  Markers
+    # are ``(None, width, offsets, 0, 0)``, a summarised segment, and
+    # ``(None, None, (), 0, 0)``, the end of a summarised body.
     kernel = gindex.kernel
-    position = 0
     packs = kernel._packs
     root = kernel.pack(gindex.grammar.start)
     root_lc = root.label_counts(gindex, label) if census else root.nelems
     # Consecutive stack items overwhelmingly share a pack (children are
     # pushed together), so the unpacked ``pack.walk`` columns are kept
-    # until the popped pack changes; so is ``hops``, the pack's zero-hop
-    # memo for this label.
+    # until the popped pack changes.
     stack = [(root, 0, (), root_lc, states.start)]
-    cur = hops = None
+    window = (lo, hi)
+    # Open body walks, innermost last: ``(pack, summaries, position,
+    # offsets, parameter states)``; ``out`` is the innermost's offsets.
+    frames: List[tuple] = []
+    out: Optional[List[int]] = None
+    position = 0
+    cur = None
     pruned = 0
     while stack:
         pack, pos, env, lc, state = stack.pop()
         if pack is not cur:
             if pack is None:
-                position += pos  # a pre-counted body-segment hop
+                if pos is None:  # a body walk ended: store its summary
+                    callee, summaries, position, found, exits = frames.pop()
+                    segments = callee.elem_segs
+                    split = [()] * len(segments)
+                    i = at = 0
+                    for seg, width in enumerate(segments if found else ()):
+                        j = bisect_left(found, at + width, i)
+                        split[seg] = [o - at for o in found[i:j]]
+                        i, at = j, at + width
+                    summaries[callee.head] = (segments, split, exits)
+                    out = frames[-1][3] if frames else None
+                    if not frames:
+                        lo, hi = window
+                elif out is not None:
+                    out.extend([position + o for o in env])
+                    position += pos
+                else:
+                    for o in env:
+                        if position + o >= hi:
+                            break
+                        if position + o >= lo:
+                            yield position + o
+                    position += pos
                 continue
             cur = pack
             (kind, sym, rank, span, _nn, nelems, all_params, _no,
              sym_objs, sym_names, _steps) = pack.walk
-            if hop:
-                hops = pack.label_hop(gindex, label)[1]
         k = kind[pos]
         if k == 3:
             b = env[sym[pos] - 1]
-            stack.append((b[0], b[1], b[2], b[5], state))
+            if b[0] is None:
+                b[1][b[2]] = state
+            else:
+                stack.append((b[0], b[1], b[2], b[5], state))
             continue
         if not k:
             continue  # a ⊥ generates nothing
@@ -241,46 +309,63 @@ def _walk(
             found = state[0].get(name)
             if found is None:
                 found = states.advance(state, name)
-            if found[0] and position >= lo:
-                yield position
+            if found[0]:
+                if out is not None:
+                    out.append(position)
+                elif position >= lo:
+                    yield position
             position += 1
             child = pos + 1
             stack.append((pack, child + span[child], env, lc, found[2]))
             stack.append((pack, child, env, lc, found[1]))
             continue
         sym_obj = sym_objs[pos]
-        if hop:
-            # Zero-census application: every match below it arrives
-            # through its arguments, so hop over the whole body via the
-            # cached element segments (virtual preorder: seg0, arg1, seg1,
-            # ..., argk, segk) and visit only the argument subtrees,
-            # *without* packing the callee: a deep chain of nested
-            # applications (what update traffic leaves sibling lists in)
-            # is not re-walked link by link.  ``hops[pos]`` is ``(segments,
-            # argument positions)`` or, the body holding the label, False.
-            h = hops.get(pos)
-            if h is None:
-                h = False
-                if not gindex.rule_label_count(sym_obj, label):
-                    kids = []
-                    child = pos + 1
-                    for _ in range(rank[pos]):
-                        kids.append(child)
-                        child += span[child]
-                    h = (gindex.element_segments(sym_obj), kids)
-                hops[pos] = h
-            if h:
-                pruned += 1
-                segments, kids = h
-                for child_pos in range(len(kids), 0, -1):
-                    if segments[child_pos]:
-                        stack.append((None, segments[child_pos], 0, 0, 0))
-                    stack.append((pack, kids[child_pos - 1], env, lc, state))
-                position += segments[0]
+        summaries = state[3]
+        summary = None
+        if summaries is not None:
+            summary = summaries.get(sym_obj)
+            if summary is None and census and states.stable(state) \
+                    and not gindex.rule_label_count(sym_obj, label):
+                pruned += 1  # the zero-census hop
+                summary = summaries[sym_obj] = (
+                    gindex.element_segments(sym_obj),
+                    [()] * (rank[pos] + 1), [state] * rank[pos])
+            elif summary is None:
+                summaries[sym_obj] = False  # entered once: as it is
+            if summary:
+                segments, split, exits = summary
+                kids = []
+                child = pos + 1
+                for _ in range(rank[pos]):
+                    kids.append(child)
+                    child += span[child]
+                for i in range(len(kids), 0, -1):
+                    if segments[i]:
+                        stack.append((None, segments[i], split[i], 0, 0))
+                    stack.append((pack, kids[i - 1], env, lc, exits[i - 1]))
+                if split[0]:
+                    stack.append((None, segments[0], split[0], 0, 0))
+                else:
+                    position += segments[0]
                 continue
         callee = packs.get(sym_obj)
         if callee is None:
             callee = kernel.pack(sym_obj)
+        callee_lc = callee.label_counts(gindex, label) if census \
+            else callee.nelems
+        if summary is False and lo <= position and position + elems <= hi:
+            exits = [None] * rank[pos]
+            frames.append((callee, summaries, position, [], exits))
+            out = frames[-1][3]
+            stack.append((pack, pos, env, lc, state))  # then, as a hit
+            stack.append((None, None, (), 0, 0))
+            stack.append((callee, 0, tuple([
+                (None, exits, i, 0, 1, None) for i in range(rank[pos])
+            ]), callee_lc, state))
+            # Positions count from the body's start, and no window
+            # applies: no body generates more than the document.
+            position, lo, hi = 0, -1, total + 1
+            continue
         bindings = []
         child = pos + 1
         for _ in range(rank[pos]):
@@ -295,8 +380,6 @@ def _walk(
                     cm += b[4]
                 bindings.append((pack, child, env, ce, cm, lc))
             child += span[child]
-        callee_lc = callee.label_counts(gindex, label) if census \
-            else callee.nelems
         stack.append((callee, 0, tuple(bindings), callee_lc, state))
     _PRUNE_STATS.pruned = read_prune_counter() + pruned
 

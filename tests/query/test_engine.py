@@ -93,13 +93,13 @@ class TestSelectFixtures:
         )
         doc.rename(7, "needle")
         visited = []
-        original = RulePack.label_hop
+        original = RulePack.label_counts
 
         def counting(self, index, label):
             visited.append(self.head)
             return original(self, index, label)
 
-        monkeypatch.setattr(RulePack, "label_hop", counting)
+        monkeypatch.setattr(RulePack, "label_counts", counting)
         assert doc.select("//needle") == [7]
         # A decompress-then-walk would touch all 1501 elements.
         assert len(visited) < doc.element_count / 10
@@ -160,20 +160,41 @@ class TestSelectProperties:
 
 class TestIterMatching:
     def test_range_and_label_windows(self):
+        """Every window of ``LOG``; seeded windows of sharded corpus
+        documents after a few writes, where a window cuts through
+        applications of summarised rules."""
         doc = CompressedXml.from_xml(LOG)
+        n = doc.element_count
+        self.check_windows(doc, [
+            (lo, hi, label) for lo in range(n + 1) for hi in range(lo, n + 1)
+            for label in ("ip", "entry", "nope", None)])
+        rng = random.Random(31)
+        for corpus in ("XMark", "EXI-Weblog"):
+            doc = CompressedXml.from_document(
+                make_corpus(corpus, 1500, seed=31), shard_width=64)
+            labels = sorted(set(doc.tags())) + [None, "nope"]
+            for _ in range(3):
+                doc.rename(rng.randrange(1, doc.element_count),
+                           rng.choice(labels[:-2]))
+                doc.insert(rng.randrange(1, doc.element_count),
+                           XmlNode("ins", [XmlNode(rng.choice(labels[:-2]))]))
+                doc.delete(rng.randrange(1, doc.element_count))
+            n = doc.element_count
+            windows = []
+            for _ in range(150):
+                lo = rng.randrange(n + 1)
+                hi = rng.randrange(lo, n + 1)
+                windows.append((lo, hi, rng.choice(labels)))
+            self.check_windows(doc, windows)
+
+    @staticmethod
+    def check_windows(doc, windows):
         tags = list(doc.tags())
-        gindex = doc.index
-        for lo in range(len(tags) + 1):
-            for hi in range(lo, len(tags) + 1):
-                for label in ("ip", "entry", "nope", None):
-                    expected = [
-                        i for i in range(lo, hi)
-                        if label is None or tags[i] == label
-                    ]
-                    got = list(
-                        iter_matching_elements(gindex, lo, hi, label)
-                    )
-                    assert got == expected, (lo, hi, label)
+        for lo, hi, label in windows:
+            expected = [i for i in range(lo, hi)
+                        if label is None or tags[i] == label]
+            got = list(iter_matching_elements(doc.index, lo, hi, label))
+            assert got == expected, (lo, hi, label)
 
     def test_hi_none_means_document_end(self):
         doc = CompressedXml.from_xml(LOG)
@@ -377,7 +398,7 @@ class TestCountersProveTheCut:
         def forbid(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("a child-only path consulted the census")
 
-        monkeypatch.setattr(RulePack, "label_hop", forbid)
+        monkeypatch.setattr(RulePack, "label_counts", forbid)
         assert len(doc.select("/site/people/person/homepage")) > 50
         assert doc.select("/site/regions/*/item[3]/name") != []
         with pytest.raises(AssertionError):
@@ -396,6 +417,25 @@ class TestCountersProveTheCut:
         CountingColumn.reads = 0
         assert doc.select("/log/entry[7]/ip") == [20]
         assert 0 < CountingColumn.reads < 150
+
+    @pytest.mark.parametrize("path, before", [
+        ("//item//listitem", 28_130),
+        ("//auction/bidder[2]", 8_181),
+        ("/site/people/person/homepage", 9_300),
+    ])
+    def test_repeated_applications_reuse_their_summary(self, path, before):
+        """Match summaries: a rule's body is walked at most twice per
+        entry state -- as it is, then to record its summary -- and every
+        later application emits the recorded offsets and walks only its
+        arguments.  ``before`` is what the walk read when it re-derived
+        every application; the summaries cut it at least fivefold."""
+        doc = self.xmark_after_a_batch()
+        expected = doc.select(path)  # packs every rule the walk enters
+        for pack in doc.index.kernel._packs.values():
+            pack.walk = (CountingColumn(pack.kind),) + pack.walk[1:]
+        CountingColumn.reads = 0
+        assert doc.select(path) == expected
+        assert 0 < CountingColumn.reads <= before // 5
 
     def test_prunes_are_counted(self):
         from repro.query.engine import read_prune_counter, reset_prune_counter

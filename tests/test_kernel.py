@@ -382,7 +382,7 @@ def assert_packs_equal_cold_build(doc):
             assert pack.routes == cold.routes, head
         if pack._label_arrays:
             assert census is not None, head
-        for label, (counts, _hops) in pack._label_arrays.items():
+        for label, counts in pack._label_arrays.items():
             assert counts == cold.label_counts(cold_index, label), \
                 (head, label)
 
