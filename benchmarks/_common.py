@@ -3,7 +3,7 @@
 One concern lives here: opt-in profiling.  Every benchmark's
 ``__main__`` block wraps its timed region in :func:`maybe_profile`, so
 
-    PYTHONPATH=src python benchmarks/bench_query.py --smoke --profile
+    PYTHONPATH=src python benchmarks/bench_obs.py --smoke --profile
 
 additionally drives cProfile over the run and drops the stats next to
 the ``BENCH_*.json`` artifacts as ``profile_<bench>.pstats`` -- ready
@@ -32,7 +32,7 @@ def profile_requested(argv=None):
 def maybe_profile(bench_name, argv=None):
     """Wrap a benchmark's timed region in cProfile when requested.
 
-    ``bench_name`` is the module-ish name (``"bench_query"``); the stats
+    ``bench_name`` is the module-ish name (``"bench_obs"``); the stats
     file is ``profile_<bench_name>.pstats`` at the repo root.  A no-op
     unless ``--profile`` is on the command line, so the flag can be
     adopted uniformly without taxing normal runs.

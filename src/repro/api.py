@@ -146,8 +146,9 @@ def _sample_indexes(ref: "weakref.ref") -> dict:
     doc = ref()
     if doc is None:
         return {}
-    data = {f"grammar_{key}": value
-            for key, value in doc._index.to_dict().items()}
+    stats = doc._index.to_dict()
+    data = {f"grammar_{key}": stats[key] for key in (
+        "evicted_rules", "wholesale_invalidations", "cached_rules")}
     data.update((f"label_{key}", value)
                 for key, value in doc.label_index.to_dict().items())
     return data
@@ -405,10 +406,9 @@ class CompressedXml(ReadSurface):
         # reads on the live document are *not* locked -- concurrent
         # readers should hold a snapshot() instead.
         self._lock = threading.RLock()
-        # The structural index, and with it the flat-array kernel
-        # (repro.grammar.kernel) every descent and walk runs on and the
-        # label censuses, computed on first query use -- write-only
-        # workloads never pay for them.
+        # The structural index: the rule packs (repro.grammar.kernel)
+        # every descent and walk runs on and the label censuses, computed
+        # on first query use -- write-only workloads never pay for them.
         self._index = GrammarIndex(grammar)
         self._kin = kin
         self._auto_factor = auto_recompress_factor
@@ -524,16 +524,7 @@ class CompressedXml(ReadSurface):
             "Derivation subtrees skipped by census pruning")
         self._m_query_matches = obs.counter(
             "repro_query_matches_total", "Elements returned by select()")
-        # Kernel cold events (pack builds / observer evictions) go through
-        # registry counters; the per-descent hit/miss tallies stay plain
-        # ints on the kernel and export via the repro_kernel gauge source.
-        self._index.kernel.set_metric_handles(
-            obs.counter(
-                "repro_kernel_builds_total", "Flat rule packs built"),
-            obs.counter(
-                "repro_kernel_evictions_total",
-                "Flat rule packs evicted through the observer channel"),
-        )
+        self._index.bind_metrics(obs)
         if self._shards is not None:
             self._shards.bind_metrics(obs)
         # Gauge sources sample the live stats objects at collection time

@@ -50,10 +50,6 @@ from repro.trees.symbols import Alphabet, Symbol
 __all__ = ["GrammarRePair", "GrammarRePairStats", "grammar_repair"]
 
 
-class GrammarRePairError(RuntimeError):
-    """Internal invariant violation during recompression."""
-
-
 @dataclass
 class GrammarRePairStats:
     """Trace of one recompression run (drives Figures 2 and 3).

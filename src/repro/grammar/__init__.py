@@ -8,7 +8,6 @@ from repro.grammar.derivation import (
 )
 from repro.grammar.index import GrammarIndex
 from repro.grammar.kernel import (
-    GrammarKernel,
     RulePack,
     SymbolTable,
     global_symbol_table,
@@ -48,7 +47,6 @@ __all__ = [
     "Grammar",
     "GrammarError",
     "GrammarIndex",
-    "GrammarKernel",
     "GrammarSizeTracker",
     "RulePack",
     "SymbolTable",

@@ -1,34 +1,42 @@
 """A persistent structural self-index over an SLCF grammar.
 
-:class:`GrammarIndex` caches, per rule ``A`` of rank ``k``:
+:class:`GrammarIndex` is the one owner of everything cached per rule
+``A`` of rank ``k``.  Each fact is stored once and declared once, with
+its invalidation class, in :data:`RULE_FACTS`:
 
-* the paper's ``size(A, 0..k)`` *node* segments (Section III-A),
-* the analogous *element* segments counting only non-``⊥`` terminals,
-* a :class:`~repro.grammar.kernel.RulePack`: the rule body flattened to
-  preorder columns holding, per RHS node, the generated (node, element)
-  subtree sizes plus the parameter indices occurring below it -- the one
-  per-node size table there is -- and, per parameter, the route summary
-  (depth gained, parent element) of the body path a descent skips,
-* the ``label -> count`` census of the elements the body generates
-  (callees included, arguments not): ``count('//x')`` in O(1) and, per
-  queried label, the pack's per-position counts the query walk prunes
-  with.  A rule has a census only if it has segments.
+============  ============  =============================================
+fact          class         what it holds
+============  ============  =============================================
+segments      structural    ``size(A, 0..k)`` (Section III-A), in nodes
+                            and in elements
+pack          structural    the body as :class:`~repro.grammar.kernel.
+                            RulePack` columns: the per-node size table
+census        label         ``label -> count`` of the body's elements
+                            (callees included, arguments not)
+label_counts  label         a pack's per-position counts of a label
+routes        parent point  per parameter, the (depth gained, parent
+                            element) of the body path a descent skips
+============  ============  =============================================
+
+That table drives the one dependents cascade (:meth:`GrammarIndex._drop`),
+the one clear (snapshot import, :meth:`GrammarIndex.invalidate_all`) and
+the storage scrub's audit of every cached fact against one cold index.
+The pack counters (``builds`` / ``evictions`` / ``hits`` / ``misses``,
+``rules_packed``, ``bytes_packed``) are the index's too, and
+``GrammarIndex.kernel`` is the index itself: the name stays because the
+reference benchmark's runner reads ``doc.index.kernel.to_dict()``, so
+:meth:`GrammarIndex.to_dict` carries the index keys and the pack keys.
 
 Together these answer the navigation queries every update needs --
-
-* ``element_count`` / ``node_count`` of ``valG(S)``,
-* ``preorder_of_element``: document-order element index -> binary preorder
-  index (the addressing step of :class:`repro.api.CompressedXml`),
-* ``tag_of``: the element's label without touching the stream,
-* ``end_of_children_position``: the preorder index of the ``⊥`` terminating
-  an element's child list (the "insert on a null pointer" target of
-  Section V-C) --
-
-by *descending the derivation* in ``O(depth · rule-width)`` per query
-instead of streaming the ``O(N)`` symbols of the generated tree.  This is
-the grammar-level count-table idea of Maneth & Sebastian's structural
-self-indexes, specialized to the update path of this reproduction -- and
-kept valid *across* an edit instead of recomputed after it.
+``element_count``, ``preorder_of_element`` (the addressing step of
+:class:`repro.api.CompressedXml`), ``tag_of``, the axes and
+``end_of_children_position`` (the "insert on a null pointer" target of
+Section V-C) -- by *descending the derivation* in ``O(depth ·
+rule-width)`` per query instead of streaming the ``O(N)`` symbols of the
+generated tree, and ``count('//x')`` in O(1).  This is the grammar-level
+count-table idea of Maneth & Sebastian's structural self-indexes,
+specialized to the update path of this reproduction -- and kept valid
+*across* an edit instead of recomputed after it.
 
 Invalidation contract
 ---------------------
@@ -48,15 +56,12 @@ The index registers itself as a grammar observer (see
   splice that is not local after all (it removed a parameter, the rule
   has no pack, the dependents are not a spine) takes the last path.
 * ``rule_relabeled`` -- patches the label entries of the relabeled node.
+  Both drop the label facts of the rule and its transitive dependents.
 * ``rule_changed`` / ``rule_removed`` -- anything else (``set_rule``,
-  batches, recompression, reshard splits and merges): the entries of that
-  rule *and of its transitive dependents along the call DAG* are evicted
+  batches, recompression, reshard splits and merges): every fact of that
+  rule *and of its transitive dependents along the call DAG* is dropped
   and cold-built lazily, bottom-up, on the next query.  The cold build is
   also the reference the splice is tested and scrubbed against.
-
-A splice or a relabel changes the label census of the rule and of every
-dependent: those censuses and the label counts their packs derived from
-them are dropped along the same closure (segments and packs stay).
 
 No write moves an entry of a published pack: what shifts positions (a
 splice) is made on copies of the columns, what keeps them (a relabel, a
@@ -73,14 +78,16 @@ update and compression layers of this code base all do.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple,
+)
 
 from repro.grammar.kernel import (
     KIND_NONTERMINAL,
     ELEMENTS,
-    GrammarKernel,
     RulePack,
     flatten,
+    global_symbol_table,
     kernel_locate_element,
     kernel_resolve_preorder,
     kernel_window,
@@ -88,10 +95,13 @@ from repro.grammar.kernel import (
 )
 from repro.grammar.navigation import PathStep
 from repro.grammar.slcf import Grammar, GrammarError
+from repro.obs.metrics import NULL_METRIC
 from repro.trees.node import Node
 from repro.trees.symbols import Symbol
 
-__all__ = ["GrammarIndex", "check_element_index"]
+__all__ = ["GrammarIndex", "RULE_FACTS", "check_element_index"]
+
+_SYMBOLS = global_symbol_table()
 
 
 def check_element_index(index: int, what: str = "element index") -> int:
@@ -229,6 +239,114 @@ def _segments(
     return node_segs, elem_segs, routes if complete else None
 
 
+# ----------------------------------------------------------------------
+# the per-rule facts
+# ----------------------------------------------------------------------
+STRUCTURAL, LABEL, PARENT_POINT = "structural", "label", "parent point"
+
+
+class RuleFact(NamedTuple):
+    """One per-rule fact of :class:`GrammarIndex`.  ``peek(index, head)``
+    is its cached value as a dict of named parts (``None``: absent) and
+    computes nothing; ``drop(index, head)`` forgets it, saying whether it
+    was there; ``build(index, head, parts)`` computes it, for the parts
+    ``parts`` names where the fact is kept per query."""
+
+    name: str
+    invalidation: str
+    peek: Callable[["GrammarIndex", Symbol], Optional[dict]]
+    drop: Callable[["GrammarIndex", Symbol], bool]
+    build: Callable[["GrammarIndex", Symbol, dict], object]
+
+
+def _peek_segments(index, head):
+    nodes = index._node_segments.get(head)
+    return nodes and {"node_segments": nodes,
+                      "elem_segments": index._elem_segments[head]}
+
+
+def _drop_segments(index, head):
+    if index._node_segments.pop(head, None) is None:
+        return False
+    del index._elem_segments[head]
+    index.evicted_rules += 1
+    return True
+
+
+#: The pack columns a cold build determines: all but the live node and
+#: step objects, which only an identity check can compare.
+PACK_COLUMNS = ("kind", "sym", "rank", "span", "nnodes", "nelems",
+                "params", "sym_objs", "sym_names", "calls")
+
+
+def _peek_pack(index, head):
+    pack = index._packs.get(head)
+    return pack and {column: getattr(pack, column) for column in PACK_COLUMNS}
+
+
+def _drop_pack(index, head):
+    pack = index._packs.pop(head, None)
+    if pack is None:
+        return False
+    index.evictions += 1
+    index._m_evictions.inc()
+    for callee in pack.calls:
+        appliers = index._dependents.get(callee)
+        if appliers:  # gone when the callee went first
+            appliers.discard(head)
+    return True
+
+
+def _drop_census(index, head):
+    if index._censuses.pop(head, None) is None:
+        return False
+    index.censuses_evicted += 1
+    return True
+
+
+def _peek_label_counts(index, head):
+    return getattr(index._packs.get(head), "_label_arrays", None) or None
+
+
+def _drop_label_counts(index, head):
+    if _peek_label_counts(index, head) is None:
+        return False
+    index._packs[head]._label_arrays = {}
+    return True
+
+
+def _peek_routes(index, head):
+    routes = getattr(index._packs.get(head), "routes", None)
+    return None if routes is None else {"routes": routes}
+
+
+def _drop_routes(index, head):
+    if _peek_routes(index, head) is None:
+        return False
+    index._packs[head].routes = None
+    return True
+
+
+#: Every per-rule fact the index caches: the declaration the drop
+#: cascade, the clear and the scrub audit iterate.
+RULE_FACTS: Tuple[RuleFact, ...] = (
+    RuleFact("segments", STRUCTURAL, _peek_segments, _drop_segments,
+             lambda index, head, _parts: index._ensure(head)),
+    RuleFact("pack", STRUCTURAL, _peek_pack, _drop_pack,
+             lambda index, head, _parts: index.pack(head)),
+    RuleFact("census", LABEL, lambda index, head: index._censuses.get(head),
+             _drop_census,
+             lambda index, head, _parts: index.label_census(head)),
+    RuleFact("label_counts", LABEL, _peek_label_counts, _drop_label_counts,
+             lambda index, head, labels: [index.pack(head).label_counts(
+                 index, label) for label in labels]),
+    RuleFact("routes", PARENT_POINT, _peek_routes, _drop_routes,
+             lambda index, head, _parts: index._routes(index.pack(head))),
+)
+_LABEL_FACTS = tuple(fact for fact in RULE_FACTS
+                     if fact.invalidation == LABEL)
+
+
 class GrammarIndex:
     """Cached count tables over a grammar, kept correct across updates.
 
@@ -252,6 +370,9 @@ class GrammarIndex:
         # across in-place relabels; a structural change starts a new dict
         # (its identity tells a suspended ``children()`` walk to restart).
         self._locations: Dict[int, tuple] = {}
+        # The per-rule column packs every descent below runs on (see
+        # :mod:`repro.grammar.kernel`), the only per-node size table.
+        self._packs: Dict[Symbol, RulePack] = {}
         # Eviction instrumentation: per-rule evictions through the observer
         # channel vs wholesale resets.  Dirty-rule-scoped recompression is
         # asserted against these (untouched rules must keep their tables).
@@ -260,10 +381,10 @@ class GrammarIndex:
         # The same for the censuses, which a splice or relabel drops too.
         self.censuses_evicted = 0
         self.rules_censused = 0
-        # The flat-array descent kernel (see :mod:`repro.grammar.kernel`):
-        # the per-rule column packs every descent below runs on, and the
-        # only per-node size table there is.
-        self._kernel = GrammarKernel(self)
+        # The same for the packs; ``hits`` / ``misses`` count at walk
+        # entry and cold build (:meth:`pack`), not per warm probe.
+        self.builds = self.evictions = self.hits = self.misses = 0
+        self._m_builds = self._m_evictions = NULL_METRIC
         self._registered = register
         if register:
             grammar.register_observer(self)
@@ -281,25 +402,46 @@ class GrammarIndex:
     # ------------------------------------------------------------------
     # invalidation (grammar observer protocol)
     # ------------------------------------------------------------------
-    def rule_changed(self, head: Symbol) -> None:
-        self._evict(head)
+    def _drop(self, head: Symbol,
+              facts: Tuple[RuleFact, ...] = RULE_FACTS) -> None:
+        """Drop ``facts`` of ``head`` and of its transitive dependents:
+        the one cascade every invalidation runs.  Every fact is computed
+        after its callees' (anti-SL order), so a cached dependent always
+        has its reverse edge registered here and the closure ends at the
+        first rule that held none of ``facts``.  Dropping them all (the
+        default) also takes the rule out of the reverse call edges and
+        forgets the memoized descents."""
+        every = facts is RULE_FACTS
+        if every:
+            self._locations = {}
+        dependents = self._dependents
+        stack = [head]
+        while stack:
+            current = stack.pop()
+            held = False
+            for fact in facts:
+                held = fact.drop(self, current) or held
+            if held:
+                stack.extend(dependents.pop(current, ()) if every
+                             else dependents.get(current, ()))
 
-    def rule_removed(self, head: Symbol) -> None:
-        self._evict(head)
+    # Anything not local (``set_rule``, batches, recompression, reshard
+    # splits and merges): every fact along the dependents goes.
+    rule_changed = rule_removed = _drop
 
     def rule_relabeled(self, head: Symbol, node: Node) -> None:
         """A relabel changes no size and moves no entry: patch the
         label entries of the relabeled ``node`` in the rule's pack, in
-        place (no other pack caches them).  The segments stay, the
-        censuses along the dependents go."""
-        self._drop_censuses(head)
-        pack = self._kernel.peek(head)
+        place (no other pack caches them).  The structural facts stay,
+        the label-class ones along the dependents go."""
+        self._drop(head, _LABEL_FACTS)
+        pack = self._packs.get(head)
         if pack is None:
             return
         pos = _descend(pack.walk, node.parent, node)[0]
         symbol = node.symbol
         _kind, pack.sym[pos], _rank, pack.sym_names[pos] = \
-            self._kernel.symbols.describe(symbol)
+            _SYMBOLS.describe(symbol)
         pack.sym_objs[pos] = symbol
 
     def rule_spliced(self, head: Symbol, old: Node, new: Node) -> None:
@@ -309,7 +451,8 @@ class GrammarIndex:
         the splice is not local after all (it removed a parameter, moved
         a size across one, grew by an application in front of one, or
         rewrote -- no inline -- what holds one at the same sizes), evict
-        as for ``rule_changed``: nothing is touched before that.
+        as for ``rule_changed``: nothing is touched before that.  The
+        label-class facts along the dependents go either way.
 
         Subtrees ``new`` adopted from ``old`` keep their entries; the
         entries of the nodes that went, between them, are exchanged for
@@ -318,10 +461,10 @@ class GrammarIndex:
         (a half-consumed ``tags()``) may still stand in -- keeps its
         layout.  ``O(depth + fresh + gone)`` plus C-level list copies.
         """
-        self._drop_censuses(head)
-        pack = self._kernel.peek(head)
+        self._drop(head, _LABEL_FACTS)
+        pack = self._packs.get(head)
         if pack is None:
-            return self._evict(head)
+            return self._drop(head)
         old_columns = pack.walk
         kind, span, nnodes, nelems, params = (
             old_columns[0], old_columns[3], old_columns[4], old_columns[5],
@@ -335,10 +478,10 @@ class GrammarIndex:
             moved[id(old_columns[7][c])] = (c, c + span[c])
             c += span[c]
         region, fresh, carried, calls = flatten(
-            new, self._kernel.symbols, moved, old_columns)
+            new, _SYMBOLS, moved, old_columns)
         measure(region, fresh, self._node_segments, self._elem_segments)
         if region[6][0] != params[p]:
-            return self._evict(head)
+            return self._drop(head)
         grown_nodes = region[4][0] - nnodes[p]
         grown_elems = region[5][0] - nelems[p]
         if (grown_nodes or grown_elems) and params[p]:
@@ -348,10 +491,10 @@ class GrammarIndex:
             entry, start, end = carried[-1] if carried else (-1, 0, 0)
             if entry != len(fresh) + len(carried) - 1 or end != stop \
                     or params[start] != params[p] or calls:
-                return self._evict(head)
+                return self._drop(head)
         elif params[p] and kind[p] != KIND_NONTERMINAL:
             # Same sizes but no inline: a parameter route may have turned.
-            return self._evict(head)
+            return self._drop(head)
         # Gaps of the old slice around the adopted subtrees, and the runs
         # of fresh entries that take their place (exchanged back to front).
         gaps = [p]
@@ -390,7 +533,7 @@ class GrammarIndex:
         successor.node_segs = pack.node_segs
         successor.elem_segs = pack.elem_segs
         successor.routes = pack.routes  # an inline keeps ``val(rule)``
-        self._kernel._packs[head] = successor
+        self._packs[head] = successor
         self._locations = {}
         if grown_nodes or grown_elems:
             self._resize(head, before, grown_nodes, grown_elems)
@@ -404,8 +547,8 @@ class GrammarIndex:
         with a parent point go at every level (its offset may shift);
         without one -- the parameter on the root's sibling chain, where
         a local splice of terminals puts no first-child edge -- they
-        stay.  Any other set of dependents is evicted."""
-        packs = self._kernel._packs
+        stay.  Any other set of dependents is dropped."""
+        packs = self._packs
         while True:
             self._node_segments[head][segment] += grown_nodes
             self._elem_segments[head][segment] += grown_elems
@@ -418,7 +561,7 @@ class GrammarIndex:
             if len(appliers) != 1 or pack is None \
                     or pack.calls.get(head) != 1:
                 for applier in self._dependents.pop(head):
-                    self._evict(applier)
+                    self._drop(applier)
                 return
             columns = pack.walk
             span, nnodes, nelems, params = (
@@ -437,91 +580,74 @@ class GrammarIndex:
             head = pack.head
             segment = before
 
-    def _evict(self, head: Symbol) -> None:
-        """Drop cached segments, censuses and packs of ``head`` and its
-        transitive dependents.
-
-        A rule is only ever cached after its callees (anti-SL order), so a
-        cached dependent always has its reverse edge registered here --
-        walking the dependent closure is sound.  Uncached rules are clean
-        by definition (they recompute lazily).
-        """
+    def _clear(self) -> None:
+        """Forget every fact of every rule at once."""
+        for table in (self._node_segments, self._elem_segments,
+                      self._censuses, self._packs, self._dependents):
+            table.clear()
         self._locations = {}
-        kernel = self._kernel
-        dependents = self._dependents
-        stack = [head]
-        while stack:
-            current = stack.pop()
-            if current not in self._node_segments:
-                continue
-            del self._node_segments[current]
-            del self._elem_segments[current]
-            if self._censuses.pop(current, None) is not None:
-                self.censuses_evicted += 1
-            pack = kernel.evict(current)
-            if pack is not None:
-                for callee in pack.calls:
-                    appliers = dependents.get(callee)
-                    if appliers:  # gone when the callee went first
-                        appliers.discard(current)
-            self.evicted_rules += 1
-            stack.extend(dependents.pop(current, ()))
-
-    def _drop_censuses(self, head: Symbol) -> None:
-        """Drop the census of ``head`` and of its transitive dependents,
-        and the label counts their packs derived from them; segments and
-        packs stay.  A census is only computed after its callees', so
-        the closure ends at the first rule without one."""
-        stack = [head]
-        while stack:
-            current = stack.pop()
-            if self._censuses.pop(current, None) is None:
-                continue
-            self.censuses_evicted += 1
-            pack = self._kernel.peek(current)
-            if pack is not None:
-                pack._label_arrays = {}
-            stack.extend(self._dependents.get(current, ()))
 
     def invalidate_all(self) -> None:
         """Drop every cache entry (scrub's repair of last resort; no
         update or recompression path calls it)."""
-        self._node_segments.clear()
-        self._elem_segments.clear()
-        self._censuses.clear()
-        self._dependents.clear()
-        self._locations = {}
-        self._kernel.invalidate_all()
+        self._clear()
         self.wholesale_invalidations += 1
 
     def to_dict(self) -> dict:
-        """Flat numeric view (the shared stats-object protocol)."""
-        return {
-            "evicted_rules": self.evicted_rules,
-            "wholesale_invalidations": self.wholesale_invalidations,
-            "cached_rules": len(self._node_segments),
-        }
+        """Flat numeric view (the shared stats-object protocol): the
+        eviction counts and the pack counts of :meth:`kernel_info`."""
+        return dict(self.kernel_info(), evicted_rules=self.evicted_rules,
+                    cached_rules=len(self._node_segments))
 
     # ------------------------------------------------------------------
-    # flat-array kernel access
+    # rule packs
     # ------------------------------------------------------------------
+    def pack(self, head: Symbol) -> RulePack:
+        """The rule's pack, building it (and its callees') lazily.  The
+        walks' inner loops probe ``_packs`` directly and call this only
+        on a miss, so warm per-step probes count no hit."""
+        existing = self._packs.get(head)
+        if existing is not None:
+            self.hits += 1
+            return existing
+        self.misses += 1
+        return self._build(head)
+
+    def peek(self, head: Symbol) -> Optional[RulePack]:
+        """The cached pack or ``None`` -- no build, no hit/miss count."""
+        return self._packs.get(head)
+
+    def bind_metrics(self, registry) -> None:
+        """Count pack builds and evictions in ``registry`` too (hits and
+        misses reach it through the ``repro_kernel`` gauge source)."""
+        self._m_builds = registry.counter(
+            "repro_kernel_builds_total", "Flat rule packs built")
+        self._m_evictions = registry.counter(
+            "repro_kernel_evictions_total",
+            "Flat rule packs evicted through the observer channel")
+
+    @property
+    def rules_packed(self) -> int:
+        return len(self._packs)
+
+    @property
+    def bytes_packed(self) -> int:
+        """Packed bytes across every cached pack, summed on demand (the
+        per-pack total moves when label counts attach lazily)."""
+        return sum(pack.nbytes for pack in self._packs.values())
+
     def kernel_info(self) -> dict:
-        """Kernel stats for status surfaces (``durable status --json``)."""
-        return self._kernel.to_dict()
+        """Pack stats for status surfaces (``durable status --json``,
+        the ``repro_kernel`` gauge source)."""
+        return {key: getattr(self, key) for key in (
+            "rules_packed", "bytes_packed", "builds", "evictions", "hits",
+            "misses", "wholesale_invalidations")}
 
     @property
-    def kernel(self) -> GrammarKernel:
-        """The flat-array kernel every descent of this index runs on."""
-        return self._kernel
-
-    @property
-    def cached_rule_count(self) -> int:
-        """How many rules currently have computed tables."""
-        return len(self._node_segments)
-
-    def is_cached(self, head: Symbol) -> bool:
-        """True when ``head``'s tables are currently materialized."""
-        return head in self._node_segments
+    def kernel(self) -> "GrammarIndex":
+        """The index itself, which owns the packs: the name the
+        reference benchmark's runner reads the pack counts through."""
+        return self
 
     @property
     def censused_rule_count(self) -> int:
@@ -537,7 +663,7 @@ class GrammarIndex:
         """RHS nodes of the rule, like ``Grammar.rule_width`` -- read
         off the rule's pack when it has one instead of walking the body
         (the per-write probe of the shard policy)."""
-        pack = self._kernel.peek(head)
+        pack = self._packs.get(head)
         if pack is None:
             return self._grammar.rule_width(head)
         return len(pack.kind)
@@ -583,15 +709,10 @@ class GrammarIndex:
         build the rule packs lazily, one rule at a time.
         """
         grammar = self._grammar
-        self._node_segments.clear()
-        self._elem_segments.clear()
-        self._censuses.clear()
-        self._dependents.clear()
-        self._locations = {}
         # A fresh table generation, not an eviction event: packs
         # rebuild lazily per rule (no wholesale-invalidation count --
         # snapshot opens must report ``rules_packed == 0`` cleanly).
-        self._kernel.reset()
+        self._clear()
         for head, (node_segs, elem_segs) in segments.items():
             if head not in grammar.rules:
                 raise GrammarError(
@@ -635,7 +756,6 @@ class GrammarIndex:
         Per rule: one preorder flatten, one reverse pass for the sizes,
         and the segments read off the finished columns."""
         grammar = self._grammar
-        kernel = self._kernel
         node_segments = self._node_segments
         elem_segments = self._elem_segments
         dependents = self._dependents
@@ -650,7 +770,7 @@ class GrammarIndex:
                 if current is not head and current in node_segments:
                     stack.pop()  # reached twice; built the first time
                     continue
-                flat = flatten(grammar.rhs(current), kernel.symbols, {}, ())
+                flat = flatten(grammar.rhs(current), _SYMBOLS, {}, ())
                 missing = [c for c in flat[3] if c not in node_segments]
                 if missing:
                     for callee in missing:
@@ -671,25 +791,26 @@ class GrammarIndex:
             if current not in node_segments:  # else: a snapshot's
                 (node_segments[current], elem_segments[current],
                  pack.routes) = _segments(
-                    pack, node_segments, elem_segments, kernel._packs)
+                    pack, node_segments, elem_segments, self._packs)
             pack.node_segs = node_segments[current]
             pack.elem_segs = elem_segments[current]
             for callee in calls:
                 dependents.setdefault(callee, set()).add(current)
-            kernel.adopt(pack)
+            self._packs[current] = pack
+            self.builds += 1
+            self._m_builds.inc()
         return pack
 
     def _routes(self, pack: RulePack) -> list:
         """``pack.routes``, computed -- callees first -- where a write
         dropped them or a snapshot supplied segments without packs."""
-        kernel = self._kernel
         stack = [pack]
         while stack:
             top = stack.pop()
             top.routes = _segments(top, self._node_segments,
-                                   self._elem_segments, kernel._packs)[2]
+                                   self._elem_segments, self._packs)[2]
             if top.routes is None:  # the callees' first, then again
-                callees = map(kernel.pack, top.calls)
+                callees = map(self.pack, top.calls)
                 stack += [top] + [c for c in callees if c.routes is None]
         return pack.routes
 
@@ -796,7 +917,7 @@ class GrammarIndex:
             )
         located = self._locations.get(element_index)
         if located is None:
-            located = kernel_locate_element(self._kernel, element_index)
+            located = kernel_locate_element(self, element_index)
             if len(self._locations) >= 4096:
                 self._locations.clear()
             self._locations[element_index] = located
@@ -854,7 +975,7 @@ class GrammarIndex:
         total = self.element_count
         if stop is None or stop > total:
             stop = total
-        return kernel_window(self._kernel, start, stop, ELEMENTS)
+        return kernel_window(self, start, stop, ELEMENTS)
 
     def resolve_element(
         self, element_index: int
@@ -885,7 +1006,7 @@ class GrammarIndex:
                 f"preorder index {position} out of range for a tree of "
                 f"{total} nodes"
             )
-        return kernel_resolve_preorder(self._kernel, position)
+        return kernel_resolve_preorder(self, position)
 
     def tag_of(self, element_index: int) -> str:
         """Label of the ``element_index``-th element (document order)."""
@@ -898,7 +1019,7 @@ class GrammarIndex:
         element's two binary slots (``pos + 1`` and, behind that subtree,
         ``pos + 1 + span[pos + 1]``): it must be a rank-2 FCNS element."""
         located = (self._locate_element(element_index) if start is None
-                   else kernel_locate_element(self._kernel, 0, start)[:5])
+                   else kernel_locate_element(self, 0, start)[:5])
         pack, pos = located[1], located[2]
         if pack.rank[pos] != 2:
             raise GrammarError(

@@ -17,20 +17,18 @@ and list reads:
   subtree-element-count, parameters below)`` per RHS node -- the rule's
   size table, the only one -- plus parallel object lists so kernel
   descents still return live ``Node``/``Symbol`` references and
-  :class:`~repro.grammar.navigation.PathStep` paths,
+  :class:`~repro.grammar.navigation.PathStep` paths; one of the per-rule
+  facts :class:`~repro.grammar.index.GrammarIndex` owns, builds lazily,
+  splices at the write point and drops with its one cascade,
 * :func:`flatten` / :func:`measure` -- the two passes behind those
   columns, for a whole rule (cold build) or a spliced-in subtree,
-* :class:`GrammarKernel` -- the per-index pack cache: packs are built
-  lazily per rule, spliced at the write point by local writes, evicted
-  per rule by everything else (``set_rule``/``remove_rule``/non-local
-  rewrites cascade through ``GrammarIndex._evict``), never wholesale by
-  an update or a recompression,
 * the kernel walks the index and query layers dispatch to:
   :func:`kernel_locate_element` -- the one element descent behind tag,
   axes and slots, from the start rule or a located binding --,
   :func:`kernel_resolve_preorder` -- the node descent behind write
   targets -- and :func:`kernel_window` -- the one windowed walk, in
-  nodes or in elements, behind ``tags`` windows and ``subtree_xml``.
+  nodes or in elements, behind ``tags`` windows and ``subtree_xml``;
+  each takes the index and probes its pack dict directly.
 
 Epoch/MVCC interplay
 --------------------
@@ -38,7 +36,7 @@ Packs reference the live rule bodies, so they follow every mutation of
 them: patched by a splice, dropped by an eviction.  A pinned
 :class:`~repro.view.SnapshotView` owns its own :class:`GrammarIndex` over
 a frozen grammar (private, stable copy-on-write bodies), hence its own
-kernel whose packs never change -- pinned readers keep their flat tables
+packs, which never change -- pinned readers keep their flat tables
 exactly like the CoW rule tables.
 The *live* document stays kernel-served while reader pins exist: the flat
 walk performs no rule-body reads, and needs none, because *write points
@@ -51,12 +49,9 @@ whether or not a hooked ``rhs()`` read preceded the rewrite.
 One path
 --------
 The kernel is the only implementation of these walks; there is no
-switch and no size threshold.  Packs are built on demand (one O(width)
-cold build per rule, reused by every later descent and kept current by
-the writes) and rebuild lazily after a snapshot load.  The independent
-reference semantics tests compare
-against are :mod:`repro.grammar.navigation` (``resolve_preorder_path``,
-``stream_elements``, ``stream_preorder``),
+switch and no size threshold.  The independent reference semantics
+tests compare against are :mod:`repro.grammar.navigation`
+(``resolve_preorder_path``, ``stream_elements``, ``stream_preorder``),
 :func:`repro.grammar.derivation.expand` and :mod:`repro.query.naive`.
 """
 
@@ -73,7 +68,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "SymbolTable",
     "RulePack",
-    "GrammarKernel",
     "flatten",
     "measure",
     "global_symbol_table",
@@ -150,7 +144,7 @@ _GLOBAL_SYMBOLS = SymbolTable()
 
 
 def global_symbol_table() -> SymbolTable:
-    """The one process-wide table every kernel shares by default."""
+    """The one process-wide table every index packs with."""
     return _GLOBAL_SYMBOLS
 
 
@@ -227,10 +221,10 @@ class RulePack:
         self.calls = calls
         self.routes: Optional[list] = None
         #: per-label counts for the query walk, derived from this rule's
-        #: census and its callees' and dropped with them
-        #: (``GrammarIndex._drop_censuses``: a census change below an
-        #: application -- a callee relabel included -- changes this
-        #: rule's counts though not its structure).
+        #: census and its callees' and dropped with them (a label-class
+        #: fact of ``GrammarIndex``: a census change below an application
+        #: -- a callee relabel included -- changes this rule's counts
+        #: though not its structure).
         self._label_arrays: Dict[str, list] = {}
 
     @property
@@ -381,124 +375,6 @@ def measure(columns: tuple, fresh: List[int],
         nelems[i] = elems
 
 
-class GrammarKernel:
-    """The per-index pack cache (built lazily, evicted per rule).
-
-    Owned by a :class:`~repro.grammar.index.GrammarIndex`, which builds
-    the packs (:meth:`~repro.grammar.index.GrammarIndex._build`), keeps
-    them current across local writes and evicts them on the observer
-    events it cannot patch.
-    """
-
-    __slots__ = (
-        "_index", "_packs", "symbols",
-        "builds", "evictions", "hits", "misses", "wholesale_invalidations",
-        "_m_builds", "_m_evictions",
-    )
-
-    def __init__(
-        self,
-        index: "GrammarIndex",
-        symbols: Optional[SymbolTable] = None,
-    ) -> None:
-        self._index = index
-        self._packs: Dict[Symbol, RulePack] = {}
-        self.symbols = symbols if symbols is not None else _GLOBAL_SYMBOLS
-        self.builds = 0
-        self.evictions = 0
-        self.hits = 0
-        self.misses = 0
-        self.wholesale_invalidations = 0
-        self._m_builds = None
-        self._m_evictions = None
-
-    # ------------------------------------------------------------------
-    # pack lifecycle
-    # ------------------------------------------------------------------
-    def pack(self, head: Symbol) -> RulePack:
-        """The rule's pack, building it (and its callees') lazily.
-
-        ``hits``/``misses`` are counted here, i.e. at walk-entry and
-        cold-build granularity: the walk inner loops probe ``_packs``
-        directly (an inlined dict ``get``) and fall back to this method
-        only on a miss, so warm per-step probes cost no bookkeeping.
-        """
-        existing = self._packs.get(head)
-        if existing is not None:
-            self.hits += 1
-            return existing
-        self.misses += 1
-        return self._index._build(head)
-
-    def peek(self, head: Symbol) -> Optional[RulePack]:
-        """The cached pack or ``None`` -- no build, no hit/miss count
-        (audits and the index's own write-point maintenance)."""
-        return self._packs.get(head)
-
-    def adopt(self, pack: RulePack) -> None:
-        """Cache a pack the index just built cold."""
-        self._packs[pack.head] = pack
-        self.builds += 1
-        if self._m_builds is not None:
-            self._m_builds.inc()
-
-    def evict(self, head: Symbol) -> Optional[RulePack]:
-        """Drop and return one rule's pack (``None`` when absent)."""
-        pack = self._packs.pop(head, None)
-        if pack is not None:
-            self.evictions += 1
-            if self._m_evictions is not None:
-                self._m_evictions.inc()
-        return pack
-
-    def invalidate_all(self) -> None:
-        """Wholesale reset -- scrub's repair of last resort; no update
-        or recompression fires it (the bench gates assert the counter
-        stays 0)."""
-        if self._packs:
-            self._packs.clear()
-        self.wholesale_invalidations += 1
-
-    def reset(self) -> None:
-        """Forget every pack without counting it as a wholesale
-        invalidation: used when the index adopts imported snapshot
-        segments (a brand-new cache generation, not an eviction event)."""
-        self._packs.clear()
-
-    # ------------------------------------------------------------------
-    # instrumentation
-    # ------------------------------------------------------------------
-    def set_metric_handles(self, builds, evictions) -> None:
-        """Adopt registry counters for the cold build/evict events; the
-        per-descent hit/miss tallies stay plain ints and export through
-        the ``repro_kernel`` gauge source instead."""
-        self._m_builds = builds
-        self._m_evictions = evictions
-
-    @property
-    def rules_packed(self) -> int:
-        return len(self._packs)
-
-    @property
-    def bytes_packed(self) -> int:
-        """Packed bytes across every cached pack.  Summed on demand --
-        the gauge source samples this at collection time only, and the
-        per-pack total moves when label arrays attach lazily."""
-        return sum(p.nbytes for p in self._packs.values())
-
-    def to_dict(self) -> dict:
-        """Flat numeric view (the shared stats-object protocol)."""
-        return {
-            "rules_packed": self.rules_packed,
-            "bytes_packed": self.bytes_packed,
-            "builds": self.builds,
-            "evictions": self.evictions,
-            "hits": self.hits,
-            "misses": self.misses,
-            "wholesale_invalidations": self.wholesale_invalidations,
-        }
-
-
 # ----------------------------------------------------------------------
 # kernel walks
 # ----------------------------------------------------------------------
@@ -510,14 +386,14 @@ class GrammarKernel:
 #
 # Every walk below keeps the current pack's columns in locals via one
 # ``pack.walk`` unpack per pack switch, probes the pack cache with an
-# inlined ``kernel._packs.get`` (falling back to ``kernel.pack`` on a
+# inlined ``index._packs.get`` (falling back to ``index.pack`` on a
 # miss), and appends the pack's *shared* per-position PathStep objects
 # instead of allocating steps -- the three constant-factor levers the
 # bench gates are built on.
 
 
 def kernel_locate_element(
-    kernel: GrammarKernel,
+    index: "GrammarIndex",
     element_index: int,
     start: Optional[tuple] = None,
 ):
@@ -529,9 +405,9 @@ def kernel_locate_element(
     hop into an argument for ``GrammarIndex._axes`` to add.  With a ``start``
     binding ``(pack, pos, env)`` in place of the start rule, all counts
     are relative to that subtree, which must hold the target."""
-    packs = kernel._packs
+    packs = index._packs
     if start is None:
-        start = (kernel.pack(kernel._index.grammar.start), 0, ())
+        start = (index.pack(index.grammar.start), 0, ())
     pack, pos, env = start
     (kind, sym, rank, span, nnodes, nelems, params, _nodes, sym_objs,
      _names, step_at) = pack.walk
@@ -621,7 +497,7 @@ def kernel_locate_element(
         sobj = sym_objs[pos]
         callee = packs.get(sobj)
         if callee is None:
-            callee = kernel.pack(sobj)
+            callee = index.pack(sobj)
         r = rank[pos]
         callee_nodes = callee.node_segs
         callee_elems = callee.elem_segs
@@ -695,7 +571,7 @@ def kernel_locate_element(
 
 
 def kernel_resolve_preorder(
-    kernel: GrammarKernel,
+    index: "GrammarIndex",
     target: int,
 ) -> List[PathStep]:
     """The descent behind ``GrammarIndex.resolve_preorder`` (node-count
@@ -712,8 +588,8 @@ def kernel_resolve_preorder(
     ``r - 1`` children must sit in the last one, whose size then never
     needs computing.
     """
-    packs = kernel._packs
-    pack = kernel.pack(kernel._index.grammar.start)
+    packs = index._packs
+    pack = index.pack(index.grammar.start)
     (kind, sym, rank, span, nnodes, params, sym_objs,
      step_at) = pack.walk_nodes
     pos = 0
@@ -769,7 +645,7 @@ def kernel_resolve_preorder(
         sobj = sym_objs[pos]
         callee = packs.get(sobj)
         if callee is None:
-            callee = kernel.pack(sobj)
+            callee = index.pack(sobj)
         preceding = callee.node_segs[0]
         r = rank[pos]
         if r == 1:
@@ -839,7 +715,7 @@ ELEMENTS = 5
 
 
 def kernel_window(
-    kernel: GrammarKernel,
+    index: "GrammarIndex",
     start: int,
     stop: int,
     unit: int,
@@ -870,8 +746,8 @@ def kernel_window(
     if to_yield <= 0:
         return
     least = KIND_ELEMENT if unit == ELEMENTS else KIND_BOTTOM
-    packs = kernel._packs
-    pack = kernel.pack(kernel._index.grammar.start)
+    packs = index._packs
+    pack = index.pack(index.grammar.start)
     pos = 0
     env: Tuple = ()
     stack: List[tuple] = []
@@ -916,7 +792,7 @@ def kernel_window(
             sobj = sym_objs[pos]
             callee = packs.get(sobj)
             if callee is None:
-                callee = kernel.pack(sobj)
+                callee = index.pack(sobj)
             bindings = []
             child = pos + 1
             for _ in range(rank[pos]):
@@ -965,7 +841,7 @@ def kernel_window(
             sobj = sym_objs[pos]
             callee = packs.get(sobj)
             if callee is None:
-                callee = kernel.pack(sobj)
+                callee = index.pack(sobj)
             bindings = []
             child = pos + 1
             for _ in range(r):

@@ -277,9 +277,6 @@ class ShardManager:
     def shard_count(self) -> int:
         return len(self.heads)
 
-    def is_shard(self, symbol: Symbol) -> bool:
-        return symbol in self.heads
-
     def spine_rules(self) -> List[Symbol]:
         """The start rule plus every shard head (insertion-independent)."""
         return [self._grammar.start, *self.heads]

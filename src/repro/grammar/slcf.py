@@ -559,12 +559,6 @@ class Grammar:
         with self._version_lock:
             return dict(self._pins)
 
-    @property
-    def pin_count(self) -> int:
-        """Total outstanding pins across all epochs."""
-        with self._version_lock:
-            return sum(self._pins.values())
-
     def oldest_pin_age(self) -> Optional[float]:
         """Seconds since the oldest still-pinned epoch was pinned."""
         with self._version_lock:

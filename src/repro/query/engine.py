@@ -232,9 +232,8 @@ def _walk(
     # None)`` -- one match, so no census prune drops its state.  Markers
     # are ``(None, width, offsets, 0, 0)``, a summarised segment, and
     # ``(None, None, (), 0, 0)``, the end of a summarised body.
-    kernel = gindex.kernel
-    packs = kernel._packs
-    root = kernel.pack(gindex.grammar.start)
+    packs = gindex._packs
+    root = gindex.pack(gindex.grammar.start)
     root_lc = root.label_counts(gindex, label) if census else root.nelems
     # Consecutive stack items overwhelmingly share a pack (children are
     # pushed together), so the unpacked ``pack.walk`` columns are kept
@@ -350,7 +349,7 @@ def _walk(
                 continue
         callee = packs.get(sym_obj)
         if callee is None:
-            callee = kernel.pack(sym_obj)
+            callee = gindex.pack(sym_obj)
         callee_lc = callee.label_counts(gindex, label) if census \
             else callee.nelems
         if summary is False and lo <= position and position + elems <= hi:
@@ -445,7 +444,7 @@ def extract_subtree(gindex: GrammarIndex, element_index: int) -> XmlNode:
     check_element_index(element_index)
     start = gindex.preorder_of_element(element_index)
     terminator = gindex.end_of_children_position(element_index)
-    symbols = kernel_window(gindex.kernel, start, terminator + 1, NODES)
+    symbols = kernel_window(gindex, start, terminator + 1, NODES)
     bottom = gindex.grammar.alphabet.bottom()
     return decode_binary(_rebuild_binary(symbols, bottom))
 

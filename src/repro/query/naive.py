@@ -1,8 +1,7 @@
 """Naive label-path evaluation on a decompressed tree.
 
 This is the correctness oracle the grammar-native engine is
-property-tested against, and the "decompress-then-walk" baseline
-``benchmarks/bench_query.py`` measures the engine's speedup over: index
+property-tested against -- the "decompress-then-walk" baseline: index
 the plain :class:`~repro.trees.unranked.XmlNode` tree once (document
 order, children lists, subtree extents), then evaluate the path
 set-at-a-time with plain list scans.  Semantics are identical to

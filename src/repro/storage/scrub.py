@@ -18,11 +18,12 @@ rebuilds exactly the inconsistent pieces instead of the world.
   corruption elsewhere are findings (the live chain ends exactly at
   the last acknowledged record while the process is healthy).
 
-* **Indexes**: the live :class:`repro.grammar.index.GrammarIndex`
-  segments, the size columns of its cached rule packs (which writes
-  splice in place, so they live long) and its label censuses are
-  compared, rule by cached rule, against one fresh unregistered
-  (``register=False``) index over the same grammar; the
+* **Indexes**: every per-rule fact the live
+  :class:`repro.grammar.index.GrammarIndex` holds -- each row of
+  ``RULE_FACTS``: segments, pack columns (which writes splice in place,
+  so they live long), census, label counts, route summaries -- is
+  compared, rule by cached rule, against the same fact in one fresh
+  unregistered (``register=False``) index over the same grammar; the
   document-level element count is cross-checked against two
   independent oracles (:func:`repro.storage.snapshot.
   document_element_count`'s bottom-up recount and a full
@@ -224,61 +225,42 @@ def _scrub_disk(store: "DurableXml", report: ScrubReport) -> None:
 # ----------------------------------------------------------------------
 # index audits
 # ----------------------------------------------------------------------
+#: The ``checked`` counter each audited fact feeds.
+_CHECKED = {"segments": "index_rules", "census": "label_rules",
+            "pack": "index_packs"}
+
+
 def _audit_grammar_index(store: "DurableXml", report: ScrubReport,
                          drifted: List[object]) -> None:
-    from repro.grammar.index import GrammarIndex
+    """Every cached fact of every cached rule (``RULE_FACTS``) against
+    the same fact in one fresh unregistered index over the grammar."""
+    from repro.grammar.index import RULE_FACTS, GrammarIndex
 
     doc = store.document
     live = doc.index
     fresh = GrammarIndex(doc.grammar, register=False)
+    checked = report.checked
     for head in live.cached_rules():
         if not doc.grammar.has_rule(head):
             continue  # eviction in flight; nothing to compare against
-        live_nodes = list(live.node_segments(head))
-        live_elems = list(live.element_segments(head))
-        fresh_nodes = list(fresh.node_segments(head))
-        fresh_elems = list(fresh.element_segments(head))
-        if live_nodes != fresh_nodes or live_elems != fresh_elems:
-            report.findings.append(ScrubFinding(
-                kind="grammar-index-drift", subject=str(head),
-                detail=(f"cached segments {live_nodes}/{live_elems} != "
-                        f"recomputed {fresh_nodes}/{fresh_elems}"),
-            ))
-            drifted.append(head)
-        report.checked["index_rules"] = \
-            report.checked.get("index_rules", 0) + 1
-        census = live.peek_census(head)
-        if census is not None:
-            fresh_census = fresh.label_census(head)
-            if census != fresh_census:
+        for fact in RULE_FACTS:
+            cached = fact.peek(live, head)
+            if cached is None:
+                continue
+            fact.build(fresh, head, cached)
+            cold = fact.peek(fresh, head)
+            differing = [part for part in {**cold, **cached}
+                         if cached.get(part) != cold.get(part)]
+            if differing:
                 report.findings.append(ScrubFinding(
                     kind="grammar-index-drift", subject=str(head),
-                    detail=(f"cached census {census} != "
-                            f"recomputed {fresh_census}"),
+                    detail=(f"cached {fact.name} {differing} != "
+                            f"recomputed by a cold build of the rule"),
                 ))
                 drifted.append(head)
-            report.checked["label_rules"] = \
-                report.checked.get("label_rules", 0) + 1
-        # Packs are spliced in place by writes and live for thousands
-        # of them: audit the size columns and the route summaries they
-        # feed against a cold build too.
-        pack = live.kernel.peek(head)
-        if pack is None:
-            continue
-        cold = fresh.kernel.pack(head)
-        differing = [column for column in ("span", "nnodes", "nelems")
-                     if getattr(pack, column) != getattr(cold, column)]
-        if pack.routes is not None and pack.routes != cold.routes:
-            differing.append("routes")
-        if differing:
-            report.findings.append(ScrubFinding(
-                kind="grammar-index-drift", subject=str(head),
-                detail=(f"cached pack columns {differing} differ from a "
-                        f"cold build of the rule"),
-            ))
-            drifted.append(head)
-        report.checked["index_packs"] = \
-            report.checked.get("index_packs", 0) + 1
+            key = _CHECKED.get(fact.name)
+            if key is not None:
+                checked[key] = checked.get(key, 0) + 1
 
 
 def _audit_censuses(store: "DurableXml", report: ScrubReport) -> bool:

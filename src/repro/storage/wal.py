@@ -688,11 +688,6 @@ class SegmentedWal:
     def active_segment_size(self) -> int:
         return self._active.size
 
-    @property
-    def segment_paths(self) -> List[str]:
-        return [segment_path(self.directory, self.generation, seg)
-                for seg in range(self.segment_count)]
-
     def to_dict(self) -> dict:
         """Flat numeric view of the chain shape (the shared stats-object
         protocol -- what ``health()`` and the metrics gauge source show)."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 __all__ = [
     "SymbolKind",
@@ -202,8 +202,3 @@ class Alphabet:
         clone = Alphabet()
         clone._symbols = dict(self._symbols)
         return clone
-
-
-def describe_symbols(symbols: Tuple[Symbol, ...]) -> str:
-    """Human-readable rendering of a symbol tuple, used in error messages."""
-    return ", ".join(repr(s) for s in symbols)

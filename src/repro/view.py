@@ -137,7 +137,7 @@ class SnapshotView(ReadSurface):
         # below and pinning the epoch, so they all describe one state.
         grammar = self._pinned = doc.grammar
         self.epoch = grammar.pin()
-        # The view's private index (and kernel): packs over the frozen
+        # The view's private index: packs over the frozen
         # private bodies can never be invalidated, the flat-table analog
         # of the pinned copy-on-write rule tables.
         self._open_index = GrammarIndex(

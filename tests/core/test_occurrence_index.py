@@ -641,7 +641,7 @@ class TestDirtyScopedRecompression:
             doc.tag_of(i)
         cached_before = {
             head for head in doc.grammar.nonterminals()
-            if doc.index.is_cached(head)
+            if head in doc.index.cached_rules()
         }
         assert len(cached_before) > 1
         doc.rename(1, "first")  # dirties essentially just the start rule
@@ -649,7 +649,7 @@ class TestDirtyScopedRecompression:
         assert doc.index.wholesale_invalidations == 0
         surviving = {
             head for head in cached_before
-            if doc.grammar.has_rule(head) and doc.index.is_cached(head)
+            if doc.grammar.has_rule(head) and head in doc.index.cached_rules()
         }
         # The untouched bulk of the grammar kept its cached tables.
         assert surviving - {doc.grammar.start}

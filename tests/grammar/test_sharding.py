@@ -223,7 +223,7 @@ class TestIndexLocality:
             "<log>" + "<e/>" * 2000 + "</log>", shard_width=16
         )
         list(doc.tags())  # materialize every rule's tables
-        cached_before = doc.index.cached_rule_count
+        cached_before = len(doc.index.cached_rules())
         evicted_before = doc.index.evicted_rules
         doc.rename(1900, "deep")
         evicted = doc.index.evicted_rules - evicted_before

@@ -237,6 +237,48 @@ class TestIndexFindings:
         assert index.document_label_count("ip") == 5
         assert store.scrub().ok
 
+    def test_drifted_label_counts_are_found_and_repaired(self, store):
+        """The query walk prunes with the label counts on the packs: a
+        clobbered count hides matches, so the audit recomputes them."""
+        doc = store.document
+        index = doc.index
+        start = doc.grammar.start
+        matches = doc.select("//ip")  # attaches the counts
+        assert len(matches) == 5
+        counts = index.peek(start)._label_arrays["ip"]
+        counts[:] = [0] * len(counts)  # out-of-band clobber
+        assert doc.select("//ip") == []
+        report = store.scrub()
+        drift = next(f for f in report.findings
+                     if f.kind == "grammar-index-drift")
+        assert drift.subject == str(start)
+        assert "label_counts" in drift.detail and "ip" in drift.detail
+        report = store.scrub(repair=True)
+        assert report.repaired_count == len(report.findings) >= 1
+        assert doc.select("//ip") == matches
+        assert store.scrub().ok
+
+    def test_drifted_pack_label_is_found_and_repaired(self, store):
+        """``tag_of`` reads the label column of the pack: every value
+        column is audited, not only the sizes."""
+        doc = store.document
+        index = doc.index
+        tags = [doc.tag_of(i) for i in range(doc.element_count)]
+        pack = next(pack for head in index.cached_rules()
+                    for pack in [index.peek(head)]
+                    if pack is not None and "ip" in pack.sym_names)
+        pack.sym_names[pack.sym_names.index("ip")] = "XX"  # clobber
+        assert [doc.tag_of(i) for i in range(len(tags))] != tags
+        report = store.scrub()
+        drift = next(f for f in report.findings
+                     if f.kind == "grammar-index-drift")
+        assert drift.subject == str(pack.head)
+        assert "sym_names" in drift.detail
+        report = store.scrub(repair=True)
+        assert report.repaired_count == len(report.findings) >= 1
+        assert [doc.tag_of(i) for i in range(len(tags))] == tags
+        assert store.scrub().ok
+
     def test_index_repair_does_not_touch_the_disk(self, store):
         """Pure index drift needs no checkpoint: eviction alone heals
         it, so the on-disk artifacts stay exactly as they were."""

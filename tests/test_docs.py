@@ -5,9 +5,10 @@ README pointing at it: every ``BENCH_*.json``, ``benchmarks/**.py``,
 ``tests/**.py``, ``examples/*.py`` and ``src/repro/**.py`` path the
 README mentions is resolved against the repository root.  Likewise the
 "Flat kernel" section: every identifier it quotes in backticks must
-still be an attribute of the index, the kernel, a rule pack, the grammar
-or the document (or a public name of the kernel module or of the oracle
-modules it cites).
+still be an attribute of the index, a rule pack, the grammar or the
+document (or a public name of the kernel module or of the oracle modules
+it cites).  The pack cache has one owner, the index: neither the README
+nor ``src/`` may name the separate pack-cache class it replaced.
 """
 
 import os
@@ -61,9 +62,8 @@ def flat_kernel_identifiers():
 def test_flat_kernel_section_quotes_only_live_attributes():
     doc = CompressedXml.from_xml("<a><b/><c/></a>")
     index = doc.index
-    kernel = index.kernel
-    pack = kernel.pack(doc.grammar.start)
-    owners = (index, kernel, pack, doc, doc.grammar, DurableXml,
+    pack = index.pack(doc.grammar.start)
+    owners = (index, pack, doc, doc.grammar, DurableXml,
               kernel_module, navigation, derivation)
     # (``repro_*`` are metric names, not attributes.)
     names = [name for name in flat_kernel_identifiers()
@@ -75,31 +75,47 @@ def test_flat_kernel_section_quotes_only_live_attributes():
                 if not any(hasattr(owner, name) for owner in owners)]
     assert not dangling, (
         f"README.md 'Flat kernel' quotes names that no longer exist on "
-        f"GrammarIndex / GrammarKernel / RulePack: {dangling}"
+        f"GrammarIndex / RulePack: {dangling}"
     )
 
 
-QUALIFIED = re.compile(r"\b(GrammarIndex|GrammarKernel|RulePack)\.([a-z_]\w*)")
+QUALIFIED = re.compile(r"\b(GrammarIndex|RulePack)\.([a-z_]\w*)")
+
+
+def source_texts():
+    """``(path relative to the root, text)`` of every ``src/`` module."""
+    for folder, _dirs, files in os.walk(os.path.join(ROOT, "src", "repro")):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as handle:
+                    yield os.path.relpath(path, ROOT), handle.read()
 
 
 def test_source_docstrings_name_only_live_index_attributes():
-    """``GrammarIndex.x`` / ``GrammarKernel.x`` / ``RulePack.x`` anywhere
-    under ``src/`` (docstrings and comments included) must resolve."""
+    """``GrammarIndex.x`` / ``RulePack.x`` anywhere under ``src/``
+    (docstrings and comments included) must resolve."""
     doc = CompressedXml.from_xml("<a><b/><c/></a>")
-    kernel = doc.index.kernel
-    owners = {"GrammarIndex": doc.index, "GrammarKernel": kernel,
-              "RulePack": kernel.pack(doc.grammar.start)}
-    dangling = []
-    for folder, _dirs, files in os.walk(os.path.join(ROOT, "src", "repro")):
-        for name in files:
-            if not name.endswith(".py"):
-                continue
-            path = os.path.join(folder, name)
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-            dangling += [
-                f"{os.path.relpath(path, ROOT)}: {owner}.{attribute}"
-                for owner, attribute in QUALIFIED.findall(text)
-                if not hasattr(owners[owner], attribute)
-            ]
+    owners = {"GrammarIndex": doc.index,
+              "RulePack": doc.index.pack(doc.grammar.start)}
+    dangling = [
+        f"{path}: {owner}.{attribute}"
+        for path, text in source_texts()
+        for owner, attribute in QUALIFIED.findall(text)
+        if not hasattr(owners[owner], attribute)
+    ]
     assert not dangling, f"references to deleted attributes: {dangling}"
+
+
+#: The pack-cache class the index absorbed, spelled in two pieces so
+#: that this file does not name it either.
+FOLDED = "Grammar" "Kernel"
+
+
+def test_no_text_names_the_folded_pack_cache():
+    """The index owns the packs: no second owner class may come back,
+    not even by name."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        texts = [("README.md", handle.read()), *source_texts()]
+    naming = [path for path, text in texts if FOLDED in text]
+    assert not naming, f"{FOLDED} is named in {naming}"

@@ -24,7 +24,14 @@ from hypothesis import strategies as st
 
 from repro.api import CompressedXml
 from repro.datasets.synthetic import make_corpus
-from repro.grammar.index import GrammarIndex
+from repro.grammar.index import (
+    LABEL,
+    PACK_COLUMNS,
+    PARENT_POINT,
+    RULE_FACTS,
+    STRUCTURAL,
+    GrammarIndex,
+)
 from repro.grammar.kernel import (
     ELEMENTS,
     NODES,
@@ -33,10 +40,11 @@ from repro.grammar.kernel import (
     kernel_window,
 )
 from repro.grammar.navigation import stream_elements, stream_preorder
-from repro.grammar.properties import parameter_segments
+from repro.grammar.properties import parameter_segments, references
 from repro.query.naive import naive_count, naive_select
 from repro.storage.durable import DurableXml
 from repro.trees.symbols import Alphabet
+from repro.trees.traversal import preorder
 from repro.trees.unranked import XmlNode
 from repro.trees.xml_io import serialize_xml
 from repro.updates.batch import (
@@ -45,8 +53,10 @@ from repro.updates.batch import (
     BatchInsert,
     BatchRename,
 )
+from repro.updates.operations import rename_node
 
 from tests.grammar.test_index import replay_script
+from tests.grammar.test_navigation_axes import wrap
 from tests.strategies import (
     batch_scripts,
     label_paths,
@@ -387,6 +397,51 @@ def assert_packs_equal_cold_build(doc):
                 (head, label)
 
 
+def warm(doc):
+    """Give every rule every fact: packs, censuses, label counts for
+    each label, route summaries."""
+    for label in set(doc.tags()):
+        doc.select(f"//{label}")
+    for element in range(doc.element_count):
+        doc.parent_of(element)
+
+
+def spine_rules(doc):
+    """The shard heads, in the grammar's (deterministic) rule order."""
+    heads = doc.shard_manager.heads
+    return [rule for rule in doc.grammar.rules if rule in heads]
+
+
+def closure(grammar, head):
+    """``head`` and every rule whose body applies it, transitively."""
+    appliers = references(grammar)
+    found = {head}
+    stack = [head]
+    while stack:
+        for rule, _node in appliers[stack.pop()]:
+            if rule not in found:
+                found.add(rule)
+                stack.append(rule)
+    return found
+
+
+def clobber(value):
+    """Change one part of a cached fact in place (``False``: nothing
+    to change)."""
+    for part, held in value.items():
+        if isinstance(held, int):
+            value[part] = held + 1
+        elif isinstance(held, dict):
+            held["clobbered"] = 1
+        elif isinstance(held, list) and held:
+            first = held[0]
+            held[0] = first + 1 if isinstance(first, int) else ("clobbered",)
+        else:
+            continue
+        return True
+    return False
+
+
 #: The columns that say which node sits where: no write may change them
 #: in a pack a walk can already stand in (a splice publishes a successor).
 LAYOUT_COLUMNS = ("kind", "rank", "span", "params", "node_objs")
@@ -723,6 +778,126 @@ class TestCountersProveTheCut:
         assert index.wholesale_invalidations == 0
         assert kernel.wholesale_invalidations == 0
         assert_packs_equal_cold_build(doc)
+
+
+class TestFactLifecycle:
+    """Every fact of ``RULE_FACTS`` follows its invalidation class, on a
+    warmed sharded document: a fact added to the declaration is covered
+    here without new test code."""
+
+    @staticmethod
+    def warmed():
+        doc = CompressedXml.from_document(
+            make_corpus("Treebank", edges=150, seed=3), shard_width=8)
+        warm(doc)
+        return doc
+
+    @staticmethod
+    def cached(index):
+        """``{(fact, rule): cached value}`` of every fact held."""
+        return {(fact, head): value for fact in RULE_FACTS
+                for head in index.grammar.rules
+                for value in [fact.peek(index, head)] if value is not None}
+
+    @staticmethod
+    def assert_dropped_along(index, before, closure, dropped_facts):
+        """``dropped_facts`` went on every rule of ``closure``; every
+        other held fact is still held, with its value unchanged unless
+        it is a structural fact of the closure (patched in place)."""
+        for fact in dropped_facts:
+            assert any(rule in closure for f, rule in before if f is fact), \
+                fact.name  # it was there to drop
+        for (fact, rule), value in before.items():
+            now = fact.peek(index, rule)
+            if rule in closure and fact in dropped_facts:
+                assert now is None, (fact.name, rule)
+            elif rule in closure and fact.invalidation == STRUCTURAL:
+                assert now is not None, (fact.name, rule)
+            elif fact.invalidation == PARENT_POINT and now is None:
+                # Dropped only where a parent point may have moved.
+                assert rule in closure, (fact.name, rule)
+                assert any(point for _delta, point in value["routes"]), rule
+            else:
+                assert now == value, (fact.name, rule)
+
+    def test_every_declared_fact_follows_its_class(self, tmp_path):
+        label_facts = tuple(fact for fact in RULE_FACTS
+                            if fact.invalidation == LABEL)
+        doc = self.warmed()
+        grammar, index = doc.grammar, doc.index
+        assert {fact.invalidation for fact, _rule in self.cached(index)} \
+            == {STRUCTURAL, LABEL, PARENT_POINT}
+        # The scrub audits every column a splice must get right.
+        assert set(VALUE_COLUMNS) <= set(PACK_COLUMNS)
+
+        # ``rule_changed``: every fact of the rule and its dependents.
+        head = max(grammar.rules, key=lambda rule: len(closure(grammar, rule)))
+        before = self.cached(index)
+        index.rule_changed(head)
+        self.assert_dropped_along(index, before, closure(grammar, head),
+                                  RULE_FACTS)
+
+        # A relabel: only the label facts, along the dependents.
+        doc = self.warmed()
+        grammar, index = doc.grammar, doc.index
+        head, node = next(
+            (rule, node) for rule in spine_rules(doc)
+            for node in preorder(grammar.rhs(rule))
+            if node.symbol.is_terminal and not node.symbol.is_bottom)
+        before = self.cached(index)
+        rename_node(node, grammar.alphabet.terminal(
+            "relabeled", node.symbol.rank))
+        grammar.notify_rule_relabeled(head, node)
+        self.assert_dropped_along(index, before, closure(grammar, head),
+                                  label_facts)
+        assert_packs_equal_cold_build(doc)
+
+        # A local splice: the label facts along the dependents; the
+        # structural ones patched in place; routes only where ``_resize``
+        # moves a parent point -- on this spine it does, somewhere.
+        doc = self.warmed()
+        grammar, index = doc.grammar, doc.index
+        head = next(rule for rule in spine_rules(doc)
+                    if not rule.rank and any(
+                        point for rule_above in closure(grammar, rule)
+                        for _delta, point in index.peek(rule_above).routes))
+        before = self.cached(index)
+        evicted = index.evicted_rules
+        wrap(grammar, head, grammar.rhs(head), "spliced", 2)
+        assert index.evicted_rules == evicted  # local: nothing evicted
+        self.assert_dropped_along(index, before, closure(grammar, head),
+                                  label_facts)
+        assert any(value is not None and fact.peek(index, rule) is None
+                   for (fact, rule), value in before.items()
+                   if fact.invalidation == PARENT_POINT)
+        assert_packs_equal_cold_build(doc)
+
+        # ``invalidate_all``: every fact, counted once.
+        assert index.wholesale_invalidations == 0
+        index.invalidate_all()
+        assert self.cached(index) == {}
+        assert index.wholesale_invalidations == 1
+        assert index.to_dict()["wholesale_invalidations"] == 1
+        assert doc.label_index.to_dict()["wholesale_invalidations"] == 1
+
+        # scrub names each fact when that fact is clobbered.
+        store = DurableXml.create(str(tmp_path / "store"), self.warmed())
+        try:
+            index = store.document.index
+            for fact in RULE_FACTS:
+                warm(store.document)
+                head = next(rule for rule in index.cached_rules()
+                            for value in [fact.peek(index, rule)]
+                            if value is not None and clobber(value))
+                drift = [finding for finding in store.scrub().findings
+                         if finding.kind == "grammar-index-drift"]
+                assert [finding.subject for finding in drift
+                        if finding.detail.startswith(
+                            f"cached {fact.name} ")] == [str(head)]
+                assert store.scrub(repair=True).repaired_count >= 1
+                assert store.scrub().ok, fact.name
+        finally:
+            store.close()
 
 
 class TestSnapshotReloadIsLazy:

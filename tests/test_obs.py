@@ -340,6 +340,11 @@ class TestDocumentInstrumentation:
             doc.element_count
         assert sources["repro_doc"]["updates_applied"] == 1
         assert sources["repro_index"]["grammar_cached_rules"] >= 0
+        # The pack keys stay in ``repro_kernel``: no count gains a name.
+        assert set(sources["repro_index"]) == {
+            f"{side}_{key}" for side in ("grammar", "label")
+            for key in ("evicted_rules", "wholesale_invalidations",
+                        "cached_rules")}
 
     def test_disabled_document_records_nothing(self):
         doc = CompressedXml.from_xml(XML, metrics=NULL_REGISTRY)
@@ -491,8 +496,10 @@ class TestStatsProtocol:
         doc = CompressedXml.from_xml(XML, metrics=NULL_REGISTRY)
         doc.count("//ip")
         grammar_stats = doc.index.to_dict()
+        # The index owns the packs, so their keys ride along.
         assert set(grammar_stats) == {
             "evicted_rules", "wholesale_invalidations", "cached_rules",
+            *doc.index.kernel_info(),
         }
         label_stats = doc.label_index.to_dict()
         assert set(label_stats) == {
