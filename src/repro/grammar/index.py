@@ -14,6 +14,10 @@ pack          structural    the body as :class:`~repro.grammar.kernel.
 census        label         ``label -> count`` of the body's elements
                             (callees included, arguments not)
 label_counts  label         a pack's per-position counts of a label
+summaries     label         per path automaton state, the body's match
+                            summary (:mod:`repro.query.engine`); what its
+                            derivation enters holds a census (a labeled
+                            walk censuses first): a relabel reaches it
 routes        parent point  per parameter, the (depth gained, parent
                             element) of the body path a descent skips
 ============  ============  =============================================
@@ -56,7 +60,10 @@ The index registers itself as a grammar observer (see
   splice that is not local after all (it removed a parameter, the rule
   has no pack, the dependents are not a spine) takes the last path.
 * ``rule_relabeled`` -- patches the label entries of the relabeled node.
-  Both drop the label facts of the rule and its transitive dependents.
+  Both move the census of the rule and of the spine above it by the
+  write's delta (-old +new label; the fresh entries minus the gone ones)
+  and drop the other label facts there, and off the spine every label
+  fact; an inline derives the same tree and does no label work at all.
 * ``rule_changed`` / ``rule_removed`` -- anything else (``set_rule``,
   batches, recompression, reshard splits and merges): every fact of that
   rule *and of its transitive dependents along the call DAG* is dropped
@@ -83,6 +90,7 @@ from typing import (
 )
 
 from repro.grammar.kernel import (
+    KIND_ELEMENT,
     KIND_NONTERMINAL,
     ELEMENTS,
     RulePack,
@@ -315,6 +323,27 @@ def _drop_label_counts(index, head):
     return True
 
 
+def _peek_summaries(index, head):
+    """``{(path steps, avail, extra, exit states): offsets}``."""
+    held = index._summaries.get(head)
+    return held and {
+        (steps, state[1], state[2], tuple(e and e[1:3] for e in exits)): split
+        for steps, state in held.values()
+        for _segments, split, exits in [state[3][head]]} or None
+
+
+def _drop_summaries(index, head):
+    held = index._summaries.pop(head, None)
+    for _steps, state in (held or {}).values():
+        del state[3][head]
+    return held is not None
+
+
+def _build_summaries(index, head, keys):
+    from repro.query.engine import summarise  # the query layer's walk
+    summarise(index, head, keys)
+
+
 def _peek_routes(index, head):
     routes = getattr(index._packs.get(head), "routes", None)
     return None if routes is None else {"routes": routes}
@@ -340,11 +369,16 @@ RULE_FACTS: Tuple[RuleFact, ...] = (
     RuleFact("label_counts", LABEL, _peek_label_counts, _drop_label_counts,
              lambda index, head, labels: [index.pack(head).label_counts(
                  index, label) for label in labels]),
+    RuleFact("summaries", LABEL, _peek_summaries, _drop_summaries,
+             _build_summaries),
     RuleFact("routes", PARENT_POINT, _peek_routes, _drop_routes,
              lambda index, head, _parts: index._routes(index.pack(head))),
 )
 _LABEL_FACTS = tuple(fact for fact in RULE_FACTS
                      if fact.invalidation == LABEL)
+
+#: Path automata an index keeps with their summaries: the latest used.
+_PATHS = 64
 
 
 class GrammarIndex:
@@ -373,12 +407,15 @@ class GrammarIndex:
         # The per-rule column packs every descent below runs on (see
         # :mod:`repro.grammar.kernel`), the only per-node size table.
         self._packs: Dict[Symbol, RulePack] = {}
+        # Path steps -> automaton; head -> {id(state): (steps, state)}.
+        self._paths: Dict[tuple, object] = {}
+        self._summaries: Dict[Symbol, Dict[int, tuple]] = {}
         # Eviction instrumentation: per-rule evictions through the observer
         # channel vs wholesale resets.  Dirty-rule-scoped recompression is
         # asserted against these (untouched rules must keep their tables).
         self.evicted_rules = 0
         self.wholesale_invalidations = 0
-        # The same for the censuses, which a splice or relabel drops too.
+        # The same for the censuses, which writes drop off the spine.
         self.censuses_evicted = 0
         self.rules_censused = 0
         # The same for the packs; ``hits`` / ``misses`` count at walk
@@ -432,17 +469,20 @@ class GrammarIndex:
     def rule_relabeled(self, head: Symbol, node: Node) -> None:
         """A relabel changes no size and moves no entry: patch the
         label entries of the relabeled ``node`` in the rule's pack, in
-        place (no other pack caches them).  The structural facts stay,
-        the label-class ones along the dependents go."""
-        self._drop(head, _LABEL_FACTS)
+        place (no other pack caches them), and move the censuses up the
+        spine by -old +new label (:meth:`_spine`).  The structural
+        facts stay."""
         pack = self._packs.get(head)
         if pack is None:
-            return
+            return self._spine(head, None)  # the old label is gone
         pos = _descend(pack.walk, node.parent, node)[0]
+        delta = Counter({pack.sym_names[pos]: -1})
         symbol = node.symbol
         _kind, pack.sym[pos], _rank, pack.sym_names[pos] = \
             _SYMBOLS.describe(symbol)
         pack.sym_objs[pos] = symbol
+        delta[symbol.name] += 1
+        self._spine(head, delta)
 
     def rule_spliced(self, head: Symbol, old: Node, new: Node) -> None:
         """:meth:`~repro.grammar.slcf.Grammar.notify_rule_spliced`:
@@ -451,8 +491,9 @@ class GrammarIndex:
         the splice is not local after all (it removed a parameter, moved
         a size across one, grew by an application in front of one, or
         rewrote -- no inline -- what holds one at the same sizes), evict
-        as for ``rule_changed``: nothing is touched before that.  The
-        label-class facts along the dependents go either way.
+        as for ``rule_changed``: nothing is touched before that.  Else
+        the censuses move up the spine (:meth:`_delta`) -- unless the
+        splice is an inline, deriving the same tree: no label work.
 
         Subtrees ``new`` adopted from ``old`` keep their entries; the
         entries of the nodes that went, between them, are exchanged for
@@ -461,7 +502,6 @@ class GrammarIndex:
         (a half-consumed ``tags()``) may still stand in -- keeps its
         layout.  ``O(depth + fresh + gone)`` plus C-level list copies.
         """
-        self._drop(head, _LABEL_FACTS)
         pack = self._packs.get(head)
         if pack is None:
             return self._drop(head)
@@ -535,55 +575,92 @@ class GrammarIndex:
         successor.routes = pack.routes  # an inline keeps ``val(rule)``
         self._packs[head] = successor
         self._locations = {}
-        if grown_nodes or grown_elems:
-            self._resize(head, before, grown_nodes, grown_elems)
+        # An application gone, at most its arguments adopted: an inline,
+        # which derives the same tree and does no label work.
+        if kind[p] != KIND_NONTERMINAL or carried and carried[0][1] == p:
+            delta = head in self._censuses and self._delta(
+                old_columns, gaps, region, fresh)
+            self._spine(head, delta, before, grown_nodes, grown_elems)
 
-    def _resize(self, head: Symbol, segment: int,
-                grown_nodes: int, grown_elems: int) -> None:
-        """``head``'s ``segment``-th segment grew: patch it, then walk
-        up while the rule has exactly one cached applier applying it
-        once (the spine), patching that application's ancestors and the
-        applier's segment -- in place, no entry moves.  Route summaries
-        with a parent point go at every level (its offset may shift);
-        without one -- the parameter on the root's sibling chain, where
-        a local splice of terminals puts no first-child edge -- they
-        stay.  Any other set of dependents is dropped."""
+    def _delta(self, old_columns: tuple, gaps: List[int], region: tuple,
+               fresh: List[int]) -> Optional[Counter]:
+        """A splice's census change: the fresh entries' labels and callee
+        censuses minus the gone ones' (``None``: a callee has none)."""
+        delta: Counter = Counter()
+        gone = [i for a, b in zip(gaps[::2], gaps[1::2]) for i in range(a, b)]
+        for sign, columns, entries in ((-1, old_columns, gone),
+                                       (1, region, fresh)):
+            kind, sym_objs, names = columns[0], columns[8], columns[9]
+            for at in entries:
+                if kind[at] == KIND_ELEMENT:
+                    delta[names[at]] += sign
+                elif kind[at] == KIND_NONTERMINAL:
+                    census = self._censuses.get(sym_objs[at])
+                    if census is None:
+                        return None
+                    (delta.update if sign > 0 else delta.subtract)(census)
+        return delta
+
+    def _spine(self, head: Symbol, delta: Optional[Counter],
+               segment: int = 0, grown_nodes: int = 0,
+               grown_elems: int = 0) -> None:
+        """Carry a write to ``head`` up the spine (each rule's one cached
+        applier applies it once): the census moves by ``delta`` (falsy:
+        it goes), the other label facts go, a grown ``segment`` grows with
+        the application's ancestors and the applier's segment, in place,
+        and route summaries holding a parent point (which may shift) go.
+        Other dependents lose the label facts, or all after a growth."""
         packs = self._packs
+        grown = grown_nodes or grown_elems
         while True:
-            self._node_segments[head][segment] += grown_nodes
-            self._elem_segments[head][segment] += grown_elems
-            if any(point for _delta, point in packs[head].routes or ()):
-                packs[head].routes = None
+            census = self._censuses.get(head)
+            if census is not None and delta:
+                for label, change in delta.items():  # not a census scan
+                    census[label] += change
+                    if not census[label]:
+                        del census[label]  # as a cold census has it
+            elif census is not None:
+                _drop_census(self, head)
+            held = _drop_label_counts(self, head) | _drop_summaries(self, head)
+            if not (held or grown or census is not None):
+                return  # so no label fact above depends on this rule
+            if grown:
+                self._node_segments[head][segment] += grown_nodes
+                self._elem_segments[head][segment] += grown_elems
+                if any(point for _delta, point in packs[head].routes or ()):
+                    packs[head].routes = None
             appliers = self._dependents.get(head)
             if not appliers:
                 return
             pack = packs.get(next(iter(appliers)))
             if len(appliers) != 1 or pack is None \
                     or pack.calls.get(head) != 1:
-                for applier in self._dependents.pop(head):
-                    self._drop(applier)
+                for applier in tuple(appliers):
+                    self._drop(applier, RULE_FACTS if grown else _LABEL_FACTS)
                 return
-            columns = pack.walk
-            span, nnodes, nelems, params = (
-                columns[3], columns[4], columns[5], columns[6])
-            application = columns[7][columns[8].index(head)]
-            pos, ancestors, before = _descend(
-                columns, application.parent, application)
-            ancestors.append(pos)
-            for a in ancestors:
-                nnodes[a] += grown_nodes
-                nelems[a] += grown_elems
-            c = pos + 1
-            for _ in range(segment):
-                before += len(params[c])
-                c += span[c]
+            if grown:
+                columns = pack.walk
+                span, nnodes, nelems, params = (
+                    columns[3], columns[4], columns[5], columns[6])
+                application = columns[7][columns[8].index(head)]
+                pos, ancestors, before = _descend(
+                    columns, application.parent, application)
+                ancestors.append(pos)
+                for a in ancestors:
+                    nnodes[a] += grown_nodes
+                    nelems[a] += grown_elems
+                c = pos + 1
+                for _ in range(segment):
+                    before += len(params[c])
+                    c += span[c]
+                segment = before
             head = pack.head
-            segment = before
 
     def _clear(self) -> None:
         """Forget every fact of every rule at once."""
         for table in (self._node_segments, self._elem_segments,
-                      self._censuses, self._packs, self._dependents):
+                      self._censuses, self._packs, self._dependents,
+                      self._paths, self._summaries):
             table.clear()
         self._locations = {}
 
@@ -729,7 +806,7 @@ class GrammarIndex:
         for head, census in (censuses or {}).items():
             if head not in self._node_segments:
                 raise GrammarError(f"label census for unknown rule {head!r}")
-            self._censuses[head] = dict(census)
+            self._censuses[head] = Counter(census)
         for head in self._node_segments:
             walk = [grammar.rhs(head)]
             seen: Set[Symbol] = set()
@@ -815,7 +892,8 @@ class GrammarIndex:
         return pack.routes
 
     # ------------------------------------------------------------------
-    # label census (lazy, callees first, from the rule bodies)
+    # label census (lazy, callees first, from the rule bodies) and the
+    # match summaries of the query walk
     # ------------------------------------------------------------------
     def label_census(self, head: Symbol) -> Dict[str, int]:
         """Elements per label generated by ``head``'s body, callees
@@ -859,6 +937,25 @@ class GrammarIndex:
         """Occurrences of ``label`` in the document -- ``O(1)`` after the
         start rule's census (the fast path behind ``count('//x')``)."""
         return self.rule_label_count(self._grammar.start, label)
+
+    def automaton(self, steps: tuple, build: Callable) -> object:
+        """The path's automaton, kept for the :data:`_PATHS` latest paths."""
+        paths = self._paths
+        states = paths.pop(steps, None)
+        if states is None:
+            states = build(steps)
+            if len(paths) >= _PATHS:
+                for state in paths.pop(next(iter(paths))).interned.values():
+                    for head in state[3] or ():
+                        del self._summaries[head][id(state)]
+        paths[steps] = states
+        return states
+
+    def keep_summary(self, steps: tuple, state: tuple, head: Symbol,
+                     summary: tuple) -> None:
+        """Keep ``head``'s summary in the ``steps`` automaton's ``state``."""
+        state[3][head] = summary
+        self._summaries.setdefault(head, {})[id(state)] = (steps, state)
 
     # ------------------------------------------------------------------
     # whole-document totals

@@ -331,7 +331,9 @@ class Grammar:
         ``old``'s child subtrees, *moved* (not copied) in their original
         order -- the shape of an inline (arguments move into the body
         copy), an insert (the target moves into the fragment) and a
-        delete (the sibling chain moves up).  When ``old`` was the RHS
+        delete (the sibling chain moves up).  A splice that replaces an
+        application by fresh nodes (adopting at most its arguments) must
+        be an inline: it derives the same tree.  When ``old`` was the RHS
         root, ``new`` is installed as the root here.  The surgery is
         done by now, so the caller must have run
         :meth:`preserve_for_write` before it -- checked, while pins are

@@ -17,13 +17,15 @@ RHS/derivation subtree in O(1) when
 
 so a selective query touches ``O(matches · depth)`` derivation nodes
 instead of the ``O(N)`` elements a decompress-then-walk pays, which is the
-whole point of querying in the compressed domain.  Within one query a
-rule is not re-derived per application: its *match summary* in the
-automaton state it is entered in -- the matches' offsets per element
-segment and the state reaching each parameter -- is recorded once and
-replayed, so the walk costs at most two body walks per distinct
-summarisable (rule, entry state) -- the first application's and the
-recording one -- plus the matches and the argument subtrees.
+whole point of querying in the compressed domain.  A rule is not
+re-derived per application: its *match summary* in the automaton state
+it is entered in -- the matches' offsets per element segment and the
+state reaching each parameter -- is recorded once and replayed, and the
+:class:`~repro.grammar.index.GrammarIndex` keeps it across queries as a
+label-class fact of the rule: a write drops the summaries of the rules
+whose derived tree it changed (the spine above it, and further by the
+label-class cascade), so a path asked again walks only those bodies,
+plus the matches and the argument subtrees.
 
 :func:`extract_subtree` serializes one element's subtree by *partial
 derivation* of its binary-preorder window -- no full decompression, cost
@@ -77,7 +79,7 @@ def read_prune_counter() -> int:
 # the path automaton and its walk
 # ----------------------------------------------------------------------
 class _PathStates:
-    """The states of one query's path automaton.
+    """The states of one path's automaton, shared by its walks.
 
     A state belongs to a slot of the first-child/next-sibling encoding:
     bit ``i`` of ``avail`` says step ``i``'s predecessor is satisfied at
@@ -94,13 +96,14 @@ class _PathStates:
     ``seen[i]`` counts in document order the elements passing the test
     under an open context -- the context's ``k``-th is where ``seen[i] -
     k`` is its offset; older offsets go, and the bit with the last.
-    States are interned ``(transitions, avail, extra, summaries)``
-    tuples, ``None`` the dead state; a transition is memoised unless it
-    reads ``seen``.  ``summaries`` maps a rule to its match summary in
-    the state (see :func:`_walk`); it is ``None`` where a summary would
-    be wrong -- a descendant ``[k]`` step is available or can become so,
-    and the rule's matches depend on ``seen`` -- or of no use: a child
-    ``[k]`` count is running, which one sibling chain passes through once.
+    ``seen`` is each walk's own.  States are ``(transitions, avail,
+    extra, summaries)`` tuples, ``None`` the dead state, interned unless
+    they read ``seen`` -- a transition is memoised unless it does.
+    ``summaries`` maps a rule to its match summary in the state (see
+    :func:`_walk`); it is ``None`` where a summary would be wrong -- a
+    descendant ``[k]`` step is available or can become so, and the rule's
+    matches depend on ``seen`` -- or of no use: a child ``[k]`` count is
+    running, which one sibling chain passes through once.
     """
 
     def __init__(self, steps: Tuple[QueryStep, ...]) -> None:
@@ -112,21 +115,20 @@ class _PathStates:
                 self.inherited |= 1 << i
                 if step.position is not None:
                     self.counted |= 1 << i
-        self.seen = [0] * len(steps)
-        self._interned: Dict[tuple, tuple] = {}
+        self.interned: Dict[tuple, tuple] = {}
         self.start = self._state(1, tuple(
             ((0,) if i == 0 else ()) if self.counted >> i & 1 else 0
             for i in range(len(steps))
         ))
 
     def _state(self, avail: int, extra: tuple) -> Optional[tuple]:
-        if not avail:
-            return None
-        state = self._interned.get((avail, extra))
+        if not avail or avail & self.counted:  # dead, or reads ``seen``
+            return ({}, avail, extra, None) if avail else None
+        state = self.interned.get((avail, extra))
         if state is None:
             # No step at or after the lowest available one counts ``seen``.
             reuse = not self.counted & -(avail & -avail) and not any(extra)
-            state = self._interned[avail, extra] = (
+            state = self.interned[avail, extra] = (
                 {}, avail, extra, {} if reuse else None)
         return state
 
@@ -138,11 +140,12 @@ class _PathStates:
         return not (avail & (self.counted | ~self.inherited)
                     or avail << 1 & self.full & ~avail)
 
-    def advance(self, state: tuple, name: str) -> tuple:
+    def advance(self, state: tuple, name: str, seen: List[int]) -> tuple:
         """``(is a result, first-child state, next-sibling state)`` of an
-        element labeled ``name`` found in ``state``."""
+        element labeled ``name`` found in ``state`` by a walk counting
+        ``seen``."""
         memo, avail, extra, _ = state
-        seen, matched, kept = self.seen, 0, list(extra)
+        matched, kept = 0, list(extra)
         rest = avail  # what the next-sibling slot keeps
         for i, step in enumerate(self.steps):
             bit = 1 << i
@@ -181,11 +184,24 @@ class _PathStates:
         return result
 
 
+def _record(stack: list, frames: list, callee, state: tuple,
+            position: int, lc: list, total: int) -> tuple:
+    """Open a walk of ``callee``'s body recording its summary in ``state``
+    (parameters are leaves noting their state): its offsets and window --
+    none applies, as no body generates more than the document."""
+    exits = [None] * callee.head.rank
+    frames.append((callee, state, position, [], exits))
+    stack += [(None, None, (), 0, 0), (callee, 0, tuple([
+        (None, exits, i, 0, 1, None) for i in range(len(exits))]), lc, state)]
+    return frames[-1][3], -1, total + 1
+
+
 def _walk(
     gindex: GrammarIndex,
     steps: Tuple[QueryStep, ...],
     lo: int = 0,
     hi: Optional[int] = None,
+    entry: Optional[Tuple[Symbol, tuple]] = None,
 ) -> Iterator[int]:
     """Element indices in ``[lo, hi)`` that ``steps`` selects, in document
     order: one preorder walk of the derivation over the per-rule
@@ -199,27 +215,29 @@ def _walk(
     matches in each of ``A``'s element segments (virtual preorder
     ``seg0, arg1, seg1, ..., argk, segk``) and the state reaching each
     parameter.  It emits the offsets and walks only the arguments, each
-    in its state.  The first application in a state is entered as any
-    other -- a rule a query enters once costs nothing extra; the second
-    walks ``A``'s body once on this same stack (positions count from the
-    body's start, its parameters are leaves recording their states),
-    stores the summary and re-enters the application as a hit.  A
-    *stable* state (:meth:`_PathStates.stable`) where ``A`` holds none of
-    the last step's label summarises at once, without packing ``A`` (the
-    zero-census hop): no offsets, the state itself at every parameter."""
+    in its state.  Without one, ``A``'s body is walked once on this same
+    stack (:func:`_record`), the summary kept by the index and the
+    application re-entered as a hit -- while the grammar's epoch is the
+    walk's first: a generator resumed after a write keeps nothing.  In a
+    *stable* state (:meth:`_PathStates.stable`) an ``A`` holding none of
+    the last step's label needs none (the zero-census hop): no offsets,
+    the state itself at every parameter.  ``entry`` -- ``(A, state)`` --
+    records just that summary."""
     total = gindex.element_count
     hi = total if hi is None else min(hi, total)
     if lo >= hi:
         return
-    if not all(step.label is None or gindex.document_label_count(step.label)
-               for step in steps):
+    if entry is None and not all(
+            step.label is None or gindex.document_label_count(step.label)
+            for step in steps):
         return  # a label the document does not hold
-    states = _PathStates(steps)
+    epoch = gindex.grammar.epoch
+    states = gindex.automaton(steps, _PathStates)
+    seen = [0] * len(steps)
     label = steps[-1].label
     # The last label's census prunes only a path with a descendant step
-    # (dead states prune a child-only path; every write drops the
-    # censuses along its spine) and no counting descendant step before
-    # the last, which must see every element.
+    # (dead states prune a child-only path) and no counting descendant
+    # step before the last, which must see every element.
     census = (label is not None and states.inherited
               and not states.counted & states.full >> 1)
     # Stack items are ``(pack, pos, env, lc, state)`` with ``lc`` the
@@ -233,17 +251,18 @@ def _walk(
     # are ``(None, width, offsets, 0, 0)``, a summarised segment, and
     # ``(None, None, (), 0, 0)``, the end of a summarised body.
     packs = gindex._packs
-    root = gindex.pack(gindex.grammar.start)
+    root = gindex.pack(entry[0] if entry else gindex.grammar.start)
     root_lc = root.label_counts(gindex, label) if census else root.nelems
+    # Open body walks, innermost last: ``(pack, entry state, position,
+    # offsets, parameter states)``; ``out`` is the innermost's offsets.
+    frames: List[tuple] = []
+    stack = [] if entry else [(root, 0, (), root_lc, states.start)]
+    out, window = None, (lo, hi)
+    if entry:
+        out, lo, hi = _record(stack, frames, root, entry[1], 0, root_lc, total)
     # Consecutive stack items overwhelmingly share a pack (children are
     # pushed together), so the unpacked ``pack.walk`` columns are kept
     # until the popped pack changes.
-    stack = [(root, 0, (), root_lc, states.start)]
-    window = (lo, hi)
-    # Open body walks, innermost last: ``(pack, summaries, position,
-    # offsets, parameter states)``; ``out`` is the innermost's offsets.
-    frames: List[tuple] = []
-    out: Optional[List[int]] = None
     position = 0
     cur = None
     pruned = 0
@@ -251,8 +270,8 @@ def _walk(
         pack, pos, env, lc, state = stack.pop()
         if pack is not cur:
             if pack is None:
-                if pos is None:  # a body walk ended: store its summary
-                    callee, summaries, position, found, exits = frames.pop()
+                if pos is None:  # a body walk ended: keep its summary
+                    callee, entered, position, found, exits = frames.pop()
                     segments = callee.elem_segs
                     split = [()] * len(segments)
                     i = at = 0
@@ -260,10 +279,10 @@ def _walk(
                         j = bisect_left(found, at + width, i)
                         split[seg] = [o - at for o in found[i:j]]
                         i, at = j, at + width
-                    summaries[callee.head] = (segments, split, exits)
-                    out = frames[-1][3] if frames else None
-                    if not frames:
-                        lo, hi = window
+                    gindex.keep_summary(steps, entered, callee.head,
+                                        (segments, split, exits))
+                    out, lo, hi = (frames[-1][3], lo, hi) if frames \
+                        else (None, *window)
                 elif out is not None:
                     out.extend([position + o for o in env])
                     position += pos
@@ -307,7 +326,7 @@ def _walk(
             name = sym_names[pos]
             found = state[0].get(name)
             if found is None:
-                found = states.advance(state, name)
+                found = states.advance(state, name, seen)
             if found[0]:
                 if out is not None:
                     out.append(position)
@@ -320,18 +339,14 @@ def _walk(
             continue
         sym_obj = sym_objs[pos]
         summaries = state[3]
-        summary = None
         if summaries is not None:
             summary = summaries.get(sym_obj)
             if summary is None and census and states.stable(state) \
                     and not gindex.rule_label_count(sym_obj, label):
                 pruned += 1  # the zero-census hop
-                summary = summaries[sym_obj] = (
-                    gindex.element_segments(sym_obj),
-                    [()] * (rank[pos] + 1), [state] * rank[pos])
-            elif summary is None:
-                summaries[sym_obj] = False  # entered once: as it is
-            if summary:
+                summary = (gindex.element_segments(sym_obj),
+                           [()] * (rank[pos] + 1), [state] * rank[pos])
+            if summary is not None:
                 segments, split, exits = summary
                 kids = []
                 child = pos + 1
@@ -352,18 +367,12 @@ def _walk(
             callee = gindex.pack(sym_obj)
         callee_lc = callee.label_counts(gindex, label) if census \
             else callee.nelems
-        if summary is False and lo <= position and position + elems <= hi:
-            exits = [None] * rank[pos]
-            frames.append((callee, summaries, position, [], exits))
-            out = frames[-1][3]
+        if summaries is not None and gindex.grammar.epoch == epoch \
+                and lo <= position and position + elems <= hi:
             stack.append((pack, pos, env, lc, state))  # then, as a hit
-            stack.append((None, None, (), 0, 0))
-            stack.append((callee, 0, tuple([
-                (None, exits, i, 0, 1, None) for i in range(rank[pos])
-            ]), callee_lc, state))
-            # Positions count from the body's start, and no window
-            # applies: no body generates more than the document.
-            position, lo, hi = 0, -1, total + 1
+            out, lo, hi = _record(
+                stack, frames, callee, state, position, callee_lc, total)
+            position = 0
             continue
         bindings = []
         child = pos + 1
@@ -383,21 +392,21 @@ def _walk(
     _PRUNE_STATS.pruned = read_prune_counter() + pruned
 
 
-def iter_matching_elements(
-    gindex: GrammarIndex,
-    lo: int,
-    hi: Optional[int],
-    label: Optional[str] = None,
-) -> Iterator[int]:
+def summarise(gindex: GrammarIndex, head: Symbol, keys) -> None:
+    """The scrub's cold build of ``head``'s summaries in the ``keys``."""
+    for steps, avail, extra, _exits in keys:
+        state = gindex.automaton(steps, _PathStates)._state(avail, extra)
+        next(_walk(gindex, steps, entry=(head, state)), None)
+
+
+def iter_matching_elements(gindex: GrammarIndex, lo: int, hi: Optional[int],
+                           label: Optional[str] = None) -> Iterator[int]:
     """Element indices in ``[lo, hi)`` tagged ``label`` (``None``: any
     tag): the walk over one descendant step, windowed."""
     return _walk(gindex, (QueryStep(DESCENDANT, label),), lo, hi)
 
 
-def select(
-    gindex: GrammarIndex,
-    path: "LabelPath | str",
-) -> List[int]:
+def select(gindex: GrammarIndex, path: "LabelPath | str") -> List[int]:
     """Evaluate a label path; returns sorted unique element indices.
 
     The results live in the same document-order coordinate space as every
@@ -408,10 +417,7 @@ def select(
     return list(_walk(gindex, parse_path(path).steps))
 
 
-def count_matches(
-    gindex: GrammarIndex,
-    path: "LabelPath | str",
-) -> int:
+def count_matches(gindex: GrammarIndex, path: "LabelPath | str") -> int:
     """Number of elements a path selects.
 
     ``//label`` -- one descendant step from the root, no positional

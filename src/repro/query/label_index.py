@@ -3,9 +3,9 @@
 Per rule, the ``label -> count`` census of the elements its body
 generates is one more cached attribute of
 :class:`repro.grammar.index.GrammarIndex` -- computed lazily callees
-first, dropped per rule along the dependents by the same observer events
-as the segments and packs, exported into and imported from snapshots
-with them (``label_census`` / ``document_label_count`` there).
+first, moved by a splice's or relabel's delta up the shard spine and
+dropped per rule beyond it by the observer events that drop the segments
+and packs, exported into and imported from snapshots with them (``label_census`` / ``document_label_count`` there).
 :class:`LabelIndex` holds nothing: it reports that census's eviction
 counters in the stats-object shape the metrics gauge exports as
 ``label_*`` keys.

@@ -27,7 +27,10 @@ Wire format (all integers LEB128 varints unless noted)::
 ``flags``: bit0 ``baselined``, bit1 shard section present, bit2 label
 section present.  Rule bodies are preorder symbol-id streams; ids
 ``>= len(symbols)`` encode parameters ``y1, y2, ...`` (child counts are
-implied by symbol ranks, so no structure bytes are needed).
+implied by symbol ranks, so no structure bytes are needed).  Segments,
+censuses, each census's labels and the dirty rules are written in
+symbol-id order, so the bytes are a function of the document, not of
+the order its caches were filled in.
 
 Snapshots are written temp-file-then-``os.replace`` with fsyncs on both
 the file and its directory, through the crash-point
@@ -285,8 +288,11 @@ def encode_state(state: DocumentState) -> bytes:
             _put_uvarint(out, ids[head])
             _put_uvarint(out, ids[parent])
 
+    def in_id_order(table):
+        return sorted(table.items(), key=lambda item: ids[item[0]])
+
     _put_uvarint(out, len(state.segments))
-    for head, (node_segs, elem_segs) in state.segments.items():
+    for head, (node_segs, elem_segs) in in_id_order(state.segments):
         if len(node_segs) != head.rank + 1 or \
                 len(elem_segs) != head.rank + 1:
             raise SnapshotError(
@@ -300,20 +306,19 @@ def encode_state(state: DocumentState) -> bytes:
 
     if state.label_counts is not None:
         _put_uvarint(out, len(state.label_counts))
-        for head, counts in state.label_counts.items():
+        for head, counts in in_id_order(state.label_counts):
             _put_uvarint(out, ids[head])
             _put_uvarint(out, len(counts))
-            for label, count in counts.items():
-                label_symbol = grammar.alphabet.get(label)
-                if label_symbol is None or label_symbol not in ids:
-                    raise SnapshotError(
-                        f"census label {label!r} has no grammar symbol"
-                    )
+            labels = {grammar.alphabet.get(label): count
+                      for label, count in counts.items()}
+            if not labels.keys() <= ids.keys():
+                raise SnapshotError(f"census of {head!r}: a label has no symbol")
+            for label_symbol, count in in_id_order(labels):
                 _put_uvarint(out, ids[label_symbol])
                 _put_uvarint(out, count)
 
     _put_uvarint(out, len(state.dirty_rules))
-    for head in state.dirty_rules:
+    for head in sorted(state.dirty_rules, key=ids.__getitem__):
         _put_uvarint(out, ids[head])
 
     body = bytes(out)

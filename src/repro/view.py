@@ -87,32 +87,32 @@ class _FrozenGrammar:
     """Read-only duck-type of :class:`Grammar` at one pinned epoch.
 
     Provides exactly the surface the read path uses -- ``rhs``,
-    ``has_rule``, ``start``, ``alphabet``, the ``rules`` mapping,
-    iteration.  Anything that would mutate or observe is absent by
+    ``has_rule``, ``start``, ``alphabet``, ``epoch`` (it never moves),
+    ``rules``, iteration.  Anything that would mutate or observe is absent by
     design: index classes are constructed against it with
     ``register=False``.
     """
 
-    __slots__ = ("_grammar", "_epoch", "alphabet", "start", "rules")
+    __slots__ = ("_grammar", "epoch", "alphabet", "start", "rules")
 
     def __init__(self, grammar: Grammar, epoch: int) -> None:
         self._grammar = grammar
-        self._epoch = epoch
+        self.epoch = epoch
         self.alphabet = grammar.alphabet
         self.start = grammar.start
         self.rules = _FrozenRules(grammar, epoch)
 
     def rhs(self, head: Symbol) -> Node:
-        return self._grammar.rule_at(self._epoch, head)
+        return self._grammar.rule_at(self.epoch, head)
 
     def has_rule(self, head: Symbol) -> bool:
-        return self._grammar.has_rule_at(self._epoch, head)
+        return self._grammar.has_rule_at(self.epoch, head)
 
     def nonterminals(self) -> List[Symbol]:
-        return self._grammar.heads_at(self._epoch)
+        return self._grammar.heads_at(self.epoch)
 
     def __len__(self) -> int:
-        return len(self._grammar.heads_at(self._epoch))
+        return len(self._grammar.heads_at(self.epoch))
 
     def __iter__(self):
         return iter(self.rules.items())

@@ -236,7 +236,7 @@ class TestRouteSummariesFollowDirectSurgery:
     ``W -> w(⊥,y1)`` (and a spare ``K -> k(y1,⊥)``, applied by nobody
     yet): ``U``'s route to its parameter composes ``V``'s.
     A splice inside ``V`` that moves ``V``'s route reaches ``U`` only
-    through ``_resize``, which patches ``U``'s pack in place -- so the
+    through ``_spine``, which patches ``U``'s pack in place -- so the
     summary cached on that pack must not outlive it."""
 
     @staticmethod
@@ -256,7 +256,7 @@ class TestRouteSummariesFollowDirectSurgery:
     @pytest.mark.parametrize("pinned", [False, True], ids=["live", "pinned"])
     @pytest.mark.parametrize("surgery, resized", [
         # The parent point's offset grows: an element in front of ``c``,
-        # all of it in front of the parameter -- the ``_resize`` path.
+        # all of it in front of the parameter -- the ``_spine`` path.
         (lambda body: (body, "x", 2), True),
         # The segment *behind* the parameter grows: no route moves.
         (lambda body: (body.children[1], "k", 1), True),
@@ -276,7 +276,7 @@ class TestRouteSummariesFollowDirectSurgery:
         view = doc.snapshot() if pinned else None
         old, label, slot = surgery(doc.grammar.rhs(names["V"]))
         wrap(doc.grammar, names["V"], old, label, slot)
-        # ``_resize`` patches the applier's pack in place; whatever it
+        # ``_spine`` patches the applier's pack in place; whatever it
         # cached about ``val(V)`` must have gone with the old sizes.
         assert (kernel.peek(names["U"]) is applier) == resized
         assert_axes_match_naive(doc)
@@ -312,7 +312,7 @@ class TestRouteSummariesFollowDirectSurgery:
 
     def test_same_size_rewrite_of_a_route_evicts_the_appliers(self):
         """``V -> c(⊥,y1)`` becomes ``c(y1,⊥)``: no size changes, so
-        ``_resize`` never runs -- but it is no inline either, and the
+        ``_spine`` never runs -- but it is no inline either, and the
         route turned from next-sibling to first-child."""
         doc, names = self.document(callee="c(#,y1)")
         assert doc.to_xml() == "<r><u><c/><b/></u></r>"

@@ -8,6 +8,7 @@ index contract every update entry point enforces.
 """
 
 import random
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,10 @@ from hypothesis import given, settings
 from benchmarks.e2e.model import FlatDoc
 from repro.api import CompressedXml
 from repro.datasets.synthetic import make_corpus
-from repro.query.engine import extract_subtree, iter_matching_elements, select
+from repro.query.engine import (
+    _walk, extract_subtree, iter_matching_elements, select,
+)
+from repro.query.parser import parse_path
 from repro.grammar.kernel import RulePack
 from repro.query.naive import naive_select
 from repro.trees.unranked import XmlNode, xml_equal
@@ -29,6 +33,7 @@ from tests.strategies import (
     xml_documents,
 )
 from tests.grammar.test_index import replay_script
+from tests.test_kernel import closure
 
 LOG = (
     "<log>"
@@ -351,6 +356,70 @@ class TestCorpusPathFuzz:
             self.check(view, pinned, None, rng, 40)
 
 
+class TestSuspendedAndInterleavedWalks:
+    """The automaton and its summaries are shared by every walk of a
+    path; what a walk counts (``seen``) is its own, and a walk resumed
+    after a write keeps nothing it saw.  The index keeps a bounded
+    number of paths."""
+
+    PATH = "//item//listitem"
+
+    def test_a_walk_resumed_after_a_write_keeps_nothing(self):
+        doc = CompressedXml.from_document(
+            make_corpus("XMark", 3000, seed=5), shard_width=64)
+        steps = parse_path(self.PATH).steps
+        expected = doc.select(self.PATH)
+        doc.index.invalidate_all()  # nothing kept: the walk records
+        walk = _walk(doc.index, steps)
+        halfway = [next(walk) for _ in range(len(expected) // 2)]
+        assert halfway == expected[:len(halfway)]
+        # Inside a later shard: an element of a later item's subtree.
+        later = next(at for at in range(expected[-1], halfway[-1], -1)
+                     if doc.tag_of(at) not in ("item", "listitem")
+                     and doc.index._locate_element(at)[1].head
+                     is not doc.grammar.start)
+        doc.rename(later, "listitem")
+        list(walk)
+        assert doc.select(self.PATH) == \
+            naive_select(doc.to_document(), self.PATH)
+
+    def test_interleaved_positional_walks_count_apart(self):
+        """Nested parlists nest the ``[2]`` contexts, so a context stays
+        open across the yields of its inner ones: a shared count would
+        take the other walk's elements."""
+        doc = CompressedXml.from_document(
+            make_corpus("XMark", 3000, seed=5), shard_width=64)
+        path = "//parlist//listitem[2]"
+        steps = parse_path(path).steps
+        expected = naive_select(doc.to_document(), path)
+        assert expected
+        # ``zip_longest`` advances the two generators in turn.
+        pairs = list(zip_longest(_walk(doc.index, steps),
+                                 _walk(doc.index, steps)))
+        assert [a for a, _b in pairs if a is not None] == expected
+        assert [b for _a, b in pairs if b is not None] == expected
+
+
+    def test_evicting_a_path_drops_its_summaries(self):
+        from repro.grammar.index import _PATHS
+
+        doc = CompressedXml.from_document(
+            make_corpus("XMark", 3000, seed=5), shard_width=64)
+        index = doc.index
+        steps = parse_path(self.PATH).steps
+        doc.select(self.PATH)
+        states = {id(state) for state in index._paths[steps].interned.values()}
+
+        def summarised():
+            return {key for held in index._summaries.values() for key in held}
+
+        assert states & summarised()
+        for k in range(_PATHS):
+            doc.select(f"/site/*[{k + 1}]")
+        assert len(index._paths) == _PATHS and steps not in index._paths
+        assert not states & summarised()
+
+
 class CountingColumn(list):
     """A pack's ``kind`` column that counts its reads: the walk reads it
     exactly once per popped item."""
@@ -359,6 +428,20 @@ class CountingColumn(list):
 
     def __getitem__(self, index):
         CountingColumn.reads += 1
+        return list.__getitem__(self, index)
+
+
+class RecordingColumn(list):
+    """A pack's ``kind`` column noting the rule of every pack read."""
+
+    rules = set()
+
+    def __init__(self, pack):
+        super().__init__(pack.kind)
+        self.head = pack.head
+
+    def __getitem__(self, index):
+        RecordingColumn.rules.add(self.head)
         return list.__getitem__(self, index)
 
 
@@ -436,6 +519,64 @@ class TestCountersProveTheCut:
         CountingColumn.reads = 0
         assert doc.select(path) == expected
         assert 0 < CountingColumn.reads <= before // 5
+
+    @pytest.mark.parametrize("path", [
+        "//auction/bidder[2]", "//homepage"])
+    def test_a_path_asked_again_reads_a_tenth(self, path):
+        """The index keeps a path's summaries across queries: asked again
+        with no write between, the path replays them and re-walks no
+        body -- at most a tenth of the first walk's reads."""
+        doc = self.xmark_after_a_batch()
+        list(doc.tags())  # packs every rule, records no summary
+        for pack in doc.index.kernel._packs.values():
+            pack.walk = (CountingColumn(pack.kind),) + pack.walk[1:]
+        CountingColumn.reads = 0
+        expected = doc.select(path)
+        first, CountingColumn.reads = CountingColumn.reads, 0
+        assert doc.select(path) == expected
+        assert 0 < CountingColumn.reads <= first // 10
+
+    def test_a_write_rereads_only_the_packs_it_changed(self):
+        """After one rename inside one shard, a re-select reads the kind
+        column of the written rule and of the spine above it, and of no
+        pack the write left in place: their summaries survive."""
+        doc = self.xmark_after_a_batch()
+        path = "//item//listitem"
+        doc.select(path)
+        heads = doc.shard_manager.heads
+        at = next(at for at in range(doc.element_count // 4,
+                                     doc.element_count)
+                  if doc.tag_of(at) == "text"  # off the path, in a shard
+                  and any(step.node.symbol in heads
+                          for step in doc.index.resolve_element(at)[1]))
+        doc.rename(at, "keyword")
+        written = doc.index._locate_element(at)[1].head
+        assert written in doc.shard_manager.heads
+        for pack in doc.index.kernel._packs.values():
+            pack.walk = (RecordingColumn(pack),) + pack.walk[1:]
+        RecordingColumn.rules = set()
+        assert doc.select(path) == naive_select(doc.to_document(), path)
+        assert written in RecordingColumn.rules
+        assert RecordingColumn.rules <= closure(doc.grammar, written)
+
+    def test_relabel_and_inline_splice_recensus_nothing(self):
+        """A rename's isolation inlines (splices deriving the same tree)
+        and its relabel moves the censuses by -old +new label: no rule
+        is censused again, and ``count('//x')`` stays exact."""
+        doc = self.xmark_after_a_batch()
+        index = doc.index
+        doc.count("//keyword")  # every rule censused
+        censused, size = index.rules_censused, doc.compressed_size
+        at = doc.element_count // 3
+        doc.rename(at, "x")  # isolates: inline splices, then a relabel
+        assert doc.compressed_size > size  # the path was inlined
+        assert doc.count("//x") == 1
+        doc.rename(at, "y")  # a pure relabel
+        tags = list(doc.tags())
+        assert doc.count("//x") == 0
+        assert doc.count("//y") == tags.count("y") == 1
+        assert doc.count("//keyword") == tags.count("keyword")
+        assert index.rules_censused == censused
 
     def test_prunes_are_counted(self):
         from repro.query.engine import read_prune_counter, reset_prune_counter

@@ -5,14 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import CompressedXml
+from repro.datasets.synthetic import make_corpus
 from repro.storage.snapshot import (
     SNAPSHOT_MAGIC,
     SnapshotError,
     document_element_count,
+    encode_state,
     read_snapshot,
     write_snapshot,
 )
 from repro.trees.unranked import XmlNode
+from repro.trees.xml_io import serialize_xml
 
 from tests.strategies import shard_widths, xml_documents
 
@@ -108,6 +111,41 @@ class TestRoundTrip:
         assert doc2.to_xml() == doc.to_xml()
         doc2.recompress()
         assert doc2.to_xml() == doc.to_xml()
+
+
+class TestBytesAreAFunctionOfTheDocument:
+    """Neither the order queries filled the caches in nor a census that
+    writes patched (its labels in another insertion order than a cold
+    one's) shows in the snapshot bytes."""
+
+    XMARK = serialize_xml(make_corpus("XMark", 2000, seed=1))
+
+    def xmark(self, queries=()):
+        doc = CompressedXml.from_xml(self.XMARK, shard_width=64)
+        for path in queries:
+            doc.select(path)
+        doc.rename(50, "name")
+        return doc
+
+    def test_queries_run_first_do_not_show(self):
+        plain = self.xmark()
+        queried = self.xmark(("//item//listitem", "//name"))
+        assert plain.to_xml() == queried.to_xml()
+        assert encode_state(plain.export_state()) == \
+            encode_state(queried.export_state())
+
+    def test_patched_censuses_do_not_show(self):
+        doc = self.xmark()
+        doc.count("//name")  # every rule censused
+        evicted = doc.index.censuses_evicted
+        for at in (60, 70, 80):
+            doc.rename(at, "bold")
+        doc.append_child(90, XmlNode("bidder"))
+        doc.delete(100)
+        assert doc.index.censuses_evicted == evicted  # patched, not dropped
+        patched = encode_state(doc.export_state())
+        doc.index.invalidate_all()
+        assert encode_state(doc.export_state()) == patched
 
 
 class TestRoundTripProperties:
