@@ -69,7 +69,8 @@ import time
 import weakref
 from typing import Iterator, List, Optional, Sequence, Union, TYPE_CHECKING
 
-from repro.core.grammar_repair import GrammarRePair, GrammarRePairStats
+from repro.core.grammar_repair import (GrammarRePair, GrammarRePairStats,
+                                       STEP_SECONDS)
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.tracing import trace_span
 from repro.grammar.index import GrammarIndex
@@ -379,6 +380,8 @@ class CompressedXml(ReadSurface):
     the grammar more than ``f`` times larger than after the last
     recompression triggers GrammarRePair automatically -- the maintenance
     policy the paper's dynamic experiments emulate with fixed batches.
+    Each write (or batch) pays at most one ``STEP_SECONDS`` step of the
+    run; :meth:`recompress` finishes a paused one.
 
     ``shard_width``: when set to ``W``, the start rule is kept at
     ``O(W)`` RHS nodes by the spine-sharding policy
@@ -451,6 +454,8 @@ class CompressedXml(ReadSurface):
         self.rules_censused_total = 0
         self.rules_adapted_total = 0
         self.last_repair_stats: Optional[GrammarRePairStats] = None
+        # The automatic policy's run paused between steps, if any.
+        self._repair: Optional[GrammarRePair] = None
         self.last_batch_stats: Optional[BatchStats] = None
         # Observability: resolve every metric handle once, here.  With a
         # disabled registry (or NULL_REGISTRY) each handle is the shared
@@ -496,7 +501,7 @@ class CompressedXml(ReadSurface):
         self._m_batches_total = obs.counter(
             "repro_batches_total", "Batches applied")
         self._m_recompress = obs.histogram(
-            "repro_recompress_seconds", "End-to-end recompression latency")
+            "repro_recompress_seconds", "Latency of one recompression step")
         self._m_recompress_stage = {
             stage: obs.histogram(
                 "repro_recompress_stage_seconds",
@@ -947,11 +952,16 @@ class CompressedXml(ReadSurface):
             self._shards.reshard()
 
     def _maybe_auto_recompress(self) -> None:
+        # Called mid-update, already under the document lock.  A write
+        # pays for at most one bounded step of a run.
         if self._auto_factor is None:
             return
-        if self._size.total > self._auto_factor * self._last_compressed_size:
-            # Called mid-update, already under the document lock.
-            self._recompress_locked(self._scoped_census_unprofitable())
+        if self._repair is not None:
+            self._recompress_locked(None, budget=STEP_SECONDS)
+        elif self._size.total > self._auto_factor * self._last_compressed_size:
+            self._recompress_locked(
+                self._scoped_census_unprofitable(), budget=STEP_SECONDS
+            )
 
     def _scoped_census_unprofitable(self) -> Optional[bool]:
         """Auto-recompress policy: scope the census to the dirty rules
@@ -988,37 +998,59 @@ class CompressedXml(ReadSurface):
         force a whole-grammar census (the first run on a grammar that was
         never compressed does this automatically): same loop, same
         per-rule evictions, only the census is wider.
+
+        A run the automatic policy paused is finished instead (it covers
+        every rule written since it began); ``full=True`` then runs one.
         """
         with trace_span("recompress"):
             with self._lock:
+                if self._repair is not None:
+                    self._recompress_locked(None)
+                    if not full:
+                        return self._size.total
                 return self._recompress_locked(full)
 
-    def _recompress_locked(self, full: Optional[bool]) -> int:
+    def _recompress_locked(
+        self, full: Optional[bool], budget: Optional[float] = None
+    ) -> int:
+        """Start a run, or resume the paused one, for one step of
+        ``budget`` seconds (the whole run without one)."""
         started = time.perf_counter()
         # GrammarRePair's warm occurrence lists may rewrite a body this
         # run never re-read, which would defeat the read-triggered
         # copy-on-write preservation -- so with snapshots pinned, every
         # pristine body is preserved up front.
         self._grammar.preserve_all()
-        if full is None:
-            full = not self._baselined
-        compressor = GrammarRePair(
-            kin=self._kin,
-            barriers=(self._shards.heads
-                      if self._shards is not None else None),
-        )
+        compressor = self._repair
+        dirty = None
+        if compressor is None:
+            if full is None:
+                full = not self._baselined
+            compressor = GrammarRePair(
+                kin=self._kin,
+                barriers=(self._shards.heads
+                          if self._shards is not None else None),
+            )
+            if not full:
+                dirty = set(self._dirty.changed)
+        elif self._shards is not None:
+            # A write between steps may have split or merged shards.
+            compressor.barriers.clear()
+            compressor.barriers.update(self._shards.heads)
         # No invalidate_all, full census or not: the per-rule observer
         # evictions that fire while rules are rewritten are the whole
         # invalidation story, so untouched rules keep their tables.
         compressor.compress(
-            self._grammar, in_place=True,
-            dirty_rules=None if full else set(self._dirty.changed),
+            self._grammar, in_place=True, dirty_rules=dirty, budget=budget
         )
-        self.last_repair_stats = compressor.stats
-        self._dirty.clear()
-        self._baselined = True
-        self._last_compressed_size = max(1, self._size.total)
-        self.recompress_runs += 1
+        self._repair = compressor if compressor.paused else None
+        if self._repair is None:
+            self.last_repair_stats = compressor.stats
+            self._dirty.clear()
+            self._baselined = True
+            self._last_compressed_size = max(1, self._size.total)
+            self.recompress_runs += 1
+            self._m_recompress_total.inc()
         elapsed = time.perf_counter() - started
         self.recompress_seconds += elapsed
         self._m_recompress.observe(elapsed)
@@ -1026,7 +1058,6 @@ class CompressedXml(ReadSurface):
         stage["census"].observe(compressor.stats.census_seconds)
         stage["rounds"].observe(compressor.stats.rounds_seconds)
         stage["prune"].observe(compressor.stats.prune_seconds)
-        self._m_recompress_total.inc()
         self._m_recompress_resolved.inc(compressor.stats.generators_resolved)
         self.maintenance_seconds += compressor.stats.maintenance_seconds
         self.rules_censused_total += compressor.stats.rules_censused
@@ -1036,8 +1067,10 @@ class CompressedXml(ReadSurface):
         )
         # Compression only shrinks rule bodies; every shard it rewrote is
         # in the manager's touched set, so the pass below folds the ones
-        # that fell below the merge threshold back into their parents.
-        self._reshard()
+        # that fell below the merge threshold back into their parents --
+        # at the run's end, so that a pause alone changes nothing.
+        if self._repair is None:
+            self._reshard()
         return self._size.total
 
     def save_grammar(self, path: str, io=None) -> None:

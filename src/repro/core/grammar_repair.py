@@ -29,6 +29,18 @@ dirty rules plus their digram frontier, which is what
 part of the grammar mutated since its last run.
 :func:`~repro.core.retrieve.retrieve_occurrences` (the from-scratch
 RETRIEVEOCCS census) stays as the oracle the index is checked against.
+
+Resumable runs
+--------------
+``compress(budget=...)`` is one *step*: the run pauses at the first round
+boundary past ``budget`` seconds, its occurrence index still registered
+as a grammar observer, so writes made before the next call reach it
+through the dirty-set channel a replacement round uses.  That call folds
+them in with one ``apply_round`` and continues; pruning runs once, at
+the run's end.  The budget is a clock: at equal counted work
+(resolutions, replaced occurrences, rounds) a step's p99 was 1.6-1.9x
+its median on a sustained-update log, 1.1-1.5x under the clock -- at
+the price that where a budgeted run pauses depends on the machine.
 """
 
 from __future__ import annotations
@@ -49,10 +61,20 @@ from repro.trees.symbols import Alphabet, Symbol
 
 __all__ = ["GrammarRePair", "GrammarRePairStats", "grammar_repair"]
 
+#: Wall time of one budgeted step.  Each step drops the read caches of the
+#: rules it rewrites: 50 ms steps cost update and query p50s ~25 %.
+STEP_SECONDS = 0.075
+
+#: Occurrence-index counters ``stats`` report per call (per step).
+_INDEX_COUNTERS = ("rules_censused", "rules_adapted",
+                   "rules_partially_rescanned", "generators_resolved",
+                   "usage_updates")
+
 
 @dataclass
 class GrammarRePairStats:
-    """Trace of one recompression run (drives Figures 2 and 3).
+    """Trace of one ``compress`` call (drives Figures 2 and 3): a whole
+    run, or one step of a budgeted run.
 
     ``full_censuses`` counts full-grammar occurrence censuses;
     ``census_trace[i]`` is the number of rules censused by round ``i``
@@ -170,6 +192,13 @@ class GrammarRePair:
         self.round_hook = round_hook
         self.barriers: Set[Symbol] = set(barriers) if barriers else set()
         self.stats = GrammarRePairStats()
+        # A run paused between budgeted steps: (grammar, index, opaque).
+        self._paused: Optional[tuple] = None
+
+    @property
+    def paused(self) -> bool:
+        """True while a budgeted run waits for its next step."""
+        return self._paused is not None
 
     # ------------------------------------------------------------------
     def compress(
@@ -177,6 +206,7 @@ class GrammarRePair:
         grammar: Grammar,
         in_place: bool = False,
         dirty_rules: Optional[Iterable[Symbol]] = None,
+        budget: Optional[float] = None,
     ) -> Grammar:
         """Recompress ``grammar``; returns the new grammar.
 
@@ -184,17 +214,24 @@ class GrammarRePair:
         untouched.  ``dirty_rules`` scopes the initial census to the
         given rules plus their digram frontier -- rules untouched since
         the last compression keep their digrams as they are.
-        """
-        working = grammar if in_place else grammar.copy()
-        stats = self.stats = GrammarRePairStats()
-        stats.initial_size = working.size
-        stats.max_intermediate_size = stats.initial_size
-        stats.size_trace.append(stats.initial_size)
 
+        With a ``budget`` the call is one step (at least one round) that
+        may leave the run :attr:`paused`; the next call resumes it on its
+        own grammar, other arguments unused.  ``stats`` describe a call.
+        """
+        stats = self.stats = GrammarRePairStats()
+        working = self._paused[0] if self._paused else (
+            grammar if in_place else grammar.copy())
         loop_started = time.perf_counter()
-        prune_hints = self._run_rounds(working, stats, dirty_rules)
+        prune_hints = self._run_rounds(
+            working, stats, dirty_rules,
+            None if budget is None else loop_started + budget,
+        )
         loop_elapsed = time.perf_counter() - loop_started
         stats.rounds_seconds = max(0.0, loop_elapsed - stats.census_seconds)
+        if prune_hints is None:  # paused: pruning waits for the run's end
+            stats.final_size = stats.size_trace[-1]
+            return working
 
         if self.prune:
             prune_started = time.perf_counter()
@@ -235,30 +272,47 @@ class GrammarRePair:
         working: Grammar,
         stats: GrammarRePairStats,
         dirty_rules: Optional[Iterable[Symbol]],
-    ) -> dict:
-        """One census, then touched-rules-only maintenance per round.
+        deadline: Optional[float],
+    ) -> Optional[dict]:
+        """One census -- or, resuming a paused run, one fold of the rules
+        written since the pause -- then touched-rules-only maintenance
+        per round.
 
         Returns the structure maps the occurrence index maintained
         (reference counts, anti-SL order, referencers, sizes) as
         ``prune_grammar`` keywords, so the pruning phase runs without a
-        single whole-grammar setup walk.
+        single whole-grammar setup walk; or ``None`` when a round ended
+        past ``deadline`` and paused the run, its index left registered
+        as a grammar observer.
         """
-        opaque: Set[Symbol] = set()
-        index = GrammarOccurrenceIndex(
-            working, opaque, barriers=self.barriers
-        )
-        seed = None
-        if dirty_rules is not None:
-            seed = set(dirty_rules)
-            stats.seed_rule_count = len(seed)
-        else:
-            stats.full_censuses += 1
         clock = time.perf_counter
+        seed = None
+        if self._paused is None:
+            opaque: Set[Symbol] = set()
+            index = GrammarOccurrenceIndex(
+                working, opaque, barriers=self.barriers
+            )
+            if dirty_rules is not None:
+                seed = set(dirty_rules)
+                stats.seed_rule_count = len(seed)
+            else:
+                stats.full_censuses += 1
+        else:
+            index, opaque = self._paused[1:]
+            self._paused = None
+        before = {name: getattr(index, name) for name in _INDEX_COUNTERS}
+        traced = len(index.census_trace)
         started = clock()
-        index.build(seed_rules=seed)
+        if index.builds:
+            index.apply_round()  # what the observers reported since the pause
+        else:
+            index.build(seed_rules=seed)
         elapsed = clock() - started
         stats.maintenance_seconds += elapsed
         stats.census_seconds += elapsed
+        stats.initial_size = stats.max_intermediate_size = \
+            index.grammar_size()
+        stats.size_trace.append(stats.initial_size)
         try:
             while True:
                 started = clock()
@@ -320,6 +374,9 @@ class GrammarRePair:
                     stats.max_intermediate_size = size
                 if self.round_hook is not None:
                     self.round_hook(working, index, opaque)
+                if deadline is not None and clock() >= deadline:
+                    self._paused = (working, index, opaque)
+                    return None
             return dict(
                 counts=dict(index.reference_counts_live()),
                 order=index.anti_sl_order_live(),
@@ -327,14 +384,12 @@ class GrammarRePair:
                 sizes=index.rule_edges_live(),
             )
         finally:
-            stats.census_trace = list(index.census_trace)
-            stats.rule_count_trace = list(index.rule_count_trace)
-            stats.rules_censused = index.rules_censused
-            stats.rules_adapted = index.rules_adapted
-            stats.rules_partially_rescanned = index.rules_partially_rescanned
-            stats.generators_resolved = index.generators_resolved
-            stats.usage_updates = index.usage_updates
-            index.detach()
+            stats.census_trace = index.census_trace[traced:]
+            stats.rule_count_trace = index.rule_count_trace[traced:]
+            for name in _INDEX_COUNTERS:
+                setattr(stats, name, getattr(index, name) - before[name])
+            if self._paused is None:
+                index.detach()
 
     # ------------------------------------------------------------------
     def compress_tree(

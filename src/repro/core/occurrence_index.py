@@ -103,7 +103,8 @@ class GrammarOccurrenceIndex:
     """Digram -> occurrences over one mutable grammar, kept correct
     across replacement rounds by adapting only what each round touched.
 
-    Lifecycle (one instance per :meth:`GrammarRePair.compress` call)::
+    Lifecycle (one instance per GrammarRePair run, which budgeted
+    :meth:`GrammarRePair.compress` calls may split into steps)::
 
         index = GrammarOccurrenceIndex(grammar, opaque)
         index.build()                       # or build(seed_rules=dirty)
@@ -126,7 +127,8 @@ class GrammarOccurrenceIndex:
         # Spine shard heads: never resolved through, never part of a
         # digram (the generators incident to their reference edges are
         # skipped) -- their bodies are ordinary compression material.
-        self._barriers: Set[Symbol] = barriers if barriers else set()
+        # Held by reference: a paused run's owner re-syncs it in place.
+        self._barriers = barriers if barriers is not None else set()
         self._by_rule: Dict[Symbol, _RuleTable] = {}
         # rule -> {id(generator) -> digram}: the reverse lookup removals
         # need.
