@@ -681,13 +681,6 @@ class CompressedXml(ReadSurface):
         return self._index.element_count
 
     # ------------------------------------------------------------------
-    # element-index addressing (all O(depth) via the grammar index)
-    # ------------------------------------------------------------------
-    def _binary_index_of_element(self, element_index: int) -> int:
-        """Map an element index to its binary-tree preorder index."""
-        return self._index.preorder_of_element(element_index)
-
-    # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
     def rename(self, element_index: int, new_tag: str) -> None:
@@ -720,7 +713,8 @@ class CompressedXml(ReadSurface):
 
         This is the "insert on a null pointer" case of Section V-C: the
         insertion point is the terminating ``⊥`` of the parent's child
-        list, found by walking the parent's subtree on the grammar.  The
+        list, reached by continuing the parent's element descent down the
+        last-child path of its first-child subtree.  The
         position is exact even when the parent is the last element in
         document order -- in element coordinates the appended children
         land *off the end*, at index ``element_count``, but the
@@ -730,15 +724,6 @@ class CompressedXml(ReadSurface):
         """
         self._apply_one("append_child",
                         BatchAppend(parent_element_index, content))
-
-    def _end_of_children_position(self, parent_element_index: int) -> int:
-        """Binary preorder index of the parent's child-list terminator.
-
-        Answered by the index via subtree sizes: the terminator is the
-        preorder-last node of the parent's first-child subtree, so no
-        stream is walked (let alone materialized).
-        """
-        return self._index.end_of_children_position(parent_element_index)
 
     def delete(self, element_index: int) -> None:
         """Delete the ``element_index``-th element and its subtree.

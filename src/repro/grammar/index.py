@@ -96,8 +96,8 @@ from repro.grammar.kernel import (
     RulePack,
     flatten,
     global_symbol_table,
+    kernel_last_node,
     kernel_locate_element,
-    kernel_resolve_preorder,
     kernel_window,
     measure,
 )
@@ -1083,28 +1083,6 @@ class GrammarIndex:
         located = self._locate_element(element_index)
         return located[0], located[4]
 
-    def resolve_preorder(self, position: int) -> List[PathStep]:
-        """Derivation path to the node at binary preorder ``position``.
-
-        Produces exactly the steps
-        :func:`repro.grammar.navigation.resolve_preorder_path` would --
-        but descends on the cached per-RHS-node subtree sizes, so each
-        step costs O(rule width) instead of the O(generated subtree)
-        node walk ``generated_size_of_subtree_with_env`` pays per child
-        probe.  This is the resolver behind append targets (child-list
-        terminators are *nodes*, not elements, so the element descent
-        cannot address them): without it, every append to a long child
-        list re-walks the list's whole compressed representation.
-        """
-        check_element_index(position, "preorder position")
-        total = self.node_count
-        if position >= total:
-            raise IndexError(
-                f"preorder index {position} out of range for a tree of "
-                f"{total} nodes"
-            )
-        return kernel_resolve_preorder(self, position)
-
     def tag_of(self, element_index: int) -> str:
         """Label of the ``element_index``-th element (document order)."""
         _pos, pack, pos, *_rest = self._locate_element(element_index)
@@ -1126,30 +1104,24 @@ class GrammarIndex:
             )
         return located
 
-    def element_subtree_extent(self, element_index: int) -> int:
-        """Elements of the *unranked* subtree rooted at an element.
-
-        The element itself plus all of its document descendants: in the
-        first-child/next-sibling encoding these are exactly the element
-        and the non-``⊥`` terminals of its first-child subtree, so the
-        answer is one subtree-size lookup (``O(depth · rule-width)``).
-        ``delete(element_index)`` removes exactly this many elements.
-        """
-        _position, pack, pos, env, _steps = self._locate_fcns(element_index)
-        _nodes, elems = self._sizes(pack, pos + 1, env)
-        return 1 + elems
-
-    def end_of_children_position(self, element_index: int) -> int:
-        """Preorder index of the ``⊥`` terminating an element's child list.
+    def end_of_children_position(
+        self, element_index: int
+    ) -> Tuple[int, List[PathStep]]:
+        """The ``⊥`` terminating an element's child list, as
+        :meth:`resolve_element` gives any other write target: its binary
+        preorder index and derivation path.
 
         In the first-child/next-sibling encoding the terminator is the
-        preorder-last node of the element's first-child subtree, so it sits
-        exactly ``size(subtree(u.1))`` positions after the element ``u``
-        itself -- one subtree-size lookup instead of a stream walk.
+        preorder-last node of the element's first-child subtree, so it
+        sits ``size(subtree(u.1))`` positions after the element ``u``,
+        and its path is the element's own descent continued down that
+        subtree's last-child path (:func:`kernel_last_node`).
         """
-        position, pack, pos, env, _steps = self._locate_fcns(element_index)
+        position, pack, pos, env, steps = self._locate_fcns(element_index)
         first_child_nodes, _ = self._sizes(pack, pos + 1, env)
-        return position + first_child_nodes
+        steps.pop()  # the element's own terminal step
+        return (position + first_child_nodes,
+                kernel_last_node(self, pack, pos + 1, env, steps))
 
     # ------------------------------------------------------------------
     # document-tree navigation (axes over element indices)

@@ -1,7 +1,7 @@
 """Flat-column rule kernel for the descent/walk inner loops.
 
-Every hot read path of this code base -- element addressing, query walks,
-preorder resolution, windowed serialization -- descends the derivation by
+Every hot read path of this code base -- element addressing, write
+targets, query walks, windowed serialization -- descends the derivation by
 walking rule bodies.  Walking the ``Node`` graph directly pays, per step,
 several attribute loads (``node.symbol``), property calls
 (``symbol.is_parameter`` & friends) and a tree walk for every subtree
@@ -24,11 +24,12 @@ and list reads:
   columns, for a whole rule (cold build) or a spliced-in subtree,
 * the kernel walks the index and query layers dispatch to:
   :func:`kernel_locate_element` -- the one element descent behind tag,
-  axes and slots, from the start rule or a located binding --,
-  :func:`kernel_resolve_preorder` -- the node descent behind write
-  targets -- and :func:`kernel_window` -- the one windowed walk, in
-  nodes or in elements, behind ``tags`` windows and ``subtree_xml``;
-  each takes the index and probes its pack dict directly.
+  axes, slots and every write target, from the start rule or a located
+  binding --, :func:`kernel_last_node` -- its continuation to an
+  element's child-list terminator, the target of an append -- and
+  :func:`kernel_window` -- the one windowed walk, in nodes or in
+  elements, behind ``tags`` windows and ``subtree_xml``; each takes the
+  index and probes its pack dict directly.
 
 Epoch/MVCC interplay
 --------------------
@@ -72,7 +73,7 @@ __all__ = [
     "measure",
     "global_symbol_table",
     "kernel_locate_element",
-    "kernel_resolve_preorder",
+    "kernel_last_node",
     "kernel_window",
     "NODES",
     "ELEMENTS",
@@ -195,16 +196,14 @@ class RulePack:
     about ``val(rule)``; ``None`` while unknown (``GrammarIndex._routes``).
 
     ``walk`` is the tuple of the eleven columns in the order above (a
-    pack switch inside a walk is one attribute load plus one unpack);
-    ``walk_nodes`` is the node-count descent's subset ``(kind, sym,
-    rank, span, nnodes, params, sym_objs, steps)``.
+    pack switch inside a walk is one attribute load plus one unpack).
     """
 
     __slots__ = (
         "head", "kind", "sym", "rank", "span",
         "nnodes", "nelems", "params", "node_objs", "sym_objs", "sym_names",
         "steps", "calls", "node_segs", "elem_segs", "routes",
-        "_label_arrays", "walk", "walk_nodes",
+        "_label_arrays", "walk",
     )
 
     def __init__(self, head: Symbol, columns: tuple,
@@ -214,10 +213,6 @@ class RulePack:
          self.nelems, self.params, self.node_objs, self.sym_objs,
          self.sym_names, self.steps) = columns
         self.walk = columns
-        self.walk_nodes = (
-            self.kind, self.sym, self.rank, self.span, self.nnodes,
-            self.params, self.sym_objs, self.steps,
-        )
         self.calls = calls
         self.routes: Optional[list] = None
         #: per-label counts for the query walk, derived from this rule's
@@ -570,142 +565,59 @@ def kernel_locate_element(
          sym_objs, _names, step_at) = pack.walk
 
 
-def kernel_resolve_preorder(
+def kernel_last_node(
     index: "GrammarIndex",
-    target: int,
+    pack: RulePack,
+    pos: int,
+    env: Tuple,
+    steps: List[PathStep],
 ) -> List[PathStep]:
-    """The descent behind ``GrammarIndex.resolve_preorder`` (node-count
-    descent; bounds pre-checked by the caller).
+    """Extend ``steps`` -- a located descent's path into ``pack`` at
+    ``pos`` under ``env`` -- to the preorder-last node the subtree there
+    generates, down its last-child path.  Behind an element's first-child
+    slot that node is the element's child-list terminator.
 
-    The hottest kernel loop, so it walks the trimmed ``walk_nodes``
-    columns and -- since its environments never escape (only ``steps``
-    are returned) -- uses private 4-tuple bindings
-    ``(nodes, outer_env, outer_pack, pos)`` instead of the 7-tuple
-    binding format of the element descents.
-    Child scans lean on the walk invariant (``remaining`` is always
-    smaller than the current subtree's node count: checked at the root,
-    preserved by every descent): a target that fell through the first
-    ``r - 1`` children must sit in the last one, whose size then never
-    needs computing.
+    An application generates its last node in its last argument when the
+    callee's last node segment is empty: the walk passes into that
+    argument without a step.  Any other application is entered, and its
+    last node lies in the body, so an entered rule's bindings are never
+    read.  A parameter leaves the current rule for the bound argument:
+    a descent to a node inside an argument does not enter the rule, so
+    the rule's entry step is dropped -- the last step, since a rule this
+    walk entered is never left.
     """
     packs = index._packs
-    pack = index.pack(index.grammar.start)
-    (kind, sym, rank, span, nnodes, params, sym_objs,
-     step_at) = pack.walk_nodes
-    pos = 0
-    env: Tuple = ()
-    remaining = target
-    steps: List[PathStep] = []
-
+    (kind, sym, rank, span, _nn, _ne, _params, _nodes, sym_objs, _names,
+     step_at) = pack.walk
     while True:
         k = kind[pos]
-        if k <= 1:  # terminal
-            if remaining == 0:
-                steps.append(step_at[pos])
-                return steps
-            remaining -= 1  # the terminal itself
-            r = rank[pos]
-            child = pos + 1
-            if r == 2:  # FCNS: one size probe decides between the two
-                cn = nnodes[child]
-                pp = params[child]
-                if pp:
-                    for p in pp:
-                        cn += env[p - 1][0]
-                if remaining < cn:
-                    pos = child
-                else:
-                    remaining -= cn
-                    pos = child + span[child]
-            else:
-                for _ in range(r - 1):
-                    cn = nnodes[child]
-                    pp = params[child]
-                    if pp:
-                        for p in pp:
-                            cn += env[p - 1][0]
-                    if remaining < cn:
-                        break
-                    remaining -= cn
-                    child += span[child]
-                pos = child
-            continue
-
-        if k == 3:  # parameter: hop to the bound argument
+        if k == KIND_PARAMETER:
             b = env[sym[pos] - 1]
-            pos = b[3]
-            env = b[1]
-            pack = b[2]
-            (kind, sym, rank, span, nnodes, params, sym_objs,
-             step_at) = pack.walk_nodes
+            steps.pop()
+            env, pack, pos = b[2], b[3], b[4]
+            (kind, sym, rank, span, _nn, _ne, _params, _nodes, sym_objs,
+             _names, step_at) = pack.walk
             continue
-
-        # Nonterminal application (virtual preorder: seg0, arg1, seg1,
-        # ..., argk, segk).
-        sobj = sym_objs[pos]
-        callee = packs.get(sobj)
-        if callee is None:
-            callee = index.pack(sobj)
-        preceding = callee.node_segs[0]
         r = rank[pos]
-        if r == 1:
-            # The dominant shape after vertical/horizontal compression:
-            # one argument, so the size probe that decides arg-descent
-            # vs rule-entry is exactly the binding the entry needs.
-            child = pos + 1
-            cn = nnodes[child]
-            pp = params[child]
-            if pp:
-                for p in pp:
-                    cn += env[p - 1][0]
-            if preceding <= remaining < preceding + cn:
-                remaining -= preceding
-                pos = child
+        if k == KIND_NONTERMINAL:
+            sobj = sym_objs[pos]
+            callee = packs.get(sobj)
+            if callee is None:
+                callee = index.pack(sobj)
+            if callee.node_segs[-1]:
+                steps.append(step_at[pos])
+                env = ()
+                pack = callee
+                pos = 0
+                (kind, sym, rank, span, _nn, _ne, _params, _nodes,
+                 sym_objs, _names, step_at) = pack.walk
                 continue
+        elif not r:
             steps.append(step_at[pos])
-            env = ((cn, env, pack, child),)
-        elif r:
-            callee_nodes = callee.node_segs
-            descend_to = -1
-            if remaining >= preceding:
-                child = pos + 1
-                for child_pos in range(1, r + 1):
-                    cn = nnodes[child]
-                    pp = params[child]
-                    if pp:
-                        for p in pp:
-                            cn += env[p - 1][0]
-                    if remaining < preceding + cn:
-                        remaining -= preceding
-                        descend_to = child
-                        break
-                    preceding += cn + callee_nodes[child_pos]
-                    if remaining < preceding:
-                        break  # a body segment after this arg: enter
-                    child += span[child]
-            if descend_to >= 0:
-                pos = descend_to
-                continue
-            steps.append(step_at[pos])
-            outer_env = env
-            bindings = []
-            child = pos + 1
-            for _ in range(r):
-                cn = nnodes[child]
-                pp = params[child]
-                if pp:
-                    for p in pp:
-                        cn += outer_env[p - 1][0]
-                bindings.append((cn, outer_env, pack, child))
-                child += span[child]
-            env = tuple(bindings)
-        else:
-            steps.append(step_at[pos])
-            env = ()
-        pack = callee
-        pos = 0
-        (kind, sym, rank, span, nnodes, params, sym_objs,
-         step_at) = pack.walk_nodes
+            return steps
+        pos += 1
+        for _ in range(r - 1):
+            pos += span[pos]
 
 
 #: Units of :func:`kernel_window`: the index in ``RulePack.walk`` of the

@@ -449,7 +449,7 @@ def extract_subtree(gindex: GrammarIndex, element_index: int) -> XmlNode:
     """
     check_element_index(element_index)
     start = gindex.preorder_of_element(element_index)
-    terminator = gindex.end_of_children_position(element_index)
+    terminator = gindex.end_of_children_position(element_index)[0]
     symbols = kernel_window(gindex, start, terminator + 1, NODES)
     bottom = gindex.grammar.alphabet.bottom()
     return decode_binary(_rebuild_binary(symbols, bottom))

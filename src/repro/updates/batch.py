@@ -232,7 +232,8 @@ def apply_batch_op(
 ) -> int:
     """Apply one operation to the document as it stands now.
 
-    The target is resolved on ``grammar_index`` and the edit runs through
+    The target is resolved on ``grammar_index`` -- position and
+    derivation path, from one element descent -- and the edit runs through
     the single-op mutator of :mod:`repro.updates.grammar_updates` (one
     path isolation, one spliced edit).  ``encode`` turns insert / append
     content into a fragment over the grammar's alphabet.  Returns the
@@ -241,15 +242,13 @@ def apply_batch_op(
     if isinstance(op, BatchRename):
         position, steps = grammar_index.resolve_element(op.index)
         return grammar_updates.rename(
-            grammar, position, op.new_tag, grammar_index=grammar_index,
-            steps=steps, spine=spine)
+            grammar, position, op.new_tag, steps=steps, spine=spine)
     if isinstance(op, BatchDelete):
         if op.index == 0:
             raise UpdateError("deleting the document root is not allowed")
         position, steps = grammar_index.resolve_element(op.index)
         return grammar_updates.delete(
-            grammar, position, grammar_index=grammar_index, steps=steps,
-            spine=spine)
+            grammar, position, steps=steps, spine=spine)
     if isinstance(op, BatchInsert) and op.index == 0:
         raise UpdateError(
             "inserting before the document root would create a forest"
@@ -257,13 +256,12 @@ def apply_batch_op(
     fragment = encode(list(op.content), grammar.alphabet)
     if isinstance(op, BatchAppend):
         # The insertion point is the parent's child-list terminator.
-        position = grammar_index.end_of_children_position(op.parent_index)
-        steps = None
+        position, steps = grammar_index.end_of_children_position(
+            op.parent_index)
     else:
         position, steps = grammar_index.resolve_element(op.index)
     return grammar_updates.insert(
-        grammar, position, fragment, grammar_index=grammar_index,
-        steps=steps, spine=spine)
+        grammar, position, fragment, steps=steps, spine=spine)
 
 
 def execute_batch(

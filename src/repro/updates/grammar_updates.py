@@ -7,11 +7,14 @@ the paper's "naive update"; callers interleave
 :class:`repro.core.GrammarRePair` runs to keep the grammar small
 (Figures 4 and 5) or decompress-and-recompress for the udc baseline.
 
-Every operation accepts an optional shared
-:class:`~repro.grammar.index.GrammarIndex`: its cached ``size(A, i)``
-tables replace the per-call ``parameter_segments`` rebuild, and the
-grammar's observer channel keeps the index correct across the mutations
-performed here.
+Every operation takes its target as a binary preorder index and, when
+the caller already descended to it, as that descent's derivation path
+(``steps``): :class:`repro.api.CompressedXml` passes the path its
+:class:`~repro.grammar.index.GrammarIndex` resolved (``resolve_element``,
+or ``end_of_children_position`` for an append), and the grammar's
+observer channel keeps the index correct across the mutations performed
+here.  Without ``steps`` the path comes from the reference
+:func:`~repro.grammar.navigation.resolve_preorder_path`.
 
 With a sharded spine (``spine=`` carries the shard heads of a
 :class:`repro.grammar.sharding.ShardManager`), the edit lands in the
@@ -23,16 +26,13 @@ whole update history (see :mod:`repro.updates.path_isolation`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Container, Iterable, List, Optional
+from typing import Container, Iterable, Optional
 
-from repro.grammar.navigation import PathStep, resolve_preorder_path
+from repro.grammar.navigation import resolve_preorder_path
 from repro.grammar.properties import collect_garbage
 from repro.grammar.slcf import Grammar
 from repro.trees.node import Node, deep_copy
 from repro.trees.symbols import BOTTOM_NAME, Symbol
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.grammar.index import GrammarIndex
 from repro.updates.operations import (
     DeleteOp,
     InsertOp,
@@ -57,24 +57,10 @@ __all__ = [
 ]
 
 
-def _resolve(
-    grammar: Grammar,
-    index: int,
-    grammar_index: Optional["GrammarIndex"],
-) -> List[PathStep]:
-    """Derivation path to preorder ``index``: through the structural
-    index's cached per-node subtree sizes when one is shared (O(depth ·
-    rule-width)), else the self-contained segment walk."""
-    if grammar_index is not None:
-        return grammar_index.resolve_preorder(index)
-    return resolve_preorder_path(grammar, index)
-
-
 def rename(
     grammar: Grammar,
     index: int,
     new_label: str,
-    grammar_index: Optional["GrammarIndex"] = None,
     steps: Optional[list] = None,
     spine: Optional[Container[Symbol]] = None,
 ) -> int:
@@ -91,7 +77,7 @@ def rename(
     Returns the number of rule inlines the isolation performed.
     """
     if steps is None:
-        steps = _resolve(grammar, index, grammar_index)
+        steps = resolve_preorder_path(grammar, index)
     current_symbol = steps[-1].node.symbol
     if current_symbol.name == new_label and not current_symbol.is_bottom:
         return 0
@@ -123,7 +109,6 @@ def insert(
     grammar: Grammar,
     index: int,
     fragment: Node,
-    grammar_index: Optional["GrammarIndex"] = None,
     steps: Optional[list] = None,
     spine: Optional[Container[Symbol]] = None,
 ) -> int:
@@ -139,8 +124,7 @@ def insert(
     # passes trivially -- it splices as the identity): a malformed
     # fragment must not cost the spine rule any isolation bloat.
     rightmost_null(fragment)
-    result = isolate(grammar, index, grammar_index=grammar_index,
-                     steps=steps, spine=spine)
+    result = isolate(grammar, index, steps=steps, spine=spine)
     spliced = deep_copy(fragment)
     if not spliced.symbol.is_bottom:  # the empty forest is the identity
         grammar.preserve_for_write(result.rule)
@@ -152,7 +136,6 @@ def insert(
 def delete(
     grammar: Grammar,
     index: int,
-    grammar_index: Optional["GrammarIndex"] = None,
     steps: Optional[list] = None,
     spine: Optional[Container[Symbol]] = None,
 ) -> int:
@@ -167,7 +150,7 @@ def delete(
     Returns the number of rule inlines the isolation performed.
     """
     if steps is None:
-        steps = _resolve(grammar, index, grammar_index)
+        steps = resolve_preorder_path(grammar, index)
     target_symbol = steps[-1].node.symbol
     # Reject undeletable targets before isolating (same errors
     # ``delete_subtree`` would raise, moved ahead of any mutation).
@@ -177,8 +160,7 @@ def delete(
         raise UpdateError(
             f"delete needs a binary-encoded element, got {target_symbol!r}"
         )
-    result = isolate(grammar, index, grammar_index=grammar_index,
-                     steps=steps, spine=spine)
+    result = isolate(grammar, index, steps=steps, spine=spine)
     rule, target = result.rule, result.node
     if index == 0 and target.children:
         # Preorder 0 is the document root; with a sharded spine its
@@ -219,15 +201,14 @@ def _repair_spine_ranks(spine) -> None:
 def apply_op(
     grammar: Grammar,
     op: UpdateOp,
-    grammar_index: Optional["GrammarIndex"] = None,
 ) -> None:
     """Apply one :class:`~repro.updates.operations.UpdateOp`."""
     if isinstance(op, RenameOp):
-        rename(grammar, op.position, op.new_label, grammar_index=grammar_index)
+        rename(grammar, op.position, op.new_label)
     elif isinstance(op, InsertOp):
-        insert(grammar, op.position, op.fragment, grammar_index=grammar_index)
+        insert(grammar, op.position, op.fragment)
     elif isinstance(op, DeleteOp):
-        delete(grammar, op.position, grammar_index=grammar_index)
+        delete(grammar, op.position)
     else:
         raise UpdateError(f"unknown update operation {op!r}")
 
@@ -235,11 +216,10 @@ def apply_op(
 def apply_ops(
     grammar: Grammar,
     ops: Iterable[UpdateOp],
-    grammar_index: Optional["GrammarIndex"] = None,
 ) -> int:
     """Apply a sequence of updates; returns how many were applied."""
     count = 0
     for op in ops:
-        apply_op(grammar, op, grammar_index=grammar_index)
+        apply_op(grammar, op)
         count += 1
     return count

@@ -20,16 +20,13 @@ that shard's body exactly as before.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Container, Dict, List, Optional
+from typing import Container, Dict, List, Optional
 
 from repro.grammar.derivation import inline_at
 from repro.grammar.navigation import PathStep, resolve_preorder_path
 from repro.grammar.slcf import Grammar
 from repro.trees.node import Node
 from repro.trees.symbols import Symbol
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.grammar.index import GrammarIndex
 
 __all__ = ["isolate", "isolate_many", "IsolationResult"]
 
@@ -55,7 +52,6 @@ class IsolationResult:
 def isolate(
     grammar: Grammar,
     index: int,
-    grammar_index: Optional["GrammarIndex"] = None,
     steps: Optional[List[PathStep]] = None,
     spine: Optional[Container[Symbol]] = None,
 ) -> IsolationResult:
@@ -67,18 +63,15 @@ def isolate(
     is a terminal node whose subtree generates exactly the subtree of
     ``valG(S)`` rooted at the target.
 
-    The path is resolved on ``grammar_index`` when one is passed (its
-    per-node subtree sizes resolve each descent step in O(rule width)),
-    else by :func:`resolve_preorder_path`, which rebuilds the segment
-    tables.  ``steps`` short-circuits path resolution entirely for
-    callers that already resolved it (and have not mutated the grammar
-    since).
+    ``steps`` is the derivation path to the target when the caller
+    already descended to it (and has not mutated the grammar since): a
+    document's writes pass the one element descent of its
+    :class:`~repro.grammar.index.GrammarIndex`.  Without it the path is
+    resolved by the reference :func:`resolve_preorder_path`, which
+    rebuilds the segment tables.
     """
     if steps is None:
-        if grammar_index is not None:
-            steps = grammar_index.resolve_preorder(index)
-        else:
-            steps = resolve_preorder_path(grammar, index)
+        steps = resolve_preorder_path(grammar, index)
     inlined = 0
     rule = grammar.start
     # The inlines nest -- each lands in the body copy the one before it
@@ -129,7 +122,6 @@ def isolate(
 def isolate_many(
     grammar: Grammar,
     indexes: List[int],
-    grammar_index: Optional["GrammarIndex"] = None,
     spine: Optional[Container[Symbol]] = None,
 ) -> List[IsolationResult]:
     """Isolate several preorder indices, one :func:`isolate` after another.
@@ -139,5 +131,5 @@ def isolate_many(
     left.  Updates isolate one target per operation; this loop remains
     for callers that bind the name.
     """
-    return [isolate(grammar, index, grammar_index=grammar_index, spine=spine)
+    return [isolate(grammar, index, spine=spine)
             for index in indexes]

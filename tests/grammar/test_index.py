@@ -57,6 +57,24 @@ def naive_end_of_children(grammar, element_index):
     return position
 
 
+def assert_same_steps(ours, reference):
+    """Two derivation paths name the same nodes, step for step."""
+    assert len(ours) == len(reference)
+    for step, expected in zip(ours, reference):
+        assert step.node is expected.node
+        assert step.enters_rule == expected.enters_rule
+
+
+def assert_append_targets_match(doc):
+    """Every element's append target -- position and derivation path --
+    equals the naive terminator and the reference resolver's path."""
+    grammar = doc.grammar
+    for element_index in range(doc.element_count):
+        position, steps = doc.index.end_of_children_position(element_index)
+        assert position == naive_end_of_children(grammar, element_index)
+        assert_same_steps(steps, resolve_preorder_path(grammar, position))
+
+
 def assert_index_matches_stream(doc):
     """Every index answer equals the naive streamed recomputation."""
     grammar = doc.grammar
@@ -67,7 +85,6 @@ def assert_index_matches_stream(doc):
     for element_index, (position, symbol) in enumerate(elements):
         assert index.preorder_of_element(element_index) == position
         assert index.tag_of(element_index) == symbol.name
-        assert doc._binary_index_of_element(element_index) == position
     with pytest.raises(IndexError):
         index.preorder_of_element(len(elements))
     with pytest.raises(IndexError):
@@ -122,32 +139,29 @@ class TestStaticQueries:
         index = GrammarIndex(grammar)
         for i in range(index.element_count):
             position, steps = index.resolve_element(i)
-            expected = resolve_preorder_path(grammar, position)
-            assert len(steps) == len(expected)
-            for ours, reference in zip(steps, expected):
-                assert ours.node is reference.node
-                assert ours.enters_rule == reference.enters_rule
+            assert_same_steps(steps, resolve_preorder_path(grammar, position))
 
-    @given(slcf_grammars())
-    @settings(max_examples=40, deadline=None)
-    def test_resolve_preorder_matches_navigation(self, grammar):
-        """The indexed node-preorder resolver (the append path's resolver:
-        child-list terminators are nodes, not elements) must produce
-        node-for-node the steps of the self-contained segment walk, at
-        every position of the generated tree."""
-        index = GrammarIndex(grammar)
-        total = index.node_count
-        for position in range(total):
-            steps = index.resolve_preorder(position)
-            expected = resolve_preorder_path(grammar, position)
-            assert len(steps) == len(expected)
-            for ours, reference in zip(steps, expected):
-                assert ours.node is reference.node
-                assert ours.enters_rule == reference.enters_rule
-        with pytest.raises(IndexError):
-            index.resolve_preorder(total)
-        with pytest.raises(IndexError):
-            index.resolve_preorder(-1)
+    def test_append_target_leaves_a_rule_through_its_parameter(self):
+        """``A(y1) -> a(b(⊥, y1), ⊥)`` under ``S -> r(A(c(⊥, ⊥)), ⊥)``:
+        element ``a``'s descent enters ``A``, but its child list ends in
+        the argument, on ``c``'s next-sibling ``⊥``.  The reference path
+        descends into the argument without entering ``A``, so the walk
+        that leaves ``A`` through ``y1`` must drop ``A``'s entry step."""
+        alphabet = Alphabet()
+        S = alphabet.nonterminal("S", 0)
+        A = alphabet.nonterminal("A", 1)
+        nts = frozenset({"S", "A"})
+        grammar = Grammar(alphabet, S)
+        grammar.set_rule(S, parse_term("r(A(c(#,#)),#)", alphabet, nts))
+        grammar.set_rule(A, parse_term("a(b(#,y1),#)", alphabet, nts))
+        grammar.validate()
+        doc = CompressedXml(grammar)
+        position, steps = doc.index.end_of_children_position(1)
+        assert position == 6
+        assert not any(step.enters_rule for step in steps)
+        assert_append_targets_match(doc)
+        doc.append_child(1, XmlNode("tail"))
+        assert doc.to_xml() == "<r><a><b/><c/><tail/></a></r>"
 
 
 # ----------------------------------------------------------------------
@@ -224,15 +238,21 @@ class TestUpdateInterleavings:
         for _ in replay_script(doc, script):
             assert_index_matches_stream(doc)
 
-    @given(xml_documents(max_elements=15), update_scripts(max_ops=6))
+    @pytest.mark.parametrize("shard_width", [None, 8])
+    @given(xml_documents(max_elements=30), update_scripts(max_ops=6))
     @settings(max_examples=15, deadline=None)
-    def test_end_of_children_matches_naive(self, tree, script):
-        doc = CompressedXml.from_document(tree)
+    def test_end_of_children_matches_naive(self, shard_width, tree, script):
+        """An append's target is the parent's element descent continued
+        down the last-child path of its first-child subtree: the naive
+        terminator's position and, node for node, the steps of
+        ``resolve_preorder_path`` -- after every write, on sharded and
+        unsharded documents, and after a recompression."""
+        doc = CompressedXml.from_document(tree, shard_width=shard_width)
+        assert_append_targets_match(doc)
         for _ in replay_script(doc, script):
-            count = doc.element_count
-            for element_index in range(count):
-                assert doc._end_of_children_position(element_index) == \
-                    naive_end_of_children(doc.grammar, element_index)
+            assert_append_targets_match(doc)
+        doc.recompress()
+        assert_append_targets_match(doc)
 
     @given(xml_documents(max_elements=20), update_scripts(max_ops=6))
     @settings(max_examples=15, deadline=None)

@@ -135,8 +135,7 @@ class TestSplitting:
         position, steps = doc.index.resolve_element(0)
         with pytest.raises(UpdateError):
             grammar_updates.delete(
-                doc.grammar, position, grammar_index=doc.index,
-                steps=steps, spine=manager,
+                doc.grammar, position, steps=steps, spine=manager,
             )
         assert doc.to_xml().startswith("<log>")  # document intact
 

@@ -312,7 +312,7 @@ class TestUpdates:
     def test_append_child_to_last_element(self):
         """Regression: the parent is the last element in document order,
         so its child-list terminator is the last ``⊥`` of the parent's
-        subtree -- the off-the-end case of ``_end_of_children_position``."""
+        subtree -- the off-the-end case of ``end_of_children_position``."""
         doc = CompressedXml.from_xml("<a><b/><c/></a>")
         doc.append_child(2, XmlNode("tail"))
         assert doc.to_xml() == "<a><b/><c><tail/></c></a>"
@@ -498,7 +498,7 @@ class TestMaintenance:
         with pytest.raises(TypeError):
             CompressedXml.from_xml("<a><b/></a>", no_such_option=True)
         assert list(signature(isolate).parameters) == [
-            "grammar", "index", "grammar_index", "steps", "spine"]
+            "grammar", "index", "steps", "spine"]
         assert list(signature(stream_elements).parameters) == ["grammar"]
 
         durable = ["io", "checkpoint_wal_bytes", "wal_segment_bytes", "retry"]

@@ -612,12 +612,9 @@ def index_resumed_children(doc, element):
     index = doc.index
     child = index.first_child(element)
     while child is not None:
-        below = index.element_subtree_extent(child) - 1
-        last = index.next_sibling(child) is None
+        following = index.next_sibling(child)
         yield child, index.tag_of(child)
-        if last:
-            return
-        child += 1 + below
+        child = following
 
 
 class TestSuspendedChildrenWalksResumeByIndex:
