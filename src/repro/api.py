@@ -27,18 +27,13 @@ that updates never scale with the size of the generated document.  The
 index invalidates itself per-rule through the grammar's observer channel
 (updates dirty essentially just the start rule).
 
-Recompression is *dirty-rule-scoped* by default: a second observer
-records the rules mutated since the last recompression, and
-:meth:`CompressedXml.recompress` seeds GrammarRePair's occurrence census
-with only those rules plus their digram frontier (see
-:mod:`repro.core.occurrence_index`).  The automatic policy falls back to
-a full -- still incrementally maintained -- census when the dirty mass
-dominates the grammar, where a scoped census would miss cross-rule
-digram weights and erode the compression ratio.  Because only touched
-rules are rewritten, the GrammarIndex keeps its cached count tables for
-the untouched bulk of the grammar -- no ``invalidate_all`` with either
-census; the per-rule observer evictions that fire during compression are
-the entire invalidation story.
+Every recompression, explicit or automatic, starts with one census of
+the whole grammar and then maintains GrammarRePair's occurrence index
+per round (see :mod:`repro.core.occurrence_index`).  The GrammarIndex
+evicts only the rules a run rewrites and the rules deriving through
+them: there is no ``invalidate_all``, and the per-rule observer
+evictions that fire during compression are the entire invalidation
+story.
 
 The read surface -- statistics, ``tags``, the navigation axes,
 ``select`` / ``count``, ``subtree_xml``, ``to_xml`` -- is written once, in
@@ -76,9 +71,9 @@ from repro.obs.tracing import trace_span
 from repro.grammar.index import GrammarIndex
 from repro.grammar.serialize import format_grammar, parse_grammar
 from repro.grammar.sharding import ShardManager
-from repro.grammar.slcf import Grammar, GrammarSizeTracker, RuleTouchRecorder
+from repro.grammar.slcf import Grammar, GrammarSizeTracker
 from repro.trees.binary import decode_binary, encode_binary, encode_forest
-from repro.trees.node import deep_copy, edge_count
+from repro.trees.node import deep_copy
 from repro.trees.symbols import Alphabet
 from repro.trees.unranked import XmlNode
 from repro.trees.xml_io import parse_xml, serialize_xml
@@ -344,7 +339,7 @@ class ReadSurface:
         """Decompress and serialize to XML text."""
         return serialize_xml(self.to_document(budget=budget), indent=indent)
 
-    def _document_state(self, grammar, shard_state, dirty_rules):
+    def _document_state(self, grammar, shard_state):
         """The :class:`~repro.storage.snapshot.DocumentState` of this
         surface over ``grammar`` (the live grammar, or a materialised
         pinned epoch).  Forces the cacheable state for the whole
@@ -362,11 +357,7 @@ class ReadSurface:
             grammar=grammar,
             kin=self._kin,
             element_count=self.element_count,
-            baselined=self._baselined,
             last_compressed_size=self._last_compressed_size,
-            dirty_rules=[
-                head for head in dirty_rules if grammar.has_rule(head)
-            ],
             shard=shard,
             segments=segments,
             label_counts=label_counts,
@@ -415,10 +406,6 @@ class CompressedXml(ReadSurface):
         self._index = GrammarIndex(grammar)
         self._kin = kin
         self._auto_factor = auto_recompress_factor
-        # Rules mutated since the last recompression; recompress() scopes
-        # its census to exactly this set (plus the digram frontier).
-        self._dirty = RuleTouchRecorder()
-        grammar.register_observer(self._dirty)
         # |G| maintained incrementally: the auto-recompress policy reads
         # the size after every update, and a full Grammar.size walk there
         # would undo the O(width)-per-update bound sharding buys.
@@ -433,10 +420,6 @@ class CompressedXml(ReadSurface):
             self._shards = ShardManager(grammar, width=shard_width)
             # A packed rule's width is read off its columns, not walked.
             self._shards.width_of = self._index.rule_width
-        # Dirty scoping is only sound relative to a compressed baseline: a
-        # grammar that was never RePair'd (compress=False, grammar files)
-        # gets one full run first.
-        self._baselined = False
         self._last_compressed_size = max(1, grammar.size)
         self.updates_applied = 0
         self.batches_applied = 0
@@ -579,10 +562,8 @@ class CompressedXml(ReadSurface):
             )
         else:
             grammar = Grammar.from_tree(binary, alphabet)
-        doc = cls(grammar, kin=kin,
-                  auto_recompress_factor=auto_recompress_factor, **kwargs)
-        doc._baselined = compress
-        return doc
+        return cls(grammar, kin=kin,
+                   auto_recompress_factor=auto_recompress_factor, **kwargs)
 
     @classmethod
     def from_xml(cls, text: str, **kwargs) -> "CompressedXml":
@@ -629,11 +610,7 @@ class CompressedXml(ReadSurface):
             doc._shards.bind_metrics(doc._obs)
         if state.segments:
             doc._index.import_segments(state.segments, state.label_counts)
-        doc._baselined = state.baselined
         doc._last_compressed_size = max(1, state.last_compressed_size)
-        for head in state.dirty_rules:
-            if state.grammar.has_rule(head):
-                doc._dirty.changed.add(head)
         return doc
 
     @classmethod
@@ -941,63 +918,30 @@ class CompressedXml(ReadSurface):
         # pays for at most one bounded step of a run.
         if self._auto_factor is None:
             return
-        if self._repair is not None:
-            self._recompress_locked(None, budget=STEP_SECONDS)
-        elif self._size.total > self._auto_factor * self._last_compressed_size:
-            self._recompress_locked(
-                self._scoped_census_unprofitable(), budget=STEP_SECONDS
-            )
-
-    def _scoped_census_unprofitable(self) -> Optional[bool]:
-        """Auto-recompress policy: scope the census to the dirty rules
-        only while they are a small slice of the grammar.
-
-        Under sustained traffic the start rule accumulates most of the
-        grammar's mass by the time the growth factor triggers; a census
-        scoped to it would miss cross-rule digram weights and slowly
-        degrade the compression ratio.  A full (but still incrementally
-        maintained) census costs one extra pass and keeps parity.
-        """
-        if not self._baselined:
-            return None  # recompress() applies its own first-run rule
-        grammar = self._grammar
-        dirty_edges = sum(
-            edge_count(grammar.rules[head])
-            for head in self._dirty.changed
-            if grammar.has_rule(head)
-        )
-        return dirty_edges * 4 > self._size.total or None
+        if (self._repair is not None or self._size.total
+                > self._auto_factor * self._last_compressed_size):
+            self._recompress_locked(budget=STEP_SECONDS)
 
     # ------------------------------------------------------------------
     # maintenance and output
     # ------------------------------------------------------------------
-    def recompress(self, full: Optional[bool] = None) -> int:
+    def recompress(self) -> int:
         """Run GrammarRePair in place; returns the new grammar size.
 
-        By default the run is *dirty-rule-scoped*: the occurrence census
-        is seeded with only the rules mutated since the last
-        recompression (plus their digram frontier), and the structural
-        index keeps its cached tables for every untouched rule -- the
-        per-rule evictions fired through the observer channel while rules
-        were rewritten are the only invalidation.  Pass ``full=True`` to
-        force a whole-grammar census (the first run on a grammar that was
-        never compressed does this automatically): same loop, same
-        per-rule evictions, only the census is wider.
+        The run starts with one census of the whole grammar, and the
+        structural index keeps its cached tables for every rule whose
+        derivation enters no rule the run rewrites -- the per-rule
+        evictions fired through the observer channel while rules are
+        rewritten are the only invalidation.
 
         A run the automatic policy paused is finished instead (it covers
-        every rule written since it began); ``full=True`` then runs one.
+        every rule written since it began), and no second run starts.
         """
         with trace_span("recompress"):
             with self._lock:
-                if self._repair is not None:
-                    self._recompress_locked(None)
-                    if not full:
-                        return self._size.total
-                return self._recompress_locked(full)
+                return self._recompress_locked()
 
-    def _recompress_locked(
-        self, full: Optional[bool], budget: Optional[float] = None
-    ) -> int:
+    def _recompress_locked(self, budget: Optional[float] = None) -> int:
         """Start a run, or resume the paused one, for one step of
         ``budget`` seconds (the whole run without one)."""
         started = time.perf_counter()
@@ -1007,32 +951,23 @@ class CompressedXml(ReadSurface):
         # pristine body is preserved up front.
         self._grammar.preserve_all()
         compressor = self._repair
-        dirty = None
         if compressor is None:
-            if full is None:
-                full = not self._baselined
             compressor = GrammarRePair(
                 kin=self._kin,
                 barriers=(self._shards.heads
                           if self._shards is not None else None),
             )
-            if not full:
-                dirty = set(self._dirty.changed)
         elif self._shards is not None:
             # A write between steps may have split or merged shards.
             compressor.barriers.clear()
             compressor.barriers.update(self._shards.heads)
-        # No invalidate_all, full census or not: the per-rule observer
-        # evictions that fire while rules are rewritten are the whole
-        # invalidation story, so untouched rules keep their tables.
-        compressor.compress(
-            self._grammar, in_place=True, dirty_rules=dirty, budget=budget
-        )
+        # No invalidate_all: the per-rule observer evictions that fire
+        # while rules are rewritten are the whole invalidation story, so
+        # untouched rules keep their tables.
+        compressor.compress(self._grammar, in_place=True, budget=budget)
         self._repair = compressor if compressor.paused else None
         if self._repair is None:
             self.last_repair_stats = compressor.stats
-            self._dirty.clear()
-            self._baselined = True
             self._last_compressed_size = max(1, self._size.total)
             self.recompress_runs += 1
             self._m_recompress_total.inc()
@@ -1089,12 +1024,11 @@ class CompressedXml(ReadSurface):
     def export_state(self) -> "DocumentState":
         """Everything a restart needs to resume *exactly*: the grammar,
         the shard hierarchy, the structural index's per-rule segments,
-        the label index's per-rule censuses, and the recompression
-        baseline (see :meth:`from_state`)."""
+        the label index's per-rule censuses, and the size after the last
+        recompression (see :meth:`from_state`)."""
         return self._document_state(
             self._grammar,
             self._shards.export_state() if self._shards is not None else None,
-            self._dirty.changed,
         )
 
     def save_snapshot(

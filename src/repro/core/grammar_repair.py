@@ -23,10 +23,10 @@ with exactly one full-grammar pass and then, after every replacement,
 adapts the edited rules edge by edge (from the replacer's event log),
 re-resolves only the generators a changed rule interface can reach and
 updates usage only where it changed -- a round costs O(what it changed).
-``compress(dirty_rules=...)`` narrows even the initial census to a set of
-dirty rules plus their digram frontier, which is what
-:meth:`repro.api.CompressedXml.recompress` uses to recompress only the
-part of the grammar mutated since its last run.
+Every run, a recompression of an updated document included, starts from
+that one whole-grammar census: a census of only the rules written since
+the previous run would miss the digrams that span written and unwritten
+rules.
 :func:`~repro.core.retrieve.retrieve_occurrences` (the from-scratch
 RETRIEVEOCCS census) stays as the oracle the index is checked against.
 
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Set
+from typing import Callable, List, Optional, Set
 
 from repro.core.occurrence_index import GrammarOccurrenceIndex
 from repro.core.replace_optimized import replace_all_occurrences_optimized
@@ -79,9 +79,8 @@ class GrammarRePairStats:
     ``full_censuses`` counts full-grammar occurrence censuses;
     ``census_trace[i]`` is the number of rules censused by round ``i``
     (entry 0 is the initial build) and ``rule_count_trace[i]`` the number
-    of grammar rules at that moment.  A run performs at most one full
-    census; ``seed_rule_count`` is set when it was dirty-rule-scoped
-    instead.
+    of grammar rules at that moment.  A run performs exactly one full
+    census, in its first step.
     """
 
     rounds: int = 0
@@ -108,7 +107,6 @@ class GrammarRePairStats:
     #: Rules whose usage changed, summed over rounds: the reach of the
     #: per-round usage maintenance.
     usage_updates: int = 0
-    seed_rule_count: Optional[int] = None
     #: Wall time spent maintaining occurrence counts: census/build, digram
     #: selection and per-round count upkeep (incl. garbage detection) --
     #: the occurrence index's share.  Replacement and pruning time is
@@ -145,7 +143,6 @@ class GrammarRePairStats:
             "rules_partially_rescanned": self.rules_partially_rescanned,
             "generators_resolved": self.generators_resolved,
             "usage_updates": self.usage_updates,
-            "seed_rule_count": self.seed_rule_count or 0,
             "maintenance_seconds": self.maintenance_seconds,
             "census_seconds": self.census_seconds,
             "rounds_seconds": self.rounds_seconds,
@@ -205,15 +202,12 @@ class GrammarRePair:
         self,
         grammar: Grammar,
         in_place: bool = False,
-        dirty_rules: Optional[Iterable[Symbol]] = None,
         budget: Optional[float] = None,
     ) -> Grammar:
         """Recompress ``grammar``; returns the new grammar.
 
         With ``in_place=False`` (default) the input grammar is left
-        untouched.  ``dirty_rules`` scopes the initial census to the
-        given rules plus their digram frontier -- rules untouched since
-        the last compression keep their digrams as they are.
+        untouched.
 
         With a ``budget`` the call is one step (at least one round) that
         may leave the run :attr:`paused`; the next call resumes it on its
@@ -224,8 +218,7 @@ class GrammarRePair:
             grammar if in_place else grammar.copy())
         loop_started = time.perf_counter()
         prune_hints = self._run_rounds(
-            working, stats, dirty_rules,
-            None if budget is None else loop_started + budget,
+            working, stats, None if budget is None else loop_started + budget,
         )
         loop_elapsed = time.perf_counter() - loop_started
         stats.rounds_seconds = max(0.0, loop_elapsed - stats.census_seconds)
@@ -271,7 +264,6 @@ class GrammarRePair:
         self,
         working: Grammar,
         stats: GrammarRePairStats,
-        dirty_rules: Optional[Iterable[Symbol]],
         deadline: Optional[float],
     ) -> Optional[dict]:
         """One census -- or, resuming a paused run, one fold of the rules
@@ -286,17 +278,12 @@ class GrammarRePair:
         as a grammar observer.
         """
         clock = time.perf_counter
-        seed = None
         if self._paused is None:
             opaque: Set[Symbol] = set()
             index = GrammarOccurrenceIndex(
                 working, opaque, barriers=self.barriers
             )
-            if dirty_rules is not None:
-                seed = set(dirty_rules)
-                stats.seed_rule_count = len(seed)
-            else:
-                stats.full_censuses += 1
+            stats.full_censuses += 1
         else:
             index, opaque = self._paused[1:]
             self._paused = None
@@ -306,7 +293,7 @@ class GrammarRePair:
         if index.builds:
             index.apply_round()  # what the observers reported since the pause
         else:
-            index.build(seed_rules=seed)
+            index.build()
         elapsed = clock() - started
         stats.maintenance_seconds += elapsed
         stats.census_seconds += elapsed

@@ -7,11 +7,11 @@ appropriate digram answered by a lazy max-heap
 (:class:`~repro.repair.priority.DigramPriorityQueue`) in O(log n) instead
 of a linear scan over every digram.
 
-The index is built with one full ``RETRIEVEOCCS`` census (Algorithm 4) --
-or, for dirty-rule-scoped recompression, a census of only the dirty rules
-plus their digram frontier -- and then maintained *incrementally*: it
-registers as a grammar observer, records the rules each replacement round
-mutates, and on :meth:`apply_round` adapts exactly what changed.  This
+The index is built with one full ``RETRIEVEOCCS`` census (Algorithm 4)
+over every rule, of a fresh tree grammar and of an updated one alike,
+and then maintained *incrementally*: it registers as a grammar observer,
+records the rules each replacement round mutates, and on
+:meth:`apply_round` adapts exactly what changed.  This
 realizes the paper's Section IV-C observation ("only the occurrences that
 overlap with an occurrence of the replaced digram have to be adapted") on
 the grammar, where before every round paid a full O(|G|) rescan.  A round
@@ -107,7 +107,7 @@ class GrammarOccurrenceIndex:
     :meth:`GrammarRePair.compress` calls may split into steps)::
 
         index = GrammarOccurrenceIndex(grammar, opaque)
-        index.build()                       # or build(seed_rules=dirty)
+        index.build()                       # the run's one census
         while (best := index.best(kin)):
             ... replace best digram ...     # mutations reach the index
             index.apply_round(clean_edits)  # adapt/re-resolve what changed
@@ -184,10 +184,6 @@ class GrammarOccurrenceIndex:
         self._blowup_budget = float("inf")
         self._dirty: Set[Symbol] = set()
         self._changed_digrams: Set[Digram] = set()
-        # Rules ever censused -- the compression scope.  Dirty-seeded
-        # builds leave out-of-scope rules alone even when propagation
-        # brushes them.
-        self._scope: Set[Symbol] = set()
         # Instrumentation (asserted by tests and reported by benchmarks).
         self.builds = 0
         self.rules_censused = 0
@@ -223,15 +219,10 @@ class GrammarOccurrenceIndex:
     # ------------------------------------------------------------------
     # building and incremental maintenance
     # ------------------------------------------------------------------
-    def build(self, seed_rules: Optional[Iterable[Symbol]] = None) -> None:
-        """Initial census.
-
-        With ``seed_rules=None`` every (non-opaque) rule is censused --
-        the one full-grammar pass of a compression run.  With a seed set,
-        only the seed plus its digram frontier (rules whose resolutions
-        pass through seed rules) is censused: digrams wholly inside
-        untouched rules were already handled by the previous run and are
-        deliberately left alone (dirty-rule-scoped recompression).
+    def build(self) -> None:
+        """Initial census: every (non-opaque) rule is censused -- the
+        one full-grammar pass of a compression run.  Every later census
+        is of a rule rewritten since.
         """
         self.builds += 1
         grammar = self._grammar
@@ -241,13 +232,8 @@ class GrammarOccurrenceIndex:
         self._propagate_usage({grammar.start: 1})
         self._unused = set(grammar.rules).difference(self._usage)
         resolver = Resolver(grammar, self._opaque, barriers=self._barriers)
-        order = anti_sl_order(grammar)
-        if seed_rules is not None:
-            dirty = {h for h in seed_rules if grammar.has_rule(h)}
-            affected = dirty | self._propagated(dirty)[0]
-            order = [head for head in order if head in affected]
         census_count = 0
-        for head in order:
+        for head in anti_sl_order(grammar):
             if self._census_rule(head, resolver):
                 census_count += 1
         self.last_census_count = census_count
@@ -332,13 +318,10 @@ class GrammarOccurrenceIndex:
         # Targeted re-resolution: a rule referencing the closure of the
         # changed interfaces keeps every occurrence whose resolution
         # cannot enter that closure and re-resolves the rest -- on top of
-        # its own edge-local adaptation when it was also edited.  Applies
-        # only inside the compression scope (censused before;
-        # dirty-seeded runs leave the rest alone).
+        # its own edge-local adaptation when it was also edited.
         partial = {
             head for head in propagated
-            if head not in rescan
-            and head in self._scope and head not in self._opaque
+            if head not in rescan and head not in self._opaque
             and grammar.has_rule(head)
         }
         for head in rescan:
@@ -491,10 +474,6 @@ class GrammarOccurrenceIndex:
         """Never offer ``digram`` again (its replacement failed)."""
         self._dead.add(digram)
 
-    def censused_rules(self) -> Set[Symbol]:
-        """Rules with live occurrence tables."""
-        return set(self._by_rule)
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -524,7 +503,6 @@ class GrammarOccurrenceIndex:
         grammar = self._grammar
         if not grammar.has_rule(head):
             self._topo.pop(head, None)
-            self._scope.discard(head)
             return old_signature is not None
         rhs = grammar.rules[head]
         callees: Dict[Symbol, int] = {}
@@ -966,7 +944,6 @@ class GrammarOccurrenceIndex:
         if head in self._opaque or not grammar.has_rule(head):
             return False
         self.rules_censused += 1
-        self._scope.add(head)
         rule_weight = self._usage.get(head, 0)
         rhs = grammar.rules[head]
         per_rule: _RuleTable = {}

@@ -411,8 +411,8 @@ class GrammarIndex:
         self._paths: Dict[tuple, object] = {}
         self._summaries: Dict[Symbol, Dict[int, tuple]] = {}
         # Eviction instrumentation: per-rule evictions through the observer
-        # channel vs wholesale resets.  Dirty-rule-scoped recompression is
-        # asserted against these (untouched rules must keep their tables).
+        # channel vs wholesale resets.  Recompression is asserted against
+        # these (rules a run does not rewrite keep their tables).
         self.evicted_rules = 0
         self.wholesale_invalidations = 0
         # The same for the censuses, which writes drop off the spine.

@@ -38,7 +38,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from repro.trees.node import Node, deep_copy, edge_count, node_count
 from repro.trees.symbols import Alphabet, Symbol
 
-__all__ = ["Grammar", "GrammarError", "RuleTouchRecorder", "GrammarSizeTracker"]
+__all__ = ["Grammar", "GrammarError", "GrammarSizeTracker"]
 
 
 class GrammarError(ValueError):
@@ -88,41 +88,6 @@ class _CowRuleTable(dict):
         if grammar._pins:
             grammar._preserve(head)
         return dict.get(self, head, default)
-
-
-class RuleTouchRecorder:
-    """Minimal grammar observer collecting the rules touched by mutations.
-
-    ``changed`` accumulates every rule head reported through the observer
-    channel (install, in-place mutation); ``removed`` the heads whose rules
-    were dropped.  A removed head is taken out of ``changed`` again --
-    consumers that rescan or recompress dirty rules must not chase rules
-    that no longer exist, and the mutation that dropped the last reference
-    dirtied the referencing rule already.
-
-    This is the bookkeeping shared by the incremental recompressor (which
-    rescans only touched rules between replacement rounds, see
-    :mod:`repro.core.occurrence_index`) and by
-    :class:`repro.api.CompressedXml` (which scopes recompression to the
-    rules dirtied since the previous run).
-    """
-
-    __slots__ = ("changed", "removed")
-
-    def __init__(self) -> None:
-        self.changed: Set[Symbol] = set()
-        self.removed: Set[Symbol] = set()
-
-    def rule_changed(self, head: Symbol) -> None:
-        self.changed.add(head)
-
-    def rule_removed(self, head: Symbol) -> None:
-        self.changed.discard(head)
-        self.removed.add(head)
-
-    def clear(self) -> None:
-        self.changed.clear()
-        self.removed.clear()
 
 
 class GrammarSizeTracker:
@@ -308,10 +273,10 @@ class Grammar:
         cache sizes (e.g. :class:`repro.grammar.index.GrammarIndex`) may
         implement ``rule_relabeled`` as a no-op and keep their tables;
         observers without the hook get the coarse :meth:`rule_changed`
-        instead -- label censuses, occurrence tables, and dirty-rule
-        recorders must all still see the mutation (relabels do change
-        digrams and label counts).  ``node`` names the relabeled node,
-        so a cache of per-node labels can patch that entry.
+        instead -- label censuses and occurrence tables must both still
+        see the mutation (relabels do change digrams and label counts).
+        ``node`` names the relabeled node, so a cache of per-node labels
+        can patch that entry.
         """
         self.epoch += 1
         for observer in self._observers:

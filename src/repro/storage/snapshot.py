@@ -11,9 +11,8 @@ A snapshot is one self-contained binary image of a
   axis queries without re-censusing a single rule (the per-RHS-node
   tables are keyed by object identity and rebuild lazily per rule in
   O(rule width) from the imported segments),
-* the recompression baseline (dirty rules, ``_baselined``, last
-  compressed size) -- the occurrence-maintenance state that keeps the
-  dirty-scoped census sound across a restart.
+* the grammar size after the last recompression, which the
+  auto-recompress policy measures growth against.
 
 Wire format (all integers LEB128 varints unless noted)::
 
@@ -24,13 +23,17 @@ Wire format (all integers LEB128 varints unless noted)::
     body := version(=1) kin element_count flags last_compressed_size
             symbol_table start_id rules [shards] segments [labels] dirty
 
-``flags``: bit0 ``baselined``, bit1 shard section present, bit2 label
-section present.  Rule bodies are preorder symbol-id streams; ids
-``>= len(symbols)`` encode parameters ``y1, y2, ...`` (child counts are
-implied by symbol ranks, so no structure bytes are needed).  Segments,
-censuses, each census's labels and the dirty rules are written in
-symbol-id order, so the bytes are a function of the document, not of
-the order its caches were filled in.
+``flags``: bit1 shard section present, bit2 label section present.
+Rule bodies are preorder symbol-id streams; ids ``>= len(symbols)``
+encode parameters ``y1, y2, ...`` (child counts are implied by symbol
+ranks, so no structure bytes are needed).  Segments, censuses and each
+census's labels are written in symbol-id order, so the bytes are a
+function of the document, not of the order its caches were filled in.
+
+Legacy: flag bit0 and the trailing ``dirty`` list (a symbol-id count,
+then the ids) are always written 0 and empty.  They held the seed of a
+recompression census scoped to the rules written since the last run;
+the reader parses a list an older writer filled in and discards it.
 
 Snapshots are written temp-file-then-``os.replace`` with fsyncs on both
 the file and its directory, through the crash-point
@@ -96,11 +99,7 @@ class DocumentState:
     grammar: Grammar
     kin: int
     element_count: int
-    baselined: bool
     last_compressed_size: int
-    #: Rules dirtied since the last recompression (the dirty-scoped
-    #: census seed); symbols of ``grammar``'s alphabet.
-    dirty_rules: List[Symbol] = field(default_factory=list)
     shard: Optional[ShardState] = None
     #: head -> (node segments, element segments), the GrammarIndex state.
     segments: Dict[Symbol, Tuple[List[int], List[int]]] = \
@@ -257,7 +256,7 @@ def encode_state(state: DocumentState) -> bytes:
     _put_uvarint(out, SNAPSHOT_VERSION)
     _put_uvarint(out, state.kin)
     _put_uvarint(out, state.element_count)
-    flags = (1 if state.baselined else 0)
+    flags = 0
     if state.shard is not None:
         flags |= 2
     if state.label_counts is not None:
@@ -317,9 +316,7 @@ def encode_state(state: DocumentState) -> bytes:
                 _put_uvarint(out, ids[label_symbol])
                 _put_uvarint(out, count)
 
-    _put_uvarint(out, len(state.dirty_rules))
-    for head in sorted(state.dirty_rules, key=ids.__getitem__):
-        _put_uvarint(out, ids[head])
+    _put_uvarint(out, 0)  # the legacy dirty-rule list
 
     body = bytes(out)
     return SNAPSHOT_MAGIC + body + _CRC.pack(zlib.crc32(body))
@@ -412,8 +409,8 @@ def _decode_body_sections(reader: _Reader) -> DocumentState:
                 counts[label.name] = reader.uvarint()
             label_counts[head] = counts
 
-    dirty = [symbol_at(reader.uvarint())
-             for _ in range(reader.uvarint())]
+    for _ in range(reader.uvarint()):  # the legacy dirty-rule list
+        symbol_at(reader.uvarint())
     if not reader.exhausted:
         raise SnapshotError("trailing bytes after snapshot body")
 
@@ -422,9 +419,7 @@ def _decode_body_sections(reader: _Reader) -> DocumentState:
         grammar=grammar,
         kin=kin,
         element_count=element_count,
-        baselined=bool(flags & 1),
         last_compressed_size=last_compressed_size,
-        dirty_rules=dirty,
         shard=shard,
         segments=segments,
         label_counts=label_counts,

@@ -96,7 +96,7 @@ def rename(
     grammar.preserve_for_write(result.rule)
     rename_node(result.node, symbol)
     # Relabeling changes no structural count, but label censuses and
-    # dirty-rule recorders listen on the observer channel and must see
+    # occurrence indexes listen on the observer channel and must see
     # it; isolation alone may not have notified at all when the target
     # already sat explicit in the mutated rule.  The relabel-specific
     # event lets size-only caches (GrammarIndex) keep their tables and

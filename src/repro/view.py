@@ -150,9 +150,7 @@ class SnapshotView(ReadSurface):
         self._kin = doc._kin
         self._element_count = doc.element_count
         self._compressed_size = doc.compressed_size
-        self._baselined = doc._baselined
         self._last_compressed_size = doc._last_compressed_size
-        self._dirty_rules = list(doc._dirty.changed)
         self._shard_state = None
         if doc.shard_manager is not None:
             self._shard_state = doc.shard_manager.export_state()
@@ -213,8 +211,7 @@ class SnapshotView(ReadSurface):
         frozen = Grammar(epoch.alphabet, epoch.start)
         for head, body in epoch:
             dict.__setitem__(frozen.rules, head, body)
-        return self._document_state(
-            frozen, self._shard_state, self._dirty_rules)
+        return self._document_state(frozen, self._shard_state)
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else f"epoch {self.epoch}"

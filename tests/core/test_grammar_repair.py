@@ -1,9 +1,13 @@
 """End-to-end tests for GrammarRePair (Algorithm 1)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
+from repro.api import CompressedXml
 from repro.core.grammar_repair import GrammarRePair, grammar_repair
+from repro.datasets.synthetic import make_corpus
 from repro.grammar.navigation import (
     generates_same_tree,
     grammar_generates_tree,
@@ -16,6 +20,7 @@ from repro.trees.symbols import Alphabet
 from repro.trees.unranked import XmlNode
 
 from tests.conftest import make_string_grammar, string_of
+from tests.core.test_repeatability import write
 from tests.strategies import slcf_grammars, xml_documents
 
 
@@ -180,3 +185,24 @@ class TestStats:
         compressor = GrammarRePair()
         compressor.compress(updated_g8())
         assert compressor.stats.rounds == compressor.stats.rules_created
+
+
+class TestRecompressionMatchesARebuild:
+    """Figure 4's claim: recompressing an updated grammar lands within
+    a hair of compressing the updated document from scratch.
+
+    EXI-Weblog is left out: after these writes at 4k edges its
+    recompressed grammar still reads ~1.08x a rebuild (ROADMAP 1(b),
+    the weblog residue)."""
+
+    @pytest.mark.parametrize("edges", [2000, 4000])
+    @pytest.mark.parametrize("corpus", ["Treebank", "XMark"])
+    def test_within_five_percent_of_a_rebuild(self, corpus, edges):
+        doc = CompressedXml.from_document(
+            make_corpus(corpus, edges=edges, seed=5), shard_width=64)
+        rng = random.Random(11)
+        for _ in range(120):
+            write(doc, rng)
+        doc.recompress()
+        rebuild = CompressedXml.from_xml(doc.to_xml(), shard_width=64)
+        assert doc.compressed_size <= 1.05 * rebuild.compressed_size

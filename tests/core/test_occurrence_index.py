@@ -9,10 +9,10 @@ Three correctness bars:
   ``repro.core.occurrence_index``),
 * the explicit touched-rule reports of the replacers must coincide with
   what the grammar's observer channel fires,
-* dirty-rule-scoped recompression must generate the same document as the
-  historical full-rescan path, while performing exactly one (scoped)
-  census per run and preserving the structural index's cached tables for
-  untouched rules.
+* a document's recompression must generate the same document as a
+  never-recompressed replay, while performing exactly one census per run
+  and preserving the structural index's cached tables for every rule
+  whose derivation enters no rule the run rewrites.
 """
 
 import hashlib
@@ -32,9 +32,8 @@ from repro.core.resolve import Resolver
 from repro.core.retrieve import retrieve_occurrences
 from repro.datasets.synthetic import make_corpus
 from repro.grammar.navigation import generates_same_tree
-from repro.grammar.properties import usage
+from repro.grammar.properties import references
 from repro.grammar.serialize import format_grammar
-from repro.grammar.slcf import RuleTouchRecorder
 from repro.repair.digram import digram_pattern
 from repro.trees.binary import encode_binary
 from repro.trees.symbols import Alphabet
@@ -49,24 +48,26 @@ from tests.strategies import (
 )
 
 
-def census_agreement_hook(mismatches, barriers=None, scoped=False):
-    """Round hook comparing the live index against a fresh census.
+class RuleTouchRecorder:
+    """Grammar observer collecting the rules mutations touch: ``changed``
+    (a removed head leaves it again) and ``removed``."""
 
-    ``scoped`` restricts the fresh census to the rules the index holds
-    -- the form of agreement a dirty-seeded scope allows."""
+    def __init__(self):
+        self.changed, self.removed = set(), set()
+
+    def rule_changed(self, head):
+        self.changed.add(head)
+
+    def rule_removed(self, head):
+        self.changed.discard(head)
+        self.removed.add(head)
+
+
+def census_agreement_hook(mismatches, barriers=None):
+    """Round hook comparing the live index against a fresh census."""
 
     def hook(grammar, index, opaque):
-        table = retrieve_occurrences(grammar, opaque, barriers=barriers)
-        fresh = table.weights
-        if scoped:
-            censused = index.censused_rules()
-            weight_of = usage(grammar)
-            fresh = {}
-            for digram, occurrences in table.entries.items():
-                for occ in occurrences:
-                    if occ.rule in censused:
-                        fresh[digram] = \
-                            fresh.get(digram, 0) + weight_of[occ.rule]
+        fresh = retrieve_occurrences(grammar, opaque, barriers=barriers).weights
         live = index.weights()
         for digram in set(fresh) | set(live):
             if digram.is_equal_label:
@@ -143,9 +144,9 @@ def freshness_hook(stale, barriers=None, check_weights=False):
     stored nodes.  So after every round each stored occurrence's
     generator must be attached under its rule, and its endpoints and
     resolution paths identity-equal to a new ``Resolver``'s.  With
-    ``check_weights`` the scoped :func:`census_agreement_hook` runs too.
+    ``check_weights`` :func:`census_agreement_hook` runs too.
     """
-    agreement = census_agreement_hook(stale, barriers, scoped=True)
+    agreement = census_agreement_hook(stale, barriers)
 
     def same_nodes(left, right):
         return len(left) == len(right) and all(
@@ -199,12 +200,14 @@ class TestStoredResolutionFreshness:
            update_scripts(max_ops=10))
     def test_fresh_under_shard_barriers(self, tree, width, script):
         """Every recompression a sharded document runs -- mid-script and
-        final, dirty-scoped, with its shard heads as barriers."""
+        final, with its shard heads as barriers -- keeps its stored
+        resolutions and its weights fresh."""
         stale = []
 
         def compressor(**kwargs):
             return GrammarRePair(
-                round_hook=freshness_hook(stale, kwargs.get("barriers")),
+                round_hook=freshness_hook(stale, kwargs.get("barriers"),
+                                          check_weights=True),
                 **kwargs,
             )
 
@@ -215,27 +218,6 @@ class TestStoredResolutionFreshness:
             doc.recompress()
         doc.grammar.validate()
         assert stale == []
-
-    @settings(max_examples=30, deadline=None)
-    @given(xml_documents(max_elements=40), shard_widths(),
-           update_scripts(max_ops=10))
-    def test_fresh_in_dirty_seeded_scope(self, tree, width, script):
-        doc = CompressedXml.from_document(tree, shard_width=width)
-        for _ in replay_script(doc, script):
-            pass
-        barriers = set(doc.shard_manager.heads)
-        stale = []
-        compressor = GrammarRePair(
-            barriers=barriers,
-            round_hook=freshness_hook(stale, barriers=barriers,
-                                      check_weights=True),
-        )
-        result = compressor.compress(
-            doc.grammar, dirty_rules=set(doc._dirty.changed)
-        )
-        result.validate()
-        assert stale == []
-        assert generates_same_tree(result, doc.grammar)
 
 
 class TestStructureMapConsistency:
@@ -321,24 +303,6 @@ class TestCensusInstrumentation:
                                        stats.rule_count_trace[1:])
         )
 
-    def test_dirty_seeded_census_scopes_to_frontier(self):
-        doc = CompressedXml.from_xml(
-            "<log>" + "<e><a/><b/></e>" * 150 + "</log>"
-        )
-        doc.rename(1, "first")
-        doc.rename(10, "tenth")
-        stats_full = GrammarRePair()
-        stats_full.compress(doc.grammar)
-        full_build = stats_full.stats.census_trace[0]
-
-        compressor = GrammarRePair()
-        compressor.compress(doc.grammar, dirty_rules={doc.grammar.start})
-        stats = compressor.stats
-        assert stats.seed_rule_count == 1
-        assert stats.full_censuses == 0
-        # The seeded build scans the start rule plus its frontier only.
-        assert stats.census_trace[0] < full_build
-
 
 def scripted_weblog_doc():
     """A sharded EXI-Weblog document after a fixed 60-op update script."""
@@ -400,13 +364,18 @@ class TestCountersProveTheCut:
     #: for every adapted or rescanned generator, issued 8786 resolutions
     #: on this scenario; maintained usage plus the explicit-endpoint
     #: shortcut issued 6448, and adapting each inline from its recorded
-    #: region issues 5869 -- with the same rounds and the same grammar.
+    #: region 5869 -- all three over a census scoped to the rules
+    #: written since the last run, which took 192 rounds to an 850-edge
+    #: grammar.  One whole-grammar census takes 151 rounds and 4770
+    #: resolutions to 765 edges, against a 764-edge rebuild.
     PARENT_RESOLVED = 8786
-    RESOLVED = 5869
-    ROUNDS = 192
-    #: sha256 of ``format_grammar`` after the recompression, unchanged
-    #: by the cut (a deliberate change of the output must update it).
-    GRAMMAR_SHA = "5b7edfe7fceff0ed"
+    RESOLVED = 4770
+    ROUNDS = 151
+    FINAL_SIZE = 765
+    REBUILD_SIZE = 764
+    #: sha256 of ``format_grammar`` after the recompression (a
+    #: deliberate change of the output must update it).
+    GRAMMAR_SHA = "7c8855ba604be6a0"
 
     def test_treebank_cut_keeps_rounds_and_grammar(self):
         doc = CompressedXml.from_document(
@@ -422,12 +391,15 @@ class TestCountersProveTheCut:
             pass
         doc.recompress()
         stats = doc.last_repair_stats
-        assert stats.seed_rule_count is not None  # dirty-scoped
+        assert stats.full_censuses == 1
         assert stats.rounds == self.ROUNDS
         digest = hashlib.sha256(format_grammar(doc.grammar).encode())
         assert digest.hexdigest()[:16] == self.GRAMMAR_SHA
         assert stats.generators_resolved <= self.RESOLVED \
             < self.PARENT_RESOLVED
+        assert stats.final_size == doc.compressed_size == self.FINAL_SIZE
+        rebuild = CompressedXml.from_xml(doc.to_xml(), shard_width=64)
+        assert rebuild.compressed_size == self.REBUILD_SIZE
         # A whole-grammar usage pass would touch every rule every round.
         assert 0 < 10 * stats.usage_updates < sum(stats.rule_count_trace[1:])
         assert stats.to_dict()["usage_updates"] == stats.usage_updates
@@ -601,7 +573,7 @@ class TestQueueBackedTableBest:
             skip.add(expected[0])
 
 
-class TestDirtyScopedRecompression:
+class TestDocumentRecompression:
     @settings(max_examples=20, deadline=None)
     @given(xml_documents(max_elements=25), update_scripts(max_ops=10))
     def test_same_document_as_full_rescan(self, tree, script):
@@ -621,7 +593,7 @@ class TestDirtyScopedRecompression:
 
     @settings(max_examples=20, deadline=None)
     @given(xml_documents(max_elements=25), update_scripts(max_ops=10))
-    def test_queries_stay_correct_after_scoped_recompress(self, tree, script):
+    def test_queries_stay_correct_after_recompress(self, tree, script):
         doc = CompressedXml.from_document(tree)
         for _ in replay_script(doc, script):
             pass
@@ -633,29 +605,39 @@ class TestDirtyScopedRecompression:
             assert doc.tag_of(i) == tags[i]
 
     def test_preserves_index_tables_for_untouched_rules(self):
+        """A run evicts only what it rewrites: a cached rule whose
+        derivation enters no rewritten rule keeps its pack.  The shards
+        over the unique tags hold no digram worth replacing, so they are
+        such rules."""
+        unique = "".join(f"<u{i}/>" for i in range(40))
         doc = CompressedXml.from_xml(
-            "<log>" + "<e><a/><b/><c/></e>" * 200 + "</log>"
+            "<log>" + unique + "<e><a/><b/><c/></e>" * 200 + "</log>",
+            shard_width=8,
         )
+        doc.rename(doc.element_count // 2, "first")
         # Warm the structural index over the whole grammar.
-        for i in range(0, doc.element_count, 97):
+        for i in range(0, doc.element_count, 3):
             doc.tag_of(i)
-        cached_before = {
-            head for head in doc.grammar.nonterminals()
-            if head in doc.index.cached_rules()
-        }
-        assert len(cached_before) > 1
-        doc.rename(1, "first")  # dirties essentially just the start rule
+        cached = set(doc.index.cached_rules())
+        callers = references(doc.grammar)
+        rewritten = RuleTouchRecorder()
+        doc.grammar.register_observer(rewritten)
         doc.recompress()
+        doc.grammar.unregister_observer(rewritten)
         assert doc.index.wholesale_invalidations == 0
-        surviving = {
-            head for head in cached_before
-            if doc.grammar.has_rule(head) and head in doc.index.cached_rules()
-        }
-        # The untouched bulk of the grammar kept its cached tables.
-        assert surviving - {doc.grammar.start}
+        # The rewritten rules and everything deriving through them.
+        stale, stack = set(), list(rewritten.changed | rewritten.removed)
+        while stack:
+            head = stack.pop()
+            if head not in stale:
+                stale.add(head)
+                stack.extend(caller for caller, _ in callers.get(head, ()))
+        untouched = cached - stale
+        assert len(untouched) >= 10
+        assert untouched <= set(doc.index.cached_rules())
         # ... and the index still answers correctly from them.
-        assert doc.tag_of(1) == "first"
-        assert doc.element_count == 1 + 200 * 4
+        assert doc.tag_of(doc.element_count // 2) == "first"
+        assert doc.tag_of(1) == "u0"
 
     def test_uncompressed_grammar_gets_full_first_run(self):
         doc = CompressedXml.from_xml(
@@ -663,13 +645,13 @@ class TestDirtyScopedRecompression:
         )
         assert len(doc.grammar) == 1
         doc.recompress()
-        # The first run on a never-compressed grammar must not be scoped
-        # to (empty) dirty state: it actually compresses.
+        # The first run on a never-compressed grammar compresses, and
+        # every run censuses the whole grammar once.
         assert doc.last_repair_stats.full_censuses == 1
         assert doc.compressed_size < 80
         doc.rename(1, "x")
         doc.recompress()
-        assert doc.last_repair_stats.seed_rule_count is not None
+        assert doc.last_repair_stats.full_censuses == 1
 
     def test_recompress_instrumentation(self):
         doc = CompressedXml.from_xml("<log>" + "<e/>" * 60 + "</log>")
@@ -678,8 +660,7 @@ class TestDirtyScopedRecompression:
         doc.recompress()
         assert doc.recompress_runs == 1
         assert doc.recompress_seconds > 0.0
-        assert doc.last_repair_stats is not None
-        assert doc.last_repair_stats.seed_rule_count is not None
+        assert doc.last_repair_stats.full_censuses == 1
 
 
 class TestPruningRidesCachedStructure:

@@ -50,11 +50,11 @@ def step_until_done(doc):
     pinned after the first step must answer as at its pin throughout:
     no write re-reads (and so preserves) a body before a step rewrites
     it."""
-    doc._recompress_locked(None, budget=0.0)
+    doc._recompress_locked(budget=0.0)
     steps = 1
     pinned, expected = doc.snapshot(), doc.to_xml()
     while doc._repair is not None:
-        doc._recompress_locked(None, budget=0.0)
+        doc._recompress_locked(budget=0.0)
         steps += 1
     with pinned:
         assert pinned.to_xml() == expected
@@ -130,8 +130,10 @@ class TestStepAccounting:
         assert doc.last_repair_stats is not before
         while doc._repair is None:
             doc.rename(rng.randrange(doc.element_count), "Z")
-        doc.recompress(full=True)
+        doc.recompress()  # finishes the paused run ...
         assert doc._repair is None
+        assert doc.recompress_runs == runs + 2
+        doc.recompress()  # ... and the next call runs a whole one
         assert doc.recompress_runs == runs + 3
         assert doc.last_repair_stats.full_censuses == 1
 

@@ -1,5 +1,8 @@
 """Binary snapshot round-trips: same document, zero re-census on reload."""
 
+import struct
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,10 @@ from repro.datasets.synthetic import make_corpus
 from repro.storage.snapshot import (
     SNAPSHOT_MAGIC,
     SnapshotError,
+    _collect_symbols,
+    _put_uvarint,
+    _Reader,
+    decode_state,
     document_element_count,
     encode_state,
     read_snapshot,
@@ -29,8 +36,8 @@ WEBLOG = (
 
 
 def dirtied_doc(shard_width=None):
-    """A document with real history: updates, so dirty-rule state,
-    shard touches, and index segments are all non-trivial."""
+    """A document with real history: updates, so shard touches and
+    index segments are non-trivial."""
     doc = CompressedXml.from_xml(WEBLOG, shard_width=shard_width)
     doc.rename(2, "ipaddr")
     doc.append_child(0, XmlNode("trailer", [XmlNode("checksum")]))
@@ -96,10 +103,37 @@ class TestRoundTrip:
     def test_reload_preserves_recompression_baseline(self, tmp_path):
         doc = dirtied_doc()
         _, doc2 = round_trip(doc, tmp_path)
-        assert doc2._baselined == doc._baselined
         assert doc2._last_compressed_size == doc._last_compressed_size
-        assert {h.name for h in doc2._dirty.changed} == \
-            {h.name for h in doc._dirty.changed}
+
+    @pytest.mark.parametrize("shard_width", [None, 8])
+    def test_legacy_dirty_rule_list_is_read_and_discarded(self, shard_width):
+        """Flag bit0 and the trailing dirty-rule list are legacy: the
+        writer clears and empties them, and bytes that set them still
+        load into the same document."""
+        doc = dirtied_doc(shard_width)
+        data = encode_state(doc.export_state())
+        body = data[len(SNAPSHOT_MAGIC):-4]
+        reader = _Reader(body)
+        for _ in range(3):  # version, kin, element_count
+            reader.uvarint()
+        flags = reader.pos
+        assert body[flags] & 1 == 0 and body[-1] == 0  # as written
+        ids = {symbol: i for i, symbol in
+               enumerate(_collect_symbols(doc.grammar))}
+        legacy = bytearray(body[:flags])
+        legacy.append(body[flags] | 1)
+        legacy.extend(body[flags + 1:-1])
+        heads = sorted(ids[head] for head in doc.grammar.rules)
+        _put_uvarint(legacy, len(heads))
+        for head_id in heads:
+            _put_uvarint(legacy, head_id)
+        old = decode_state(SNAPSHOT_MAGIC + bytes(legacy)
+                           + struct.pack("<I", zlib.crc32(legacy)))
+        doc2 = CompressedXml.from_state(old)
+        assert doc2.to_xml() == doc.to_xml()
+        assert doc2.compressed_size == doc.compressed_size
+        assert doc2._last_compressed_size == doc._last_compressed_size
+        assert encode_state(doc2.export_state()) == data
 
     def test_reloaded_document_accepts_further_updates(self, tmp_path):
         doc = dirtied_doc(shard_width=8)

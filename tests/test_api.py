@@ -476,13 +476,15 @@ class TestInvalidTagsAreRejected:
 class TestMaintenance:
     def test_option_surface_is_the_tracked_one(self, tmp_path):
         """The independently settable values, by name (4 / 5 / 3 / 4,
-        and the durable constructors'): one recompression loop, one
-        commit path, one resolver per walk and one shard constructor, so
-        no parameter selects another -- and, with no catch-all reaching
-        past the document, a retired name is a ``TypeError``."""
+        and the durable constructors'): one recompression loop with one
+        census per run, one commit path, one resolver per walk and one
+        shard constructor, so no parameter selects another -- and, with
+        no catch-all reaching past the document, a retired name is a
+        ``TypeError``."""
         from inspect import signature
 
         from repro.core.grammar_repair import GrammarRePair, grammar_repair
+        from repro.core.occurrence_index import GrammarOccurrenceIndex
         from repro.grammar.navigation import stream_elements
         from repro.grammar.sharding import ShardManager
         from repro.updates.path_isolation import isolate
@@ -495,6 +497,13 @@ class TestMaintenance:
             "grammar", "width", "prefix", "parents"]
         assert list(signature(grammar_repair).parameters)[1:] == [
             "kin", "prune", "optimized"]
+        # One census per run: no call selects a scoped one.
+        assert list(signature(CompressedXml.recompress).parameters) == [
+            "self"]
+        assert list(signature(GrammarRePair.compress).parameters)[1:] == [
+            "grammar", "in_place", "budget"]
+        assert list(
+            signature(GrammarOccurrenceIndex.build).parameters) == ["self"]
         with pytest.raises(TypeError):
             CompressedXml.from_xml("<a><b/></a>", no_such_option=True)
         assert list(signature(isolate).parameters) == [

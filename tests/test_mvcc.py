@@ -419,8 +419,7 @@ MUTATORS = {
     "failing_batch": ({}, None, _failing_batch),
     "shard_split": ({"shard_width": 8}, None, _burst),
     "shard_merge": ({"shard_width": 8}, _burst, _drain),
-    "scoped_recompress": ({}, _burst, lambda doc: doc.recompress()),
-    "full_recompress": ({}, _burst, lambda doc: doc.recompress(full=True)),
+    "recompress": ({}, _burst, lambda doc: doc.recompress()),
 }
 
 

@@ -18,7 +18,6 @@ from benchmarks.e2e.model import FlatDoc
 from repro.api import CompressedXml
 from repro.datasets import make_corpus
 from repro.grammar.navigation import grammar_generates_tree
-from repro.grammar.slcf import RuleTouchRecorder
 from repro.trees.unranked import XmlNode
 from repro.updates.batch import (
     BatchAppend,
@@ -28,6 +27,7 @@ from repro.updates.batch import (
 )
 from repro.updates.path_isolation import isolate_many
 
+from tests.core.test_occurrence_index import RuleTouchRecorder
 from tests.strategies import batch_scripts, xml_documents
 
 

@@ -75,14 +75,14 @@ class TestSingleOpExceptionSafety:
 
     def test_validation_happens_before_isolation(self):
         # A failing op must not even dirty the grammar: the compressed
-        # size and the recompression-dirty set stay identical, proving
+        # size and the grammar's mutation epoch stay identical, proving
         # no path was isolated and later rolled back.
         doc = fresh()
-        dirty_before = set(doc._dirty.changed)
+        epoch_before = doc.grammar.epoch
         size_before = doc.compressed_size
         for op in (lambda d: d.rename(2, "#"),
                    lambda d: d.delete(10 ** 6)):
             with pytest.raises((UpdateError, IndexError)):
                 op(doc)
-        assert set(doc._dirty.changed) == dirty_before
+        assert doc.grammar.epoch == epoch_before
         assert doc.compressed_size == size_before
