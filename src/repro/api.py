@@ -70,7 +70,7 @@ from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.tracing import trace_span
 from repro.grammar.index import GrammarIndex
 from repro.grammar.serialize import format_grammar, parse_grammar
-from repro.grammar.sharding import ShardManager
+from repro.grammar.sharding import DEFAULT_SHARD_WIDTH, ShardManager
 from repro.grammar.slcf import Grammar, GrammarSizeTracker
 from repro.trees.binary import decode_binary, encode_binary, encode_forest
 from repro.trees.node import deep_copy
@@ -152,7 +152,7 @@ def _sample_indexes(ref: "weakref.ref") -> dict:
 
 def _sample_shards(ref: "weakref.ref") -> dict:
     doc = ref()
-    if doc is None or doc._shards is None:
+    if doc is None:
         return {}
     data = doc._shards.stats.to_dict()
     data["shard_count"] = len(doc._shards.heads)
@@ -348,11 +348,8 @@ class ReadSurface:
         from repro.storage.snapshot import DocumentState, ShardState
 
         segments, label_counts = self._index.export_segments()
-        shard = None
-        if shard_state is not None:
-            width, prefix, parents = shard_state
-            shard = ShardState(width=width, prefix=prefix,
-                               parents=dict(parents))
+        width, parents = shard_state
+        shard = ShardState(width=width, parents=dict(parents))
         return DocumentState(
             grammar=grammar,
             kin=self._kin,
@@ -374,16 +371,17 @@ class CompressedXml(ReadSurface):
     Each write (or batch) pays at most one ``STEP_SECONDS`` step of the
     run; :meth:`recompress` finishes a paused one.
 
-    ``shard_width``: when set to ``W``, the start rule is kept at
-    ``O(W)`` RHS nodes by the spine-sharding policy
-    (:class:`repro.grammar.sharding.ShardManager`): the accumulated
-    update mass lives in a balanced hierarchy of shard rules, isolation
-    rewrites one ``O(W)`` shard body per update, the persistent indexes
-    recompute an ``O(W · log)`` ancestor chain instead of the whole
-    start RHS, and a post-epoch ``reshard()`` pass (same hook as the
-    auto-recompress policy) rebalances rules that drift past ``2 * W``
-    or below ``W // 2``.  Unset (the default), the historical
-    single-start-rule behavior is preserved.
+    ``shard_width`` (``W``, default ``DEFAULT_SHARD_WIDTH`` = 256): the
+    start rule is kept at ``O(W)`` RHS nodes by the spine-sharding
+    policy (:class:`repro.grammar.sharding.ShardManager`): the
+    accumulated update mass lives in a balanced hierarchy of shard
+    rules, isolation rewrites one ``O(W)`` shard body per update, the
+    persistent indexes recompute an ``O(W · log)`` ancestor chain
+    instead of the whole start RHS, and a post-epoch ``reshard()`` pass
+    (same hook as the auto-recompress policy) rebalances rules that
+    drift past ``2 * W`` or below ``W // 2``.  Every document is
+    sharded; a grammar whose start rule fits in ``2 * W`` nodes simply
+    holds no shard yet.
     """
 
     def __init__(
@@ -391,7 +389,7 @@ class CompressedXml(ReadSurface):
         grammar: Grammar,
         kin: int = 4,
         auto_recompress_factor: Optional[float] = None,
-        shard_width: Optional[int] = None,
+        shard_width: int = DEFAULT_SHARD_WIDTH,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._grammar = grammar
@@ -410,16 +408,14 @@ class CompressedXml(ReadSurface):
         # the size after every update, and a full Grammar.size walk there
         # would undo the O(width)-per-update bound sharding buys.
         self._size = GrammarSizeTracker(grammar)
-        # Spine sharding: with a width budget, the start rule (and every
-        # shard) is kept at O(shard_width) RHS nodes by a balanced shard
-        # hierarchy; isolation then rewrites one O(width) shard body per
-        # update instead of an unboundedly grown start RHS, and the
-        # reshard() pass rebalances whatever each epoch touched.
-        self._shards: Optional[ShardManager] = None
-        if shard_width is not None:
-            self._shards = ShardManager(grammar, width=shard_width)
-            # A packed rule's width is read off its columns, not walked.
-            self._shards.width_of = self._index.rule_width
+        # Spine sharding: the start rule (and every shard) is kept at
+        # O(shard_width) RHS nodes by a balanced shard hierarchy;
+        # isolation then rewrites one O(width) shard body per update
+        # instead of an unboundedly grown start RHS, and the reshard()
+        # pass rebalances whatever each epoch touched.
+        self._shards = ShardManager(grammar, width=shard_width)
+        # A packed rule's width is read off its columns, not walked.
+        self._shards.width_of = self._index.rule_width
         self._last_compressed_size = max(1, grammar.size)
         self.updates_applied = 0
         self.batches_applied = 0
@@ -513,8 +509,7 @@ class CompressedXml(ReadSurface):
         self._m_query_matches = obs.counter(
             "repro_query_matches_total", "Elements returned by select()")
         self._index.bind_metrics(obs)
-        if self._shards is not None:
-            self._shards.bind_metrics(obs)
+        self._shards.bind_metrics(obs)
         # Gauge sources sample the live stats objects at collection time
         # only.  The weakref keeps the (often process-global) registry
         # from pinning this document alive; re-registration under the
@@ -585,12 +580,15 @@ class CompressedXml(ReadSurface):
     def from_state(cls, state: "DocumentState", **kwargs) -> "CompressedXml":
         """Resume a document from exported state (see :meth:`export_state`).
 
-        The shard hierarchy is re-attached without resharding, and the
-        structural index adopts the per-rule segments and label censuses
-        without walking a single rule -- a reload answers counting,
-        addressing, and label queries immediately.  ``kwargs`` may carry
-        runtime policy (``auto_recompress_factor``, ``metrics``); the
-        persisted facts (``kin``, shard width) come from the state.
+        The shard hierarchy is adopted without split or merge work once
+        checked against the grammar (a mismatch raises
+        :class:`~repro.grammar.slcf.GrammarError`); a state without one
+        shards through the constructor.  The structural index adopts the
+        per-rule segments and label censuses without walking a single
+        rule -- a reload answers counting, addressing, and label queries
+        immediately.  ``kwargs`` may carry runtime policy
+        (``auto_recompress_factor``, ``metrics``); the persisted facts
+        (``kin``, shard width) come from the state.
         """
         for fixed in ("kin", "shard_width"):
             if fixed in kwargs:
@@ -598,16 +596,13 @@ class CompressedXml(ReadSurface):
                     f"{fixed} is restored from the snapshot state and "
                     f"cannot be overridden"
                 )
-        doc = cls(state.grammar, kin=state.kin, shard_width=None, **kwargs)
-        if state.shard is not None:
-            doc._shards = ShardManager(
-                state.grammar,
-                width=state.shard.width,
-                prefix=state.shard.prefix,
-                parents=state.shard.parents,
-            )
-            doc._shards.width_of = doc._index.rule_width
-            doc._shards.bind_metrics(doc._obs)
+        shard = state.shard
+        doc = cls(state.grammar, kin=state.kin,
+                  shard_width=(DEFAULT_SHARD_WIDTH if shard is None
+                               else shard.width), **kwargs)
+        if shard is not None:
+            doc._shards.adopt(shard.parents)
+            doc._shards.check_invariants()
         if state.segments:
             doc._index.import_segments(state.segments, state.label_counts)
         doc._last_compressed_size = max(1, state.last_compressed_size)
@@ -640,9 +635,8 @@ class CompressedXml(ReadSurface):
         return self._index
 
     @property
-    def shard_manager(self) -> Optional[ShardManager]:
-        """The spine-sharding policy, or ``None`` when constructed
-        without ``shard_width``."""
+    def shard_manager(self) -> ShardManager:
+        """The spine-sharding policy (one per document)."""
         return self._shards
 
     @property
@@ -816,7 +810,7 @@ class CompressedXml(ReadSurface):
                 # Error parity with the sequential loop requires the
                 # already-applied prefix to stay; keep its spine inside
                 # budget too.
-                self._reshard()
+                self._shards.reshard()
                 raise
             if backup is not None:
                 self._transaction_release(backup)
@@ -824,7 +818,7 @@ class CompressedXml(ReadSurface):
             self.batches_applied += 1
             self.rules_inlined_total += stats.inlined_rules
             settle_started = time.perf_counter()
-            self._reshard()
+            self._shards.reshard()
             self._maybe_auto_recompress()
             settle_seconds = time.perf_counter() - settle_started
             stats.base_epoch = base_epoch
@@ -850,15 +844,7 @@ class CompressedXml(ReadSurface):
         restore.  The shard hierarchy's maps are tiny and have no CoW
         channel, so they are still captured eagerly.
         """
-        epoch = self._grammar.pin(rollback=True)
-        shard = None
-        if self._shards is not None:
-            shard = (
-                set(self._shards.heads),
-                dict(self._shards._parent),
-                set(self._shards._touched),
-            )
-        return epoch, shard
+        return self._grammar.pin(rollback=True), self._shards.hierarchy()
 
     def _transaction_release(self, backup) -> None:
         """Drop the rollback pin after a committed batch."""
@@ -875,43 +861,30 @@ class CompressedXml(ReadSurface):
         trees, and reinstalling them live would let later writes mutate
         what that reader sees.
         """
-        epoch, shard = backup
+        epoch, hierarchy = backup
         grammar = self._grammar
         preserved = grammar.preserved_at(epoch)
-        manager = self._shards
-        if manager is not None:
-            # The restore is not an update epoch: suppress the shard
-            # observer (its maps are restored wholesale below).
-            manager._resharding = True
         try:
-            for head, body in preserved.items():
-                if body is None:
-                    if grammar.has_rule(head):
-                        grammar.remove_rule(head)
-                else:
-                    grammar.set_rule(head, deep_copy(body))
+            # The restore is not an update epoch: the shard hierarchy is
+            # adopted back wholesale below, in place.
+            with self._shards.muted():
+                for head, body in preserved.items():
+                    if body is None:
+                        if grammar.has_rule(head):
+                            grammar.remove_rule(head)
+                    else:
+                        grammar.set_rule(head, deep_copy(body))
         finally:
-            if manager is not None:
-                manager._resharding = False
-                heads, parents, touched = shard
-                manager.heads = heads
-                manager._parent = parents
-                manager._touched = touched
+            self._shards.adopt(*hierarchy)
             grammar.unpin(epoch, rollback=True)
 
     def _after_update(self) -> None:
+        # Post-epoch spine rebalancing, then the auto-recompress policy:
+        # splits and merges are per-rule observer events, so the
+        # persistent indexes never reset wholesale.
         self.updates_applied += 1
-        self._reshard()
+        self._shards.reshard()
         self._maybe_auto_recompress()
-
-    def _reshard(self) -> None:
-        """Post-epoch spine rebalancing (the same hook point as the
-        auto-recompress policy): any spine rule this epoch pushed past
-        ``2 * shard_width`` is split, any shard that fell below
-        ``shard_width // 2`` is merged -- all through per-rule observer
-        events, so the persistent indexes never reset wholesale."""
-        if self._shards is not None:
-            self._shards.reshard()
 
     def _maybe_auto_recompress(self) -> None:
         # Called mid-update, already under the document lock.  A write
@@ -952,15 +925,10 @@ class CompressedXml(ReadSurface):
         self._grammar.preserve_all()
         compressor = self._repair
         if compressor is None:
-            compressor = GrammarRePair(
-                kin=self._kin,
-                barriers=(self._shards.heads
-                          if self._shards is not None else None),
-            )
-        elif self._shards is not None:
-            # A write between steps may have split or merged shards.
-            compressor.barriers.clear()
-            compressor.barriers.update(self._shards.heads)
+            # The live head set, by reference: a write between steps may
+            # split or merge shards, and the paused run sees it.
+            compressor = GrammarRePair(kin=self._kin,
+                                       barriers=self._shards.heads)
         # No invalidate_all: the per-rule observer evictions that fire
         # while rules are rewritten are the whole invalidation story, so
         # untouched rules keep their tables.
@@ -990,7 +958,7 @@ class CompressedXml(ReadSurface):
         # that fell below the merge threshold back into their parents --
         # at the run's end, so that a pause alone changes nothing.
         if self._repair is None:
-            self._reshard()
+            self._shards.reshard()
         return self._size.total
 
     def save_grammar(self, path: str, io=None) -> None:
@@ -1026,10 +994,8 @@ class CompressedXml(ReadSurface):
         the shard hierarchy, the structural index's per-rule segments,
         the label index's per-rule censuses, and the size after the last
         recompression (see :meth:`from_state`)."""
-        return self._document_state(
-            self._grammar,
-            self._shards.export_state() if self._shards is not None else None,
-        )
+        return self._document_state(self._grammar,
+                                    self._shards.export_state())
 
     def save_snapshot(
         self, path: str, io: Optional["StorageIO"] = None

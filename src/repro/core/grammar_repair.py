@@ -172,7 +172,9 @@ class GrammarRePair:
         Their reference edges are never censused or resolved through --
         the spine skeleton stays put while shard *bodies* compress like
         any rule -- and the pruning phase keeps them even though each is
-        referenced exactly once.
+        referenced exactly once.  Held by reference, like the occurrence
+        index holds it: a paused run sees the owner's later splits and
+        merges.
     """
 
     def __init__(
@@ -187,7 +189,7 @@ class GrammarRePair:
         self.prune = prune
         self.optimized = optimized
         self.round_hook = round_hook
-        self.barriers: Set[Symbol] = set(barriers) if barriers else set()
+        self.barriers: Set[Symbol] = set() if barriers is None else barriers
         self.stats = GrammarRePairStats()
         # A run paused between budgeted steps: (grammar, index, opaque).
         self._paused: Optional[tuple] = None

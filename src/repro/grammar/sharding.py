@@ -59,8 +59,10 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
+                    Optional, Set, Tuple)
 
 from repro.grammar.slcf import Grammar, GrammarError
 from repro.obs.metrics import NULL_METRIC
@@ -69,6 +71,7 @@ from repro.trees.symbols import Symbol
 
 __all__ = [
     "ShardManager", "ShardStats", "DEFAULT_SHARD_WIDTH", "MIN_SHARD_WIDTH",
+    "SHARD_PREFIX",
 ]
 
 #: Default width budget (RHS nodes) for spine rules.  At the EXI-Weblog
@@ -79,6 +82,9 @@ DEFAULT_SHARD_WIDTH = 256
 #: Widths below this make the heavy-path cut degenerate (a cut must be
 #: able to carve out a multi-node subtree strictly inside the rule body).
 MIN_SHARD_WIDTH = 8
+
+#: Name prefix of every minted shard rule (``Sp_0``, ``Sp_1``, ...).
+SHARD_PREFIX = "Sp"
 
 
 def _find(root: Node, match: Callable[[Node], bool]) -> Optional[Node]:
@@ -142,40 +148,31 @@ class ShardStats:
 class ShardManager:
     """Keeps the spine rules of one mutable grammar inside a width budget.
 
-    One manager is owned per grammar (by
-    :class:`repro.api.CompressedXml` when constructed with
-    ``shard_width``); it registers as a grammar observer to track which
-    spine rules each mutation epoch touched, and :meth:`reshard`
-    rebalances exactly those.
+    Every :class:`repro.api.CompressedXml` owns exactly one manager; it
+    registers as a grammar observer to track which spine rules each
+    mutation epoch touched, and :meth:`reshard` rebalances exactly those.
 
-    ``heads`` is the live set of shard rule heads.  It doubles as
+    ``heads`` is the live set of shard rule heads.  It is never
+    replaced, only updated in place, because it doubles as
 
     * the *spine* set path isolation descends through without inlining
       (:func:`repro.updates.path_isolation.isolate` ``spine=``),
     * the *barrier* set recompression must not resolve through
-      (:class:`repro.core.grammar_repair.GrammarRePair` ``barriers=``),
+      (:class:`repro.core.grammar_repair.GrammarRePair` ``barriers=``,
+      held by reference across a paused run),
     * the *protected* set the pruning phase must not inline
       (handled via the same ``barriers`` parameter).
     """
 
     def __init__(
-        self,
-        grammar: Grammar,
-        width: int = DEFAULT_SHARD_WIDTH,
-        prefix: str = "Sp",
-        parents: Optional[Dict[Symbol, Symbol]] = None,
+        self, grammar: Grammar, width: int = DEFAULT_SHARD_WIDTH
     ) -> None:
         """Attach a manager to ``grammar``.
 
-        Without ``parents`` the grammar may arrive with an oversized
-        start rule (a freshly compressed document, a loaded grammar
-        file): one reshard pass brings it inside the budget.  With
-        ``parents`` -- the shard hierarchy of a snapshot, shard head ->
-        the spine rule holding its reference -- the manager adopts it
-        as is, with zero split/merge work, after checking it against
-        the grammar: a shard section that does not match its grammar
-        raises :class:`~repro.grammar.slcf.GrammarError` here rather
-        than corrupting later isolations.
+        The grammar may arrive with an oversized start rule (a freshly
+        compressed document, a grammar file, an unsharded snapshot): one
+        reshard pass brings it inside the budget.  A snapshot's hierarchy
+        is installed afterwards with :meth:`adopt`.
         """
         if width < MIN_SHARD_WIDTH:
             raise ValueError(
@@ -183,26 +180,18 @@ class ShardManager:
             )
         self._grammar = grammar
         self.width = width
-        self.prefix = prefix
         # shard head -> spine rule whose RHS holds its single reference.
-        self._parent: Dict[Symbol, Symbol] = dict(parents or {})
-        self.heads: Set[Symbol] = set(self._parent)
+        self._parent: Dict[Symbol, Symbol] = {}
+        self.heads: Set[Symbol] = set()
         # Spine rules mutated since the last reshard (observer-fed).
-        self._touched: Set[Symbol] = set()
+        self._touched: Set[Symbol] = {grammar.start}
         # Reentrancy guard: the manager's own splits/merges fire observer
         # notifications (for the indexes); they must not re-dirty us.
         self._resharding = False
         self.stats = ShardStats()
         self._m_split = self._m_merge = self._m_demote = NULL_METRIC
-        if parents is not None:
-            for head in self.heads:
-                if head not in grammar.rules:
-                    raise GrammarError(f"shard head {head!r} has no rule")
-            self.check_invariants()
         grammar.register_observer(self)
-        if parents is None:
-            self._touched.add(grammar.start)
-            self.reshard()
+        self.reshard()
 
     def bind_metrics(self, registry) -> None:
         """Resolve per-action latency histograms against ``registry``.
@@ -226,13 +215,38 @@ class ShardManager:
             stage="demote",
         )
 
-    def export_state(self):
-        """The serializable shard hierarchy: (width, prefix, parent map).
+    def export_state(self) -> Tuple[int, Dict[Symbol, Symbol]]:
+        """The serializable shard hierarchy: (width, parent map).
 
         ``heads`` is implied by the parent map's keys -- every shard has
         exactly one parent spine rule.
         """
-        return self.width, self.prefix, dict(self._parent)
+        return self.width, dict(self._parent)
+
+    def hierarchy(self) -> Tuple[Dict[Symbol, Symbol], Set[Symbol]]:
+        """The parent map and the touched set, as :meth:`adopt` takes
+        them back (a transaction's rollback point)."""
+        return dict(self._parent), set(self._touched)
+
+    def adopt(self, parents: Dict[Symbol, Symbol],
+              touched: Iterable[Symbol] = ()) -> None:
+        """Install a saved hierarchy (shard head -> the spine rule holding
+        its reference) with zero split/merge work; ``heads`` is refilled
+        in place, so whoever holds the set sees the adopted shards."""
+        self.heads.clear()
+        self.heads.update(parents)
+        self._parent = dict(parents)
+        self._touched = set(touched)
+
+    @contextmanager
+    def muted(self) -> Iterator[None]:
+        """Ignore rule events for the block: the manager's own
+        rebalancing, or a rollback it adopts afterwards, is no epoch."""
+        self._resharding = True
+        try:
+            yield
+        finally:
+            self._resharding = False
 
     # ------------------------------------------------------------------
     # grammar observer protocol
@@ -258,9 +272,6 @@ class ShardManager:
             if not self._resharding:
                 self.stats.collected += 1
                 self.stats.shards_removed += 1
-
-    def detach(self) -> None:
-        self._grammar.unregister_observer(self)
 
     def __contains__(self, symbol: Symbol) -> bool:
         """Set-like membership: the isolation layer's ``spine`` protocol."""
@@ -315,7 +326,8 @@ class ShardManager:
         return max((resolve(head) for head in self.heads), default=0)
 
     def check_invariants(self) -> None:
-        """Assert the shard model (tests/debugging; walks the grammar).
+        """Assert the shard model (a snapshot load, tests; walks the
+        grammar).
 
         Every shard head must be a rank-``<=1`` rule referenced exactly
         once, from a spine rule; no shard reference may occur outside
@@ -332,6 +344,8 @@ class ShardManager:
                 stack.extend(node.children)
         spine = set(self.spine_rules())
         for head, owners in refs.items():
+            if head not in grammar.rules:
+                raise GrammarError(f"shard head {head!r} has no rule")
             if head.rank > 1:
                 raise GrammarError(f"shard {head!r} has rank {head.rank}")
             if len(owners) != 1:
@@ -404,7 +418,7 @@ class ShardManager:
         if application is None:  # pragma: no cover - invariant violation
             return None
         argument = application.children[0] if application.children else None
-        fresh = grammar.alphabet.fresh_nonterminal(0, self.prefix)
+        fresh = grammar.alphabet.fresh_nonterminal(0, SHARD_PREFIX)
         body = grammar.rhs(head)
         self.heads.add(fresh)
         self._parent[fresh] = owner
@@ -451,8 +465,7 @@ class ShardManager:
         upper = 2 * self.width
         lower = self.width // 2
         work = list(touched)
-        self._resharding = True
-        try:
+        with self.muted():
             while work:
                 head = work.pop()
                 if head is not grammar.start and head not in self.heads:
@@ -481,8 +494,6 @@ class ShardManager:
                         # The parent absorbed the shard's body: it may
                         # now be oversized (or itself mergeable).
                         work.append(merged[0])
-        finally:
-            self._resharding = False
         return actions
 
     def recompression_settled(self) -> None:
@@ -685,7 +696,7 @@ class ShardManager:
                     if sizes[id(child)] <= light_max:
                         continue
                     shard = grammar.alphabet.fresh_nonterminal(
-                        0, self.prefix
+                        0, SHARD_PREFIX
                     )
                     child.parent = None
                     node.set_child(slot, Node(shard))
@@ -728,12 +739,12 @@ class ShardManager:
                 rank = 1  # the continuation hole inserted above, or ...
                 if index == boundaries[-1] and hole is None:
                     rank = 0  # ... a path that simply ends at a leaf
-                head = grammar.alphabet.fresh_nonterminal(rank, self.prefix)
+                head = grammar.alphabet.fresh_nonterminal(rank, SHARD_PREFIX)
                 self.heads.add(head)
                 self.stats.shards_created += 1
                 self._install(head, first)
                 chunk_heads.append(head)
-            top = grammar.alphabet.fresh_nonterminal(1, self.prefix)
+            top = grammar.alphabet.fresh_nonterminal(1, SHARD_PREFIX)
             self.heads.add(top)
             self.stats.shards_created += 1
             self._install(top, path[0])

@@ -4,7 +4,10 @@ A rule ``R -> tR`` is *unproductive* when
 
     ``savG(R) = |refG(R)| * (size(tR) - rank(R)) - size(tR) < 0``
 
-with ``size`` counting edges.  Unproductive rules are removed by inlining.
+with ``size`` counting edges.  Unproductive rules are removed by inlining,
+and so are rules whose body has no edge at all (a rank-0 chain rule
+``X -> Y`` or ``X -> a``): their ``savG`` is 0, but inlining one replaces
+each reference node by one node and changes no size.
 Following TreeRePair's greedy strategy, rules referenced exactly once are
 inlined first, then the grammar is scanned in anti-SL order (callees first,
 so a caller's size already reflects earlier inlinings when it is judged).
@@ -206,7 +209,7 @@ def prune_grammar(
         if head in keep or not grammar.has_rule(head):
             continue
         size = rule_size(head)
-        if counts[head] * (size - head.rank) - size < 0:
+        if size == 0 or counts[head] * (size - head.rank) - size < 0:
             inline_away(head)
 
     return removed

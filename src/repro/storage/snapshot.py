@@ -4,7 +4,7 @@ A snapshot is one self-contained binary image of a
 :class:`repro.api.CompressedXml`:
 
 * the SLCF grammar (symbol table + preorder-encoded rule bodies),
-* the shard hierarchy (width, prefix, shard-head -> parent edges), so a
+* the shard hierarchy (width, shard-head -> parent edges), so a
   reload adopts the spine instead of re-sharding,
 * the structural index's per-rule node/element segments and the label
   index's per-rule censuses, so a reload answers ``select``/``tags``/
@@ -24,6 +24,9 @@ Wire format (all integers LEB128 varints unless noted)::
             symbol_table start_id rules [shards] segments [labels] dirty
 
 ``flags``: bit1 shard section present, bit2 label section present.
+The shard section is ``width prefix parents``; ``prefix`` is always the
+shard-rule name prefix ``"Sp"``, written and read but carrying nothing.
+A state without one (an unsharded writer's) shards on import.
 Rule bodies are preorder symbol-id streams; ids ``>= len(symbols)``
 encode parameters ``y1, y2, ...`` (child counts are implied by symbol
 ranks, so no structure bytes are needed).  Segments, censuses and each
@@ -51,6 +54,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.grammar.sharding import SHARD_PREFIX
 from repro.grammar.slcf import Grammar, GrammarError
 from repro.trees.node import Node
 from repro.trees.symbols import Alphabet, Symbol, parameter_symbol
@@ -83,7 +87,6 @@ class ShardState:
     """The spine-sharding policy's persistent state."""
 
     width: int
-    prefix: str
     #: shard head -> spine rule holding its single reference.
     parents: Dict[Symbol, Symbol]
 
@@ -281,7 +284,7 @@ def encode_state(state: DocumentState) -> bytes:
     if state.shard is not None:
         shard = state.shard
         _put_uvarint(out, shard.width)
-        _put_bytes(out, shard.prefix.encode("utf-8"))
+        _put_bytes(out, SHARD_PREFIX.encode("utf-8"))
         _put_uvarint(out, len(shard.parents))
         for head, parent in shard.parents.items():
             _put_uvarint(out, ids[head])
@@ -384,12 +387,12 @@ def _decode_body_sections(reader: _Reader) -> DocumentState:
     shard: Optional[ShardState] = None
     if flags & 2:
         width = reader.uvarint()
-        prefix = reader.string()
+        reader.string()  # the shard-rule prefix, always SHARD_PREFIX
         parents: Dict[Symbol, Symbol] = {}
         for _ in range(reader.uvarint()):
             head = symbol_at(reader.uvarint())
             parents[head] = symbol_at(reader.uvarint())
-        shard = ShardState(width=width, prefix=prefix, parents=parents)
+        shard = ShardState(width=width, parents=parents)
 
     segments: Dict[Symbol, Tuple[List[int], List[int]]] = {}
     for _ in range(reader.uvarint()):

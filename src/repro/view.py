@@ -151,9 +151,7 @@ class SnapshotView(ReadSurface):
         self._element_count = doc.element_count
         self._compressed_size = doc.compressed_size
         self._last_compressed_size = doc._last_compressed_size
-        self._shard_state = None
-        if doc.shard_manager is not None:
-            self._shard_state = doc.shard_manager.export_state()
+        self._shard_state = doc.shard_manager.export_state()
         self._closed = False
 
     # ------------------------------------------------------------------

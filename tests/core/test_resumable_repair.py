@@ -18,6 +18,7 @@ from repro.api import CompressedXml, DurableXml
 from repro.core.grammar_repair import GrammarRePair
 from repro.datasets.synthetic import make_corpus
 from repro.grammar.serialize import format_grammar
+from repro.grammar.sharding import DEFAULT_SHARD_WIDTH
 from repro.trees.unranked import XmlNode
 from repro.updates.batch import BatchAppend, BatchRename
 
@@ -83,9 +84,10 @@ class TestStepAccounting:
     def test_each_step_runs_one_round_and_the_steps_sum_to_the_run(self):
         # Two documents: a grammar copy shares its alphabet, and so the
         # counter that names fresh rules.
-        grammar = edited("Treebank", width=None).grammar
+        grammar = edited("Treebank", DEFAULT_SHARD_WIDTH).grammar
         whole = GrammarRePair()
-        expected = whole.compress(edited("Treebank", width=None).grammar)
+        expected = whole.compress(
+            edited("Treebank", DEFAULT_SHARD_WIDTH).grammar)
         stepped = GrammarRePair()
         result = stepped.compress(grammar, budget=0.0)
         rounds = [stepped.stats.rounds]
@@ -186,7 +188,7 @@ class TestInterleavingAgainstTheModel:
     @pytest.mark.parametrize("corpus", ["EXI-Weblog", "Treebank", "XMark"])
     def test_writes_between_steps(self, corpus, one_round_steps, tmp_path):
         paused_ops = 0
-        for width in (8, 64, None):
+        for width in (8, 64, DEFAULT_SHARD_WIDTH):
             for seed in range(3):
                 paused_ops += self.fuzz(corpus, width, seed, tmp_path)
         assert paused_ops > 500

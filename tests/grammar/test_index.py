@@ -12,6 +12,7 @@ from repro.api import CompressedXml
 from repro.grammar.index import GrammarIndex
 from repro.grammar.navigation import resolve_preorder_path, stream_preorder
 from repro.grammar.properties import parameter_segments
+from repro.grammar.sharding import DEFAULT_SHARD_WIDTH
 from repro.grammar.slcf import Grammar
 from repro.trees.builder import parse_term
 from repro.trees.symbols import Alphabet
@@ -238,15 +239,15 @@ class TestUpdateInterleavings:
         for _ in replay_script(doc, script):
             assert_index_matches_stream(doc)
 
-    @pytest.mark.parametrize("shard_width", [None, 8])
+    @pytest.mark.parametrize("shard_width", [DEFAULT_SHARD_WIDTH, 8])
     @given(xml_documents(max_elements=30), update_scripts(max_ops=6))
     @settings(max_examples=15, deadline=None)
     def test_end_of_children_matches_naive(self, shard_width, tree, script):
         """An append's target is the parent's element descent continued
         down the last-child path of its first-child subtree: the naive
         terminator's position and, node for node, the steps of
-        ``resolve_preorder_path`` -- after every write, on sharded and
-        unsharded documents, and after a recompression."""
+        ``resolve_preorder_path`` -- after every write, at the default
+        width and a small one, and after a recompression."""
         doc = CompressedXml.from_document(tree, shard_width=shard_width)
         assert_append_targets_match(doc)
         for _ in replay_script(doc, script):

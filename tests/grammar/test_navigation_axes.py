@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.api import CompressedXml
 from repro.datasets.synthetic import make_corpus
 from repro.grammar.navigation import stream_elements
+from repro.grammar.sharding import DEFAULT_SHARD_WIDTH
 from repro.grammar.slcf import Grammar
 from repro.trees.builder import parse_term
 from repro.trees.node import Node, replace_node
@@ -146,7 +147,7 @@ class TestProperties:
         assert_axes_match_naive(CompressedXml.from_document(tree))
 
     @given(xml_documents(max_elements=30), update_scripts(max_ops=6),
-           st.one_of(st.none(), shard_widths()))
+           st.one_of(st.just(DEFAULT_SHARD_WIDTH), shard_widths()))
     @settings(max_examples=25, deadline=None)
     def test_axes_match_naive_after_updates(self, tree, script, width):
         """Sharded documents grow the nested parameter routes the route

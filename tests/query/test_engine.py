@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from benchmarks.e2e.model import FlatDoc
 from repro.api import CompressedXml
 from repro.datasets.synthetic import make_corpus
+from repro.grammar.sharding import DEFAULT_SHARD_WIDTH
 from repro.query.engine import (
     _walk, extract_subtree, iter_matching_elements, select,
 )
@@ -313,7 +314,8 @@ class TestCorpusPathFuzz:
             if plain is not None:
                 assert got == naive_select(plain, path), path
 
-    @pytest.mark.parametrize("width", [64, None], ids=["sharded", "flat"])
+    @pytest.mark.parametrize("width", [64, DEFAULT_SHARD_WIDTH],
+                             ids=["width64", "default"])
     @pytest.mark.parametrize("corpus", ["Treebank", "XMark", "EXI-Weblog"])
     def test_paths_in_every_state(self, corpus, width):
         rng = random.Random(23)

@@ -71,6 +71,20 @@ class TestPrune:
         prune_grammar(g)
         assert g.has_rule(A)
 
+    def test_zero_edge_chain_rule_inlined(self):
+        # X -> Y has no edge: sav = 2*(0-0) - 0 = 0, not < 0, yet each
+        # reference is one node either way -- X goes, Y (productive) stays.
+        g = parse_grammar(
+            "start S\nS -> f(X,f(X,Y))\nX -> Y\nY -> g(g(a))\n"
+        )
+        X, Y = g.alphabet.get("X"), g.alphabet.get("Y")
+        reference = g.copy()
+        before = g.size
+        assert prune_grammar(g) == 1
+        assert not g.has_rule(X) and g.has_rule(Y)
+        assert g.size == before
+        assert generates_same_tree(g, reference)
+
     def test_cascading_prune_through_chain(self):
         # A used once inside B which is used once: both vanish.
         g = parse_grammar(

@@ -7,10 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import CompressedXml
+from repro.api import CompressedXml, DurableXml
+from repro.core.grammar_repair import GrammarRePair
 from repro.datasets.synthetic import make_corpus
+from repro.grammar.derivation import expand
+from repro.grammar.index import GrammarIndex
+from repro.grammar.sharding import DEFAULT_SHARD_WIDTH
 from repro.storage.snapshot import (
     SNAPSHOT_MAGIC,
+    DocumentState,
     SnapshotError,
     _collect_symbols,
     _put_uvarint,
@@ -21,8 +26,11 @@ from repro.storage.snapshot import (
     read_snapshot,
     write_snapshot,
 )
+from repro.trees.binary import decode_binary, encode_binary
+from repro.trees.symbols import Alphabet
 from repro.trees.unranked import XmlNode
 from repro.trees.xml_io import serialize_xml
+from repro.updates.batch import BatchAppend, apply_batch_op
 
 from tests.strategies import shard_widths, xml_documents
 
@@ -35,7 +43,7 @@ WEBLOG = (
 )
 
 
-def dirtied_doc(shard_width=None):
+def dirtied_doc(shard_width=DEFAULT_SHARD_WIDTH):
     """A document with real history: updates, so shard touches and
     index segments are non-trivial."""
     doc = CompressedXml.from_xml(WEBLOG, shard_width=shard_width)
@@ -52,7 +60,7 @@ def round_trip(doc, tmp_path):
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("shard_width", [None, 8])
+    @pytest.mark.parametrize("shard_width", [DEFAULT_SHARD_WIDTH, 8])
     def test_reload_is_the_same_document(self, tmp_path, shard_width):
         doc = dirtied_doc(shard_width)
         _, doc2 = round_trip(doc, tmp_path)
@@ -61,7 +69,7 @@ class TestRoundTrip:
         assert doc2.compressed_size == doc.compressed_size
         doc2.grammar.validate()
 
-    @pytest.mark.parametrize("shard_width", [None, 8])
+    @pytest.mark.parametrize("shard_width", [DEFAULT_SHARD_WIDTH, 8])
     def test_reload_answers_without_recensus(self, tmp_path, shard_width):
         doc = dirtied_doc(shard_width)
         expected = doc.select("//status")
@@ -89,15 +97,16 @@ class TestRoundTrip:
 
     def test_reload_adopts_the_shard_spine(self, tmp_path):
         doc = dirtied_doc(shard_width=8)
-        assert doc.shard_manager is not None
+        assert doc.shard_manager.shard_count > 0
         _, doc2 = round_trip(doc, tmp_path)
         manager = doc2.shard_manager
-        assert manager is not None
-        assert manager.stats.reshard_runs == 0  # adopted, not rebuilt
+        # Adopted, not rebuilt: the constructor's pass over the start
+        # rule found it inside the budget.
+        assert (manager.stats.splits, manager.stats.merges) == (0, 0)
         manager.check_invariants()
-        width, prefix, parents = doc.shard_manager.export_state()
-        width2, prefix2, parents2 = manager.export_state()
-        assert (width2, prefix2) == (width, prefix)
+        width, parents = doc.shard_manager.export_state()
+        width2, parents2 = manager.export_state()
+        assert width2 == width
         assert {h.name for h in parents2} == {h.name for h in parents}
 
     def test_reload_preserves_recompression_baseline(self, tmp_path):
@@ -105,7 +114,7 @@ class TestRoundTrip:
         _, doc2 = round_trip(doc, tmp_path)
         assert doc2._last_compressed_size == doc._last_compressed_size
 
-    @pytest.mark.parametrize("shard_width", [None, 8])
+    @pytest.mark.parametrize("shard_width", [DEFAULT_SHARD_WIDTH, 8])
     def test_legacy_dirty_rule_list_is_read_and_discarded(self, shard_width):
         """Flag bit0 and the trailing dirty-rule list are legacy: the
         writer clears and empties them, and bytes that set them still
@@ -147,6 +156,46 @@ class TestRoundTrip:
         assert doc2.to_xml() == doc.to_xml()
 
 
+class TestUnshardedSnapshotsShardOnImport:
+    """A snapshot written before every document was sharded has flag
+    bit1 clear and no shard section; it loads sharded, through the
+    constructor's reshard."""
+
+    def test_a_start_rule_past_the_budget_loads_sharded(self, tmp_path):
+        # What an unsharded writer held: a compressed grammar whose start
+        # rule grew by isolation, with no spine to descend through.
+        alphabet = Alphabet()
+        grammar = GrammarRePair(kin=4).compress_tree(
+            encode_binary(make_corpus("EXI-Weblog", 2000, seed=5),
+                          alphabet), alphabet)
+        index = GrammarIndex(grammar)
+        for i in range(400):
+            apply_batch_op(grammar, index,
+                           BatchAppend(0, XmlNode(f"tail{i % 7}")))
+        width = DEFAULT_SHARD_WIDTH
+        assert grammar.rule_width(grammar.start) > 2 * width
+        expected = serialize_xml(decode_binary(expand(grammar)))
+        segments, label_counts = index.export_segments()
+        data = encode_state(DocumentState(
+            grammar=grammar, kin=4, element_count=index.element_count,
+            last_compressed_size=grammar.size, segments=segments,
+            label_counts=label_counts))
+        flags = _Reader(data[len(SNAPSHOT_MAGIC):-4])
+        for _ in range(3):  # version, kin, element_count
+            flags.uvarint()
+        assert data[len(SNAPSHOT_MAGIC) + flags.pos] & 2 == 0
+
+        doc = CompressedXml.from_state(decode_state(data))
+        manager = doc.shard_manager
+        assert manager.shard_count > 0
+        assert manager.max_spine_width() <= 2 * width
+        manager.check_invariants()
+        assert doc.to_xml() == expected
+        assert doc.count("//ip") == expected.count("<ip/>")
+        with DurableXml.create(str(tmp_path / "store"), doc) as store:
+            assert store.scrub().ok
+
+
 class TestBytesAreAFunctionOfTheDocument:
     """Neither the order queries filled the caches in nor a census that
     writes patched (its labels in another insertion order than a cold
@@ -184,8 +233,8 @@ class TestBytesAreAFunctionOfTheDocument:
 
 class TestRoundTripProperties:
     @settings(max_examples=25, deadline=None)
-    @given(xml_documents(max_elements=20), st.one_of(st.none(),
-                                                     shard_widths()))
+    @given(xml_documents(max_elements=20), st.one_of(
+        st.just(DEFAULT_SHARD_WIDTH), shard_widths()))
     def test_snapshot_round_trip(self, tmp_path_factory, tree, width):
         doc = CompressedXml.from_document(tree, shard_width=width)
         if doc.element_count > 2:

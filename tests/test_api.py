@@ -475,7 +475,7 @@ class TestInvalidTagsAreRejected:
 
 class TestMaintenance:
     def test_option_surface_is_the_tracked_one(self, tmp_path):
-        """The independently settable values, by name (4 / 5 / 3 / 4,
+        """The independently settable values, by name (4 / 5 / 2 / 3,
         and the durable constructors'): one recompression loop with one
         census per run, one commit path, one resolver per walk and one
         shard constructor, so no parameter selects another -- and, with
@@ -494,7 +494,7 @@ class TestMaintenance:
         assert list(signature(GrammarRePair).parameters) == [
             "kin", "prune", "optimized", "round_hook", "barriers"]
         assert list(signature(ShardManager).parameters) == [
-            "grammar", "width", "prefix", "parents"]
+            "grammar", "width"]
         assert list(signature(grammar_repair).parameters)[1:] == [
             "kin", "prune", "optimized"]
         # One census per run: no call selects a scoped one.
@@ -506,6 +506,9 @@ class TestMaintenance:
             signature(GrammarOccurrenceIndex.build).parameters) == ["self"]
         with pytest.raises(TypeError):
             CompressedXml.from_xml("<a><b/></a>", no_such_option=True)
+        # Every document is sharded: no width is not a mode.
+        with pytest.raises(TypeError):
+            CompressedXml.from_xml("<a/>", shard_width=None)
         assert list(signature(isolate).parameters) == [
             "grammar", "index", "steps", "spine"]
         assert list(signature(stream_elements).parameters) == ["grammar"]

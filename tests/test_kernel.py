@@ -41,6 +41,7 @@ from repro.grammar.kernel import (
 )
 from repro.grammar.navigation import stream_elements, stream_preorder
 from repro.grammar.properties import parameter_segments, references
+from repro.grammar.sharding import DEFAULT_SHARD_WIDTH
 from repro.query.naive import naive_count, naive_select
 from repro.storage.durable import DurableXml
 from repro.trees.symbols import Alphabet
@@ -238,7 +239,7 @@ class TestKernelWindow:
 
 class TestKernelParity:
     @given(xml_documents(max_elements=25),
-           st.one_of(st.none(), shard_widths()))
+           st.one_of(st.just(DEFAULT_SHARD_WIDTH), shard_widths()))
     @settings(max_examples=40, deadline=None)
     def test_static_parity(self, tree, width):
         doc = CompressedXml.from_document(tree, shard_width=width)
@@ -255,7 +256,7 @@ class TestKernelParity:
     @given(
         xml_documents(max_elements=20),
         update_scripts(max_ops=6),
-        st.one_of(st.none(), shard_widths()),
+        st.one_of(st.just(DEFAULT_SHARD_WIDTH), shard_widths()),
     )
     @settings(max_examples=25, deadline=None)
     def test_parity_after_update_scripts(self, tree, script, width):
@@ -467,7 +468,7 @@ class TestSpliceEqualsRebuild:
     reach the same columns from the other side, after every operation."""
 
     @given(xml_documents(max_elements=25), update_scripts(max_ops=8),
-           st.one_of(st.none(), shard_widths()))
+           st.one_of(st.just(DEFAULT_SHARD_WIDTH), shard_widths()))
     @settings(max_examples=40, deadline=None)
     def test_after_every_operation(self, tree, script, width):
         doc = CompressedXml.from_document(tree, shard_width=width)

@@ -449,8 +449,7 @@ class TestWritePointPreservation:
         doc = build()
         before = read_surface(doc)
         assert doc.index.kernel.rules_packed > 0
-        shard_stats = doc.shard_manager.stats.to_dict() \
-            if doc.shard_manager is not None else None
+        shard_stats = doc.shard_manager.stats.to_dict()
         view = doc.snapshot()
         audit = _OverlayAudit(doc.grammar)
         doc.grammar.register_observer(audit)

@@ -18,6 +18,7 @@ from benchmarks.e2e.model import FlatDoc
 from repro.api import CompressedXml
 from repro.datasets import make_corpus
 from repro.grammar.navigation import grammar_generates_tree
+from repro.grammar.sharding import DEFAULT_SHARD_WIDTH
 from repro.trees.unranked import XmlNode
 from repro.updates.batch import (
     BatchAppend,
@@ -223,7 +224,7 @@ CASES = {
 
 
 class TestDelegation:
-    @pytest.mark.parametrize("width", [None, 8])
+    @pytest.mark.parametrize("width", [DEFAULT_SHARD_WIDTH, 8])
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_batch_is_the_op_loop(self, name, width):
         """Batch == op loop, errors included; a transactional batch
@@ -290,8 +291,9 @@ class TestValidation:
 
 
 class TestBatchMechanics:
-    def test_unsharded_batch_touches_only_the_start_rule(self):
-        """Every edit lands in the start rule (plus rules removed by gc)."""
+    def test_shard_free_batch_touches_only_the_start_rule(self):
+        """A document too small to hold a shard at the default width:
+        every edit lands in the start rule (plus rules removed by gc)."""
         doc = CompressedXml.from_xml(LOG)
         recorder = RuleTouchRecorder()
         doc.grammar.register_observer(recorder)
