@@ -84,6 +84,7 @@ update and compression layers of this code base all do.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from typing import (
     Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple,
@@ -573,6 +574,12 @@ class GrammarIndex:
         successor.node_segs = pack.node_segs
         successor.elem_segs = pack.elem_segs
         successor.routes = pack.routes  # an inline keeps ``val(rule)``
+        for first, (links, done) in tuple(pack.chains.items()):
+            if first >= stop:  # see ``RulePack.chains``
+                successor.chains[first + widened] = links, done
+            elif first < p:
+                kept = links[:bisect_left(links, p - first)]
+                successor.chains[first] = kept, done and kept == links
         self._packs[head] = successor
         self._locations = {}
         # An application gone, at most its arguments adopted: an inline,

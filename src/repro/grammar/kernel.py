@@ -25,7 +25,8 @@ and list reads:
 * the kernel walks the index and query layers dispatch to:
   :func:`kernel_locate_element` -- the one element descent behind tag,
   axes, slots and every write target, from the start rule or a located
-  binding --, :func:`kernel_last_node` -- its continuation to an
+  binding, bisecting wide packs' sibling chains (``RulePack.chains``)
+  --, :func:`kernel_last_node` -- its continuation to an
   element's child-list terminator, the target of an append -- and
   :func:`kernel_window` -- the one windowed walk, in nodes or in
   elements, behind ``tags`` windows and ``subtree_xml``; each takes the
@@ -50,14 +51,16 @@ whether or not a hooked ``rhs()`` read preceded the rewrite.
 One path
 --------
 The kernel is the only implementation of these walks; there is no
-switch and no size threshold.  The independent reference semantics
-tests compare against are :mod:`repro.grammar.navigation`
-(``resolve_preorder_path``, ``stream_elements``, ``stream_preorder``),
+switch (:data:`CHAIN_MIN_NODES` picks where a descent bisects).  The
+independent reference semantics tests compare against are
+:mod:`repro.grammar.navigation` (``resolve_preorder_path``,
+``stream_elements``, ``stream_preorder``),
 :func:`repro.grammar.derivation.expand` and :mod:`repro.query.naive`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.grammar.navigation import PathStep
@@ -195,6 +198,17 @@ class RulePack:
     one (``None``: ``y_i`` hangs on the root's sibling chain).  A fact
     about ``val(rule)``; ``None`` while unknown (``GrammarIndex._routes``).
 
+    ``chains``: head position -> ``(offsets, done)``, the offsets from the
+    head of itself and of each continuation while the position is a
+    *link* -- an FCNS element (its next sibling) or an application whose
+    callee's last node segment is empty (its last argument, generated
+    last under the same parent: the route is ``(0, None)``) -- as far as
+    a descent needed (``done``: to a non-link).  No invalidation: sizes
+    are read live and only a rewrite, dropping this pack, changes a
+    callee's last segment.  A splice of ``[p, stop)`` carries them on
+    (``GrammarIndex.rule_spliced``): heads from ``stop`` shift, one
+    before ``p`` keeps its offsets below ``p`` (not ``done`` if cut).
+
     ``walk`` is the tuple of the eleven columns in the order above (a
     pack switch inside a walk is one attribute load plus one unpack).
     """
@@ -202,7 +216,7 @@ class RulePack:
     __slots__ = (
         "head", "kind", "sym", "rank", "span",
         "nnodes", "nelems", "params", "node_objs", "sym_objs", "sym_names",
-        "steps", "calls", "node_segs", "elem_segs", "routes",
+        "steps", "calls", "node_segs", "elem_segs", "routes", "chains",
         "_label_arrays", "walk",
     )
 
@@ -215,6 +229,7 @@ class RulePack:
         self.walk = columns
         self.calls = calls
         self.routes: Optional[list] = None
+        self.chains: Dict[int, Tuple[Tuple[int, ...], bool]] = {}
         #: per-label counts for the query walk, derived from this rule's
         #: census and its callees' and dropped with them (a label-class
         #: fact of ``GrammarIndex``: a census change below an application
@@ -386,6 +401,69 @@ def measure(columns: tuple, fresh: List[int],
 # instead of allocating steps -- the three constant-factor levers the
 # bench gates are built on.
 
+#: The narrowest pack whose descents jump along chains: narrower bodies
+#: are compressed rules with chains a few links long, where a step costs
+#: less than a chain lookup.  ``weblog_tail_durable`` (a binary-counter
+#: hierarchy of tiny rules) read ``query_p50_ms`` 0.062 / 0.046 / 0.044 /
+#: 0.048 ms at 0 / 16 / 64 / 256 nodes (2-core x86, two seeds each).
+CHAIN_MIN_NODES = 64
+
+
+def _bound(column: list, params: list, env: tuple, at: int, slot: int) -> int:
+    """``column[at]`` plus ``env``'s bindings (``slot`` 0: nodes, 1:
+    elements) of the parameters below ``at``."""
+    total = column[at]
+    for p in params[at]:
+        total += env[p - 1][slot]
+    return total
+
+
+def _continuation(index: "GrammarIndex", pack: RulePack, at: int) -> int:
+    """Where a descent passes the link at ``at`` to (``-1``: no link)."""
+    rank = pack.rank[at]
+    if pack.kind[at] == KIND_ELEMENT and rank == 2:
+        return at + 1 + pack.span[at + 1]
+    sobj = pack.sym_objs[at]
+    if pack.kind[at] != KIND_NONTERMINAL or not rank \
+            or (index._packs.get(sobj) or index.pack(sobj)).node_segs[-1]:
+        return -1
+    at += 1
+    for _ in range(rank - 1):
+        at += pack.span[at]
+    return at
+
+
+def _chain_jump(index: "GrammarIndex", pack: RulePack, head: int,
+                env: tuple, remaining: int, position: int):
+    """Pass every link from ``head`` on whose continuation holds the
+    target, as the descent would one by one (parent, depth, steps and
+    hops stay): ``(pos, remaining, position)`` there.  Along a chain the
+    element count ``F`` does not increase and ``F(head) - F(q)`` lie in
+    front of position ``q``: the target is below the last ``q`` with
+    ``F(q) >= F(head) - remaining``.  The chain is extended only as far
+    as the target needs, and published by one assignment."""
+    nnodes, nelems, params = pack.nnodes, pack.nelems, pack.params
+    links, done = pack.chains.get(head) or ((0,), False)
+    floor = _bound(nelems, params, env, head, 1) - remaining
+    last = bisect_right(links, -floor, 1, key=lambda q: -_bound(
+        nelems, params, env, head + q, 1)) - 1
+    at = head + links[last]
+    if last == len(links) - 1 and not done:
+        grown = []
+        follow = _continuation(index, pack, at)
+        while follow >= 0:
+            grown.append(follow - head)
+            if _bound(nelems, params, env, follow, 1) < floor:
+                break
+            at = follow
+            follow = _continuation(index, pack, at)
+        pack.chains[head] = (links + tuple(grown), follow < 0)
+    if at == head:
+        return head, remaining, position
+    return (at, _bound(nelems, params, env, at, 1) - floor,
+            position + _bound(nnodes, params, env, head, 0)
+            - _bound(nnodes, params, env, at, 0))
+
 
 def kernel_locate_element(
     index: "GrammarIndex",
@@ -447,6 +525,9 @@ def kernel_locate_element(
                         remaining -= ce
                         position += cn
                         pos = child + span[child]
+                        if len(kind) >= CHAIN_MIN_NODES:
+                            pos, remaining, position = _chain_jump(
+                                index, pack, pos, env, remaining, position)
                     continue
             else:
                 position += 1
@@ -524,6 +605,10 @@ def kernel_locate_element(
             route = callee.routes and callee.routes[child_pos - 1]
             if route and route[1] is None:
                 depth += route[0]
+                if child_pos == r and len(kind) >= CHAIN_MIN_NODES:
+                    pos, remaining, position = _chain_jump(
+                        index, pack, descend_to, env, remaining, position)
+                    continue
             else:
                 hops.append((callee, child_pos, pack, pos, env,
                              element_index - remaining - preceding_elems))

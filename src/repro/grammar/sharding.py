@@ -33,8 +33,9 @@ module applies the same discipline to the mutable start rule:
 * A post-epoch :meth:`reshard` pass -- hooked into the same place as the
   auto-recompress policy -- rebalances *only the rules the epoch
   touched*: rules that drifted past ``2 * width`` are re-split, shards
-  that fell below ``width // 2`` are merged back into their parent in
-  the pass that finds them (the parent is then itself re-checked).  A
+  that fell below ``width // 2`` -- or were minted there by a split --
+  are merged back into their parent in the pass that finds them (the
+  parent is then itself re-checked).  A
   recompression is an epoch like any other: the shard bodies it thinned
   reported ``rule_changed``, so the pass after it merges them.  Splits
   and merges go through the grammar observer channel rule by rule, so
@@ -188,6 +189,8 @@ class ShardManager:
         # Reentrancy guard: the manager's own splits/merges fire observer
         # notifications (for the indexes); they must not re-dirty us.
         self._resharding = False
+        # Chunk rules minted by the splits of the running reshard pass.
+        self._chunks: List[Symbol] = []
         self.stats = ShardStats()
         self._m_split = self._m_merge = self._m_demote = NULL_METRIC
         grammar.register_observer(self)
@@ -480,6 +483,10 @@ class ShardManager:
                     owner = self._split(head, width)
                     self._m_split.observe(time.perf_counter() - split_started)
                     actions += 1
+                    # Its chunks too: the last of a cut path may be tiny,
+                    # and no write may ever touch it again.
+                    work += self._chunks
+                    self._chunks.clear()
                     if owner is not None:
                         # A shard split grafts its chunk composition into
                         # the parent (width moves *up*, depth stays put);
@@ -749,6 +756,7 @@ class ShardManager:
             self.stats.shards_created += 1
             self._install(top, path[0])
             chunk_heads.append(top)
+            self._chunks += chunk_heads
 
             # Composition: top(next(...(last[...]))), innermost first.
             chunk_heads.reverse()  # outermost (the old root) first

@@ -13,9 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.e2e.model import FlatDoc
+from repro import api
 from repro.api import CompressedXml
 from repro.datasets.synthetic import make_corpus
-from repro.grammar.navigation import stream_elements
+from repro.grammar.navigation import (
+    resolve_preorder_path,
+    stream_elements,
+    stream_preorder,
+)
 from repro.grammar.sharding import DEFAULT_SHARD_WIDTH
 from repro.grammar.slcf import Grammar
 from repro.trees.builder import parse_term
@@ -180,34 +186,83 @@ class TestProperties:
             assert_axes_match_naive(doc)
 
 
+def assert_targets_match(doc, model, sample, paths=1):
+    """The one element descent behind every read and write target, for
+    the ``sample`` elements: tag, parent and depth against the e2e
+    benchmark's flat model, the element's preorder position against
+    ``stream_preorder`` and, for every ``paths``-th, its and its
+    child-list terminator's derivation path against
+    ``resolve_preorder_path``."""
+    grammar, index = doc.grammar, doc.index
+    preorder = [at for at, symbol in enumerate(stream_preorder(grammar))
+                if not symbol.is_bottom]
+    assert len(preorder) == len(model)
+
+    def path(steps):
+        return [(step.node, step.enters_rule) for step in steps]
+
+    for number, element in enumerate(sorted(sample)):
+        assert (index.tag_of(element), index.parent_of(element),
+                index.depth_of(element)) == (
+            model.tags[element], model.parent(element),
+            model.depths[element]), element
+        position, steps = index.resolve_element(element)
+        assert position == preorder[element], element
+        if number % paths:
+            continue
+        for position, steps in ((position, steps),
+                                index.end_of_children_position(element)):
+            assert path(steps) == path(
+                resolve_preorder_path(grammar, position)), element
+
+
 class TestCorpusFuzz:
     """Corpus-shaped, sharded documents under single-op writes: after
     each write the axes of a sample -- always the written element, its
-    parent and the last element -- equal the oracle."""
+    parent and the last element -- equal the oracle.  At width 256 the
+    spine bodies are sibling chains of ~100 links the descent jumps
+    along (``RulePack.chains``), and writes splice them warm, under
+    one-round recompression steps too."""
 
-    @pytest.mark.parametrize("corpus", ["Treebank", "XMark", "EXI-Weblog"])
-    def test_axes_after_every_write(self, corpus):
+    @pytest.mark.parametrize("corpus, edges, width, factor", [
+        ("Treebank", 1500, 64, None),
+        ("XMark", 1500, 64, None),
+        ("EXI-Weblog", 1500, 64, None),
+        ("XMark", 6000, 256, None),
+        ("EXI-Weblog", 6000, 256, None),
+        ("EXI-Weblog", 6000, 256, 1.05),
+    ])
+    def test_axes_after_every_write(self, corpus, edges, width, factor,
+                                    monkeypatch):
+        monkeypatch.setattr(api, "STEP_SECONDS", 0.0)
         rng = random.Random(20)
         doc = CompressedXml.from_document(
-            make_corpus(corpus, 1500, seed=20), shard_width=64)
+            make_corpus(corpus, edges, seed=20), shard_width=width,
+            auto_recompress_factor=factor)
+        model = FlatDoc.from_xml(doc.to_xml())
         for _ in range(60):
             count = doc.element_count
             at = rng.randrange(1, count)
             kind = rng.choice(("rename", "insert", "append", "delete"))
             if kind == "rename":
                 doc.rename(at, "renamed")
+                model.rename(at, "renamed")
             elif kind == "insert":
                 doc.insert(at, XmlNode("ins", [XmlNode("leaf")]))
+                model.insert(at, (("ins", 0), ("leaf", 1)))
             elif kind == "append":
                 doc.append_child(at, XmlNode("app"))
+                model.append_child(at, (("app", 0),))
             else:
                 doc.delete(at)
+                model.delete(at)
             rows, children = naive_axes(doc.to_document())
             count = len(rows)
             at = min(at, count - 1)
             sample = {at, rows[at][1] or 0, count - 1}
             sample.update(rng.randrange(count) for _ in range(37))
             assert_sampled_axes_match(doc, rows, children, sample)
+            assert_targets_match(doc, model, sample, paths=5)
         assert_axes_match_naive(doc)
         # Segments adopted from a snapshot come without packs: the
         # route summaries are then computed on first use, callees first.

@@ -35,6 +35,7 @@ from tests.strategies import (
     xml_documents,
 )
 from tests.updates.test_batch import concretize
+from tests.core.test_repeatability import write
 from tests.grammar.test_index import replay_script
 
 CHAIN = "<log>" + "<e><a/><b/></e>" * 200 + "</log>"
@@ -161,8 +162,28 @@ class TestEagerMerge:
             delete_first()
         assert manager.stats.history[-1] == \
             f"merge {target.name} -> {doc.grammar.start.name}"
-        assert (manager.stats.splits, manager.stats.merges) == (1, 1)
+        # Two merges: the target, and the split's one-node last chunk
+        # in the pass that minted it.
+        assert (manager.stats.splits, manager.stats.merges) == (1, 2)
         assert doc.to_xml() == expected.to_xml()
+        manager.check_invariants()
+
+    def test_a_split_merges_the_tiny_chunks_it_minted(self):
+        """XMark at width 64 under the repeatability stream: write 31
+        splits ``Sp_2`` and cuts its path into chunks, the last one a
+        single node.  No write touches that chunk, so only the pass that
+        minted it can merge it.  A shard a split carves off is larger
+        than ``W // 4``, so after every pass no shard is narrower."""
+        width = 64
+        doc = CompressedXml.from_document(
+            make_corpus("XMark", edges=4000, seed=5), shard_width=width)
+        manager = doc.shard_manager
+        rng = random.Random(11)
+        for _ in range(60):
+            write(doc, rng)
+            assert min(map(manager.width_of, manager.heads)) > width // 4
+        assert "split Sp_2[130] +3" in manager.stats.history
+        assert manager.stats.merges >= 3
         manager.check_invariants()
 
 

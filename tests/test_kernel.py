@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.e2e.model import FlatDoc
 from repro.api import CompressedXml
 from repro.datasets.synthetic import make_corpus
 from repro.grammar.index import (
@@ -33,17 +34,21 @@ from repro.grammar.index import (
     GrammarIndex,
 )
 from repro.grammar.kernel import (
+    CHAIN_MIN_NODES,
     ELEMENTS,
     NODES,
     SymbolTable,
+    _continuation,
     global_symbol_table,
     kernel_window,
 )
 from repro.grammar.navigation import stream_elements, stream_preorder
 from repro.grammar.properties import parameter_segments, references
 from repro.grammar.sharding import DEFAULT_SHARD_WIDTH
+from repro.grammar.slcf import Grammar
 from repro.query.naive import naive_count, naive_select
 from repro.storage.durable import DurableXml
+from repro.trees.builder import parse_term
 from repro.trees.symbols import Alphabet
 from repro.trees.traversal import preorder
 from repro.trees.unranked import XmlNode
@@ -57,7 +62,7 @@ from repro.updates.batch import (
 from repro.updates.operations import rename_node
 
 from tests.grammar.test_index import replay_script
-from tests.grammar.test_navigation_axes import wrap
+from tests.grammar.test_navigation_axes import assert_targets_match, wrap
 from tests.strategies import (
     batch_scripts,
     label_paths,
@@ -523,6 +528,141 @@ class TestSpliceEqualsRebuild:
             "<r><a/>" + "".join(f"<z{i}/>" for i in range(6)) + "</r>"
         assert observe(doc) == oracle(doc)
         assert doc.index.wholesale_invalidations == 0
+
+
+def chain_positions(pack):
+    """Every cached chain (``RulePack.chains``) of ``pack`` as the
+    positions it holds: ``(positions, done)`` per head."""
+    return [(tuple(head + offset for offset in offsets), done)
+            for head, (offsets, done) in pack.chains.items()]
+
+
+def assert_chains_hold(doc):
+    """Every cached chain is one in its pack: each position is the
+    continuation of the link before it, and a finished chain ends at a
+    position that is no link."""
+    index = doc.index
+    for head in index.cached_rules():
+        pack = index.peek(head)
+        for links, done in chain_positions(pack) if pack else ():
+            for at, follow in zip(links, links[1:]):
+                assert _continuation(index, pack, at) == follow, head
+            if done:
+                assert _continuation(index, pack, links[-1]) == -1, head
+
+
+def first_chain(doc):
+    """The positions of the start pack's first chain."""
+    return min(chain_positions(doc.index.peek(doc.grammar.start)))[0]
+
+
+ENTRIES = 40
+ENTRY_LIST = "".join(f"<e><x{i % 3}/></e>" for i in range(ENTRIES))
+TWO_LISTS = f"<r><a>{ENTRY_LIST}</a><b>{ENTRY_LIST}</b></r>"
+
+
+class TestChainJumps:
+    """The element descent jumps along the sibling chains of wide packs
+    (``RulePack.chains``); its answers -- tag, parent, depth, both write
+    targets -- must equal the e2e model's and ``resolve_preorder_path``'s,
+    and a splice must carry the chains it does not cut over."""
+
+    # Element indices in TWO_LISTS: r 0, a 1, a's k-th entry 2 + 2k,
+    # b 2 + 2n, b's k-th entry 3 + 2n + 2k.
+    @pytest.mark.parametrize("where, write, chain", [
+        # Below the first entry of a's list, in front of every head.
+        ("before", ("append_child", 3, (("y", 0),)), 0),
+        # Before the middle entry of a's list: the chain is cut there.
+        ("inside", ("insert", 2 + ENTRIES, (("n", 0),)), -ENTRIES // 2 - 1),
+        # At the terminator of a's list: its last position goes.
+        ("end", ("append_child", 1, (("z", 0),)), -1),
+        # In b's list, behind a's whole chain.
+        ("after", ("insert", 3 + 3 * ENTRIES, (("n", 0),)), 0),
+    ])
+    def test_a_splice_carries_the_chains_over(self, where, write, chain):
+        doc = CompressedXml.from_xml(TWO_LISTS, compress=False)
+        model = FlatDoc.from_xml(TWO_LISTS)
+        everything = range(doc.element_count)
+        assert_targets_match(doc, model, everything, paths=7)
+        start = doc.grammar.start
+        pack = doc.index.peek(start)
+        assert len(pack.kind) >= CHAIN_MIN_NODES
+        before = first_chain(doc)
+        assert len(before) == ENTRIES  # a's list: entries 1.. and its ⊥
+        builds = doc.index.builds
+        kind, at, fragment = write
+        getattr(model, kind)(at, fragment)
+        node = XmlNode(fragment[0][0])
+        getattr(doc, kind)(at, node)
+        successor = doc.index.peek(start)
+        assert successor is not pack and doc.index.builds == builds
+        assert_chains_hold(doc)
+        after = first_chain(doc)
+        assert len(after) == ENTRIES + chain
+        if where == "before":  # shifted by the width change
+            shift = after[0] - before[0]
+            assert shift > 0 and after == tuple(q + shift for q in before)
+        else:
+            assert after == before[:len(after)]
+        assert_targets_match(doc, model, range(len(model)), paths=7)
+        assert_chains_hold(doc)
+        assert doc.index.builds == builds
+
+    def test_a_chain_passing_a_parameter_and_applications(self):
+        """``A``'s chain holds ``y1`` in the front part of one link and
+        applications of ``B(y1) -> h(⊥, y1)`` as links: the element
+        counts in front of a position need the bound argument's size.
+        It ends at an application of ``C(y1) -> k(y1, ⊥)``, whose
+        argument is no continuation: it lies one level deeper."""
+        alphabet = Alphabet()
+        names = {name: alphabet.nonterminal(name, rank) for name, rank
+                 in (("S", 0), ("A", 1), ("B", 1), ("C", 1))}
+        grammar = Grammar(alphabet, names["S"])
+        body = "C(e(#,e(#,#)))"
+        for i in reversed(range(60)):
+            if i == 30:
+                body = f"f(y1,{body})"
+            body = f"B({body})" if i % 4 == 1 else f"e{i % 3}(#,{body})"
+        for name, rhs in (("B", "h(#,y1)"), ("C", "k(y1,#)"), ("A", body),
+                          ("S", "r(A(x(#,x(#,x(#,#)))),#)")):
+            grammar.set_rule(names[name],
+                             parse_term(rhs, alphabet, frozenset(names)))
+        grammar.validate()
+        doc = CompressedXml(grammar)
+        model = FlatDoc.from_xml(doc.to_xml())
+        assert_targets_match(doc, model, range(len(model)), paths=3)
+        pack = doc.index.peek(names["A"])
+        assert len(pack.kind) >= CHAIN_MIN_NODES
+        links = max((links for links, _done in chain_positions(pack)),
+                    key=len)
+        assert len(links) > 50 and pack.params[links[0]] == (1,)
+        assert {pack.kind[at] for at in links} >= {1, 2}  # both link kinds
+        assert_chains_hold(doc)
+
+    def test_a_flat_list_of_chunk_shards(self):
+        """3 000 children at width 256: chunk shards ending in ``y1``,
+        each a chain of ~120 links under one binding."""
+        tree = XmlNode("list", [XmlNode(f"c{i % 3}") for i in range(3000)])
+        doc = CompressedXml.from_document(tree, compress=False)
+        model = FlatDoc.from_xml(doc.to_xml())
+        assert_targets_match(doc, model, range(len(model)), paths=50)
+        rng = random.Random(7)
+        for _ in range(12):
+            at = rng.randrange(1, len(model))
+            if rng.random() < 0.5:
+                doc.insert(at, XmlNode("n"))
+                model.insert(at, (("n", 0),))
+            else:
+                doc.delete(at)
+                model.delete(at)
+            sample = {min(k, len(model) - 1) for k in (at - 1, at, at + 1)}
+            sample.update(rng.randrange(len(model)) for _ in range(40))
+            assert_targets_match(doc, model, sample, paths=4)
+        assert_chains_hold(doc)
+        chained = [pack for pack in map(doc.index.peek,
+                                        doc.shard_manager.heads)
+                   if pack and pack.params[0] and pack.chains]
+        assert chained
 
 
 class TestSuspendedWalksSurviveWrites:
