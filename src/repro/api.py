@@ -415,7 +415,7 @@ class CompressedXml(ReadSurface):
         # pass rebalances whatever each epoch touched.
         self._shards = ShardManager(grammar, width=shard_width)
         # A packed rule's width is read off its columns, not walked.
-        self._shards.width_of = self._index.rule_width
+        self._shards.width_of = self._size.width_of = self._index.rule_width
         self._last_compressed_size = max(1, grammar.size)
         self.updates_applied = 0
         self.batches_applied = 0

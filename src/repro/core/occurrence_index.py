@@ -46,25 +46,39 @@ transparent nonterminals, possibly in other rules.  A mutation of rule
 * occurrences of any rule *referencing* a transparent rule through whose
   right-hand side a resolution can now differ.
 
-Resolutions enter a rule ``X`` only at its *interface*: descending, at
-``X``'s root node (when the root is a transparent nonterminal the walk
-continues into that rule); ascending, at the parents of ``X``'s
-parameters.  Endpoints and resolution paths recorded for other rules
-consist exactly of these interface nodes, so a mutation of ``X`` only
-invalidates outside occurrences when its interface *signature* -- the
-identities and symbols of the root and parameter-parent nodes -- changed;
-a digram replaced in the interior of ``X`` stays ``X``'s private affair.
-The index keeps, per rule, its referenced symbols, its boundary symbols
-(interface symbols through which walks continue onward), and the
-signature.  The closure of the interface-changed transparent rules under
-reverse-boundary edges (``through``) holds every rule a resolution can
-enter on its way to a changed interface; the affected rules are ``dirty``
-plus the referencers of ``through``, and within such a referencer the
-affected generators are exactly those whose own symbol (descending) or
-in-rule parent symbol (ascending) is in ``through``.  This is sound
-because every hop of a TREECHILD/TREEPARENT walk follows a reference, and
-hops beyond the first pass through interfaces only -- so every resolution
-chain reaching a changed interface has its *first* hop in ``through``.
+Resolutions enter a rule ``X`` only at its *interface*, which has two
+sides: descending (``TREECHILD``), at ``X``'s root node (when the root is
+a transparent nonterminal the walk continues into that rule); ascending
+(``TREEPARENT``), at the parents of ``X``'s parameters.  A descent reads
+roots only and an ascent parameter parents only.  Endpoints and
+resolution paths recorded for other rules consist exactly of these
+interface nodes, so a mutation of ``X`` only invalidates outside
+occurrences when a side's *signature* -- the root's identity and symbol,
+or the parameter parents' identities, symbols and slots -- changed; a
+digram replaced in the interior of ``X`` stays ``X``'s private affair.
+The index keeps, per rule, its referenced symbols, per side its boundary
+symbols (the interface symbols through which walks continue onward) and
+its signature.  Per side, the closure of the side-changed transparent
+rules under that side's reverse-boundary edges (``through``) holds every
+rule a walk of that direction can enter on its way to a changed side;
+the affected rules are ``dirty`` plus the referencers of either closure,
+and within such a referencer the affected generators are exactly those
+whose own symbol is in the root closure (descending) or whose in-rule
+parent symbol is in the parameter closure (ascending).  This is sound
+because every hop of a TREECHILD/TREEPARENT walk follows a reference,
+and hops beyond the first pass through interfaces of the walk's side
+only -- so every resolution chain reaching a changed side has its
+*first* hop in that side's closure.
+
+One store loop
+--------------
+The census, the edge-local adaptation and the crossing rescan all store
+through :meth:`GrammarOccurrenceIndex._store`, one loop over the
+generators its caller hands it, and all removals go through one removal
+loop.  Each caller keeps its order, which the equal-label claims depend
+on: a census stores in rule preorder; an adaptation removes every
+detached or re-generated generator once, then stores; a crossing rescan
+removes and stores one generator at a time, in rule preorder.
 
 Equal-label caveat
 ------------------
@@ -83,7 +97,7 @@ from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.resolve import Resolver
-from repro.core.retrieve import GrammarOccurrence
+from repro.core.retrieve import NO_PATH, GrammarOccurrence
 from repro.grammar.properties import anti_sl_order
 from repro.grammar.slcf import Grammar
 from repro.repair.digram import Digram
@@ -97,6 +111,8 @@ __all__ = ["GrammarOccurrenceIndex"]
 #: edge-local adaptation can remove single occurrences in O(1); dicts
 #: preserve insertion (preorder) order for the occurrence lists.
 _RuleTable = Dict[Digram, Dict[int, GrammarOccurrence]]
+#: rule -> interface symbols, or symbol -> rules, on one interface side.
+_Sides = Dict[Symbol, Set[Symbol]]
 
 
 class GrammarOccurrenceIndex:
@@ -153,8 +169,11 @@ class GrammarOccurrenceIndex:
         # per-rule callee histograms (symbol -> reference multiplicity)...
         self._callee_counts: Dict[Symbol, Dict[Symbol, int]] = {}
         self._referencers: Dict[Symbol, Set[Symbol]] = {}
-        self._boundary: Dict[Symbol, Set[Symbol]] = {}
-        self._boundary_refs: Dict[Symbol, Set[Symbol]] = {}
+        # Per interface side (0: the root, 1: the parameter parents):
+        # rule -> the nonterminals there through which walks continue
+        # onward, and the reverse map.
+        self._boundary: Tuple[_Sides, _Sides] = ({}, {})
+        self._boundary_refs: Tuple[_Sides, _Sides] = ({}, {})
         # ... and their aggregate: |refG(Q)| per rule head, kept exact by
         # folding histogram deltas at every structure refresh.  Replaces
         # the per-round full-grammar ``reference_counts`` walk.
@@ -164,11 +183,11 @@ class GrammarOccurrenceIndex:
         self._usage: Dict[Symbol, int] = {}
         self._count_delta: Dict[Symbol, Dict[Symbol, int]] = {}
         self._unused: Set[Symbol] = set()
-        # rule -> interface signature (root and parameter-parent nodes by
-        # identity and symbol); outside occurrences resolve through these
-        # nodes and only these, so an unchanged signature means no caller
-        # needs a rescan.
-        self._interface: Dict[Symbol, Tuple] = {}
+        # rule -> interface signature, (root side, parameter side): the
+        # root and the parameter-parent nodes by identity and symbol;
+        # outside occurrences resolve through these nodes and only these,
+        # so an unchanged side means no caller re-resolves through it.
+        self._interface: Dict[Symbol, Tuple[Tuple, Tuple]] = {}
         # rule -> RHS edge count, and the grammar-wide total: lets the
         # compression loop trace |G| per round without an O(|G|) walk.
         self._rule_edges: Dict[Symbol, int] = {}
@@ -276,13 +295,20 @@ class GrammarOccurrenceIndex:
         grammar = self._grammar
         dirty = self._dirty
         self._dirty = set()
-        interface_dirty: Set[Symbol] = set()
+        # Rules whose root side / parameter side changed.
+        interface_dirty: Tuple[Set[Symbol], Set[Symbol]] = (set(), set())
+
+        def refresh(head: Symbol) -> None:
+            for side, changed in zip(interface_dirty,
+                                     self._refresh_structure(head)):
+                if changed:
+                    side.add(head)
+
         for head in dirty:
             log = clean_edits.get(head) if clean_edits else None
             if log and self._patch_structure_clean(head, log):
                 continue  # interface provably unchanged
-            if self._refresh_structure(head):
-                interface_dirty.add(head)
+            refresh(head)
         usage = self._usage
         changed = self._propagate_usage({})
         self.usage_updates += len(changed)
@@ -301,8 +327,7 @@ class GrammarOccurrenceIndex:
                 self._dirty = set()
                 for head in removed:
                     usage.pop(head, None)
-                    if self._refresh_structure(head):
-                        interface_dirty.add(head)
+                    refresh(head)
         propagated, through = self._propagated(interface_dirty)
         # Edge-local adaptation: rules with stored occurrences whose only
         # mutations were clean replacements/inlines.
@@ -481,11 +506,12 @@ class GrammarOccurrenceIndex:
         return (symbol.is_nonterminal and symbol not in self._opaque
                 and symbol not in self._barriers)
 
-    def _refresh_structure(self, head: Symbol) -> bool:
+    def _refresh_structure(self, head: Symbol) -> Tuple[bool, bool]:
         """Recompute ``head``'s reference/boundary sets and interface
         signature (or drop them if the rule is gone), keeping the reverse
-        maps in sync.  Returns True when the interface changed -- the only
-        case in which other rules' stored occurrences can be affected."""
+        maps in sync.  Returns whether the root side and the parameter
+        side of the interface changed -- the only cases in which other
+        rules' stored occurrences can be affected."""
         refs_total = self._refs_total
         delta = self._count_delta.setdefault(head, {})
         for symbol, count in self._callee_counts.pop(head, {}).items():
@@ -494,24 +520,27 @@ class GrammarOccurrenceIndex:
                 referencers.discard(head)
             refs_total[symbol] = refs_total.get(symbol, 0) - count
             delta[symbol] = delta.get(symbol, 0) - count
-        for symbol in self._boundary.pop(head, ()):
-            boundary_refs = self._boundary_refs.get(symbol)
-            if boundary_refs is not None:
-                boundary_refs.discard(head)
-        old_signature = self._interface.pop(head, None)
+        for boundary, boundary_refs in zip(self._boundary,
+                                           self._boundary_refs):
+            for symbol in boundary.pop(head, ()):
+                referencers = boundary_refs.get(symbol)
+                if referencers is not None:
+                    referencers.discard(head)
+        old = self._interface.pop(head, (None, None))
         self._total_edges -= self._rule_edges.pop(head, 0)
         grammar = self._grammar
         if not grammar.has_rule(head):
             self._topo.pop(head, None)
-            return old_signature is not None
+            return old[0] is not None, old[1] is not None
         rhs = grammar.rules[head]
         callees: Dict[Symbol, int] = {}
-        boundary: Set[Symbol] = set()
+        # Descending resolutions continue through the rule root,
+        # ascending ones through parameter parents.
+        sides: Tuple[Set[Symbol], Set[Symbol]] = (set(), set())
         param_parents: List[Tuple[int, int, Symbol, int]] = []
         node_total = 0
         if rhs.symbol.is_nonterminal:
-            # Descending resolutions continue through the rule root.
-            boundary.add(rhs.symbol)
+            sides[0].add(rhs.symbol)
         stack = [rhs]
         while stack:
             node = stack.pop()
@@ -527,14 +556,11 @@ class GrammarOccurrenceIndex:
                         node.child_index(),
                     ))
                     if parent.symbol.is_nonterminal:
-                        # Ascending resolutions jump through parameter
-                        # parents.
-                        boundary.add(parent.symbol)
+                        sides[1].add(parent.symbol)
             stack.extend(node.children)
         param_parents.sort()
-        signature = (id(rhs), rhs.symbol, tuple(param_parents))
+        signature = ((id(rhs), rhs.symbol), tuple(param_parents))
         self._callee_counts[head] = callees
-        self._boundary[head] = boundary
         self._interface[head] = signature
         self._rule_edges[head] = node_total - 1
         self._total_edges += node_total - 1
@@ -543,10 +569,13 @@ class GrammarOccurrenceIndex:
             refs_total[symbol] = refs_total.get(symbol, 0) + count
             delta[symbol] = delta.get(symbol, 0) + count
         refs_total.setdefault(head, 0)
-        for symbol in boundary:
-            self._boundary_refs.setdefault(symbol, set()).add(head)
+        for side, boundary, boundary_refs in zip(sides, self._boundary,
+                                                 self._boundary_refs):
+            boundary[head] = side
+            for symbol in side:
+                boundary_refs.setdefault(symbol, set()).add(head)
         self._assign_topo(head, callees)
-        return signature != old_signature
+        return signature[0] != old[0], signature[1] != old[1]
 
     def _assign_topo(self, head: Symbol, callees: Iterable[Symbol]) -> None:
         """Keep every caller's topological level above all its callees,
@@ -685,27 +714,30 @@ class GrammarOccurrenceIndex:
         return changed
 
     def _propagated(
-        self, interface_dirty: Set[Symbol]
-    ) -> Tuple[Set[Symbol], Set[Symbol]]:
+        self, interface_dirty: Tuple[Set[Symbol], Set[Symbol]]
+    ) -> Tuple[Set[Symbol], List[Set[Symbol]]]:
         """Rules whose stored occurrences may have changed endpoints
         because a resolution chain out of them reaches a rule whose
-        interface changed: the referencers of ``through``, the
-        reverse-boundary closure of the interface-changed transparent
-        rules.  Returns ``(referencers, through)``; every affected chain
-        has its *first* hop in ``through``."""
-        through: Set[Symbol] = {
-            head for head in interface_dirty if self._is_transparent(head)
-        }
-        stack = list(through)
-        while stack:
-            current = stack.pop()
-            for head in self._boundary_refs.get(current, ()):
-                if head not in through and self._is_transparent(head):
-                    through.add(head)
-                    stack.append(head)
+        interface changed.  Per side, ``through`` is the closure of the
+        transparent rules whose side changed under that side's reverse
+        boundary edges -- descents read rule roots only, ascents
+        parameter parents only.  Returns ``(referencers of either
+        closure, [root closure, parameter closure])``; every affected
+        chain has its *first* hop in the closure of its side."""
         result: Set[Symbol] = set()
-        for head in through:
-            result.update(self._referencers.get(head, ()))
+        through: List[Set[Symbol]] = []
+        for dirty, boundary_refs in zip(interface_dirty,
+                                        self._boundary_refs):
+            closure = {head for head in dirty if self._is_transparent(head)}
+            stack = list(closure)
+            while stack:
+                for head in boundary_refs.get(stack.pop(), ()):
+                    if head not in closure and self._is_transparent(head):
+                        closure.add(head)
+                        stack.append(head)
+            for head in closure:
+                result.update(self._referencers.get(head, ()))
+            through.append(closure)
         return result, through
 
     def _order_affected(self, affected: Set[Symbol]) -> List[Symbol]:
@@ -750,78 +782,92 @@ class GrammarOccurrenceIndex:
                 for occ in occs.values():
                     self._release_claim(digram, occ)
 
-    def _store_occurrence(
+    def _store(
         self,
         head: Symbol,
-        node: Node,
+        nodes: Iterable[Node],
         resolver: Resolver,
-        weight: int,
-        per_rule: _RuleTable,
-        gen_map: Dict[int, Digram],
+        replace: bool = False,
     ) -> None:
-        """Resolve and store the occurrence generated by ``node``
-        (replacing a previously stored one for the same generator).
+        """Resolve and store the occurrences ``nodes`` generate, in the
+        order given: the one store loop of the census, the adaptation and
+        the crossing rescan.  With ``replace`` each generator's stored
+        occurrence is removed right before it is stored afresh.  The
+        equal-label claims make the order matter: a claim suppresses the
+        overlapping occurrences stored after it."""
+        per_rule = self._by_rule[head]
+        gen_map = self._gen_digram[head]
+        weight = self._rule_usage[head]
+        claims, counts = self._claims, self._counts
+        weights, changed = self._weights, self._changed_digrams
+        opaque, barriers = self._opaque, self._barriers
+        for node in nodes:
+            parent = node.parent
+            symbol = node.symbol
+            if parent is None or symbol.is_parameter:
+                continue
+            if replace:
+                self._remove(head, (node,))
+            parent_symbol = parent.symbol
+            if barriers and (symbol in barriers
+                             or parent_symbol in barriers):
+                # Shard reference edges are pinned: replacement must
+                # never absorb, move, or duplicate them.
+                continue
+            descends = symbol.is_nonterminal and symbol not in opaque
+            if descends or (parent_symbol.is_nonterminal
+                            and parent_symbol not in opaque):
+                self.generators_resolved += 1
+                parent_node, child_index, parent_path = \
+                    resolver.tree_parent(node)
+                child_node, child_path = resolver.tree_child(node)
+            else:
+                # Both endpoints are explicit right here: no resolver
+                # walk (the overwhelmingly common case in
+                # update-dominated start rules).
+                parent_node, child_index = parent, node.child_index()
+                child_node, parent_path, child_path = node, NO_PATH, NO_PATH
+            digram = Digram(parent_node.symbol, child_index, child_node.symbol)
+            if digram.parent is digram.child:  # equal-label
+                if descends:
+                    continue  # equal-label digrams never cross a rule root
+                claimed = claims.setdefault(digram, {})
+                if id(parent_node) in claimed:
+                    continue  # overlaps a stored occurrence
+                key = id(child_node)
+                claimed[key] = claimed.get(key, 0) + 1
+            key = id(node)
+            per_rule.setdefault(digram, {})[key] = GrammarOccurrence(
+                head, node, parent_node, child_index, child_node,
+                parent_path, child_path,
+            )
+            gen_map[key] = digram
+            counts[digram] = counts.get(digram, 0) + 1
+            if weight:
+                weights[digram] = weights.get(digram, 0) + weight
+            changed.add(digram)
 
-        Mirrors one iteration of :meth:`_census_rule`'s scan loop -- the
-        equal-label claim protocol must stay in lockstep with it."""
-        self._remove_generator(head, node, per_rule, gen_map)
-        symbol, parent = node.symbol, node.parent
-        if self._barriers and (symbol in self._barriers
-                               or parent.symbol in self._barriers):
-            return  # shard reference edges are pinned: no digram here
-        if self._is_transparent(symbol) or self._is_transparent(parent.symbol):
-            self.generators_resolved += 1
-            parent_node, child_index, parent_path = resolver.tree_parent(node)
-            child_node, child_path = resolver.tree_child(node)
-        else:  # both endpoints explicit right here: no resolver walk
-            parent_node, child_index = parent, node.child_index()
-            child_node, parent_path, child_path = node, [], []
-        digram = Digram(parent_node.symbol, child_index, child_node.symbol)
-        if digram.is_equal_label:
-            if resolver.is_transparent(node.symbol):
-                # Equal-label digrams never cross a rule root.
-                return
-            claimed = self._claims.setdefault(digram, {})
-            if id(parent_node) in claimed:
-                return  # overlaps a stored occurrence
-            key = id(child_node)
-            claimed[key] = claimed.get(key, 0) + 1
-        per_rule.setdefault(digram, {})[id(node)] = GrammarOccurrence(
-            rule=head,
-            generator=node,
-            parent_node=parent_node,
-            child_index=child_index,
-            child_node=child_node,
-            parent_path=parent_path,
-            child_path=child_path,
-        )
-        gen_map[id(node)] = digram
-        self._counts[digram] = self._counts.get(digram, 0) + 1
-        if weight:
-            self._weights[digram] = self._weights.get(digram, 0) + weight
-        self._changed_digrams.add(digram)
-
-    def _remove_generator(
-        self,
-        head: Symbol,
-        node: Node,
-        per_rule: _RuleTable,
-        gen_map: Dict[int, Digram],
-    ) -> None:
-        digram = gen_map.pop(id(node), None)
-        if digram is None:
-            return
-        occs = per_rule.get(digram)
-        occurrence = occs.pop(id(node)) if occs else None
-        if occurrence is None:
-            return
-        self._counts[digram] = self._counts.get(digram, 0) - 1
-        weight = self._rule_usage.get(head, 0)
-        if weight:
-            self._weights[digram] = self._weights.get(digram, 0) - weight
-        self._changed_digrams.add(digram)
-        if digram.is_equal_label:
-            self._release_claim(digram, occurrence)
+    def _remove(self, head: Symbol, nodes: Iterable[Node]) -> None:
+        """Forget the occurrences ``nodes`` generated in ``head`` (a node
+        that generated none is skipped): the one removal loop."""
+        per_rule = self._by_rule[head]
+        gen_map = self._gen_digram[head]
+        weight = self._rule_usage[head]
+        counts, weights = self._counts, self._weights
+        changed, claims = self._changed_digrams, self._claims
+        for node in nodes:
+            key = id(node)
+            digram = gen_map.pop(key, None)
+            if digram is None:
+                continue
+            occurrence = per_rule[digram].pop(key)
+            # Stored means counted, and weighted once the rule is used.
+            counts[digram] -= 1
+            if weight:
+                weights[digram] -= weight
+            changed.add(digram)
+            if digram in claims:  # equal-label
+                self._release_claim(digram, occurrence)
 
     def _adapt_rule(self, head: Symbol, log: List, resolver: Resolver) -> None:
         """Apply one round's local-edit events to ``head``'s occurrences.
@@ -840,8 +886,8 @@ class GrammarOccurrenceIndex:
         argument root included) is detached; that event supplies ``x``
         and its children, and everything below them keeps its edges.
 
-        Two passes: first every removal of the log, collecting the nodes
-        to (re)generate once each in event order; then one store per
+        Two passes: first every removal -- each detached node, then each
+        node to (re)generate, once each in event order; then one store per
         collected node still attached to the post-round tree (a template
         copy consumed by a later replacement of the same round is not).
         This leaves exactly the occurrence set a rescan of the rule would
@@ -850,175 +896,94 @@ class GrammarOccurrenceIndex:
         instead of O(|rule|) cost.
         """
         self.rules_adapted += 1
-        per_rule = self._by_rule[head]
-        gen_map = self._gen_digram[head]
-        weight = self._rule_usage.get(head, 0)
-        # The log holds the detached nodes, so their ids cannot be reused.
-        detached: Set[int] = set()
-        fresh: Dict[int, Node] = {}
+        # Insertion-ordered node sets (nodes hash by identity).
+        detached: Dict[Node, None] = {}
+        fresh: Dict[Node, None] = {}
         for event in log:
             if event[0] == "edge":
                 _tag, old_parent, _slot, old_child, new_node = event
-                for node in (old_parent, old_child):
-                    detached.add(id(node))
-                    self._remove_generator(head, node, per_rule, gen_map)
-                fresh.setdefault(id(new_node), new_node)
+                detached[old_parent] = detached[old_child] = None
+                fresh[new_node] = None
                 for child in new_node.children:
-                    fresh.setdefault(id(child), child)
+                    fresh[child] = None
             else:
-                inlined, region = event[1], event[2]
-                detached.add(id(inlined))
-                self._remove_generator(head, inlined, per_rule, gen_map)
-                for node in region:
-                    fresh.setdefault(id(node), node)
+                detached[event[1]] = None
+                for node in event[2]:
+                    fresh[node] = None
         survivors = [
-            node for key, node in fresh.items()
-            if key not in detached and node.parent is not None
+            node for node in fresh
+            if node not in detached and node.parent is not None
             and not node.symbol.is_parameter
         ]
-        for node in survivors:
-            self._remove_generator(head, node, per_rule, gen_map)
-        for node in survivors:
-            self._store_occurrence(
-                head, node, resolver, weight, per_rule, gen_map
-            )
+        self._remove(head, detached)
+        self._remove(head, survivors)
+        self._store(head, survivors, resolver)
 
     def _rescan_crossing(
         self,
         head: Symbol,
-        through: Set[Symbol],
+        through: List[Set[Symbol]],
         resolver: Resolver,
     ) -> None:
         """Re-resolve the generators of ``head`` whose resolution can
-        enter ``through``: nodes whose own symbol (child side) or in-rule
-        parent symbol (parent side) is in that closure.
+        enter ``through``: nodes whose own symbol is in the root closure
+        (child side) or whose in-rule parent symbol is in the parameter
+        closure (parent side).
 
-        Used when ``head`` references a rule of the closure (whether or
-        not ``head`` itself was edited this round).  Every other
-        occurrence -- local, or crossing into rules outside the closure
+        Used when ``head`` references a rule of either closure (whether
+        or not ``head`` itself was edited this round).  Every other
+        occurrence -- local, or crossing into rules outside the closures
         -- cannot be affected and keeps its storage, claims and pairing;
         the candidates -- stored *or* previously suppressed, they are the
-        same node set -- re-resolve in rule preorder.
+        same node set -- are removed and stored one at a time, in rule
+        preorder.
         """
-        rhs = self._grammar.rules[head]
-        weight = self._usage.get(head, 0)
-        per_rule = self._by_rule.get(head)
-        gen_map = self._gen_digram.get(head)
-        if per_rule is None:
-            per_rule = {}
-            gen_map = {}
-            self._by_rule[head] = per_rule
-            self._gen_digram[head] = gen_map
-            self._rule_usage[head] = weight
         self.rules_partially_rescanned += 1
-        stack = [rhs]
-        while stack:  # preorder
-            node = stack.pop()
-            stack.extend(reversed(node.children))
-            parent = node.parent
-            symbol = node.symbol
-            if parent is None or symbol.is_parameter:
-                continue
-            if symbol in through or parent.symbol in through:
-                # _store_occurrence re-applies the barrier skip itself.
-                self._store_occurrence(
-                    head, node, resolver, weight, per_rule, gen_map
-                )
-        if not any(per_rule.values()):
-            del self._by_rule[head]
-            del self._gen_digram[head]
-            del self._rule_usage[head]
+        self._scan(head, resolver, through)
 
     def _census_rule(self, head: Symbol, resolver: Resolver) -> bool:
         """RETRIEVEOCCS restricted to one rule (assumes it was dropped).
 
         Returns True when the rule was actually scanned (drives the
         instrumentation counters).
-
-        The per-node body deliberately unrolls :meth:`_store_occurrence`
-        into a tight loop (a census visits thousands of nodes; the
-        adaptation path visits a handful) -- the equal-label claim
-        protocol here and there must stay in lockstep.
         """
-        grammar = self._grammar
-        if head in self._opaque or not grammar.has_rule(head):
+        if head in self._opaque or not self._grammar.has_rule(head):
             return False
         self.rules_censused += 1
-        rule_weight = self._usage.get(head, 0)
-        rhs = grammar.rules[head]
-        per_rule: _RuleTable = {}
-        gen_map: Dict[int, Digram] = {}
-        self._by_rule[head] = per_rule
-        self._gen_digram[head] = gen_map
-        self._rule_usage[head] = rule_weight
+        self._scan(head, resolver)
+        return True
+
+    def _scan(
+        self,
+        head: Symbol,
+        resolver: Resolver,
+        through: Optional[List[Set[Symbol]]] = None,
+    ) -> None:
+        """Store ``head``'s generators in preorder: all of them (a census
+        of a dropped rule), or, re-storing each, those ``through`` names
+        (see :meth:`_rescan_crossing`)."""
+        if head not in self._by_rule:
+            self._by_rule[head] = {}
+            self._gen_digram[head] = {}
+            self._rule_usage[head] = self._usage.get(head, 0)
         order: List[Node] = []
-        stack = [rhs]
+        stack = [self._grammar.rules[head]]
         while stack:  # preorder
             node = stack.pop()
             order.append(node)
             stack.extend(reversed(node.children))
-        claims = self._claims
-        opaque = self._opaque
-        barriers = self._barriers
-        for node in order:
-            parent = node.parent
-            symbol = node.symbol
-            if parent is None or symbol.is_parameter:
-                continue
-            parent_symbol = parent.symbol
-            if barriers and (symbol in barriers
-                             or parent_symbol in barriers):
-                # Shard reference edges are pinned: replacement must
-                # never absorb, move, or duplicate them.
-                continue
-            if not (
-                (symbol.is_nonterminal and symbol not in opaque)
-                or (parent_symbol.is_nonterminal
-                    and parent_symbol not in opaque)
-            ):
-                # Both endpoints are explicit right here: skip the
-                # resolver round-trips (the overwhelmingly common case in
-                # update-dominated start rules).
-                parent_node, child_index = parent, node.child_index()
-                child_node = node
-                parent_path: List[Node] = []
-                child_path: List[Node] = []
-            else:
-                self.generators_resolved += 1
-                parent_node, child_index, parent_path = \
-                    resolver.tree_parent(node)
-                child_node, child_path = resolver.tree_child(node)
-            digram = Digram(parent_node.symbol, child_index, child_node.symbol)
-            if digram.is_equal_label:
-                if resolver.is_transparent(node.symbol):
-                    # Equal-label digrams never cross a rule root.
-                    continue
-                claimed = claims.setdefault(digram, {})
-                if id(parent_node) in claimed:
-                    continue  # overlaps a stored occurrence
-                key = id(child_node)
-                claimed[key] = claimed.get(key, 0) + 1
-            per_rule.setdefault(digram, {})[id(node)] = GrammarOccurrence(
-                rule=head,
-                generator=node,
-                parent_node=parent_node,
-                child_index=child_index,
-                child_node=child_node,
-                parent_path=parent_path,
-                child_path=child_path,
-            )
-            gen_map[id(node)] = digram
-            self._counts[digram] = self._counts.get(digram, 0) + 1
-            if rule_weight:
-                self._weights[digram] = (
-                    self._weights.get(digram, 0) + rule_weight
-                )
-            self._changed_digrams.add(digram)
-        if not per_rule:
+        if through is not None:
+            roots, params = through
+            order = [
+                node for node in order
+                if node.symbol in roots or (
+                    node.parent is not None and node.parent.symbol in params)
+            ]
+        self._store(head, order, resolver, replace=through is not None)
+        if not any(self._by_rule[head].values()):
             del self._by_rule[head]
             del self._gen_digram[head]
             del self._rule_usage[head]
-        return True
 
     def _flush_queue(self) -> None:
         for digram in self._changed_digrams:

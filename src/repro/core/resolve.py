@@ -35,9 +35,17 @@ __all__ = ["Resolver"]
 class Resolver:
     """Cached resolution walks over one grammar snapshot.
 
-    The caches (parameter locations, rule-root lookups) are valid as long
-    as the grammar's rules are not mutated; build a fresh resolver per
-    counting pass.
+    The caches (parameter locations, rule-root lookups, walk tails) are
+    valid as long as the grammar's rules are not mutated; build a fresh
+    resolver per read-only pass (one census, or one occurrence-index
+    round after its garbage collection).
+
+    A walk's first hop depends on the generator; everything after it
+    depends only on where it entered: a descent on the transparent
+    symbol it entered, an ascent on the transparent parent symbol and
+    the slot it left.  Those tails are memoized, so within one pass each
+    is walked once however many generators share it.  Every call still
+    returns fresh path lists: the callers store them.
     """
 
     def __init__(
@@ -55,6 +63,11 @@ class Resolver:
         # Built on first rule_of_node call: resolution walks never need
         # it, and per-round resolver rebuilds should not pay for it.
         self._rule_of_root: Optional[Dict[int, Symbol]] = None
+        # symbol -> (resolved node, path below the entered root).
+        self._descents: Dict[Symbol, Tuple[Node, List[Node]]] = {}
+        # (symbol, slot) -> (parent node, child index, path above it).
+        self._ascents: Dict[Tuple[Symbol, int],
+                            Tuple[Node, int, List[Node]]] = {}
 
     # ------------------------------------------------------------------
     def is_transparent(self, symbol: Symbol) -> bool:
@@ -97,12 +110,18 @@ class Resolver:
         transparent nonterminal nodes that would have to be inlined to make
         the child explicit where the walk started (the descent path).
         """
-        visited: List[Node] = []
-        current = node
-        while self.is_transparent(current.symbol):
-            visited.append(current)
-            current = self.grammar.rhs(current.symbol)
-        return current, visited
+        symbol = node.symbol
+        if not self.is_transparent(symbol):
+            return node, []
+        tail = self._descents.get(symbol)
+        if tail is None:
+            visited: List[Node] = []
+            current = self.grammar.rhs(symbol)
+            while self.is_transparent(current.symbol):
+                visited.append(current)
+                current = self.grammar.rhs(current.symbol)
+            tail = self._descents[symbol] = (current, visited)
+        return tail[0], [node, *tail[1]]
 
     def tree_parent(self, node: Node) -> Tuple[Node, int, List[Node]]:
         """Algorithm 3: ascend to the explicit parent.
@@ -112,16 +131,25 @@ class Resolver:
         transparent nonterminal nodes on the ascent (each is the in-rule
         parent through which the walk jumped into a callee rule).
         """
-        visited: List[Node] = []
-        current = node
-        while True:
-            parent = current.parent
-            if parent is None:
-                raise ValueError(
-                    "tree_parent called on (or resolved to) a rule root"
-                )
-            index = current.child_index()
-            if not self.is_transparent(parent.symbol):
-                return parent, index, visited
-            visited.append(parent)
+        parent = node.parent
+        if parent is None:
+            raise ValueError("tree_parent called on a rule root")
+        index = node.child_index()
+        if not self.is_transparent(parent.symbol):
+            return parent, index, []
+        key = (parent.symbol, index)
+        tail = self._ascents.get(key)
+        if tail is None:
+            visited: List[Node] = []
             current = self._param_node(parent.symbol, index)
+            while True:
+                above = current.parent
+                if above is None:
+                    raise ValueError("tree_parent resolved to a rule root")
+                slot = current.child_index()
+                if not self.is_transparent(above.symbol):
+                    break
+                visited.append(above)
+                current = self._param_node(above.symbol, slot)
+            tail = self._ascents[key] = (above, slot, visited)
+        return tail[0], tail[1], [parent, *tail[2]]

@@ -20,7 +20,7 @@ Two suppression rules keep stored occurrences non-overlapping:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.resolve import Resolver
 from repro.grammar.properties import anti_sl_order, usage
@@ -30,10 +30,10 @@ from repro.repair.priority import DigramPriorityQueue
 from repro.trees.node import Node
 from repro.trees.symbols import Symbol
 
-__all__ = ["GrammarOccurrence", "OccurrenceTable", "retrieve_occurrences"]
+__all__ = ["GrammarOccurrence", "NO_PATH", "OccurrenceTable", "retrieve_occurrences"]
 
 
-@dataclass
+@dataclass(slots=True)
 class GrammarOccurrence:
     """One stored digram occurrence, described on the grammar.
 
@@ -43,6 +43,10 @@ class GrammarOccurrence:
     ``parent_path`` / ``child_path`` list the transparent nonterminal nodes
     that must be expanded to make the endpoints explicit (the
     DependencyDAG's raw material, Section IV-B).
+
+    Slotted: an occurrence index holds one record per generator of the
+    grammar.  An occurrence whose endpoints are both explicit shares the
+    immutable :data:`NO_PATH` for both paths instead of two fresh lists.
     """
 
     rule: Symbol
@@ -50,8 +54,12 @@ class GrammarOccurrence:
     parent_node: Node
     child_index: int
     child_node: Node
-    parent_path: List[Node] = field(default_factory=list)
-    child_path: List[Node] = field(default_factory=list)
+    parent_path: Sequence[Node] = field(default_factory=list)
+    child_path: Sequence[Node] = field(default_factory=list)
+
+
+#: The resolution path of an explicit endpoint, shared by every record.
+NO_PATH: Tuple[Node, ...] = ()
 
 
 class OccurrenceTable:

@@ -99,18 +99,22 @@ class GrammarSizeTracker:
     size after *every* operation; with a sharded spine the operation
     itself only touches O(width) nodes, so the size probe must not
     reintroduce an O(|G|) walk).  The tracker recomputes lazily and only
-    the rules reported changed since the last read: one ``edge_count``
-    walk per dirtied rule, amortized over however many mutations the
-    epoch batched.
+    the rules reported changed since the last read: one width reading
+    per dirtied rule, amortized over however many mutations the epoch
+    batched.
     """
 
-    __slots__ = ("_grammar", "_edges", "_dirty", "_total")
+    __slots__ = ("_grammar", "_edges", "_dirty", "_total", "width_of")
 
     def __init__(self, grammar: "Grammar") -> None:
         self._grammar = grammar
         self._edges: Dict[Symbol, int] = {}
         self._dirty: Set[Symbol] = set(grammar.rules)
         self._total = 0
+        #: RHS nodes of a rule: a body walk here; the owning document
+        #: plugs in its structural index's reading, as for the shard
+        #: policy (a packed rule's width is the length of its columns).
+        self.width_of = grammar.rule_width
         grammar.register_observer(self)
 
     def rule_changed(self, head: Symbol) -> None:
@@ -131,7 +135,7 @@ class GrammarSizeTracker:
             for head in self._dirty:
                 if not grammar.has_rule(head):
                     continue
-                new = edge_count(grammar.rules[head])
+                new = self.width_of(head) - 1
                 self._total += new - self._edges.get(head, 0)
                 self._edges[head] = new
             self._dirty.clear()

@@ -275,3 +275,46 @@ class TestInterleavingAgainstTheModel:
             assert reopened.scrub().ok
             reopened.close()
         return paused_ops
+
+
+class TestSizeProbeReadsPackedWidths:
+    """The automatic policy's size probe reads a packed rule's width off
+    its pack instead of walking the body; whatever a write, a paused
+    run's step or a rolled-back batch did to the packs, it must still
+    equal ``Grammar.size`` after every operation."""
+
+    def test_probe_equals_grammar_size_after_every_operation(
+            self, one_round_steps):
+        doc = CompressedXml.from_document(
+            make_corpus("EXI-Weblog", edges=1500, seed=5),
+            shard_width=32, auto_recompress_factor=1.05)
+        rng = random.Random(11)
+        tags = ("ip", "user", "ts", "x")
+        paused = rolled_back = packed = 0
+        for _ in range(150):
+            count, tag = doc.element_count, rng.choice(tags)
+            kind = rng.choice(("rename", "insert", "append", "delete",
+                               "read", "read", "batch"))
+            if kind == "rename":
+                doc.rename(rng.randrange(count), tag)
+            elif kind == "insert":
+                doc.insert(1 + rng.randrange(count - 1), XmlNode(tag))
+            elif kind == "append":
+                doc.append_child(rng.randrange(count),
+                                 XmlNode(tag, [XmlNode(tag)]))
+            elif kind == "delete":
+                doc.delete(1 + rng.randrange(count - 1))
+            elif kind == "read":
+                doc.tag_of(rng.randrange(count))  # builds packs
+            else:
+                with pytest.raises(IndexError):
+                    doc.apply_batch([
+                        BatchRename(rng.randrange(count), tag),
+                        BatchAppend(rng.randrange(count), XmlNode(tag)),
+                        BatchRename(10 ** 6, tag),
+                    ], transactional=True)
+                rolled_back += 1
+            paused += doc._repair is not None
+            packed += len(doc._index._packs)
+            assert doc.compressed_size == doc.grammar.size
+        assert paused > 10 and rolled_back > 5 and packed > 0
