@@ -13,15 +13,18 @@ module applies the same discipline to the mutable start rule:
   budget -- more than ``2 * width`` RHS nodes -- :class:`ShardManager`
   splits it into fresh rank-``<=1`` **shard rules**.  The split walks
   the rule body's *spine path* (towards its parameter if it has one,
-  else along heavy children), carves every sizable off-path subtree into
-  a rank-0 shard, cuts the path itself into ``~width``-node segments
-  that become rank-1 *chunk* rules (the segment's continuation replaced
-  by ``y1``), and rewrites the body as their composition
-  ``Ch1(Ch2(... Chm ...))``.  A composition chain that is itself wider
-  than the budget is re-chunked the same way, so a start RHS of ``n``
-  nodes becomes a *balanced* shard hierarchy of depth
-  ``O(log^2(n / width))`` whose rules all have ``O(width)`` nodes --
-  the ``S -> Sh1(Sh2(...))`` shape, nested.
+  else along heavy children), carves every off-path subtree of more
+  than ``width // 4`` nodes into a rank-0 shard, cuts the path itself
+  into ``ceil(n / width)`` pieces of even weight that become rank-1
+  *chunk* rules (the piece's continuation replaced by ``y1``), and
+  rewrites the body as their composition ``Ch1(Ch2(... Chm ...))``,
+  re-chunked the same way while wider than the budget -- the
+  ``S -> Sh1(Sh2(...))`` shape, nested.  The piece holding an append
+  point is as full as the others, and a shard split grafts its
+  composition into its parent, so tail appends add a level only when
+  the start rule splits (8 000 appends: 325 shards at depth 1 at width
+  256, 1 308 at depth 2 at width 64).  Merging the shards a
+  recompression thinned still deepens it (``3 * ceil(log2(shards))``).
 
 * Each shard is referenced **exactly once**, from its parent spine rule.
   That makes in-place mutation of a shard body semantically local: path
@@ -33,9 +36,8 @@ module applies the same discipline to the mutable start rule:
 * A post-epoch :meth:`reshard` pass -- hooked into the same place as the
   auto-recompress policy -- rebalances *only the rules the epoch
   touched*: rules that drifted past ``2 * width`` are re-split, shards
-  that fell below ``width // 2`` -- or were minted there by a split --
-  are merged back into their parent in the pass that finds them (the
-  parent is then itself re-checked).  A
+  that fell below ``width // 2`` are merged back into their parent in
+  the pass that finds them (the parent is then itself re-checked).  A
   recompression is an epoch like any other: the shard bodies it thinned
   reported ``rule_changed``, so the pass after it merges them.  Splits
   and merges go through the grammar observer channel rule by rule, so
@@ -189,8 +191,6 @@ class ShardManager:
         # Reentrancy guard: the manager's own splits/merges fire observer
         # notifications (for the indexes); they must not re-dirty us.
         self._resharding = False
-        # Chunk rules minted by the splits of the running reshard pass.
-        self._chunks: List[Symbol] = []
         self.stats = ShardStats()
         self._m_split = self._m_merge = self._m_demote = NULL_METRIC
         grammar.register_observer(self)
@@ -312,7 +312,7 @@ class ShardManager:
 
     def spine_depth(self) -> int:
         """Longest shard-reference chain below the start rule."""
-        depth: Dict[Symbol, int] = {}
+        depth: Dict[Symbol, int] = {self._grammar.start: 0}
 
         def resolve(head: Symbol) -> int:
             chain: List[Symbol] = []
@@ -390,7 +390,7 @@ class ShardManager:
         grammar = self._grammar
         demoted = 0
         dropped_arguments: List[Node] = []
-        for head in [h for h in self._touched if h in self.heads]:
+        for head in sorted(self._touched & self.heads, key=lambda h: h.name):
             while (head is not None and head.rank > 0
                    and grammar.has_rule(head)
                    and _find(grammar.rhs(head), _is_parameter) is None):
@@ -467,7 +467,8 @@ class ShardManager:
         actions = 0
         upper = 2 * self.width
         lower = self.width // 2
-        work = list(touched)
+        # By name: a set of symbols iterates in per-process address order.
+        work = sorted(touched, key=lambda head: head.name)
         with self.muted():
             while work:
                 head = work.pop()
@@ -483,10 +484,6 @@ class ShardManager:
                     owner = self._split(head, width)
                     self._m_split.observe(time.perf_counter() - split_started)
                     actions += 1
-                    # Its chunks too: the last of a cut path may be tiny,
-                    # and no write may ever touch it again.
-                    work += self._chunks
-                    self._chunks.clear()
                     if owner is not None:
                         # A shard split grafts its chunk composition into
                         # the parent (width moves *up*, depth stays put);
@@ -524,8 +521,9 @@ class ShardManager:
         sustained growth at one document position (the append-tail
         regime) propagates *width up the spine*, splitting ancestors
         amortizedly, instead of nesting ever-deeper shard chains at the
-        hot spot.  Keeps the reference depth logarithmic under exactly
-        the traffic that would otherwise degrade it.
+        hot spot.  The even cut of :meth:`_decompose` leaves no remnant
+        to merge into an interior spine rule, so only a start-rule split
+        adds a level.
 
         After a split every rule written has at most ``~2 * width``
         nodes; the returned parent (for shard grafts) may have grown
@@ -646,13 +644,13 @@ class ShardManager:
 
         1. carve every off-path subtree larger than ``width // 4`` into
            a rank-0 shard (recursively decomposed),
-        2. cut the path into segments of ``~width`` accumulated nodes;
-           each segment becomes a rank-1 chunk rule whose ``y1`` stands
-           for its continuation (the last segment keeps the original
-           parameter instead, if any),
-        3. return the segments' composition ``Ch1(Ch2(...Chm(...)))``.
+        2. cut the path into ``ceil(n / width)`` pieces of even weight
+           (``n`` body nodes); each becomes a rank-1 chunk rule whose
+           ``y1`` stands for its continuation (the last piece keeps the
+           original parameter instead, if any),
+        3. return the pieces' composition ``Ch1(Ch2(...Chm(...)))``.
 
-        The composition chain has one node per segment; when it is still
+        The composition chain has one node per piece; when it is still
         over budget the loop re-chunks it (its spine path is the chain
         itself), adding one hierarchy level per iteration -- balance for
         the sibling-chain bodies update traffic produces.
@@ -714,28 +712,27 @@ class ShardManager:
             if sizes[id(root)] <= upper:
                 return root
 
-            # 2. Segment the path by accumulated weight (a path node
-            # plus its now-small inline off-path subtrees).
+            # 2. Cut the path evenly by weight (a path node plus its
+            # now-small inline off-path subtrees): before each node whose
+            # weight midpoint passes a new mark ``i * total / pieces``.
+            total = sizes[id(root)]
+            pieces = -(-total // self.width)
             boundaries: List[int] = [0]
-            accumulated = 0
+            prefix = marks = 0
             for index, node in enumerate(path):
                 weight = sizes[id(node)]
                 if index + 1 < len(path):
                     weight -= sizes[id(path[index + 1])]
-                if accumulated and accumulated + weight > upper:
+                crossed = (2 * prefix + weight) * pieces // (2 * total)
+                if crossed > marks and index:
                     boundaries.append(index)
-                    accumulated = 0
-                accumulated += weight
-                if accumulated >= self.width and index + 1 < len(path):
-                    boundaries.append(index + 1)
-                    accumulated = 0
-            if boundaries and boundaries[-1] == len(path):
-                boundaries.pop()
+                marks = crossed
+                prefix += weight
             if len(boundaries) < 2:
-                return root  # cannot be segmented further
+                return root  # cannot be cut further
 
-            # 3. Detach the segments innermost-first; each detachment
-            # leaves a ``y1`` hole in the segment before it.
+            # 3. Detach the pieces innermost-first; each detachment
+            # leaves a ``y1`` hole in the piece before it.
             chunk_heads: List[Symbol] = []
             for index in reversed(boundaries[1:]):
                 first = path[index]
@@ -756,7 +753,6 @@ class ShardManager:
             self.stats.shards_created += 1
             self._install(top, path[0])
             chunk_heads.append(top)
-            self._chunks += chunk_heads
 
             # Composition: top(next(...(last[...]))), innermost first.
             chunk_heads.reverse()  # outermost (the old root) first

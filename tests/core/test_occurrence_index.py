@@ -370,15 +370,19 @@ class TestCountersProveTheCut:
     #: resolutions to 765 edges, against a 764-edge rebuild; splitting
     #: each rule interface into a root side and a parameter side, so a
     #: crossing rescan re-resolves only the generators whose walk reads
-    #: a changed side, takes the same rounds with 3957.
+    #: a changed side, takes the same rounds with 3957 (grammar
+    #: ``8a1b722735149531``).  Cutting split paths into even pieces
+    #: leaves the document 7 shards instead of 6 (the greedy cut's
+    #: remnant chunk merged away): one more barrier, the same rounds
+    #: and sizes, and 3976 resolutions.
     PARENT_RESOLVED = 8786
-    RESOLVED = 3957
+    RESOLVED = 3976
     ROUNDS = 151
     FINAL_SIZE = 765
     REBUILD_SIZE = 764
     #: sha256 of ``format_grammar`` after the recompression (a
     #: deliberate change of the output must update it).
-    GRAMMAR_SHA = "8a1b722735149531"
+    GRAMMAR_SHA = "59b3efd6d8421f65"
 
     def test_treebank_cut_keeps_rounds_and_grammar(self):
         doc = CompressedXml.from_document(

@@ -15,16 +15,20 @@ Three layers of guarantees:
   the structural and label indexes never invalidate wholesale.
 """
 
+import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 
 from benchmarks.e2e.model import FlatDoc
+from repro import api
 from repro.api import CompressedXml
 from repro.datasets.synthetic import make_corpus
 from repro.grammar.navigation import stream_elements
-from repro.grammar.sharding import DEFAULT_SHARD_WIDTH, MIN_SHARD_WIDTH
+from repro.grammar.sharding import (DEFAULT_SHARD_WIDTH, MIN_SHARD_WIDTH,
+                                    ShardManager)
 from repro.grammar.slcf import GrammarError
 from repro.trees.unranked import XmlNode
 
@@ -162,28 +166,102 @@ class TestEagerMerge:
             delete_first()
         assert manager.stats.history[-1] == \
             f"merge {target.name} -> {doc.grammar.start.name}"
-        # Two merges: the target, and the split's one-node last chunk
-        # in the pass that minted it.
-        assert (manager.stats.splits, manager.stats.merges) == (1, 2)
+        # One merge, the target's: the split cut even pieces, so it
+        # minted no chunk under ``W // 2`` for its own pass to merge.
+        assert (manager.stats.splits, manager.stats.merges) == (1, 1)
         assert doc.to_xml() == expected.to_xml()
         manager.check_invariants()
 
-    def test_a_split_merges_the_tiny_chunks_it_minted(self):
-        """XMark at width 64 under the repeatability stream: write 31
-        splits ``Sp_2`` and cuts its path into chunks, the last one a
-        single node.  No write touches that chunk, so only the pass that
-        minted it can merge it.  A shard a split carves off is larger
-        than ``W // 4``, so after every pass no shard is narrower."""
+    def test_a_split_cuts_its_path_into_even_pieces(self):
+        """XMark at width 64 under the repeatability stream: every piece
+        of a cut spine path a split mints holds ``W // 2`` to ``2 * W``
+        nodes (a greedy cut left the path's last piece, the one holding
+        the append point, as small as one node).  The pieces are the
+        installed bodies a decomposition did not return -- carved
+        off-path subtrees and the split rule's own composition are.  A
+        shard a split carves off is larger than ``W // 4``, so after
+        every pass no shard is narrower."""
         width = 64
-        doc = CompressedXml.from_document(
-            make_corpus("XMark", edges=4000, seed=5), shard_width=width)
+        # The returned roots stay referenced, so no body reuses an id.
+        returned, pieces = {}, []
+        decompose, install = ShardManager._decompose, ShardManager._install
+
+        def recording_decompose(manager, root):
+            built = decompose(manager, root)
+            returned[id(built)] = built
+            return built
+
+        def recording_install(manager, head, body):
+            if id(body) not in returned:
+                pieces.append(manager._subtree_sizes(body)[id(body)])
+            install(manager, head, body)
+
+        with mock.patch.object(ShardManager, "_decompose",
+                               recording_decompose), \
+                mock.patch.object(ShardManager, "_install",
+                                  recording_install):
+            doc = CompressedXml.from_document(
+                make_corpus("XMark", edges=4000, seed=5), shard_width=width)
+            manager = doc.shard_manager
+            rng = random.Random(11)
+            for _ in range(60):
+                write(doc, rng)
+                assert min(map(manager.width_of, manager.heads)) > width // 4
+        assert manager.stats.splits >= 5 and len(pieces) >= 5
+        assert [size for size in pieces
+                if not width // 2 <= size <= 2 * width] == []
+        manager.check_invariants()
+
+
+def spine_document(width, **options):
+    """``examples/sharded_spine.py``'s log: 300 two-child entries."""
+    return CompressedXml.from_xml(
+        "<log>" + "<entry><ip/><ts/></entry>" * 300 + "</log>",
+        shard_width=width, **options)
+
+
+def log_record(rng):
+    """One appended record: an entry or event of one to four fields."""
+    tags = ("ip", "user", "ts", "req", "status", "bytes", "ref", "agent")
+    fields = [XmlNode(rng.choice(tags)) for _ in range(rng.randint(1, 4))]
+    return XmlNode(rng.choice(("entry", "event")), fields)
+
+
+class TestTailAppendsKeepTheSpineShallow:
+    """Appends at one hot spot, the root's child-list terminator: the
+    shard hierarchy stays logarithmic in its shard count, and an append
+    builds as many rule packs late in the stream as early on.  A cut
+    that left a small last piece merged it into the parent spine rule,
+    which nested the next split one level deeper (depth 74 for 216
+    shards at width 256)."""
+
+    @pytest.mark.parametrize("width", [64, DEFAULT_SHARD_WIDTH])
+    def test_depth_and_pack_builds_per_append_stay_flat(self, width):
+        doc = spine_document(width)
+        rng = random.Random(7)
+        builds = {}
+        for appended in range(1, 8001):
+            doc.append_child(0, log_record(rng))
+            if appended in (1000, 2000, 7000, 8000):
+                builds[appended] = doc.index.builds
         manager = doc.shard_manager
-        rng = random.Random(11)
-        for _ in range(60):
-            write(doc, rng)
-            assert min(map(manager.width_of, manager.heads)) > width // 4
-        assert "split Sp_2[130] +3" in manager.stats.history
-        assert manager.stats.merges >= 3
+        assert manager.spine_depth() <= \
+            2 * math.ceil(math.log2(manager.shard_count))
+        assert builds[8000] - builds[7000] <= \
+            1.2 * (builds[2000] - builds[1000])
+
+    def test_depth_stays_logarithmic_under_recompression(self, monkeypatch):
+        # Whole runs, not time-budgeted steps: the same stream gives the
+        # same hierarchy on every machine.
+        monkeypatch.setattr(api, "STEP_SECONDS", None)
+        doc = spine_document(64, auto_recompress_factor=2.0)
+        rng = random.Random(7)
+        for _ in range(2000):
+            doc.append_child(0, log_record(rng))
+        manager = doc.shard_manager
+        assert doc.recompress_runs > 10
+        assert manager.spine_depth() <= \
+            3 * math.ceil(math.log2(manager.shard_count))
         manager.check_invariants()
 
 
@@ -375,20 +453,37 @@ class TestDeletingAChunkShardsWholeBody:
     continuation parameter: deleting it in place would leave a bare
     ``y1`` body, so the shard merges into its parent first."""
 
-    def test_the_95th_delete_of_a_seeded_run(self):
-        doc = CompressedXml.from_document(
-            make_corpus("EXI-Weblog", 1500, seed=21), shard_width=8)
-        rng = random.Random(2)
-        for _ in range(94):
-            doc.delete(rng.randrange(1, doc.element_count))
-        target = rng.randrange(1, doc.element_count)
-        assert (target, doc.tag_of(target), doc.parent_of(target)) == \
-            (1049, "entry", 0)
-        expected = FlatDoc.from_xml(doc.to_xml())
-        expected.delete(target)
-        doc.delete(target)
-        assert doc.to_xml() == expected.to_xml()
-        assert doc.shard_manager.stats.history[-1].startswith("merge")
+    def test_the_66th_write_of_a_seeded_run(self):
+        """Appends grow an element inside a chunk past the carve size,
+        and deletes then leave it alone in front of ``y1``: the 66th
+        write deletes it."""
+        xml = "<log>" + "<e/>" * 60 + "</log>"
+        doc = CompressedXml.from_xml(xml, compress=False, shard_width=8)
+        plain = CompressedXml.from_xml(xml, compress=False)
+        rng = random.Random(8)
+
+        def write():
+            at = rng.randrange(1, doc.element_count)
+            grow = rng.random() < 0.5
+            for twin in (doc, plain):
+                if grow:
+                    twin.append_child(at, XmlNode("c"))
+                else:
+                    twin.delete(at)
+            return grow
+
+        for _ in range(65):
+            write()
+        absorb, absorbed = ShardManager.absorb, []
+
+        def recording_absorb(manager, head, root):
+            absorbed.append(head)
+            return absorb(manager, head, root)
+
+        with mock.patch.object(ShardManager, "absorb", recording_absorb):
+            assert not write()
+        assert len(absorbed) == 1
+        assert doc.to_xml() == plain.to_xml()
         doc.grammar.validate()
         doc.shard_manager.check_invariants()
 
